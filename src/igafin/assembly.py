@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NurbsBasis, eval_nurbs_nonzero, greville_abscissae
+from .basis import NurbsBasis, basis_table, greville_abscissae
 from .linsolve import BandedLU, BandedMatrix
 from .quadrature import QuadratureRule
 
 __all__ = ["PhysicalMap", "GalerkinSystem", "assemble", "Collocation",
-           "group_project", "lift_boundary", "dump_matrix_csv"]
+           "group_project", "lift_boundary"]
 
 
 @dataclass(frozen=True)
@@ -89,58 +89,48 @@ class GalerkinSystem:
 def _split_full(full: BandedMatrix) -> tuple[BandedMatrix, np.ndarray]:
     """Drop boundary rows/columns; return interior band + boundary columns."""
     n, k = full.n, full.kband
+    near = min(k, n - 2)    # interior rows within the band of a boundary column
     cols = np.zeros((n - 2, 2))
-    for i in range(1, n - 1):
-        cols[i - 1, 0] = full[i, 0]
-        cols[i - 1, 1] = full[i, n - 1]
+    cols[:near, 0] = full.data[k + 1:k + 1 + near, 0]
+    cols[-near:, 1] = full.data[k - near:k, n - 1]
     inner = BandedMatrix(n - 2, k, full.data[:, 1:n - 1].copy())
     # zero band slots that referenced the dropped rows
-    for r in range(2 * k + 1):
-        d = r - k
-        for j in range(n - 2):
-            i = j + d
-            if i < 0 or i >= n - 2:
-                inner.data[r, j] = 0.0
+    i = np.arange(2 * k + 1)[:, None] - k + np.arange(n - 2)
+    inner.data[(i < 0) | (i >= n - 2)] = 0.0
     return inner, cols
 
 
 def assemble(basis: NurbsBasis, pmap: PhysicalMap,
              rule: QuadratureRule) -> GalerkinSystem:
-    """Span-wise Gauss assembly of mass, stiffness and advection matrices."""
-    kv = basis.knots
-    p = kv.degree
+    """Gauss assembly of mass, stiffness and advection matrices.
+
+    One basis table covers the quadrature points of every span; the local
+    matrices are formed together and added into the band in span order.
+    """
+    p = basis.degree
     n = basis.n_basis
     if n < 3:
         raise ValueError("need at least one interior basis function")
-    mass_f = BandedMatrix(n, p)
-    stiff_f = BandedMatrix(n, p)
-    adv_f = BandedMatrix(n, p)
-    breaks = kv.breakpoints
+    breaks = basis.knots.breakpoints
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    nq = len(rule.nodes)
+    first, R = basis_table(basis, mid[:, None] + half[:, None] * rule.nodes, 1)
+    R = R.reshape(len(half), nq, 2, p + 1)
+    w = (rule.weights * half[:, None])[:, :, None, None]
     jj, ii = np.meshgrid(np.arange(p + 1), np.arange(p + 1))
-    band_rows = p + ii - jj
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        loc_m = np.zeros((p + 1, p + 1))
-        loc_k = np.zeros((p + 1, p + 1))
-        loc_n = np.zeros((p + 1, p + 1))
-        first = None
-        for z, wq in zip(rule.nodes, rule.weights):
-            xi = mid + half * z
-            first, R = eval_nurbs_nonzero(basis, xi, 1)
-            w = wq * half
-            loc_m += w * np.outer(R[0], R[0])
-            loc_k += w * np.outer(R[1], R[1])
-            loc_n += w * np.outer(R[1], R[0])  # derivative on the test (row) index
-        cols = first + jj
-        mass_f.data[band_rows, cols] += loc_m
-        stiff_f.data[band_rows, cols] += loc_k
-        adv_f.data[band_rows, cols] += loc_n
-    mass_f.data *= pmap.dx_dxi
-    stiff_f.data *= pmap.dxi_dx
-    mass, mass_cols = _split_full(mass_f)
-    stiff, stiff_cols = _split_full(stiff_f)
-    adv, adv_cols = _split_full(adv_f)
+    band = (p + ii - jj, first[::nq, None, None] + jj)
+    parts = []
+    # (test derivative, trial derivative, metric factor): the advection
+    # matrix carries the derivative on the test (row) function
+    for test, trial, scale in ((0, 0, pmap.dx_dxi), (1, 1, pmap.dxi_dx),
+                               (1, 0, 1.0)):
+        loc = w * np.einsum("eqi,eqj->eqij", R[:, :, test], R[:, :, trial])
+        full = BandedMatrix(n, p)
+        np.add.at(full.data, band, loc.sum(axis=1))
+        full.data *= scale
+        parts.append(_split_full(full))
+    (mass, mass_cols), (stiff, stiff_cols), (adv, adv_cols) = parts
     return GalerkinSystem(n, p, mass, stiff, adv, mass_cols, stiff_cols,
                           adv_cols)
 
@@ -160,17 +150,9 @@ class Collocation:
         n = basis.n_basis
         if points.shape != (n,):
             raise ValueError("need exactly one collocation point per basis function")
-        p = basis.degree
-        mat = BandedMatrix(n, p)
-        for i, xi in enumerate(points):
-            first, R = eval_nurbs_nonzero(basis, xi, 0)
-            for j in range(p + 1):
-                col = first + j
-                if abs(i - col) > p:
-                    if R[0, j] != 0.0:
-                        raise ValueError("collocation point outside its own support band")
-                    continue
-                mat.data[p + i - col, col] = R[0, j]
+        mat, dropped = _point_rows(basis, points, 0)
+        if np.any(dropped != 0.0):
+            raise ValueError("collocation point outside its own support band")
         self.basis = basis
         self.points = points
         self.matrix = mat
@@ -190,17 +172,23 @@ class Collocation:
 
     def derivative_matrix(self, order: int) -> BandedMatrix:
         """Collocation of the ``order``-th parametric derivative at the points."""
-        basis = self.basis
-        p = basis.degree
-        n = basis.n_basis
-        mat = BandedMatrix(n, p)
-        for i, xi in enumerate(self.points):
-            first, R = eval_nurbs_nonzero(basis, xi, order)
-            for j in range(p + 1):
-                col = first + j
-                if abs(i - col) <= p:
-                    mat.data[p + i - col, col] = R[order, j]
-        return mat
+        return _point_rows(self.basis, self.points, order)[0]
+
+
+def _point_rows(basis: NurbsBasis, points: np.ndarray,
+                order: int) -> tuple[BandedMatrix, np.ndarray]:
+    """Band whose row i holds the ``order``-th derivatives at ``points[i]``.
+
+    Also returns the entries that fall outside the band, which are dropped.
+    """
+    n, p = basis.n_basis, basis.degree
+    first, R = basis_table(basis, points, order)
+    cols = first[:, None] + np.arange(p + 1)
+    offset = np.arange(n)[:, None] - cols
+    inside = np.abs(offset) <= p
+    mat = BandedMatrix(n, p)
+    mat.data[p + offset[inside], cols[inside]] = R[:, order][inside]
+    return mat, R[:, order][~inside]
 
 
 def group_project(values_at_greville: np.ndarray, basis: NurbsBasis) -> np.ndarray:
@@ -213,20 +201,3 @@ def lift_boundary(system: GalerkinSystem, w1: float, wn: float):
     wb = np.array([w1, wn])
     return (system.mass_cols @ wb, system.stiffness_cols @ wb,
             system.advection_cols @ wb)
-
-
-def dump_matrix_csv(mat, path) -> None:
-    """Write in-band entries as ``row,col,value`` lines (10 significant digits)."""
-    if isinstance(mat, BandedMatrix):
-        dense = mat.to_dense()
-    else:
-        dense = np.asarray(mat, dtype=float)
-        if dense.ndim == 1:
-            dense = dense[:, None]
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        for i in range(dense.shape[0]):
-            for j in range(dense.shape[1]):
-                v = dense[i, j]
-                if v != 0.0:
-                    fh.write(f"{i},{j},{v:.10g}\n")

@@ -1,24 +1,27 @@
 """Open-knot B-spline and NURBS bases on a 1-D parameter interval.
 
-Provides knot-vector construction (uniform, and kink-refined with two-sided
-geometric clustering), Cox-de Boor evaluation of B-spline values and
-derivatives, rational (NURBS) evaluation up to second derivatives, Greville
-abscissae, and weight-file loading.
+Knot vectors (uniform, or geometrically clustered toward a kink), one batched
+evaluation kernel, Greville abscissae and weight-file loading.  A knot vector
+of degree ``p`` is *open*: its first and last knots repeat exactly ``p + 1``
+times.  The ``n`` basis functions are indexed ``0 .. n-1`` in code.
 
-Conventions
------------
-A knot vector ``Xi = {xi_1 <= ... <= xi_(n+p+1)}`` of degree ``p`` is *open*:
-the first and last knots repeat exactly ``p + 1`` times.  The ``n`` basis
-functions are indexed ``0 .. n-1`` in code.  Evaluation at the right endpoint
-uses the closure of the last non-empty span, so partition of unity holds on
-the closed interval.  Divisions ``0/0`` in the Cox-de Boor recursion are
-taken as ``0`` (realised structurally by the triangular evaluation scheme,
-which never forms them).
+Every evaluation goes through :func:`basis_table`.  It puts each of ``m``
+points in a non-empty knot span ``[xi_i, xi_(i+1))``.  The last span is
+right-closed, so partition of unity holds on the closed interval; with
+``side="left"`` a point on an interior knot goes to the span *ending* there,
+which gives left one-sided limits at repeated knots.  Points outside
+``[xi_min, xi_max]`` raise ``ValueError``.  The kernel returns ``first``,
+shape ``(m,)``, and the table ``R``, shape ``(m, order + 1, p + 1)``:
+``R[i, k, j]`` is the k-th parametric derivative (``order <= 2``) of function
+``first[i] + j`` at point ``i``, the only ``p + 1`` functions nonzero there.
+B-spline rows come from the triangular scheme of Piegl and Tiller's algorithm
+A2.3 (*The NURBS Book*), which never forms the ``0/0`` quotients of the
+Cox-de Boor recursion; the weights then enter once, through the quotient rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +31,9 @@ __all__ = [
     "make_uniform_open_knots",
     "make_refined_open_knots",
     "find_span",
-    "eval_bspline_all",
-    "eval_bspline_deriv_all",
+    "basis_table",
+    "contract_table",
     "eval_nurbs_all",
-    "eval_nurbs_nonzero",
     "eval_spline_many",
     "greville_abscissae",
     "load_weights",
@@ -179,194 +181,106 @@ def make_refined_open_knots(n_elements: int, degree: int, kink_xi: float,
     return KnotVector(vals, degree)
 
 
-def find_span(knots: KnotVector, xi: float, side: str = "right") -> int:
-    """Index ``i`` of the non-empty span ``[xi_i, xi_(i+1))`` containing xi.
-
-    The last span is right-closed so ``xi == xi_max`` is valid.  With
-    ``side='left'`` an evaluation point sitting exactly on an interior knot
-    is assigned to the span *ending* there, which yields left one-sided
-    derivative limits at reduced-continuity knots.
-    """
+def _spans(knots: KnotVector, xis: np.ndarray, side: str) -> np.ndarray:
+    """Span index ``i`` with ``xi in [xi_i, xi_(i+1))`` for every point."""
     vals = knots.values
-    p = knots.degree
-    n = knots.n_basis
-    if xi < vals[0] or xi > vals[-1]:
-        raise ValueError(f"evaluation point {xi} outside [{vals[0]}, {vals[-1]}]")
-    if xi >= vals[n]:  # right end: closure of the final non-empty span
-        span = n - 1
-        while vals[span] == vals[span + 1]:
-            span -= 1
-        return span
-    if xi <= vals[p]:
-        span = p
-        while vals[span] == vals[span + 1]:
-            span += 1
-        return span
-    if side == "left" and xi in vals:
-        span = int(np.searchsorted(vals, xi, side="left")) - 1
-        while vals[span] == vals[span + 1]:
-            span -= 1
-        return span
-    span = int(np.searchsorted(vals, xi, side="right")) - 1
-    while vals[span] == vals[span + 1]:
-        span += 1
-    return span
+    inside = (xis >= vals[0]) & (xis <= vals[-1])
+    if not np.all(inside):
+        bad = xis[~inside][0]
+        raise ValueError(f"evaluation point {bad} outside [{vals[0]}, {vals[-1]}]")
+    span = np.searchsorted(vals, xis, side="right") - 1
+    if side == "left":
+        at = np.searchsorted(vals, xis, side="left")
+        span = np.where(vals[at] == xis, at - 1, span)
+    # open knots: clipping gives the right-closed last span and the first span
+    return np.clip(span, knots.degree, knots.n_basis - 1)
 
 
-def _basis_funs(vals: np.ndarray, degree: int, span: int, xi: float) -> np.ndarray:
-    """Values of the ``degree+1`` B-splines active on ``span`` at ``xi``."""
-    p = degree
-    N = np.empty(p + 1)
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    N[0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = xi - vals[span + 1 - j]
-        right[j] = vals[span + j] - xi
-        saved = 0.0
-        for r in range(j):
-            tmp = N[r] / (right[r + 1] + left[j - r])
-            N[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        N[j] = saved
-    return N
+def find_span(knots: KnotVector, xi: float, side: str = "right") -> int:
+    """Index ``i`` of the span ``[xi_i, xi_(i+1))`` holding one point."""
+    return int(_spans(knots, np.array([xi], dtype=float), side)[0])
 
 
-def _ders_basis_funs(vals: np.ndarray, degree: int, span: int, xi: float,
-                     nders: int) -> np.ndarray:
-    """Rows 0..nders of derivatives of the active B-splines at ``xi``.
-
-    Triangular-table scheme; derivatives above the degree come out zero.
-    """
-    p = degree
-    nd = min(nders, p)
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = xi - vals[span + 1 - j]
-        right[j] = vals[span + j] - xi
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            tmp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        ndu[j, j] = saved
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nd + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-    fact = float(p)
-    for k in range(1, nd + 1):
-        ders[k, :] *= fact
-        fact *= p - k
-    return ders
-
-
-def eval_bspline_all(knots: KnotVector, xi: float, side: str = "right") -> np.ndarray:
-    """Values ``N_i(xi)`` for all ``n_basis`` functions (dense vector)."""
-    span = find_span(knots, xi, side)
-    vals = _basis_funs(knots.values, knots.degree, span, xi)
-    out = np.zeros(knots.n_basis)
-    out[span - knots.degree: span + 1] = vals
-    return out
-
-
-def eval_bspline_deriv_all(knots: KnotVector, xi: float, order: int,
-                           side: str = "right") -> np.ndarray:
-    """``order``-th derivative of every basis function at ``xi``."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    span = find_span(knots, xi, side)
-    ders = _ders_basis_funs(knots.values, knots.degree, span, xi, order)
-    out = np.zeros(knots.n_basis)
-    out[span - knots.degree: span + 1] = ders[order]
-    return out
-
-
-def _nurbs_from_table(basis: NurbsBasis, ders: np.ndarray, order: int) -> np.ndarray:
-    """Rational derivatives from B-spline derivative rows via the quotient rule."""
-    w = basis.weights
-    W = ders @ w  # W[k] = sum_i w_i N_i^(k)(xi)
-    R = np.empty_like(ders)
-    R[0] = w * ders[0] / W[0]
-    if order >= 1:
-        R[1] = (w * ders[1] - R[0] * W[1]) / W[0]
-    if order >= 2:
-        R[2] = (w * ders[2] - 2.0 * R[1] * W[1] - R[0] * W[2]) / W[0]
-    return R
-
-
-def eval_nurbs_all(basis: NurbsBasis, xi: float, order: int = 0,
-                   side: str = "right") -> np.ndarray:
-    """``order``-th parametric derivative of every NURBS function at ``xi``.
-
-    ``order`` may be 0, 1 or 2.  Equal weights reduce the rational basis to
-    the underlying B-splines exactly.
+def basis_table(basis: NurbsBasis, xis, order: int,
+                side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+    """``(first, R)``: the nonzero NURBS functions and their derivatives up
+    to ``order`` (0, 1 or 2) at the points ``xis``; see the module docstring.
+    Equal weights reduce the rational basis to the B-splines exactly.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    knots = basis.knots
-    span = find_span(knots, xi, side)
-    p = knots.degree
-    nz = _ders_basis_funs(knots.values, p, span, xi, order)
-    idx = slice(span - p, span + 1)
-    w = basis.weights[idx]
-    # the weight sums need *all* functions, but only the active ones are nonzero
-    W = nz @ w
-    R = np.empty_like(nz)
-    R[0] = w * nz[0] / W[0]
+    vals, p = basis.knots.values, basis.degree
+    xis = np.asarray(xis, dtype=float).reshape(-1)
+    span = _spans(basis.knots, xis, side)
+    j = np.arange(p + 1)
+    left = xis[:, None] - vals[span[:, None] + 1 - j]   # xi - xi_(span+1-j)
+    right = vals[span[:, None] + j] - xis[:, None]      # xi_(span+j) - xi
+    # A2.3's triangle: N[q] holds the q+1 degree-q B-splines alive on the
+    # span, D[q][r] the support length of N[q-1][r]
+    N, D = [np.ones((len(xis), 1))], [None]
+    for q in range(1, p + 1):
+        D.append(right[:, 1:q + 1] + left[:, q:0:-1])
+        t = N[-1] / D[-1]
+        N.append(np.pad(right[:, 1:q + 1] * t, ((0, 0), (0, 1)))
+                 + np.pad(left[:, q:0:-1] * t, ((0, 0), (1, 0))))
+    # A2.3's derivative coefficients a[r, t] of each function r, where term
+    # t uses degree-q column c = r - k + t when 0 <= c <= q; zero above p
+    ders = np.zeros((len(xis), order + 1, p + 1))
+    ders[:, 0] = N[p]
+    a = np.ones((len(xis), p + 1, 1))
+    fact = float(p)
+    for k in range(1, min(order, p) + 1):
+        q = p - k
+        c = j[:, None] - k + np.arange(k + 1)
+        live = (c >= 0) & (c <= q)
+        c = np.clip(c, 0, q)
+        diff = np.pad(a, ((0, 0), (0, 0), (0, 1))) - np.pad(a, ((0, 0), (0, 0), (1, 0)))
+        a = np.where(live, diff / D[q + 1][:, c], 0.0)
+        d = np.zeros((len(xis), p + 1))
+        for t in range(k + 1):
+            d += a[:, :, t] * N[q][:, c[:, t]]
+        ders[:, k] = d * fact
+        fact *= p - k
+    # one quotient rule: R = w N / W with W = sum_j w_j N_j, differentiated.
+    # W is a matrix-vector product per point, not a .sum(): second
+    # derivatives cancel terms ~1/h^2 larger than the result, so the order of
+    # this sum shows in gamma, and per point it cannot depend on the batch
+    w = basis.weights[span[:, None] - p + j]
+    W = np.matmul(ders, w[:, :, None])
+    wn = w[:, None, :] * ders
+    R = np.empty_like(ders)
+    R[:, 0] = wn[:, 0] / W[:, 0]
     if order >= 1:
-        R[1] = (w * nz[1] - R[0] * W[1]) / W[0]
+        R[:, 1] = (wn[:, 1] - R[:, 0] * W[:, 1]) / W[:, 0]
     if order >= 2:
-        R[2] = (w * nz[2] - 2.0 * R[1] * W[1] - R[0] * W[2]) / W[0]
-    out = np.zeros(basis.n_basis)
-    out[idx] = R[order]
-    return out
-
-
-def eval_nurbs_nonzero(basis: NurbsBasis, xi: float, order: int,
-                       side: str = "right") -> tuple[int, np.ndarray]:
-    """Active-function NURBS derivative table at ``xi``.
-
-    Returns ``(first, R)`` where ``R[k, j]`` is the k-th derivative of
-    function ``first + j`` for ``k = 0..order``.  This is the assembly/
-    collocation kernel; it avoids materialising dense length-n vectors.
-    """
-    knots = basis.knots
-    span = find_span(knots, xi, side)
-    p = knots.degree
-    nz = _ders_basis_funs(knots.values, p, span, xi, order)
-    w = basis.weights[span - p: span + 1]
-    W = nz @ w
-    R = np.empty_like(nz)
-    R[0] = w * nz[0] / W[0]
-    if order >= 1:
-        R[1] = (w * nz[1] - R[0] * W[1]) / W[0]
-    if order >= 2:
-        R[2] = (w * nz[2] - 2.0 * R[1] * W[1] - R[0] * W[2]) / W[0]
+        R[:, 2] = (wn[:, 2] - 2.0 * R[:, 1] * W[:, 1] - R[:, 0] * W[:, 2]) / W[:, 0]
     return span - p, R
+
+
+def contract_table(first: np.ndarray, R: np.ndarray,
+                   coeffs: np.ndarray) -> np.ndarray:
+    """Derivatives of the expansion with ``coeffs``, ``(m, order + 1)``.
+
+    Each entry is one dot product of a table row with the coefficients of
+    its ``p + 1`` functions.
+    """
+    c = coeffs[first[:, None] + np.arange(R.shape[2])]
+    return np.matmul(R[:, :, None, :], c[:, None, :, None])[:, :, 0, 0]
+
+
+def eval_nurbs_all(basis: NurbsBasis, xi, order: int = 0,
+                   side: str = "right") -> np.ndarray:
+    """``order``-th derivative of every NURBS function, as dense rows.
+
+    A scalar ``xi`` gives one row of length ``n_basis``; an array gives one
+    row per point.
+    """
+    xis = np.asarray(xi, dtype=float)
+    first, R = basis_table(basis, xis, order, side)
+    out = np.zeros((len(first), basis.n_basis))
+    cols = first[:, None] + np.arange(basis.degree + 1)
+    np.put_along_axis(out, cols, R[:, order], axis=1)
+    return out.reshape(xis.shape + (basis.n_basis,))
 
 
 def greville_abscissae(knots: KnotVector) -> np.ndarray:
@@ -376,12 +290,8 @@ def greville_abscissae(knots: KnotVector) -> np.ndarray:
     basis is interpolatory.
     """
     p = knots.degree
-    vals = knots.values
-    n = knots.n_basis
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = vals[i + 1: i + p + 1].sum() / p
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(knots.values[1:-1], p)
+    return windows.sum(axis=1) / p
 
 
 def load_weights(path, n_basis: int) -> np.ndarray:
@@ -406,9 +316,5 @@ def eval_spline_many(basis: NurbsBasis, coeffs: np.ndarray, xis: np.ndarray,
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_basis,):
         raise ValueError("coefficient vector length mismatch")
-    out = np.empty(len(xis))
-    p = basis.degree
-    for m, xi in enumerate(np.asarray(xis, dtype=float)):
-        first, R = eval_nurbs_nonzero(basis, xi, order, side)
-        out[m] = R[order] @ coeffs[first: first + p + 1]
-    return out
+    first, R = basis_table(basis, xis, order, side)
+    return contract_table(first, R, coeffs)[:, order]

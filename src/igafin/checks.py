@@ -69,8 +69,8 @@ def check_partition_of_unity() -> CheckResult:
     for _, basis in _sample_bases():
         pts = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 1.0],
                               basis.knots.breakpoints])
-        for xi in pts:
-            worst = max(worst, abs(eval_nurbs_all(basis, float(xi)).sum() - 1.0))
+        rows = eval_nurbs_all(basis, pts)
+        worst = max(worst, float(np.max(np.abs(rows.sum(axis=1) - 1.0))))
     return CheckResult("partition_of_unity", worst <= 1e-12, worst, 1e-12)
 
 
@@ -117,21 +117,14 @@ def check_stiffness_rowsum() -> CheckResult:
 
 def _dense_oracle(basis: NurbsBasis, pmap: PhysicalMap, rule) -> tuple:
     """Dense n x n matrices by direct quadrature, no banded bookkeeping."""
-    n = basis.n_basis
-    mass = np.zeros((n, n))
-    stiff = np.zeros((n, n))
-    adv = np.zeros((n, n))
     bp = basis.knots.breakpoints
-    for a, b in zip(bp[:-1], bp[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for z, wq in zip(rule.nodes, rule.weights):
-            xi = mid + half * z
-            v0 = eval_nurbs_all(basis, float(xi), order=0)
-            v1 = eval_nurbs_all(basis, float(xi), order=1)
-            w = wq * half
-            mass += w * np.outer(v0, v0)
-            stiff += w * np.outer(v1, v1)
-            adv += w * np.outer(v1, v0)
+    mid, half = 0.5 * (bp[:-1] + bp[1:]), 0.5 * (bp[1:] - bp[:-1])
+    xi = (mid[:, None] + half[:, None] * rule.nodes).ravel()
+    w = (half[:, None] * rule.weights).ravel()
+    v0 = eval_nurbs_all(basis, xi, order=0)
+    v1 = eval_nurbs_all(basis, xi, order=1)
+    mass, stiff, adv = ((a * w[:, None]).T @ b
+                        for a, b in ((v0, v0), (v1, v1), (v1, v0)))
     return mass * pmap.dx_dxi, stiff * pmap.dxi_dx, adv
 
 

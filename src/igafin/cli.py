@@ -14,6 +14,10 @@ validate   runs the structural invariant suite, one report line per check.
 Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
 failure.  Unknown configuration keys are hard errors carrying the offending
 line number, and nothing is written unless the whole configuration parses.
+Settings that parse but cannot run are configuration errors too, raised
+before solving: degree < 2 or n_tau = 0 for price and greeks (gamma and
+theta need them), and a probe price outside the domain.  price builds every
+table before it writes its first file.
 Ladder rungs run concurrently (IGAFIN_THREADS caps the pool, the only
 environment variable read); CSV rows keep ladder order regardless.
 """
@@ -38,8 +42,7 @@ from .models import (AfvParams, LelandParams, calibrate_weights,
 from .reference import (bs_exact_call, fdm_solve_afv, fdm_solve_leland,
                         misfit_epsilon, p1fem_solve)
 from .stepper import (NewtonDivergenceError, SchemeConfig, afv_value_curve,
-                      build_discretization, evaluate_slice,
-                      leland_price_curve, run)
+                      build_discretization, leland_price_curve, run)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_pricing",
            "run_convergence", "run_greeks", "main"]
@@ -280,9 +283,9 @@ def parse_config(path: str) -> ExperimentConfig:
         rungs=g("ladder", "rungs", _parse_rungs, []),
         reference=g("ladder", "reference",
                     lambda s: _parse_rungs(s)[0], None))
-    if cfg.n_elements < 1 or cfg.n_tau < 0:
-        raise ConfigError("n_elements must be >= 1 and n_tau >= 0", path,
-                          lines.get(("discretization", "")))
+    if cfg.n_elements < 1 or cfg.n_tau < 0 or cfg.degree < 1:
+        raise ConfigError("n_elements and degree must be >= 1 and n_tau >= 0",
+                          path, lines.get(("discretization", "")))
     return cfg
 
 
@@ -395,46 +398,66 @@ def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
     raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
 
 
-def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
-    disc, surf = _build(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    name = _value_field(cfg)
-    fields = ("U", "B", "C") if cfg.model == "afv" else ("vhat",)
+def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
+    """Reject settings under which the Greeks cannot be formed."""
+    if cfg.degree < 2:
+        raise ConfigError("the Greeks need degree >= 2 (gamma is a second "
+                          f"derivative), got degree = {cfg.degree}", cfg.path)
+    if cfg.n_tau < 1:
+        raise ConfigError("the Greeks need n_tau >= 1 (theta differences two "
+                          "time slices), got n_tau = 0", cfg.path)
 
+
+def _check_probe(cfg: ExperimentConfig) -> None:
+    """Reject a probe price whose image lies outside [x_min, x_max]."""
+    params = cfg.params
+    if cfg.model == "afv":
+        lo, hi = (params.s_initial * math.exp(x) for x in (cfg.x_min, cfg.x_max))
+    else:   # the probe is read on the final slice, tau = tau_max
+        lo, hi = (math.exp(x - params.kappa * params.tau_max)
+                  for x in (cfg.x_min, cfg.x_max))
+    if not lo <= cfg.probe_s <= hi:
+        raise ConfigError(f"probe_s = {cfg.probe_s:g} lies outside the "
+                          f"computational domain [{lo:.6g}, {hi:.6g}]",
+                          cfg.path)
+
+
+def _greville_values(cfg: ExperimentConfig, disc, slice_) -> list[np.ndarray]:
+    """Output fields at the Greville points: one banded matvec per field."""
+    if cfg.model == "afv":
+        return [disc.colloc.evaluate(slice_.coeffs[f]) for f in ("U", "B", "C")]
+    vhat = disc.colloc.evaluate(slice_.coeffs["vhat"])
+    return [math.exp(-cfg.params.kappa * slice_.tau) * vhat]
+
+
+def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
+    _check_greeks_inputs(cfg)
+    _check_probe(cfg)
+    disc, surf = _build(cfg)
+    name = _value_field(cfg)
+    fields = ["U", "B", "C"] if cfg.model == "afv" else [name]
+
+    # every table is built before the first file is written
     rows = []
     for level, slice_ in zip(surf.levels, surf.slices):
-        s_grid = _grid_s(cfg, disc, slice_)
         t = (cfg.params.maturity - slice_.tau if cfg.model == "afv"
              else cfg.params.maturity - 2.0 * slice_.tau / cfg.params.sigma ** 2)
-        vals = [_price_curve(cfg, disc, slice_, s_grid)] if cfg.model != "afv" \
-            else [evaluate_slice(disc, slice_, f,
-                                 np.log(s_grid / cfg.params.s_initial))
-                  for f in fields]
-        for i, s in enumerate(s_grid):
-            rows.append([level, t, s] + [v[i] for v in vals])
-    head = ["level", "t", "S"] + ([name] if cfg.model != "afv"
-                                  else ["U", "B", "C"])
-    _write_csv(os.path.join(cfg.out_dir, "surface.csv"), head, rows)
-
-    final = surf.final
-    s_grid = _grid_s(cfg, disc, final)
-    if cfg.model == "afv":
-        x = np.log(s_grid / cfg.params.s_initial)
-        cols = [evaluate_slice(disc, final, f, x) for f in ("U", "B", "C")]
-        slice_rows = [[s] + [c[i] for c in cols] for i, s in enumerate(s_grid)]
-        _write_csv(os.path.join(cfg.out_dir, "slice_t0.csv"),
-                   ["S", "U", "B", "C"], slice_rows)
-    else:
-        curve = _price_curve(cfg, disc, final, s_grid)
-        _write_csv(os.path.join(cfg.out_dir, "slice_t0.csv"), ["S", name],
-                   [[s, v] for s, v in zip(s_grid, curve)])
-
+        cols = _greville_values(cfg, disc, slice_)
+        rows += ([level, t, s, *v]
+                 for s, *v in zip(_grid_s(cfg, disc, slice_), *cols))
+    slice_rows = [row[2:] for row in rows[-disc.n_basis:]]
     table = greeks_table(cfg.params, disc, surf)
-    write_greeks_csv(os.path.join(cfg.out_dir, "greeks.csv"), table)
-
-    for line in _probe_report(cfg, disc, surf):
-        print(line)
+    report = _probe_report(cfg, disc, surf)
     ov = _oracle_value(cfg, oracle)
+
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_csv(os.path.join(cfg.out_dir, "surface.csv"),
+               ["level", "t", "S"] + fields, rows)
+    _write_csv(os.path.join(cfg.out_dir, "slice_t0.csv"), ["S"] + fields,
+               slice_rows)
+    write_greeks_csv(os.path.join(cfg.out_dir, "greeks.csv"), table)
+    for line in report:
+        print(line)
     if ov is not None:
         print(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = {ov:.4f}")
     return 0
@@ -461,6 +484,7 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
     if not cfg.rungs:
         raise ConfigError("converge needs a [ladder] section with rungs",
                           cfg.path)
+    _check_probe(cfg)
     ref = None
     if cfg.model == "leland" and oracle != "none":
         n_e, n_t = cfg.reference if cfg.reference else max(cfg.rungs)
@@ -494,6 +518,7 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
 
 
 def run_greeks(cfg: ExperimentConfig) -> int:
+    _check_greeks_inputs(cfg)
     disc, surf = _build(cfg)
     table = greeks_table(cfg.params, disc, surf)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import eval_spline_many
+from .basis import basis_table, contract_table
 from .models import AfvParams, LelandParams
 from .stepper import (Discretization, SolutionSurface, TimeSlice,
                       _coupon_levels, _put_level, evaluate_slice)
@@ -125,9 +125,8 @@ def gamma(params, disc: Discretization, slice_: TimeSlice,
          else _checked_s(s_points))
     x = _pde_x(params, disc, slice_, s)
     xi = np.asarray(disc.pmap.to_parameter(x))
-    coeffs = slice_.coeffs[field]
-    d1 = eval_spline_many(disc.basis, coeffs, xi, order=1, side=side)
-    d2 = eval_spline_many(disc.basis, coeffs, xi, order=2, side=side)
+    first, R = basis_table(disc.basis, xi, 2, side)
+    _, d1, d2 = contract_table(first, R, slice_.coeffs[field]).T
     scale = disc.pmap.dxi_dx
     curv = scale * scale * d2 - scale * d1
     if isinstance(params, LelandParams):

@@ -29,7 +29,7 @@ import numpy as np
 __all__ = [
     "LelandParams", "AfvParams", "UnifiedCoefficients", "ConstraintState",
     "unified_coefficients", "leland_transform", "leland_inverse",
-    "leland_payoff_vhat", "leland_initial_and_boundary", "afv_terminal",
+    "leland_payoff_vhat", "afv_terminal",
     "accrued_interest", "default_source_terms", "constraint_state",
     "apply_B_constraints", "apply_joint_constraints", "penalty_terms",
     "calibrate_weights", "default_domain",
@@ -187,17 +187,6 @@ def leland_payoff_vhat(x, params: LelandParams):
     return np.maximum(np.exp(x) - params.strike, 0.0)
 
 
-def leland_initial_and_boundary(x, tau: float, params: LelandParams):
-    """Initial slice (tau = 0) or boundary value at any tau.
-
-    The left boundary value is 0, the right one is e^x - strike; both are
-    time-independent in the transformed variables.
-    """
-    if tau == 0.0:
-        return leland_payoff_vhat(x, params)
-    return np.maximum(np.exp(x) - params.strike, 0.0)
-
-
 def afv_terminal(s, params: AfvParams):
     """Terminal (U, B, C) at maturity; U = B + C holds identically."""
     s = np.asarray(s, dtype=float)
@@ -352,14 +341,14 @@ def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
     The rational form makes each trial cheap: with B-spline values tabled
     once, a weight vector w evaluates as (B (w c)) / (B w).
     """
-    from .basis import eval_bspline_all, greville_abscissae
+    from .basis import NurbsBasis, eval_nurbs_all, greville_abscissae
 
     xi_dense = np.linspace(0.0, 1.0, n_samples)
     target = payoff(np.asarray(pmap.to_physical(xi_dense)))
     greville = greville_abscissae(knots)
     order = np.argsort(np.abs(greville - kink_xi))
     coeffs = payoff(np.asarray(pmap.to_physical(greville)))
-    btab = np.vstack([eval_bspline_all(knots, xi) for xi in xi_dense])
+    btab = eval_nurbs_all(NurbsBasis(knots, np.ones(knots.n_basis)), xi_dense)
 
     def misfit(weights: np.ndarray) -> float:
         vals = (btab @ (weights * coeffs)) / (btab @ weights)

@@ -43,7 +43,7 @@ from .linsolve import BandedLU, BandedMatrix
 from .models import (AfvParams, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
                      constraint_state, default_source_terms,
-                     leland_payoff_vhat, penalty_terms, unified_coefficients)
+                     leland_payoff_vhat, unified_coefficients)
 from .quadrature import gauss_legendre_rule
 
 __all__ = [
@@ -143,15 +143,15 @@ def build_discretization(x_min: float, x_max: float, n_elements: int,
                          degree: int = 3, knot_mode: str = "uniform",
                          cluster_ratio: float | None = None,
                          kink_xi: float = 0.5,
-                         weights: np.ndarray | None = None,
-                         quad_order: int = 5) -> Discretization:
+                         weights: np.ndarray | None = None) -> Discretization:
     """Assemble everything a run needs on [x_min, x_max].
 
     ``knot_mode`` is ``uniform`` or ``refined``; the refined mode clusters
     spans toward ``kink_xi`` and inserts it with multiplicity 3.  When
     ``cluster_ratio`` is omitted the refined mode keeps a fixed 100:1
     largest-to-smallest span grading, so refining the mesh halves every span
-    instead of piling new spans onto the kink.
+    instead of piling new spans onto the kink.  The mass integrand has
+    degree 2p, so the Gauss rule takes ``max(5, degree + 1)`` points.
     """
     if knot_mode == "uniform":
         knots = make_uniform_open_knots(n_elements, degree)
@@ -167,7 +167,7 @@ def build_discretization(x_min: float, x_max: float, n_elements: int,
         weights = np.ones(knots.n_basis)
     basis = NurbsBasis(knots, weights)
     pmap = PhysicalMap(x_min, x_max)
-    rule = gauss_legendre_rule(quad_order)
+    rule = gauss_legendre_rule(max(5, degree + 1))
     system = assemble(basis, pmap, rule)
     colloc = Collocation(basis)
     greville_xi = colloc.points
@@ -301,30 +301,34 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
     penalty acts diagonally on coefficients.  Stops when the update drops
     below ``tol`` in the max norm or the active sets repeat.
 
-    Returns (U, iterations, converged).
+    Returns (U, iterations, converged, residual) with the residual
+    max|f(U)| at the returned iterate.
     """
     a11_lu = a11.lu_factor()
     u = a11_lu.solve(phi) if u_init is None else np.asarray(u_init, dtype=float).copy()
-    p_put = (u_star_put - u >= 0.0).astype(float)
-    p_call = (u - u_star_call >= 0.0).astype(float)
-    for it in range(1, max_iter + 1):
+
+    def active(u):
+        return ((u_star_put - u >= 0.0).astype(float),
+                (u - u_star_call >= 0.0).astype(float))
+
+    def residual(u, p_put, p_call):
         pen = np.where(p_put > 0, u - u_star_put, 0.0) \
             + np.where(p_call > 0, u - u_star_call, 0.0)
-        f = a11.matvec(u) + rho * dtau * mass.matvec(pen) - phi
+        return a11.matvec(u) + rho * dtau * mass.matvec(pen) - phi
+
+    p_put, p_call = active(u)
+    for it in range(1, max_iter + 1):
+        f = residual(u, p_put, p_call)
         jac = a11 + mass.scale_columns(rho * dtau * (p_put + p_call))
         du = jac.lu_factor().solve(f)
         u = u - du
-        p_put_new = (u_star_put - u >= 0.0).astype(float)
-        p_call_new = (u - u_star_call >= 0.0).astype(float)
+        p_put_new, p_call_new = active(u)
         same_active = np.array_equal(p_put_new, p_put) and \
             np.array_equal(p_call_new, p_call)
         p_put, p_call = p_put_new, p_call_new
         if np.max(np.abs(du)) <= tol or same_active:
-            return u, it, True
-    pen = np.where(p_put > 0, u - u_star_put, 0.0) \
-        + np.where(p_call > 0, u - u_star_call, 0.0)
-    residual = float(np.max(np.abs(a11.matvec(u) + rho * dtau * mass.matvec(pen) - phi)))
-    return u, max_iter, False
+            return u, it, True, float(np.abs(residual(u, p_put, p_call)).max())
+    return u, max_iter, False, float(np.abs(residual(u, p_put, p_call)).max())
 
 
 def _warn_if_unstable(disc: Discretization, dtau: float) -> None:
@@ -474,13 +478,12 @@ def run_afv(params: AfvParams, disc: Discretization,
         nu_delta_new, _ = nodal_sources(b_new)
         phi = ops["U"].build_rhs(w["U"], (u0, right_bc["U"]), theta,
                                  nu_m=nu_delta_m, nu_new=nu_delta_new)
-        u_int, iters, converged = newton_solve_U(
+        u_int, iters, converged, residual = newton_solve_U(
             ops["U"].lhs_mat[theta], phi, state.u_star_put[1:-1],
             state.u_star_call[1:-1], ops["U"].m_int, params.rho, dtau,
             params.newton_tol, params.newton_max_iter)
         if not converged:
-            pen, _, _ = penalty_terms(u_int, _interior_state(state), params.rho)
-            raise NewtonDivergenceError(iters, float(np.max(np.abs(pen))), level)
+            raise NewtonDivergenceError(iters, residual, level)
         u_new = np.empty_like(w["U"])
         u_new[1:-1] = u_int
         u_new[0], u_new[-1] = u0, right_bc["U"]

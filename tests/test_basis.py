@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from igafin.basis import (KnotVector, NurbsBasis, eval_bspline_all,
+from igafin.basis import (KnotVector, NurbsBasis, basis_table,
                           eval_nurbs_all, eval_spline_many, find_span,
                           greville_abscissae, load_weights,
                           make_refined_open_knots, make_uniform_open_knots)
@@ -81,8 +81,10 @@ class TestPartitionOfUnity:
         rng = np.random.default_rng(101)
         for p in (1, 2, 3, 4):
             kv = make_uniform_open_knots(11, p)
+            # unit weights reduce the rational basis to the B-splines
+            basis = NurbsBasis(kv, np.ones(kv.n_basis))
             for xi in rng.uniform(0.0, 1.0, 40):
-                vals = eval_bspline_all(kv, float(xi))
+                vals = eval_nurbs_all(basis, float(xi))
                 assert vals.sum() == pytest.approx(1.0, abs=1e-13)
                 assert np.all(vals >= 0.0)
 
@@ -137,6 +139,97 @@ class TestGreville:
         assert np.abs(vals - xs).max() < 1e-13
         ders = eval_spline_many(basis, g, xs, order=1)
         assert np.abs(ders - 1.0).max() < 1e-10
+
+
+def _scipy_rows(knots, xs, order, side):
+    """Dense B-spline derivative rows from scipy, an independent oracle.
+
+    scipy evaluates right limits at knots; a left limit at x is the right
+    limit at -x of the mirrored basis, with a sign (-1)^order.
+    """
+    from scipy.interpolate import BSpline
+    t, p = knots.values, knots.degree
+    if side == "left":
+        mirrored = KnotVector(-t[::-1], p)
+        return (-1.0) ** order * _scipy_rows(mirrored, -xs, order,
+                                             "right")[:, ::-1]
+    return BSpline(t, np.eye(knots.n_basis), p)(xs, nu=order)
+
+
+def _dense_table(basis, xs, order, side):
+    first, R = basis_table(basis, xs, order, side)
+    p = basis.degree
+    assert R.shape == (len(xs), order + 1, p + 1)
+    assert np.all((first >= 0) & (first + p < basis.n_basis))
+    out = np.zeros((len(xs), order + 1, basis.n_basis))
+    for i, f in enumerate(first):
+        out[i, :, f:f + p + 1] = R[i]
+    return out
+
+
+_KERNEL_KNOTS = {
+    "uniform1": lambda: make_uniform_open_knots(9, 1),
+    "uniform2": lambda: make_uniform_open_knots(9, 2),
+    "uniform3": lambda: make_uniform_open_knots(12, 3),
+    "uniform4": lambda: make_uniform_open_knots(7, 4),
+    "refined3": lambda: make_refined_open_knots(16, 3, 0.4, 0.75),
+}
+
+
+class TestBasisTable:
+    """The batched kernel against scipy.interpolate.BSpline."""
+
+    @staticmethod
+    def _points(knots, rng):
+        return np.concatenate([rng.uniform(0.0, 1.0, 60), knots.values,
+                               [0.0, 1.0]])
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_KNOTS))
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_unit_weights_match_bsplines(self, name, side):
+        knots = _KERNEL_KNOTS[name]()
+        basis = NurbsBasis(knots, np.ones(knots.n_basis))
+        xs = self._points(knots, np.random.default_rng(201))
+        for order in (0, 1, 2):
+            got = _dense_table(basis, xs, order, side)
+            for k in range(order + 1):
+                want = _scipy_rows(knots, xs, k, side)
+                tol = 1e-12 * max(1.0, np.abs(want).max())
+                assert np.abs(got[:, k] - want).max() <= tol, (order, k)
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_KNOTS))
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_weights_enter_by_the_quotient_rule(self, name, side):
+        knots = _KERNEL_KNOTS[name]()
+        rng = np.random.default_rng(202)
+        w = rng.uniform(0.3, 3.0, knots.n_basis)
+        xs = self._points(knots, rng)
+        n0, n1, n2 = (w * _scipy_rows(knots, xs, k, side) for k in range(3))
+        W0, W1, W2 = (r.sum(axis=1, keepdims=True) for r in (n0, n1, n2))
+        r0 = n0 / W0
+        r1 = (n1 - r0 * W1) / W0
+        r2 = (n2 - 2.0 * r1 * W1 - r0 * W2) / W0
+        got = _dense_table(NurbsBasis(knots, w), xs, 2, side)
+        for k, want in enumerate((r0, r1, r2)):
+            tol = 1e-11 * max(1.0, np.abs(want).max())
+            assert np.abs(got[:, k] - want).max() <= tol, k
+
+    def test_sides_differ_at_the_triple_knot(self):
+        # the cubic is only C0 there, so the two sides are distinct limits
+        knots = make_refined_open_knots(16, 3, 0.4, 0.75)
+        basis = NurbsBasis(knots, np.ones(knots.n_basis))
+        left = _dense_table(basis, np.array([0.4]), 1, "left")[0]
+        right = _dense_table(basis, np.array([0.4]), 1, "right")[0]
+        assert np.abs(left[0] - right[0]).max() <= 1e-14
+        assert np.abs(left[1] - right[1]).max() > 1.0
+
+    def test_rejects_bad_order_and_points(self):
+        basis = NurbsBasis(make_uniform_open_knots(4, 3), np.ones(7))
+        with pytest.raises(ValueError, match="order"):
+            basis_table(basis, np.array([0.5]), 3)
+        for bad in (-1e-9, 1.0 + 1e-9, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                basis_table(basis, np.array([0.5, bad]), 0)
 
 
 class TestEvalSplineMany:

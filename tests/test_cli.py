@@ -1,0 +1,89 @@
+"""Command-line runner: golden outputs, the invariant suite, exit codes."""
+
+import configparser
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from igafin.checks import run_checks
+from igafin.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _config(tmp_path, base, **overrides):
+    """Copy of ``configs/<base>`` with [discretization] keys overridden."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(ROOT / "configs" / base)
+    for key, value in overrides.items():
+        cp["discretization"][key] = str(value)
+    path = tmp_path / base
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _assert_matches(got, ref):
+    """Each value within 1e-10 of its column's largest magnitude in the
+    reference, plus one unit in the 10th printed digit."""
+    head_g, rows_g = _read(got)
+    head_r, rows_r = _read(ref)
+    assert head_g == head_r and len(rows_g) == len(rows_r)
+    scale = [max(abs(float(v)) for v in col) for col in zip(*rows_r)]
+    for line, (rg, rr) in enumerate(zip(rows_g, rows_r), start=2):
+        for name, a, b, top in zip(head_r, rg, rr, scale):
+            x, y = float(a), float(b)
+            quantum = 10.0 ** (math.floor(math.log10(abs(y))) - 9) if y else 0.0
+            assert abs(x - y) <= 1e-10 * top + quantum, \
+                f"{got.name}:{line}: {name} = {a}, committed {b}"
+
+
+@pytest.mark.parametrize("golden,base,overrides", [
+    ("linear", "linear_uniform.ini", {}),
+    ("afv_smoke", "convertible.ini", {"n_elements": 128, "n_tau": 100}),
+])
+def test_price_reproduces_the_committed_outputs(tmp_path, golden, base,
+                                                overrides):
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, base, **overrides)
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("surface.csv", "slice_t0.csv", "greeks.csv"):
+        _assert_matches(out / name, ROOT / "out" / golden / name)
+
+
+def test_every_invariant_check_passes():
+    failed = [r.line() for r in run_checks() if not r.passed]
+    assert not failed, failed
+
+
+SMALL = {"n_elements": 32, "n_tau": 20}
+
+
+@pytest.mark.parametrize("verb,base,overrides,args", [
+    ("price", "convertible.ini", {**SMALL, "degree": 1}, []),
+    ("price", "convertible.ini", {**SMALL, "n_tau": 0}, []),
+    ("price", "convertible.ini", SMALL, ["--probe-s", "1000"]),
+    ("price", "convertible.ini", SMALL, ["--probe-s", "0.1"]),
+    ("price", "linear_uniform.ini", SMALL, ["--probe-s", "5000"]),
+    ("greeks", "convertible.ini", {**SMALL, "degree": 1}, []),
+    ("greeks", "convertible.ini", {**SMALL, "n_tau": 0}, []),
+    ("converge", "convertible.ini", SMALL, ["--probe-s", "1000"]),
+])
+def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
+                                                    base, overrides, args):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _config(tmp_path, base, **overrides)
+    rc = main([verb, "--config", str(cfg), "--out", str(out), *args])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert list(out.iterdir()) == []

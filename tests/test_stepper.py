@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from igafin.assembly import assemble
 from igafin.linsolve import BandedMatrix
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
                            default_domain, leland_payoff_vhat)
+from igafin.quadrature import gauss_legendre_rule
 from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
                             afv_value_curve, build_discretization,
@@ -50,6 +52,15 @@ class TestBuildDiscretization:
         w = np.linspace(1.0, 2.0, 11)
         disc = build_discretization(0.0, 1.0, 8, weights=w)
         assert np.array_equal(disc.basis.weights, w)
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_quadrature_integrates_the_mass_exactly(self, degree):
+        # the mass integrand has degree 2p; degree + 3 points are exact for it
+        disc = build_discretization(-1.0, 2.0, 12, degree=degree)
+        exact = assemble(disc.basis, disc.pmap,
+                         gauss_legendre_rule(degree + 3)).mass.data
+        err = np.abs(disc.system.mass.data - exact).max()
+        assert err <= 1e-13 * np.abs(exact).max()
 
 
 class TestSchemeConfig:
@@ -245,6 +256,27 @@ class TestAfvMarch:
         assert err.value.level is not None
         assert "time level" in str(err.value)
 
+    def test_newton_divergence_reports_the_residual(self, monkeypatch):
+        import igafin.stepper as stepper
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = newton_solve_U(*args, **kwargs)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(stepper, "newton_solve_U", recording)
+        params = _afv(newton_tol=1e-15, newton_max_iter=1)
+        disc = build_discretization(-6.0, 2.0, 32)
+        with pytest.raises(NewtonDivergenceError) as err:
+            run_afv(params, disc, SchemeConfig(n_steps=20))
+        (a11, phi, put, call, mass, rho, dtau, _, _), (u, _, ok, _) = calls[-1]
+        assert not ok
+        pen = np.where(put - u >= 0.0, u - put, 0.0) \
+            + np.where(u - call >= 0.0, u - call, 0.0)
+        f = a11.to_dense() @ u + rho * dtau * (mass.to_dense() @ pen) - phi
+        assert err.value.residual == pytest.approx(np.abs(f).max(), rel=1e-9)
+
 
 class TestNewtonSolve:
     def test_penalty_limit_tiny_system(self):
@@ -254,7 +286,7 @@ class TestNewtonSolve:
         eye = BandedMatrix(n, 0, np.ones((1, n)))
         floor = np.ones(n)
         roof = np.full(n, math.inf)
-        u, iters, converged = newton_solve_U(
+        u, iters, converged, _ = newton_solve_U(
             eye, np.zeros(n), floor, roof, eye, rho, 1.0, tol=1e-12)
         assert converged
         assert iters >= 1
@@ -264,7 +296,7 @@ class TestNewtonSolve:
         n = 4
         eye = BandedMatrix(n, 0, np.ones((1, n)))
         phi = np.array([1.0, 2.0, 3.0, 4.0])
-        u, iters, converged = newton_solve_U(
+        u, iters, converged, _ = newton_solve_U(
             eye, phi, np.full(n, -math.inf), np.full(n, math.inf), eye,
             1.0e6, 1.0, tol=1e-12)
         assert converged
