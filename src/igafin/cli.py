@@ -16,10 +16,10 @@ failure.  Unknown configuration keys are hard errors carrying the offending
 line number, and nothing is written unless the whole configuration parses.
 Settings that parse but cannot run are configuration errors too, raised
 before solving: degree < 2 or n_tau = 0 for price and greeks (gamma and
-theta need them), and a probe price outside the domain.  price builds every
-table before it writes its first file.
-Ladder rungs run concurrently (IGAFIN_THREADS caps the pool, the only
-environment variable read); CSV rows keep ladder order regardless.
+theta need them), a time grid on which every pair of stored slices near
+t = 0 straddles a coupon or put date (theta has nothing to difference), and a
+probe price outside the domain.  price builds every table before it writes
+its first file.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import format_report, run_checks
-from .greeks import greeks_table, write_greeks_csv
+from .greeks import greeks_table, theta_pair, write_greeks_csv
 from .models import (AfvParams, LelandParams, calibrate_weights,
                      default_domain, leland_payoff_vhat)
 from .reference import (bs_exact_call, fdm_solve_afv, fdm_solve_leland,
@@ -313,12 +312,14 @@ def _build(cfg: ExperimentConfig, n_elements: int | None = None,
                                   _payoff_of(cfg), kink_xi=cfg.kink_xi)
         disc = build_discretization(cfg.x_min, cfg.x_max, n_e, weights=w,
                                     **kwargs)
-    scheme = SchemeConfig(n_steps=n_t, theta=cfg.theta,
-                          rannacher_steps=cfg.rannacher_steps,
-                          store_every=cfg.store_every
-                          if cfg.store_every > 0 else max(1, n_t // 50))
-    surf = run(cfg.params, disc, scheme)
-    return disc, surf
+    return disc, run(cfg.params, disc, _scheme(cfg, n_t))
+
+
+def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
+    return SchemeConfig(n_steps=n_tau, theta=cfg.theta,
+                        rannacher_steps=cfg.rannacher_steps,
+                        store_every=cfg.store_every
+                        if cfg.store_every > 0 else max(1, n_tau // 50))
 
 
 def _value_field(cfg: ExperimentConfig) -> str:
@@ -406,6 +407,13 @@ def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
     if cfg.n_tau < 1:
         raise ConfigError("the Greeks need n_tau >= 1 (theta differences two "
                           "time slices), got n_tau = 0", cfg.path)
+    params = cfg.params
+    horizon = params.maturity if cfg.model == "afv" else params.tau_max
+    levels = sorted(_scheme(cfg, cfg.n_tau).stored_levels())
+    if theta_pair(params, levels, horizon / cfg.n_tau, cfg.n_tau) is None:
+        raise ConfigError("theta needs two stored slices near t = 0 with no "
+                          "coupon or put date between them; none exist at "
+                          f"n_tau = {cfg.n_tau}", cfg.path)
 
 
 def _check_probe(cfg: ExperimentConfig) -> None:
@@ -488,24 +496,16 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
     ref = None
     if cfg.model == "leland" and oracle != "none":
         n_e, n_t = cfg.reference if cfg.reference else max(cfg.rungs)
+        # only the final slice is read
         ref = p1fem_solve(cfg.params, cfg.x_min, cfg.x_max, n_e,
-                          SchemeConfig(n_steps=n_t))
+                          SchemeConfig(n_steps=n_t, store_every=0))
 
-    def solve(rung):
-        n_e, n_t = rung
+    rows, prev_err = [], None
+    for n_e, n_t in cfg.rungs:
         disc, surf = _build(cfg, n_e, n_t)
         value = float(_price_curve(cfg, disc, surf.final, [cfg.probe_s])[0])
         err = None if oracle == "none" else _rung_error(cfg, ref, disc, surf,
                                                         value)
-        return value, err
-
-    workers = int(os.environ.get("IGAFIN_THREADS", "0")) \
-        or min(4, len(cfg.rungs))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(solve, cfg.rungs))
-
-    rows, prev_err = [], None
-    for (n_e, n_t), (value, err) in zip(cfg.rungs, results):
         contraction = (prev_err / err) if (err and prev_err) else None
         rows.append([n_e, n_t, value, err, contraction])
         prev_err = err

@@ -30,7 +30,7 @@ from .stepper import (Discretization, SolutionSurface, TimeSlice,
                       _coupon_levels, _put_level, evaluate_slice)
 
 __all__ = ["GreekCurve", "GreekTable", "delta", "gamma", "theta",
-           "greeks_table", "write_greeks_csv"]
+           "theta_pair", "greeks_table", "write_greeks_csv"]
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,31 @@ def _value_curve(params, disc: Discretization, slice_: TimeSlice,
     return v
 
 
-def _jump_levels(params, surface: SolutionSurface) -> set[int]:
-    if not isinstance(params, AfvParams) or surface.n_steps == 0:
+def _jump_levels(params, dtau: float, n_steps: int) -> set[int]:
+    if not isinstance(params, AfvParams) or n_steps == 0:
         return set()
-    jumps = set(_coupon_levels(params, surface.dtau, surface.n_steps))
-    put = _put_level(params, surface.dtau, surface.n_steps)
+    jumps = set(_coupon_levels(params, dtau, n_steps))
+    put = _put_level(params, dtau, n_steps)
     if put is not None:
         jumps.add(put)
     return jumps
+
+
+def theta_pair(params, levels: list[int], dtau: float, n_steps: int,
+               index: int = -1) -> tuple[int, int] | None:
+    """Indices of the two stored slices ``theta`` differences, or None.
+
+    ``levels`` are the stored time levels in order.  The pair is the first
+    of (before, at), (at, after), (two before, before) around ``index``
+    that has no coupon or put date between its levels.
+    """
+    i = index if index >= 0 else len(levels) + index
+    jumps = _jump_levels(params, dtau, n_steps)
+    pairs = [(i - 1, i), (i, i + 1), (i - 2, i - 1)]
+    return next(((j0, j1) for j0, j1 in pairs
+                 if 0 <= j0 < j1 < len(levels)
+                 and not any(levels[j0] < m <= levels[j1] for m in jumps)),
+                None)
 
 
 def theta(params, disc: Discretization, surface: SolutionSurface,
@@ -161,22 +178,13 @@ def theta(params, disc: Discretization, surface: SolutionSurface,
     """Calendar-time derivative by differencing two stored slices."""
     if len(surface.slices) < 2:
         raise ValueError("theta needs at least two stored slices")
-    i = index if index >= 0 else len(surface.slices) + index
-    jumps = _jump_levels(params, surface)
-
-    def straddles(j0: int, j1: int) -> bool:
-        lo, hi = surface.levels[j0], surface.levels[j1]
-        return any(lo < m <= hi for m in jumps)
-
-    pairs = [(i - 1, i), (i, i + 1), (i - 2, i - 1)]
-    pair = next(((j0, j1) for j0, j1 in pairs
-                 if 0 <= j0 < j1 < len(surface.slices)
-                 and not straddles(j0, j1)), None)
+    pair = theta_pair(params, surface.levels, surface.dtau, surface.n_steps,
+                      index)
     if pair is None:
         raise ValueError("no jump-free slice pair near the requested level")
 
     field = _field_name(params, name)
-    target = surface.slices[i]
+    target = surface.slices[index]
     s = (_default_grid(params, disc, target) if s_points is None
          else _checked_s(s_points))
     s0, s1 = (surface.slices[j] for j in pair)

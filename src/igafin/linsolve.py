@@ -2,12 +2,16 @@
 
 Matrices are n x n with equal lower/upper bandwidth ``kband`` and are stored
 diagonal-wise, ``data[kband + i - j, j] = A[i, j]`` (the classic banded
-layout, 2*kband + 1 rows).  Factorisation is LAPACK ``gbtrf``/``gbtrs``
-behind a factor-once solve-many interface; partial pivoting widens the fill
-to 3*kband + 1 rows inside the factor object only.
+layout, 2*kband + 1 rows).  Factorisation is LU with partial pivoting
+behind a factor-once solve-many interface: LAPACK ``gttrf``/``gttrs`` on the
+three diagonals when ``kband == 1`` and n >= 3 (the degree-1 and finite-
+difference systems), ``gbtrf``/``gbtrs`` otherwise, where pivoting widens
+the fill to 3*kband + 1 rows inside the factor object only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -21,6 +25,19 @@ class SingularMatrixError(RuntimeError):
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
         super().__init__(f"singular system: zero pivot at index {pivot_index}")
+
+
+@lru_cache(maxsize=None)
+def _diagonals(n: int, kband: int) -> tuple[tuple[int, slice, slice], ...]:
+    """(band row, row slice, column slice) of each diagonal that fits."""
+    out = []
+    for r in range(2 * kband + 1):
+        d = r - kband  # row index i = j + d
+        jlo = max(0, -d)
+        jhi = min(n, n - d)
+        if jlo < jhi:
+            out.append((r, slice(jlo + d, jhi + d), slice(jlo, jhi)))
+    return tuple(out)
 
 
 class BandedMatrix:
@@ -75,25 +92,17 @@ class BandedMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n, k = self.n, self.kband
-        y = np.zeros(n)
-        for r in range(2 * k + 1):
-            d = r - k  # row index i = j + d
-            jlo = max(0, -d)
-            jhi = min(n, n - d)
-            if jlo < jhi:
-                y[jlo + d: jhi + d] += self.data[r, jlo:jhi] * x[jlo:jhi]
+        data = self.data
+        y = np.zeros(self.n)
+        for r, rows, cols in _diagonals(self.n, self.kband):
+            y[rows] += data[r, cols] * x[cols]
         return y
 
     def to_dense(self) -> np.ndarray:
-        n, k = self.n, self.kband
-        out = np.zeros((n, n))
-        for r in range(2 * k + 1):
-            d = r - k
-            jlo = max(0, -d)
-            jhi = min(n, n - d)
-            for j in range(jlo, jhi):
-                out[j + d, j] = self.data[r, j]
+        out = np.zeros((self.n, self.n))
+        for r, _, cols in _diagonals(self.n, self.kband):
+            j = np.arange(cols.start, cols.stop)
+            out[j + r - self.kband, j] = self.data[r, cols]
         return out
 
     @classmethod
@@ -120,23 +129,32 @@ class BandedLU:
 
     def __init__(self, mat: BandedMatrix):
         n, k = mat.n, mat.kband
-        ab = np.zeros((3 * k + 1, n), order="F")
-        ab[k:, :] = mat.data
-        lu, ipiv, info = lapack.dgbtrf(ab, k, k)
+        # LAPACK's gttrf wrapper cannot size its second superdiagonal for n < 3
+        self._tridiagonal = k == 1 and n >= 3
+        if self._tridiagonal:
+            *factors, info = lapack.dgttrf(mat.data[2, :-1], mat.data[1],
+                                           mat.data[0, 1:])
+        else:
+            ab = np.zeros((3 * k + 1, n), order="F")
+            ab[k:, :] = mat.data
+            *factors, info = lapack.dgbtrf(ab, k, k)
         if info > 0:
             raise SingularMatrixError(info - 1)
         if info < 0:
             raise ValueError(f"illegal argument {-info} to banded factorisation")
         self.n = n
         self.kband = k
-        self._lu = lu
-        self._ipiv = ipiv
+        self._factors = factors
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side length mismatch")
-        x, info = lapack.dgbtrs(self._lu, self.kband, self.kband, b, self._ipiv)
+        if self._tridiagonal:
+            x, info = lapack.dgttrs(*self._factors, b)
+        else:
+            lu, ipiv = self._factors
+            x, info = lapack.dgbtrs(lu, self.kband, self.kband, b, ipiv)
         if info != 0:
             raise ValueError(f"banded back-substitution failed (info={info})")
         return x

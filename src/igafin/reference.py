@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .linsolve import BandedMatrix
 from .models import (AfvParams, LelandParams, afv_terminal,
@@ -21,11 +21,17 @@ from .models import (AfvParams, LelandParams, afv_terminal,
                      constraint_state, default_source_terms,
                      leland_payoff_vhat, unified_coefficients)
 from .stepper import (Discretization, SchemeConfig, SolutionSurface,
+                      _coupon_levels, _interior_state, _put_level,
                       build_discretization, run_leland, step_afv_boundary)
 
 __all__ = ["bs_exact_call", "bs_exact_greeks", "FdmResult",
            "fdm_solve_leland", "fdm_solve_afv", "p1fem_solve",
            "misfit_epsilon"]
+
+
+def _norm_pdf(x):
+    """Standard normal density."""
+    return np.exp(-x ** 2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def bs_exact_call(s, t: float, params: LelandParams):
@@ -41,7 +47,7 @@ def bs_exact_call(s, t: float, params: LelandParams):
           + (params.rate + 0.5 * params.sigma ** 2) * ttm) / vol
     d2 = d1 - vol
     disc = math.exp(-params.rate * ttm)
-    return s * norm.cdf(d1) - params.strike * disc * norm.cdf(d2)
+    return s * ndtr(d1) - params.strike * disc * ndtr(d2)
 
 
 def bs_exact_greeks(s, t: float, params: LelandParams):
@@ -55,10 +61,10 @@ def bs_exact_greeks(s, t: float, params: LelandParams):
           + (params.rate + 0.5 * params.sigma ** 2) * ttm) / vol
     d2 = d1 - vol
     disc = math.exp(-params.rate * ttm)
-    delta = norm.cdf(d1)
-    gamma = norm.pdf(d1) / (s * vol)
-    theta = (-0.5 * s * norm.pdf(d1) * params.sigma / math.sqrt(ttm)
-             - params.rate * params.strike * disc * norm.cdf(d2))
+    delta = ndtr(d1)
+    gamma = _norm_pdf(d1) / (s * vol)
+    theta = (-0.5 * s * _norm_pdf(d1) * params.sigma / math.sqrt(ttm)
+             - params.rate * params.strike * disc * ndtr(d2))
     return delta, gamma, theta
 
 
@@ -166,7 +172,6 @@ def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
     with the spline path but works on nodal values, so it cross-checks the
     Galerkin machinery rather than the model code.
     """
-    from .stepper import _coupon_levels, _put_level  # same level bookkeeping
     x = np.linspace(x_min, x_max, n_cells + 1)
     h = x[1] - x[0]
     dtau = params.maturity / n_steps
@@ -210,7 +215,7 @@ def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
         _, src_g_new = sources(b_new)
         c_new = ops["C"].step(c, (c0, right["C"]), th,
                               src_m=src_g_m[1:-1], src_new=src_g_new[1:-1])
-        st_int = _state_slice(state)
+        st_int = _interior_state(state)
         if constrained:
             b_new[1:-1] = apply_B_constraints(b_new[1:-1], c_new[1:-1], st_int)
         src_d_new, _ = sources(b_new)
@@ -248,14 +253,6 @@ def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
         u, b, c = u_new, b_new, c_new
         src_d_m, src_g_m = sources(b)
     return FdmResult(x, {"U": u, "B": b, "C": c}, prev, dtau)
-
-
-def _state_slice(state):
-    from dataclasses import replace
-    return replace(state,
-                   conversion_value=state.conversion_value[1:-1],
-                   u_star_put=state.u_star_put[1:-1],
-                   u_star_call=state.u_star_call[1:-1])
 
 
 def p1fem_solve(params: LelandParams, x_min: float, x_max: float,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +78,14 @@ class SchemeConfig:
 
     def theta_at(self, m: int) -> float:
         return 1.0 if m < self.rannacher_steps else self.theta
+
+    def stored_levels(self) -> set[int]:
+        """The time levels a run keeps."""
+        n = self.n_steps
+        keep = {0, max(0, n - 2), max(0, n - 1), n}
+        if self.store_every > 0:
+            keep.update(range(0, n + 1, self.store_every))
+        return keep
 
 
 @dataclass
@@ -292,7 +300,8 @@ class NewtonDivergenceError(RuntimeError):
 def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
                    u_star_call: np.ndarray, mass: BandedMatrix, rho: float,
                    dtau: float, tol: float, max_iter: int = 50,
-                   u_init: np.ndarray | None = None):
+                   u_init: np.ndarray | None = None,
+                   a11_lu: BandedLU | None = None):
     """Damped-free Newton iteration on the penalised interior U system.
 
     Solves f(U) = A11 U + rho dtau M [P_put (U - U*_put) + P_call
@@ -302,10 +311,14 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
     below ``tol`` in the max norm or the active sets repeat.
 
     Returns (U, iterations, converged, residual) with the residual
-    max|f(U)| at the returned iterate.
+    max|f(U)| at the returned iterate.  ``a11_lu``, the factors of ``a11``
+    when the caller already holds them, saves one factorisation when
+    ``u_init`` is not given.
     """
-    a11_lu = a11.lu_factor()
-    u = a11_lu.solve(phi) if u_init is None else np.asarray(u_init, dtype=float).copy()
+    if u_init is not None:
+        u = np.asarray(u_init, dtype=float).copy()
+    else:
+        u = (a11.lu_factor() if a11_lu is None else a11_lu).solve(phi)
 
     def active(u):
         return ((u_star_put - u >= 0.0).astype(float),
@@ -345,14 +358,6 @@ def _warn_if_unstable(disc: Discretization, dtau: float) -> None:
             "the lagged transaction-cost term may oscillate", RuntimeWarning)
 
 
-def _store_levels(scheme: SchemeConfig) -> set[int]:
-    n = scheme.n_steps
-    keep = {0, max(0, n - 2), max(0, n - 1), n}
-    if scheme.store_every > 0:
-        keep.update(range(0, n + 1, scheme.store_every))
-    return keep
-
-
 def run_leland(params: LelandParams, disc: Discretization,
                scheme: SchemeConfig, force_mixed: bool | None = None
                ) -> SolutionSurface:
@@ -364,8 +369,8 @@ def run_leland(params: LelandParams, disc: Discretization,
     if n_steps and mixed:
         _warn_if_unstable(disc, dtau)
     w = leland_payoff_vhat(disc.greville_x, params)
-    keep = _store_levels(scheme)
-    slices = [TimeSlice(0.0, {"vhat": w.copy()})]
+    keep = scheme.stored_levels()
+    slices = [TimeSlice(0.0, {"vhat": w})]
     levels = [0]
     if n_steps == 0:
         return SolutionSurface(slices, levels, 0, dtau)
@@ -373,20 +378,31 @@ def run_leland(params: LelandParams, disc: Discretization,
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
     op = _ThetaOperator(disc.system, coeffs, dtau, thetas)
     mass_lu = disc.system.mass.lu_factor() if mixed else None
-    wb = w[[0, -1]]  # transformed boundary data is time-independent
+    # The transformed boundary data is time-independent, so the boundary
+    # lift is fixed and the M_cols term of ``_ThetaOperator.build_rhs``
+    # vanishes; nu is zero at both ends, so M nu is one interior matvec.
+    # The sums below are the ones ``step_leland`` forms, term by term.
+    wb = w[[0, -1]]
+    a_lift = op.a_cols @ wb
+    lift = {th: dtau * (th * a_lift + (1.0 - th) * a_lift) for th in thetas}
     for m in range(n_steps):
         theta = scheme.theta_at(m)
+        w_int = w[1:-1]
+        rhs = op.rhs_mat[theta].matvec(w_int)
+        rhs -= lift[theta]
         if mixed:
-            vt = _vtilde(op, mass_lu, w)
-            nu = params.leland_number * np.abs(vt)
-            w = op.step(w, wb, theta, nu_m=nu, nu_new=nu)
-        else:
-            w = op.step(w, wb, theta)
+            vt = mass_lu.solve(-(op.a_int.matvec(w_int) + a_lift))
+            m_nu = op.m_int.matvec(params.leland_number * np.abs(vt))
+            rhs += dtau * (1.0 - theta) * m_nu
+            rhs += dtau * theta * m_nu
+        w = np.empty_like(w)
+        w[1:-1] = op.lhs_lu[theta].solve(rhs)
+        w[0], w[-1] = wb
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(
                 f"solution blew up at time level {m + 1} of {n_steps}")
         if (m + 1) in keep:
-            slices.append(TimeSlice((m + 1) * dtau, {"vhat": w.copy()}))
+            slices.append(TimeSlice((m + 1) * dtau, {"vhat": w}))
             levels.append(m + 1)
     return SolutionSurface(slices, levels, n_steps, dtau)
 
@@ -425,7 +441,7 @@ def run_afv(params: AfvParams, disc: Discretization,
 
     u_vals, b_vals, c_vals = afv_terminal(s_g, params)
     w = {"U": u_vals, "B": b_vals, "C": c_vals}
-    keep = _store_levels(scheme)
+    keep = scheme.stored_levels()
     slices = [TimeSlice(0.0, {k: v.copy() for k, v in w.items()})]
     levels = [0]
     if n_steps == 0:
@@ -481,7 +497,8 @@ def run_afv(params: AfvParams, disc: Discretization,
         u_int, iters, converged, residual = newton_solve_U(
             ops["U"].lhs_mat[theta], phi, state.u_star_put[1:-1],
             state.u_star_call[1:-1], ops["U"].m_int, params.rho, dtau,
-            params.newton_tol, params.newton_max_iter)
+            params.newton_tol, params.newton_max_iter,
+            a11_lu=ops["U"].lhs_lu[theta])
         if not converged:
             raise NewtonDivergenceError(iters, residual, level)
         u_new = np.empty_like(w["U"])
@@ -506,7 +523,7 @@ def run_afv(params: AfvParams, disc: Discretization,
 
 
 def _interior_state(state):
-    from dataclasses import replace
+    """The constraint state without its two boundary entries."""
     return replace(state,
                    conversion_value=state.conversion_value[1:-1],
                    u_star_put=state.u_star_put[1:-1],

@@ -1,8 +1,12 @@
 """Command-line runner: golden outputs, the invariant suite, exit codes."""
 
+import ast
 import configparser
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +80,8 @@ SMALL = {"n_elements": 32, "n_tau": 20}
     ("greeks", "convertible.ini", {**SMALL, "degree": 1}, []),
     ("greeks", "convertible.ini", {**SMALL, "n_tau": 0}, []),
     ("converge", "convertible.ini", SMALL, ["--probe-s", "1000"]),
+    ("price", "convertible.ini", {"n_elements": 64, "n_tau": 1}, []),
+    ("greeks", "convertible.ini", {**SMALL, "n_tau": 2}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -87,3 +93,31 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
     assert rc == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats was most of the import time, for one normal cdf
+    code = "import sys, igafin.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_no_module_imports_a_thread_pool():
+    # scipy.linalg already loads concurrent.futures (through numpy.testing),
+    # so the guard reads igafin's own imports rather than sys.modules
+    banned = {"concurrent", "multiprocessing", "threading"}
+    found = []
+    for path in sorted((ROOT / "src" / "igafin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names
+                      if n.split(".")[0] in banned]
+    assert not found

@@ -33,7 +33,9 @@ class TestBandedMatrix:
 
     def test_dense_roundtrip_and_matvec(self):
         rng = np.random.default_rng(310)
-        for n, k in ((1, 0), (4, 1), (9, 3), (17, 2)):
+        # the last four have diagonals that do not fit in the matrix
+        for n, k in ((1, 0), (4, 1), (9, 3), (17, 2),
+                     (1, 1), (2, 1), (3, 2), (5, 3)):
             a = _random_banded(rng, n, k, dominant=False)
             m = BandedMatrix.from_dense(a, k)
             assert np.array_equal(m.to_dense(), a)
@@ -87,3 +89,28 @@ class TestBandedLU:
         with pytest.raises(SingularMatrixError) as err:
             m.lu_factor()
         assert err.value.pivot_index == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_tridiagonal_with_row_swaps_matches_dense(self, n):
+        # tiny diagonal against large subdiagonals: partial pivoting swaps
+        # rows at every step; n < 3 takes the general banded path
+        rng = np.random.default_rng(315 + n)
+        a = np.diag(rng.uniform(1e-3, 2e-3, n)) \
+            + np.diag(rng.uniform(1.0, 2.0, n - 1), -1) \
+            + np.diag(rng.normal(size=n - 1), 1)
+        lu = BandedMatrix.from_dense(a, 1).lu_factor()
+        b = rng.normal(size=n)
+        assert lu.solve(b) == pytest.approx(np.linalg.solve(a, b),
+                                            rel=1e-10, abs=1e-10)
+        rhs = rng.normal(size=(n, 3))
+        x = lu.solve(rhs)
+        assert x.shape == (n, 3)
+        assert np.allclose(x, np.linalg.solve(a, rhs), rtol=1e-10,
+                           atol=1e-10)
+
+    def test_singular_reports_pivot_on_the_general_band(self):
+        a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        a[3, 3] = 0.0
+        with pytest.raises(SingularMatrixError) as err:
+            BandedMatrix.from_dense(a, 2).lu_factor()
+        assert err.value.pivot_index == 3

@@ -14,7 +14,8 @@ from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
                             afv_value_curve, build_discretization,
                             evaluate_slice, leland_price_curve,
-                            newton_solve_U, run, run_afv, run_leland)
+                            newton_solve_U, run, run_afv, run_leland,
+                            step_leland)
 
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
 
@@ -88,6 +89,15 @@ class TestStoredLevels:
         with pytest.raises(KeyError):
             surf.slice_at_level(11)
 
+    def test_store_every_zero_keeps_the_mandatory_levels(self):
+        a, b = default_domain(LIN)
+        disc = build_discretization(a, b, 8, degree=1)
+        sparse = run_leland(LIN, disc, SchemeConfig(n_steps=12, store_every=0))
+        dense = run_leland(LIN, disc, SchemeConfig(n_steps=12, store_every=1))
+        assert sparse.levels == [0, 10, 11, 12]
+        assert np.array_equal(sparse.final.coeffs["vhat"],
+                              dense.final.coeffs["vhat"])
+
     def test_zero_steps(self):
         a, b = default_domain(LIN)
         disc = build_discretization(a, b, 8)
@@ -137,6 +147,22 @@ class TestLinearMarch:
         gap = np.abs(plain.final.coeffs["vhat"]
                      - mixed.final.coeffs["vhat"]).max()
         assert gap < 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_march_is_the_chained_single_step(self, degree):
+        le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
+                          leland_number=0.8)
+        a, b = default_domain(le)
+        disc = build_discretization(a, b, 16, degree=degree)
+        scheme = SchemeConfig(n_steps=8, rannacher_steps=2, store_every=1)
+        surf = run_leland(le, disc, scheme, force_mixed=True)
+        w = surf.initial.coeffs["vhat"]
+        dtau = le.tau_max / scheme.n_steps
+        for m in range(scheme.n_steps):
+            w = step_leland(disc.system, w, dtau, scheme.theta_at(m),
+                            le.leland_number)
+            assert np.array_equal(surf.slice_at_level(m + 1).coeffs["vhat"],
+                                  w)
 
     def test_transaction_costs_raise_the_ask_price(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
