@@ -396,15 +396,15 @@ def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
 def default_domain(params, knot_mode: str = "uniform") -> tuple[float, float]:
     """Default log-price truncation interval for a parameter set.
 
-    The European-call offsets around ln(strike) were fitted once so that
-    coarse uniform grids reproduce the benchmark convergence values pinned
-    by the acceptance suite (the truncation error itself is far below the
-    finest-grid discretization error for any of these widths).  Refined
-    knot vectors centre the interval on the strike instead, so the kink
-    sits exactly at parameter midpoint where the triple knot goes.  The
-    transaction-cost interval keeps dtau/dx^2 = 0.1 on the benchmark
-    ladder, and the convertible-bond interval is the fixed (-6, 2) window
-    in x = ln(S / S_initial).
+    On uniform knots the European-call interval sits asymmetrically around
+    ln(strike); every committed linear output depends on these fixed
+    offsets, which no derivation in the package backs (the truncation error
+    itself is far below the finest-grid discretization error for any of
+    these widths).  Refined knot vectors centre the interval on the strike
+    instead, so the kink sits exactly at parameter midpoint where the
+    triple knot goes.  The transaction-cost interval keeps dtau/dx^2 = 0.1
+    on the benchmark ladder, and the convertible-bond interval is the fixed
+    (-6, 2) window in x = ln(S / S_initial).
     """
     if isinstance(params, AfvParams):
         return (-6.0, 2.0)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .linsolve import BandedMatrix
 from .models import (AfvParams, LelandParams, afv_terminal,
@@ -36,6 +35,8 @@ def _norm_pdf(x):
 
 def bs_exact_call(s, t: float, params: LelandParams):
     """Frictionless European call price at calendar time t."""
+    # imported here: scipy.special is a tenth of the package's import time
+    from scipy.special import ndtr
     s = np.asarray(s, dtype=float)
     ttm = params.maturity - t
     if ttm < 0:
@@ -52,6 +53,7 @@ def bs_exact_call(s, t: float, params: LelandParams):
 
 def bs_exact_greeks(s, t: float, params: LelandParams):
     """(delta, gamma, theta) of the frictionless call; theta is d/dt."""
+    from scipy.special import ndtr
     s = np.asarray(s, dtype=float)
     ttm = params.maturity - t
     if ttm <= 0:
@@ -222,7 +224,7 @@ def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
         phi = ops["U"].build_rhs(u, (u0, right["U"]), th,
                                  src_m=src_d_m[1:-1], src_new=src_d_new[1:-1])
         a11 = ops["U"].lhs_mat[th]
-        u_int = a11.lu_factor().solve(phi)
+        u_int = ops["U"].lhs[th].solve(phi)
         usp = state.u_star_put[1:-1]
         usc = state.u_star_call[1:-1]
         p_put = (usp - u_int >= 0.0).astype(float)

@@ -20,7 +20,12 @@ coefficients, nu_j = N(w_j, x_j).  No collocation solve enters the march.
 
 The transaction-cost step linearises |vtilde^{m+1}| ~ |vtilde^m| where the
 auxiliary vtilde solves M vtilde = -(K - N) vhat (the mixed form of
-vtilde = vhat_xx - vhat_x), so each step stays a single banded solve.
+vtilde = vhat_xx - vhat_x), so each step stays a single banded solve plus
+one mass solve, by the banded Cholesky factor of the symmetric positive
+definite M.  After each such step, coefficients below the normal range of
+a double are set to zero: the far out-of-the-money tail ahead of the
+diffusion front decays through that range, where they carry no price
+information and every operation on them is many times slower.
 
 The convertible-bond step follows the operator-splitting order: advance B
 unconstrained, form gamma, advance C, clamp B against the call/put bounds,
@@ -39,7 +44,7 @@ import numpy as np
 from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
 from .basis import (NurbsBasis, eval_spline_many, greville_abscissae,
                     make_refined_open_knots, make_uniform_open_knots)
-from .linsolve import BandedLU, BandedMatrix
+from .linsolve import BandedLU, BandedMatrix, stacked_matvec
 from .models import (AfvParams, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
                      constraint_state, default_source_terms,
@@ -201,6 +206,13 @@ class _ThetaOperator:
             self.lhs_lu[th] = self.lhs_mat[th].lu_factor()
             self.rhs_mat[th] = self.m_int - self.a_int.scaled((1.0 - th) * dtau)
 
+    def fixed_lift(self, wb: np.ndarray) -> dict[float, np.ndarray]:
+        """The boundary-lift term of ``build_rhs`` per theta, for boundary
+        values that stay at ``wb``; the M_cols term is then zero."""
+        a_lift = self.a_cols @ wb
+        return {th: self.dtau * (th * a_lift + (1.0 - th) * a_lift)
+                for th in self.lhs_lu}
+
     def mass_apply(self, nu_full: np.ndarray) -> np.ndarray:
         """(M nu) restricted to interior rows, boundary columns included."""
         return self.m_int.matvec(nu_full[1:-1]) + self.m_cols @ nu_full[[0, -1]]
@@ -243,27 +255,60 @@ def step_linear(system: GalerkinSystem, coeffs, w_full: np.ndarray, wb_new,
     return op.step(np.asarray(w_full, dtype=float), wb_new, theta, nu_m, nu_new)
 
 
-def _vtilde(op: _ThetaOperator, mass_lu: BandedLU,
-            w_full: np.ndarray) -> np.ndarray:
-    """Mixed-form auxiliary: M vtilde = -(K - N) vhat, zero at the ends."""
-    wb = w_full[[0, -1]]
-    rhs = -(op.a_int.matvec(w_full[1:-1]) + op.a_cols @ wb)
-    out = np.zeros_like(w_full)
-    out[1:-1] = mass_lu.solve(rhs)
-    return out
+# below this magnitude a double is subnormal
+_TINY = np.finfo(float).tiny
+
+
+class _LelandStep:
+    """The linearised transaction-cost step on fixed boundary data ``wb``.
+
+    The boundary data of the transformed problem does not depend on time,
+    so the boundary lift is one constant vector per theta.  R_theta w and
+    A w come from one pass over their stacked bands, M vtilde =
+    -(K - N) vhat is solved with the Cholesky factor of M, and nu =
+    Le |vtilde| vanishes at both ends, so M nu is one interior matvec.  The
+    linearisation gives M nu the full dtau weight, added as
+    dtau (1-theta) M nu and then dtau theta M nu like ``build_rhs``.
+    Subnormal coefficients of the result are set to zero.
+    """
+
+    def __init__(self, op: _ThetaOperator, wb: np.ndarray,
+                 leland_number: float):
+        self.op = op
+        self.wb = wb
+        self.leland_number = leland_number
+        self.a_lift = op.a_cols @ wb
+        self.lift = op.fixed_lift(wb)
+        self.mass_chol = op.m_int.cholesky()
+        self.bands = {th: np.stack([op.rhs_mat[th].data, op.a_int.data])
+                      for th in op.lhs_lu}
+
+    def __call__(self, w: np.ndarray, theta: float) -> np.ndarray:
+        op = self.op
+        rhs, a_w = stacked_matvec(self.bands[theta], w[1:-1])
+        rhs -= self.lift[theta]
+        vt = self.mass_chol.solve(-(a_w + self.a_lift))
+        m_nu = op.m_int.matvec(self.leland_number * np.abs(vt))
+        rhs += op.dtau * (1.0 - theta) * m_nu
+        rhs += op.dtau * theta * m_nu
+        w_int = op.lhs_lu[theta].solve(rhs)
+        w_int[np.abs(w_int) < _TINY] = 0.0
+        out = np.empty_like(w)
+        out[1:-1] = w_int
+        out[0], out[-1] = self.wb
+        return out
 
 
 def step_leland(system: GalerkinSystem, w_full: np.ndarray, dtau: float,
                 theta: float, leland_number: float) -> np.ndarray:
-    """One linearised transaction-cost step (standalone, factors on the fly)."""
-    coeffs = (1.0, -1.0, 0.0)
-    op = _ThetaOperator(system, coeffs, dtau, (theta,))
-    mass_lu = system.mass.lu_factor()
+    """One linearised transaction-cost step (standalone, factors on the fly).
+
+    The same step ``run_leland`` takes with costs, on the boundary values
+    of ``w_full``.
+    """
     w_full = np.asarray(w_full, dtype=float)
-    vt = _vtilde(op, mass_lu, w_full)
-    nu = leland_number * np.abs(vt)
-    # linearisation gives the source full dtau weight at level m
-    return op.step(w_full, w_full[[0, -1]], theta, nu_m=nu, nu_new=nu)
+    op = _ThetaOperator(system, (1.0, -1.0, 0.0), dtau, (theta,))
+    return _LelandStep(op, w_full[[0, -1]], leland_number)(w_full, theta)
 
 
 def step_afv_boundary(values_m, params: AfvParams, dtau: float,
@@ -377,27 +422,19 @@ def run_leland(params: LelandParams, disc: Discretization,
     coeffs = unified_coefficients(params, "vhat")
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
     op = _ThetaOperator(disc.system, coeffs, dtau, thetas)
-    mass_lu = disc.system.mass.lu_factor() if mixed else None
-    # The transformed boundary data is time-independent, so the boundary
-    # lift is fixed and the M_cols term of ``_ThetaOperator.build_rhs``
-    # vanishes; nu is zero at both ends, so M nu is one interior matvec.
-    # The sums below are the ones ``step_leland`` forms, term by term.
     wb = w[[0, -1]]
-    a_lift = op.a_cols @ wb
-    lift = {th: dtau * (th * a_lift + (1.0 - th) * a_lift) for th in thetas}
+    lift = op.fixed_lift(wb)
+    mixed_step = _LelandStep(op, wb, params.leland_number) if mixed else None
     for m in range(n_steps):
         theta = scheme.theta_at(m)
-        w_int = w[1:-1]
-        rhs = op.rhs_mat[theta].matvec(w_int)
-        rhs -= lift[theta]
         if mixed:
-            vt = mass_lu.solve(-(op.a_int.matvec(w_int) + a_lift))
-            m_nu = op.m_int.matvec(params.leland_number * np.abs(vt))
-            rhs += dtau * (1.0 - theta) * m_nu
-            rhs += dtau * theta * m_nu
-        w = np.empty_like(w)
-        w[1:-1] = op.lhs_lu[theta].solve(rhs)
-        w[0], w[-1] = wb
+            w = mixed_step(w, theta)
+        else:
+            rhs = op.rhs_mat[theta].matvec(w[1:-1])
+            rhs -= lift[theta]
+            w = np.empty_like(w)
+            w[1:-1] = op.lhs_lu[theta].solve(rhs)
+            w[0], w[-1] = wb
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(
                 f"solution blew up at time level {m + 1} of {n_steps}")

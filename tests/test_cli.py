@@ -95,14 +95,47 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
     assert list(out.iterdir()) == []
 
 
+def test_unknown_key_is_a_config_error_at_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text((ROOT / "configs" / "linear_uniform.ini").read_text()
+                   .replace("[model]\n", "[model]\nvolatility = 0.2\n"))
+    line = cfg.read_text().splitlines().index("volatility = 0.2") + 1
+    out = tmp_path / "out"
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{line}: unknown key "
+                          "'volatility' in [model]")
+    assert not out.exists()
+
+
+def test_newton_failure_is_a_solver_failure_with_no_output(tmp_path, capsys,
+                                                           monkeypatch):
+    import igafin.stepper as stepper
+    solve = stepper.newton_solve_U
+
+    def not_converging(*args, **kwargs):
+        u, iterations, _, residual = solve(*args, **kwargs)
+        return u, iterations, False, residual
+
+    monkeypatch.setattr(stepper, "newton_solve_U", not_converging)
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "convertible.ini", **SMALL)
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: penalty Newton failed")
+    assert not out.exists()
+
+
 def test_import_leaves_out_scipy_stats():
-    # scipy.stats was most of the import time, for one normal cdf
-    code = "import sys, igafin.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats was most of the import time, for one normal cdf, and
+    # scipy.special is still a tenth of it: both load on first use
+    code = ("import sys, igafin.cli; "
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.special')])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"
 
 
 def test_no_module_imports_a_thread_pool():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from igafin.linsolve import BandedLU, BandedMatrix, SingularMatrixError
+from igafin.linsolve import (BandedLU, BandedMatrix, SingularMatrixError,
+                             stacked_matvec)
+from igafin.stepper import build_discretization
 
 
 def _random_banded(rng, n, k, dominant=True):
@@ -41,6 +43,16 @@ class TestBandedMatrix:
             assert np.array_equal(m.to_dense(), a)
             x = rng.normal(size=n)
             assert m.matvec(x) == pytest.approx(a @ x, rel=1e-13, abs=1e-13)
+
+    def test_stacked_bands_give_each_matvec_bitwise(self):
+        rng = np.random.default_rng(314)
+        for n, k in ((1, 1), (2, 1), (4095, 1), (259, 3), (5, 3)):
+            mats = [BandedMatrix(n, k, rng.normal(size=(2 * k + 1, n)))
+                    for _ in range(2)]
+            x = rng.normal(size=n)
+            both = stacked_matvec(np.stack([m.data for m in mats]), x)
+            for m, y in zip(mats, both):
+                assert np.array_equal(y, m.matvec(x))
 
     def test_from_dense_refuses_truncation(self):
         a = np.eye(4)
@@ -114,3 +126,49 @@ class TestBandedLU:
         with pytest.raises(SingularMatrixError) as err:
             BandedMatrix.from_dense(a, 2).lu_factor()
         assert err.value.pivot_index == 3
+
+
+def _random_spd(rng, n, k):
+    a = _random_banded(rng, n, k, dominant=False)
+    a = a + a.T
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + 1.0
+    return a
+
+
+class TestBandedCholesky:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_solve_matches_dense(self, n, k):
+        # n = 1 takes the general band path on the tridiagonal matrix, and
+        # n <= k leaves the outer diagonals without entries
+        rng = np.random.default_rng(320 + 10 * k + n)
+        a = _random_spd(rng, n, k)
+        chol = BandedMatrix.from_dense(a, k).cholesky()
+        b = rng.normal(size=n)
+        assert chol.solve(b) == pytest.approx(np.linalg.solve(a, b),
+                                              rel=1e-12, abs=1e-12)
+        rhs = rng.normal(size=(n, 3))
+        x = chol.solve(rhs)
+        assert x.shape == (n, 3)
+        assert np.allclose(x, np.linalg.solve(a, rhs), rtol=1e-12,
+                           atol=1e-12)
+
+    def test_agrees_with_lu_on_a_mass_matrix(self):
+        for degree in (1, 3):
+            mass = build_discretization(-2.0, 2.0, 64, degree=degree).system.mass
+            b = np.random.default_rng(330 + degree).normal(size=mass.n)
+            x = mass.cholesky().solve(b)
+            assert np.allclose(x, mass.lu_factor().solve(b), rtol=1e-13,
+                               atol=1e-13 * np.abs(x).max())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_not_positive_definite_reports_pivot(self, k):
+        a = np.diag([1.0, 2.0, 3.0, -4.0, 5.0])
+        with pytest.raises(SingularMatrixError) as err:
+            BandedMatrix.from_dense(a, k).cholesky()
+        assert err.value.pivot_index == 3
+
+    def test_rhs_length_mismatch(self):
+        chol = BandedMatrix.from_dense(np.eye(4), 1).cholesky()
+        with pytest.raises(ValueError, match="length"):
+            chol.solve(np.ones(3))

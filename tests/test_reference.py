@@ -1,10 +1,13 @@
 """Closed-form, finite-difference and hat-function reference solvers."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from igafin.cli import parse_config
+from igafin.linsolve import BandedLU
 from igafin.models import AfvParams, LelandParams, default_domain
 from igafin.reference import (bs_exact_call, bs_exact_greeks, fdm_solve_afv,
                               fdm_solve_leland, misfit_epsilon, p1fem_solve)
@@ -130,6 +133,23 @@ class TestFdmAfv:
         # at t = 0 the call window is closed, but the cash component can
         # never have grown past the ceiling plus one accrued coupon
         assert res.values["B"].max() <= 110.0 + 4.0 + 1e-6
+
+    def test_first_solve_of_each_level_reuses_the_cached_factor(self,
+                                                                monkeypatch):
+        factor = BandedLU.__init__
+        count = []
+
+        def counting(self, mat):
+            count.append(mat.n)
+            factor(self, mat)
+
+        monkeypatch.setattr(BandedLU, "__init__", counting)
+        cfg = parse_config(str(Path(__file__).resolve().parents[1]
+                               / "configs" / "convertible.ini"))
+        fdm_solve_afv(cfg.params, cfg.x_min, cfg.x_max, 128, 100, cfg.theta,
+                      cfg.rannacher_steps)
+        # 3 unknowns x 2 thetas cached, plus one Jacobian per Newton iterate
+        assert len(count) == 112
 
 
 class TestP1Fem:

@@ -164,6 +164,19 @@ class TestLinearMarch:
             assert np.array_equal(surf.slice_at_level(m + 1).coeffs["vhat"],
                                   w)
 
+    def test_costs_leave_no_subnormal_coefficient(self):
+        # ahead of the diffusion front the far out-of-the-money tail decays
+        # through the subnormal range, where arithmetic is slow
+        le = LelandParams(0.1, 0.2, 100.0, 1.0, leland_number=0.8)
+        a, b = default_domain(le)
+        disc = build_discretization(a, b, 2048, degree=1)
+        surf = run_leland(le, disc, SchemeConfig(n_steps=5120))
+        tiny = np.finfo(float).tiny
+        subnormal = sum(np.count_nonzero((v != 0) & (np.abs(v) < tiny))
+                        for v in (sl.coeffs["vhat"] for sl in surf.slices))
+        assert len(surf.slices) == 5121
+        assert subnormal == 0
+
     def test_transaction_costs_raise_the_ask_price(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
