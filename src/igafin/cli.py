@@ -351,8 +351,15 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    body = "\n".join(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, ",".join(header) + "\n" + body + "\n")
+    """``rows`` is a 2-D float array, formatted by one "%.10g,..." row
+    template repeated per row, or a list of rows in which None leaves the
+    cell empty."""
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.10g"] * rows.shape[1]) + "\n"
+        body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def _probe_report(cfg, disc, surf) -> list[str]:
@@ -446,23 +453,24 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     fields = ["U", "B", "C"] if cfg.model == "afv" else [name]
 
     # every table is built before the first file is written
-    rows = []
+    blocks = []
     for level, slice_ in zip(surf.levels, surf.slices):
         t = (cfg.params.maturity - slice_.tau if cfg.model == "afv"
              else cfg.params.maturity - 2.0 * slice_.tau / cfg.params.sigma ** 2)
-        cols = _greville_values(cfg, disc, slice_)
-        rows += ([level, t, s, *v]
-                 for s, *v in zip(_grid_s(cfg, disc, slice_), *cols))
-    slice_rows = [row[2:] for row in rows[-disc.n_basis:]]
+        s = _grid_s(cfg, disc, slice_)
+        blocks.append(np.column_stack([np.full_like(s, level),
+                                       np.full_like(s, t), s,
+                                       *_greville_values(cfg, disc, slice_)]))
+    surface = np.concatenate(blocks)
     table = greeks_table(cfg.params, disc, surf)
     report = _probe_report(cfg, disc, surf)
     ov = _oracle_value(cfg, oracle)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "surface.csv"),
-               ["level", "t", "S"] + fields, rows)
+               ["level", "t", "S"] + fields, surface)
     _write_csv(os.path.join(cfg.out_dir, "slice_t0.csv"), ["S"] + fields,
-               slice_rows)
+               blocks[-1][:, 2:])
     write_greeks_csv(os.path.join(cfg.out_dir, "greeks.csv"), table)
     for line in report:
         print(line)

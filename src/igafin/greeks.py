@@ -20,6 +20,7 @@ the difference is taken one-sided on the smooth side.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,8 +210,15 @@ def greeks_table(params, disc: Discretization, surface: SolutionSurface,
 
 
 def write_greeks_csv(path, table: GreekTable) -> None:
-    """One row per stock price, 10 significant digits."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("S,delta,gamma,theta\n")
-        for row in zip(table.s, table.delta, table.gamma, table.theta):
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    """One row per stock price, 10 significant digits.
+
+    The text goes to ``path.tmp``, which is then renamed to ``path``, so a
+    failure part-way leaves no partial file.
+    """
+    rows = np.column_stack([table.s, table.delta, table.gamma, table.theta])
+    text = "S,delta,gamma,theta\n" + (
+        "%.10g,%.10g,%.10g,%.10g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

@@ -2,9 +2,12 @@
 
 Matrices are n x n with equal lower/upper bandwidth ``kband`` and are stored
 diagonal-wise, ``data[kband + i - j, j] = A[i, j]`` (the classic banded
-layout, 2*kband + 1 rows).  ``stacked_matvec`` multiplies several bands
-with one vector in a single pass over the diagonals, in the order of
-``BandedMatrix.matvec``, so each product is bitwise the single one.
+layout, 2*kband + 1 rows).  Every banded product goes through one kernel,
+``band_products``: a stack of bands times one shared vector or one vector
+per band, all diagonals in a single multiply and a single sum, so that
+``BandedMatrix.matvec`` is the one-band case and each product of a stack
+is bitwise that band's ``matvec``.  ``scipy.sparse`` is not used: its
+import alone would add to the start-up time of every run.
 
 Factorisations are factor-once solve-many objects.  ``BandedLU`` is LU with
 partial pivoting: LAPACK ``gttrf``/``gttrs`` on the three diagonals when
@@ -20,13 +23,11 @@ at n = 4095, measured on a 2-core host).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.linalg import lapack
 
 __all__ = ["BandedMatrix", "BandedLU", "BandedCholesky", "SingularMatrixError",
-           "stacked_matvec"]
+           "band_products"]
 
 
 class SingularMatrixError(RuntimeError):
@@ -38,30 +39,30 @@ class SingularMatrixError(RuntimeError):
         super().__init__(f"singular system: zero pivot at index {pivot_index}")
 
 
-@lru_cache(maxsize=None)
-def _diagonals(n: int, kband: int) -> tuple[tuple[int, slice, slice], ...]:
-    """(band row, row slice, column slice) of each diagonal that fits."""
-    out = []
-    for r in range(2 * kband + 1):
-        d = r - kband  # row index i = j + d
-        jlo = max(0, -d)
-        jhi = min(n, n - d)
-        if jlo < jhi:
-            out.append((r, slice(jlo + d, jhi + d), slice(jlo, jhi)))
-    return tuple(out)
+def band_products(data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Banded products: data (..., 2k+1, n) times x (..., n) -> (..., n).
 
-
-def stacked_matvec(data: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Bands stacked as data (s, 2k+1, n) times one x (n,): (s, n).
-
-    The diagonals come in the order ``BandedMatrix.matvec`` takes them, so
-    each product is bitwise that band's ``matvec``.
+    Leading axes broadcast, so one x may serve a stack of bands or each band
+    may take its own vector.  The products of diagonal r land in row r of a
+    buffer whose rows are n + 2k long, written through a view whose rows are
+    one element longer, which shifts row r by r places; only the cells no
+    diagonal reaches are zeroed.  The rows are then added in diagonal
+    order, so y_i sums the same products in the same order as a loop over
+    diagonal slices: bitwise that loop's result, up to the sign of an
+    exact zero.
     """
-    n_bands, n_rows, n = data.shape
-    y = np.zeros((n_bands, n))
-    for r, rows, cols in _diagonals(n, (n_rows - 1) // 2):
-        y[:, rows] += data[:, r, cols] * x[cols]
-    return y
+    x = np.asarray(x, dtype=float)
+    *lead, n_rows, n = data.shape
+    lead = (tuple(lead) if x.ndim == 1
+            else np.broadcast(data[..., 0, 0], x[..., 0]).shape)
+    kband = n_rows // 2
+    width = n + 2 * kband
+    buf = np.empty(lead + (n_rows, width + 1))
+    buf[..., n:] = 0.0
+    np.multiply(data, x[..., None, :], out=buf[..., :n])
+    rows = buf.reshape(lead + (-1,))[..., :n_rows * width]
+    y = np.add.reduce(rows.reshape(lead + (n_rows, width)), axis=-2)
+    return y[..., kband:kband + n]
 
 
 class BandedMatrix:
@@ -115,18 +116,14 @@ class BandedMatrix:
         return BandedMatrix(self.n, self.kband, self.data * np.asarray(s))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        data = self.data
-        y = np.zeros(self.n)
-        for r, rows, cols in _diagonals(self.n, self.kband):
-            y[rows] += data[r, cols] * x[cols]
-        return y
+        return band_products(self.data, x)
 
     def to_dense(self) -> np.ndarray:
+        r, j = np.indices(self.data.shape)
+        i = j + r - self.kband
+        inside = (i >= 0) & (i < self.n)
         out = np.zeros((self.n, self.n))
-        for r, _, cols in _diagonals(self.n, self.kband):
-            j = np.arange(cols.start, cols.stop)
-            out[j + r - self.kband, j] = self.data[r, cols]
+        out[i[inside], j[inside]] = self.data[inside]
         return out
 
     @classmethod

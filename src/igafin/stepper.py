@@ -44,7 +44,7 @@ import numpy as np
 from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
 from .basis import (NurbsBasis, eval_spline_many, greville_abscissae,
                     make_refined_open_knots, make_uniform_open_knots)
-from .linsolve import BandedLU, BandedMatrix, stacked_matvec
+from .linsolve import BandedLU, BandedMatrix, band_products
 from .models import (AfvParams, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
                      constraint_state, default_source_terms,
@@ -285,7 +285,7 @@ class _LelandStep:
 
     def __call__(self, w: np.ndarray, theta: float) -> np.ndarray:
         op = self.op
-        rhs, a_w = stacked_matvec(self.bands[theta], w[1:-1])
+        rhs, a_w = band_products(self.bands[theta], w[1:-1])
         rhs -= self.lift[theta]
         vt = self.mass_chol.solve(-(a_w + self.a_lift))
         m_nu = op.m_int.matvec(self.leland_number * np.abs(vt))
@@ -369,10 +369,13 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
         return ((u_star_put - u >= 0.0).astype(float),
                 (u - u_star_call >= 0.0).astype(float))
 
+    bands = np.stack([a11.data, mass.data])
+
     def residual(u, p_put, p_call):
         pen = np.where(p_put > 0, u - u_star_put, 0.0) \
             + np.where(p_call > 0, u - u_star_call, 0.0)
-        return a11.matvec(u) + rho * dtau * mass.matvec(pen) - phi
+        a_u, m_pen = band_products(bands, np.stack([u, pen]))
+        return a_u + rho * dtau * m_pen - phi
 
     p_put, p_call = active(u)
     for it in range(1, max_iter + 1):
@@ -485,8 +488,10 @@ def run_afv(params: AfvParams, disc: Discretization,
         return SolutionSurface(slices, levels, 0, dtau)
 
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
+    # U and C share their coefficients, hence one operator and its factors
     ops = {name: _ThetaOperator(disc.system, unified_coefficients(params, name),
-                                dtau, thetas) for name in ("U", "B", "C")}
+                                dtau, thetas) for name in ("U", "B")}
+    ops["C"] = ops["U"]
     coupon_at = _coupon_levels(params, dtau, n_steps)
     put_level = _put_level(params, dtau, n_steps)
     single_date_put = put_level is not None

@@ -7,8 +7,10 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from igafin.checks import run_checks
@@ -126,16 +128,57 @@ def test_newton_failure_is_a_solver_failure_with_no_output(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
+    import igafin.cli as cli
+    results = run_checks()
+    results[3] = replace(results[3], passed=False)
+    monkeypatch.setattr(cli, "run_checks", lambda: results)
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL ") == 1
+    assert f"{len(results) - 1}/{len(results)} invariant checks passed" in out
+
+
+@pytest.mark.parametrize("verb,base", [
+    ("price", "leland_ladder.ini"),
+    ("converge", "linear_uniform.ini"),
+    ("converge", "leland_ladder.ini"),
+])
+def test_blown_up_march_is_a_solver_failure_with_no_output(
+        tmp_path, capsys, monkeypatch, verb, base):
+    import igafin.stepper as stepper
+    payoff = stepper.leland_payoff_vhat
+
+    def with_a_nan(x, params):
+        v = payoff(x, params)
+        v[len(v) // 2] = np.nan
+        return v
+
+    # the first step then yields a non-finite vector, which run_leland
+    # reports as a FloatingPointError (the P1 reference of the leland
+    # ladder marches through the same code and fails first)
+    monkeypatch.setattr(stepper, "leland_payoff_vhat", with_a_nan)
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, base, **SMALL)
+    with np.errstate(invalid="ignore"):
+        rc = main([verb, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("solver failure: solution blew up at time level 1")
+    assert not out.exists()
+
+
 def test_import_leaves_out_scipy_stats():
     # scipy.stats was most of the import time, for one normal cdf, and
-    # scipy.special is still a tenth of it: both load on first use
-    code = ("import sys, igafin.cli; "
-            "print([m in sys.modules for m in ('scipy.stats', 'scipy.special')])")
+    # scipy.special is still a tenth of it: both load on first use.
+    # scipy.sparse is not needed either: banded products are numpy
+    code = ("import sys, igafin.cli; print([m in sys.modules for m in "
+            "('scipy.stats', 'scipy.special', 'scipy.sparse')])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[False, False]"
+    assert out.strip() == "[False, False, False]"
 
 
 def test_no_module_imports_a_thread_pool():

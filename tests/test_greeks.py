@@ -120,3 +120,24 @@ class TestCsvOutput:
         write_greeks_csv(p1, table)
         write_greeks_csv(p2, table)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_written_atomically_with_the_per_value_format(self, linear_run,
+                                                          tmp_path):
+        disc, surf = linear_run
+        table = greeks_table(LIN, disc, surf)
+        path = tmp_path / "greeks.csv"
+        write_greeks_csv(path, table)
+        rows = zip(table.s, table.delta, table.gamma, table.theta)
+        expected = "S,delta,gamma,theta\n" + "".join(
+            ",".join(f"{v:.10g}" for v in row) + "\n" for row in rows)
+        assert path.read_text() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["greeks.csv"]
+
+    def test_failure_leaves_no_file(self, linear_run, tmp_path):
+        disc, surf = linear_run
+        table = greeks_table(LIN, disc, surf)
+        short = type(table)(table.s, table.delta, table.gamma,
+                            table.theta[:-1], table.time)
+        with pytest.raises(ValueError):
+            write_greeks_csv(tmp_path / "greeks.csv", short)
+        assert list(tmp_path.iterdir()) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igafin.linsolve import (BandedLU, BandedMatrix, SingularMatrixError,
-                             stacked_matvec)
+                             band_products)
 from igafin.stepper import build_discretization
 
 
@@ -50,7 +50,7 @@ class TestBandedMatrix:
             mats = [BandedMatrix(n, k, rng.normal(size=(2 * k + 1, n)))
                     for _ in range(2)]
             x = rng.normal(size=n)
-            both = stacked_matvec(np.stack([m.data for m in mats]), x)
+            both = band_products(np.stack([m.data for m in mats]), x)
             for m, y in zip(mats, both):
                 assert np.array_equal(y, m.matvec(x))
 
@@ -70,6 +70,57 @@ class TestBandedMatrix:
         assert np.allclose(ma.scaled(-2.5).to_dense(), -2.5 * a)
         s = rng.uniform(0.5, 1.5, 6)
         assert np.allclose(ma.scale_columns(s).to_dense(), a @ np.diag(s))
+
+
+def _diagonal_loop(data, x):
+    """Reference banded product: one slice per diagonal, in diagonal order."""
+    n_rows, n = data.shape[-2:]
+    k = n_rows // 2
+    lead = np.broadcast_shapes(data.shape[:-2], np.shape(x)[:-1])
+    y = np.zeros(lead + (n,))
+    for r in range(n_rows):
+        d = r - k
+        lo, hi = max(0, -d), min(n, n - d)
+        if lo < hi:
+            y[..., lo + d:hi + d] += data[..., r, lo:hi] * x[..., lo:hi]
+    return y
+
+
+class TestBandProducts:
+    SIZES = [(1, 1), (1, 3), (2, 1), (5, 3), (35, 1), (259, 3), (4095, 1)]
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_bitwise_the_diagonal_loop(self, n, k):
+        rng = np.random.default_rng(340 + n + k)
+        x = rng.normal(size=n)
+        one = rng.normal(size=(2 * k + 1, n))
+        assert np.array_equal(band_products(one, x), _diagonal_loop(one, x))
+        stack = rng.normal(size=(3, 2 * k + 1, n))
+        # one shared vector, then one vector per band
+        assert np.array_equal(band_products(stack, x),
+                              _diagonal_loop(stack, x))
+        xs = rng.normal(size=(3, n))
+        got = band_products(stack, xs)
+        assert got.shape == (3, n)
+        assert np.array_equal(got, _diagonal_loop(stack, xs))
+        for data, v, y in zip(stack, xs, got):
+            assert np.array_equal(y, BandedMatrix(n, k, data).matvec(v))
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (35, 1), (259, 3)])
+    def test_non_finite_entries_spread_as_in_the_loop(self, n, k):
+        rng = np.random.default_rng(350 + n)
+        data = rng.normal(size=(2, 2 * k + 1, n))
+        x = rng.normal(size=(2, n))
+        x[0, n // 2] = np.inf            # one infinite term per row it reaches
+        x[1, 0] = np.nan
+        data[1, :, n - 1] = 0.0          # 0 * inf is nan
+        x[1, n - 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            got, ref = band_products(data, x), _diagonal_loop(data, x)
+        assert np.isinf(got).any() and np.isnan(got).any()
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestBandedLU:

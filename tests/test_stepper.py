@@ -8,7 +8,8 @@ import pytest
 from igafin.assembly import assemble
 from igafin.linsolve import BandedMatrix
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
-                           default_domain, leland_payoff_vhat)
+                           default_domain, leland_payoff_vhat,
+                           unified_coefficients)
 from igafin.quadrature import gauss_legendre_rule
 from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
@@ -286,6 +287,25 @@ class TestAfvMarch:
         gap = np.abs(surf.final.coeffs["U"] - surf.final.coeffs["B"]
                      - surf.final.coeffs["C"]).max()
         assert gap < 1e-8
+
+    def test_U_and_C_share_one_theta_operator(self, monkeypatch):
+        import igafin.stepper as stepper
+        made = []
+
+        class Counting(stepper._ThetaOperator):
+            def __init__(self, system, coeffs, *args):
+                super().__init__(system, coeffs, *args)
+                made.append(tuple(coeffs))
+
+        monkeypatch.setattr(stepper, "_ThetaOperator", Counting)
+        params = _afv(recovery=0.4)
+        run_afv(params, build_discretization(-6.0, 2.0, 32),
+                SchemeConfig(n_steps=20))
+        # the sharing holds because C has U's coefficients; B's differ
+        assert unified_coefficients(params, "C") == \
+            unified_coefficients(params, "U")
+        assert made == [unified_coefficients(params, name)
+                        for name in ("U", "B")]
 
     def test_newton_divergence_carries_the_level(self):
         params = _afv(newton_tol=1e-15, newton_max_iter=1)
