@@ -388,7 +388,8 @@ def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
                               cfg.path)
         disc, surf = p1fem_solve(params, cfg.x_min, cfg.x_max,
                                  cfg.n_elements,
-                                 SchemeConfig(n_steps=cfg.n_tau))
+                                 SchemeConfig(n_steps=cfg.n_tau,
+                                              store_every=0))
         return float(leland_price_curve(params, disc, surf.final,
                                         [cfg.probe_s])[0])
     if oracle == "fdm":

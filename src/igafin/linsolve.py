@@ -19,15 +19,51 @@ their upper triangle: ``pttrf``/``pttrs`` when ``kband == 1`` and n >= 2,
 ``pbtrf``/``pbtrs`` otherwise.  It needs no pivoting, and a tridiagonal
 solve takes about half the time of the pivoted LU one (34 against 69 us
 at n = 4095, measured on a 2-core host).
+
+The eight LAPACK routines come from scipy's compiled f2py wrapper
+``scipy.linalg._flapack``, which ``_load_lapack`` loads from scipy's
+``linalg`` directory without running ``scipy/linalg/__init__.py``: that
+package import reaches scipy's array-API layer, which loads ``numpy.f2py``,
+``numpy.ma``, ``numpy.random``, ``numpy.testing`` and ``concurrent.futures``.
+Under ``python -X importtime -c "import igafin.cli"`` (medians of 11 runs
+on a 2-core host) the package import took 284 ms of 406 ms, 90 ms of it
+in ``numpy.f2py``; loaded directly, ``igafin.linsolve`` takes 21 ms and
+the whole import 156 ms.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 __all__ = ["BandedMatrix", "BandedLU", "BandedCholesky", "SingularMatrixError",
            "band_products"]
+
+
+def _load_lapack():
+    """scipy's f2py LAPACK wrappers, the module ``scipy.linalg.lapack``
+    takes its routines from.  An already loaded copy is reused; loading
+    one enters it in ``sys.modules``, so a later ``scipy.linalg`` import
+    reuses it in turn."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [linalg_dir])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK wrappers are missing: no _flapack "
+                          f"extension module in {linalg_dir}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_lapack()
 
 
 class SingularMatrixError(RuntimeError):

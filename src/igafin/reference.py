@@ -35,7 +35,8 @@ def _norm_pdf(x):
 
 def bs_exact_call(s, t: float, params: LelandParams):
     """Frictionless European call price at calendar time t."""
-    # imported here: scipy.special is a tenth of the package's import time
+    # imported here: the first import of scipy.special takes about 0.2 s
+    # (2-core host), which runs without a closed form never pay
     from scipy.special import ndtr
     s = np.asarray(s, dtype=float)
     ttm = params.maturity - t

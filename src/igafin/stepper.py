@@ -357,13 +357,16 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
 
     Returns (U, iterations, converged, residual) with the residual
     max|f(U)| at the returned iterate.  ``a11_lu``, the factors of ``a11``
-    when the caller already holds them, saves one factorisation when
-    ``u_init`` is not given.
+    when the caller already holds them (else they are factored here),
+    serve the start when ``u_init`` is not given and every iterate with no
+    active penalty, whose Jacobian is then exactly ``a11``.
     """
+    if a11_lu is None:
+        a11_lu = a11.lu_factor()
     if u_init is not None:
         u = np.asarray(u_init, dtype=float).copy()
     else:
-        u = (a11.lu_factor() if a11_lu is None else a11_lu).solve(phi)
+        u = a11_lu.solve(phi)
 
     def active(u):
         return ((u_star_put - u >= 0.0).astype(float),
@@ -380,8 +383,10 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
     p_put, p_call = active(u)
     for it in range(1, max_iter + 1):
         f = residual(u, p_put, p_call)
-        jac = a11 + mass.scale_columns(rho * dtau * (p_put + p_call))
-        du = jac.lu_factor().solve(f)
+        shift = rho * dtau * (p_put + p_call)
+        jac_lu = ((a11 + mass.scale_columns(shift)).lu_factor()
+                  if shift.any() else a11_lu)
+        du = jac_lu.solve(f)
         u = u - du
         p_put_new, p_call_new = active(u)
         same_active = np.array_equal(p_put_new, p_put) and \

@@ -1,11 +1,30 @@
 """Banded storage and the banded LU solver."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
+from igafin import linsolve
 from igafin.linsolve import (BandedLU, BandedMatrix, SingularMatrixError,
                              band_products)
 from igafin.stepper import build_discretization
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_fresh(code):
+    """stdout of ``code`` run in a new interpreter that imports igafin."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, check=True, capture_output=True,
+                          text=True).stdout
 
 
 def _random_banded(rng, n, k, dominant=True):
@@ -223,3 +242,69 @@ class TestBandedCholesky:
         chol = BandedMatrix.from_dense(np.eye(4), 1).cholesky()
         with pytest.raises(ValueError, match="length"):
             chol.solve(np.ones(3))
+
+
+class TestLapackLoader:
+    def test_factors_match_scipy_lapack_bitwise(self):
+        # igafin loads the wrappers first; scipy.linalg.lapack is imported
+        # after, and its routines called directly give the same bits
+        out = _run_fresh("""
+            import sys
+            import numpy as np
+            from igafin.linsolve import BandedCholesky, BandedLU, BandedMatrix
+            loaded_alone = "scipy.linalg" not in sys.modules
+            from scipy.linalg import lapack
+
+            def banded(rng, n, k):
+                # a dominant diagonal; Cholesky reads only the upper part
+                data = rng.normal(size=(2 * k + 1, n))
+                data[k] = 2.0 * np.abs(data).sum() + rng.random(n)
+                return data
+
+            same = []
+            for k in (1, 3):
+                for n in (2, 9, 4095):
+                    rng = np.random.default_rng(10 * n + k)
+                    b = rng.normal(size=n)
+                    data = banded(rng, n, k)
+                    got = BandedLU(BandedMatrix(n, k, data)).solve(b)
+                    if k == 1 and n >= 3:
+                        *f, info = lapack.dgttrf(data[2, :-1], data[1],
+                                                 data[0, 1:])
+                        want, info = lapack.dgttrs(*f, b)
+                    else:
+                        ab = np.zeros((3 * k + 1, n), order="F")
+                        ab[k:] = data
+                        lu, ipiv, info = lapack.dgbtrf(ab, k, k)
+                        want, info = lapack.dgbtrs(lu, k, k, b, ipiv)
+                    same.append(np.array_equal(got, want))
+                    data = banded(rng, n, k)
+                    got = BandedCholesky(BandedMatrix(n, k, data)).solve(b)
+                    if k == 1:
+                        d, e, info = lapack.dpttrf(data[1], data[0, 1:])
+                        want, info = lapack.dpttrs(d, e, b)
+                    else:
+                        c, info = lapack.dpbtrf(data[:k + 1])
+                        want, info = lapack.dpbtrs(c, b)
+                    same.append(np.array_equal(got, want))
+            print(loaded_alone, len(same), all(same))
+            """)
+        assert out.split() == ["True", "12", "True"]
+
+    def test_reuses_the_module_scipy_linalg_loaded(self):
+        out = _run_fresh("""
+            import sys
+            import scipy.linalg
+            from igafin import linsolve
+            flapack = sys.modules["scipy.linalg._flapack"]
+            print(linsolve.lapack is flapack,
+                  linsolve._load_lapack() is flapack)
+            """)
+        assert out.split() == ["True", "True"]
+
+    def test_missing_wrappers_name_the_file(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError, match="_flapack") as err:
+            linsolve._load_lapack()
+        assert str(tmp_path / "linalg") in str(err.value)
