@@ -91,8 +91,14 @@ class KnotVector:
 
     @property
     def breakpoints(self) -> np.ndarray:
-        """Distinct knot values (span boundaries)."""
-        return np.unique(self.values)
+        """Distinct knot values (span boundaries).
+
+        The knots are non-decreasing, so each differs from its left
+        neighbour exactly when it is new.  ``np.unique`` would give the same
+        array but imports ``numpy.ma`` on its first call.
+        """
+        v = self.values
+        return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 @dataclass(frozen=True)

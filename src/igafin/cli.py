@@ -393,13 +393,13 @@ def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
         return float(leland_price_curve(params, disc, surf.final,
                                         [cfg.probe_s])[0])
     if oracle == "fdm":
+        twin = (cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau, cfg.theta,
+                cfg.rannacher_steps)
         if cfg.model == "afv":
-            res = fdm_solve_afv(params, cfg.x_min, cfg.x_max,
-                                cfg.n_elements, cfg.n_tau)
+            res = fdm_solve_afv(params, *twin)
             return float(np.interp(math.log(cfg.probe_s / params.s_initial),
                                    res.x, res.values["U"]))
-        res = fdm_solve_leland(params, cfg.x_min, cfg.x_max,
-                               cfg.n_elements, cfg.n_tau)
+        res = fdm_solve_leland(params, *twin)
         tau = params.tau_max
         x = math.log(cfg.probe_s) + params.kappa * tau
         return math.exp(-params.kappa * tau) * float(

@@ -17,6 +17,9 @@ slice takes the payoff values at the Greville abscissae as coefficients
 (the variation-diminishing spline of the payoff), and nonlinear sources are
 expanded with coefficients nu_j computed directly from the solution
 coefficients, nu_j = N(w_j, x_j).  No collocation solve enters the march.
+The marches (``march_leland``, ``march_afv``) take the system and its
+nodes x_j as arguments, so the finite-difference twins in ``reference``
+run them too, on central differences at uniform nodes.
 
 The transaction-cost step linearises |vtilde^{m+1}| ~ |vtilde^m| where the
 auxiliary vtilde solves M vtilde = -(K - N) vhat (the mixed form of
@@ -55,8 +58,8 @@ __all__ = [
     "SchemeConfig", "TimeSlice", "SolutionSurface", "Discretization",
     "build_discretization", "step_linear", "step_leland",
     "step_afv_boundary", "newton_solve_U", "NewtonDivergenceError", "run",
-    "run_leland", "run_afv", "evaluate_slice", "leland_price_curve",
-    "afv_value_curve",
+    "run_leland", "run_afv", "march_leland", "march_afv", "evaluate_slice",
+    "leland_price_curve", "afv_value_curve",
 ]
 
 
@@ -397,13 +400,12 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
     return u, max_iter, False, float(np.abs(residual(u, p_put, p_call)).max())
 
 
-def _warn_if_unstable(disc: Discretization, dtau: float) -> None:
+def _warn_if_unstable(dx: float, dtau: float) -> None:
     """Step-ratio guard for the linearised transaction-cost source.
 
     Only the lagged nonlinear term can oscillate; the theta scheme itself
     is unconditionally stable, so linear runs skip this check.
     """
-    dx = disc.min_span_x()
     if dtau / dx > 1.0 or dtau / dx ** 2 > 1.0:
         warnings.warn(
             f"time step dtau={dtau:.3e} is large for the smallest span "
@@ -415,13 +417,23 @@ def run_leland(params: LelandParams, disc: Discretization,
                scheme: SchemeConfig, force_mixed: bool | None = None
                ) -> SolutionSurface:
     """March the (possibly nonlinear) transformed call problem to t = 0."""
+    return march_leland(params, disc.system, disc.greville_x, scheme,
+                        disc.min_span_x(), force_mixed)
+
+
+def march_leland(params: LelandParams, system: GalerkinSystem,
+                 nodes: np.ndarray, scheme: SchemeConfig, min_dx: float,
+                 force_mixed: bool | None = None) -> SolutionSurface:
+    """The transformed call march on any space: ``system`` with one
+    coefficient per point of ``nodes``, whose smallest spacing ``min_dx``
+    sets the step-ratio warning."""
     n_steps = scheme.n_steps
     horizon = params.tau_max
     dtau = horizon / n_steps if n_steps else 0.0
     mixed = params.leland_number > 0 if force_mixed is None else force_mixed
     if n_steps and mixed:
-        _warn_if_unstable(disc, dtau)
-    w = leland_payoff_vhat(disc.greville_x, params)
+        _warn_if_unstable(min_dx, dtau)
+    w = leland_payoff_vhat(nodes, params)
     keep = scheme.stored_levels()
     slices = [TimeSlice(0.0, {"vhat": w})]
     levels = [0]
@@ -429,7 +441,7 @@ def run_leland(params: LelandParams, disc: Discretization,
         return SolutionSurface(slices, levels, 0, dtau)
     coeffs = unified_coefficients(params, "vhat")
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
-    op = _ThetaOperator(disc.system, coeffs, dtau, thetas)
+    op = _ThetaOperator(system, coeffs, dtau, thetas)
     wb = w[[0, -1]]
     lift = op.fixed_lift(wb)
     mixed_step = _LelandStep(op, wb, params.leland_number) if mixed else None
@@ -478,13 +490,19 @@ def _put_level(params: AfvParams, dtau: float, n_steps: int) -> int | None:
 def run_afv(params: AfvParams, disc: Discretization,
             scheme: SchemeConfig) -> SolutionSurface:
     """March the constrained convertible-bond system to t = 0."""
+    return march_afv(params, disc.system, disc.greville_x, scheme)
+
+
+def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
+              scheme: SchemeConfig) -> SolutionSurface:
+    """The convertible-bond march on any space: ``system`` with one
+    coefficient per point of ``nodes``."""
     n_steps = scheme.n_steps
     dtau = params.maturity / n_steps if n_steps else 0.0
-    x_g = disc.greville_x
-    s_g = params.s_initial * np.exp(x_g)
-    ks_g = params.conversion_ratio * s_g
+    s = params.s_initial * np.exp(nodes)
+    ks = params.conversion_ratio * s
 
-    u_vals, b_vals, c_vals = afv_terminal(s_g, params)
+    u_vals, b_vals, c_vals = afv_terminal(s, params)
     w = {"U": u_vals, "B": b_vals, "C": c_vals}
     keep = scheme.stored_levels()
     slices = [TimeSlice(0.0, {k: v.copy() for k, v in w.items()})]
@@ -494,7 +512,7 @@ def run_afv(params: AfvParams, disc: Discretization,
 
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
     # U and C share their coefficients, hence one operator and its factors
-    ops = {name: _ThetaOperator(disc.system, unified_coefficients(params, name),
+    ops = {name: _ThetaOperator(system, unified_coefficients(params, name),
                                 dtau, thetas) for name in ("U", "B")}
     ops["C"] = ops["U"]
     coupon_at = _coupon_levels(params, dtau, n_steps)
@@ -502,11 +520,11 @@ def run_afv(params: AfvParams, disc: Discretization,
     single_date_put = put_level is not None
 
     def nodal_sources(b_full: np.ndarray):
-        delta_g, gamma_g = default_source_terms(x_g, b_full, params)
+        delta_g, gamma_g = default_source_terms(nodes, b_full, params)
         return params.hazard_rate * delta_g, params.hazard_rate * gamma_g
 
     nu_delta_m, nu_gamma_m = nodal_sources(w["B"])
-    right_bc = {"U": ks_g[-1], "B": 0.0, "C": ks_g[-1]}
+    right_bc = {"U": ks[-1], "B": 0.0, "C": ks[-1]}
     constrained = params.rho > 0.0
 
     for m in range(n_steps):
@@ -514,7 +532,7 @@ def run_afv(params: AfvParams, disc: Discretization,
         level = m + 1
         t_new = params.maturity - level * dtau
         put_active = (level == put_level) if single_date_put else None
-        state = constraint_state(params, t_new, x_g, put_active=put_active,
+        state = constraint_state(params, t_new, nodes, put_active=put_active,
                                  coupon_now=coupon_at.get(level, 0.0))
 
         # boundary values at the new level: scalar ODEs at S = 0, pin at S_max

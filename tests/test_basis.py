@@ -38,6 +38,13 @@ class TestKnotVector:
         ratios = widths[1:] / widths[:-1]
         assert np.all(ratios < 1.0 + 1e-12)
 
+    def test_breakpoints_are_the_distinct_knots(self):
+        for kv in (make_uniform_open_knots(16, 3),
+                   make_refined_open_knots(16, 3, 0.5, 0.8),
+                   make_refined_open_knots(9, 3, 0.3, 0.7),
+                   make_uniform_open_knots(5, 1)):
+            assert np.array_equal(kv.breakpoints, np.unique(kv.values))
+
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             KnotVector(np.array([0, 0, 0, 0, 0.6, 0.4, 1, 1, 1, 1.0]), 3)

@@ -188,6 +188,41 @@ def test_p1_oracle_keeps_only_the_mandatory_slices(tmp_path, capsys,
     assert len(surf.slices) <= 4 and surf.levels[-1] == SMALL["n_tau"]
 
 
+@pytest.mark.parametrize("base,printed", [
+    ("convertible.ini", "U(100) = 125.9638"),
+    ("leland_ladder.ini", "V(100) = 16.2327"),
+])
+def test_fdm_oracle_prints_the_twin_at_the_probe(tmp_path, capsys, base,
+                                                 printed):
+    cfg = _config(tmp_path, base, **SMALL)
+    assert main(["price", "--config", str(cfg), "--oracle", "fdm", "--out",
+                 str(tmp_path / "out")]) == 0
+    assert f"oracle (fdm): {printed}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("base", ["convertible.ini", "leland_ladder.ini"])
+def test_fdm_oracle_with_theta_one_is_the_implicit_twin(tmp_path, capsys,
+                                                        base):
+    from igafin.cli import parse_config
+    from igafin.reference import fdm_solve_afv, fdm_solve_leland
+    cfg = parse_config(str(_config(tmp_path, base, **SMALL, theta=1)))
+    assert main(["price", "--config", cfg.path, "--oracle", "fdm", "--out",
+                 str(tmp_path / "out")]) == 0
+    p, n_e, n_t = cfg.params, SMALL["n_elements"], SMALL["n_tau"]
+    if cfg.model == "afv":
+        res = fdm_solve_afv(p, cfg.x_min, cfg.x_max, n_e, n_t, theta=1.0)
+        want = np.interp(math.log(cfg.probe_s / p.s_initial), res.x,
+                         res.values["U"])
+    else:
+        res = fdm_solve_leland(p, cfg.x_min, cfg.x_max, n_e, n_t, theta=1.0)
+        x = math.log(cfg.probe_s) + p.kappa * p.tau_max
+        want = math.exp(-p.kappa * p.tau_max) * np.interp(
+            x, res.x, res.values["vhat"])
+    name = "U" if cfg.model == "afv" else "V"
+    assert f"oracle (fdm): {name}(100) = {want:.4f}\n" \
+        in capsys.readouterr().out
+
+
 def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
     import igafin.cli as cli
     results = run_checks()
@@ -233,10 +268,13 @@ def test_import_leaves_out_scipy_stats():
     # scipy.special loads on first use.  scipy.sparse is not needed either:
     # banded products are numpy.  The LAPACK wrappers are loaded without
     # the scipy.linalg package, whose import pulls in numpy.f2py and
-    # concurrent.futures
+    # concurrent.futures.  Building a discretisation does not load
+    # numpy.ma, which np.unique imports on its first call
     names = ("scipy.stats", "scipy.special", "scipy.sparse", "scipy.linalg",
-             "numpy.f2py", "concurrent.futures")
-    code = ("import sys, igafin.cli; print([m for m in "
+             "numpy.f2py", "concurrent.futures", "numpy.ma")
+    code = ("import sys, igafin.cli; "
+            "from igafin.stepper import build_discretization; "
+            "build_discretization(-6, 2, 8); print([m for m in "
             f"{names!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}

@@ -1,6 +1,7 @@
 """Closed-form, finite-difference and hat-function reference solvers."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,14 @@ import pytest
 from igafin.cli import parse_config
 from igafin.linsolve import BandedLU
 from igafin.models import AfvParams, LelandParams, default_domain
-from igafin.reference import (bs_exact_call, bs_exact_greeks, fdm_solve_afv,
+from igafin.reference import (_central_differences, bs_exact_call,
+                              bs_exact_greeks, fdm_solve_afv,
                               fdm_solve_leland, misfit_epsilon, p1fem_solve)
-from igafin.stepper import (SchemeConfig, build_discretization,
-                            leland_price_curve, run_leland)
+from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
+                            build_discretization, leland_price_curve,
+                            run_leland)
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
 
 
@@ -56,6 +60,19 @@ class TestClosedForm:
             delta, gamma, _ = bs_exact_greeks(s, 0.3, LIN)
             assert 0.0 <= delta <= 1.0
             assert gamma >= 0.0
+
+
+def test_central_differences_are_a_galerkin_system():
+    x = np.linspace(-1.0, 1.0, 7)
+    h = x[1] - x[0]
+    a, cols = _central_differences(x).operator((0.3, -0.7, 0.1))
+    # A = -L with L w = Y1 D2 w + Y2 D1 w - Y3 w on the full node vector
+    full = np.zeros((5, 7))
+    for i in range(5):
+        full[i, i:i + 3] = [-0.3 / h ** 2 - 0.7 / (2 * h), 0.6 / h ** 2 + 0.1,
+                            -0.3 / h ** 2 + 0.7 / (2 * h)]
+    assert np.allclose(a.to_dense(), full[:, 1:-1], rtol=1e-14, atol=0.0)
+    assert np.allclose(cols, full[:, [0, -1]], rtol=1e-14, atol=0.0)
 
 
 class TestFdmLeland:
@@ -101,6 +118,16 @@ class TestFdmLeland:
             np.interp(x, res.x, res.values["vhat"]))
         assert v_iga == pytest.approx(v_fdm, abs=0.25)
 
+    def test_pinned_value(self):
+        le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
+                          leland_number=0.8)
+        a, b = default_domain(le)
+        res = fdm_solve_leland(le, a, b, 256, 80)
+        x = math.log(100.0) + le.kappa * le.tau_max
+        v = math.exp(-le.kappa * le.tau_max) * float(
+            np.interp(x, res.x, res.values["vhat"]))
+        assert v == pytest.approx(15.58073037598943, rel=1e-12)
+
 
 class TestFdmAfv:
     def _params(self, **overrides):
@@ -144,12 +171,28 @@ class TestFdmAfv:
             factor(self, mat)
 
         monkeypatch.setattr(BandedLU, "__init__", counting)
-        cfg = parse_config(str(Path(__file__).resolve().parents[1]
-                               / "configs" / "convertible.ini"))
+        cfg = parse_config(str(CONFIGS / "convertible.ini"))
         fdm_solve_afv(cfg.params, cfg.x_min, cfg.x_max, 128, 100, cfg.theta,
                       cfg.rannacher_steps)
-        # 3 unknowns x 2 thetas cached, plus one Jacobian per Newton iterate
-        assert len(count) == 112
+        # 2 operators (U and C share theirs) x 2 thetas cached, plus one
+        # Jacobian for each of the 65 of 106 Newton iterates with an active
+        # penalty; the other 41 reuse the operator's factor
+        assert len(count) == 69
+
+    def test_pinned_value(self):
+        cfg = parse_config(str(CONFIGS / "convertible.ini"))
+        res = fdm_solve_afv(cfg.params, cfg.x_min, cfg.x_max, 128, 100,
+                            cfg.theta, cfg.rannacher_steps)
+        u = float(np.interp(0.0, res.x, res.values["U"]))
+        assert u == pytest.approx(125.0576777062165, rel=1e-12)
+
+    def test_newton_failure_is_raised(self):
+        cfg = parse_config(str(CONFIGS / "convertible.ini"))
+        params = replace(cfg.params, newton_max_iter=1)
+        with pytest.raises(NewtonDivergenceError) as info:
+            fdm_solve_afv(params, cfg.x_min, cfg.x_max, 128, 100, cfg.theta,
+                          cfg.rannacher_steps)
+        assert info.value.level == 18
 
 
 class TestP1Fem:
