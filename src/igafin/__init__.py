@@ -18,12 +18,10 @@ from .assembly import (Collocation, GalerkinSystem, PhysicalMap, assemble,
 from .linsolve import BandedLU, BandedMatrix, SingularMatrixError
 from .models import (AfvParams, ConstraintState, LelandParams,
                      accrued_interest, afv_terminal, calibrate_weights,
-                     constraint_state, default_domain, leland_payoff_vhat,
-                     unified_coefficients)
+                     constraint_state, default_domain, unified_coefficients)
 from .stepper import (Discretization, NewtonDivergenceError, SchemeConfig,
-                      SolutionSurface, TimeSlice, afv_value_curve,
-                      build_discretization, evaluate_slice,
-                      leland_price_curve, run, run_afv, run_leland)
+                      SolutionSurface, TimeSlice, build_discretization,
+                      evaluate_slice, run, run_afv, run_leland, value_curve)
 from .greeks import (GreekCurve, GreekTable, delta, gamma, greeks_table,
                      theta, write_greeks_csv)
 from .reference import (bs_exact_call, bs_exact_greeks, fdm_solve_afv,
@@ -42,10 +40,10 @@ __all__ = [
     "BandedLU", "BandedMatrix", "SingularMatrixError",
     "AfvParams", "ConstraintState", "LelandParams", "accrued_interest",
     "afv_terminal", "calibrate_weights", "constraint_state", "default_domain",
-    "leland_payoff_vhat", "unified_coefficients",
+    "unified_coefficients",
     "Discretization", "NewtonDivergenceError", "SchemeConfig",
-    "SolutionSurface", "TimeSlice", "afv_value_curve", "build_discretization",
-    "evaluate_slice", "leland_price_curve", "run", "run_afv", "run_leland",
+    "SolutionSurface", "TimeSlice", "build_discretization",
+    "evaluate_slice", "run", "run_afv", "run_leland", "value_curve",
     "GreekCurve", "GreekTable", "delta", "gamma", "greeks_table", "theta",
     "write_greeks_csv",
     "bs_exact_call", "bs_exact_greeks", "fdm_solve_afv", "fdm_solve_leland",

@@ -21,13 +21,11 @@ from .assembly import PhysicalMap, assemble
 from .basis import (NurbsBasis, eval_nurbs_all, eval_spline_many,
                     make_refined_open_knots, make_uniform_open_knots)
 from .models import (AfvParams, LelandParams, constraint_state,
-                     leland_inverse, leland_transform, penalty_terms,
-                     unified_coefficients)
+                     penalty_terms, unified_coefficients)
 from .quadrature import gauss_legendre_rule
 from .reference import fdm_solve_afv
 from .stepper import (SchemeConfig, build_discretization, run_afv,
-                      run_leland, step_leland, step_linear,
-                      _coupon_levels, _put_level)
+                      run_leland, step_leland, step_linear)
 
 __all__ = ["CheckResult", "run_checks", "format_report"]
 
@@ -165,18 +163,18 @@ def check_derivative_vs_fd() -> CheckResult:
 
 
 def check_transform_roundtrip() -> CheckResult:
+    # (S, t) -> (x, tau) -> (S, t) through each model's change of variables
     rng = np.random.default_rng(_SEED)
-    params = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
     worst = 0.0
-    for _ in range(200):
-        s = rng.uniform(1.0, 400.0)
-        t = rng.uniform(0.0, params.maturity)
-        x, tau = leland_transform(s, t, params)
-        s2, t2 = leland_inverse(x, tau, params)
-        worst = max(worst, abs(s2 - s) / s, abs(t2 - t))
-    s0 = 100.0
-    s = rng.uniform(1.0, 700.0, 200)
-    worst = max(worst, float(np.max(np.abs(s0 * np.exp(np.log(s / s0)) - s) / s)))
+    for params in (LelandParams(rate=0.1, sigma=0.2, strike=100.0,
+                                maturity=1.0),
+                   _superposition_params(())):
+        s = rng.uniform(1.0, 700.0, 200)
+        t = rng.uniform(0.0, params.maturity, 200)
+        tau = params.tau_of(t)
+        s2 = params.s_of(params.x_of(s, tau), tau)
+        worst = max(worst, float(np.max(np.abs(s2 - s) / s)),
+                    float(np.max(np.abs(params.t_of(tau) - t))))
     return CheckResult("transform_roundtrip", worst <= 1e-12, worst, 1e-12)
 
 
@@ -191,7 +189,7 @@ def check_le_zero_equivalence() -> CheckResult:
     worst = float(np.max(np.abs(plain.final.coeffs["vhat"]
                                 - mixed.final.coeffs["vhat"])))
     w0 = plain.initial.coeffs["vhat"]
-    dtau = params.tau_max / 8
+    dtau = params.horizon / 8
     one_lin = step_linear(disc.system, unified_coefficients(params, "vhat"),
                           w0, w0[[0, -1]], dtau, 1.0)
     one_lel = step_leland(disc.system, w0, dtau, 1.0, 0.0)
@@ -255,17 +253,14 @@ def check_constraint_violation() -> CheckResult:
     disc = build_discretization(-6.0, 2.0, 2 ** 6)
     n_steps = 50
     surf = run_afv(params, disc, SchemeConfig(n_steps=n_steps, store_every=1))
-    dtau = params.maturity / n_steps
-    coupon_at = _coupon_levels(params, dtau, n_steps)
-    put_level = _put_level(params, dtau, n_steps)
+    events, _ = params.calendar(surf.dtau, n_steps)
     worst = 0.0
     for level, slice_ in zip(surf.levels, surf.slices):
         if level == 0:
             continue
-        t = params.maturity - level * dtau
-        c_now = coupon_at.get(level, 0.0)
-        state = constraint_state(params, t, disc.greville_x,
-                                 put_active=(level == put_level),
+        c_now, put_active = events.get(level, (0.0, False))
+        state = constraint_state(params, params.t_of(level * surf.dtau),
+                                 disc.greville_x, put_active=put_active,
                                  coupon_now=c_now)
         # stored slices are post-injection; compare net of the coupon
         # (the pinned right coefficient never receives it)

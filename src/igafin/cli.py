@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import re
 import sys
@@ -37,11 +36,11 @@ import numpy as np
 from .checks import format_report, run_checks
 from .greeks import greeks_table, theta_pair, write_greeks_csv
 from .models import (AfvParams, LelandParams, calibrate_weights,
-                     default_domain, leland_payoff_vhat)
+                     default_domain)
 from .reference import (bs_exact_call, fdm_solve_afv, fdm_solve_leland,
                         misfit_epsilon, p1fem_solve)
-from .stepper import (NewtonDivergenceError, SchemeConfig, afv_value_curve,
-                      build_discretization, leland_price_curve, run)
+from .stepper import (NewtonDivergenceError, SchemeConfig,
+                      build_discretization, run, value_curve)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_pricing",
            "run_convergence", "run_greeks", "main"]
@@ -288,14 +287,6 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _payoff_of(cfg: ExperimentConfig):
-    params = cfg.params
-    if cfg.model == "afv":
-        from .models import afv_terminal
-        return lambda x: afv_terminal(params.s_initial * np.exp(x), params)[0]
-    return lambda x: leland_payoff_vhat(x, params)
-
-
 def _build(cfg: ExperimentConfig, n_elements: int | None = None,
            n_tau: int | None = None):
     n_e = cfg.n_elements if n_elements is None else n_elements
@@ -309,7 +300,7 @@ def _build(cfg: ExperimentConfig, n_elements: int | None = None,
             w = load_weights(cfg.weights_file, disc.basis.knots.n_basis)
         else:
             w = calibrate_weights(disc.basis.knots, disc.pmap,
-                                  _payoff_of(cfg), kink_xi=cfg.kink_xi)
+                                  cfg.params.payoff, kink_xi=cfg.kink_xi)
         disc = build_discretization(cfg.x_min, cfg.x_max, n_e, weights=w,
                                     **kwargs)
     return disc, run(cfg.params, disc, _scheme(cfg, n_t))
@@ -320,23 +311,6 @@ def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
                         rannacher_steps=cfg.rannacher_steps,
                         store_every=cfg.store_every
                         if cfg.store_every > 0 else max(1, n_tau // 50))
-
-
-def _value_field(cfg: ExperimentConfig) -> str:
-    return "U" if cfg.model == "afv" else "V"
-
-
-def _price_curve(cfg, disc, slice_, s_points) -> np.ndarray:
-    if cfg.model == "afv":
-        return afv_value_curve(cfg.params, disc, slice_, s_points)
-    return leland_price_curve(cfg.params, disc, slice_, s_points)
-
-
-def _grid_s(cfg, disc, slice_) -> np.ndarray:
-    """Image of the Greville points in price space on one slice."""
-    if cfg.model == "afv":
-        return cfg.params.s_initial * np.exp(disc.greville_x)
-    return np.exp(disc.greville_x - cfg.params.kappa * slice_.tau)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -363,12 +337,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _probe_report(cfg, disc, surf) -> list[str]:
-    name = _value_field(cfg)
-    final = surf.final
-    exact = float(_price_curve(cfg, disc, final, [cfg.probe_s])[0])
-    grid = _grid_s(cfg, disc, final)
+    params, final = cfg.params, surf.final
+    name = next(iter(params.columns))
+    exact = float(value_curve(params, disc, final, [cfg.probe_s])[0])
+    grid = params.s_of(disc.greville_x, final.tau)
     j = int(np.argmin(np.abs(grid - cfg.probe_s)))
-    near = float(_price_curve(cfg, disc, final, [grid[j]])[0])
+    near = float(value_curve(params, disc, final, [grid[j]])[0])
     return [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
             f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
 
@@ -390,20 +364,14 @@ def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
                                  cfg.n_elements,
                                  SchemeConfig(n_steps=cfg.n_tau,
                                               store_every=0))
-        return float(leland_price_curve(params, disc, surf.final,
-                                        [cfg.probe_s])[0])
+        return float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
     if oracle == "fdm":
-        twin = (cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau, cfg.theta,
-                cfg.rannacher_steps)
-        if cfg.model == "afv":
-            res = fdm_solve_afv(params, *twin)
-            return float(np.interp(math.log(cfg.probe_s / params.s_initial),
-                                   res.x, res.values["U"]))
-        res = fdm_solve_leland(params, *twin)
-        tau = params.tau_max
-        x = math.log(cfg.probe_s) + params.kappa * tau
-        return math.exp(-params.kappa * tau) * float(
-            np.interp(x, res.x, res.values["vhat"]))
+        twin = fdm_solve_afv if cfg.model == "afv" else fdm_solve_leland
+        res = twin(params, cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau,
+                   cfg.theta, cfg.rannacher_steps)
+        tau, field = params.horizon, next(iter(params.columns.values()))
+        return params.value_scale(tau) * float(np.interp(
+            params.x_of(cfg.probe_s, tau), res.x, res.values[field]))
     raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
 
 
@@ -416,54 +384,44 @@ def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
         raise ConfigError("the Greeks need n_tau >= 1 (theta differences two "
                           "time slices), got n_tau = 0", cfg.path)
     params = cfg.params
-    horizon = params.maturity if cfg.model == "afv" else params.tau_max
     levels = sorted(_scheme(cfg, cfg.n_tau).stored_levels())
-    if theta_pair(params, levels, horizon / cfg.n_tau, cfg.n_tau) is None:
+    if theta_pair(params, levels, params.horizon / cfg.n_tau,
+                  cfg.n_tau) is None:
         raise ConfigError("theta needs two stored slices near t = 0 with no "
                           "coupon or put date between them; none exist at "
                           f"n_tau = {cfg.n_tau}", cfg.path)
 
 
 def _check_probe(cfg: ExperimentConfig) -> None:
-    """Reject a probe price whose image lies outside [x_min, x_max]."""
+    """Reject a probe price whose image lies outside [x_min, x_max] on
+    the final slice."""
     params = cfg.params
-    if cfg.model == "afv":
-        lo, hi = (params.s_initial * math.exp(x) for x in (cfg.x_min, cfg.x_max))
-    else:   # the probe is read on the final slice, tau = tau_max
-        lo, hi = (math.exp(x - params.kappa * params.tau_max)
-                  for x in (cfg.x_min, cfg.x_max))
+    lo, hi = (params.s_of(x, params.horizon) for x in (cfg.x_min, cfg.x_max))
     if not lo <= cfg.probe_s <= hi:
         raise ConfigError(f"probe_s = {cfg.probe_s:g} lies outside the "
                           f"computational domain [{lo:.6g}, {hi:.6g}]",
                           cfg.path)
 
 
-def _greville_values(cfg: ExperimentConfig, disc, slice_) -> list[np.ndarray]:
-    """Output fields at the Greville points: one banded matvec per field."""
-    if cfg.model == "afv":
-        return [disc.colloc.evaluate(slice_.coeffs[f]) for f in ("U", "B", "C")]
-    vhat = disc.colloc.evaluate(slice_.coeffs["vhat"])
-    return [math.exp(-cfg.params.kappa * slice_.tau) * vhat]
-
-
 def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     _check_greeks_inputs(cfg)
     _check_probe(cfg)
     disc, surf = _build(cfg)
-    name = _value_field(cfg)
-    fields = ["U", "B", "C"] if cfg.model == "afv" else [name]
+    params = cfg.params
+    fields = list(params.columns)
 
-    # every table is built before the first file is written
+    # every table is built before the first file is written; the fields
+    # at the Greville points take one banded matvec each
     blocks = []
     for level, slice_ in zip(surf.levels, surf.slices):
-        t = (cfg.params.maturity - slice_.tau if cfg.model == "afv"
-             else cfg.params.maturity - 2.0 * slice_.tau / cfg.params.sigma ** 2)
-        s = _grid_s(cfg, disc, slice_)
-        blocks.append(np.column_stack([np.full_like(s, level),
-                                       np.full_like(s, t), s,
-                                       *_greville_values(cfg, disc, slice_)]))
+        s = params.s_of(disc.greville_x, slice_.tau)
+        scale = params.value_scale(slice_.tau)
+        blocks.append(np.column_stack(
+            [np.full_like(s, level), np.full_like(s, params.t_of(slice_.tau)),
+             s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
+                  for f in params.columns.values())]))
     surface = np.concatenate(blocks)
-    table = greeks_table(cfg.params, disc, surf)
+    table = greeks_table(params, disc, surf)
     report = _probe_report(cfg, disc, surf)
     ov = _oracle_value(cfg, oracle)
 
@@ -476,6 +434,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     for line in report:
         print(line)
     if ov is not None:
+        name = next(iter(params.columns))
         print(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = {ov:.4f}")
     return 0
 
@@ -488,11 +447,10 @@ def _rung_error(cfg, ref, disc, surf, value) -> float | None:
         # price misfit 2-norm against the hat-function reference, sampled
         # at this rung's Greville stock prices at or below three strikes
         ref_disc, ref_surf = ref
-        grid = _grid_s(cfg, disc, surf.final)
+        grid = cfg.params.s_of(disc.greville_x, surf.final.tau)
         grid = grid[grid <= 3.0 * cfg.params.strike]
-        mine = leland_price_curve(cfg.params, disc, surf.final, grid)
-        theirs = leland_price_curve(cfg.params, ref_disc, ref_surf.final,
-                                    grid)
+        mine = value_curve(cfg.params, disc, surf.final, grid)
+        theirs = value_curve(cfg.params, ref_disc, ref_surf.final, grid)
         return misfit_epsilon(theirs, mine)
     return None
 
@@ -512,7 +470,8 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
     rows, prev_err = [], None
     for n_e, n_t in cfg.rungs:
         disc, surf = _build(cfg, n_e, n_t)
-        value = float(_price_curve(cfg, disc, surf.final, [cfg.probe_s])[0])
+        value = float(value_curve(cfg.params, disc, surf.final,
+                                  [cfg.probe_s])[0])
         err = None if oracle == "none" else _rung_error(cfg, ref, disc, surf,
                                                         value)
         contraction = (prev_err / err) if (err and prev_err) else None

@@ -1,34 +1,30 @@
 """Option sensitivities from the spline expansion.
 
-Delta and gamma come from exact parametric derivatives of the stored
-coefficient vector, mapped to stock-price space through the chain rule of
-each model's variable transform:
+Each model writes its value as V(S, t) = g(tau) w(x, tau) with
+x = x_of(S, tau) and g = value_scale(tau) (e^{-kappa tau} for the call, 1 for
+the convertible bond).  Both changes of variables have dx/dS = 1/S, so delta
+and gamma come from exact parametric derivatives of the stored coefficient
+vector by the chain rule
 
-* call (log-price drift transform):
-  delta = e^{-kappa tau} / S   * (dxi/dx) sum_j w_j R'_j
-  gamma = e^{-kappa tau} / S^2 * ((dxi/dx)^2 sum_j w_j R''_j
-                                  - (dxi/dx) sum_j w_j R'_j)
-* convertible bond (x = ln(S / S_int), no scaling): same without the
-  exponential factor.
+  delta = g / S   * (dxi/dx) sum_j w_j R'_j
+  gamma = g / S^2 * ((dxi/dx)^2 sum_j w_j R''_j - (dxi/dx) sum_j w_j R'_j).
 
 Theta is a backward difference of two stored time slices; the semidiscrete
 system gives no direct access to the calendar-time derivative.  Slice pairs
-that straddle a coupon or put date are skipped (the value jumps there) and
-the difference is taken one-sided on the smooth side.
+that straddle a jump level of the model's event calendar (a coupon or a
+single-date put) are skipped and the difference is taken one-sided on the
+smooth side.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import basis_table, contract_table
-from .models import AfvParams, LelandParams
-from .stepper import (Discretization, SolutionSurface, TimeSlice,
-                      _coupon_levels, _put_level, evaluate_slice)
+from .stepper import Discretization, SolutionSurface, TimeSlice, evaluate_slice
 
 __all__ = ["GreekCurve", "GreekTable", "delta", "gamma", "theta",
            "theta_pair", "greeks_table", "write_greeks_csv"]
@@ -55,28 +51,16 @@ class GreekTable:
     time: float
 
 
-def _slice_time(params, tau: float) -> float:
-    """Calendar time of a slice from its backward time coordinate."""
-    if isinstance(params, LelandParams):
-        return params.maturity - 2.0 * tau / params.sigma ** 2
-    return params.maturity - tau
-
-
 def _field_name(params, name: str | None) -> str:
-    if isinstance(params, LelandParams):
-        return "vhat"
-    return "U" if name is None else name
+    return name or next(iter(params.columns.values()))
 
 
-def _default_grid(params, disc: Discretization, slice_: TimeSlice
-                  ) -> np.ndarray:
-    """Greville abscissae mapped to stock prices (no extrapolation)."""
-    if isinstance(params, LelandParams):
-        return np.exp(disc.greville_x - params.kappa * slice_.tau)
-    return params.s_initial * np.exp(disc.greville_x)
-
-
-def _checked_s(s_points) -> np.ndarray:
+def _grid(params, disc: Discretization, slice_: TimeSlice,
+          s_points) -> np.ndarray:
+    """``s_points`` checked positive; by default the Greville abscissae
+    mapped to stock prices (no extrapolation)."""
+    if s_points is None:
+        return params.s_of(disc.greville_x, slice_.tau)
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
     if np.any(s <= 0.0):
         raise ValueError("stock prices must be positive")
@@ -85,10 +69,7 @@ def _checked_s(s_points) -> np.ndarray:
 
 def _pde_x(params, disc: Discretization, slice_: TimeSlice, s: np.ndarray,
            clip: bool = False) -> np.ndarray:
-    if isinstance(params, LelandParams):
-        x = np.log(s) + params.kappa * slice_.tau
-    else:
-        x = np.log(s / params.s_initial)
+    x = params.x_of(s, slice_.tau)
     lo, hi = disc.pmap.x_min, disc.pmap.x_max
     if clip:
         return np.clip(x, lo, hi)
@@ -102,13 +83,11 @@ def delta(params, disc: Discretization, slice_: TimeSlice,
           s_points=None, name: str | None = None) -> GreekCurve:
     """First derivative with respect to the stock price."""
     field = _field_name(params, name)
-    s = (_default_grid(params, disc, slice_) if s_points is None
-         else _checked_s(s_points))
+    s = _grid(params, disc, slice_, s_points)
     x = _pde_x(params, disc, slice_, s)
     dw = disc.pmap.dxi_dx * evaluate_slice(disc, slice_, field, x, order=1)
-    if isinstance(params, LelandParams):
-        dw = math.exp(-params.kappa * slice_.tau) * dw
-    return GreekCurve(s, dw / s, "delta", _slice_time(params, slice_.tau))
+    dw = params.value_scale(slice_.tau) * dw
+    return GreekCurve(s, dw / s, "delta", params.t_of(slice_.tau))
 
 
 def gamma(params, disc: Discretization, slice_: TimeSlice,
@@ -122,38 +101,23 @@ def gamma(params, disc: Discretization, slice_: TimeSlice,
     if disc.basis.degree < 2:
         raise ValueError("gamma needs basis degree >= 2")
     field = _field_name(params, name)
-    s = (_default_grid(params, disc, slice_) if s_points is None
-         else _checked_s(s_points))
+    s = _grid(params, disc, slice_, s_points)
     x = _pde_x(params, disc, slice_, s)
     xi = np.asarray(disc.pmap.to_parameter(x))
     first, R = basis_table(disc.basis, xi, 2, side)
     _, d1, d2 = contract_table(first, R, slice_.coeffs[field]).T
     scale = disc.pmap.dxi_dx
     curv = scale * scale * d2 - scale * d1
-    if isinstance(params, LelandParams):
-        curv = math.exp(-params.kappa * slice_.tau) * curv
-    return GreekCurve(s, curv / s ** 2, "gamma",
-                      _slice_time(params, slice_.tau))
+    curv = params.value_scale(slice_.tau) * curv
+    return GreekCurve(s, curv / s ** 2, "gamma", params.t_of(slice_.tau))
 
 
 def _value_curve(params, disc: Discretization, slice_: TimeSlice,
                  s: np.ndarray, field: str) -> np.ndarray:
     """Model value V(S, t) on one slice; clamps to the domain at the tails."""
     x = _pde_x(params, disc, slice_, s, clip=True)
-    v = evaluate_slice(disc, slice_, field, x)
-    if isinstance(params, LelandParams):
-        return math.exp(-params.kappa * slice_.tau) * v
-    return v
-
-
-def _jump_levels(params, dtau: float, n_steps: int) -> set[int]:
-    if not isinstance(params, AfvParams) or n_steps == 0:
-        return set()
-    jumps = set(_coupon_levels(params, dtau, n_steps))
-    put = _put_level(params, dtau, n_steps)
-    if put is not None:
-        jumps.add(put)
-    return jumps
+    return params.value_scale(slice_.tau) * evaluate_slice(disc, slice_,
+                                                           field, x)
 
 
 def theta_pair(params, levels: list[int], dtau: float, n_steps: int,
@@ -162,10 +126,10 @@ def theta_pair(params, levels: list[int], dtau: float, n_steps: int,
 
     ``levels`` are the stored time levels in order.  The pair is the first
     of (before, at), (at, after), (two before, before) around ``index``
-    that has no coupon or put date between its levels.
+    that has no jump level of the model's calendar between its levels.
     """
     i = index if index >= 0 else len(levels) + index
-    jumps = _jump_levels(params, dtau, n_steps)
+    _, jumps = params.calendar(dtau, n_steps)
     pairs = [(i - 1, i), (i, i + 1), (i - 2, i - 1)]
     return next(((j0, j1) for j0, j1 in pairs
                  if 0 <= j0 < j1 < len(levels)
@@ -186,14 +150,13 @@ def theta(params, disc: Discretization, surface: SolutionSurface,
 
     field = _field_name(params, name)
     target = surface.slices[index]
-    s = (_default_grid(params, disc, target) if s_points is None
-         else _checked_s(s_points))
+    s = _grid(params, disc, target, s_points)
     s0, s1 = (surface.slices[j] for j in pair)
-    t0, t1 = (_slice_time(params, sl.tau) for sl in (s0, s1))
+    t0, t1 = (params.t_of(sl.tau) for sl in (s0, s1))
     v0 = _value_curve(params, disc, s0, s, field)
     v1 = _value_curve(params, disc, s1, s, field)
     rate = (v1 - v0) / (t1 - t0)
-    return GreekCurve(s, rate, "theta", _slice_time(params, target.tau))
+    return GreekCurve(s, rate, "theta", params.t_of(target.tau))
 
 
 def greeks_table(params, disc: Discretization, surface: SolutionSurface,
@@ -201,8 +164,7 @@ def greeks_table(params, disc: Discretization, surface: SolutionSurface,
                  ) -> GreekTable:
     """Delta, gamma and theta of one slice on a shared grid."""
     slice_ = surface.slices[index]
-    s = (_default_grid(params, disc, slice_) if s_points is None
-         else _checked_s(s_points))
+    s = _grid(params, disc, slice_, s_points)
     d = delta(params, disc, slice_, s, name)
     g = gamma(params, disc, slice_, s, name)
     th = theta(params, disc, surface, index, s, name)

@@ -16,6 +16,21 @@ the model and the unknown:
   whose reaction term is reduced by the recovery flow to r + p - R*p.
   Sources are p*delta for U, p*gamma for C; call/put/conversion rights enter
   through penalty terms and pointwise constraints.
+
+Both parameter classes carry the same per-model interface, so the marches,
+Greeks, output and checks never branch on the model:
+
+* ``horizon``: the backward time tau at t = 0, where the march ends.
+* ``x_of(s, tau)``, ``s_of(x, tau)``, ``t_of(tau)``, ``tau_of(t)``: the
+  change of variables and its inverse.
+* ``value_scale(tau)``: the factor g with V(S, t) = g(tau) w(x, tau) for the
+  first output field, e^{-kappa tau} for the call and 1.0 for the bond.
+* ``payoff(x)``: the first field's terminal data at tau = 0.
+* ``columns``: output column name -> coefficient field, the value column
+  first.
+* ``calendar(dtau, n_steps)``: the exercise events of a march, as the
+  coupon and put flag of each level that has one, and the levels at which
+  the value jumps.  The call has none.
 """
 
 from __future__ import annotations
@@ -28,8 +43,7 @@ import numpy as np
 
 __all__ = [
     "LelandParams", "AfvParams", "UnifiedCoefficients", "ConstraintState",
-    "unified_coefficients", "leland_transform", "leland_inverse",
-    "leland_payoff_vhat", "afv_terminal",
+    "unified_coefficients", "afv_terminal",
     "accrued_interest", "default_source_terms", "constraint_state",
     "apply_B_constraints", "apply_joint_constraints", "penalty_terms",
     "calibrate_weights", "default_domain",
@@ -67,10 +81,36 @@ class LelandParams:
     def kappa(self) -> float:
         return 2.0 * self.rate / self.sigma ** 2
 
+    columns = {"V": "vhat"}
+
     @property
-    def tau_max(self) -> float:
+    def horizon(self) -> float:
         """Backward-time horizon: tau = sigma^2 (T - t)/2 at t = 0."""
         return 0.5 * self.sigma ** 2 * self.maturity
+
+    def x_of(self, s, tau):
+        return np.log(s) + self.kappa * tau
+
+    def s_of(self, x, tau):
+        return np.exp(x - self.kappa * tau)
+
+    def t_of(self, tau):
+        return self.maturity - 2.0 * tau / self.sigma ** 2
+
+    def tau_of(self, t):
+        return 0.5 * self.sigma ** 2 * (self.maturity - t)
+
+    def value_scale(self, tau: float) -> float:
+        """V = e^{-kappa tau} vhat."""
+        return math.exp(-self.kappa * tau)
+
+    def payoff(self, x):
+        """Terminal data in transformed variables: max(e^x - strike, 0)."""
+        return np.maximum(np.exp(x) - self.strike, 0.0)
+
+    def calendar(self, dtau: float, n_steps: int):
+        """No exercise events: see ``AfvParams.calendar``."""
+        return {}, set()
 
 
 @dataclass(frozen=True)
@@ -126,6 +166,67 @@ class AfvParams:
                 if not (0.0 <= a <= b <= self.maturity):
                     raise ValueError("constraint window must satisfy 0 <= start <= end <= maturity")
 
+    columns = {"U": "U", "B": "B", "C": "C"}
+
+    @property
+    def horizon(self) -> float:
+        return self.maturity
+
+    def x_of(self, s, tau):
+        return np.log(s / self.s_initial)
+
+    def s_of(self, x, tau):
+        return self.s_initial * np.exp(x)
+
+    def t_of(self, tau):
+        return self.maturity - tau
+
+    def tau_of(self, t):
+        return self.maturity - t
+
+    def value_scale(self, tau: float) -> float:
+        return 1.0
+
+    def payoff(self, x):
+        """Terminal holder value U at the prices S = s_of(x, 0)."""
+        return afv_terminal(self.s_of(x, 0.0), self)[0]
+
+    def calendar(self, dtau: float, n_steps: int
+                 ) -> tuple[dict[int, tuple[float, bool]], set[int]]:
+        """Exercise events of a march of ``n_steps`` levels of width dtau.
+
+        Returns ``(events, jumps)``.  ``events[m] = (coupon, put_active)``
+        for each level m with a coupon or an exercisable put; a level not
+        listed has neither.  ``jumps`` holds the levels at which the value
+        jumps: the coupon dates and a single-date put.
+
+        A coupon lands on the level nearest its date; one at maturity
+        rounds to level 0, the terminal condition.  A single-date put
+        (window start == end) lands on its nearest level within
+        1..n_steps; a put window is open at the levels whose t lies in
+        (start, end].
+        """
+        if n_steps == 0:
+            return {}, set()
+        coupons: dict[int, float] = {}
+        for t_i, amount in self.coupons:
+            tau_c = self.maturity - t_i
+            level = int(round(tau_c / dtau))
+            if 1 <= level <= n_steps and abs(level * dtau - tau_c) <= 0.5 * dtau:
+                coupons[level] = coupons.get(level, 0.0) + amount
+        jumps = set(coupons)
+        win = self.put_window
+        if win is None:
+            put = set()
+        elif win[0] == win[1]:
+            put = {min(max(int(round((self.maturity - win[1]) / dtau)), 1),
+                       n_steps)}
+            jumps |= put
+        else:
+            put = {m for m in range(1, n_steps + 1)
+                   if win[0] < self.t_of(m * dtau) <= win[1]}
+        return {m: (coupons.get(m, 0.0), m in put) for m in jumps | put}, jumps
+
     @property
     def terminal_coupon(self) -> float:
         for t, amount in self.coupons:
@@ -156,35 +257,6 @@ def unified_coefficients(params, unknown: str) -> UnifiedCoefficients:
             y3 -= params.recovery * params.hazard_rate
         return UnifiedCoefficients(y1, y2, y3)
     raise TypeError(f"unsupported parameter object {type(params).__name__}")
-
-
-def leland_transform(s: float, t: float, params: LelandParams):
-    """(S, t) -> (x, tau) for the log-price change of variables."""
-    if np.any(np.asarray(s) <= 0):
-        raise ValueError("stock price must be positive")
-    tau = 0.5 * params.sigma ** 2 * (params.maturity - t)
-    x = np.log(s) + params.kappa * tau
-    return x, tau
-
-
-def leland_inverse(x: float, tau: float, params: LelandParams):
-    """(x, tau) -> (S, t), the inverse change of variables."""
-    t = params.maturity - 2.0 * tau / params.sigma ** 2
-    s = np.exp(x - params.kappa * tau)
-    return s, t
-
-
-def vhat_from_price(v: float, tau: float, params: LelandParams):
-    return np.exp(params.kappa * tau) * v
-
-
-def price_from_vhat(vhat: float, tau: float, params: LelandParams):
-    return np.exp(-params.kappa * tau) * vhat
-
-
-def leland_payoff_vhat(x, params: LelandParams):
-    """Terminal data in transformed variables: max(e^x - strike, 0)."""
-    return np.maximum(np.exp(x) - params.strike, 0.0)
 
 
 def afv_terminal(s, params: AfvParams):
@@ -292,19 +364,15 @@ def apply_B_constraints(b_slice: np.ndarray, c_slice: np.ndarray,
 
 
 def apply_joint_constraints(b_slice: np.ndarray, u_slice: np.ndarray,
-                            state: ConstraintState,
-                            ks_grid: np.ndarray | None = None) -> np.ndarray:
+                            state: ConstraintState) -> np.ndarray:
     """Conversion floor and call ceiling on the total value, shifted onto B.
 
     The total B + C is represented by U; U is clipped into
     [kS, max(B_call_dirty, kS)] and the adjustment is applied to B so the
-    identity U = B + C survives the clipping.  ``ks_grid`` (the conversion
-    value k*S per point) defaults to the one stored in the state.
+    identity U = B + C survives the clipping.
     """
     u = np.asarray(u_slice, dtype=float)
-    lo = state.conversion_value if ks_grid is None else np.asarray(ks_grid)
-    hi = state.u_star_call
-    u_clipped = np.clip(u, lo, hi)
+    u_clipped = np.clip(u, state.conversion_value, state.u_star_call)
     return np.asarray(b_slice, dtype=float) + (u_clipped - u)
 
 

@@ -38,7 +38,6 @@ conversion/call clipping of U onto B, then inject coupons.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -51,7 +50,7 @@ from .linsolve import BandedLU, BandedMatrix, band_products
 from .models import (AfvParams, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
                      constraint_state, default_source_terms,
-                     leland_payoff_vhat, unified_coefficients)
+                     unified_coefficients)
 from .quadrature import gauss_legendre_rule
 
 __all__ = [
@@ -59,7 +58,7 @@ __all__ = [
     "build_discretization", "step_linear", "step_leland",
     "step_afv_boundary", "newton_solve_U", "NewtonDivergenceError", "run",
     "run_leland", "run_afv", "march_leland", "march_afv", "evaluate_slice",
-    "leland_price_curve", "afv_value_curve",
+    "value_curve",
 ]
 
 
@@ -428,12 +427,11 @@ def march_leland(params: LelandParams, system: GalerkinSystem,
     coefficient per point of ``nodes``, whose smallest spacing ``min_dx``
     sets the step-ratio warning."""
     n_steps = scheme.n_steps
-    horizon = params.tau_max
-    dtau = horizon / n_steps if n_steps else 0.0
+    dtau = params.horizon / n_steps if n_steps else 0.0
     mixed = params.leland_number > 0 if force_mixed is None else force_mixed
     if n_steps and mixed:
         _warn_if_unstable(min_dx, dtau)
-    w = leland_payoff_vhat(nodes, params)
+    w = params.payoff(nodes)
     keep = scheme.stored_levels()
     slices = [TimeSlice(0.0, {"vhat": w})]
     levels = [0]
@@ -464,29 +462,6 @@ def march_leland(params: LelandParams, system: GalerkinSystem,
     return SolutionSurface(slices, levels, n_steps, dtau)
 
 
-def _coupon_levels(params: AfvParams, dtau: float, n_steps: int) -> dict[int, float]:
-    """Backward-time level -> coupon amount (terminal coupon excluded)."""
-    out: dict[int, float] = {}
-    for t_i, amount in params.coupons:
-        if abs(t_i - params.maturity) < 1e-12:
-            continue  # folded into the terminal condition
-        tau_c = params.maturity - t_i
-        level = int(round(tau_c / dtau))
-        if 1 <= level <= n_steps and abs(level * dtau - tau_c) <= 0.5 * dtau:
-            out[level] = out.get(level, 0.0) + amount
-    return out
-
-
-def _put_level(params: AfvParams, dtau: float, n_steps: int) -> int | None:
-    """Level realising a single-date put (window with start == end)."""
-    win = params.put_window
-    if win is None or win[0] != win[1]:
-        return None
-    tau_put = params.maturity - win[1]
-    level = int(round(tau_put / dtau))
-    return min(max(level, 1), n_steps)
-
-
 def run_afv(params: AfvParams, disc: Discretization,
             scheme: SchemeConfig) -> SolutionSurface:
     """March the constrained convertible-bond system to t = 0."""
@@ -498,8 +473,8 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
     """The convertible-bond march on any space: ``system`` with one
     coefficient per point of ``nodes``."""
     n_steps = scheme.n_steps
-    dtau = params.maturity / n_steps if n_steps else 0.0
-    s = params.s_initial * np.exp(nodes)
+    dtau = params.horizon / n_steps if n_steps else 0.0
+    s = params.s_of(nodes, 0.0)
     ks = params.conversion_ratio * s
 
     u_vals, b_vals, c_vals = afv_terminal(s, params)
@@ -515,9 +490,7 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
     ops = {name: _ThetaOperator(system, unified_coefficients(params, name),
                                 dtau, thetas) for name in ("U", "B")}
     ops["C"] = ops["U"]
-    coupon_at = _coupon_levels(params, dtau, n_steps)
-    put_level = _put_level(params, dtau, n_steps)
-    single_date_put = put_level is not None
+    events, _ = params.calendar(dtau, n_steps)
 
     def nodal_sources(b_full: np.ndarray):
         delta_g, gamma_g = default_source_terms(nodes, b_full, params)
@@ -530,10 +503,9 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
     for m in range(n_steps):
         theta = scheme.theta_at(m)
         level = m + 1
-        t_new = params.maturity - level * dtau
-        put_active = (level == put_level) if single_date_put else None
-        state = constraint_state(params, t_new, nodes, put_active=put_active,
-                                 coupon_now=coupon_at.get(level, 0.0))
+        coupon, put_active = events.get(level, (0.0, False))
+        state = constraint_state(params, params.t_of(level * dtau), nodes,
+                                 put_active=put_active, coupon_now=coupon)
 
         # boundary values at the new level: scalar ODEs at S = 0, pin at S_max
         u0, b0, c0 = step_afv_boundary(
@@ -574,10 +546,9 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
             b_new[1:-1] = apply_joint_constraints(
                 b_new[1:-1], u_new[1:-1], _interior_state(state))
         # 6) coupons: bond holders collect while the bond is alive
-        if level in coupon_at:
-            amount = coupon_at[level]
-            u_new[:-1] += amount
-            b_new[:-1] += amount
+        if coupon:
+            u_new[:-1] += coupon
+            b_new[:-1] += coupon
         w = {"U": u_new, "B": b_new, "C": c_new}
         nu_delta_m, nu_gamma_m = nodal_sources(b_new)
         if level in keep:
@@ -612,18 +583,13 @@ def evaluate_slice(disc: Discretization, slice_: TimeSlice, name: str,
                             order)
 
 
-def leland_price_curve(params: LelandParams, disc: Discretization,
-                       slice_: TimeSlice, s_points) -> np.ndarray:
-    """Untransformed option prices V(S, t(tau)) on one stored slice."""
+def value_curve(params, disc: Discretization, slice_: TimeSlice, s_points,
+                field: str | None = None) -> np.ndarray:
+    """Model values V(S, t(tau)) at stock prices S on one stored slice:
+    ``field`` (default the value column) at x_of(S, tau), times the
+    model's value scale."""
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
-    x = np.log(s) + params.kappa * slice_.tau
-    vhat = evaluate_slice(disc, slice_, "vhat", x)
-    return math.exp(-params.kappa * slice_.tau) * vhat
-
-
-def afv_value_curve(params: AfvParams, disc: Discretization,
-                    slice_: TimeSlice, s_points, name: str = "U") -> np.ndarray:
-    """Bond component values at stock prices S on one stored slice."""
-    s = np.atleast_1d(np.asarray(s_points, dtype=float))
-    x = np.log(s / params.s_initial)
-    return evaluate_slice(disc, slice_, name, x)
+    if field is None:
+        field = next(iter(params.columns.values()))
+    w = evaluate_slice(disc, slice_, field, params.x_of(s, slice_.tau))
+    return params.value_scale(slice_.tau) * w

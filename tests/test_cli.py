@@ -215,8 +215,8 @@ def test_fdm_oracle_with_theta_one_is_the_implicit_twin(tmp_path, capsys,
                          res.values["U"])
     else:
         res = fdm_solve_leland(p, cfg.x_min, cfg.x_max, n_e, n_t, theta=1.0)
-        x = math.log(cfg.probe_s) + p.kappa * p.tau_max
-        want = math.exp(-p.kappa * p.tau_max) * np.interp(
+        x = math.log(cfg.probe_s) + p.kappa * p.horizon
+        want = math.exp(-p.kappa * p.horizon) * np.interp(
             x, res.x, res.values["vhat"])
     name = "U" if cfg.model == "afv" else "V"
     assert f"oracle (fdm): {name}(100) = {want:.4f}\n" \
@@ -241,18 +241,18 @@ def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
 ])
 def test_blown_up_march_is_a_solver_failure_with_no_output(
         tmp_path, capsys, monkeypatch, verb, base):
-    import igafin.stepper as stepper
-    payoff = stepper.leland_payoff_vhat
+    from igafin.models import LelandParams
+    payoff = LelandParams.payoff
 
-    def with_a_nan(x, params):
-        v = payoff(x, params)
+    def with_a_nan(params, x):
+        v = payoff(params, x)
         v[len(v) // 2] = np.nan
         return v
 
     # the first step then yields a non-finite vector, which run_leland
     # reports as a FloatingPointError (the P1 reference of the leland
     # ladder marches through the same code and fails first)
-    monkeypatch.setattr(stepper, "leland_payoff_vhat", with_a_nan)
+    monkeypatch.setattr(LelandParams, "payoff", with_a_nan)
     out = tmp_path / "out"
     cfg = _config(tmp_path, base, **SMALL)
     with np.errstate(invalid="ignore"):
@@ -298,4 +298,25 @@ def test_no_module_imports_a_thread_pool():
                 continue
             found += [f"{path.name}: {n}" for n in names
                       if n.split(".")[0] in banned]
+    assert not found
+
+
+def test_only_models_knows_the_model():
+    # per-model decisions live in the parameter classes: the modules that
+    # consume a model never test its class, and none of them reaches into
+    # the stepper's private names
+    classes = {"LelandParams", "AfvParams"}
+    found = []
+    for name in ("cli", "greeks", "checks", "reference"):
+        tree = ast.parse((ROOT / "src" / "igafin" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and classes & {n.id for n in ast.walk(node.args[1])
+                                   if isinstance(n, ast.Name)}):
+                found.append(f"{name}.py:{node.lineno}: isinstance")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").endswith("stepper")):
+                found += [f"{name}.py:{node.lineno}: {a.name}"
+                          for a in node.names if a.name.startswith("_")]
     assert not found

@@ -43,6 +43,12 @@ class TestLinearGreeks:
         expect = np.exp(disc.greville_x - LIN.kappa * surf.final.tau)
         assert table.s == pytest.approx(expect)
 
+    def test_rejects_nonpositive_price(self, linear_run):
+        # outside stock prices enter through the Greeks' s_points
+        disc, surf = linear_run
+        with pytest.raises(ValueError, match="positive"):
+            delta(LIN, disc, surf.final, s_points=[0.0])
+
     def test_needs_two_slices(self, linear_run):
         disc, _ = linear_run
         single = run(LIN, disc, SchemeConfig(n_steps=0))

@@ -9,10 +9,8 @@ from igafin.models import (AfvParams, LelandParams, accrued_interest,
                            afv_terminal, apply_B_constraints,
                            apply_joint_constraints, calibrate_weights,
                            constraint_state, default_domain,
-                           default_source_terms, leland_inverse,
-                           leland_payoff_vhat, leland_transform,
-                           penalty_terms, price_from_vhat,
-                           unified_coefficients, vhat_from_price)
+                           default_source_terms, penalty_terms,
+                           unified_coefficients)
 
 
 def _table3_params(**overrides):
@@ -30,7 +28,7 @@ class TestLelandParams:
     def test_derived_quantities(self):
         p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
         assert p.kappa == pytest.approx(2.5)
-        assert p.tau_max == pytest.approx(0.02)
+        assert p.horizon == pytest.approx(0.02)
 
     def test_from_costs(self):
         p = LelandParams.from_costs(0.1, 0.2, 100.0, 1.0, cost=0.02,
@@ -98,44 +96,90 @@ class TestUnifiedCoefficients:
             unified_coefficients(p, "vhat")
 
 
+_MODELS = {"call": LelandParams(rate=0.08, sigma=0.3, strike=50.0,
+                                maturity=2.0),
+           "bond": _table3_params()}
+
+
 class TestLelandTransform:
-    def test_maturity_is_identity(self):
-        p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        x, tau = leland_transform(80.0, 1.0, p)
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_maturity_is_identity(self, model):
+        p = _MODELS[model]
+        tau = p.tau_of(p.maturity)
         assert tau == 0.0
-        assert x == pytest.approx(math.log(80.0))
-        assert vhat_from_price(3.0, 0.0, p) == 3.0
+        assert p.t_of(tau) == p.maturity
+        assert p.value_scale(tau) == 1.0
+        assert p.s_of(p.x_of(80.0, tau), tau) == pytest.approx(80.0)
 
     def test_reference_point(self):
         p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        x, tau = leland_transform(100.0, 0.0, p)
-        assert tau == pytest.approx(0.02)
-        assert x == pytest.approx(math.log(100.0) + 0.05)
+        tau = p.tau_of(0.0)
+        assert tau == pytest.approx(0.02) and tau == p.horizon
+        assert p.x_of(100.0, tau) == pytest.approx(math.log(100.0) + 0.05)
+        assert p.value_scale(tau) == pytest.approx(math.exp(-0.05))
 
-    def test_roundtrip(self):
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_roundtrip(self, model):
         rng = np.random.default_rng(510)
-        p = LelandParams(rate=0.08, sigma=0.3, strike=50.0, maturity=2.0)
-        for _ in range(100):
-            s = float(rng.uniform(1.0, 400.0))
-            t = float(rng.uniform(0.0, 2.0))
-            x, tau = leland_transform(s, t, p)
-            s2, t2 = leland_inverse(x, tau, p)
-            assert s2 == pytest.approx(s, rel=1e-13)
-            assert t2 == pytest.approx(t, abs=1e-13)
-            v = float(rng.uniform(0.0, 100.0))
-            assert price_from_vhat(vhat_from_price(v, tau, p), tau, p) \
-                == pytest.approx(v, rel=1e-14, abs=1e-14)
+        p = _MODELS[model]
+        s = rng.uniform(1.0, 400.0, 100)
+        t = rng.uniform(0.0, p.maturity, 100)
+        tau = p.tau_of(t)
+        assert p.s_of(p.x_of(s, tau), tau) == pytest.approx(s, rel=1e-13)
+        assert p.t_of(tau) == pytest.approx(t, abs=1e-13)
 
-    def test_rejects_nonpositive_price(self):
-        p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        with pytest.raises(ValueError):
-            leland_transform(0.0, 0.5, p)
+    def test_bond_frame_is_fixed_in_time(self):
+        p = _MODELS["bond"]
+        assert p.horizon == p.maturity
+        assert p.x_of(p.s_initial, 1.3) == 0.0
+        assert p.value_scale(1.3) == 1.0
 
     def test_payoff_kink_values(self):
         p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        assert leland_payoff_vhat(math.log(100.0), p) == pytest.approx(0.0)
-        assert leland_payoff_vhat(math.log(200.0), p) == pytest.approx(100.0)
-        assert leland_payoff_vhat(-30.0, p) == 0.0
+        assert p.payoff(math.log(100.0)) == pytest.approx(0.0)
+        assert p.payoff(math.log(200.0)) == pytest.approx(100.0)
+        assert p.payoff(-30.0) == 0.0
+
+    def test_bond_payoff_is_the_terminal_holder_value(self):
+        p = _table3_params()
+        x = np.array([-1.0, 0.0, 0.5])
+        assert np.array_equal(p.payoff(x),
+                              afv_terminal(p.s_of(x, 0.0), p)[0])
+
+    def test_output_columns(self):
+        assert LelandParams.columns == {"V": "vhat"}
+        assert AfvParams.columns == {"U": "U", "B": "B", "C": "C"}
+
+
+
+class TestEventCalendar:
+    def test_call_model_has_no_events(self):
+        p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
+        assert p.calendar(p.horizon / 10, 10) == ({}, set())
+
+    def test_coupons_and_single_date_put(self):
+        # semiannual coupons over five years at dtau = 0.0125: the coupon at
+        # t lands on level (5 - t) / dtau, the maturity coupon is terminal
+        # data, and the put at t = 3 shares level 160 with a coupon
+        p = _table3_params()
+        events, jumps = p.calendar(p.horizon / 400, 400)
+        coupons = {40 * k: (4.0, False) for k in range(1, 10)}
+        coupons[160] = (4.0, True)
+        assert events == coupons
+        assert jumps == set(coupons)
+
+    def test_put_window_is_open_on_its_levels_and_never_jumps(self):
+        p = _table3_params(coupons=(), put_window=(2.5, 3.0, 105.0))
+        events, jumps = p.calendar(p.horizon / 50, 50)
+        assert events == {m: (0.0, True) for m in range(20, 25)}
+        assert jumps == set()
+
+    def test_off_grid_single_date_put_takes_the_nearest_level(self):
+        p = _table3_params(coupons=(), put_window=(3.04, 3.04, 105.0))
+        assert p.calendar(0.1, 50) == ({20: (0.0, True)}, {20})
+
+    def test_no_steps_no_events(self):
+        assert _table3_params().calendar(0.0, 0) == ({}, set())
 
 
 class TestAfvTerminal:
@@ -287,7 +331,7 @@ class TestCalibrateWeights:
         a, b = default_domain(p, "refined")
         knots = make_refined_open_knots(16, 3, 0.5, 0.75)
         pmap = PhysicalMap(a, b)
-        payoff = lambda x: leland_payoff_vhat(x, p)
+        payoff = p.payoff
         w = calibrate_weights(knots, pmap, payoff, n_samples=401, sweeps=3)
         assert w.shape == (knots.n_basis,)
         assert np.all(w > 0)
@@ -312,7 +356,7 @@ class TestCalibrateWeights:
         a, b = default_domain(p, "refined")
         knots = make_refined_open_knots(8, 3, 0.5, 0.8)
         pmap = PhysicalMap(a, b)
-        payoff = lambda x: leland_payoff_vhat(x, p)
+        payoff = p.payoff
         w1 = calibrate_weights(knots, pmap, payoff, n_samples=201, sweeps=2)
         w2 = calibrate_weights(knots, pmap, payoff, n_samples=201, sweeps=2)
         assert np.array_equal(w1, w2)

@@ -14,8 +14,7 @@ from igafin.reference import (_central_differences, bs_exact_call,
                               bs_exact_greeks, fdm_solve_afv,
                               fdm_solve_leland, misfit_epsilon, p1fem_solve)
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
-                            build_discretization, leland_price_curve,
-                            run_leland)
+                            build_discretization, run_leland, value_curve)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
@@ -81,7 +80,7 @@ class TestFdmLeland:
         errs = []
         for n in (128, 256):
             res = fdm_solve_leland(LIN, a, b, n, 4 * n)
-            tau = LIN.tau_max
+            tau = LIN.horizon
             x = math.log(100.0) + LIN.kappa * tau
             v = math.exp(-LIN.kappa * tau) \
                 * float(np.interp(x, res.x, res.values["vhat"]))
@@ -96,7 +95,7 @@ class TestFdmLeland:
         res_le = fdm_solve_leland(le, a, b, 256, 320)
         lin = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
         res_0 = fdm_solve_leland(lin, a, b, 256, 320)
-        tau = le.tau_max
+        tau = le.horizon
         x = math.log(100.0) + le.kappa * tau
         v_le = math.exp(-le.kappa * tau) * np.interp(x, res_le.x,
                                                      res_le.values["vhat"])
@@ -110,9 +109,9 @@ class TestFdmLeland:
         a, b = default_domain(le)
         disc = build_discretization(a, b, 256)
         surf = run_leland(le, disc, SchemeConfig(n_steps=80))
-        v_iga = float(leland_price_curve(le, disc, surf.final, [100.0])[0])
+        v_iga = float(value_curve(le, disc, surf.final, [100.0])[0])
         res = fdm_solve_leland(le, a, b, 256, 80)
-        tau = le.tau_max
+        tau = le.horizon
         x = math.log(100.0) + le.kappa * tau
         v_fdm = math.exp(-le.kappa * tau) * float(
             np.interp(x, res.x, res.values["vhat"]))
@@ -123,8 +122,8 @@ class TestFdmLeland:
                           leland_number=0.8)
         a, b = default_domain(le)
         res = fdm_solve_leland(le, a, b, 256, 80)
-        x = math.log(100.0) + le.kappa * le.tau_max
-        v = math.exp(-le.kappa * le.tau_max) * float(
+        x = math.log(100.0) + le.kappa * le.horizon
+        v = math.exp(-le.kappa * le.horizon) * float(
             np.interp(x, res.x, res.values["vhat"]))
         assert v == pytest.approx(15.58073037598943, rel=1e-12)
 
@@ -210,7 +209,7 @@ class TestP1Fem:
         errs = []
         for n in (128, 512):
             disc, surf = p1fem_solve(LIN, a, b, n, SchemeConfig(n_steps=n))
-            v = float(leland_price_curve(LIN, disc, surf.final, [100.0])[0])
+            v = float(value_curve(LIN, disc, surf.final, [100.0])[0])
             errs.append(abs(v - bs_exact_call(100.0, 0.0, LIN)))
         assert errs[1] < errs[0] / 4.0
 

@@ -7,16 +7,16 @@ import pytest
 
 from igafin.assembly import assemble
 from igafin.linsolve import BandedMatrix
+from igafin import stepper
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
-                           default_domain, leland_payoff_vhat,
+                           constraint_state, default_domain,
                            unified_coefficients)
 from igafin.quadrature import gauss_legendre_rule
 from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
-                            afv_value_curve, build_discretization,
-                            evaluate_slice, leland_price_curve,
+                            build_discretization, evaluate_slice,
                             newton_solve_U, run, run_afv, run_leland,
-                            step_leland)
+                            step_leland, value_curve)
 
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
 
@@ -112,7 +112,7 @@ class TestInitialSlice:
         a, b = default_domain(LIN)
         disc = build_discretization(a, b, 32)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=0))
-        expect = leland_payoff_vhat(disc.greville_x, LIN)
+        expect = LIN.payoff(disc.greville_x)
         assert np.array_equal(surf.initial.coeffs["vhat"], expect)
 
     def test_afv_coefficients_are_greville_terminal(self):
@@ -133,7 +133,7 @@ class TestLinearMarch:
         for n in (64, 128):
             disc = build_discretization(a, b, n)
             surf = run_leland(LIN, disc, SchemeConfig(n_steps=n))
-            v = float(leland_price_curve(LIN, disc, surf.final, [100.0])[0])
+            v = float(value_curve(LIN, disc, surf.final, [100.0])[0])
             errs.append(abs(v - bs_exact_call(100.0, 0.0, LIN)))
         assert errs[0] < 0.6
         assert errs[1] < 0.15
@@ -158,7 +158,7 @@ class TestLinearMarch:
         scheme = SchemeConfig(n_steps=8, rannacher_steps=2, store_every=1)
         surf = run_leland(le, disc, scheme, force_mixed=True)
         w = surf.initial.coeffs["vhat"]
-        dtau = le.tau_max / scheme.n_steps
+        dtau = le.horizon / scheme.n_steps
         for m in range(scheme.n_steps):
             w = step_leland(disc.system, w, dtau, scheme.theta_at(m),
                             le.leland_number)
@@ -186,8 +186,8 @@ class TestLinearMarch:
         v_le = run_leland(le, disc, SchemeConfig(n_steps=80))
         lin = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
         v_0 = run_leland(lin, disc, SchemeConfig(n_steps=80))
-        p_le = leland_price_curve(le, disc, v_le.final, [100.0])[0]
-        p_0 = leland_price_curve(lin, disc, v_0.final, [100.0])[0]
+        p_le = value_curve(le, disc, v_le.final, [100.0])[0]
+        p_0 = value_curve(lin, disc, v_0.final, [100.0])[0]
         assert p_le > p_0 + 1.0
 
     def test_coarse_step_ratio_warns_with_costs(self):
@@ -224,8 +224,19 @@ class TestEvaluation:
         x = np.log(s) + LIN.kappa * tau
         direct = math.exp(-LIN.kappa * tau) \
             * evaluate_slice(disc, surf.final, "vhat", x)
-        assert leland_price_curve(LIN, disc, surf.final, s) \
+        assert value_curve(LIN, disc, surf.final, s) \
             == pytest.approx(direct, rel=1e-15)
+
+    def test_value_curve_reads_any_bond_field(self):
+        params = _afv()
+        disc = build_discretization(-6.0, 2.0, 32)
+        surf = run_afv(params, disc, SchemeConfig(n_steps=4))
+        s = np.array([80.0, 100.0, 125.0])
+        x = np.log(s / params.s_initial)
+        for name in ("U", "B", "C"):
+            assert np.array_equal(
+                value_curve(params, disc, surf.final, s, name),
+                evaluate_slice(disc, surf.final, name, x))
 
 
 class TestAfvMarch:
@@ -261,8 +272,8 @@ class TestAfvMarch:
         # compare at the discrete level hosting the single put date t = 3
         # (tau = 2, level 20 of 50)
         s = np.linspace(40.0, 160.0, 25)
-        u_put = afv_value_curve(rich, disc, with_put.slice_at_level(20), s)
-        u_no = afv_value_curve(rich, disc, without.slice_at_level(20), s)
+        u_put = value_curve(rich, disc, with_put.slice_at_level(20), s)
+        u_no = value_curve(rich, disc, without.slice_at_level(20), s)
         # small local dips are penalty-interface artifacts, not mispricing
         assert np.all(u_put >= u_no - 0.01)
         assert np.max(u_put - u_no) > 1.0
@@ -274,10 +285,40 @@ class TestAfvMarch:
         without = run_afv(_afv(put_window=None, call_window=None), disc,
                           scheme)
         s = np.linspace(60.0, 200.0, 29)
-        u_call = afv_value_curve(_afv(), disc, with_call.final, s)
-        u_no = afv_value_curve(_afv(), disc, without.final, s)
+        u_call = value_curve(_afv(), disc, with_call.final, s)
+        u_no = value_curve(_afv(), disc, without.final, s)
         assert np.all(u_call <= u_no + 1e-9)
         assert np.max(u_no - u_call) > 0.5
+
+    def test_windowed_put_floor_is_the_march_calendar(self, monkeypatch):
+        # a put window (2.5, 3] over 50 steps of 0.1: the march and the
+        # constraint check read the same calendar, which opens the put
+        # floor on the levels whose t lies in the window
+        params = _afv(put_window=(2.5, 3.0, 105.0))
+        disc = build_discretization(-6.0, 2.0, 32)
+        n_steps = 50
+        dtau = params.horizon / n_steps
+        events, _ = params.calendar(dtau, n_steps)
+        args = {m: events.get(m, (0.0, False)) for m in range(1, n_steps + 1)}
+        floors = {m: constraint_state(params, params.t_of(m * dtau),
+                                      disc.greville_x, put_active=put,
+                                      coupon_now=coupon).b_put_dirty
+                  for m, (coupon, put) in args.items()}
+        inside = {m for m in args if 2.5 < params.t_of(m * dtau) <= 3.0}
+        assert inside == {20, 21, 22, 23, 24}
+        assert {m for m, f in floors.items() if np.isfinite(f)} == inside
+
+        recorded = []
+
+        def spy(p, t, x, put_active=None, coupon_now=0.0):
+            state = constraint_state(p, t, x, put_active=put_active,
+                                     coupon_now=coupon_now)
+            recorded.append(((coupon_now, put_active), state.b_put_dirty))
+            return state
+
+        monkeypatch.setattr(stepper, "constraint_state", spy)
+        run_afv(params, disc, SchemeConfig(n_steps=n_steps))
+        assert recorded == [(args[m], floors[m]) for m in range(1, n_steps + 1)]
 
     def test_splitting_identity_without_exercise(self):
         params = _afv(rho=0.0, call_window=None, put_window=None,
@@ -289,7 +330,6 @@ class TestAfvMarch:
         assert gap < 1e-8
 
     def test_U_and_C_share_one_theta_operator(self, monkeypatch):
-        import igafin.stepper as stepper
         made = []
 
         class Counting(stepper._ThetaOperator):
@@ -316,7 +356,6 @@ class TestAfvMarch:
         assert "time level" in str(err.value)
 
     def test_newton_divergence_reports_the_residual(self, monkeypatch):
-        import igafin.stepper as stepper
         calls = []
 
         def recording(*args, **kwargs):
@@ -360,3 +399,4 @@ class TestNewtonSolve:
             1.0e6, 1.0, tol=1e-12)
         assert converged
         assert u == pytest.approx(phi)
+
