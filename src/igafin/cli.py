@@ -338,7 +338,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _probe_report(cfg, disc, surf) -> list[str]:
     params, final = cfg.params, surf.final
-    name = next(iter(params.columns))
+    name = params.value_column[0]
     exact = float(value_curve(params, disc, final, [cfg.probe_s])[0])
     grid = params.s_of(disc.greville_x, final.tau)
     j = int(np.argmin(np.abs(grid - cfg.probe_s)))
@@ -369,7 +369,7 @@ def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
         twin = fdm_solve_afv if cfg.model == "afv" else fdm_solve_leland
         res = twin(params, cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau,
                    cfg.theta, cfg.rannacher_steps)
-        tau, field = params.horizon, next(iter(params.columns.values()))
+        tau, field = params.horizon, params.value_column[1]
         return params.value_scale(tau) * float(np.interp(
             params.x_of(cfg.probe_s, tau), res.x, res.values[field]))
     raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
@@ -408,7 +408,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     _check_probe(cfg)
     disc, surf = _build(cfg)
     params = cfg.params
-    fields = list(params.columns)
+    fields = [column for column, _ in params.columns]
 
     # every table is built before the first file is written; the fields
     # at the Greville points take one banded matvec each
@@ -419,7 +419,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
         blocks.append(np.column_stack(
             [np.full_like(s, level), np.full_like(s, params.t_of(slice_.tau)),
              s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
-                  for f in params.columns.values())]))
+                  for _, f in params.columns)]))
     surface = np.concatenate(blocks)
     table = greeks_table(params, disc, surf)
     report = _probe_report(cfg, disc, surf)
@@ -434,7 +434,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     for line in report:
         print(line)
     if ov is not None:
-        name = next(iter(params.columns))
+        name = params.value_column[0]
         print(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = {ov:.4f}")
     return 0
 

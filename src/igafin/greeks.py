@@ -52,7 +52,7 @@ class GreekTable:
 
 
 def _field_name(params, name: str | None) -> str:
-    return name or next(iter(params.columns.values()))
+    return name or params.value_column[1]
 
 
 def _grid(params, disc: Discretization, slice_: TimeSlice,

@@ -24,10 +24,10 @@ Greeks, output and checks never branch on the model:
 * ``x_of(s, tau)``, ``s_of(x, tau)``, ``t_of(tau)``, ``tau_of(t)``: the
   change of variables and its inverse.
 * ``value_scale(tau)``: the factor g with V(S, t) = g(tau) w(x, tau) for the
-  first output field, e^{-kappa tau} for the call and 1.0 for the bond.
-* ``payoff(x)``: the first field's terminal data at tau = 0.
-* ``columns``: output column name -> coefficient field, the value column
-  first.
+  value column's field, e^{-kappa tau} for the call and 1.0 for the bond.
+* ``payoff(x)``: the value column's terminal data at tau = 0.
+* ``columns``: the (output column, coefficient field) pairs written out,
+  and ``value_column``, the pair whose field is the model value.
 * ``calendar(dtau, n_steps)``: the exercise events of a march, as the
   coupon and put flag of each level that has one, and the levels at which
   the value jumps.  The call has none.
@@ -81,7 +81,8 @@ class LelandParams:
     def kappa(self) -> float:
         return 2.0 * self.rate / self.sigma ** 2
 
-    columns = {"V": "vhat"}
+    columns = (("V", "vhat"),)
+    value_column = columns[0]
 
     @property
     def horizon(self) -> float:
@@ -166,7 +167,8 @@ class AfvParams:
                 if not (0.0 <= a <= b <= self.maturity):
                     raise ValueError("constraint window must satisfy 0 <= start <= end <= maturity")
 
-    columns = {"U": "U", "B": "B", "C": "C"}
+    columns = (("U", "U"), ("B", "B"), ("C", "C"))
+    value_column = columns[0]
 
     @property
     def horizon(self) -> float:
@@ -317,12 +319,13 @@ class ConstraintState:
 
 
 def constraint_state(params: AfvParams, t: float, x_points: np.ndarray,
-                     put_active: bool | None = None,
+                     put_active: bool = False,
                      coupon_now: float = 0.0) -> ConstraintState:
     """Dirty exercise prices and pointwise bounds at time t on a grid of x.
 
-    ``put_active`` overrides the window test; the time stepper uses it to pin
-    a single-date put onto its nearest discrete level.
+    ``put_active`` says whether the put is exercisable at this level; it is
+    the flag ``AfvParams.calendar`` gives the level, the one place that
+    decides when the put is open.  The call window is tested against t here.
 
     ``coupon_now`` is the coupon amount the stepper injects at this level.
     The stepper clamps values before the injection, so on a coupon date the
@@ -333,17 +336,12 @@ def constraint_state(params: AfvParams, t: float, x_points: np.ndarray,
     """
     x_points = np.asarray(x_points, dtype=float)
     ks = params.conversion_ratio * params.s_initial * np.exp(x_points)
-
-    def window_active(window):
-        return window is not None and window[0] < t <= window[1]
-
     acc = accrued_interest(t, params) if coupon_now == 0.0 else 0.0
     b_call = math.inf
-    if window_active(params.call_window):
-        b_call = params.call_window[2] + acc
+    win = params.call_window
+    if win is not None and win[0] < t <= win[1]:
+        b_call = win[2] + acc
     b_put = -math.inf
-    if put_active is None:
-        put_active = window_active(params.put_window)
     if put_active and params.put_window is not None:
         b_put = params.put_window[2] + acc - coupon_now
     u_star_put = np.maximum(b_put, ks)

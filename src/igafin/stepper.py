@@ -589,7 +589,6 @@ def value_curve(params, disc: Discretization, slice_: TimeSlice, s_points,
     ``field`` (default the value column) at x_of(S, tau), times the
     model's value scale."""
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
-    if field is None:
-        field = next(iter(params.columns.values()))
-    w = evaluate_slice(disc, slice_, field, params.x_of(s, slice_.tau))
+    w = evaluate_slice(disc, slice_, field or params.value_column[1],
+                       params.x_of(s, slice_.tau))
     return params.value_scale(slice_.tau) * w

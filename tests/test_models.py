@@ -147,8 +147,10 @@ class TestLelandTransform:
                               afv_terminal(p.s_of(x, 0.0), p)[0])
 
     def test_output_columns(self):
-        assert LelandParams.columns == {"V": "vhat"}
-        assert AfvParams.columns == {"U": "U", "B": "B", "C": "C"}
+        assert LelandParams.columns == (("V", "vhat"),)
+        assert AfvParams.columns == (("U", "U"), ("B", "B"), ("C", "C"))
+        assert LelandParams.value_column == ("V", "vhat")
+        assert AfvParams.value_column == ("U", "U")
 
 
 

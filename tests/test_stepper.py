@@ -310,7 +310,7 @@ class TestAfvMarch:
 
         recorded = []
 
-        def spy(p, t, x, put_active=None, coupon_now=0.0):
+        def spy(p, t, x, put_active=False, coupon_now=0.0):
             state = constraint_state(p, t, x, put_active=put_active,
                                      coupon_now=coupon_now)
             recorded.append(((coupon_now, put_active), state.b_put_dirty))
