@@ -13,8 +13,7 @@ from .basis import (KnotVector, NurbsBasis, eval_nurbs_all, eval_spline_many,
                     greville_abscissae, load_weights,
                     make_refined_open_knots, make_uniform_open_knots)
 from .quadrature import QuadratureRule, gauss_legendre_rule
-from .assembly import (Collocation, GalerkinSystem, PhysicalMap, assemble,
-                       group_project)
+from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
 from .linsolve import BandedLU, BandedMatrix, SingularMatrixError
 from .models import (AfvParams, ConstraintState, LelandParams,
                      accrued_interest, afv_terminal, calibrate_weights,
@@ -36,7 +35,6 @@ __all__ = [
     "make_uniform_open_knots",
     "QuadratureRule", "gauss_legendre_rule",
     "Collocation", "GalerkinSystem", "PhysicalMap", "assemble",
-    "group_project",
     "BandedLU", "BandedMatrix", "SingularMatrixError",
     "AfvParams", "ConstraintState", "LelandParams", "accrued_interest",
     "afv_terminal", "calibrate_weights", "constraint_state", "default_domain",

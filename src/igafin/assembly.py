@@ -1,6 +1,7 @@
 """Galerkin matrices, boundary-column lifting, and Greville collocation.
 
-The physical interval maps affinely onto the parameter interval, so every
+The physical interval maps affinely onto the parameter interval [0, 1] on
+which every knot vector of the package lies, so every
 inner product is computed in parameter space with a constant metric factor:
 
 * mass      M_ij = (R_j, R_i)_xi            scaled by |Omega| / |Omega_xi|
@@ -23,39 +24,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import NurbsBasis, basis_table, greville_abscissae
-from .linsolve import BandedLU, BandedMatrix
+from .linsolve import BandedMatrix
 from .quadrature import QuadratureRule
 
-__all__ = ["PhysicalMap", "GalerkinSystem", "assemble", "Collocation",
-           "group_project", "lift_boundary"]
+__all__ = ["PhysicalMap", "GalerkinSystem", "assemble", "Collocation"]
 
 
 @dataclass(frozen=True)
 class PhysicalMap:
-    """Affine map between the physical interval and the parameter interval."""
+    """Affine map between [x_min, x_max] and the parameter interval [0, 1]."""
 
     x_min: float
     x_max: float
-    xi_min: float = 0.0
-    xi_max: float = 1.0
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min and self.xi_max > self.xi_min):
-            raise ValueError("intervals must have positive length")
+        if not self.x_max > self.x_min:
+            raise ValueError(f"need x_min < x_max, got {self.x_min:g} "
+                             f">= {self.x_max:g}")
 
     @property
     def dx_dxi(self) -> float:
-        return (self.x_max - self.x_min) / (self.xi_max - self.xi_min)
+        return self.x_max - self.x_min
 
     @property
     def dxi_dx(self) -> float:
         return 1.0 / self.dx_dxi
 
     def to_physical(self, xi):
-        return self.x_min + (np.asarray(xi) - self.xi_min) * self.dx_dxi
+        return self.x_min + np.asarray(xi) * self.dx_dxi
 
     def to_parameter(self, x):
-        return self.xi_min + (np.asarray(x) - self.x_min) * self.dxi_dx
+        return (np.asarray(x) - self.x_min) * self.dxi_dx
 
 
 @dataclass
@@ -136,68 +135,30 @@ def assemble(basis: NurbsBasis, pmap: PhysicalMap,
 
 
 class Collocation:
-    """Square collocation system at given parameter points (default Greville).
+    """Square collocation system at the Greville points ``points``:
+    ``matrix`` maps coefficients to the spline's values there."""
 
-    ``matrix`` maps coefficients to point values; ``project`` inverts it, so
-    projecting function samples yields the coefficients of the spline that
-    interpolates them.  The LU factor is computed once and reused.
-    """
-
-    def __init__(self, basis: NurbsBasis, points: np.ndarray | None = None):
-        if points is None:
-            points = greville_abscissae(basis.knots)
-        points = np.asarray(points, dtype=float)
-        n = basis.n_basis
-        if points.shape != (n,):
-            raise ValueError("need exactly one collocation point per basis function")
-        mat, dropped = _point_rows(basis, points, 0)
+    def __init__(self, basis: NurbsBasis):
+        self.points = greville_abscissae(basis.knots)
+        self.matrix, dropped = _point_rows(basis, self.points)
         if np.any(dropped != 0.0):
             raise ValueError("collocation point outside its own support band")
-        self.basis = basis
-        self.points = points
-        self.matrix = mat
-        self._lu: BandedLU | None = None
-
-    @property
-    def lu(self) -> BandedLU:
-        if self._lu is None:
-            self._lu = self.matrix.lu_factor()
-        return self._lu
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         return self.matrix.matvec(coeffs)
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        return self.lu.solve(np.asarray(values, dtype=float))
 
-    def derivative_matrix(self, order: int) -> BandedMatrix:
-        """Collocation of the ``order``-th parametric derivative at the points."""
-        return _point_rows(self.basis, self.points, order)[0]
-
-
-def _point_rows(basis: NurbsBasis, points: np.ndarray,
-                order: int) -> tuple[BandedMatrix, np.ndarray]:
-    """Band whose row i holds the ``order``-th derivatives at ``points[i]``.
+def _point_rows(basis: NurbsBasis,
+                points: np.ndarray) -> tuple[BandedMatrix, np.ndarray]:
+    """Band whose row i holds the function values at ``points[i]``.
 
     Also returns the entries that fall outside the band, which are dropped.
     """
     n, p = basis.n_basis, basis.degree
-    first, R = basis_table(basis, points, order)
+    first, R = basis_table(basis, points, 0)
     cols = first[:, None] + np.arange(p + 1)
     offset = np.arange(n)[:, None] - cols
     inside = np.abs(offset) <= p
     mat = BandedMatrix(n, p)
-    mat.data[p + offset[inside], cols[inside]] = R[:, order][inside]
-    return mat, R[:, order][~inside]
-
-
-def group_project(values_at_greville: np.ndarray, basis: NurbsBasis) -> np.ndarray:
-    """Coefficients of the spline interpolating values at Greville abscissae."""
-    return Collocation(basis).project(values_at_greville)
-
-
-def lift_boundary(system: GalerkinSystem, w1: float, wn: float):
-    """Boundary contributions (b_M, b_K, b_N) to the interior equations."""
-    wb = np.array([w1, wn])
-    return (system.mass_cols @ wb, system.stiffness_cols @ wb,
-            system.advection_cols @ wb)
+    mat.data[p + offset[inside], cols[inside]] = R[:, 0][inside]
+    return mat, R[:, 0][~inside]

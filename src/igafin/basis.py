@@ -9,8 +9,8 @@ Every evaluation goes through :func:`basis_table`.  It puts each of ``m``
 points in a non-empty knot span ``[xi_i, xi_(i+1))``.  The last span is
 right-closed, so partition of unity holds on the closed interval; with
 ``side="left"`` a point on an interior knot goes to the span *ending* there,
-which gives left one-sided limits at repeated knots.  Points outside
-``[xi_min, xi_max]`` raise ``ValueError``.  The kernel returns ``first``,
+which gives left one-sided limits at repeated knots.  Points outside the
+knot vector's interval raise ``ValueError``.  The kernel returns ``first``,
 shape ``(m,)``, and the table ``R``, shape ``(m, order + 1, p + 1)``:
 ``R[i, k, j]`` is the k-th parametric derivative (``order <= 2``) of function
 ``first[i] + j`` at point ``i``, the only ``p + 1`` functions nonzero there.
@@ -30,7 +30,6 @@ __all__ = [
     "NurbsBasis",
     "make_uniform_open_knots",
     "make_refined_open_knots",
-    "find_span",
     "basis_table",
     "contract_table",
     "eval_nurbs_all",
@@ -82,14 +81,6 @@ class KnotVector:
         return len(self.values) - self.degree - 1
 
     @property
-    def xi_min(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def xi_max(self) -> float:
-        return float(self.values[-1])
-
-    @property
     def breakpoints(self) -> np.ndarray:
         """Distinct knot values (span boundaries).
 
@@ -137,15 +128,14 @@ def make_uniform_open_knots(n_elements: int, degree: int) -> KnotVector:
 
 
 def make_refined_open_knots(n_elements: int, degree: int, kink_xi: float,
-                            cluster_ratio: float,
-                            kink_multiplicity: int = 3) -> KnotVector:
+                            cluster_ratio: float) -> KnotVector:
     """Open knots on [0, 1] geometrically clustered toward an interior kink.
 
     Span widths form a two-sided geometric sequence shrinking toward
     ``kink_xi`` with ratio ``cluster_ratio`` (``1.0`` gives equal spans on
-    each side).  The kink itself is inserted with multiplicity
-    ``kink_multiplicity`` (default 3, dropping the basis to C^0 there when
-    ``degree == 3``); pass 1 for a plain breakpoint.
+    each side).  The kink itself is inserted with multiplicity 3, which
+    drops the basis to C^0 there when ``degree == 3``; ``degree`` must be
+    at least 3.
 
     Parameters
     ----------
@@ -160,8 +150,8 @@ def make_refined_open_knots(n_elements: int, degree: int, kink_xi: float,
         raise ValueError("kink_xi must lie strictly inside (0, 1)")
     if not 0.0 < cluster_ratio <= 1.0:
         raise ValueError("cluster_ratio must lie in (0, 1]")
-    if kink_multiplicity < 1 or kink_multiplicity > degree:
-        raise ValueError("kink multiplicity must lie in 1..degree")
+    if degree < 3:
+        raise ValueError(f"refined knots need degree >= 3, got {degree}")
     n_left = int(round(n_elements * kink_xi))
     n_left = min(max(n_left, 1), n_elements - 1)
     n_right = n_elements - n_left
@@ -179,7 +169,7 @@ def make_refined_open_knots(n_elements: int, degree: int, kink_xi: float,
     right = geometric_breaks(1.0, kink_xi, n_right, cluster_ratio)
     interior = np.concatenate([
         left[:-1],
-        np.full(kink_multiplicity, kink_xi),
+        np.full(3, kink_xi),
         right[:-1][::-1],
     ])
     vals = np.concatenate([
@@ -200,11 +190,6 @@ def _spans(knots: KnotVector, xis: np.ndarray, side: str) -> np.ndarray:
         span = np.where(vals[at] == xis, at - 1, span)
     # open knots: clipping gives the right-closed last span and the first span
     return np.clip(span, knots.degree, knots.n_basis - 1)
-
-
-def find_span(knots: KnotVector, xi: float, side: str = "right") -> int:
-    """Index ``i`` of the span ``[xi_i, xi_(i+1))`` holding one point."""
-    return int(_spans(knots, np.array([xi], dtype=float), side)[0])
 
 
 def basis_table(basis: NurbsBasis, xis, order: int,
@@ -274,15 +259,14 @@ def contract_table(first: np.ndarray, R: np.ndarray,
     return np.matmul(R[:, :, None, :], c[:, None, :, None])[:, :, 0, 0]
 
 
-def eval_nurbs_all(basis: NurbsBasis, xi, order: int = 0,
-                   side: str = "right") -> np.ndarray:
+def eval_nurbs_all(basis: NurbsBasis, xi, order: int = 0) -> np.ndarray:
     """``order``-th derivative of every NURBS function, as dense rows.
 
     A scalar ``xi`` gives one row of length ``n_basis``; an array gives one
     row per point.
     """
     xis = np.asarray(xi, dtype=float)
-    first, R = basis_table(basis, xis, order, side)
+    first, R = basis_table(basis, xis, order)
     out = np.zeros((len(first), basis.n_basis))
     cols = first[:, None] + np.arange(basis.degree + 1)
     np.put_along_axis(out, cols, R[:, order], axis=1)

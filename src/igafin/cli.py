@@ -15,11 +15,17 @@ Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
 failure.  Unknown configuration keys are hard errors carrying the offending
 line number, and nothing is written unless the whole configuration parses.
 Settings that parse but cannot run are configuration errors too, raised
-before solving: degree < 2 or n_tau = 0 for price and greeks (gamma and
-theta need them), a time grid on which every pair of stored slices near
-t = 0 straddles a coupon or put date (theta has nothing to difference), and a
-probe price outside the domain.  price builds every table before it writes
-its first file.
+before solving: x_min >= x_max; refined knots with degree < 3, kink_xi
+outside (0, 1) or cluster_ratio outside (0, 1]; theta outside [0, 1];
+negative rannacher_steps or store_every; a weights file that does not hold
+one positive number per basis function; a ladder rung or reference with
+n_elements < 1 or n_tau < 0; a call window that opens and closes on one
+date; degree < 2 or n_tau = 0 for price and greeks (gamma and theta need
+them); a time grid on which every pair of stored slices near t = 0
+straddles a coupon or put date (theta has nothing to difference); and a
+probe price outside the domain.  A march that produces a value that is not
+finite is a solver failure.  price builds every table before it writes its
+first file.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import PhysicalMap
+from .basis import load_weights
 from .checks import format_report, run_checks
 from .greeks import greeks_table, theta_pair, write_greeks_csv
 from .models import (AfvParams, LelandParams, calibrate_weights,
@@ -40,7 +48,7 @@ from .models import (AfvParams, LelandParams, calibrate_weights,
 from .reference import (bs_exact_call, fdm_solve_afv, fdm_solve_leland,
                         misfit_epsilon, p1fem_solve)
 from .stepper import (NewtonDivergenceError, SchemeConfig,
-                      build_discretization, run, value_curve)
+                      build_discretization, build_knots, run, value_curve)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_pricing",
            "run_convergence", "run_greeks", "main"]
@@ -158,8 +166,10 @@ def _parse_window(raw: str) -> tuple[float, float, float] | None:
 def _parse_rungs(raw: str) -> list[tuple[int, int]]:
     out = []
     for item in (s for s in re.split(r"[,\n]+", raw) if s.strip()):
-        n_e, n_t = item.split(":")
-        out.append((int(n_e), int(n_t)))
+        n_e, n_t = (int(v) for v in item.split(":"))
+        if n_e < 1 or n_t < 0:
+            raise ValueError(f"need n_elements >= 1, n_tau >= 0 in {item!r}")
+        out.append((n_e, n_t))
     return out
 
 
@@ -287,30 +297,38 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _build(cfg: ExperimentConfig, n_elements: int | None = None,
-           n_tau: int | None = None):
-    n_e = cfg.n_elements if n_elements is None else n_elements
-    n_t = cfg.n_tau if n_tau is None else n_tau
-    kwargs = dict(degree=cfg.degree, knot_mode=cfg.knot_mode,
-                  cluster_ratio=cfg.cluster_ratio, kink_xi=cfg.kink_xi)
-    disc = build_discretization(cfg.x_min, cfg.x_max, n_e, **kwargs)
-    if cfg.weight_source != "none":
-        from .basis import load_weights
-        if cfg.weight_source == "file":
-            w = load_weights(cfg.weights_file, disc.basis.knots.n_basis)
-        else:
-            w = calibrate_weights(disc.basis.knots, disc.pmap,
-                                  cfg.params.payoff, kink_xi=cfg.kink_xi)
-        disc = build_discretization(cfg.x_min, cfg.x_max, n_e, weights=w,
-                                    **kwargs)
-    return disc, run(cfg.params, disc, _scheme(cfg, n_t))
+def _prepare(cfg: ExperimentConfig, grids) -> list:
+    """(n_elements, weights, scheme) of a run on each (n_elements, n_tau)
+    grid: what it builds from the settings before it assembles, with None
+    for unit weights.  A ValueError of the interval, the knots, a weights
+    file or the scheme becomes a ConfigError, raised before any solve."""
+    try:
+        pmap = PhysicalMap(cfg.x_min, cfg.x_max)
+        knots = [build_knots(n_e, cfg.degree, cfg.knot_mode,
+                             cfg.cluster_ratio, cfg.kink_xi) for n_e, _ in grids]
+        schemes = [_scheme(cfg, n_t) for _, n_t in grids]
+        weights = [load_weights(cfg.weights_file, k.n_basis)
+                   if cfg.weight_source == "file" else None for k in knots]
+    except ValueError as exc:
+        raise ConfigError(str(exc), cfg.path) from None
+    if cfg.weight_source == "calibrated":
+        weights = [calibrate_weights(k, pmap, cfg.params.payoff,
+                                     kink_xi=cfg.kink_xi) for k in knots]
+    return list(zip((n_e for n_e, _ in grids), weights, schemes))
+
+
+def _build(cfg: ExperimentConfig, n_elements: int, weights, scheme):
+    disc = build_discretization(cfg.x_min, cfg.x_max, n_elements, cfg.degree,
+                                cfg.knot_mode, cfg.cluster_ratio, cfg.kink_xi,
+                                weights)
+    return disc, run(cfg.params, disc, scheme)
 
 
 def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
     return SchemeConfig(n_steps=n_tau, theta=cfg.theta,
                         rannacher_steps=cfg.rannacher_steps,
                         store_every=cfg.store_every
-                        if cfg.store_every > 0 else max(1, n_tau // 50))
+                        or max(1, n_tau // 50))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -404,9 +422,10 @@ def _check_probe(cfg: ExperimentConfig) -> None:
 
 
 def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
+    [grid] = _prepare(cfg, [(cfg.n_elements, cfg.n_tau)])
     _check_greeks_inputs(cfg)
     _check_probe(cfg)
-    disc, surf = _build(cfg)
+    disc, surf = _build(cfg, *grid)
     params = cfg.params
     fields = [column for column, _ in params.columns]
 
@@ -459,6 +478,7 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
     if not cfg.rungs:
         raise ConfigError("converge needs a [ladder] section with rungs",
                           cfg.path)
+    grids = _prepare(cfg, cfg.rungs)
     _check_probe(cfg)
     ref = None
     if cfg.model == "leland" and oracle != "none":
@@ -468,8 +488,8 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
                           SchemeConfig(n_steps=n_t, store_every=0))
 
     rows, prev_err = [], None
-    for n_e, n_t in cfg.rungs:
-        disc, surf = _build(cfg, n_e, n_t)
+    for (n_e, n_t), grid in zip(cfg.rungs, grids):
+        disc, surf = _build(cfg, *grid)
         value = float(value_curve(cfg.params, disc, surf.final,
                                   [cfg.probe_s])[0])
         err = None if oracle == "none" else _rung_error(cfg, ref, disc, surf,
@@ -486,8 +506,9 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
 
 
 def run_greeks(cfg: ExperimentConfig) -> int:
+    [grid] = _prepare(cfg, [(cfg.n_elements, cfg.n_tau)])
     _check_greeks_inputs(cfg)
-    disc, surf = _build(cfg)
+    disc, surf = _build(cfg, *grid)
     table = greeks_table(cfg.params, disc, surf)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "greeks.csv")

@@ -51,10 +51,6 @@ class GreekTable:
     time: float
 
 
-def _field_name(params, name: str | None) -> str:
-    return name or params.value_column[1]
-
-
 def _grid(params, disc: Discretization, slice_: TimeSlice,
           s_points) -> np.ndarray:
     """``s_points`` checked positive; by default the Greville abscissae
@@ -80,19 +76,18 @@ def _pde_x(params, disc: Discretization, slice_: TimeSlice, s: np.ndarray,
 
 
 def delta(params, disc: Discretization, slice_: TimeSlice,
-          s_points=None, name: str | None = None) -> GreekCurve:
+          s_points=None) -> GreekCurve:
     """First derivative with respect to the stock price."""
-    field = _field_name(params, name)
     s = _grid(params, disc, slice_, s_points)
     x = _pde_x(params, disc, slice_, s)
-    dw = disc.pmap.dxi_dx * evaluate_slice(disc, slice_, field, x, order=1)
+    dw = disc.pmap.dxi_dx * evaluate_slice(disc, slice_,
+                                           params.value_column[1], x, order=1)
     dw = params.value_scale(slice_.tau) * dw
     return GreekCurve(s, dw / s, "delta", params.t_of(slice_.tau))
 
 
 def gamma(params, disc: Discretization, slice_: TimeSlice,
-          s_points=None, name: str | None = None,
-          side: str = "right") -> GreekCurve:
+          s_points=None, side: str = "right") -> GreekCurve:
     """Second derivative with respect to the stock price.
 
     ``side`` selects the one-sided limit at repeated interior knots, where
@@ -100,12 +95,12 @@ def gamma(params, disc: Discretization, slice_: TimeSlice,
     """
     if disc.basis.degree < 2:
         raise ValueError("gamma needs basis degree >= 2")
-    field = _field_name(params, name)
     s = _grid(params, disc, slice_, s_points)
     x = _pde_x(params, disc, slice_, s)
     xi = np.asarray(disc.pmap.to_parameter(x))
     first, R = basis_table(disc.basis, xi, 2, side)
-    _, d1, d2 = contract_table(first, R, slice_.coeffs[field]).T
+    coeffs = slice_.coeffs[params.value_column[1]]
+    _, d1, d2 = contract_table(first, R, coeffs).T
     scale = disc.pmap.dxi_dx
     curv = scale * scale * d2 - scale * d1
     curv = params.value_scale(slice_.tau) * curv
@@ -113,11 +108,11 @@ def gamma(params, disc: Discretization, slice_: TimeSlice,
 
 
 def _value_curve(params, disc: Discretization, slice_: TimeSlice,
-                 s: np.ndarray, field: str) -> np.ndarray:
+                 s: np.ndarray) -> np.ndarray:
     """Model value V(S, t) on one slice; clamps to the domain at the tails."""
     x = _pde_x(params, disc, slice_, s, clip=True)
-    return params.value_scale(slice_.tau) * evaluate_slice(disc, slice_,
-                                                           field, x)
+    return params.value_scale(slice_.tau) * evaluate_slice(
+        disc, slice_, params.value_column[1], x)
 
 
 def theta_pair(params, levels: list[int], dtau: float, n_steps: int,
@@ -138,8 +133,7 @@ def theta_pair(params, levels: list[int], dtau: float, n_steps: int,
 
 
 def theta(params, disc: Discretization, surface: SolutionSurface,
-          index: int = -1, s_points=None, name: str | None = None
-          ) -> GreekCurve:
+          index: int = -1, s_points=None) -> GreekCurve:
     """Calendar-time derivative by differencing two stored slices."""
     if len(surface.slices) < 2:
         raise ValueError("theta needs at least two stored slices")
@@ -148,26 +142,23 @@ def theta(params, disc: Discretization, surface: SolutionSurface,
     if pair is None:
         raise ValueError("no jump-free slice pair near the requested level")
 
-    field = _field_name(params, name)
     target = surface.slices[index]
     s = _grid(params, disc, target, s_points)
     s0, s1 = (surface.slices[j] for j in pair)
     t0, t1 = (params.t_of(sl.tau) for sl in (s0, s1))
-    v0 = _value_curve(params, disc, s0, s, field)
-    v1 = _value_curve(params, disc, s1, s, field)
+    v0 = _value_curve(params, disc, s0, s)
+    v1 = _value_curve(params, disc, s1, s)
     rate = (v1 - v0) / (t1 - t0)
     return GreekCurve(s, rate, "theta", params.t_of(target.tau))
 
 
-def greeks_table(params, disc: Discretization, surface: SolutionSurface,
-                 index: int = -1, s_points=None, name: str | None = None
-                 ) -> GreekTable:
-    """Delta, gamma and theta of one slice on a shared grid."""
-    slice_ = surface.slices[index]
-    s = _grid(params, disc, slice_, s_points)
-    d = delta(params, disc, slice_, s, name)
-    g = gamma(params, disc, slice_, s, name)
-    th = theta(params, disc, surface, index, s, name)
+def greeks_table(params, disc: Discretization,
+                 surface: SolutionSurface) -> GreekTable:
+    """Delta, gamma and theta of the final slice at its Greville points."""
+    s = _grid(params, disc, surface.final, None)
+    d = delta(params, disc, surface.final, s)
+    g = gamma(params, disc, surface.final, s)
+    th = theta(params, disc, surface, -1, s)
     return GreekTable(s, d.values, g.values, th.values, d.time)
 
 

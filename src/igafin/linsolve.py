@@ -117,23 +117,6 @@ class BandedMatrix:
                 raise ValueError(f"band data must have shape {(2 * kband + 1, n)}")
             self.data = data
 
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        i, j = ij
-        if abs(i - j) > self.kband:
-            return 0.0
-        return float(self.data[self.kband + i - j, j])
-
-    def set(self, i: int, j: int, value: float) -> None:
-        if abs(i - j) > self.kband:
-            raise IndexError("entry outside the band")
-        self.data[self.kband + i - j, j] = value
-
-    def add(self, i: int, j: int, value: float) -> None:
-        self.data[self.kband + i - j, j] += value
-
-    def copy(self) -> "BandedMatrix":
-        return BandedMatrix(self.n, self.kband, self.data.copy())
-
     def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
         if (other.n, other.kband) != (self.n, self.kband):
             raise ValueError("shape/bandwidth mismatch")

@@ -70,13 +70,6 @@ class LelandParams:
         if self.rate < 0 or self.leland_number < 0:
             raise ValueError("rate and leland_number must be non-negative")
 
-    @classmethod
-    def from_costs(cls, rate: float, sigma: float, strike: float,
-                   maturity: float, cost: float,
-                   rebalance_dt: float) -> "LelandParams":
-        le = math.sqrt(2.0 / math.pi) * cost / (sigma * math.sqrt(rebalance_dt))
-        return cls(rate, sigma, strike, maturity, le)
-
     @property
     def kappa(self) -> float:
         return 2.0 * self.rate / self.sigma ** 2
@@ -120,9 +113,10 @@ class AfvParams:
 
     ``coupons`` is an ascending tuple of (payment time, amount); a coupon at
     t = maturity is folded into the terminal condition.  Call/put windows are
-    (t_start, t_end, clean price) with the left endpoint excluded; a window
-    with t_start == t_end is a single exercise date, realised on the backward
-    time level nearest to it.
+    (t_start, t_end, clean price) with the left endpoint excluded.  A put
+    window with t_start == t_end is a single exercise date, realised on the
+    backward time level nearest to it; a call window must have
+    t_start < t_end, since the call is tested on the open-left window itself.
 
     ``rho = 0`` switches the exercise machinery off entirely (penalty terms,
     cash-component clamps and the conversion-floor clip), leaving the plain
@@ -166,6 +160,9 @@ class AfvParams:
                 a, b, _ = win
                 if not (0.0 <= a <= b <= self.maturity):
                     raise ValueError("constraint window must satisfy 0 <= start <= end <= maturity")
+        if self.call_window and self.call_window[0] == self.call_window[1]:
+            raise ValueError("call window needs start < end: a single call "
+                             "date is not supported")
 
     columns = (("U", "U"), ("B", "B"), ("C", "C"))
     value_column = columns[0]

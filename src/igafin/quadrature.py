@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature with span-wise composition over knot vectors.
+"""Gauss-Legendre quadrature rules on the reference interval [-1, 1].
 
 Nodes are the roots of the Legendre polynomial P_n, found by Newton iteration
 from Chebyshev initial guesses; weights follow from w_i = 2 / ((1 - x_i^2)
@@ -8,14 +8,10 @@ P_n'(x_i)^2).  No tabulated rules, so any order works.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .basis import KnotVector
-
-__all__ = ["QuadratureRule", "gauss_legendre_rule", "integrate_interval",
-           "integrate_spans"]
+__all__ = ["QuadratureRule", "gauss_legendre_rule"]
 
 
 @dataclass(frozen=True)
@@ -24,7 +20,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +45,7 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     if n < 1:
         raise ValueError("order must be >= 1")
     if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0), 1)
+        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
     k = np.arange(1, n + 1)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
@@ -63,32 +58,4 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     x = 0.5 * (x - x[::-1])  # symmetrise
     _, dp = _legendre_and_deriv(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return QuadratureRule(x, w, n)
-
-
-def integrate_interval(f: Callable[[float], float], a: float, b: float,
-                       rule: QuadratureRule) -> float:
-    """Integral of f over [a, b] by the affinely mapped rule; 0 when a == b."""
-    if a == b:
-        return 0.0
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total = 0.0
-    for z, w in zip(rule.nodes, rule.weights):
-        total += w * f(mid + half * z)
-    return half * total
-
-
-def integrate_spans(f: Callable[[float], float], knots: KnotVector,
-                    rule: QuadratureRule) -> float:
-    """Sum of span-wise Gauss integrals over every non-empty span.
-
-    Splitting at the knots keeps the integrand a smooth (rational) function
-    on each subinterval, so integrands with reduced continuity at repeated
-    knots are still integrated at full accuracy.
-    """
-    breaks = knots.breakpoints
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        total += integrate_interval(f, a, b, rule)
-    return total
+    return QuadratureRule(x, w)

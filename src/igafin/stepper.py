@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
-from .basis import (NurbsBasis, eval_spline_many, greville_abscissae,
+from .basis import (KnotVector, NurbsBasis, eval_spline_many,
                     make_refined_open_knots, make_uniform_open_knots)
 from .linsolve import BandedLU, BandedMatrix, band_products
 from .models import (AfvParams, LelandParams, afv_terminal,
@@ -55,7 +55,7 @@ from .quadrature import gauss_legendre_rule
 
 __all__ = [
     "SchemeConfig", "TimeSlice", "SolutionSurface", "Discretization",
-    "build_discretization", "step_linear", "step_leland",
+    "build_knots", "build_discretization", "step_linear", "step_leland",
     "step_afv_boundary", "newton_solve_U", "NewtonDivergenceError", "run",
     "run_leland", "run_afv", "march_leland", "march_afv", "evaluate_slice",
     "value_curve",
@@ -102,13 +102,6 @@ class TimeSlice:
     tau: float
     coeffs: dict[str, np.ndarray]
 
-    def interior(self, name: str) -> np.ndarray:
-        return self.coeffs[name][1:-1]
-
-    def boundary(self, name: str) -> tuple[float, float]:
-        v = self.coeffs[name]
-        return float(v[0]), float(v[-1])
-
 
 @dataclass
 class SolutionSurface:
@@ -127,12 +120,6 @@ class SolutionSurface:
     def final(self) -> TimeSlice:
         return self.slices[-1]
 
-    def slice_at_level(self, m: int) -> TimeSlice:
-        try:
-            return self.slices[self.levels.index(m)]
-        except ValueError:
-            raise KeyError(f"time level {m} was not stored") from None
-
 
 @dataclass
 class Discretization:
@@ -142,7 +129,6 @@ class Discretization:
     pmap: PhysicalMap
     system: GalerkinSystem
     colloc: Collocation
-    greville_xi: np.ndarray
     greville_x: np.ndarray
 
     @property
@@ -154,30 +140,35 @@ class Discretization:
         return float(widths.min() * self.pmap.dx_dxi)
 
 
+def build_knots(n_elements: int, degree: int = 3, knot_mode: str = "uniform",
+                cluster_ratio: float | None = None,
+                kink_xi: float = 0.5) -> KnotVector:
+    """The knots of ``build_discretization``.  ``knot_mode`` is ``uniform``
+    or ``refined``; the refined mode clusters spans toward ``kink_xi`` and
+    inserts it with multiplicity 3.  When ``cluster_ratio`` is omitted the
+    refined mode keeps a fixed 100:1 largest-to-smallest span grading, so
+    refining the mesh halves every span instead of piling new spans onto
+    the kink."""
+    if knot_mode == "uniform":
+        return make_uniform_open_knots(n_elements, degree)
+    if knot_mode == "refined":
+        if cluster_ratio is None:
+            n_side = max(2, int(round(n_elements * min(kink_xi, 1.0 - kink_xi))))
+            cluster_ratio = 100.0 ** (-1.0 / (n_side - 1))
+        return make_refined_open_knots(n_elements, degree, kink_xi,
+                                       cluster_ratio)
+    raise ValueError(f"unknown knot_mode {knot_mode!r}")
+
+
 def build_discretization(x_min: float, x_max: float, n_elements: int,
                          degree: int = 3, knot_mode: str = "uniform",
                          cluster_ratio: float | None = None,
                          kink_xi: float = 0.5,
                          weights: np.ndarray | None = None) -> Discretization:
-    """Assemble everything a run needs on [x_min, x_max].
-
-    ``knot_mode`` is ``uniform`` or ``refined``; the refined mode clusters
-    spans toward ``kink_xi`` and inserts it with multiplicity 3.  When
-    ``cluster_ratio`` is omitted the refined mode keeps a fixed 100:1
-    largest-to-smallest span grading, so refining the mesh halves every span
-    instead of piling new spans onto the kink.  The mass integrand has
-    degree 2p, so the Gauss rule takes ``max(5, degree + 1)`` points.
-    """
-    if knot_mode == "uniform":
-        knots = make_uniform_open_knots(n_elements, degree)
-    elif knot_mode == "refined":
-        if cluster_ratio is None:
-            n_side = max(2, int(round(n_elements * min(kink_xi, 1.0 - kink_xi))))
-            cluster_ratio = 100.0 ** (-1.0 / (n_side - 1))
-        knots = make_refined_open_knots(n_elements, degree, kink_xi,
-                                        cluster_ratio)
-    else:
-        raise ValueError(f"unknown knot_mode {knot_mode!r}")
+    """Assemble everything a run needs on [x_min, x_max], on the knots of
+    ``build_knots``.  The mass integrand has degree 2p, so the Gauss rule
+    takes ``max(5, degree + 1)`` points."""
+    knots = build_knots(n_elements, degree, knot_mode, cluster_ratio, kink_xi)
     if weights is None:
         weights = np.ones(knots.n_basis)
     basis = NurbsBasis(knots, weights)
@@ -185,9 +176,8 @@ def build_discretization(x_min: float, x_max: float, n_elements: int,
     rule = gauss_legendre_rule(max(5, degree + 1))
     system = assemble(basis, pmap, rule)
     colloc = Collocation(basis)
-    greville_xi = colloc.points
-    greville_x = np.asarray(pmap.to_physical(greville_xi))
-    return Discretization(basis, pmap, system, colloc, greville_xi, greville_x)
+    greville_x = np.asarray(pmap.to_physical(colloc.points))
+    return Discretization(basis, pmap, system, colloc, greville_x)
 
 
 class _ThetaOperator:
@@ -195,7 +185,6 @@ class _ThetaOperator:
 
     def __init__(self, system: GalerkinSystem, coeffs, dtau: float,
                  thetas: tuple[float, ...]):
-        self.system = system
         self.dtau = dtau
         self.a_int, self.a_cols = system.operator(coeffs)
         self.m_int = system.mass
@@ -245,16 +234,14 @@ class _ThetaOperator:
 
 
 def step_linear(system: GalerkinSystem, coeffs, w_full: np.ndarray, wb_new,
-                dtau: float, theta: float,
-                nu_m: np.ndarray | None = None,
-                nu_new: np.ndarray | None = None) -> np.ndarray:
+                dtau: float, theta: float) -> np.ndarray:
     """One theta step of the linear PDE; returns the new full vector.
 
     Standalone variant that factors on the fly -- run loops use the cached
     operator instead.
     """
     op = _ThetaOperator(system, coeffs, dtau, (theta,))
-    return op.step(np.asarray(w_full, dtype=float), wb_new, theta, nu_m, nu_new)
+    return op.step(np.asarray(w_full, dtype=float), wb_new, theta)
 
 
 # below this magnitude a double is subnormal
@@ -347,7 +334,6 @@ class NewtonDivergenceError(RuntimeError):
 def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
                    u_star_call: np.ndarray, mass: BandedMatrix, rho: float,
                    dtau: float, tol: float, max_iter: int = 50,
-                   u_init: np.ndarray | None = None,
                    a11_lu: BandedLU | None = None):
     """Damped-free Newton iteration on the penalised interior U system.
 
@@ -355,20 +341,18 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
     (U - U*_call)] - phi = 0 with indicator refresh each iterate; the
     Jacobian A11 + rho dtau M (P_put + P_call) stays banded because the
     penalty acts diagonally on coefficients.  Stops when the update drops
-    below ``tol`` in the max norm or the active sets repeat.
+    below ``tol`` in the max norm or the active sets repeat, unconverged
+    if the residual there is not finite (NaN iterates repeat their sets).
 
     Returns (U, iterations, converged, residual) with the residual
     max|f(U)| at the returned iterate.  ``a11_lu``, the factors of ``a11``
     when the caller already holds them (else they are factored here),
-    serve the start when ``u_init`` is not given and every iterate with no
-    active penalty, whose Jacobian is then exactly ``a11``.
+    serve the start U = A11^{-1} phi and every iterate with no active
+    penalty, whose Jacobian is then exactly ``a11``.
     """
     if a11_lu is None:
         a11_lu = a11.lu_factor()
-    if u_init is not None:
-        u = np.asarray(u_init, dtype=float).copy()
-    else:
-        u = a11_lu.solve(phi)
+    u = a11_lu.solve(phi)
 
     def active(u):
         return ((u_star_put - u >= 0.0).astype(float),
@@ -395,8 +379,16 @@ def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
             np.array_equal(p_call_new, p_call)
         p_put, p_call = p_put_new, p_call_new
         if np.max(np.abs(du)) <= tol or same_active:
-            return u, it, True, float(np.abs(residual(u, p_put, p_call)).max())
+            res = float(np.abs(residual(u, p_put, p_call)).max())
+            return u, it, bool(np.isfinite(res)), res
     return u, max_iter, False, float(np.abs(residual(u, p_put, p_call)).max())
+
+
+def _check_finite(vectors, level: int, n_steps: int) -> None:
+    """Stop a march whose new level holds a value that is not finite."""
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise FloatingPointError(
+            f"solution blew up at time level {level} of {n_steps}")
 
 
 def _warn_if_unstable(dx: float, dtau: float) -> None:
@@ -453,9 +445,7 @@ def march_leland(params: LelandParams, system: GalerkinSystem,
             w = np.empty_like(w)
             w[1:-1] = op.lhs_lu[theta].solve(rhs)
             w[0], w[-1] = wb
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError(
-                f"solution blew up at time level {m + 1} of {n_steps}")
+        _check_finite((w,), m + 1, n_steps)
         if (m + 1) in keep:
             slices.append(TimeSlice((m + 1) * dtau, {"vhat": w}))
             levels.append(m + 1)
@@ -550,6 +540,7 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
             u_new[:-1] += coupon
             b_new[:-1] += coupon
         w = {"U": u_new, "B": b_new, "C": c_new}
+        _check_finite(w.values(), level, n_steps)
         nu_delta_m, nu_gamma_m = nodal_sources(b_new)
         if level in keep:
             slices.append(TimeSlice(level * dtau,

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from igafin.assembly import (Collocation, PhysicalMap, assemble,
-                             group_project, lift_boundary)
+from igafin.assembly import Collocation, PhysicalMap, assemble
 from igafin.basis import (NurbsBasis, eval_nurbs_all, eval_spline_many,
-                          greville_abscissae, make_refined_open_knots,
-                          make_uniform_open_knots)
+                          make_refined_open_knots, make_uniform_open_knots)
 from igafin.quadrature import gauss_legendre_rule
 
 
@@ -120,39 +118,15 @@ class TestAssemble:
 
 class TestCollocation:
     def test_project_interpolates(self):
+        # the collocation matvec is the spline evaluated at the Greville
+        # points, which the run uses for every table it writes
         rng = np.random.default_rng(420)
         knots = make_uniform_open_knots(11, 3)
         basis = NurbsBasis(knots, rng.uniform(0.5, 2.0, knots.n_basis))
         colloc = Collocation(basis)
-        values = rng.normal(size=basis.n_basis)
-        coeffs = colloc.project(values)
-        assert colloc.evaluate(coeffs) == pytest.approx(values, abs=1e-11)
-        # the spline itself passes through the data at the Greville points
-        got = eval_spline_many(basis, coeffs, colloc.points)
-        assert got == pytest.approx(values, abs=1e-11)
-
-    def test_point_count_validated(self):
-        knots = make_uniform_open_knots(5, 2)
-        basis = NurbsBasis(knots, np.ones(knots.n_basis))
-        with pytest.raises(ValueError):
-            Collocation(basis, np.array([0.0, 0.5, 1.0]))
-
-    def test_derivative_matrix(self):
-        rng = np.random.default_rng(421)
-        knots = make_uniform_open_knots(8, 3)
-        basis = NurbsBasis(knots, np.ones(knots.n_basis))
-        colloc = Collocation(basis)
         coeffs = rng.normal(size=basis.n_basis)
-        d1 = colloc.derivative_matrix(1).matvec(coeffs)
-        expect = eval_spline_many(basis, coeffs, colloc.points, order=1)
-        assert d1 == pytest.approx(expect, rel=1e-12, abs=1e-12)
-
-    def test_group_project_linear_precision(self):
-        knots = make_uniform_open_knots(9, 3)
-        basis = NurbsBasis(knots, np.ones(knots.n_basis))
-        g = greville_abscissae(knots)
-        coeffs = group_project(g, basis)
-        assert coeffs == pytest.approx(g, abs=1e-12)
+        got = eval_spline_many(basis, coeffs, colloc.points)
+        assert colloc.evaluate(coeffs) == pytest.approx(got, abs=1e-13)
 
 
 class TestLiftBoundary:
@@ -164,8 +138,8 @@ class TestLiftBoundary:
         rule = gauss_legendre_rule(5)
         sys_ = assemble(basis, pmap, rule)
         dm, dk, dn = _dense_matrices(basis, pmap, rule)
-        w1, wn = 1.7, -0.3
-        bm, bk, bn = lift_boundary(sys_, w1, wn)
-        for got, dense in ((bm, dm), (bk, dk), (bn, dn)):
-            expect = dense[1:-1, 0] * w1 + dense[1:-1, -1] * wn
-            assert got == pytest.approx(expect, rel=1e-12, abs=1e-13)
+        wb = np.array([1.7, -0.3])
+        for cols, dense in ((sys_.mass_cols, dm), (sys_.stiffness_cols, dk),
+                            (sys_.advection_cols, dn)):
+            expect = dense[1:-1, 0] * wb[0] + dense[1:-1, -1] * wb[1]
+            assert cols @ wb == pytest.approx(expect, rel=1e-12, abs=1e-13)

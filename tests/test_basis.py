@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igafin.basis import (KnotVector, NurbsBasis, basis_table,
-                          eval_nurbs_all, eval_spline_many, find_span,
+                          eval_nurbs_all, eval_spline_many,
                           greville_abscissae, load_weights,
                           make_refined_open_knots, make_uniform_open_knots)
 
@@ -22,13 +22,18 @@ class TestKnotVector:
             kv = make_uniform_open_knots(n_e, p)
             assert kv.n_basis == n_e + p
             assert len(kv.values) == kv.n_basis + p + 1
-            assert kv.xi_min == 0.0 and kv.xi_max == 1.0
+            assert kv.values[0] == 0.0 and kv.values[-1] == 1.0
             assert len(kv.breakpoints) == n_e + 1
 
     def test_refined_contains_full_multiplicity_kink(self):
         kv = make_refined_open_knots(16, 3, 0.5, 0.8)
         interior = kv.values[4:-4]
         assert np.count_nonzero(interior == 0.5) == 3
+
+    def test_refined_needs_degree_three(self):
+        # the kink goes in three times, more than a quadratic basis allows
+        with pytest.raises(ValueError, match="degree >= 3"):
+            make_refined_open_knots(16, 2, 0.5, 0.8)
 
     def test_refined_span_grading(self):
         # spans shrink geometrically toward the kink from either side
@@ -66,11 +71,18 @@ class TestKnotVector:
             NurbsBasis(kv, np.zeros(kv.n_basis))
 
 
+def _span(kv, xi, side="right"):
+    """Index i of the span [xi_i, xi_(i+1)) that basis_table puts xi in:
+    its first nonzero function plus the degree."""
+    basis = NurbsBasis(kv, np.ones(kv.n_basis))
+    return int(basis_table(basis, [xi], 0, side)[0][0]) + kv.degree
+
+
 class TestFindSpan:
     def test_endpoints(self):
         kv = make_uniform_open_knots(8, 3)
-        lo = find_span(kv, 0.0)
-        hi = find_span(kv, 1.0)
+        lo = _span(kv, 0.0)
+        hi = _span(kv, 1.0)
         assert kv.values[lo] <= 0.0 < kv.values[lo + 1]
         # the right endpoint belongs to the last non-empty span
         assert kv.values[hi] < 1.0 <= kv.values[hi + 1]
@@ -78,8 +90,8 @@ class TestFindSpan:
     def test_side_left_at_interior_knot(self):
         kv = make_uniform_open_knots(8, 3)
         xi = kv.breakpoints[4]
-        right = find_span(kv, xi, side="right")
-        left = find_span(kv, xi, side="left")
+        right = _span(kv, xi, side="right")
+        left = _span(kv, xi, side="left")
         assert left == right - 1
 
 

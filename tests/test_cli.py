@@ -20,11 +20,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _config(tmp_path, base, **overrides):
-    """Copy of ``configs/<base>`` with [discretization] keys overridden."""
+    """Copy of ``configs/<base>`` with keys overridden: ``"section.key"``
+    names a key of that section, a plain key one of [discretization], and
+    ``{tmp}`` in a value stands for ``tmp_path``."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.read(ROOT / "configs" / base)
     for key, value in overrides.items():
-        cp["discretization"][key] = str(value)
+        section, _, key = key.rpartition(".")
+        cp[section or "discretization"][key] = \
+            str(value).format(tmp=tmp_path)
     path = tmp_path / base
     with open(path, "w") as fh:
         cp.write(fh)
@@ -107,11 +111,35 @@ SMALL = {"n_elements": 32, "n_tau": 20}
     ("converge", "convertible.ini", SMALL, ["--probe-s", "1000"]),
     ("price", "convertible.ini", {"n_elements": 64, "n_tau": 1}, []),
     ("greeks", "convertible.ini", {**SMALL, "n_tau": 2}, []),
+    # settings whose ValueError used to surface as a traceback
+    ("price", "refined_calibrated.ini", {"degree": 2}, []),
+    ("price", "refined_calibrated.ini", {"kink_xi": 0}, []),
+    ("price", "refined_calibrated.ini", {"kink_xi": 1.5}, []),
+    ("price", "refined_calibrated.ini", {"cluster_ratio": 0}, []),
+    ("price", "refined_calibrated.ini", {"cluster_ratio": 2}, []),
+    ("price", "convertible.ini", {**SMALL, "theta": 2}, []),
+    ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1}, []),
+    ("price", "linear_uniform.ini", {**SMALL, "weight_source": "file",
+                                     "weights_file": "{tmp}/letters.txt"}, []),
+    ("price", "linear_uniform.ini", {**SMALL, "weight_source": "file",
+                                     "weights_file": "{tmp}/two.txt"}, []),
+    ("greeks", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, []),
+    ("converge", "convertible.ini", {**SMALL, "ladder.rungs": "0:10"}, []),
+    ("converge", "leland_ladder.ini", {**SMALL, "ladder.rungs": "32:20",
+                                       "ladder.reference": "0:10"}, []),
+    # ... or was silently replaced by the default
+    ("price", "convertible.ini", {**SMALL, "store_every": -3}, []),
+    # ... or was silently ignored: a call window that opens and closes on
+    # one date
+    ("price", "convertible.ini", {**SMALL,
+                                  "model.call_window": "3.0:3.0:101"}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
     out = tmp_path / "out"
     out.mkdir()
+    (tmp_path / "letters.txt").write_text("1.0\nabc\n")
+    (tmp_path / "two.txt").write_text("1.0\n1.0\n")
     cfg = _config(tmp_path, base, **overrides)
     rc = main([verb, "--config", str(cfg), "--out", str(out), *args])
     err = capsys.readouterr().err
@@ -234,6 +262,21 @@ def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
     assert f"{len(results) - 1}/{len(results)} invariant checks passed" in out
 
 
+def test_non_finite_convertible_is_a_solver_failure_with_no_output(
+        tmp_path, capsys):
+    # a default intensity of 1e308 overflows the first step; the run used
+    # to print U(100) = nan and write all-NaN tables with rc 0
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "convertible.ini", n_elements=64, n_tau=20,
+                  **{"model.hazard_rate": 1e308})
+    with np.errstate(all="ignore"):
+        rc = main(["price", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("solver failure:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb,base", [
     ("price", "leland_ladder.ini"),
     ("converge", "linear_uniform.ini"),
@@ -320,3 +363,57 @@ def test_only_models_knows_the_model():
                 found += [f"{name}.py:{node.lineno}: {a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert not found
+
+
+def _references(tree, dotted_strings):
+    """Names a module refers to, each outside the definitions that bear
+    it: loaded names, attributes and, with ``dotted_strings``, the dotted
+    parts of its string constants."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif (dotted_strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            names = set(node.value.split("."))
+        else:
+            names = set()
+        found.update(names - enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_library_name_has_a_caller():
+    # a function, class or method of the package that nothing but a test
+    # reaches is a second library beside the pipeline.  A name is used
+    # when the package or the benchmark refers to it outside its own
+    # definition; the re-exports of __all__ and __init__ do not count,
+    # and the benchmark names its spans by dotted strings
+    oracles = {"from_dense", "bs_exact_greeks"}
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "igafin").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= _references(tree, dotted_strings=False)
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    defined.setdefault(item.name, []).append(
+                        f"{path.name}:{item.lineno}")
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _references(ast.parse(path.read_text()), dotted_strings=True)
+    unused = sorted(f"{where}: {name}" for name, places in defined.items()
+                    if name not in used | oracles
+                    and not (name.startswith("__") and name.endswith("__"))
+                    for where in places)
+    assert not unused

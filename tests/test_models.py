@@ -30,12 +30,6 @@ class TestLelandParams:
         assert p.kappa == pytest.approx(2.5)
         assert p.horizon == pytest.approx(0.02)
 
-    def test_from_costs(self):
-        p = LelandParams.from_costs(0.1, 0.2, 100.0, 1.0, cost=0.02,
-                                    rebalance_dt=0.01)
-        expect = math.sqrt(2.0 / math.pi) * 0.02 / (0.2 * 0.1)
-        assert p.leland_number == pytest.approx(expect)
-
     @pytest.mark.parametrize("bad", [
         dict(sigma=0.0), dict(strike=-1.0), dict(maturity=0.0),
         dict(rate=-0.01), dict(leland_number=-0.1)])
@@ -62,7 +56,9 @@ class TestAfvParams:
         dict(hazard_rate=-0.02), dict(rho=0.5), dict(newton_tol=0.0),
         dict(coupons=((1.0, 4.0), (0.5, 4.0))),
         dict(coupons=((6.0, 4.0),)),
-        dict(call_window=(4.0, 2.0, 110.0))])
+        dict(call_window=(4.0, 2.0, 110.0)),
+        # the call is tested on (start, end], which one date leaves empty
+        dict(call_window=(3.0, 3.0, 110.0))])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             _table3_params(**bad)
@@ -326,8 +322,7 @@ class TestCalibrateWeights:
     def test_improves_kink_fit(self):
         from igafin.assembly import PhysicalMap
         from igafin.basis import (NurbsBasis, eval_spline_many,
-                                  make_refined_open_knots)
-        from igafin.assembly import group_project
+                                  greville_abscissae, make_refined_open_knots)
 
         p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
         a, b = default_domain(p, "refined")
@@ -341,12 +336,12 @@ class TestCalibrateWeights:
         xi = np.linspace(0.0, 1.0, 1501)
         target = payoff(np.asarray(pmap.to_physical(xi)))
 
+        # the representation the run starts from: the payoff values at the
+        # Greville points taken as coefficients
+        coeffs = payoff(np.asarray(pmap.to_physical(greville_abscissae(knots))))
+
         def fit_error(weights):
             basis = NurbsBasis(knots, weights)
-            from igafin.assembly import Collocation
-            colloc = Collocation(basis)
-            coeffs = colloc.project(payoff(np.asarray(
-                pmap.to_physical(colloc.points))))
             return np.abs(eval_spline_many(basis, coeffs, xi) - target).max()
 
         assert fit_error(w) < fit_error(np.ones(knots.n_basis))

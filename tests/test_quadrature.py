@@ -1,13 +1,11 @@
-"""Gauss-Legendre rules and span-wise integration."""
+"""Gauss-Legendre rules."""
 
 import math
 
 import numpy as np
 import pytest
 
-from igafin.basis import make_uniform_open_knots
-from igafin.quadrature import (gauss_legendre_rule, integrate_interval,
-                               integrate_spans)
+from igafin.quadrature import gauss_legendre_rule
 
 
 class TestRuleConstruction:
@@ -57,39 +55,3 @@ class TestExactness:
             rule = gauss_legendre_rule(n)
             got = float(np.sum(rule.weights * poly(rule.nodes)))
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-
-class TestIntervalIntegration:
-    def test_degenerate_interval(self):
-        rule = gauss_legendre_rule(4)
-        assert integrate_interval(math.exp, 0.3, 0.3, rule) == 0.0
-
-    def test_smooth_integrand(self):
-        rule = gauss_legendre_rule(8)
-        got = integrate_interval(math.exp, 0.0, 1.0, rule)
-        assert got == pytest.approx(math.e - 1.0, abs=1e-13)
-
-    def test_affine_mapping(self):
-        # integral of x^2 over [2, 5] = 39
-        rule = gauss_legendre_rule(3)
-        assert integrate_interval(lambda x: x * x, 2.0, 5.0, rule) \
-            == pytest.approx(39.0, abs=1e-12)
-
-
-class TestSpanIntegration:
-    def test_kink_at_breakpoint_is_exact(self):
-        # |xi - 0.5| is polynomial on each span of an even uniform mesh
-        kv = make_uniform_open_knots(8, 2)
-        rule = gauss_legendre_rule(3)
-        got = integrate_spans(lambda x: abs(x - 0.5), kv, rule)
-        assert got == pytest.approx(0.25, abs=1e-14)
-        # a single interval misses the kink
-        whole = integrate_interval(lambda x: abs(x - 0.5), 0.0, 1.0, rule)
-        assert abs(whole - 0.25) > 1e-5
-
-    def test_repeated_knots_add_no_spans(self):
-        from igafin.basis import make_refined_open_knots
-        kv = make_refined_open_knots(8, 3, 0.5, 0.9)
-        rule = gauss_legendre_rule(4)
-        got = integrate_spans(lambda x: 1.0, kv, rule)
-        assert got == pytest.approx(1.0, abs=1e-14)

@@ -86,9 +86,8 @@ class TestStoredLevels:
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=25, store_every=10))
         assert surf.levels == [0, 10, 20, 23, 24, 25]
-        assert surf.slice_at_level(25) is surf.final
-        with pytest.raises(KeyError):
-            surf.slice_at_level(11)
+        assert surf.slices[surf.levels.index(25)] is surf.final
+        assert 11 not in surf.levels
 
     def test_store_every_zero_keeps_the_mandatory_levels(self):
         a, b = default_domain(LIN)
@@ -162,8 +161,8 @@ class TestLinearMarch:
         for m in range(scheme.n_steps):
             w = step_leland(disc.system, w, dtau, scheme.theta_at(m),
                             le.leland_number)
-            assert np.array_equal(surf.slice_at_level(m + 1).coeffs["vhat"],
-                                  w)
+            stored = surf.slices[surf.levels.index(m + 1)]
+            assert np.array_equal(stored.coeffs["vhat"], w)
 
     def test_costs_leave_no_subnormal_coefficient(self):
         # ahead of the diffusion front the far out-of-the-money tail decays
@@ -272,8 +271,10 @@ class TestAfvMarch:
         # compare at the discrete level hosting the single put date t = 3
         # (tau = 2, level 20 of 50)
         s = np.linspace(40.0, 160.0, 25)
-        u_put = value_curve(rich, disc, with_put.slice_at_level(20), s)
-        u_no = value_curve(rich, disc, without.slice_at_level(20), s)
+        u_put = value_curve(rich, disc,
+                            with_put.slices[with_put.levels.index(20)], s)
+        u_no = value_curve(rich, disc,
+                           without.slices[without.levels.index(20)], s)
         # small local dips are penalty-interface artifacts, not mispricing
         assert np.all(u_put >= u_no - 0.01)
         assert np.max(u_put - u_no) > 1.0
@@ -400,3 +401,32 @@ class TestNewtonSolve:
         assert converged
         assert u == pytest.approx(phi)
 
+    def test_non_finite_load_is_unconverged(self):
+        # NaN fails every bound comparison, so the active sets of a NaN
+        # iterate repeat; that must not count as convergence
+        n = 4
+        eye = BandedMatrix(n, 0, np.ones((1, n)))
+        phi = np.array([1.0, np.nan, 3.0, 4.0])
+        with np.errstate(invalid="ignore"):
+            _, _, converged, residual = newton_solve_U(
+                eye, phi, np.zeros(n), np.full(n, 10.0), eye, 1.0e6, 1.0,
+                tol=1e-12)
+        assert not converged
+        assert not math.isfinite(residual)
+
+
+class TestFiniteGuard:
+    def test_convertible_march_stops_on_a_non_finite_level(self, monkeypatch):
+        # a default intensity of 1e308 overflows the default source in the
+        # first step; the march stops there even when Newton lets it pass
+        solve = stepper.newton_solve_U
+
+        def always_converged(*args, **kwargs):
+            u, iterations, _, residual = solve(*args, **kwargs)
+            return u, iterations, True, residual
+
+        monkeypatch.setattr(stepper, "newton_solve_U", always_converged)
+        disc = build_discretization(-6.0, 2.0, 32)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="time level 1 of 20"):
+            run_afv(_afv(hazard_rate=1e308), disc, SchemeConfig(n_steps=20))
