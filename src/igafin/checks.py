@@ -254,13 +254,14 @@ def check_constraint_violation() -> CheckResult:
     n_steps = 50
     surf = run_afv(params, disc, SchemeConfig(n_steps=n_steps, store_every=1))
     events, _ = params.calendar(surf.dtau, n_steps)
+    conversion = params.conversion_value(disc.greville_x)
     worst = 0.0
     for level, slice_ in zip(surf.levels, surf.slices):
         if level == 0:
             continue
         c_now, put_active = events.get(level, (0.0, False))
         state = constraint_state(params, params.t_of(level * surf.dtau),
-                                 disc.greville_x, put_active=put_active,
+                                 conversion, put_active=put_active,
                                  coupon_now=c_now)
         # stored slices are post-injection; compare net of the coupon
         # (the pinned right coefficient never receives it)

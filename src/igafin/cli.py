@@ -19,13 +19,20 @@ before solving: x_min >= x_max; refined knots with degree < 3, kink_xi
 outside (0, 1) or cluster_ratio outside (0, 1]; theta outside [0, 1];
 negative rannacher_steps or store_every; a weights file that does not hold
 one positive number per basis function; a ladder rung or reference with
-n_elements < 1 or n_tau < 0; a call window that opens and closes on one
-date; degree < 2 or n_tau = 0 for price and greeks (gamma and theta need
-them); a time grid on which every pair of stored slices near t = 0
-straddles a coupon or put date (theta has nothing to difference); and a
-probe price outside the domain.  A march that produces a value that is not
-finite is a solver failure.  price builds every table before it writes its
-first file.
+n_elements < 1 or n_tau < 0; a grid with fewer than three basis functions
+(none interior); n_elements < 2 for the P1 reference or the FDM twin; an
+oracle that does not apply to the model; a call window that opens and
+closes on one date; degree < 2 or n_tau = 0 for price and greeks (gamma and
+theta need them); a time grid on which every pair of stored slices near
+t = 0 straddles a coupon or put date (theta has nothing to difference); and
+a probe price outside the domain.  A march that produces a value that is
+not finite is a solver failure, reported on one line.
+
+price builds every table before it writes its first file.  Each CSV goes
+to a ``.tmp`` file that replaces it at the end and is removed if writing
+fails.  surface.csv is written one stored slice at a time, its level and t
+cells formatted once per slice, so the formatted table never sits in
+memory whole.
 """
 
 from __future__ import annotations
@@ -301,7 +308,8 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
     """(n_elements, weights, scheme) of a run on each (n_elements, n_tau)
     grid: what it builds from the settings before it assembles, with None
     for unit weights.  A ValueError of the interval, the knots, a weights
-    file or the scheme becomes a ConfigError, raised before any solve."""
+    file or the scheme becomes a ConfigError, raised before any solve, and
+    so do knots with fewer than three basis functions (none interior)."""
     try:
         pmap = PhysicalMap(cfg.x_min, cfg.x_max)
         knots = [build_knots(n_e, cfg.degree, cfg.knot_mode,
@@ -311,6 +319,11 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
                    if cfg.weight_source == "file" else None for k in knots]
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from None
+    for (n_e, _), k in zip(grids, knots):
+        if k.n_basis < 3:
+            raise ConfigError(f"n_elements = {n_e} at degree = {cfg.degree} "
+                              f"gives {k.n_basis} basis functions; a run "
+                              "needs at least 3", cfg.path)
     if cfg.weight_source == "calibrated":
         weights = [calibrate_weights(k, pmap, cfg.params.payoff,
                                      kink_xi=cfg.kink_xi) for k in knots]
@@ -331,27 +344,34 @@ def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
                         or max(1, n_tau // 50))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _fmt(v) -> str:
     return "" if v is None else f"{v:.10g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """``rows`` is a 2-D float array, formatted by one "%.10g,..." row
-    template repeated per row, or a list of rows in which None leaves the
-    cell empty."""
-    if isinstance(rows, np.ndarray):
-        line = ",".join(["%.10g"] * rows.shape[1]) + "\n"
-        body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
-    else:
-        body = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
-    _atomic_write(path, ",".join(header) + "\n" + body)
+def _write_csv(path: str, header: list[str], chunks) -> None:
+    """Write ``header`` and then the text ``chunks`` (an iterable, consumed
+    as it is written) to ``path.tmp``, which replaces ``path`` at the end
+    and is removed if writing fails."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(",".join(header) + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
+def _block_lines(block: np.ndarray, prefix=()) -> str:
+    """CSV lines of a 2-D float array, each led by the cells ``prefix``:
+    one "%.10g,..." row template repeated per row, with the prefix
+    formatted once."""
+    lead = "".join("%.10g," % v for v in prefix)
+    line = lead + ",".join(["%.10g"] * block.shape[1]) + "\n"
+    return (line * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def _probe_report(cfg, disc, surf) -> list[str]:
@@ -365,32 +385,48 @@ def _probe_report(cfg, disc, surf) -> list[str]:
             f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
 
 
+def _check_nodes(cfg: ExperimentConfig, what: str, n_elements: int) -> None:
+    """The P1 reference and the FDM twin have n_elements + 1 nodes and need
+    one of them interior."""
+    if n_elements < 2:
+        raise ConfigError(f"{what} needs n_elements >= 2, got {n_elements}",
+                          cfg.path)
+
+
+def _check_oracle(cfg: ExperimentConfig, oracle: str) -> None:
+    """Reject an oracle that does not apply to the model or cannot run on
+    its grid."""
+    if oracle not in ("none", "closed-form", "p1", "fdm"):
+        raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
+    if oracle == "closed-form" and cfg.model != "linear-bs":
+        raise ConfigError("closed-form oracle exists only for linear-bs",
+                          cfg.path)
+    if oracle == "p1" and cfg.model == "afv":
+        raise ConfigError("p1 oracle applies to the call models only",
+                          cfg.path)
+    if oracle in ("p1", "fdm"):
+        _check_nodes(cfg, f"the {oracle} oracle", cfg.n_elements)
+
+
 def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
+    """The oracle's value at the probe; ``_check_oracle`` has passed."""
     if oracle == "none":
         return None
     params = cfg.params
     if oracle == "closed-form":
-        if cfg.model != "linear-bs":
-            raise ConfigError("closed-form oracle exists only for linear-bs",
-                              cfg.path)
         return float(bs_exact_call(cfg.probe_s, 0.0, params))
     if oracle == "p1":
-        if cfg.model == "afv":
-            raise ConfigError("p1 oracle applies to the call models only",
-                              cfg.path)
         disc, surf = p1fem_solve(params, cfg.x_min, cfg.x_max,
                                  cfg.n_elements,
                                  SchemeConfig(n_steps=cfg.n_tau,
                                               store_every=0))
         return float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
-    if oracle == "fdm":
-        twin = fdm_solve_afv if cfg.model == "afv" else fdm_solve_leland
-        res = twin(params, cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau,
-                   cfg.theta, cfg.rannacher_steps)
-        tau, field = params.horizon, params.value_column[1]
-        return params.value_scale(tau) * float(np.interp(
-            params.x_of(cfg.probe_s, tau), res.x, res.values[field]))
-    raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
+    twin = fdm_solve_afv if cfg.model == "afv" else fdm_solve_leland
+    res = twin(params, cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau,
+               cfg.theta, cfg.rannacher_steps)
+    tau, field = params.horizon, params.value_column[1]
+    return params.value_scale(tau) * float(np.interp(
+        params.x_of(cfg.probe_s, tau), res.x, res.values[field]))
 
 
 def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
@@ -425,30 +461,31 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     [grid] = _prepare(cfg, [(cfg.n_elements, cfg.n_tau)])
     _check_greeks_inputs(cfg)
     _check_probe(cfg)
+    _check_oracle(cfg, oracle)
     disc, surf = _build(cfg, *grid)
     params = cfg.params
     fields = [column for column, _ in params.columns]
 
     # every table is built before the first file is written; the fields
-    # at the Greville points take one banded matvec each
+    # at the Greville points take one banded matvec each, and each slice
+    # is one block of surface.csv, its rows led by its level and t
     blocks = []
     for level, slice_ in zip(surf.levels, surf.slices):
         s = params.s_of(disc.greville_x, slice_.tau)
         scale = params.value_scale(slice_.tau)
-        blocks.append(np.column_stack(
-            [np.full_like(s, level), np.full_like(s, params.t_of(slice_.tau)),
-             s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
-                  for _, f in params.columns)]))
-    surface = np.concatenate(blocks)
+        blocks.append(((level, params.t_of(slice_.tau)), np.column_stack(
+            [s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
+                  for _, f in params.columns)])))
     table = greeks_table(params, disc, surf)
     report = _probe_report(cfg, disc, surf)
     ov = _oracle_value(cfg, oracle)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "surface.csv"),
-               ["level", "t", "S"] + fields, surface)
+               ["level", "t", "S"] + fields,
+               (_block_lines(block, prefix) for prefix, block in blocks))
     _write_csv(os.path.join(cfg.out_dir, "slice_t0.csv"), ["S"] + fields,
-               blocks[-1][:, 2:])
+               [_block_lines(blocks[-1][1])])
     write_greeks_csv(os.path.join(cfg.out_dir, "greeks.csv"), table)
     for line in report:
         print(line)
@@ -483,6 +520,7 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
     ref = None
     if cfg.model == "leland" and oracle != "none":
         n_e, n_t = cfg.reference if cfg.reference else max(cfg.rungs)
+        _check_nodes(cfg, "the P1 reference", n_e)
         # only the final slice is read
         ref = p1fem_solve(cfg.params, cfg.x_min, cfg.x_max, n_e,
                           SchemeConfig(n_steps=n_t, store_every=0))
@@ -499,7 +537,8 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
         prev_err = err
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "convergence.csv"),
-               ["n_e", "n_tau", "value", "error", "contraction"], rows)
+               ["n_e", "n_tau", "value", "error", "contraction"],
+               (",".join(map(_fmt, row)) + "\n" for row in rows))
     for row in rows:
         print("  ".join(_fmt(v) or "-" for v in row))
     return 0

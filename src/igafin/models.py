@@ -44,7 +44,7 @@ import numpy as np
 __all__ = [
     "LelandParams", "AfvParams", "UnifiedCoefficients", "ConstraintState",
     "unified_coefficients", "afv_terminal",
-    "accrued_interest", "default_source_terms", "constraint_state",
+    "accrued_interest", "default_delta", "default_gamma", "constraint_state",
     "apply_B_constraints", "apply_joint_constraints", "penalty_terms",
     "calibrate_weights", "default_domain",
 ]
@@ -186,6 +186,11 @@ class AfvParams:
     def value_scale(self, tau: float) -> float:
         return 1.0
 
+    def conversion_value(self, x):
+        """k S_0 e^x, the value of converting at log-prices x."""
+        return self.conversion_ratio * self.s_initial \
+            * np.exp(np.asarray(x, dtype=float))
+
     def payoff(self, x):
         """Terminal holder value U at the prices S = s_of(x, 0)."""
         return afv_terminal(self.s_of(x, 0.0), self)[0]
@@ -287,14 +292,18 @@ def accrued_interest(t: float, params: AfvParams) -> float:
     return 0.0
 
 
-def default_source_terms(x, b_value, params: AfvParams):
-    """Post-default payouts: delta feeds the U equation, gamma feeds C."""
-    base = params.conversion_ratio * params.s_initial * np.exp(np.asarray(x)) \
-        * (1.0 - params.eta)
-    rb = params.recovery * np.asarray(b_value)
-    delta = np.maximum(base, rb)
-    gamma = np.maximum(base - rb, 0.0)
-    return delta, gamma
+def default_delta(conversion_value, b_value, params: AfvParams):
+    """Post-default payout to the holder, the source of U per unit hazard
+    rate: max((1 - eta) kS, R B) at conversion values kS."""
+    return np.maximum(conversion_value * (1.0 - params.eta),
+                      params.recovery * np.asarray(b_value))
+
+
+def default_gamma(conversion_value, b_value, params: AfvParams):
+    """Its equity part, the source of C per unit hazard rate:
+    max((1 - eta) kS - R B, 0)."""
+    return np.maximum(conversion_value * (1.0 - params.eta)
+                      - params.recovery * np.asarray(b_value), 0.0)
 
 
 @dataclass(frozen=True)
@@ -315,10 +324,12 @@ class ConstraintState:
     u_star_call: np.ndarray
 
 
-def constraint_state(params: AfvParams, t: float, x_points: np.ndarray,
-                     put_active: bool = False,
+def constraint_state(params: AfvParams, t: float,
+                     conversion_value: np.ndarray, put_active: bool = False,
                      coupon_now: float = 0.0) -> ConstraintState:
-    """Dirty exercise prices and pointwise bounds at time t on a grid of x.
+    """Dirty exercise prices and pointwise bounds at time t on a grid whose
+    conversion values kS are ``conversion_value``
+    (``params.conversion_value(x)``).
 
     ``put_active`` says whether the put is exercisable at this level; it is
     the flag ``AfvParams.calendar`` gives the level, the one place that
@@ -331,8 +342,6 @@ def constraint_state(params: AfvParams, t: float, x_points: np.ndarray,
     a putting holder surrenders the bond before collecting it (floor drops
     by the coupon).  Between coupons both prices are dirty, clean + AccI.
     """
-    x_points = np.asarray(x_points, dtype=float)
-    ks = params.conversion_ratio * params.s_initial * np.exp(x_points)
     acc = accrued_interest(t, params) if coupon_now == 0.0 else 0.0
     b_call = math.inf
     win = params.call_window
@@ -341,10 +350,10 @@ def constraint_state(params: AfvParams, t: float, x_points: np.ndarray,
     b_put = -math.inf
     if put_active and params.put_window is not None:
         b_put = params.put_window[2] + acc - coupon_now
-    u_star_put = np.maximum(b_put, ks)
-    u_star_call = np.maximum(b_call, ks)
-    return ConstraintState(params.maturity - t, t, b_put, b_call, ks,
-                           u_star_put, u_star_call)
+    return ConstraintState(params.maturity - t, t, b_put, b_call,
+                           conversion_value,
+                           np.maximum(b_put, conversion_value),
+                           np.maximum(b_call, conversion_value))
 
 
 def apply_B_constraints(b_slice: np.ndarray, c_slice: np.ndarray,

@@ -33,7 +33,19 @@ information and every operation on them is many times slower.
 The convertible-bond step follows the operator-splitting order: advance B
 unconstrained, form gamma, advance C, clamp B against the call/put bounds,
 form delta, solve the penalised U system by Newton, shift the joint
-conversion/call clipping of U onto B, then inject coupons.
+conversion/call clipping of U onto B, then inject coupons.  What does not
+change over the march is made once: each theta operator's factors and its
+band stack [R_theta, M, M], the conversion values k S_0 e^x read by the
+default sources and the exercise bounds, and one ``NewtonJacobians`` per
+theta, which reuses the factors of a Jacobian whose penalty shift it met
+among its last four.  A level then forms one constraint state and only the
+source half each step reads; R w and the two mass products of a source
+come from one ``band_products`` call, and the boundary columns enter only
+the first and last ``degree`` interior rows, where they are non-zero.
+
+Both marches run with numpy's floating-point warnings off: a value that
+overflows or turns NaN is reported once, by the finite check of each level
+or by Newton's test of its residual.
 """
 
 from __future__ import annotations
@@ -49,14 +61,15 @@ from .basis import (KnotVector, NurbsBasis, eval_spline_many,
 from .linsolve import BandedLU, BandedMatrix, band_products
 from .models import (AfvParams, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
-                     constraint_state, default_source_terms,
+                     constraint_state, default_delta, default_gamma,
                      unified_coefficients)
 from .quadrature import gauss_legendre_rule
 
 __all__ = [
     "SchemeConfig", "TimeSlice", "SolutionSurface", "Discretization",
     "build_knots", "build_discretization", "step_linear", "step_leland",
-    "step_afv_boundary", "newton_solve_U", "NewtonDivergenceError", "run",
+    "step_afv_boundary", "NewtonJacobians", "newton_solve_U",
+    "NewtonDivergenceError", "run",
     "run_leland", "run_afv", "march_leland", "march_afv", "evaluate_slice",
     "value_curve",
 ]
@@ -181,7 +194,16 @@ def build_discretization(x_min: float, x_max: float, n_elements: int,
 
 
 class _ThetaOperator:
-    """Factorisations of (M + theta dtau A) reused across the whole run."""
+    """Factorisations of (M + theta dtau A) reused across the whole run.
+
+    A step with sources takes the band stack [R_theta, M, M] of its theta,
+    R_theta = M - (1 - theta) dtau A, made on first use, so that R_theta w
+    and the two mass products of the sources come from one
+    ``band_products`` call.  The boundary columns of A and M are non-zero
+    only in their first and last ``near`` rows (the interior rows within
+    the band of a boundary basis function), and only those rows take the
+    lift.
+    """
 
     def __init__(self, system: GalerkinSystem, coeffs, dtau: float,
                  thetas: tuple[float, ...]):
@@ -189,9 +211,13 @@ class _ThetaOperator:
         self.a_int, self.a_cols = system.operator(coeffs)
         self.m_int = system.mass
         self.m_cols = system.mass_cols
+        k = self.near = min(system.degree, system.n_full - 2)
+        self.a_ends = self.a_cols[:k, 0], self.a_cols[-k:, 1]
+        self.m_ends = self.m_cols[:k, 0], self.m_cols[-k:, 1]
         self.lhs_mat: dict[float, BandedMatrix] = {}
         self.lhs_lu: dict[float, BandedLU] = {}
         self.rhs_mat: dict[float, BandedMatrix] = {}
+        self.rhs_bands: dict[float, np.ndarray] = {}
         for th in sorted(set(thetas)):
             self.lhs_mat[th] = self.m_int + self.a_int.scaled(th * dtau)
             self.lhs_lu[th] = self.lhs_mat[th].lu_factor()
@@ -204,24 +230,37 @@ class _ThetaOperator:
         return {th: self.dtau * (th * a_lift + (1.0 - th) * a_lift)
                 for th in self.lhs_lu}
 
-    def mass_apply(self, nu_full: np.ndarray) -> np.ndarray:
-        """(M nu) restricted to interior rows, boundary columns included."""
-        return self.m_int.matvec(nu_full[1:-1]) + self.m_cols @ nu_full[[0, -1]]
-
     def build_rhs(self, w_full: np.ndarray, wb_new, theta: float,
                   nu_m: np.ndarray | None = None,
                   nu_new: np.ndarray | None = None) -> np.ndarray:
-        wb_m = w_full[[0, -1]]
-        wb_new = np.asarray(wb_new, dtype=float)
-        dtau = self.dtau
-        rhs = self.rhs_mat[theta].matvec(w_full[1:-1])
-        rhs -= dtau * (theta * (self.a_cols @ wb_new)
-                       + (1.0 - theta) * (self.a_cols @ wb_m))
-        rhs -= self.m_cols @ (wb_new - wb_m)
+        """The right-hand side of the step from ``w_full`` to boundary
+        values ``wb_new``, with the source coefficients ``nu_m`` and
+        ``nu_new`` (given together, boundary entries included) if any."""
+        dtau, k = self.dtau, self.near
+        if nu_m is None:
+            rhs = self.rhs_mat[theta].matvec(w_full[1:-1])
+        else:
+            bands = self.rhs_bands.get(theta)
+            if bands is None:
+                bands = self.rhs_bands[theta] = np.stack(
+                    [self.rhs_mat[theta].data, self.m_int.data,
+                     self.m_int.data])
+            rhs, m_nu_m, m_nu_new = band_products(
+                bands, np.stack([w_full[1:-1], nu_m[1:-1], nu_new[1:-1]]))
+        (a_top, a_bot), (m_top, m_bot) = self.a_ends, self.m_ends
+        (new_top, new_bot), top, bot = wb_new, w_full[0], w_full[-1]
+        rhs[:k] -= dtau * (theta * (a_top * new_top)
+                           + (1.0 - theta) * (a_top * top))
+        rhs[-k:] -= dtau * (theta * (a_bot * new_bot)
+                            + (1.0 - theta) * (a_bot * bot))
+        rhs[:k] -= m_top * (new_top - top)
+        rhs[-k:] -= m_bot * (new_bot - bot)
         if nu_m is not None:
-            rhs += dtau * (1.0 - theta) * self.mass_apply(nu_m)
-        if nu_new is not None:
-            rhs += dtau * theta * self.mass_apply(nu_new)
+            for m_nu, nu in ((m_nu_m, nu_m), (m_nu_new, nu_new)):
+                m_nu[:k] += m_top * nu[0]
+                m_nu[-k:] += m_bot * nu[-1]
+            rhs += dtau * (1.0 - theta) * m_nu_m
+            rhs += dtau * theta * m_nu_new
         return rhs
 
     def step(self, w_full: np.ndarray, wb_new, theta: float,
@@ -331,48 +370,72 @@ class NewtonDivergenceError(RuntimeError):
             f" residual {residual:.3e}")
 
 
-def newton_solve_U(a11: BandedMatrix, phi: np.ndarray, u_star_put: np.ndarray,
-                   u_star_call: np.ndarray, mass: BandedMatrix, rho: float,
-                   dtau: float, tol: float, max_iter: int = 50,
-                   a11_lu: BandedLU | None = None):
+class NewtonJacobians:
+    """The Jacobians A11 + M diag(shift) of the penalised U system.
+
+    Holds the band stack [A11, M] of the residual and reuses factors: a
+    zero shift takes ``a11_lu``, the factors of A11, and a shift equal to
+    one of the last four distinct shifts asked for takes the factors made
+    for it, since the same matrix gives bitwise the same factors.  One
+    object serves every Newton solve of a march on A11.
+    """
+
+    keep = 4
+
+    def __init__(self, a11: BandedMatrix, mass: BandedMatrix,
+                 a11_lu: BandedLU):
+        self.a11 = a11
+        self.mass = mass
+        self.bands = np.stack([a11.data, mass.data])
+        self.a11_lu = a11_lu
+        self._recent: dict[bytes, BandedLU] = {}
+
+    def factors(self, shift: np.ndarray) -> BandedLU:
+        if not shift.any():
+            return self.a11_lu
+        key = shift.tobytes()
+        lu = self._recent.pop(key, None)
+        if lu is None:
+            lu = (self.a11 + self.mass.scale_columns(shift)).lu_factor()
+        self._recent[key] = lu
+        if len(self._recent) > self.keep:
+            del self._recent[next(iter(self._recent))]
+        return lu
+
+
+def newton_solve_U(jacobians: NewtonJacobians, phi: np.ndarray,
+                   u_star_put: np.ndarray, u_star_call: np.ndarray,
+                   rho: float, dtau: float, tol: float, max_iter: int = 50):
     """Damped-free Newton iteration on the penalised interior U system.
 
     Solves f(U) = A11 U + rho dtau M [P_put (U - U*_put) + P_call
     (U - U*_call)] - phi = 0 with indicator refresh each iterate; the
     Jacobian A11 + rho dtau M (P_put + P_call) stays banded because the
-    penalty acts diagonally on coefficients.  Stops when the update drops
-    below ``tol`` in the max norm or the active sets repeat, unconverged
-    if the residual there is not finite (NaN iterates repeat their sets).
+    penalty acts diagonally on coefficients, and ``jacobians`` (on A11 and
+    M) gives its factors.  Starts from U = A11^{-1} phi.  Stops when the
+    update drops below ``tol`` in the max norm or the active sets repeat,
+    unconverged if the residual there is not finite (NaN iterates repeat
+    their sets).
 
     Returns (U, iterations, converged, residual) with the residual
-    max|f(U)| at the returned iterate.  ``a11_lu``, the factors of ``a11``
-    when the caller already holds them (else they are factored here),
-    serve the start U = A11^{-1} phi and every iterate with no active
-    penalty, whose Jacobian is then exactly ``a11``.
+    max|f(U)| at the returned iterate.
     """
-    if a11_lu is None:
-        a11_lu = a11.lu_factor()
-    u = a11_lu.solve(phi)
+    u = jacobians.a11_lu.solve(phi)
 
     def active(u):
         return ((u_star_put - u >= 0.0).astype(float),
                 (u - u_star_call >= 0.0).astype(float))
 
-    bands = np.stack([a11.data, mass.data])
-
     def residual(u, p_put, p_call):
         pen = np.where(p_put > 0, u - u_star_put, 0.0) \
             + np.where(p_call > 0, u - u_star_call, 0.0)
-        a_u, m_pen = band_products(bands, np.stack([u, pen]))
+        a_u, m_pen = band_products(jacobians.bands, np.stack([u, pen]))
         return a_u + rho * dtau * m_pen - phi
 
     p_put, p_call = active(u)
     for it in range(1, max_iter + 1):
         f = residual(u, p_put, p_call)
-        shift = rho * dtau * (p_put + p_call)
-        jac_lu = ((a11 + mass.scale_columns(shift)).lu_factor()
-                  if shift.any() else a11_lu)
-        du = jac_lu.solve(f)
+        du = jacobians.factors(rho * dtau * (p_put + p_call)).solve(f)
         u = u - du
         p_put_new, p_call_new = active(u)
         same_active = np.array_equal(p_put_new, p_put) and \
@@ -412,6 +475,7 @@ def run_leland(params: LelandParams, disc: Discretization,
                         disc.min_span_x(), force_mixed)
 
 
+@np.errstate(all="ignore")
 def march_leland(params: LelandParams, system: GalerkinSystem,
                  nodes: np.ndarray, scheme: SchemeConfig, min_dx: float,
                  force_mixed: bool | None = None) -> SolutionSurface:
@@ -458,6 +522,7 @@ def run_afv(params: AfvParams, disc: Discretization,
     return march_afv(params, disc.system, disc.greville_x, scheme)
 
 
+@np.errstate(all="ignore")
 def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
               scheme: SchemeConfig) -> SolutionSurface:
     """The convertible-bond march on any space: ``system`` with one
@@ -480,13 +545,20 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
     ops = {name: _ThetaOperator(system, unified_coefficients(params, name),
                                 dtau, thetas) for name in ("U", "B")}
     ops["C"] = ops["U"]
+    jacobians = {th: NewtonJacobians(lhs, ops["U"].m_int,
+                                     ops["U"].lhs_lu[th])
+                 for th, lhs in ops["U"].lhs_mat.items()}
     events, _ = params.calendar(dtau, n_steps)
+    conversion = params.conversion_value(nodes)
+    hazard = params.hazard_rate
 
-    def nodal_sources(b_full: np.ndarray):
-        delta_g, gamma_g = default_source_terms(nodes, b_full, params)
-        return params.hazard_rate * delta_g, params.hazard_rate * gamma_g
+    def nu_delta(b_full: np.ndarray) -> np.ndarray:
+        return hazard * default_delta(conversion, b_full, params)
 
-    nu_delta_m, nu_gamma_m = nodal_sources(w["B"])
+    def nu_gamma(b_full: np.ndarray) -> np.ndarray:
+        return hazard * default_gamma(conversion, b_full, params)
+
+    nu_delta_m, nu_gamma_m = nu_delta(w["B"]), nu_gamma(w["B"])
     right_bc = {"U": ks[-1], "B": 0.0, "C": ks[-1]}
     constrained = params.rho > 0.0
 
@@ -494,8 +566,10 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
         theta = scheme.theta_at(m)
         level = m + 1
         coupon, put_active = events.get(level, (0.0, False))
-        state = constraint_state(params, params.t_of(level * dtau), nodes,
-                                 put_active=put_active, coupon_now=coupon)
+        state = constraint_state(params, params.t_of(level * dtau),
+                                 conversion, put_active=put_active,
+                                 coupon_now=coupon)
+        inner = _interior_state(state)
 
         # boundary values at the new level: scalar ODEs at S = 0, pin at S_max
         u0, b0, c0 = step_afv_boundary(
@@ -510,22 +584,17 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
         # 1) cash component, unconstrained
         b_new = ops["B"].step(w["B"], (b0, right_bc["B"]), theta)
         # 2) equity component with its default source
-        _, nu_gamma_new = nodal_sources(b_new)
         c_new = ops["C"].step(w["C"], (c0, right_bc["C"]), theta,
-                              nu_m=nu_gamma_m, nu_new=nu_gamma_new)
+                              nu_m=nu_gamma_m, nu_new=nu_gamma(b_new))
         # 3) clamp B against the call ceiling / put floor
         if constrained:
-            b_new[1:-1] = apply_B_constraints(b_new[1:-1], c_new[1:-1],
-                                              _interior_state(state))
+            b_new[1:-1] = apply_B_constraints(b_new[1:-1], c_new[1:-1], inner)
         # 4) holder value: penalised Newton solve
-        nu_delta_new, _ = nodal_sources(b_new)
         phi = ops["U"].build_rhs(w["U"], (u0, right_bc["U"]), theta,
-                                 nu_m=nu_delta_m, nu_new=nu_delta_new)
+                                 nu_m=nu_delta_m, nu_new=nu_delta(b_new))
         u_int, iters, converged, residual = newton_solve_U(
-            ops["U"].lhs_mat[theta], phi, state.u_star_put[1:-1],
-            state.u_star_call[1:-1], ops["U"].m_int, params.rho, dtau,
-            params.newton_tol, params.newton_max_iter,
-            a11_lu=ops["U"].lhs_lu[theta])
+            jacobians[theta], phi, inner.u_star_put, inner.u_star_call,
+            params.rho, dtau, params.newton_tol, params.newton_max_iter)
         if not converged:
             raise NewtonDivergenceError(iters, residual, level)
         u_new = np.empty_like(w["U"])
@@ -533,15 +602,15 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
         u_new[0], u_new[-1] = u0, right_bc["U"]
         # 5) shift the joint clipping of U onto B
         if constrained:
-            b_new[1:-1] = apply_joint_constraints(
-                b_new[1:-1], u_new[1:-1], _interior_state(state))
+            b_new[1:-1] = apply_joint_constraints(b_new[1:-1], u_new[1:-1],
+                                                  inner)
         # 6) coupons: bond holders collect while the bond is alive
         if coupon:
             u_new[:-1] += coupon
             b_new[:-1] += coupon
         w = {"U": u_new, "B": b_new, "C": c_new}
         _check_finite(w.values(), level, n_steps)
-        nu_delta_m, nu_gamma_m = nodal_sources(b_new)
+        nu_delta_m, nu_gamma_m = nu_delta(b_new), nu_gamma(b_new)
         if level in keep:
             slices.append(TimeSlice(level * dtau,
                                     {k: v.copy() for k, v in w.items()}))

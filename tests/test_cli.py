@@ -133,6 +133,14 @@ SMALL = {"n_elements": 32, "n_tau": 20}
     # one date
     ("price", "convertible.ini", {**SMALL,
                                   "model.call_window": "3.0:3.0:101"}, []),
+    # ... or ended in a traceback: a grid with no interior basis function,
+    # and a finite-difference twin on one cell
+    ("converge", "leland_ladder.ini", {"degree": 1, "ladder.rungs": "1:20",
+                                       "ladder.reference": "1:10"}, []),
+    ("converge", "leland_ladder.ini", {**SMALL, "ladder.rungs": "32:20",
+                                       "ladder.reference": "1:10"}, []),
+    ("price", "convertible.ini", {**SMALL, "n_elements": 1},
+     ["--oracle", "fdm"]),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -182,7 +190,10 @@ def test_newton_failure_is_a_solver_failure_with_no_output(tmp_path, capsys,
 def test_newton_reuses_the_operator_factors_without_penalty(tmp_path,
                                                             monkeypatch):
     # 154 of the 705 Newton Jacobians on this config have no active
-    # penalty and reuse the factors of the theta operator
+    # penalty and reuse the factors of the theta operator; the other 551
+    # are 153 distinct matrices, and those met again among the last four
+    # reuse their factors too, leaving 267 Jacobian factorisations beside
+    # the 4 of the theta operators (2 operators x 2 thetas)
     import igafin.linsolve as linsolve
     init, count = linsolve.BandedLU.__init__, [0]
 
@@ -194,7 +205,7 @@ def test_newton_reuses_the_operator_factors_without_penalty(tmp_path,
     cfg = ROOT / "configs" / "convertible.ini"
     assert main(["price", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 0
-    assert count[0] == 555
+    assert count[0] == 271
 
 
 def test_p1_oracle_keeps_only_the_mandatory_slices(tmp_path, capsys,
@@ -263,18 +274,41 @@ def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
 
 
 def test_non_finite_convertible_is_a_solver_failure_with_no_output(
-        tmp_path, capsys):
+        tmp_path):
     # a default intensity of 1e308 overflows the first step; the run used
-    # to print U(100) = nan and write all-NaN tables with rc 0
+    # to print U(100) = nan and write all-NaN tables with rc 0, and then
+    # numpy's overflow warnings ahead of its one-line message
     out = tmp_path / "out"
     cfg = _config(tmp_path, "convertible.ini", n_elements=64, n_tau=20,
                   **{"model.hazard_rate": 1e308})
-    with np.errstate(all="ignore"):
-        rc = main(["price", "--config", str(cfg), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 3 and captured.out == ""
-    assert captured.err.startswith("solver failure:")
+    proc = subprocess.run(
+        [sys.executable, "-m", "igafin.cli", "price", "--config", str(cfg),
+         "--out", str(out)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("solver failure:")
+    assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_failure_while_the_surface_streams_leaves_no_file(tmp_path,
+                                                          monkeypatch):
+    import igafin.cli as cli
+    lines, written = cli._block_lines, []
+
+    def failing(block, prefix=()):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(prefix)
+        return lines(block, prefix)
+
+    monkeypatch.setattr(cli, "_block_lines", failing)
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "convertible.ini", **SMALL)
+    with pytest.raises(OSError, match="disk full"):
+        main(["price", "--config", str(cfg), "--out", str(out)])
+    assert len(written) == 3
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("verb,base", [

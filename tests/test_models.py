@@ -8,8 +8,8 @@ import pytest
 from igafin.models import (AfvParams, LelandParams, accrued_interest,
                            afv_terminal, apply_B_constraints,
                            apply_joint_constraints, calibrate_weights,
-                           constraint_state, default_domain,
-                           default_source_terms, penalty_terms,
+                           constraint_state, default_delta, default_domain,
+                           default_gamma, penalty_terms,
                            unified_coefficients)
 
 
@@ -213,7 +213,9 @@ class TestDefaultSourceTerms:
     def test_zero_recovery(self):
         p = _table3_params()
         x = np.array([-1.0, 0.0, 0.5])
-        delta, gamma = default_source_terms(x, np.zeros(3), p)
+        ks = p.conversion_value(x)
+        delta = default_delta(ks, np.zeros(3), p)
+        gamma = default_gamma(ks, np.zeros(3), p)
         expect = 100.0 * np.exp(x)
         assert delta == pytest.approx(expect)
         assert gamma == pytest.approx(expect)
@@ -221,38 +223,40 @@ class TestDefaultSourceTerms:
     def test_recovery_branch(self):
         p = _table3_params(recovery=0.5)
         # deep out of the money the recovered cash exceeds conversion value
-        delta, gamma = default_source_terms(
-            np.array([-4.0]), np.array([100.0]), p)
+        ks = p.conversion_value([-4.0])
+        delta = default_delta(ks, np.array([100.0]), p)
+        gamma = default_gamma(ks, np.array([100.0]), p)
         assert delta[0] == pytest.approx(50.0)
         assert gamma[0] == 0.0
 
     def test_eta_haircut(self):
         p = _table3_params(eta=0.3)
-        delta, _ = default_source_terms(np.array([0.0]), np.array([0.0]), p)
+        delta = default_delta(p.conversion_value([0.0]), np.array([0.0]), p)
         assert delta[0] == pytest.approx(70.0)
 
 
 class TestConstraintState:
     def test_window_edges_left_open(self):
         p = _table3_params()
-        x = np.array([0.0])
+        ks = p.conversion_value([0.0])
         # call window (2, 5]: inactive exactly at the start, active at the end
-        assert not np.isfinite(constraint_state(p, 2.0, x).b_call_dirty)
-        assert np.isfinite(constraint_state(p, 2.5, x).b_call_dirty)
-        assert np.isfinite(constraint_state(p, 5.0, x).b_call_dirty)
+        assert not np.isfinite(constraint_state(p, 2.0, ks).b_call_dirty)
+        assert np.isfinite(constraint_state(p, 2.5, ks).b_call_dirty)
+        assert np.isfinite(constraint_state(p, 5.0, ks).b_call_dirty)
 
     def test_dirty_prices_include_accrual(self):
         p = _table3_params()
-        st = constraint_state(p, 2.75, np.array([0.0]))
+        st = constraint_state(p, 2.75, p.conversion_value([0.0]))
         assert st.b_call_dirty == pytest.approx(110.0 + 2.0)
-        st3 = constraint_state(p, 3.0, np.array([0.0]), put_active=True)
+        st3 = constraint_state(p, 3.0, p.conversion_value([0.0]),
+                               put_active=True)
         # t = 3 is a payment date: accrual has reset to the full coupon
         assert st3.b_put_dirty == pytest.approx(105.0 + 4.0)
 
     def test_coupon_settlement_nets_the_payment(self):
         p = _table3_params()
-        st = constraint_state(p, 3.0, np.array([0.0]), put_active=True,
-                              coupon_now=4.0)
+        st = constraint_state(p, 3.0, p.conversion_value([0.0]),
+                              put_active=True, coupon_now=4.0)
         # pre-injection clamp: accrual resets, put floor surrenders the coupon
         assert st.b_put_dirty == pytest.approx(101.0)
         assert st.b_call_dirty == pytest.approx(110.0)
@@ -260,7 +264,7 @@ class TestConstraintState:
     def test_pointwise_bounds(self):
         p = _table3_params()
         x = np.array([-1.0, 0.0, 0.5])
-        st = constraint_state(p, 4.0, x)
+        st = constraint_state(p, 4.0, p.conversion_value(x))
         ks = 100.0 * np.exp(x)
         assert st.conversion_value == pytest.approx(ks)
         assert st.u_star_call == pytest.approx(np.maximum(st.b_call_dirty, ks))
@@ -268,7 +272,7 @@ class TestConstraintState:
 
     def test_inactive_windows_are_sentinels(self):
         p = _table3_params()
-        st = constraint_state(p, 1.0, np.array([0.0]))
+        st = constraint_state(p, 1.0, p.conversion_value([0.0]))
         assert st.b_call_dirty == math.inf
         assert st.b_put_dirty == -math.inf
         assert st.u_star_put == pytest.approx([100.0])  # conversion floor
@@ -277,13 +281,14 @@ class TestConstraintState:
 class TestApplyConstraints:
     def test_call_ceiling(self):
         p = _table3_params()
-        st = constraint_state(p, 5.0, np.array([0.0]))
+        st = constraint_state(p, 5.0, p.conversion_value([0.0]))
         b = apply_B_constraints(np.array([120.0]), np.array([0.0]), st)
         assert b[0] == pytest.approx(st.b_call_dirty)
 
     def test_put_floor_counts_equity_component(self):
         p = _table3_params(put_window=(3.0, 3.0, 105.0), call_window=None)
-        st = constraint_state(p, 3.0, np.array([0.0]), put_active=True)
+        st = constraint_state(p, 3.0, p.conversion_value([0.0]),
+                              put_active=True)
         floor = st.b_put_dirty
         b = apply_B_constraints(np.array([0.0]), np.array([0.0]), st)
         assert b[0] == pytest.approx(floor)
@@ -294,7 +299,7 @@ class TestApplyConstraints:
     def test_joint_clip_shifts_cash_component(self):
         p = _table3_params()
         x = np.array([0.3, 0.3])
-        st = constraint_state(p, 4.0, x)
+        st = constraint_state(p, 4.0, p.conversion_value(x))
         u = np.array([100.0, 400.0])
         b = np.array([60.0, 60.0])
         b_new = apply_joint_constraints(b, u, st)
@@ -306,7 +311,7 @@ class TestApplyConstraints:
 
     def test_penalty_terms_signs_and_indicators(self):
         p = _table3_params()
-        st = constraint_state(p, 5.0, np.array([0.0, 0.0]))
+        st = constraint_state(p, 5.0, p.conversion_value([0.0, 0.0]))
         u = np.array([st.u_star_put[0] - 1.0, st.u_star_call[1] + 2.0])
         pen, a_put, a_call = penalty_terms(u, st, rho=100.0)
         assert pen[0] == pytest.approx(100.0)

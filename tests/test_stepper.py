@@ -13,10 +13,10 @@ from igafin.models import (AfvParams, LelandParams, afv_terminal,
                            unified_coefficients)
 from igafin.quadrature import gauss_legendre_rule
 from igafin.reference import bs_exact_call
-from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
-                            build_discretization, evaluate_slice,
-                            newton_solve_U, run, run_afv, run_leland,
-                            step_leland, value_curve)
+from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
+                            SchemeConfig, build_discretization,
+                            evaluate_slice, newton_solve_U, run, run_afv,
+                            run_leland, step_leland, value_curve)
 
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
 
@@ -301,8 +301,9 @@ class TestAfvMarch:
         dtau = params.horizon / n_steps
         events, _ = params.calendar(dtau, n_steps)
         args = {m: events.get(m, (0.0, False)) for m in range(1, n_steps + 1)}
-        floors = {m: constraint_state(params, params.t_of(m * dtau),
-                                      disc.greville_x, put_active=put,
+        ks = params.conversion_value(disc.greville_x)
+        floors = {m: constraint_state(params, params.t_of(m * dtau), ks,
+                                      put_active=put,
                                       coupon_now=coupon).b_put_dirty
                   for m, (coupon, put) in args.items()}
         inside = {m for m in args if 2.5 < params.t_of(m * dtau) <= 3.0}
@@ -311,8 +312,8 @@ class TestAfvMarch:
 
         recorded = []
 
-        def spy(p, t, x, put_active=False, coupon_now=0.0):
-            state = constraint_state(p, t, x, put_active=put_active,
+        def spy(p, t, ks, put_active=False, coupon_now=0.0):
+            state = constraint_state(p, t, ks, put_active=put_active,
                                      coupon_now=coupon_now)
             recorded.append(((coupon_now, put_active), state.b_put_dirty))
             return state
@@ -369,7 +370,8 @@ class TestAfvMarch:
         disc = build_discretization(-6.0, 2.0, 32)
         with pytest.raises(NewtonDivergenceError) as err:
             run_afv(params, disc, SchemeConfig(n_steps=20))
-        (a11, phi, put, call, mass, rho, dtau, _, _), (u, _, ok, _) = calls[-1]
+        (jac, phi, put, call, rho, dtau, _, _), (u, _, ok, _) = calls[-1]
+        a11, mass = jac.a11, jac.mass
         assert not ok
         pen = np.where(put - u >= 0.0, u - put, 0.0) \
             + np.where(u - call >= 0.0, u - call, 0.0)
@@ -377,27 +379,78 @@ class TestAfvMarch:
         assert err.value.residual == pytest.approx(np.abs(f).max(), rel=1e-9)
 
 
+def _dense_rhs(op, w, wb_new, theta, nu_m=None, nu_new=None):
+    """``build_rhs`` as the dense-column formula: every boundary column
+    applied to all interior rows by (n-2) x 2 products."""
+    wb_m, wb_new, dtau = w[[0, -1]], np.asarray(wb_new, dtype=float), op.dtau
+    rhs = op.rhs_mat[theta].matvec(w[1:-1])
+    rhs -= dtau * (theta * (op.a_cols @ wb_new)
+                   + (1.0 - theta) * (op.a_cols @ wb_m))
+    rhs -= op.m_cols @ (wb_new - wb_m)
+    if nu_m is not None:
+        for weight, nu in ((1.0 - theta, nu_m), (theta, nu_new)):
+            rhs += dtau * weight * (op.m_int.matvec(nu[1:-1])
+                                    + op.m_cols @ nu[[0, -1]])
+    return rhs
+
+
+class TestThetaOperator:
+    def _operator(self, n_elements, degree):
+        disc = build_discretization(-6.0, 2.0, n_elements, degree)
+        op = stepper._ThetaOperator(disc.system, (0.02, 0.045, 0.07), 0.0125,
+                                    (0.5, 1.0))
+        rng = np.random.default_rng(7 * n_elements + degree)
+        w, nu_m, nu_new = 100.0 * rng.standard_normal((3, disc.n_basis))
+        return op, w, nu_m, nu_new, (97.5, 3.25)
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_rhs_is_bitwise_the_dense_column_formula(self, degree):
+        op, w, nu_m, nu_new, wb_new = self._operator(24, degree)
+        for theta in (0.5, 1.0):
+            assert np.array_equal(op.build_rhs(w, wb_new, theta),
+                                  _dense_rhs(op, w, wb_new, theta))
+            assert np.array_equal(
+                op.build_rhs(w, wb_new, theta, nu_m, nu_new),
+                _dense_rhs(op, w, wb_new, theta, nu_m, nu_new))
+
+    @pytest.mark.parametrize("n_elements,degree", [(2, 1), (2, 3), (3, 3)])
+    def test_overlapping_boundary_blocks_agree_to_rounding(self, n_elements,
+                                                           degree):
+        # n - 2 <= 2 degree: some rows take both boundary columns, added
+        # one at a time rather than in one dot product
+        op, w, nu_m, nu_new, wb_new = self._operator(n_elements, degree)
+        assert len(w) - 2 <= 2 * degree
+        got = op.build_rhs(w, wb_new, 0.5, nu_m, nu_new)
+        want = _dense_rhs(op, w, wb_new, 0.5, nu_m, nu_new)
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+def _identity_jacobians(n):
+    eye = BandedMatrix(n, 0, np.ones((1, n)))
+    return NewtonJacobians(eye, eye, eye.lu_factor())
+
+
 class TestNewtonSolve:
     def test_penalty_limit_tiny_system(self):
         # identity operator, zero load, floor at 1: the penalised solution
         # sits within O(1/rho) of the floor
         n, rho = 5, 1.0e4
-        eye = BandedMatrix(n, 0, np.ones((1, n)))
         floor = np.ones(n)
         roof = np.full(n, math.inf)
         u, iters, converged, _ = newton_solve_U(
-            eye, np.zeros(n), floor, roof, eye, rho, 1.0, tol=1e-12)
+            _identity_jacobians(n), np.zeros(n), floor, roof, rho, 1.0,
+            tol=1e-12)
         assert converged
         assert iters >= 1
         assert np.abs(u - 1.0).max() <= 2.0 / rho
 
     def test_unconstrained_solves_linear_system(self):
         n = 4
-        eye = BandedMatrix(n, 0, np.ones((1, n)))
         phi = np.array([1.0, 2.0, 3.0, 4.0])
         u, iters, converged, _ = newton_solve_U(
-            eye, phi, np.full(n, -math.inf), np.full(n, math.inf), eye,
-            1.0e6, 1.0, tol=1e-12)
+            _identity_jacobians(n), phi, np.full(n, -math.inf),
+            np.full(n, math.inf), 1.0e6, 1.0, tol=1e-12)
         assert converged
         assert u == pytest.approx(phi)
 
@@ -405,14 +458,34 @@ class TestNewtonSolve:
         # NaN fails every bound comparison, so the active sets of a NaN
         # iterate repeat; that must not count as convergence
         n = 4
-        eye = BandedMatrix(n, 0, np.ones((1, n)))
         phi = np.array([1.0, np.nan, 3.0, 4.0])
         with np.errstate(invalid="ignore"):
             _, _, converged, residual = newton_solve_U(
-                eye, phi, np.zeros(n), np.full(n, 10.0), eye, 1.0e6, 1.0,
-                tol=1e-12)
+                _identity_jacobians(n), phi, np.zeros(n), np.full(n, 10.0),
+                1.0e6, 1.0, tol=1e-12)
         assert not converged
         assert not math.isfinite(residual)
+
+    def test_factor_cache_gives_bitwise_the_fresh_result(self,
+                                                          monkeypatch):
+        # every solve of a march, whose Jacobians reuse factors across
+        # levels, replayed with fresh factors
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = newton_solve_U(*args, **kwargs)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(stepper, "newton_solve_U", recording)
+        run_afv(_afv(), build_discretization(-6.0, 2.0, 32),
+                SchemeConfig(n_steps=40))
+        assert sum(out[1] for _, out in calls) > len(calls)
+        for (jac, *rest), (u, iters, ok, res) in calls:
+            fresh = NewtonJacobians(jac.a11, jac.mass, jac.a11.lu_factor())
+            u_f, iters_f, ok_f, res_f = newton_solve_U(fresh, *rest)
+            assert np.array_equal(u, u_f)
+            assert (iters, ok, res) == (iters_f, ok_f, res_f)
 
 
 class TestFiniteGuard:
