@@ -17,7 +17,7 @@ from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
 from .linsolve import BandedLU, BandedMatrix, SingularMatrixError
 from .models import (AfvParams, ConstraintState, LelandParams,
                      accrued_interest, afv_terminal, calibrate_weights,
-                     constraint_state, default_domain, unified_coefficients)
+                     constraint_state)
 from .stepper import (Discretization, NewtonDivergenceError, SchemeConfig,
                       SolutionSurface, TimeSlice, build_discretization,
                       evaluate_slice, run, run_afv, run_leland, value_curve)
@@ -37,8 +37,7 @@ __all__ = [
     "Collocation", "GalerkinSystem", "PhysicalMap", "assemble",
     "BandedLU", "BandedMatrix", "SingularMatrixError",
     "AfvParams", "ConstraintState", "LelandParams", "accrued_interest",
-    "afv_terminal", "calibrate_weights", "constraint_state", "default_domain",
-    "unified_coefficients",
+    "afv_terminal", "calibrate_weights", "constraint_state",
     "Discretization", "NewtonDivergenceError", "SchemeConfig",
     "SolutionSurface", "TimeSlice", "build_discretization",
     "evaluate_slice", "run", "run_afv", "run_leland", "value_curve",

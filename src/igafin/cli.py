@@ -7,23 +7,27 @@ price      one solve; writes surface.csv, slice_t0.csv, greeks.csv and prints
            and at the nearest Greville grid point (the exact number is the
            one the benchmark tables quote).
 converge   ladder of (n_elements, n_tau) runs; writes convergence.csv with
-           value, oracle-error and contraction columns.
+           value, error and contraction columns, the error against the
+           closed form (linear-bs) or the P1 reference (leland).
 greeks     one solve; writes greeks.csv only.
 validate   runs the structural invariant suite, one report line per check.
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
 failure.  Unknown configuration keys are hard errors carrying the offending
 line number, and nothing is written unless the whole configuration parses.
-Settings that parse but cannot run are configuration errors too, raised
-before solving: x_min >= x_max; refined knots with degree < 3, kink_xi
-outside (0, 1) or cluster_ratio outside (0, 1]; theta outside [0, 1];
-negative rannacher_steps or store_every; a weights file that does not hold
-one positive number per basis function; a ladder rung or reference with
-n_elements < 1 or n_tau < 0; a grid with fewer than three basis functions
-(none interior); n_elements < 2 for the P1 reference or the FDM twin; an
-oracle that does not apply to the model; a call window that opens and
-closes on one date; degree < 2 or n_tau = 0 for price and greeks (gamma and
-theta need them); a time grid on which every pair of stored slices near
+The [model] keys are the fields of the model's parameter class, with its
+defaults; a field without a default is a required key.  Settings that parse
+but cannot run are configuration errors too, raised before solving:
+x_min >= x_max; refined knots with degree < 3, cluster_ratio outside
+(0, 1], or the payoff kink, where they cluster, outside (x_min, x_max);
+theta outside [0, 1]; negative rannacher_steps or store_every; a weights
+file that does not hold one positive number per basis function; a ladder
+rung or reference with n_elements < 1 or n_tau < 0; a grid with fewer than
+three basis functions (none interior); n_elements < 2 for the P1 reference
+or the FDM twin; an oracle that does not apply to the model, and for
+converge any oracle but the model's own or none; a call window that opens
+and closes on one date; degree < 2 or n_tau = 0 for price and greeks (gamma
+and theta need them); a time grid on which every pair of stored slices near
 t = 0 straddles a coupon or put date (theta has nothing to difference); and
 a probe price outside the domain.  A march that produces a value that is
 not finite is a solver failure, reported on one line.
@@ -42,7 +46,7 @@ import configparser
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,8 +54,7 @@ from .assembly import PhysicalMap
 from .basis import load_weights
 from .checks import format_report, run_checks
 from .greeks import greeks_table, theta_pair, write_greeks_csv
-from .models import (AfvParams, LelandParams, calibrate_weights,
-                     default_domain)
+from .models import AfvParams, LelandParams, calibrate_weights
 from .reference import (bs_exact_call, fdm_solve_afv, fdm_solve_leland,
                         misfit_epsilon, p1fem_solve)
 from .stepper import (NewtonDivergenceError, SchemeConfig,
@@ -71,24 +74,19 @@ class ConfigError(ValueError):
         self.line = line
 
 
+_MODELS = {"linear-bs": LelandParams, "leland": LelandParams,
+           "afv": AfvParams}
+# the oracle each model's ladder is measured against
+_LADDER_ORACLE = {"linear-bs": "closed-form", "leland": "p1", "afv": "none"}
 _KNOWN_KEYS = {
     "experiment": {"model", "probe_s"},
     "discretization": {"degree", "n_elements", "knot_mode", "cluster_ratio",
-                       "kink_xi", "weight_source", "weights_file", "n_tau",
-                       "theta", "rannacher_steps", "x_min", "x_max",
-                       "store_every"},
-    "model": {"rate", "sigma", "strike", "maturity", "leland_number",
-              "face_value", "conversion_ratio", "s_initial", "hazard_rate",
-              "recovery", "eta", "coupons", "call_window", "put_window",
-              "rho", "newton_tol"},
+                       "weight_source", "weights_file", "n_tau", "theta",
+                       "rannacher_steps", "x_min", "x_max", "store_every"},
+    "model": {f.name for cls in _MODELS.values() for f in fields(cls)},
     "ladder": {"rungs", "reference"},
     "output": {"dir"},
 }
-_MODELS = ("linear-bs", "leland", "afv")
-_LELAND_KEYS = {"rate", "sigma", "strike", "maturity", "leland_number"}
-_AFV_KEYS = {"rate", "sigma", "maturity", "face_value", "conversion_ratio",
-             "s_initial", "hazard_rate", "recovery", "eta", "coupons",
-             "call_window", "put_window", "rho", "newton_tol"}
 
 
 @dataclass
@@ -102,7 +100,6 @@ class ExperimentConfig:
     n_elements: int
     knot_mode: str
     cluster_ratio: float | None
-    kink_xi: float
     weight_source: str
     weights_file: str | None
     n_tau: int
@@ -170,6 +167,11 @@ def _parse_window(raw: str) -> tuple[float, float, float] | None:
     return (a, b, price)
 
 
+# the [model] keys whose values are not plain floats
+_CONVERTERS = {"coupons": _parse_pairs, "call_window": _parse_window,
+               "put_window": _parse_window}
+
+
 def _parse_rungs(raw: str) -> list[tuple[int, int]]:
     out = []
     for item in (s for s in re.split(r"[,\n]+", raw) if s.strip()):
@@ -208,9 +210,10 @@ def parse_config(path: str) -> ExperimentConfig:
     model = _get(cp, lines, path, "experiment", "model", str, required=True)
     model = model.strip().lower()
     if model not in _MODELS:
-        raise ConfigError(f"model must be one of {_MODELS}, got '{model}'",
-                          path, lines.get(("experiment", "model")))
-    allowed = _LELAND_KEYS if model != "afv" else _AFV_KEYS
+        raise ConfigError(f"model must be one of {tuple(_MODELS)}, got "
+                          f"'{model}'", path, lines.get(("experiment", "model")))
+    cls = _MODELS[model]
+    allowed = {f.name for f in fields(cls)}
     if cp.has_section("model"):
         for key in cp.options("model"):
             if key not in allowed:
@@ -221,36 +224,15 @@ def parse_config(path: str) -> ExperimentConfig:
     def g(section, key, conv, default=None, required=False):
         return _get(cp, lines, path, section, key, conv, default, required)
 
+    # a parameter field with no default is a required key
+    values = {f.name: g("model", f.name, _CONVERTERS.get(f.name, float),
+                        f.default, required=f.default is MISSING)
+              for f in fields(cls)}
+    if model == "linear-bs" and values["leland_number"] != 0.0:
+        raise ConfigError("linear-bs requires leland_number = 0",
+                          path, lines.get(("model", "leland_number")))
     try:
-        if model == "afv":
-            params = AfvParams(
-                rate=g("model", "rate", float, required=True),
-                sigma=g("model", "sigma", float, required=True),
-                maturity=g("model", "maturity", float, required=True),
-                face_value=g("model", "face_value", float, required=True),
-                conversion_ratio=g("model", "conversion_ratio", float, 1.0),
-                s_initial=g("model", "s_initial", float, required=True),
-                hazard_rate=g("model", "hazard_rate", float, 0.0),
-                recovery=g("model", "recovery", float, 0.0),
-                eta=g("model", "eta", float, 0.0),
-                coupons=g("model", "coupons", _parse_pairs, ()),
-                call_window=g("model", "call_window", _parse_window, None),
-                put_window=g("model", "put_window", _parse_window, None),
-                rho=g("model", "rho", float, 1e6),
-                newton_tol=g("model", "newton_tol", float, 1e-6))
-        else:
-            le = g("model", "leland_number", float, 0.0)
-            if model == "linear-bs" and le != 0.0:
-                raise ConfigError("linear-bs requires leland_number = 0",
-                                  path, lines.get(("model", "leland_number")))
-            params = LelandParams(
-                rate=g("model", "rate", float, required=True),
-                sigma=g("model", "sigma", float, required=True),
-                strike=g("model", "strike", float, required=True),
-                maturity=g("model", "maturity", float, required=True),
-                leland_number=le)
-    except ConfigError:
-        raise
+        params = cls(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid [model] parameters: {exc}", path,
                           lines.get(("model", ""))) from None
@@ -275,7 +257,7 @@ def parse_config(path: str) -> ExperimentConfig:
                               path, lines.get(("discretization",
                                                "weights_file")))
 
-    a_def, b_def = default_domain(params, knot_mode)
+    a_def, b_def = params.domain(knot_mode)
     cfg = ExperimentConfig(
         path=path,
         model=model,
@@ -284,7 +266,6 @@ def parse_config(path: str) -> ExperimentConfig:
         n_elements=g("discretization", "n_elements", int, required=True),
         knot_mode=knot_mode,
         cluster_ratio=g("discretization", "cluster_ratio", float, None),
-        kink_xi=g("discretization", "kink_xi", float, 0.5),
         weight_source=weight_source,
         weights_file=weights_file,
         n_tau=g("discretization", "n_tau", int, required=True),
@@ -305,15 +286,21 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _prepare(cfg: ExperimentConfig, grids) -> list:
-    """(n_elements, weights, scheme) of a run on each (n_elements, n_tau)
-    grid: what it builds from the settings before it assembles, with None
-    for unit weights.  A ValueError of the interval, the knots, a weights
-    file or the scheme becomes a ConfigError, raised before any solve, and
-    so do knots with fewer than three basis functions (none interior)."""
+    """(n_elements, kink_xi, weights, scheme) of a run on each
+    (n_elements, n_tau) grid: what it builds from the settings before it
+    assembles, with kink_xi the parameter of the model's payoff kink and
+    None for unit weights.  A ValueError of the interval, the knots, a
+    weights file or the scheme becomes a ConfigError, raised before any
+    solve, and so do knots with fewer than three basis functions."""
     try:
         pmap = PhysicalMap(cfg.x_min, cfg.x_max)
+        kink_xi = float(pmap.to_parameter(cfg.params.kink))
+        if cfg.knot_mode == "refined" and not 0.0 < kink_xi < 1.0:
+            raise ValueError(f"refined knots cluster at the payoff kink x = "
+                             f"{cfg.params.kink:.6g}, which lies outside "
+                             f"(x_min, x_max) = ({cfg.x_min:g}, {cfg.x_max:g})")
         knots = [build_knots(n_e, cfg.degree, cfg.knot_mode,
-                             cfg.cluster_ratio, cfg.kink_xi) for n_e, _ in grids]
+                             cfg.cluster_ratio, kink_xi) for n_e, _ in grids]
         schemes = [_scheme(cfg, n_t) for _, n_t in grids]
         weights = [load_weights(cfg.weights_file, k.n_basis)
                    if cfg.weight_source == "file" else None for k in knots]
@@ -326,13 +313,15 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
                               "needs at least 3", cfg.path)
     if cfg.weight_source == "calibrated":
         weights = [calibrate_weights(k, pmap, cfg.params.payoff,
-                                     kink_xi=cfg.kink_xi) for k in knots]
-    return list(zip((n_e for n_e, _ in grids), weights, schemes))
+                                     kink_xi=kink_xi) for k in knots]
+    return [(n_e, kink_xi, w, scheme)
+            for (n_e, _), w, scheme in zip(grids, weights, schemes)]
 
 
-def _build(cfg: ExperimentConfig, n_elements: int, weights, scheme):
+def _build(cfg: ExperimentConfig, n_elements: int, kink_xi: float, weights,
+           scheme):
     disc = build_discretization(cfg.x_min, cfg.x_max, n_elements, cfg.degree,
-                                cfg.knot_mode, cfg.cluster_ratio, cfg.kink_xi,
+                                cfg.knot_mode, cfg.cluster_ratio, kink_xi,
                                 weights)
     return disc, run(cfg.params, disc, scheme)
 
@@ -342,6 +331,11 @@ def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
                         rannacher_steps=cfg.rannacher_steps,
                         store_every=cfg.store_every
                         or max(1, n_tau // 50))
+
+
+def _final_only(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
+    """The scheme of a reference run, whose final slice alone is read."""
+    return replace(_scheme(cfg, n_tau), store_every=0)
 
 
 def _fmt(v) -> str:
@@ -417,9 +411,7 @@ def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
         return float(bs_exact_call(cfg.probe_s, 0.0, params))
     if oracle == "p1":
         disc, surf = p1fem_solve(params, cfg.x_min, cfg.x_max,
-                                 cfg.n_elements,
-                                 SchemeConfig(n_steps=cfg.n_tau,
-                                              store_every=0))
+                                 cfg.n_elements, _final_only(cfg, cfg.n_tau))
         return float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
     twin = fdm_solve_afv if cfg.model == "afv" else fdm_solve_leland
     res = twin(params, cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau,
@@ -495,11 +487,11 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     return 0
 
 
-def _rung_error(cfg, ref, disc, surf, value) -> float | None:
-    """Rung error per the fixed oracle map; None when no oracle applies."""
-    if cfg.model == "linear-bs":
+def _rung_error(cfg, oracle, ref, disc, surf, value) -> float | None:
+    """Rung error against ``oracle``; None for ``none``."""
+    if oracle == "closed-form":
         return abs(value - float(bs_exact_call(cfg.probe_s, 0.0, cfg.params)))
-    if cfg.model == "leland" and ref is not None:
+    if oracle == "p1":
         # price misfit 2-norm against the hat-function reference, sampled
         # at this rung's Greville stock prices at or below three strikes
         ref_disc, ref_surf = ref
@@ -515,23 +507,27 @@ def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
     if not cfg.rungs:
         raise ConfigError("converge needs a [ladder] section with rungs",
                           cfg.path)
+    own = _LADDER_ORACLE[cfg.model]
+    if oracle not in ("default", "none", own):
+        takes = " or ".join(dict.fromkeys((own, "none")))
+        raise ConfigError(f"converge on model '{cfg.model}' takes --oracle "
+                          f"{takes}, got '{oracle}'", cfg.path)
+    oracle = own if oracle == "default" else oracle
     grids = _prepare(cfg, cfg.rungs)
     _check_probe(cfg)
     ref = None
-    if cfg.model == "leland" and oracle != "none":
+    if oracle == "p1":
         n_e, n_t = cfg.reference if cfg.reference else max(cfg.rungs)
         _check_nodes(cfg, "the P1 reference", n_e)
-        # only the final slice is read
         ref = p1fem_solve(cfg.params, cfg.x_min, cfg.x_max, n_e,
-                          SchemeConfig(n_steps=n_t, store_every=0))
+                          _final_only(cfg, n_t))
 
     rows, prev_err = [], None
     for (n_e, n_t), grid in zip(cfg.rungs, grids):
         disc, surf = _build(cfg, *grid)
         value = float(value_curve(cfg.params, disc, surf.final,
                                   [cfg.probe_s])[0])
-        err = None if oracle == "none" else _rung_error(cfg, ref, disc, surf,
-                                                        value)
+        err = _rung_error(cfg, oracle, ref, disc, surf, value)
         contraction = (prev_err / err) if (err and prev_err) else None
         rows.append([n_e, n_t, value, err, contraction])
         prev_err = err

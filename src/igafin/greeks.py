@@ -165,13 +165,18 @@ def greeks_table(params, disc: Discretization,
 def write_greeks_csv(path, table: GreekTable) -> None:
     """One row per stock price, 10 significant digits.
 
-    The text goes to ``path.tmp``, which is then renamed to ``path``, so a
-    failure part-way leaves no partial file.
+    The text goes to ``path.tmp``, which is then renamed to ``path`` and
+    removed if writing fails, so a failure part-way leaves no file.
     """
     rows = np.column_stack([table.s, table.delta, table.gamma, table.theta])
     text = "S,delta,gamma,theta\n" + (
         "%.10g,%.10g,%.10g,%.10g\n" * len(rows)) % tuple(rows.ravel().tolist())
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)

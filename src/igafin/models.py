@@ -26,6 +26,10 @@ Greeks, output and checks never branch on the model:
 * ``value_scale(tau)``: the factor g with V(S, t) = g(tau) w(x, tau) for the
   value column's field, e^{-kappa tau} for the call and 1.0 for the bond.
 * ``payoff(x)``: the value column's terminal data at tau = 0.
+* ``kink``: the log-price at which the payoff is not smooth, ln K for the
+  call and ln((F + c_T)/(k S_0)) for the bond; refined knots cluster there.
+* ``coefficients(field)``: the triple (Y1, Y2, Y3) of one coefficient field.
+* ``domain(knot_mode)``: the default log-price truncation interval.
 * ``columns``: the (output column, coefficient field) pairs written out,
   and ``value_column``, the pair whose field is the model value.
 * ``calendar(dtau, n_steps)``: the exercise events of a march, as the
@@ -36,17 +40,16 @@ Greeks, output and checks never branch on the model:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
 __all__ = [
-    "LelandParams", "AfvParams", "UnifiedCoefficients", "ConstraintState",
-    "unified_coefficients", "afv_terminal",
+    "LelandParams", "AfvParams", "ConstraintState", "afv_terminal",
     "accrued_interest", "default_delta", "default_gamma", "constraint_state",
     "apply_B_constraints", "apply_joint_constraints", "penalty_terms",
-    "calibrate_weights", "default_domain",
+    "calibrate_weights",
 ]
 
 
@@ -102,12 +105,36 @@ class LelandParams:
         """Terminal data in transformed variables: max(e^x - strike, 0)."""
         return np.maximum(np.exp(x) - self.strike, 0.0)
 
+    @property
+    def kink(self) -> float:
+        return math.log(self.strike)
+
+    def coefficients(self, field: str) -> tuple[float, float, float]:
+        """(Y1, Y2, Y3) of the transformed call, whose one field is vhat."""
+        if field != "vhat":
+            raise ValueError(f"unknown {field!r} not part of the call model")
+        return (1.0, -1.0, 0.0)
+
+    def domain(self, knot_mode: str = "uniform") -> tuple[float, float]:
+        """Default log-price truncation interval: with costs, wide enough
+        for dtau/dx^2 = 0.1 on the benchmark ladder; on refined knots,
+        centred on the strike; on uniform knots, the fixed asymmetric
+        offsets every committed linear output depends on (no derivation
+        backs them, and the truncation error is far below the
+        discretization error for any of these widths)."""
+        center = self.kink
+        if self.leland_number > 0:
+            return (center - 6.4, center + 6.4)
+        if knot_mode == "refined":
+            return (center - 3.3019, center + 3.3019)
+        return (center - 3.4425, center + 3.1613)
+
     def calendar(self, dtau: float, n_steps: int):
         """No exercise events: see ``AfvParams.calendar``."""
         return {}, set()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AfvParams:
     """Convertible bond with default intensity, coupons and call/put rights.
 
@@ -125,10 +152,10 @@ class AfvParams:
 
     rate: float
     sigma: float
-    hazard_rate: float
-    eta: float
-    recovery: float
-    conversion_ratio: float
+    hazard_rate: float = 0.0
+    eta: float = 0.0
+    recovery: float = 0.0
+    conversion_ratio: float = 1.0
     face_value: float
     s_initial: float
     maturity: float
@@ -137,7 +164,7 @@ class AfvParams:
     put_window: tuple[float, float, float] | None = None
     rho: float = 1.0e6
     newton_tol: float = 1.0e-6
-    newton_max_iter: int = 50
+    newton_max_iter: ClassVar[int] = 50
 
     def __post_init__(self):
         if self.sigma <= 0 or self.face_value <= 0 or self.maturity <= 0:
@@ -195,6 +222,28 @@ class AfvParams:
         """Terminal holder value U at the prices S = s_of(x, 0)."""
         return afv_terminal(self.s_of(x, 0.0), self)[0]
 
+    @property
+    def kink(self) -> float:
+        """Where conversion k S meets the redemption F + c_T."""
+        return math.log((self.face_value + self.terminal_coupon)
+                        / (self.conversion_ratio * self.s_initial))
+
+    def coefficients(self, field: str) -> tuple[float, float, float]:
+        """(Y1, Y2, Y3) of U, B or C; the recovery flow lowers B's reaction
+        term to r + p - R p."""
+        if field not in ("U", "B", "C"):
+            raise ValueError(f"unknown {field!r} not part of the bond model")
+        y1 = 0.5 * self.sigma ** 2
+        y2 = self.rate + self.hazard_rate * self.eta - y1
+        y3 = self.rate + self.hazard_rate
+        if field == "B":
+            y3 -= self.recovery * self.hazard_rate
+        return (y1, y2, y3)
+
+    def domain(self, knot_mode: str = "uniform") -> tuple[float, float]:
+        """The fixed (-6, 2) window in x = ln(S / S_initial)."""
+        return (-6.0, 2.0)
+
     def calendar(self, dtau: float, n_steps: int
                  ) -> tuple[dict[int, tuple[float, bool]], set[int]]:
         """Exercise events of a march of ``n_steps`` levels of width dtau.
@@ -237,30 +286,6 @@ class AfvParams:
             if abs(t - self.maturity) < 1e-12:
                 return amount
         return 0.0
-
-
-class UnifiedCoefficients(NamedTuple):
-    diffusion: float
-    advection: float
-    reaction: float
-
-
-def unified_coefficients(params, unknown: str) -> UnifiedCoefficients:
-    """Coefficient triple (Y1, Y2, Y3) of the unified PDE for one unknown."""
-    if isinstance(params, LelandParams):
-        if unknown != "vhat":
-            raise ValueError(f"unknown {unknown!r} not part of the call model")
-        return UnifiedCoefficients(1.0, -1.0, 0.0)
-    if isinstance(params, AfvParams):
-        if unknown not in ("U", "B", "C"):
-            raise ValueError(f"unknown {unknown!r} not part of the bond model")
-        y1 = 0.5 * params.sigma ** 2
-        y2 = params.rate + params.hazard_rate * params.eta - y1
-        y3 = params.rate + params.hazard_rate
-        if unknown == "B":
-            y3 -= params.recovery * params.hazard_rate
-        return UnifiedCoefficients(y1, y2, y3)
-    raise TypeError(f"unsupported parameter object {type(params).__name__}")
 
 
 def afv_terminal(s, params: AfvParams):
@@ -315,8 +340,6 @@ class ConstraintState:
     ``b_put_dirty = -inf`` leaves only the permanent conversion floor kS.
     """
 
-    tau: float
-    t: float
     b_put_dirty: float
     b_call_dirty: float
     conversion_value: np.ndarray
@@ -350,8 +373,7 @@ def constraint_state(params: AfvParams, t: float,
     b_put = -math.inf
     if put_active and params.put_window is not None:
         b_put = params.put_window[2] + acc - coupon_now
-    return ConstraintState(params.maturity - t, t, b_put, b_call,
-                           conversion_value,
+    return ConstraintState(b_put, b_call, conversion_value,
                            np.maximum(b_put, conversion_value),
                            np.maximum(b_call, conversion_value))
 
@@ -359,12 +381,8 @@ def constraint_state(params: AfvParams, t: float,
 def apply_B_constraints(b_slice: np.ndarray, c_slice: np.ndarray,
                         state: ConstraintState) -> np.ndarray:
     """Cash-component bounds: B <= B_call and B + C >= B_put, applied to B."""
-    b = np.asarray(b_slice, dtype=float).copy()
-    if np.isfinite(state.b_call_dirty):
-        np.minimum(b, state.b_call_dirty, out=b)
-    if np.isfinite(state.b_put_dirty):
-        np.maximum(b, state.b_put_dirty - np.asarray(c_slice), out=b)
-    return b
+    b = np.minimum(b_slice, state.b_call_dirty)
+    return np.maximum(b, state.b_put_dirty - np.asarray(c_slice), out=b)
 
 
 def apply_joint_constraints(b_slice: np.ndarray, u_slice: np.ndarray,
@@ -463,28 +481,3 @@ def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
         if previous - best <= rel_tol * max(previous, 1.0):
             break
     return weights
-
-
-def default_domain(params, knot_mode: str = "uniform") -> tuple[float, float]:
-    """Default log-price truncation interval for a parameter set.
-
-    On uniform knots the European-call interval sits asymmetrically around
-    ln(strike); every committed linear output depends on these fixed
-    offsets, which no derivation in the package backs (the truncation error
-    itself is far below the finest-grid discretization error for any of
-    these widths).  Refined knot vectors centre the interval on the strike
-    instead, so the kink sits exactly at parameter midpoint where the
-    triple knot goes.  The transaction-cost interval keeps dtau/dx^2 = 0.1
-    on the benchmark ladder, and the convertible-bond interval is the fixed
-    (-6, 2) window in x = ln(S / S_initial).
-    """
-    if isinstance(params, AfvParams):
-        return (-6.0, 2.0)
-    if not isinstance(params, LelandParams):
-        raise TypeError(f"unsupported parameter object {type(params).__name__}")
-    center = math.log(params.strike)
-    if params.leland_number > 0:
-        return (center - 6.4, center + 6.4)
-    if knot_mode == "refined":
-        return (center - 3.3019, center + 3.3019)
-    return (center - 3.4425, center + 3.1613)

@@ -61,8 +61,7 @@ from .basis import (KnotVector, NurbsBasis, eval_spline_many,
 from .linsolve import BandedLU, BandedMatrix, band_products
 from .models import (AfvParams, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
-                     constraint_state, default_delta, default_gamma,
-                     unified_coefficients)
+                     constraint_state, default_delta, default_gamma)
 from .quadrature import gauss_legendre_rule
 
 __all__ = [
@@ -493,7 +492,7 @@ def march_leland(params: LelandParams, system: GalerkinSystem,
     levels = [0]
     if n_steps == 0:
         return SolutionSurface(slices, levels, 0, dtau)
-    coeffs = unified_coefficients(params, "vhat")
+    coeffs = params.coefficients("vhat")
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
     op = _ThetaOperator(system, coeffs, dtau, thetas)
     wb = w[[0, -1]]
@@ -535,15 +534,15 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
     u_vals, b_vals, c_vals = afv_terminal(s, params)
     w = {"U": u_vals, "B": b_vals, "C": c_vals}
     keep = scheme.stored_levels()
-    slices = [TimeSlice(0.0, {k: v.copy() for k, v in w.items()})]
+    slices = [TimeSlice(0.0, w)]
     levels = [0]
     if n_steps == 0:
         return SolutionSurface(slices, levels, 0, dtau)
 
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
     # U and C share their coefficients, hence one operator and its factors
-    ops = {name: _ThetaOperator(system, unified_coefficients(params, name),
-                                dtau, thetas) for name in ("U", "B")}
+    ops = {name: _ThetaOperator(system, params.coefficients(name), dtau,
+                                thetas) for name in ("U", "B")}
     ops["C"] = ops["U"]
     jacobians = {th: NewtonJacobians(lhs, ops["U"].m_int,
                                      ops["U"].lhs_lu[th])
@@ -575,10 +574,7 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
         u0, b0, c0 = step_afv_boundary(
             (w["U"][0], w["B"][0], w["C"][0]), params, dtau, theta)
         if constrained:
-            if np.isfinite(state.b_call_dirty):
-                b0 = min(b0, state.b_call_dirty)
-            if np.isfinite(state.b_put_dirty):
-                b0 = max(b0, state.b_put_dirty - c0)
+            b0 = max(min(b0, state.b_call_dirty), state.b_put_dirty - c0)
             u0 = float(np.clip(u0, state.u_star_put[0], state.u_star_call[0]))
 
         # 1) cash component, unconstrained
@@ -612,8 +608,7 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
         _check_finite(w.values(), level, n_steps)
         nu_delta_m, nu_gamma_m = nu_delta(b_new), nu_gamma(b_new)
         if level in keep:
-            slices.append(TimeSlice(level * dtau,
-                                    {k: v.copy() for k, v in w.items()}))
+            slices.append(TimeSlice(level * dtau, w))
             levels.append(level)
     return SolutionSurface(slices, levels, n_steps, dtau)
 
@@ -627,7 +622,9 @@ def _interior_state(state):
 
 
 def run(params, disc: Discretization, scheme: SchemeConfig) -> SolutionSurface:
-    """Dispatch on the parameter type."""
+    """Dispatch on the parameter type: the one model test outside
+    ``models``, which cannot own it as a method without importing this
+    module."""
     if isinstance(params, LelandParams):
         return run_leland(params, disc, scheme)
     if isinstance(params, AfvParams):

@@ -15,6 +15,7 @@ import pytest
 
 from igafin.checks import run_checks
 from igafin.cli import main
+from igafin.stepper import SchemeConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,8 +114,7 @@ SMALL = {"n_elements": 32, "n_tau": 20}
     ("greeks", "convertible.ini", {**SMALL, "n_tau": 2}, []),
     # settings whose ValueError used to surface as a traceback
     ("price", "refined_calibrated.ini", {"degree": 2}, []),
-    ("price", "refined_calibrated.ini", {"kink_xi": 0}, []),
-    ("price", "refined_calibrated.ini", {"kink_xi": 1.5}, []),
+    ("price", "refined_calibrated.ini", {"x_min": 5, "x_max": 6}, []),
     ("price", "refined_calibrated.ini", {"cluster_ratio": 0}, []),
     ("price", "refined_calibrated.ini", {"cluster_ratio": 2}, []),
     ("price", "convertible.ini", {**SMALL, "theta": 2}, []),
@@ -141,6 +141,21 @@ SMALL = {"n_elements": 32, "n_tau": 20}
                                        "ladder.reference": "1:10"}, []),
     ("price", "convertible.ini", {**SMALL, "n_elements": 1},
      ["--oracle", "fdm"]),
+    # ... or was silently ignored: an oracle that is not the ladder's own
+    ("converge", "linear_uniform.ini", {"ladder.rungs": "32:20"},
+     ["--oracle", "p1"]),
+    ("converge", "linear_uniform.ini", {"ladder.rungs": "32:20"},
+     ["--oracle", "fdm"]),
+    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20"},
+     ["--oracle", "closed-form"]),
+    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20"},
+     ["--oracle", "fdm"]),
+    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
+     ["--oracle", "fdm"]),
+    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
+     ["--oracle", "p1"]),
+    # the kink is derived from the model, so its old key is unknown
+    ("price", "refined_calibrated.ini", {"kink_xi": 0.5}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -167,6 +182,54 @@ def test_unknown_key_is_a_config_error_at_its_line(tmp_path, capsys):
     assert err.startswith(f"config error: {cfg}:{line}: unknown key "
                           "'volatility' in [model]")
     assert not out.exists()
+
+
+def test_refined_knots_name_a_kink_outside_the_domain(tmp_path, capsys):
+    cfg = _config(tmp_path, "refined_calibrated.ini", x_min=5, x_max=6)
+    assert main(["price", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "payoff kink x = 4.60517, which lies outside (x_min, x_max) = " \
+        "(5, 6)" in err
+
+
+def test_refined_convertible_puts_its_triple_knot_at_the_kink(
+        tmp_path, monkeypatch):
+    import igafin.cli as cli
+    build, built = cli.build_discretization, []
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_discretization", recorded)
+    cfg = _config(tmp_path, "convertible.ini", n_elements=32, n_tau=20,
+                  knot_mode="refined")
+    assert main(["price", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    [disc] = built
+    params = cli.parse_config(str(cfg)).params
+    # conversion k S meets the redemption F + c_T = 104
+    assert params.kink == pytest.approx(math.log(1.04), rel=1e-15)
+    xi = disc.pmap.to_parameter(params.kink)
+    assert xi == pytest.approx(0.7549, abs=1e-4)
+    assert np.count_nonzero(disc.basis.knots.values == xi) == 3
+
+
+def test_afv_keys_left_out_take_the_parameter_defaults(tmp_path):
+    from igafin.cli import parse_config
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(ROOT / "configs" / "convertible.ini")
+    for key in ("hazard_rate", "recovery", "eta", "conversion_ratio", "rho",
+                "newton_tol"):
+        cp.remove_option("model", key)
+    path = tmp_path / "defaults.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    p = parse_config(str(path)).params
+    assert (p.hazard_rate, p.recovery, p.eta, p.conversion_ratio) == \
+        (0.0, 0.0, 0.0, 1.0)
+    assert (p.rho, p.newton_tol) == (1e6, 1e-6)
 
 
 def test_newton_failure_is_a_solver_failure_with_no_output(tmp_path, capsys,
@@ -260,6 +323,43 @@ def test_fdm_oracle_with_theta_one_is_the_implicit_twin(tmp_path, capsys,
     name = "U" if cfg.model == "afv" else "V"
     assert f"oracle (fdm): {name}(100) = {want:.4f}\n" \
         in capsys.readouterr().out
+
+
+def test_p1_oracle_with_theta_one_is_the_implicit_reference(tmp_path,
+                                                           capsys):
+    from igafin.cli import parse_config
+    from igafin.reference import p1fem_solve
+    from igafin.stepper import value_curve
+    cfg = parse_config(str(_config(tmp_path, "leland_ladder.ini", **SMALL,
+                                   theta=1)))
+    assert main(["price", "--config", cfg.path, "--oracle", "p1", "--out",
+                 str(tmp_path / "out")]) == 0
+    disc, surf = p1fem_solve(cfg.params, cfg.x_min, cfg.x_max,
+                             SMALL["n_elements"],
+                             SchemeConfig(n_steps=SMALL["n_tau"], theta=1.0,
+                                          store_every=0))
+    want = value_curve(cfg.params, disc, surf.final, [cfg.probe_s])[0]
+    # the Crank-Nicolson reference gives 17.9232
+    assert f"{want:.4f}" == "17.9022"
+    assert f"oracle (p1): V(100) = {want:.4f}\n" in capsys.readouterr().out
+
+
+def test_ladder_reference_marches_with_the_configured_scheme(tmp_path,
+                                                             monkeypatch):
+    import igafin.cli as cli
+    solve, schemes = cli.p1fem_solve, []
+
+    def recorded(params, x_min, x_max, n_elements, scheme):
+        schemes.append(scheme)
+        return solve(params, x_min, x_max, n_elements, scheme)
+
+    monkeypatch.setattr(cli, "p1fem_solve", recorded)
+    cfg = _config(tmp_path, "leland_ladder.ini", theta=1, rannacher_steps=0,
+                  **{"ladder.rungs": "32:20", "ladder.reference": "64:40"})
+    assert main(["converge", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert schemes == [SchemeConfig(n_steps=40, theta=1.0, rannacher_steps=0,
+                                    store_every=0)]
 
 
 def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
@@ -379,14 +479,20 @@ def test_no_module_imports_a_thread_pool():
 
 
 def test_only_models_knows_the_model():
-    # per-model decisions live in the parameter classes: the modules that
-    # consume a model never test its class, and none of them reaches into
-    # the stepper's private names
+    # per-model decisions live in the parameter classes: no module tests a
+    # parameter class but stepper.run, which models could not own as a
+    # method without importing stepper, and none of the modules that
+    # consume a model reaches into the stepper's private names
     classes = {"LelandParams", "AfvParams"}
     found = []
-    for name in ("cli", "greeks", "checks", "reference"):
+    for name in ("cli", "greeks", "checks", "reference", "models", "stepper"):
         tree = ast.parse((ROOT / "src" / "igafin" / f"{name}.py").read_text())
+        exempt = {id(node) for top in tree.body
+                  if name == "stepper" and getattr(top, "name", "") == "run"
+                  for node in ast.walk(top)}
         for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
             if (isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "isinstance"
                     and classes & {n.id for n in ast.walk(node.args[1])

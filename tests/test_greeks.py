@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igafin.greeks import delta, gamma, greeks_table, theta, write_greeks_csv
-from igafin.models import AfvParams, LelandParams, default_domain
+from igafin.models import AfvParams, LelandParams
 from igafin.reference import bs_exact_greeks
 from igafin.stepper import SchemeConfig, build_discretization, run
 
@@ -13,7 +13,7 @@ LIN = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
 
 @pytest.fixture(scope="module")
 def linear_run():
-    a, b = default_domain(LIN)
+    a, b = LIN.domain()
     disc = build_discretization(a, b, 128)
     surf = run(LIN, disc, SchemeConfig(n_steps=500, store_every=0))
     return disc, surf
@@ -61,7 +61,7 @@ class TestLelandGamma:
         from igafin.basis import eval_spline_many
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         disc = build_discretization(a, b, 128)
         surf = run(le, disc, SchemeConfig(n_steps=320, store_every=0))
         coeffs = surf.final.coeffs["vhat"]
@@ -138,6 +138,38 @@ class TestCsvOutput:
             ",".join(f"{v:.10g}" for v in row) + "\n" for row in rows)
         assert path.read_text() == expected
         assert [p.name for p in tmp_path.iterdir()] == ["greeks.csv"]
+
+    def test_write_failing_partway_leaves_the_old_file_alone(
+            self, linear_run, tmp_path, monkeypatch):
+        import igafin.greeks as greeks
+        disc, surf = linear_run
+        table = greeks_table(LIN, disc, surf)
+        path = tmp_path / "greeks.csv"
+        path.write_text("old\n")
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+        def half_written(*args, **kwargs):
+            return HalfWritten(real_open(*args, **kwargs))
+
+        monkeypatch.setattr(greeks, "open", half_written, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_greeks_csv(path, table)
+        assert [p.name for p in tmp_path.iterdir()] == ["greeks.csv"]
+        assert path.read_text() == "old\n"
 
     def test_failure_leaves_no_file(self, linear_run, tmp_path):
         disc, surf = linear_run

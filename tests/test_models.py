@@ -8,9 +8,8 @@ import pytest
 from igafin.models import (AfvParams, LelandParams, accrued_interest,
                            afv_terminal, apply_B_constraints,
                            apply_joint_constraints, calibrate_weights,
-                           constraint_state, default_delta, default_domain,
-                           default_gamma, penalty_terms,
-                           unified_coefficients)
+                           constraint_state, default_delta,
+                           default_gamma, penalty_terms)
 
 
 def _table3_params(**overrides):
@@ -64,32 +63,32 @@ class TestAfvParams:
             _table3_params(**bad)
 
 
-class TestUnifiedCoefficients:
+class TestCoefficients:
     def test_call_model(self):
         p = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
-        assert unified_coefficients(p, "vhat") == (1.0, -1.0, 0.0)
+        assert p.coefficients("vhat") == (1.0, -1.0, 0.0)
         with pytest.raises(ValueError):
-            unified_coefficients(p, "U")
+            p.coefficients("U")
 
     def test_bond_model_reference_values(self):
         # sigma^2/2 = 0.02, r + p*eta - sigma^2/2 = 0.03, r + p = 0.07
         p = _table3_params()
         for unknown in ("U", "C"):
-            y = unified_coefficients(p, unknown)
+            y = p.coefficients(unknown)
             assert y == pytest.approx((0.02, 0.03, 0.07))
         # zero recovery makes the cash-component reaction term coincide
-        assert unified_coefficients(p, "B") == pytest.approx(
+        assert p.coefficients("B") == pytest.approx(
             (0.02, 0.03, 0.07))
-        assert unified_coefficients(p, "U").diffusion == pytest.approx(0.02)
+        assert p.coefficients("U")[0] == pytest.approx(0.02)
 
     def test_recovery_lowers_cash_reaction_only(self):
         p = _table3_params(recovery=0.4)
-        yu = unified_coefficients(p, "U")
-        yb = unified_coefficients(p, "B")
-        assert yu.reaction == pytest.approx(0.07)
-        assert yb.reaction == pytest.approx(0.07 - 0.4 * 0.02)
+        yu = p.coefficients("U")
+        yb = p.coefficients("B")
+        assert yu[2] == pytest.approx(0.07)
+        assert yb[2] == pytest.approx(0.07 - 0.4 * 0.02)
         with pytest.raises(ValueError):
-            unified_coefficients(p, "vhat")
+            p.coefficients("vhat")
 
 
 _MODELS = {"call": LelandParams(rate=0.08, sigma=0.3, strike=50.0,
@@ -330,7 +329,7 @@ class TestCalibrateWeights:
                                   greville_abscissae, make_refined_open_knots)
 
         p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        a, b = default_domain(p, "refined")
+        a, b = p.domain("refined")
         knots = make_refined_open_knots(16, 3, 0.5, 0.75)
         pmap = PhysicalMap(a, b)
         payoff = p.payoff
@@ -355,7 +354,7 @@ class TestCalibrateWeights:
         from igafin.assembly import PhysicalMap
         from igafin.basis import make_refined_open_knots
         p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        a, b = default_domain(p, "refined")
+        a, b = p.domain("refined")
         knots = make_refined_open_knots(8, 3, 0.5, 0.8)
         pmap = PhysicalMap(a, b)
         payoff = p.payoff
@@ -364,16 +363,28 @@ class TestCalibrateWeights:
         assert np.array_equal(w1, w2)
 
 
-class TestDefaultDomain:
+class TestDomainAndKink:
     def test_model_specific_windows(self):
         afv = _table3_params()
-        assert default_domain(afv) == (-6.0, 2.0)
+        assert afv.domain() == (-6.0, 2.0)
         lin = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
         c = math.log(100.0)
-        assert default_domain(lin, "uniform") == pytest.approx(
+        assert lin.domain("uniform") == pytest.approx(
             (c - 3.4425, c + 3.1613))
-        assert default_domain(lin, "refined") == pytest.approx(
+        assert lin.domain("refined") == pytest.approx(
             (c - 3.3019, c + 3.3019))
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        assert default_domain(le) == pytest.approx((c - 6.4, c + 6.4))
+        assert le.domain() == pytest.approx((c - 6.4, c + 6.4))
+
+    def test_kink_is_where_the_payoff_bends(self):
+        # ln K for the call; for the bond, where conversion k S meets the
+        # redemption F + c_T
+        call = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
+        assert call.kink == math.log(100.0)
+        bond = _table3_params(conversion_ratio=2.0, s_initial=80.0)
+        assert bond.conversion_value(bond.kink) == pytest.approx(104.0)
+        for p in (call, bond):
+            left = p.payoff(p.kink + np.array([-0.2, -0.1]))
+            right = p.payoff(p.kink + np.array([0.1, 0.2]))
+            assert left[0] == left[1] and right[1] > right[0] > left[1]

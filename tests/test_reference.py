@@ -1,7 +1,6 @@
 """Closed-form, finite-difference and hat-function reference solvers."""
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from igafin.cli import parse_config
 from igafin.linsolve import BandedLU
-from igafin.models import AfvParams, LelandParams, default_domain
+from igafin.models import AfvParams, LelandParams
 from igafin.reference import (_central_differences, bs_exact_call,
                               bs_exact_greeks, fdm_solve_afv,
                               fdm_solve_leland, misfit_epsilon, p1fem_solve)
@@ -76,7 +75,7 @@ def test_central_differences_are_a_galerkin_system():
 
 class TestFdmLeland:
     def test_converges_without_costs(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         errs = []
         for n in (128, 256):
             res = fdm_solve_leland(LIN, a, b, n, 4 * n)
@@ -91,7 +90,7 @@ class TestFdmLeland:
     def test_costs_widen_the_spread(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         res_le = fdm_solve_leland(le, a, b, 256, 320)
         lin = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
         res_0 = fdm_solve_leland(lin, a, b, 256, 320)
@@ -106,7 +105,7 @@ class TestFdmLeland:
     def test_agrees_with_the_galerkin_march(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         disc = build_discretization(a, b, 256)
         surf = run_leland(le, disc, SchemeConfig(n_steps=80))
         v_iga = float(value_curve(le, disc, surf.final, [100.0])[0])
@@ -120,7 +119,7 @@ class TestFdmLeland:
     def test_pinned_value(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         res = fdm_solve_leland(le, a, b, 256, 80)
         x = math.log(100.0) + le.kappa * le.horizon
         v = math.exp(-le.kappa * le.horizon) * float(
@@ -187,18 +186,18 @@ class TestFdmAfv:
         u = float(np.interp(0.0, res.x, res.values["U"]))
         assert u == pytest.approx(125.0576777062165, rel=1e-12)
 
-    def test_newton_failure_is_raised(self):
+    def test_newton_failure_is_raised(self, monkeypatch):
         cfg = parse_config(str(CONFIGS / "convertible.ini"))
-        params = replace(cfg.params, newton_max_iter=1)
+        monkeypatch.setattr(AfvParams, "newton_max_iter", 1)
         with pytest.raises(NewtonDivergenceError) as info:
-            fdm_solve_afv(params, cfg.x_min, cfg.x_max, 128, 100, cfg.theta,
+            fdm_solve_afv(cfg.params, cfg.x_min, cfg.x_max, 128, 100, cfg.theta,
                           cfg.rannacher_steps)
         assert info.value.level == 18
 
 
 class TestP1Fem:
     def test_is_the_degree_one_pipeline(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc, surf = p1fem_solve(LIN, a, b, 64, SchemeConfig(n_steps=32))
         assert disc.basis.degree == 1
         direct = build_discretization(a, b, 64, degree=1)
@@ -207,7 +206,7 @@ class TestP1Fem:
                               expect.final.coeffs["vhat"])
 
     def test_hat_functions_converge(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         errs = []
         for n in (128, 512):
             disc, surf = p1fem_solve(LIN, a, b, n, SchemeConfig(n_steps=n))

@@ -9,8 +9,7 @@ from igafin.assembly import assemble
 from igafin.linsolve import BandedMatrix
 from igafin import stepper
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
-                           constraint_state, default_domain,
-                           unified_coefficients)
+                           constraint_state)
 from igafin.quadrature import gauss_legendre_rule
 from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
@@ -82,7 +81,7 @@ class TestSchemeConfig:
 
 class TestStoredLevels:
     def test_store_every_plus_mandatory(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=25, store_every=10))
         assert surf.levels == [0, 10, 20, 23, 24, 25]
@@ -90,7 +89,7 @@ class TestStoredLevels:
         assert 11 not in surf.levels
 
     def test_store_every_zero_keeps_the_mandatory_levels(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 8, degree=1)
         sparse = run_leland(LIN, disc, SchemeConfig(n_steps=12, store_every=0))
         dense = run_leland(LIN, disc, SchemeConfig(n_steps=12, store_every=1))
@@ -99,7 +98,7 @@ class TestStoredLevels:
                               dense.final.coeffs["vhat"])
 
     def test_zero_steps(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=0))
         assert surf.levels == [0]
@@ -108,7 +107,7 @@ class TestStoredLevels:
 
 class TestInitialSlice:
     def test_leland_coefficients_are_greville_payoff(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 32)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=0))
         expect = LIN.payoff(disc.greville_x)
@@ -127,7 +126,7 @@ class TestInitialSlice:
 
 class TestLinearMarch:
     def test_converges_to_closed_form(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         errs = []
         for n in (64, 128):
             disc = build_discretization(a, b, n)
@@ -139,7 +138,7 @@ class TestLinearMarch:
         assert errs[1] < errs[0] / 3.0
 
     def test_mixed_form_identical_without_costs(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 32)
         scheme = SchemeConfig(n_steps=16)
         plain = run_leland(LIN, disc, scheme, force_mixed=False)
@@ -152,7 +151,7 @@ class TestLinearMarch:
     def test_march_is_the_chained_single_step(self, degree):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         disc = build_discretization(a, b, 16, degree=degree)
         scheme = SchemeConfig(n_steps=8, rannacher_steps=2, store_every=1)
         surf = run_leland(le, disc, scheme, force_mixed=True)
@@ -168,7 +167,7 @@ class TestLinearMarch:
         # ahead of the diffusion front the far out-of-the-money tail decays
         # through the subnormal range, where arithmetic is slow
         le = LelandParams(0.1, 0.2, 100.0, 1.0, leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         disc = build_discretization(a, b, 2048, degree=1)
         surf = run_leland(le, disc, SchemeConfig(n_steps=5120))
         tiny = np.finfo(float).tiny
@@ -180,7 +179,7 @@ class TestLinearMarch:
     def test_transaction_costs_raise_the_ask_price(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         disc = build_discretization(a, b, 128)
         v_le = run_leland(le, disc, SchemeConfig(n_steps=80))
         lin = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
@@ -192,13 +191,13 @@ class TestLinearMarch:
     def test_coarse_step_ratio_warns_with_costs(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
-        a, b = default_domain(le)
+        a, b = le.domain()
         disc = build_discretization(a, b, 256)
         with pytest.warns(RuntimeWarning, match="oscillate"):
             run_leland(le, disc, SchemeConfig(n_steps=4))
 
     def test_run_dispatch(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run(LIN, disc, SchemeConfig(n_steps=4))
         assert surf.n_steps == 4
@@ -208,14 +207,14 @@ class TestLinearMarch:
 
 class TestEvaluation:
     def test_evaluate_slice_rejects_outside(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=2))
         with pytest.raises(ValueError, match="outside"):
             evaluate_slice(disc, surf.final, "vhat", [b + 1.0])
 
     def test_price_curve_undoes_the_drift_frame(self):
-        a, b = default_domain(LIN)
+        a, b = LIN.domain()
         disc = build_discretization(a, b, 32)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=8))
         s = np.array([80.0, 100.0, 125.0])
@@ -344,13 +343,12 @@ class TestAfvMarch:
         run_afv(params, build_discretization(-6.0, 2.0, 32),
                 SchemeConfig(n_steps=20))
         # the sharing holds because C has U's coefficients; B's differ
-        assert unified_coefficients(params, "C") == \
-            unified_coefficients(params, "U")
-        assert made == [unified_coefficients(params, name)
-                        for name in ("U", "B")]
+        assert params.coefficients("C") == params.coefficients("U")
+        assert made == [params.coefficients(name) for name in ("U", "B")]
 
-    def test_newton_divergence_carries_the_level(self):
-        params = _afv(newton_tol=1e-15, newton_max_iter=1)
+    def test_newton_divergence_carries_the_level(self, monkeypatch):
+        monkeypatch.setattr(AfvParams, "newton_max_iter", 1)
+        params = _afv(newton_tol=1e-15)
         disc = build_discretization(-6.0, 2.0, 32)
         with pytest.raises(NewtonDivergenceError) as err:
             run_afv(params, disc, SchemeConfig(n_steps=20))
@@ -366,7 +364,8 @@ class TestAfvMarch:
             return out
 
         monkeypatch.setattr(stepper, "newton_solve_U", recording)
-        params = _afv(newton_tol=1e-15, newton_max_iter=1)
+        monkeypatch.setattr(AfvParams, "newton_max_iter", 1)
+        params = _afv(newton_tol=1e-15)
         disc = build_discretization(-6.0, 2.0, 32)
         with pytest.raises(NewtonDivergenceError) as err:
             run_afv(params, disc, SchemeConfig(n_steps=20))
