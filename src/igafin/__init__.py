@@ -19,10 +19,9 @@ from .models import (AfvParams, ConstraintState, LelandParams,
                      accrued_interest, afv_terminal, calibrate_weights,
                      constraint_state)
 from .stepper import (Discretization, NewtonDivergenceError, SchemeConfig,
-                      SolutionSurface, TimeSlice, build_discretization,
-                      evaluate_slice, run, run_afv, run_leland, value_curve)
-from .greeks import (GreekCurve, GreekTable, delta, gamma, greeks_table,
-                     theta, write_greeks_csv)
+                      SolutionSurface, TimeSlice, build_discretization, run,
+                      run_afv, run_leland, value_curve)
+from .greeks import GreekTable, greeks_table, write_greeks_csv
 from .reference import (bs_exact_call, bs_exact_greeks, fdm_solve_afv,
                         fdm_solve_leland, misfit_epsilon, p1fem_solve)
 from .checks import CheckResult, format_report, run_checks
@@ -40,9 +39,8 @@ __all__ = [
     "afv_terminal", "calibrate_weights", "constraint_state",
     "Discretization", "NewtonDivergenceError", "SchemeConfig",
     "SolutionSurface", "TimeSlice", "build_discretization",
-    "evaluate_slice", "run", "run_afv", "run_leland", "value_curve",
-    "GreekCurve", "GreekTable", "delta", "gamma", "greeks_table", "theta",
-    "write_greeks_csv",
+    "run", "run_afv", "run_leland", "value_curve",
+    "GreekTable", "greeks_table", "write_greeks_csv",
     "bs_exact_call", "bs_exact_greeks", "fdm_solve_afv", "fdm_solve_leland",
     "misfit_epsilon", "p1fem_solve",
     "CheckResult", "format_report", "run_checks",

@@ -7,13 +7,14 @@ times.  The ``n`` basis functions are indexed ``0 .. n-1`` in code.
 
 Every evaluation goes through :func:`basis_table`.  It puts each of ``m``
 points in a non-empty knot span ``[xi_i, xi_(i+1))``.  The last span is
-right-closed, so partition of unity holds on the closed interval; with
-``side="left"`` a point on an interior knot goes to the span *ending* there,
-which gives left one-sided limits at repeated knots.  Points outside the
-knot vector's interval raise ``ValueError``.  The kernel returns ``first``,
-shape ``(m,)``, and the table ``R``, shape ``(m, order + 1, p + 1)``:
-``R[i, k, j]`` is the k-th parametric derivative (``order <= 2``) of function
-``first[i] + j`` at point ``i``, the only ``p + 1`` functions nonzero there.
+right-closed, so partition of unity holds on the closed interval, and a
+point on an interior knot takes the span that starts there: at a repeated
+knot, where the basis drops continuity, it gives the right one-sided limit.
+Points outside the knot vector's interval raise ``ValueError``.  The kernel
+returns ``first``, shape ``(m,)``, and the table ``R``, shape
+``(m, order + 1, p + 1)``: ``R[i, k, j]`` is the k-th parametric derivative
+(``order <= 2``) of function ``first[i] + j`` at point ``i``, the only
+``p + 1`` functions nonzero there.
 B-spline rows come from the triangular scheme of Piegl and Tiller's algorithm
 A2.3 (*The NURBS Book*), which never forms the ``0/0`` quotients of the
 Cox-de Boor recursion; the weights then enter once, through the quotient rule.
@@ -177,7 +178,7 @@ def make_refined_open_knots(n_elements: int, degree: int, kink_xi: float,
     return KnotVector(vals, degree)
 
 
-def _spans(knots: KnotVector, xis: np.ndarray, side: str) -> np.ndarray:
+def _spans(knots: KnotVector, xis: np.ndarray) -> np.ndarray:
     """Span index ``i`` with ``xi in [xi_i, xi_(i+1))`` for every point."""
     vals = knots.values
     inside = (xis >= vals[0]) & (xis <= vals[-1])
@@ -185,15 +186,12 @@ def _spans(knots: KnotVector, xis: np.ndarray, side: str) -> np.ndarray:
         bad = xis[~inside][0]
         raise ValueError(f"evaluation point {bad} outside [{vals[0]}, {vals[-1]}]")
     span = np.searchsorted(vals, xis, side="right") - 1
-    if side == "left":
-        at = np.searchsorted(vals, xis, side="left")
-        span = np.where(vals[at] == xis, at - 1, span)
     # open knots: clipping gives the right-closed last span and the first span
     return np.clip(span, knots.degree, knots.n_basis - 1)
 
 
-def basis_table(basis: NurbsBasis, xis, order: int,
-                side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+def basis_table(basis: NurbsBasis, xis,
+                order: int) -> tuple[np.ndarray, np.ndarray]:
     """``(first, R)``: the nonzero NURBS functions and their derivatives up
     to ``order`` (0, 1 or 2) at the points ``xis``; see the module docstring.
     Equal weights reduce the rational basis to the B-splines exactly.
@@ -202,7 +200,7 @@ def basis_table(basis: NurbsBasis, xis, order: int,
         raise ValueError("order must be 0, 1 or 2")
     vals, p = basis.knots.values, basis.degree
     xis = np.asarray(xis, dtype=float).reshape(-1)
-    span = _spans(basis.knots, xis, side)
+    span = _spans(basis.knots, xis)
     j = np.arange(p + 1)
     left = xis[:, None] - vals[span[:, None] + 1 - j]   # xi - xi_(span+1-j)
     right = vals[span[:, None] + j] - xis[:, None]      # xi_(span+j) - xi
@@ -301,10 +299,10 @@ def load_weights(path, n_basis: int) -> np.ndarray:
 
 
 def eval_spline_many(basis: NurbsBasis, coeffs: np.ndarray, xis: np.ndarray,
-                     order: int = 0, side: str = "right") -> np.ndarray:
+                     order: int = 0) -> np.ndarray:
     """Values (or a derivative) of a NURBS expansion at many parameter points."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.n_basis,):
         raise ValueError("coefficient vector length mismatch")
-    first, R = basis_table(basis, xis, order, side)
+    first, R = basis_table(basis, xis, order)
     return contract_table(first, R, coeffs)[:, order]

@@ -258,10 +258,11 @@ def check_constraint_violation() -> CheckResult:
     for level, slice_ in zip(surf.levels, surf.slices):
         if level == 0:
             continue
-        c_now, put_active = events.get(level, (0.0, False))
+        c_now, put_active, call_active = events.get(level,
+                                                    (0.0, False, False))
         state = constraint_state(params, params.t_of(level * surf.dtau),
                                  conversion, put_active=put_active,
-                                 coupon_now=c_now)
+                                 call_active=call_active, coupon_now=c_now)
         # stored slices are post-injection; compare net of the coupon
         # (the pinned right coefficient never receives it)
         u = slice_.coeffs["U"].copy()

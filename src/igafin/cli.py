@@ -107,7 +107,7 @@ class ExperimentConfig:
     rannacher_steps: int
     x_min: float
     x_max: float
-    store_every: int
+    store_every: int | None
     probe_s: float
     out_dir: str
     rungs: list[tuple[int, int]] = field(default_factory=list)
@@ -273,7 +273,7 @@ def parse_config(path: str) -> ExperimentConfig:
         rannacher_steps=g("discretization", "rannacher_steps", int, 2),
         x_min=g("discretization", "x_min", float, a_def),
         x_max=g("discretization", "x_max", float, b_def),
-        store_every=g("discretization", "store_every", int, 0),
+        store_every=g("discretization", "store_every", int, None),
         probe_s=g("experiment", "probe_s", float, 100.0),
         out_dir=g("output", "dir", str, "out"),
         rungs=g("ladder", "rungs", _parse_rungs, []),
@@ -327,10 +327,13 @@ def _build(cfg: ExperimentConfig, n_elements: int, kink_xi: float, weights,
 
 
 def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
+    """The scheme of a run on n_tau steps; without a store_every key it
+    keeps every (n_tau // 50)-th slice, and 0 keeps the mandatory ones."""
+    every = cfg.store_every
     return SchemeConfig(n_steps=n_tau, theta=cfg.theta,
                         rannacher_steps=cfg.rannacher_steps,
-                        store_every=cfg.store_every
-                        or max(1, n_tau // 50))
+                        store_every=max(1, n_tau // 50) if every is None
+                        else every)
 
 
 def _final_only(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:

@@ -33,8 +33,11 @@ Greeks, output and checks never branch on the model:
 * ``columns``: the (output column, coefficient field) pairs written out,
   and ``value_column``, the pair whose field is the model value.
 * ``calendar(dtau, n_steps)``: the exercise events of a march, as the
-  coupon and put flag of each level that has one, and the levels at which
-  the value jumps.  The call has none.
+  coupon, put flag and call flag of each level that has one, and the
+  levels at which the value jumps.  The call has none.  The calendar is the
+  one place that reads the coupon schedule and the exercise windows to
+  decide on which levels they act; the constraint state of a level takes
+  its flags.
 """
 
 from __future__ import annotations
@@ -143,7 +146,8 @@ class AfvParams:
     (t_start, t_end, clean price) with the left endpoint excluded.  A put
     window with t_start == t_end is a single exercise date, realised on the
     backward time level nearest to it; a call window must have
-    t_start < t_end, since the call is tested on the open-left window itself.
+    t_start < t_end, since the calendar opens the call on the levels inside
+    the open-left window.
 
     ``rho = 0`` switches the exercise machinery off entirely (penalty terms,
     cash-component clamps and the conversion-floor clip), leaving the plain
@@ -219,8 +223,8 @@ class AfvParams:
             * np.exp(np.asarray(x, dtype=float))
 
     def payoff(self, x):
-        """Terminal holder value U at the prices S = s_of(x, 0)."""
-        return afv_terminal(self.s_of(x, 0.0), self)[0]
+        """Terminal holder value U at the log-prices x."""
+        return afv_terminal(self.conversion_value(x), self)[0]
 
     @property
     def kink(self) -> float:
@@ -245,19 +249,20 @@ class AfvParams:
         return (-6.0, 2.0)
 
     def calendar(self, dtau: float, n_steps: int
-                 ) -> tuple[dict[int, tuple[float, bool]], set[int]]:
+                 ) -> tuple[dict[int, tuple[float, bool, bool]], set[int]]:
         """Exercise events of a march of ``n_steps`` levels of width dtau.
 
-        Returns ``(events, jumps)``.  ``events[m] = (coupon, put_active)``
-        for each level m with a coupon or an exercisable put; a level not
-        listed has neither.  ``jumps`` holds the levels at which the value
-        jumps: the coupon dates and a single-date put.
+        Returns ``(events, jumps)``.  ``events[m] = (coupon, put_active,
+        call_active)`` for each level m with a coupon, an exercisable put or
+        an exercisable call; a level not listed has none of them.  ``jumps``
+        holds the levels at which the value jumps: the coupon dates and a
+        single-date put.
 
         A coupon lands on the level nearest its date; one at maturity
         rounds to level 0, the terminal condition.  A single-date put
         (window start == end) lands on its nearest level within
-        1..n_steps; a put window is open at the levels whose t lies in
-        (start, end].
+        1..n_steps.  A put or call window is open at the levels whose t
+        lies in (start, end], so the level at t = start has no call.
         """
         if n_steps == 0:
             return {}, set()
@@ -268,6 +273,11 @@ class AfvParams:
             if 1 <= level <= n_steps and abs(level * dtau - tau_c) <= 0.5 * dtau:
                 coupons[level] = coupons.get(level, 0.0) + amount
         jumps = set(coupons)
+
+        def open_levels(win):
+            return {m for m in range(1, n_steps + 1)
+                    if win[0] < self.t_of(m * dtau) <= win[1]}
+
         win = self.put_window
         if win is None:
             put = set()
@@ -276,9 +286,10 @@ class AfvParams:
                        n_steps)}
             jumps |= put
         else:
-            put = {m for m in range(1, n_steps + 1)
-                   if win[0] < self.t_of(m * dtau) <= win[1]}
-        return {m: (coupons.get(m, 0.0), m in put) for m in jumps | put}, jumps
+            put = open_levels(win)
+        call = open_levels(self.call_window) if self.call_window else set()
+        return {m: (coupons.get(m, 0.0), m in put, m in call)
+                for m in jumps | put | call}, jumps
 
     @property
     def terminal_coupon(self) -> float:
@@ -288,11 +299,11 @@ class AfvParams:
         return 0.0
 
 
-def afv_terminal(s, params: AfvParams):
-    """Terminal (U, B, C) at maturity; U = B + C holds identically."""
-    s = np.asarray(s, dtype=float)
+def afv_terminal(conversion_value, params: AfvParams):
+    """Terminal (U, B, C) at maturity at conversion values kS
+    (``params.conversion_value(x)``); U = B + C holds identically."""
+    ks = np.asarray(conversion_value, dtype=float)
     redemption = params.face_value + params.terminal_coupon
-    ks = params.conversion_ratio * s
     u = np.maximum(redemption, ks)
     b = np.full_like(u, redemption)
     c = np.maximum(ks - redemption, 0.0)
@@ -349,14 +360,16 @@ class ConstraintState:
 
 def constraint_state(params: AfvParams, t: float,
                      conversion_value: np.ndarray, put_active: bool = False,
+                     call_active: bool = False,
                      coupon_now: float = 0.0) -> ConstraintState:
     """Dirty exercise prices and pointwise bounds at time t on a grid whose
     conversion values kS are ``conversion_value``
     (``params.conversion_value(x)``).
 
-    ``put_active`` says whether the put is exercisable at this level; it is
-    the flag ``AfvParams.calendar`` gives the level, the one place that
-    decides when the put is open.  The call window is tested against t here.
+    ``put_active`` and ``call_active`` say whether the put and the call are
+    exercisable at this level; they are the flags ``AfvParams.calendar``
+    gives the level, the one place that decides when each right is open.
+    t only sets the accrued interest.
 
     ``coupon_now`` is the coupon amount the stepper injects at this level.
     The stepper clamps values before the injection, so on a coupon date the
@@ -366,13 +379,9 @@ def constraint_state(params: AfvParams, t: float,
     by the coupon).  Between coupons both prices are dirty, clean + AccI.
     """
     acc = accrued_interest(t, params) if coupon_now == 0.0 else 0.0
-    b_call = math.inf
-    win = params.call_window
-    if win is not None and win[0] < t <= win[1]:
-        b_call = win[2] + acc
-    b_put = -math.inf
-    if put_active and params.put_window is not None:
-        b_put = params.put_window[2] + acc - coupon_now
+    b_call = params.call_window[2] + acc if call_active else math.inf
+    b_put = params.put_window[2] + acc - coupon_now if put_active \
+        else -math.inf
     return ConstraintState(b_put, b_call, conversion_value,
                            np.maximum(b_put, conversion_value),
                            np.maximum(b_call, conversion_value))

@@ -36,12 +36,13 @@ form delta, solve the penalised U system by Newton, shift the joint
 conversion/call clipping of U onto B, then inject coupons.  What does not
 change over the march is made once: each theta operator's factors and its
 band stack [R_theta, M, M], the conversion values k S_0 e^x read by the
-default sources and the exercise bounds, and one ``NewtonJacobians`` per
-theta, which reuses the factors of a Jacobian whose penalty shift it met
-among its last four.  A level then forms one constraint state and only the
-source half each step reads; R w and the two mass products of a source
-come from one ``band_products`` call, and the boundary columns enter only
-the first and last ``degree`` interior rows, where they are non-zero.
+terminal data, the pin at S_max, the default sources and the exercise
+bounds, and one ``NewtonJacobians`` per theta, which reuses the factors of
+a Jacobian whose penalty shift it met among its last four.  A level then
+forms one constraint state and only the source half each step reads; R w
+and the two mass products of a source come from one ``band_products``
+call, and the boundary columns enter only the first and last ``degree``
+interior rows, where they are non-zero.
 
 Both marches run with numpy's floating-point warnings off: a value that
 overflows or turns NaN is reported once, by the finite check of each level
@@ -69,8 +70,7 @@ __all__ = [
     "build_knots", "build_discretization", "step_linear", "step_leland",
     "step_afv_boundary", "NewtonJacobians", "newton_solve_U",
     "NewtonDivergenceError", "run",
-    "run_leland", "run_afv", "march_leland", "march_afv", "evaluate_slice",
-    "value_curve",
+    "run_leland", "run_afv", "march_leland", "march_afv", "value_curve",
 ]
 
 
@@ -528,10 +528,9 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
     coefficient per point of ``nodes``."""
     n_steps = scheme.n_steps
     dtau = params.horizon / n_steps if n_steps else 0.0
-    s = params.s_of(nodes, 0.0)
-    ks = params.conversion_ratio * s
+    conversion = params.conversion_value(nodes)
 
-    u_vals, b_vals, c_vals = afv_terminal(s, params)
+    u_vals, b_vals, c_vals = afv_terminal(conversion, params)
     w = {"U": u_vals, "B": b_vals, "C": c_vals}
     keep = scheme.stored_levels()
     slices = [TimeSlice(0.0, w)]
@@ -548,7 +547,6 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
                                      ops["U"].lhs_lu[th])
                  for th, lhs in ops["U"].lhs_mat.items()}
     events, _ = params.calendar(dtau, n_steps)
-    conversion = params.conversion_value(nodes)
     hazard = params.hazard_rate
 
     def nu_delta(b_full: np.ndarray) -> np.ndarray:
@@ -558,16 +556,17 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
         return hazard * default_gamma(conversion, b_full, params)
 
     nu_delta_m, nu_gamma_m = nu_delta(w["B"]), nu_gamma(w["B"])
-    right_bc = {"U": ks[-1], "B": 0.0, "C": ks[-1]}
+    right_bc = {"U": conversion[-1], "B": 0.0, "C": conversion[-1]}
     constrained = params.rho > 0.0
 
     for m in range(n_steps):
         theta = scheme.theta_at(m)
         level = m + 1
-        coupon, put_active = events.get(level, (0.0, False))
+        coupon, put_active, call_active = events.get(level,
+                                                     (0.0, False, False))
         state = constraint_state(params, params.t_of(level * dtau),
                                  conversion, put_active=put_active,
-                                 coupon_now=coupon)
+                                 call_active=call_active, coupon_now=coupon)
         inner = _interior_state(state)
 
         # boundary values at the new level: scalar ODEs at S = 0, pin at S_max
@@ -632,20 +631,12 @@ def run(params, disc: Discretization, scheme: SchemeConfig) -> SolutionSurface:
     raise TypeError(f"unsupported parameter object {type(params).__name__}")
 
 
-def evaluate_slice(disc: Discretization, slice_: TimeSlice, name: str,
-                   x_points, order: int = 0) -> np.ndarray:
-    """Spline values (or parametric derivative) of one unknown at physical x."""
-    xi = np.asarray(disc.pmap.to_parameter(np.asarray(x_points, dtype=float)))
-    return eval_spline_many(disc.basis, slice_.coeffs[name], np.atleast_1d(xi),
-                            order)
-
-
-def value_curve(params, disc: Discretization, slice_: TimeSlice, s_points,
-                field: str | None = None) -> np.ndarray:
+def value_curve(params, disc: Discretization, slice_: TimeSlice,
+                s_points) -> np.ndarray:
     """Model values V(S, t(tau)) at stock prices S on one stored slice:
-    ``field`` (default the value column) at x_of(S, tau), times the
-    model's value scale."""
+    the value column's field at x_of(S, tau), times the model's value
+    scale.  A price whose x lies outside the domain raises ValueError."""
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
-    w = evaluate_slice(disc, slice_, field or params.value_column[1],
-                       params.x_of(s, slice_.tau))
-    return params.value_scale(slice_.tau) * w
+    xi = disc.pmap.to_parameter(params.x_of(s, slice_.tau))
+    return params.value_scale(slice_.tau) * eval_spline_many(
+        disc.basis, slice_.coeffs[params.value_column[1]], xi)

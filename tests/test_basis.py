@@ -71,11 +71,11 @@ class TestKnotVector:
             NurbsBasis(kv, np.zeros(kv.n_basis))
 
 
-def _span(kv, xi, side="right"):
+def _span(kv, xi):
     """Index i of the span [xi_i, xi_(i+1)) that basis_table puts xi in:
     its first nonzero function plus the degree."""
     basis = NurbsBasis(kv, np.ones(kv.n_basis))
-    return int(basis_table(basis, [xi], 0, side)[0][0]) + kv.degree
+    return int(basis_table(basis, [xi], 0)[0][0]) + kv.degree
 
 
 class TestFindSpan:
@@ -86,13 +86,6 @@ class TestFindSpan:
         assert kv.values[lo] <= 0.0 < kv.values[lo + 1]
         # the right endpoint belongs to the last non-empty span
         assert kv.values[hi] < 1.0 <= kv.values[hi + 1]
-
-    def test_side_left_at_interior_knot(self):
-        kv = make_uniform_open_knots(8, 3)
-        xi = kv.breakpoints[4]
-        right = _span(kv, xi, side="right")
-        left = _span(kv, xi, side="left")
-        assert left == right - 1
 
 
 class TestPartitionOfUnity:
@@ -160,23 +153,16 @@ class TestGreville:
         assert np.abs(ders - 1.0).max() < 1e-10
 
 
-def _scipy_rows(knots, xs, order, side):
-    """Dense B-spline derivative rows from scipy, an independent oracle.
-
-    scipy evaluates right limits at knots; a left limit at x is the right
-    limit at -x of the mirrored basis, with a sign (-1)^order.
-    """
+def _scipy_rows(knots, xs, order):
+    """Dense B-spline derivative rows from scipy, an independent oracle
+    that, like basis_table, evaluates right limits at knots."""
     from scipy.interpolate import BSpline
     t, p = knots.values, knots.degree
-    if side == "left":
-        mirrored = KnotVector(-t[::-1], p)
-        return (-1.0) ** order * _scipy_rows(mirrored, -xs, order,
-                                             "right")[:, ::-1]
     return BSpline(t, np.eye(knots.n_basis), p)(xs, nu=order)
 
 
-def _dense_table(basis, xs, order, side):
-    first, R = basis_table(basis, xs, order, side)
+def _dense_table(basis, xs, order):
+    first, R = basis_table(basis, xs, order)
     p = basis.degree
     assert R.shape == (len(xs), order + 1, p + 1)
     assert np.all((first >= 0) & (first + p < basis.n_basis))
@@ -204,43 +190,32 @@ class TestBasisTable:
                                [0.0, 1.0]])
 
     @pytest.mark.parametrize("name", sorted(_KERNEL_KNOTS))
-    @pytest.mark.parametrize("side", ["right", "left"])
-    def test_unit_weights_match_bsplines(self, name, side):
+    def test_unit_weights_match_bsplines(self, name):
         knots = _KERNEL_KNOTS[name]()
         basis = NurbsBasis(knots, np.ones(knots.n_basis))
         xs = self._points(knots, np.random.default_rng(201))
         for order in (0, 1, 2):
-            got = _dense_table(basis, xs, order, side)
+            got = _dense_table(basis, xs, order)
             for k in range(order + 1):
-                want = _scipy_rows(knots, xs, k, side)
+                want = _scipy_rows(knots, xs, k)
                 tol = 1e-12 * max(1.0, np.abs(want).max())
                 assert np.abs(got[:, k] - want).max() <= tol, (order, k)
 
     @pytest.mark.parametrize("name", sorted(_KERNEL_KNOTS))
-    @pytest.mark.parametrize("side", ["right", "left"])
-    def test_weights_enter_by_the_quotient_rule(self, name, side):
+    def test_weights_enter_by_the_quotient_rule(self, name):
         knots = _KERNEL_KNOTS[name]()
         rng = np.random.default_rng(202)
         w = rng.uniform(0.3, 3.0, knots.n_basis)
         xs = self._points(knots, rng)
-        n0, n1, n2 = (w * _scipy_rows(knots, xs, k, side) for k in range(3))
+        n0, n1, n2 = (w * _scipy_rows(knots, xs, k) for k in range(3))
         W0, W1, W2 = (r.sum(axis=1, keepdims=True) for r in (n0, n1, n2))
         r0 = n0 / W0
         r1 = (n1 - r0 * W1) / W0
         r2 = (n2 - 2.0 * r1 * W1 - r0 * W2) / W0
-        got = _dense_table(NurbsBasis(knots, w), xs, 2, side)
+        got = _dense_table(NurbsBasis(knots, w), xs, 2)
         for k, want in enumerate((r0, r1, r2)):
             tol = 1e-11 * max(1.0, np.abs(want).max())
             assert np.abs(got[:, k] - want).max() <= tol, k
-
-    def test_sides_differ_at_the_triple_knot(self):
-        # the cubic is only C0 there, so the two sides are distinct limits
-        knots = make_refined_open_knots(16, 3, 0.4, 0.75)
-        basis = NurbsBasis(knots, np.ones(knots.n_basis))
-        left = _dense_table(basis, np.array([0.4]), 1, "left")[0]
-        right = _dense_table(basis, np.array([0.4]), 1, "right")[0]
-        assert np.abs(left[0] - right[0]).max() <= 1e-14
-        assert np.abs(left[1] - right[1]).max() > 1.0
 
     def test_rejects_bad_order_and_points(self):
         basis = NurbsBasis(make_uniform_open_knots(4, 3), np.ones(7))

@@ -271,6 +271,21 @@ def test_newton_reuses_the_operator_factors_without_penalty(tmp_path,
     assert count[0] == 271
 
 
+@pytest.mark.parametrize("extra,levels", [
+    # only an absent key selects every (n_tau // 50)-th level
+    ({}, sorted(set(range(0, 401, 8)) | {398, 399})),
+    # 0 keeps the mandatory levels alone
+    ({"store_every": 0}, [0, 398, 399, 400]),
+])
+def test_surface_keeps_the_configured_levels(tmp_path, extra, levels):
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "convertible.ini", n_elements=64, n_tau=400,
+                  **extra)
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = _read(out / "surface.csv")
+    assert sorted({int(row[0]) for row in rows}) == levels
+
+
 def test_p1_oracle_keeps_only_the_mandatory_slices(tmp_path, capsys,
                                                    monkeypatch):
     import igafin.cli as cli
@@ -475,6 +490,21 @@ def test_no_module_imports_a_thread_pool():
                 continue
             found += [f"{path.name}: {n}" for n in names
                       if n.split(".")[0] in banned]
+    assert not found
+
+
+def test_only_models_reads_the_event_schedule():
+    # AfvParams.calendar is the one place that decides on which levels the
+    # coupons, the put and the call act: no other module reads the schedule
+    # or the exercise windows
+    banned = {"call_window", "put_window", "coupons"}
+    found = []
+    for path in sorted((ROOT / "src" / "igafin").glob("*.py")):
+        if path.name == "models.py":
+            continue
+        found += [f"{path.name}:{node.lineno}: .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in banned]
     assert not found
 
 

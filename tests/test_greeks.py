@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from igafin.greeks import delta, gamma, greeks_table, theta, write_greeks_csv
+from igafin import greeks
+from igafin.basis import eval_spline_many
+from igafin.greeks import greeks_table, theta_pair, write_greeks_csv
 from igafin.models import AfvParams, LelandParams
 from igafin.reference import bs_exact_greeks
 from igafin.stepper import SchemeConfig, build_discretization, run
@@ -19,23 +21,29 @@ def linear_run():
     return disc, surf
 
 
+def _rows(table, lo, hi):
+    """The table's stock prices in [lo, hi] and the mask that picks them."""
+    keep = (table.s >= lo) & (table.s <= hi)
+    return table.s[keep], keep
+
+
 class TestLinearGreeks:
     def test_delta_gamma_against_closed_form(self, linear_run):
         disc, surf = linear_run
-        s = np.linspace(70.0, 140.0, 29)
-        d = delta(LIN, disc, surf.final, s_points=s)
-        g = gamma(LIN, disc, surf.final, s_points=s)
+        table = greeks_table(LIN, disc, surf)
+        s, keep = _rows(table, 70.0, 140.0)
+        assert len(s) >= 10
         exact = np.array([bs_exact_greeks(si, 0.0, LIN) for si in s])
-        assert np.abs(d.values - exact[:, 0]).max() < 5e-3
-        assert np.abs(g.values - exact[:, 1]).max() < 5e-4
-        assert d.time == pytest.approx(0.0)
+        assert np.abs(table.delta[keep] - exact[:, 0]).max() < 5e-3
+        assert np.abs(table.gamma[keep] - exact[:, 1]).max() < 5e-4
+        assert table.time == pytest.approx(0.0)
 
     def test_theta_against_closed_form(self, linear_run):
         disc, surf = linear_run
-        s = np.linspace(70.0, 140.0, 29)
-        th = theta(LIN, disc, surf, s_points=s)
+        table = greeks_table(LIN, disc, surf)
+        s, keep = _rows(table, 70.0, 140.0)
         exact = np.array([bs_exact_greeks(si, 0.0, LIN)[2] for si in s])
-        assert np.abs(th.values - exact).max() < 5e-2
+        assert np.abs(table.theta[keep] - exact).max() < 5e-2
 
     def test_default_grid_is_the_greville_image(self, linear_run):
         disc, surf = linear_run
@@ -43,22 +51,44 @@ class TestLinearGreeks:
         expect = np.exp(disc.greville_x - LIN.kappa * surf.final.tau)
         assert table.s == pytest.approx(expect)
 
-    def test_rejects_nonpositive_price(self, linear_run):
-        # outside stock prices enter through the Greeks' s_points
+    def test_one_order_two_table_on_the_final_slice(self, linear_run,
+                                                    monkeypatch):
+        # delta and gamma share one basis table; theta evaluates the two
+        # slices it differences and nothing else
         disc, surf = linear_run
-        with pytest.raises(ValueError, match="positive"):
-            delta(LIN, disc, surf.final, s_points=[0.0])
+        tables, evals = [], []
+        basis_table = greeks.basis_table
+
+        def table(basis, xis, order):
+            tables.append((len(xis), order))
+            return basis_table(basis, xis, order)
+
+        def spline(basis, coeffs, xis, order=0):
+            evals.append(order)
+            return eval_spline_many(basis, coeffs, xis, order)
+
+        monkeypatch.setattr(greeks, "basis_table", table)
+        monkeypatch.setattr(greeks, "eval_spline_many", spline)
+        greeks_table(LIN, disc, surf)
+        assert tables == [(disc.n_basis, 2)]
+        assert evals == [0, 0]
 
     def test_needs_two_slices(self, linear_run):
         disc, _ = linear_run
         single = run(LIN, disc, SchemeConfig(n_steps=0))
         with pytest.raises(ValueError, match="two"):
-            theta(LIN, disc, single)
+            greeks_table(LIN, disc, single)
+
+    def test_needs_degree_two(self):
+        a, b = LIN.domain()
+        disc = build_discretization(a, b, 16, degree=1)
+        surf = run(LIN, disc, SchemeConfig(n_steps=4))
+        with pytest.raises(ValueError, match="degree"):
+            greeks_table(LIN, disc, surf)
 
 
 class TestLelandGamma:
     def test_continuous_across_simple_knots(self):
-        from igafin.basis import eval_spline_many
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
         a, b = le.domain()
@@ -66,44 +96,60 @@ class TestLelandGamma:
         surf = run(le, disc, SchemeConfig(n_steps=320, store_every=0))
         coeffs = surf.final.coeffs["vhat"]
         interior = disc.basis.knots.breakpoints[1:-1]
-        left = eval_spline_many(disc.basis, coeffs, interior, order=2,
-                                side="left")
-        right = eval_spline_many(disc.basis, coeffs, interior, order=2,
-                                 side="right")
-        assert np.abs(left - right).max() <= 1e-8
+        # one ulp below a knot lies in the span that ends there; the two
+        # spans sum different basis functions, so the sides agree to the
+        # rounding of values up to 8e6 (3e-14 relative), not absolutely
+        left = eval_spline_many(disc.basis, coeffs,
+                                np.nextafter(interior, 0.0), order=2)
+        right = eval_spline_many(disc.basis, coeffs, interior, order=2)
+        assert np.all(np.abs(left - right)
+                      <= 1e-12 * np.maximum(1.0, np.abs(right)))
 
 
 class TestAfvGreeks:
-    def _params(self):
-        return AfvParams(rate=0.05, sigma=0.2, maturity=5.0,
-                         face_value=100.0, conversion_ratio=1.0,
-                         s_initial=100.0, hazard_rate=0.02, recovery=0.0,
-                         eta=0.0,
-                         coupons=tuple((0.5 * i, 4.0) for i in range(1, 11)),
-                         call_window=(2.0, 5.0, 110.0),
-                         put_window=(3.0, 3.0, 105.0), rho=1.0e6)
+    def _params(self, **overrides):
+        base = dict(rate=0.05, sigma=0.2, maturity=5.0, face_value=100.0,
+                    conversion_ratio=1.0, s_initial=100.0, hazard_rate=0.02,
+                    recovery=0.0, eta=0.0,
+                    coupons=tuple((0.5 * i, 4.0) for i in range(1, 11)),
+                    call_window=(2.0, 5.0, 110.0),
+                    put_window=(3.0, 3.0, 105.0), rho=1.0e6)
+        base.update(overrides)
+        return AfvParams(**base)
 
-    def test_theta_avoids_coupon_straddles(self):
-        # the final march level sits just after the first coupon (t = 0.5
-        # maps to level 45 of 50); theta at a stored level next to a jump
-        # must difference a pair that does not cross it
-        p = self._params()
+    def test_theta_avoids_a_coupon_on_the_final_level(self):
+        # a coupon at t = 0.04 lands on the final level 50 of 50 (dtau =
+        # 0.1), as in check_coupon_jump; theta must then difference the
+        # two levels before it, not a pair that crosses the jump
+        p = self._params(coupons=((0.04, 4.0),) + tuple(
+            (0.5 * i, 4.0) for i in range(1, 11)))
+        _, jumps = p.calendar(0.1, 50)
+        assert 50 in jumps
         disc = build_discretization(-6.0, 2.0, 64)
         surf = run(p, disc, SchemeConfig(n_steps=50, store_every=1))
-        s = np.array([80.0, 100.0, 120.0])
-        th_at_jump = theta(p, disc, surf, index=45, s_points=s)
+        assert theta_pair(p, surf.levels, surf.dtau, 50) == (48, 49)
+        table = greeks_table(p, disc, surf)
+        s0, s1 = surf.slices[48], surf.slices[49]
+        inner = slice(1, -1)
+        xi = disc.pmap.to_parameter(p.x_of(table.s[inner], 0.0))
+        v0, v1 = (eval_spline_many(disc.basis, sl.coeffs["U"], xi)
+                  for sl in (s0, s1))
+        assert np.array_equal(table.theta[inner],
+                              (v1 - v0) / (p.t_of(s1.tau) - p.t_of(s0.tau)))
         # a jump-straddling difference would be dominated by coupon/dtau,
         # i.e. about 4 / 0.1 = 40 per year
-        assert np.abs(th_at_jump.values).max() < 20.0
+        s, keep = _rows(table, 80.0, 120.0)
+        assert len(s) and np.abs(table.theta[keep]).max() < 20.0
 
-    def test_delta_rises_with_conversion(self):
+    def test_delta_tends_to_one_deep_in_the_money(self):
         p = self._params()
         disc = build_discretization(-6.0, 2.0, 64)
         surf = run(p, disc, SchemeConfig(n_steps=50, store_every=0))
-        s = np.linspace(150.0, 400.0, 9)
-        d = delta(p, disc, surf.final, s_points=s)
+        table = greeks_table(p, disc, surf)
+        j = int(np.argmin(np.abs(table.s - 400.0)))
+        assert table.s[j] == pytest.approx(400.0, rel=0.02)
         # deep in the conversion region the bond moves one-for-one
-        assert d.values[-1] == pytest.approx(1.0, abs=0.05)
+        assert table.delta[j] == pytest.approx(1.0, abs=0.05)
 
 
 class TestCsvOutput:

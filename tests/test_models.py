@@ -139,7 +139,7 @@ class TestLelandTransform:
         p = _table3_params()
         x = np.array([-1.0, 0.0, 0.5])
         assert np.array_equal(p.payoff(x),
-                              afv_terminal(p.s_of(x, 0.0), p)[0])
+                              afv_terminal(p.conversion_value(x), p)[0])
 
     def test_output_columns(self):
         assert LelandParams.columns == (("V", "vhat"),)
@@ -160,20 +160,39 @@ class TestEventCalendar:
         # data, and the put at t = 3 shares level 160 with a coupon
         p = _table3_params()
         events, jumps = p.calendar(p.horizon / 400, 400)
-        coupons = {40 * k: (4.0, False) for k in range(1, 10)}
-        coupons[160] = (4.0, True)
-        assert events == coupons
+        coupons = {40 * k: 4.0 for k in range(1, 10)}
+        call = set(range(1, 240))
+        assert events == {m: (coupons.get(m, 0.0), m == 160, m in call)
+                          for m in call | set(coupons)}
         assert jumps == set(coupons)
 
+    def test_call_window_opens_after_its_start_level(self):
+        # the call window (2, 5] is open-left: at 400 steps the call levels
+        # are 1..239, and level 240, at t = 2.0, has no call ceiling
+        p = _table3_params(coupons=(), put_window=None)
+        dtau = p.horizon / 400
+        events, jumps = p.calendar(dtau, 400)
+        assert events == {m: (0.0, False, True) for m in range(1, 240)}
+        assert jumps == set()
+        assert p.t_of(240 * dtau) == 2.0
+        ks = p.conversion_value([0.0])
+        b_call = [constraint_state(p, p.t_of(m * dtau), ks,
+                                   call_active=m in events).b_call_dirty
+                  for m in (239, 240)]
+        assert b_call == [110.0, math.inf]
+
     def test_put_window_is_open_on_its_levels_and_never_jumps(self):
+        # the call window (2, 5] is open on levels 1..29 of 50
         p = _table3_params(coupons=(), put_window=(2.5, 3.0, 105.0))
         events, jumps = p.calendar(p.horizon / 50, 50)
-        assert events == {m: (0.0, True) for m in range(20, 25)}
+        assert events == {m: (0.0, 20 <= m <= 24, True)
+                          for m in range(1, 30)}
         assert jumps == set()
 
     def test_off_grid_single_date_put_takes_the_nearest_level(self):
-        p = _table3_params(coupons=(), put_window=(3.04, 3.04, 105.0))
-        assert p.calendar(0.1, 50) == ({20: (0.0, True)}, {20})
+        p = _table3_params(coupons=(), put_window=(3.04, 3.04, 105.0),
+                           call_window=None)
+        assert p.calendar(0.1, 50) == ({20: (0.0, True, False)}, {20})
 
     def test_no_steps_no_events(self):
         assert _table3_params().calendar(0.0, 0) == ({}, set())
@@ -182,7 +201,8 @@ class TestEventCalendar:
 class TestAfvTerminal:
     def test_reference_points(self):
         p = _table3_params()
-        # redemption = face + final coupon = 104
+        # conversion values k S at k = 1; redemption = face + final coupon
+        # = 104
         assert afv_terminal(90.0, p) == pytest.approx((104.0, 104.0, 0.0))
         assert afv_terminal(120.0, p) == pytest.approx((120.0, 104.0, 16.0))
         assert afv_terminal(104.0, p) == pytest.approx((104.0, 104.0, 0.0))
@@ -235,17 +255,25 @@ class TestDefaultSourceTerms:
 
 
 class TestConstraintState:
-    def test_window_edges_left_open(self):
+    def test_flags_open_the_rights(self):
+        # the calendar decides when a right is open; the state follows its
+        # flags and reads t only for the accrual
         p = _table3_params()
         ks = p.conversion_value([0.0])
-        # call window (2, 5]: inactive exactly at the start, active at the end
-        assert not np.isfinite(constraint_state(p, 2.0, ks).b_call_dirty)
-        assert np.isfinite(constraint_state(p, 2.5, ks).b_call_dirty)
-        assert np.isfinite(constraint_state(p, 5.0, ks).b_call_dirty)
+        for t in (1.0, 2.0, 5.0):
+            closed = constraint_state(p, t, ks)
+            assert (closed.b_call_dirty, closed.b_put_dirty) == \
+                (math.inf, -math.inf)
+            opened = constraint_state(p, t, ks, put_active=True,
+                                      call_active=True)
+            acc = accrued_interest(t, p)
+            assert (opened.b_call_dirty, opened.b_put_dirty) == \
+                (110.0 + acc, 105.0 + acc)
 
     def test_dirty_prices_include_accrual(self):
         p = _table3_params()
-        st = constraint_state(p, 2.75, p.conversion_value([0.0]))
+        st = constraint_state(p, 2.75, p.conversion_value([0.0]),
+                              call_active=True)
         assert st.b_call_dirty == pytest.approx(110.0 + 2.0)
         st3 = constraint_state(p, 3.0, p.conversion_value([0.0]),
                                put_active=True)
@@ -255,7 +283,8 @@ class TestConstraintState:
     def test_coupon_settlement_nets_the_payment(self):
         p = _table3_params()
         st = constraint_state(p, 3.0, p.conversion_value([0.0]),
-                              put_active=True, coupon_now=4.0)
+                              put_active=True, call_active=True,
+                              coupon_now=4.0)
         # pre-injection clamp: accrual resets, put floor surrenders the coupon
         assert st.b_put_dirty == pytest.approx(101.0)
         assert st.b_call_dirty == pytest.approx(110.0)
@@ -263,7 +292,8 @@ class TestConstraintState:
     def test_pointwise_bounds(self):
         p = _table3_params()
         x = np.array([-1.0, 0.0, 0.5])
-        st = constraint_state(p, 4.0, p.conversion_value(x))
+        st = constraint_state(p, 4.0, p.conversion_value(x),
+                              call_active=True)
         ks = 100.0 * np.exp(x)
         assert st.conversion_value == pytest.approx(ks)
         assert st.u_star_call == pytest.approx(np.maximum(st.b_call_dirty, ks))
@@ -280,7 +310,8 @@ class TestConstraintState:
 class TestApplyConstraints:
     def test_call_ceiling(self):
         p = _table3_params()
-        st = constraint_state(p, 5.0, p.conversion_value([0.0]))
+        st = constraint_state(p, 5.0, p.conversion_value([0.0]),
+                              call_active=True)
         b = apply_B_constraints(np.array([120.0]), np.array([0.0]), st)
         assert b[0] == pytest.approx(st.b_call_dirty)
 
@@ -298,7 +329,8 @@ class TestApplyConstraints:
     def test_joint_clip_shifts_cash_component(self):
         p = _table3_params()
         x = np.array([0.3, 0.3])
-        st = constraint_state(p, 4.0, p.conversion_value(x))
+        st = constraint_state(p, 4.0, p.conversion_value(x),
+                              call_active=True)
         u = np.array([100.0, 400.0])
         b = np.array([60.0, 60.0])
         b_new = apply_joint_constraints(b, u, st)
@@ -310,7 +342,8 @@ class TestApplyConstraints:
 
     def test_penalty_terms_signs_and_indicators(self):
         p = _table3_params()
-        st = constraint_state(p, 5.0, p.conversion_value([0.0, 0.0]))
+        st = constraint_state(p, 5.0, p.conversion_value([0.0, 0.0]),
+                              call_active=True)
         u = np.array([st.u_star_put[0] - 1.0, st.u_star_call[1] + 2.0])
         pen, a_put, a_call = penalty_terms(u, st, rho=100.0)
         assert pen[0] == pytest.approx(100.0)

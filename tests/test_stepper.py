@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from igafin.assembly import assemble
+from igafin.basis import eval_spline_many
 from igafin.linsolve import BandedMatrix
 from igafin import stepper
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
@@ -14,8 +15,8 @@ from igafin.quadrature import gauss_legendre_rule
 from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
                             SchemeConfig, build_discretization,
-                            evaluate_slice, newton_solve_U, run, run_afv,
-                            run_leland, step_leland, value_curve)
+                            newton_solve_U, run, run_afv, run_leland,
+                            step_leland, value_curve)
 
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
 
@@ -117,8 +118,8 @@ class TestInitialSlice:
         params = _afv()
         disc = build_discretization(-6.0, 2.0, 32)
         surf = run_afv(params, disc, SchemeConfig(n_steps=0))
-        s = params.s_initial * np.exp(disc.greville_x)
-        u, b, c = afv_terminal(s, params)
+        u, b, c = afv_terminal(params.conversion_value(disc.greville_x),
+                               params)
         assert np.array_equal(surf.initial.coeffs["U"], u)
         assert np.array_equal(surf.initial.coeffs["B"], b)
         assert np.array_equal(surf.initial.coeffs["C"], c)
@@ -206,12 +207,13 @@ class TestLinearMarch:
 
 
 class TestEvaluation:
-    def test_evaluate_slice_rejects_outside(self):
+    def test_value_curve_rejects_outside(self):
         a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=2))
+        s = LIN.s_of(b + 1.0, surf.final.tau)
         with pytest.raises(ValueError, match="outside"):
-            evaluate_slice(disc, surf.final, "vhat", [b + 1.0])
+            value_curve(LIN, disc, surf.final, [s])
 
     def test_price_curve_undoes_the_drift_frame(self):
         a, b = LIN.domain()
@@ -220,21 +222,21 @@ class TestEvaluation:
         s = np.array([80.0, 100.0, 125.0])
         tau = surf.final.tau
         x = np.log(s) + LIN.kappa * tau
-        direct = math.exp(-LIN.kappa * tau) \
-            * evaluate_slice(disc, surf.final, "vhat", x)
+        direct = math.exp(-LIN.kappa * tau) * eval_spline_many(
+            disc.basis, surf.final.coeffs["vhat"], disc.pmap.to_parameter(x))
         assert value_curve(LIN, disc, surf.final, s) \
             == pytest.approx(direct, rel=1e-15)
 
-    def test_value_curve_reads_any_bond_field(self):
+    def test_value_curve_reads_the_bond_value_column(self):
         params = _afv()
         disc = build_discretization(-6.0, 2.0, 32)
         surf = run_afv(params, disc, SchemeConfig(n_steps=4))
         s = np.array([80.0, 100.0, 125.0])
         x = np.log(s / params.s_initial)
-        for name in ("U", "B", "C"):
-            assert np.array_equal(
-                value_curve(params, disc, surf.final, s, name),
-                evaluate_slice(disc, surf.final, name, x))
+        assert np.array_equal(
+            value_curve(params, disc, surf.final, s),
+            eval_spline_many(disc.basis, surf.final.coeffs["U"],
+                             disc.pmap.to_parameter(x)))
 
 
 class TestAfvMarch:
@@ -257,6 +259,20 @@ class TestAfvMarch:
             assert np.abs(diff[:-1] - amount).max() == 0.0
             assert diff[-1] == 0.0
         assert np.array_equal(f1.coeffs["C"], f0.coeffs["C"])
+
+    def test_pin_at_s_max_is_the_conversion_value(self):
+        # k S is formed once, so at conversion_ratio = 1.3 the pinned U and
+        # C at S_max and the conversion floor there are one number; at
+        # x_max = 0.5, 1.3 (100 e^x) and (1.3 100) e^x differ in the last bit
+        params = _afv(conversion_ratio=1.3)
+        disc = build_discretization(-6.0, 0.5, 64)
+        surf = run_afv(params, disc, SchemeConfig(n_steps=10, store_every=1))
+        pin = params.conversion_value(0.5)
+        assert params.conversion_value(disc.greville_x)[-1] == pin
+        assert surf.initial.coeffs["U"][-1] == pin
+        for slice_ in surf.slices[1:]:
+            assert slice_.coeffs["U"][-1] == pin
+            assert slice_.coeffs["C"][-1] == pin
 
     def test_put_right_raises_the_value(self):
         # the reference put at 105 never binds (the remaining cash flows are
@@ -299,22 +315,26 @@ class TestAfvMarch:
         n_steps = 50
         dtau = params.horizon / n_steps
         events, _ = params.calendar(dtau, n_steps)
-        args = {m: events.get(m, (0.0, False)) for m in range(1, n_steps + 1)}
+        args = {m: events.get(m, (0.0, False, False))
+                for m in range(1, n_steps + 1)}
         ks = params.conversion_value(disc.greville_x)
         floors = {m: constraint_state(params, params.t_of(m * dtau), ks,
-                                      put_active=put,
+                                      put_active=put, call_active=call,
                                       coupon_now=coupon).b_put_dirty
-                  for m, (coupon, put) in args.items()}
+                  for m, (coupon, put, call) in args.items()}
         inside = {m for m in args if 2.5 < params.t_of(m * dtau) <= 3.0}
         assert inside == {20, 21, 22, 23, 24}
         assert {m for m, f in floors.items() if np.isfinite(f)} == inside
 
         recorded = []
 
-        def spy(p, t, ks, put_active=False, coupon_now=0.0):
+        def spy(p, t, ks, put_active=False, call_active=False,
+                coupon_now=0.0):
             state = constraint_state(p, t, ks, put_active=put_active,
+                                     call_active=call_active,
                                      coupon_now=coupon_now)
-            recorded.append(((coupon_now, put_active), state.b_put_dirty))
+            recorded.append(((coupon_now, put_active, call_active),
+                             state.b_put_dirty))
             return state
 
         monkeypatch.setattr(stepper, "constraint_state", spy)
