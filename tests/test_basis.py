@@ -87,6 +87,15 @@ class TestFindSpan:
         # the right endpoint belongs to the last non-empty span
         assert kv.values[hi] < 1.0 <= kv.values[hi + 1]
 
+    def test_interior_knot_starts_its_span(self):
+        # a point on a knot takes the span that starts there, a repeated
+        # knot included: the span index is the knot's last copy
+        for kv, xi in ((make_uniform_open_knots(8, 3), 0.5),
+                       (make_refined_open_knots(16, 3, 0.4, 0.75), 0.4)):
+            i = _span(kv, xi)
+            assert kv.values[i] == xi < kv.values[i + 1]
+            assert _span(kv, float(np.nextafter(xi, 0.0))) < i
+
 
 class TestPartitionOfUnity:
     def test_bspline(self):
@@ -216,6 +225,39 @@ class TestBasisTable:
         for k, want in enumerate((r0, r1, r2)):
             tol = 1e-11 * max(1.0, np.abs(want).max())
             assert np.abs(got[:, k] - want).max() <= tol, k
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_KNOTS))
+    def test_smooth_across_knots_to_degree_minus_multiplicity(self, name):
+        # one ulp below an interior knot the kernel uses the span ending
+        # there; for a knot of multiplicity m, derivatives of order up to
+        # p - m agree with the knot's own (right) span to rounding, and the
+        # next one jumps
+        knots = _KERNEL_KNOTS[name]()
+        w = np.random.default_rng(203).uniform(0.3, 3.0, knots.n_basis)
+        basis = NurbsBasis(knots, w)
+        uniq, mult = np.unique(knots.values, return_counts=True)
+        for xi, m in zip(uniq[1:-1], mult[1:-1]):
+            xs = np.array([np.nextafter(xi, 0.0), xi])
+            below, at = _dense_table(basis, xs, 2)
+            smooth = knots.degree - m
+            for k in range(min(2, smooth) + 1):
+                tol = 1e-12 * max(1.0, np.abs(at[k]).max())
+                assert np.abs(below[k] - at[k]).max() <= tol, (xi, k)
+            if smooth < 2:
+                k = smooth + 1
+                jump = np.abs(below[k] - at[k]).max()
+                assert jump > 0.1 * np.abs(at[k]).max(), (xi, k)
+
+    def test_kink_gives_the_right_limit(self):
+        # the cubic is only C0 at the triple knot: the knot's row is the
+        # limit from above, and the slope from below differs from it
+        knots = make_refined_open_knots(16, 3, 0.4, 0.75)
+        basis = NurbsBasis(knots, np.ones(knots.n_basis))
+        xs = np.array([np.nextafter(0.4, 0.0), 0.4, np.nextafter(0.4, 1.0)])
+        below, at, above = _dense_table(basis, xs, 1)
+        assert np.abs(at - above).max() <= 1e-9 * np.abs(at).max()
+        assert np.abs(below[0] - at[0]).max() <= 1e-14
+        assert np.abs(below[1] - at[1]).max() > 1.0
 
     def test_rejects_bad_order_and_points(self):
         basis = NurbsBasis(make_uniform_open_knots(4, 3), np.ones(7))
