@@ -12,6 +12,10 @@ converge   ladder of (n_elements, n_tau) runs; writes convergence.csv with
 greeks     one solve; writes greeks.csv only.
 validate   runs the structural invariant suite, one report line per check.
 
+price and converge take --config, --out, --probe-s and --oracle; greeks
+takes --config and --out; validate takes no flag.  A flag the verb does not
+read is a usage error.
+
 Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
 failure.  Unknown configuration keys are hard errors carrying the offending
 line number, and nothing is written unless the whole configuration parses.
@@ -561,11 +565,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("price", "converge", "greeks", "validate"):
         sp = sub.add_parser(verb)
-        sp.add_argument("--config", required=(verb != "validate"))
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--probe-s", type=float, default=None)
-        sp.add_argument("--oracle", default=None,
-                        choices=["closed-form", "p1", "fdm", "none"])
+        if verb != "validate":
+            sp.add_argument("--config", required=True)
+            sp.add_argument("--out", default=None)
+        if verb in ("price", "converge"):
+            sp.add_argument("--probe-s", type=float, default=None)
+            sp.add_argument("--oracle", default=None,
+                            choices=["closed-form", "p1", "fdm", "none"])
     args = parser.parse_args(argv)
 
     if args.verb == "validate":
@@ -577,20 +583,17 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.out is not None:
             cfg.out_dir = args.out
+        if args.verb == "greeks":
+            return run_greeks(cfg)
         if args.probe_s is not None:
             cfg.probe_s = args.probe_s
         if args.verb == "price":
             return run_pricing(cfg, args.oracle or "none")
-        if args.verb == "converge":
-            return run_convergence(cfg, args.oracle or "default")
-        return run_greeks(cfg)
+        return run_convergence(cfg, args.oracle or "default")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NewtonDivergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
+    except (NewtonDivergenceError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -51,8 +51,7 @@ import numpy as np
 __all__ = [
     "LelandParams", "AfvParams", "ConstraintState", "afv_terminal",
     "accrued_interest", "default_delta", "default_gamma", "constraint_state",
-    "apply_B_constraints", "apply_joint_constraints", "penalty_terms",
-    "calibrate_weights",
+    "apply_B_constraints", "apply_joint_constraints", "calibrate_weights",
 ]
 
 
@@ -405,22 +404,6 @@ def apply_joint_constraints(b_slice: np.ndarray, u_slice: np.ndarray,
     u = np.asarray(u_slice, dtype=float)
     u_clipped = np.clip(u, state.conversion_value, state.u_star_call)
     return np.asarray(b_slice, dtype=float) + (u_clipped - u)
-
-
-def penalty_terms(u_slice: np.ndarray, state: ConstraintState, rho: float):
-    """Penalty residual and indicator diagonals for the Newton iteration.
-
-    Indicators use the closed comparison (alpha = 1 when the bound is hit
-    exactly).  Infinite sentinels never activate, and the returned residual
-    is formed without 0 * inf products.
-    """
-    u = np.asarray(u_slice, dtype=float)
-    p_put = (state.u_star_put - u >= 0.0).astype(float)
-    p_call = (u - state.u_star_call >= 0.0).astype(float)
-    put_part = np.where(p_put > 0, state.u_star_put - u, 0.0)
-    call_part = np.where(p_call > 0, u - state.u_star_call, 0.0)
-    contribution = rho * (put_part + call_part)
-    return contribution, p_put, p_call
 
 
 def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],

@@ -79,7 +79,6 @@ class FdmResult:
 
     x: np.ndarray
     values: dict[str, np.ndarray]
-    dtau: float
 
 
 def _central_differences(x: np.ndarray) -> GalerkinSystem:
@@ -110,7 +109,7 @@ def fdm_solve_leland(params: LelandParams, x_min: float, x_max: float,
     scheme = SchemeConfig(n_steps, theta, rannacher_steps, store_every=0)
     surf = march_leland(params, _central_differences(x), x, scheme,
                         x[1] - x[0])
-    return FdmResult(x, surf.final.coeffs, surf.dtau)
+    return FdmResult(x, surf.final.coeffs)
 
 
 def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
@@ -125,7 +124,7 @@ def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
     x = np.linspace(x_min, x_max, n_cells + 1)
     scheme = SchemeConfig(n_steps, theta, rannacher_steps, store_every=0)
     surf = march_afv(params, _central_differences(x), x, scheme)
-    return FdmResult(x, surf.final.coeffs, surf.dtau)
+    return FdmResult(x, surf.final.coeffs)
 
 
 def p1fem_solve(params: LelandParams, x_min: float, x_max: float,

@@ -21,14 +21,17 @@ The marches (``march_leland``, ``march_afv``) take the system and its
 nodes x_j as arguments, so the finite-difference twins in ``reference``
 run them too, on central differences at uniform nodes.
 
-The transaction-cost step linearises |vtilde^{m+1}| ~ |vtilde^m| where the
-auxiliary vtilde solves M vtilde = -(K - N) vhat (the mixed form of
-vtilde = vhat_xx - vhat_x), so each step stays a single banded solve plus
-one mass solve, by the banded Cholesky factor of the symmetric positive
-definite M.  After each such step, coefficients below the normal range of
-a double are set to zero: the far out-of-the-money tail ahead of the
-diffusion front decays through that range, where they carry no price
-information and every operation on them is many times slower.
+The call march takes one step, ``_LelandStep``, whatever its Leland
+number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
+where the auxiliary vtilde solves M vtilde = -(K - N) vhat (the mixed form
+of vtilde = vhat_xx - vhat_x), so a step with costs stays one banded solve
+plus one mass solve, by the banded Cholesky factor of the symmetric
+positive definite M.  After such a step, coefficients below the normal
+range of a double are set to zero: the far out-of-the-money tail ahead of
+the diffusion front decays through that range, where they carry no price
+information and every operation on them is many times slower.  With
+Le = 0 the step has no source: it forms no A w, factors no M and flushes
+nothing, and is bitwise the generic step ``step_linear`` takes.
 
 The convertible-bond step follows the operator-splitting order: advance B
 unconstrained, form gamma, advance C, clamp B against the call/put bounds,
@@ -67,7 +70,7 @@ from .quadrature import gauss_legendre_rule
 
 __all__ = [
     "SchemeConfig", "TimeSlice", "SolutionSurface", "Discretization",
-    "build_knots", "build_discretization", "step_linear", "step_leland",
+    "build_knots", "build_discretization", "step_linear",
     "step_afv_boundary", "NewtonJacobians", "newton_solve_U",
     "NewtonDivergenceError", "run",
     "run_leland", "run_afv", "march_leland", "march_afv", "value_curve",
@@ -222,13 +225,6 @@ class _ThetaOperator:
             self.lhs_lu[th] = self.lhs_mat[th].lu_factor()
             self.rhs_mat[th] = self.m_int - self.a_int.scaled((1.0 - th) * dtau)
 
-    def fixed_lift(self, wb: np.ndarray) -> dict[float, np.ndarray]:
-        """The boundary-lift term of ``build_rhs`` per theta, for boundary
-        values that stay at ``wb``; the M_cols term is then zero."""
-        a_lift = self.a_cols @ wb
-        return {th: self.dtau * (th * a_lift + (1.0 - th) * a_lift)
-                for th in self.lhs_lu}
-
     def build_rhs(self, w_full: np.ndarray, wb_new, theta: float,
                   nu_m: np.ndarray | None = None,
                   nu_new: np.ndarray | None = None) -> np.ndarray:
@@ -287,16 +283,18 @@ _TINY = np.finfo(float).tiny
 
 
 class _LelandStep:
-    """The linearised transaction-cost step on fixed boundary data ``wb``.
+    """The step of the transformed call march on fixed boundary data ``wb``.
 
     The boundary data of the transformed problem does not depend on time,
-    so the boundary lift is one constant vector per theta.  R_theta w and
-    A w come from one pass over their stacked bands, M vtilde =
-    -(K - N) vhat is solved with the Cholesky factor of M, and nu =
-    Le |vtilde| vanishes at both ends, so M nu is one interior matvec.  The
-    linearisation gives M nu the full dtau weight, added as
-    dtau (1-theta) M nu and then dtau theta M nu like ``build_rhs``.
-    Subnormal coefficients of the result are set to zero.
+    so the boundary lift is one constant vector per theta, and the M_cols
+    term of ``build_rhs`` is zero.  Without costs a step is R_theta w, the
+    lift and one solve.  With costs, R_theta w and A w come from one pass
+    over their stacked bands, M vtilde = -(K - N) vhat is solved with the
+    Cholesky factor of M, and nu = Le |vtilde| vanishes at both ends, so
+    M nu is one interior matvec.  The linearisation gives M nu the full
+    dtau weight, added as dtau (1-theta) M nu and then dtau theta M nu like
+    ``build_rhs``, and subnormal coefficients of the result are set to
+    zero.
     """
 
     def __init__(self, op: _ThetaOperator, wb: np.ndarray,
@@ -304,38 +302,34 @@ class _LelandStep:
         self.op = op
         self.wb = wb
         self.leland_number = leland_number
-        self.a_lift = op.a_cols @ wb
-        self.lift = op.fixed_lift(wb)
-        self.mass_chol = op.m_int.cholesky()
+        a_lift = self.a_lift = op.a_cols @ wb
+        self.lift = {th: op.dtau * (th * a_lift + (1.0 - th) * a_lift)
+                     for th in op.lhs_lu}
+        self.costs = leland_number > 0
+        if self.costs:
+            self.mass_chol = op.m_int.cholesky()
+        # R_theta, stacked with A when the source needs A w
         self.bands = {th: np.stack([op.rhs_mat[th].data, op.a_int.data])
+                      if self.costs else op.rhs_mat[th].data
                       for th in op.lhs_lu}
 
     def __call__(self, w: np.ndarray, theta: float) -> np.ndarray:
         op = self.op
-        rhs, a_w = band_products(self.bands[theta], w[1:-1])
+        products = band_products(self.bands[theta], w[1:-1])
+        rhs = products[0] if self.costs else products
         rhs -= self.lift[theta]
-        vt = self.mass_chol.solve(-(a_w + self.a_lift))
-        m_nu = op.m_int.matvec(self.leland_number * np.abs(vt))
-        rhs += op.dtau * (1.0 - theta) * m_nu
-        rhs += op.dtau * theta * m_nu
+        if self.costs:
+            vt = self.mass_chol.solve(-(products[1] + self.a_lift))
+            m_nu = op.m_int.matvec(self.leland_number * np.abs(vt))
+            rhs += op.dtau * (1.0 - theta) * m_nu
+            rhs += op.dtau * theta * m_nu
         w_int = op.lhs_lu[theta].solve(rhs)
-        w_int[np.abs(w_int) < _TINY] = 0.0
+        if self.costs:
+            w_int[np.abs(w_int) < _TINY] = 0.0
         out = np.empty_like(w)
         out[1:-1] = w_int
         out[0], out[-1] = self.wb
         return out
-
-
-def step_leland(system: GalerkinSystem, w_full: np.ndarray, dtau: float,
-                theta: float, leland_number: float) -> np.ndarray:
-    """One linearised transaction-cost step (standalone, factors on the fly).
-
-    The same step ``run_leland`` takes with costs, on the boundary values
-    of ``w_full``.
-    """
-    w_full = np.asarray(w_full, dtype=float)
-    op = _ThetaOperator(system, (1.0, -1.0, 0.0), dtau, (theta,))
-    return _LelandStep(op, w_full[[0, -1]], leland_number)(w_full, theta)
 
 
 def step_afv_boundary(values_m, params: AfvParams, dtau: float,
@@ -467,24 +461,22 @@ def _warn_if_unstable(dx: float, dtau: float) -> None:
 
 
 def run_leland(params: LelandParams, disc: Discretization,
-               scheme: SchemeConfig, force_mixed: bool | None = None
-               ) -> SolutionSurface:
+               scheme: SchemeConfig) -> SolutionSurface:
     """March the (possibly nonlinear) transformed call problem to t = 0."""
     return march_leland(params, disc.system, disc.greville_x, scheme,
-                        disc.min_span_x(), force_mixed)
+                        disc.min_span_x())
 
 
 @np.errstate(all="ignore")
 def march_leland(params: LelandParams, system: GalerkinSystem,
-                 nodes: np.ndarray, scheme: SchemeConfig, min_dx: float,
-                 force_mixed: bool | None = None) -> SolutionSurface:
+                 nodes: np.ndarray, scheme: SchemeConfig,
+                 min_dx: float) -> SolutionSurface:
     """The transformed call march on any space: ``system`` with one
     coefficient per point of ``nodes``, whose smallest spacing ``min_dx``
     sets the step-ratio warning."""
     n_steps = scheme.n_steps
     dtau = params.horizon / n_steps if n_steps else 0.0
-    mixed = params.leland_number > 0 if force_mixed is None else force_mixed
-    if n_steps and mixed:
+    if n_steps and params.leland_number > 0:
         _warn_if_unstable(min_dx, dtau)
     w = params.payoff(nodes)
     keep = scheme.stored_levels()
@@ -492,22 +484,11 @@ def march_leland(params: LelandParams, system: GalerkinSystem,
     levels = [0]
     if n_steps == 0:
         return SolutionSurface(slices, levels, 0, dtau)
-    coeffs = params.coefficients("vhat")
     thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
-    op = _ThetaOperator(system, coeffs, dtau, thetas)
-    wb = w[[0, -1]]
-    lift = op.fixed_lift(wb)
-    mixed_step = _LelandStep(op, wb, params.leland_number) if mixed else None
+    op = _ThetaOperator(system, params.coefficients("vhat"), dtau, thetas)
+    step = _LelandStep(op, w[[0, -1]], params.leland_number)
     for m in range(n_steps):
-        theta = scheme.theta_at(m)
-        if mixed:
-            w = mixed_step(w, theta)
-        else:
-            rhs = op.rhs_mat[theta].matvec(w[1:-1])
-            rhs -= lift[theta]
-            w = np.empty_like(w)
-            w[1:-1] = op.lhs_lu[theta].solve(rhs)
-            w[0], w[-1] = wb
+        w = step(w, scheme.theta_at(m))
         _check_finite((w,), m + 1, n_steps)
         if (m + 1) in keep:
             slices.append(TimeSlice((m + 1) * dtau, {"vhat": w}))

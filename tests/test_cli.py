@@ -388,6 +388,30 @@ def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
     assert f"{len(results) - 1}/{len(results)} invariant checks passed" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["greeks", "--oracle", "p1"],
+    ["greeks", "--probe-s", "5000"],
+    ["validate", "--config", "missing.ini"],
+    ["validate", "--oracle", "fdm"],
+    ["validate", "--out", "{out}"],
+    ["validate", "--probe-s", "100"],
+])
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                        argv):
+    # both greeks cases and both validate --config/--oracle cases used to
+    # exit 0 with the flag ignored
+    out = tmp_path / "out"
+    if argv[0] == "greeks":
+        argv = argv + ["--config", str(_config(tmp_path, "convertible.ini",
+                                               **SMALL)), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(out=out) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in err
+    assert not out.exists()
+
+
 def test_non_finite_convertible_is_a_solver_failure_with_no_output(
         tmp_path):
     # a default intensity of 1e308 overflows the first step; the run used

@@ -9,7 +9,7 @@ from igafin.models import (AfvParams, LelandParams, accrued_interest,
                            afv_terminal, apply_B_constraints,
                            apply_joint_constraints, calibrate_weights,
                            constraint_state, default_delta,
-                           default_gamma, penalty_terms)
+                           default_gamma)
 
 
 def _table3_params(**overrides):
@@ -339,20 +339,6 @@ class TestApplyConstraints:
         # ceiling (here ks > call price) it lowers it
         assert b_new[0] == pytest.approx(60.0 + (ks - 100.0))
         assert b_new[1] == pytest.approx(60.0 + (st.u_star_call[1] - 400.0))
-
-    def test_penalty_terms_signs_and_indicators(self):
-        p = _table3_params()
-        st = constraint_state(p, 5.0, p.conversion_value([0.0, 0.0]),
-                              call_active=True)
-        u = np.array([st.u_star_put[0] - 1.0, st.u_star_call[1] + 2.0])
-        pen, a_put, a_call = penalty_terms(u, st, rho=100.0)
-        assert pen[0] == pytest.approx(100.0)
-        assert pen[1] == pytest.approx(200.0)
-        assert a_put.tolist() == [1.0, 0.0]
-        assert a_call.tolist() == [0.0, 1.0]
-        inside = 0.5 * (st.u_star_put + st.u_star_call)
-        pen0, _, _ = penalty_terms(inside, st, rho=100.0)
-        assert np.all(pen0 == 0.0)
 
 
 class TestCalibrateWeights:

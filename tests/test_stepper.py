@@ -16,7 +16,7 @@ from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
                             SchemeConfig, build_discretization,
                             newton_solve_U, run, run_afv, run_leland,
-                            step_leland, value_curve)
+                            step_linear, value_curve)
 
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
 
@@ -138,31 +138,64 @@ class TestLinearMarch:
         assert errs[1] < 0.15
         assert errs[1] < errs[0] / 3.0
 
-    def test_mixed_form_identical_without_costs(self):
+    @pytest.mark.parametrize("n_elements,degree",
+                             [(32, 1), (32, 3), (2, 1), (2, 3), (1, 3)])
+    def test_march_without_costs_is_the_chained_linear_step(self, n_elements,
+                                                            degree):
+        a, b = LIN.domain()
+        disc = build_discretization(a, b, n_elements, degree=degree)
+        scheme = SchemeConfig(n_steps=16, store_every=1)
+        surf = run_leland(LIN, disc, scheme)
+        w = surf.initial.coeffs["vhat"]
+        for m, stored in enumerate(surf.slices[1:]):
+            w = step_linear(disc.system, LIN.coefficients("vhat"), w,
+                            w[[0, -1]], surf.dtau, scheme.theta_at(m))
+            assert np.array_equal(stored.coeffs["vhat"], w)
+
+    def test_march_without_costs_factors_no_mass(self, monkeypatch):
+        calls = []
+        cholesky = BandedMatrix.cholesky
+
+        def counting(self):
+            calls.append(self.n)
+            return cholesky(self)
+
+        monkeypatch.setattr(BandedMatrix, "cholesky", counting)
         a, b = LIN.domain()
         disc = build_discretization(a, b, 32)
-        scheme = SchemeConfig(n_steps=16)
-        plain = run_leland(LIN, disc, scheme, force_mixed=False)
-        mixed = run_leland(LIN, disc, scheme, force_mixed=True)
-        gap = np.abs(plain.final.coeffs["vhat"]
-                     - mixed.final.coeffs["vhat"]).max()
-        assert gap < 1e-12
+        run_leland(LIN, disc, SchemeConfig(n_steps=16))
+        assert calls == []
+        le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
+                          leland_number=0.8)
+        run_leland(le, disc, SchemeConfig(n_steps=16))
+        assert calls == [disc.n_basis - 2]
 
     @pytest.mark.parametrize("degree", [1, 3])
-    def test_march_is_the_chained_single_step(self, degree):
+    def test_costs_step_is_the_dense_linearised_step(self, degree):
+        # each stored level against one step rebuilt from dense matrices:
+        # M vtilde = -(A w + lift of A), rhs = R w - lift + dtau M Le|vtilde|
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
         a, b = le.domain()
         disc = build_discretization(a, b, 16, degree=degree)
         scheme = SchemeConfig(n_steps=8, rannacher_steps=2, store_every=1)
-        surf = run_leland(le, disc, scheme, force_mixed=True)
-        w = surf.initial.coeffs["vhat"]
-        dtau = le.horizon / scheme.n_steps
-        for m in range(scheme.n_steps):
-            w = step_leland(disc.system, w, dtau, scheme.theta_at(m),
-                            le.leland_number)
-            stored = surf.slices[surf.levels.index(m + 1)]
-            assert np.array_equal(stored.coeffs["vhat"], w)
+        surf = run_leland(le, disc, scheme)
+        dtau = surf.dtau
+        a_int, a_cols = disc.system.operator(le.coefficients("vhat"))
+        a_dense, m_dense = a_int.to_dense(), disc.system.mass.to_dense()
+        for m, (old, new) in enumerate(zip(surf.slices, surf.slices[1:])):
+            theta = scheme.theta_at(m)
+            w = old.coeffs["vhat"]
+            a_lift = a_cols @ w[[0, -1]]
+            vt = np.linalg.solve(m_dense, -(a_dense @ w[1:-1] + a_lift))
+            rhs = ((m_dense - (1.0 - theta) * dtau * a_dense) @ w[1:-1]
+                   - dtau * a_lift
+                   + dtau * m_dense @ (le.leland_number * np.abs(vt)))
+            want = np.linalg.solve(m_dense + theta * dtau * a_dense, rhs)
+            got = new.coeffs["vhat"]
+            assert np.array_equal(got[[0, -1]], w[[0, -1]])
+            assert np.abs(got[1:-1] - want).max() <= \
+                1e-12 * np.abs(want).max()
 
     def test_costs_leave_no_subnormal_coefficient(self):
         # ahead of the diffusion front the far out-of-the-money tail decays
