@@ -17,24 +17,27 @@ takes --config and --out; validate takes no flag.  A flag the verb does not
 read is a usage error.
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
-failure.  Unknown configuration keys are hard errors carrying the offending
-line number, and nothing is written unless the whole configuration parses.
-The [model] keys are the fields of the model's parameter class, with its
-defaults; a field without a default is a required key.  Settings that parse
-but cannot run are configuration errors too, raised before solving:
-x_min >= x_max; refined knots with degree < 3, cluster_ratio outside
-(0, 1], or the payoff kink, where they cluster, outside (x_min, x_max);
-theta outside [0, 1]; negative rannacher_steps or store_every; a weights
-file that does not hold one positive number per basis function; a ladder
-rung or reference with n_elements < 1 or n_tau < 0; a grid with fewer than
-three basis functions (none interior); n_elements < 2 for the P1 reference
-or the FDM twin; an oracle that does not apply to the model, and for
-converge any oracle but the model's own or none; a call window that opens
-and closes on one date; degree < 2 or n_tau = 0 for price and greeks (gamma
-and theta need them); a time grid on which every pair of stored slices near
-t = 0 straddles a coupon or put date (theta has nothing to difference); and
-a probe price outside the domain.  A march that produces a value that is
-not finite is a solver failure, reported on one line.
+failure.  Unknown configuration keys and values that do not parse, among
+them a float that is not a finite number, are hard errors carrying the
+offending line number, and nothing is written unless the whole
+configuration parses.  The [model] keys are the fields of the model's
+parameter class, with its defaults; a field without a default is a
+required key.  Every march takes at least one step, so n_tau < 1, in
+[discretization], a ladder rung or the reference, is an error of the same
+kind.  Settings that parse but cannot run are configuration errors too,
+raised before solving: x_min >= x_max; refined knots with degree < 3,
+cluster_ratio outside (0, 1], or the payoff kink, where they cluster,
+outside (x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
+store_every; a weights file that does not hold one positive number per
+basis function; a ladder rung or reference with n_elements < 1; a grid
+with fewer than three basis functions (none interior); n_elements < 2 for
+the P1 reference or the FDM twin; an oracle that does not apply to the
+model, and for converge any oracle but the model's own or none; a call
+window that opens and closes on one date; degree < 2 for price and greeks
+(gamma needs it); a time grid on which every pair of stored slices near
+t = 0 straddles a coupon or put date (theta has nothing to difference);
+and a probe price outside the domain.  A march that produces a value that
+is not finite is a solver failure, reported on one line.
 
 price builds every table before it writes its first file.  Each CSV goes
 to a ``.tmp`` file that replaces it at the end and is removed if writing
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import re
 import sys
@@ -153,13 +157,21 @@ def _get(cp, lines, path, section, key, conv, default=None, required=False):
                           lines.get((section, key))) from None
 
 
+def _finite(raw: str) -> float:
+    """The value of a float key or entry, which must be a finite number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_pairs(raw: str) -> tuple[tuple[float, float], ...]:
     """Coupon schedule 't:amount, t:amount, ...'."""
     items = [s for s in re.split(r"[,\n]+", raw) if s.strip()]
     out = []
     for item in items:
         t_s, a_s = item.split(":")
-        out.append((float(t_s), float(a_s)))
+        out.append((_finite(t_s), _finite(a_s)))
     return tuple(out)
 
 
@@ -167,11 +179,11 @@ def _parse_window(raw: str) -> tuple[float, float, float] | None:
     raw = raw.strip().lower()
     if raw in ("", "none"):
         return None
-    a, b, price = (float(v) for v in raw.split(":"))
+    a, b, price = (_finite(v) for v in raw.split(":"))
     return (a, b, price)
 
 
-# the [model] keys whose values are not plain floats
+# the [model] keys whose values are not single floats
 _CONVERTERS = {"coupons": _parse_pairs, "call_window": _parse_window,
                "put_window": _parse_window}
 
@@ -180,8 +192,8 @@ def _parse_rungs(raw: str) -> list[tuple[int, int]]:
     out = []
     for item in (s for s in re.split(r"[,\n]+", raw) if s.strip()):
         n_e, n_t = (int(v) for v in item.split(":"))
-        if n_e < 1 or n_t < 0:
-            raise ValueError(f"need n_elements >= 1, n_tau >= 0 in {item!r}")
+        if n_e < 1 or n_t < 1:
+            raise ValueError(f"need n_elements >= 1, n_tau >= 1 in {item!r}")
         out.append((n_e, n_t))
     return out
 
@@ -229,7 +241,7 @@ def parse_config(path: str) -> ExperimentConfig:
         return _get(cp, lines, path, section, key, conv, default, required)
 
     # a parameter field with no default is a required key
-    values = {f.name: g("model", f.name, _CONVERTERS.get(f.name, float),
+    values = {f.name: g("model", f.name, _CONVERTERS.get(f.name, _finite),
                         f.default, required=f.default is MISSING)
               for f in fields(cls)}
     if model == "linear-bs" and values["leland_number"] != 0.0:
@@ -269,22 +281,22 @@ def parse_config(path: str) -> ExperimentConfig:
         degree=g("discretization", "degree", int, 3),
         n_elements=g("discretization", "n_elements", int, required=True),
         knot_mode=knot_mode,
-        cluster_ratio=g("discretization", "cluster_ratio", float, None),
+        cluster_ratio=g("discretization", "cluster_ratio", _finite, None),
         weight_source=weight_source,
         weights_file=weights_file,
         n_tau=g("discretization", "n_tau", int, required=True),
-        theta=g("discretization", "theta", float, 0.5),
+        theta=g("discretization", "theta", _finite, 0.5),
         rannacher_steps=g("discretization", "rannacher_steps", int, 2),
-        x_min=g("discretization", "x_min", float, a_def),
-        x_max=g("discretization", "x_max", float, b_def),
+        x_min=g("discretization", "x_min", _finite, a_def),
+        x_max=g("discretization", "x_max", _finite, b_def),
         store_every=g("discretization", "store_every", int, None),
-        probe_s=g("experiment", "probe_s", float, 100.0),
+        probe_s=g("experiment", "probe_s", _finite, 100.0),
         out_dir=g("output", "dir", str, "out"),
         rungs=g("ladder", "rungs", _parse_rungs, []),
         reference=g("ladder", "reference",
                     lambda s: _parse_rungs(s)[0], None))
-    if cfg.n_elements < 1 or cfg.n_tau < 0 or cfg.degree < 1:
-        raise ConfigError("n_elements and degree must be >= 1 and n_tau >= 0",
+    if min(cfg.n_elements, cfg.n_tau, cfg.degree) < 1:
+        raise ConfigError("n_elements, n_tau and degree must be >= 1",
                           path, lines.get(("discretization", "")))
     return cfg
 
@@ -433,9 +445,6 @@ def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
     if cfg.degree < 2:
         raise ConfigError("the Greeks need degree >= 2 (gamma is a second "
                           f"derivative), got degree = {cfg.degree}", cfg.path)
-    if cfg.n_tau < 1:
-        raise ConfigError("the Greeks need n_tau >= 1 (theta differences two "
-                          "time slices), got n_tau = 0", cfg.path)
     params = cfg.params
     levels = sorted(_scheme(cfg, cfg.n_tau).stored_levels())
     if theta_pair(params, levels, params.horizon / cfg.n_tau,

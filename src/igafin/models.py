@@ -263,8 +263,6 @@ class AfvParams:
         1..n_steps.  A put or call window is open at the levels whose t
         lies in (start, end], so the level at t = start has no call.
         """
-        if n_steps == 0:
-            return {}, set()
         coupons: dict[int, float] = {}
         for t_i, amount in self.coupons:
             tau_c = self.maturity - t_i
@@ -406,10 +404,17 @@ def apply_joint_constraints(b_slice: np.ndarray, u_slice: np.ndarray,
     return np.asarray(b_slice, dtype=float) + (u_clipped - u)
 
 
+# calibrate_weights: the weight interval, the size of the dense parameter
+# sample, the most coordinate sweeps, and the relative misfit decrease of a
+# sweep below which the descent stops
+_WEIGHT_BOUNDS = (0.1, 50.0)
+_FIT_SAMPLES = 2001
+_FIT_SWEEPS = 8
+_FIT_REL_TOL = 1e-10
+
+
 def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
-                      kink_xi: float = 0.5, bounds: tuple[float, float] = (0.1, 50.0),
-                      n_samples: int = 2001, sweeps: int = 8,
-                      rel_tol: float = 1e-10) -> np.ndarray:
+                      kink_xi: float = 0.5) -> np.ndarray:
     """Rational weights fitted so the represented payoff matches the payoff.
 
     The run seeds its initial slice with the payoff values at the Greville
@@ -417,15 +422,15 @@ def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
     same representation: payoff-at-Greville coefficients evaluated on a
     dense parameter sample against the exact payoff, by cyclic coordinate
     descent with golden-section line searches.  Weights stay inside
-    ``bounds``; coordinates are swept kink-first, since that is where the
-    rational degrees of freedom buy accuracy.
+    ``_WEIGHT_BOUNDS``; coordinates are swept kink-first, since that is
+    where the rational degrees of freedom buy accuracy.
 
     The rational form makes each trial cheap: with B-spline values tabled
     once, a weight vector w evaluates as (B (w c)) / (B w).
     """
     from .basis import NurbsBasis, eval_nurbs_all, greville_abscissae
 
-    xi_dense = np.linspace(0.0, 1.0, n_samples)
+    xi_dense = np.linspace(0.0, 1.0, _FIT_SAMPLES)
     target = payoff(np.asarray(pmap.to_physical(xi_dense)))
     greville = greville_abscissae(knots)
     order = np.argsort(np.abs(greville - kink_xi))
@@ -437,11 +442,11 @@ def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
         diff = vals - target
         return float(diff @ diff)
 
-    lo, hi = bounds
+    lo, hi = _WEIGHT_BOUNDS
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     weights = np.ones(knots.n_basis)
     best = misfit(weights)
-    for _ in range(sweeps):
+    for _ in range(_FIT_SWEEPS):
         previous = best
         for idx in order:
             a, b = lo, hi
@@ -470,6 +475,6 @@ def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
             if val < best:
                 best = val
                 weights[idx] = w_best
-        if previous - best <= rel_tol * max(previous, 1.0):
+        if previous - best <= _FIT_REL_TOL * max(previous, 1.0):
             break
     return weights

@@ -19,7 +19,8 @@ expanded with coefficients nu_j computed directly from the solution
 coefficients, nu_j = N(w_j, x_j).  No collocation solve enters the march.
 The marches (``march_leland``, ``march_afv``) take the system and its
 nodes x_j as arguments, so the finite-difference twins in ``reference``
-run them too, on central differences at uniform nodes.
+run them too, on central differences at uniform nodes.  Each builds only
+its step; ``_march`` is the one loop over time levels.
 
 The call march takes one step, ``_LelandStep``, whatever its Leland
 number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
@@ -55,7 +56,7 @@ or by Newton's test of its residual.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,8 +92,8 @@ class SchemeConfig:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         if self.rannacher_steps < 0 or self.store_every < 0:
@@ -101,10 +102,15 @@ class SchemeConfig:
     def theta_at(self, m: int) -> float:
         return 1.0 if m < self.rannacher_steps else self.theta
 
+    @property
+    def thetas(self) -> tuple[float, ...]:
+        """The distinct thetas of the march, each one operator's factors."""
+        return tuple({self.theta_at(m) for m in range(self.n_steps)})
+
     def stored_levels(self) -> set[int]:
         """The time levels a run keeps."""
         n = self.n_steps
-        keep = {0, max(0, n - 2), max(0, n - 1), n}
+        keep = {0, max(0, n - 2), n - 1, n}
         if self.store_every > 0:
             keep.update(range(0, n + 1, self.store_every))
         return keep
@@ -261,10 +267,16 @@ class _ThetaOperator:
     def step(self, w_full: np.ndarray, wb_new, theta: float,
              nu_m=None, nu_new=None) -> np.ndarray:
         rhs = self.build_rhs(w_full, wb_new, theta, nu_m, nu_new)
-        out = np.empty_like(w_full)
-        out[1:-1] = self.lhs_lu[theta].solve(rhs)
-        out[0], out[-1] = wb_new
-        return out
+        return _with_ends(self.lhs_lu[theta].solve(rhs), wb_new)
+
+
+def _with_ends(interior: np.ndarray, ends) -> np.ndarray:
+    """The full coefficient vector of ``interior`` and the boundary values
+    ``ends`` = (first, last)."""
+    out = np.empty(len(interior) + 2)
+    out[1:-1] = interior
+    out[0], out[-1] = ends
+    return out
 
 
 def step_linear(system: GalerkinSystem, coeffs, w_full: np.ndarray, wb_new,
@@ -313,8 +325,9 @@ class _LelandStep:
                       if self.costs else op.rhs_mat[th].data
                       for th in op.lhs_lu}
 
-    def __call__(self, w: np.ndarray, theta: float) -> np.ndarray:
-        op = self.op
+    def __call__(self, level: int, theta: float,
+                 fields: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        op, w = self.op, fields["vhat"]
         products = band_products(self.bands[theta], w[1:-1])
         rhs = products[0] if self.costs else products
         rhs -= self.lift[theta]
@@ -326,10 +339,7 @@ class _LelandStep:
         w_int = op.lhs_lu[theta].solve(rhs)
         if self.costs:
             w_int[np.abs(w_int) < _TINY] = 0.0
-        out = np.empty_like(w)
-        out[1:-1] = w_int
-        out[0], out[-1] = self.wb
-        return out
+        return {"vhat": _with_ends(w_int, self.wb)}
 
 
 def step_afv_boundary(values_m, params: AfvParams, dtau: float,
@@ -353,14 +363,13 @@ def step_afv_boundary(values_m, params: AfvParams, dtau: float,
 
 
 class NewtonDivergenceError(RuntimeError):
-    def __init__(self, iterations: int, residual: float, level: int | None = None):
+    def __init__(self, iterations: int, residual: float, level: int):
         self.iterations = iterations
         self.residual = residual
         self.level = level
-        at = f" at time level {level}" if level is not None else ""
         super().__init__(
-            f"penalty Newton failed to converge{at}: {iterations} iterations,"
-            f" residual {residual:.3e}")
+            f"penalty Newton failed to converge at time level {level}: "
+            f"{iterations} iterations, residual {residual:.3e}")
 
 
 class NewtonJacobians:
@@ -398,7 +407,7 @@ class NewtonJacobians:
 
 def newton_solve_U(jacobians: NewtonJacobians, phi: np.ndarray,
                    u_star_put: np.ndarray, u_star_call: np.ndarray,
-                   rho: float, dtau: float, tol: float, max_iter: int = 50):
+                   rho: float, dtau: float, tol: float, max_iter: int):
     """Damped-free Newton iteration on the penalised interior U system.
 
     Solves f(U) = A11 U + rho dtau M [P_put (U - U*_put) + P_call
@@ -440,11 +449,23 @@ def newton_solve_U(jacobians: NewtonJacobians, phi: np.ndarray,
     return u, max_iter, False, float(np.abs(residual(u, p_put, p_call)).max())
 
 
-def _check_finite(vectors, level: int, n_steps: int) -> None:
-    """Stop a march whose new level holds a value that is not finite."""
-    if not all(np.isfinite(v).all() for v in vectors):
-        raise FloatingPointError(
-            f"solution blew up at time level {level} of {n_steps}")
+def _march(scheme: SchemeConfig, dtau: float,
+           fields: dict[str, np.ndarray], step) -> SolutionSurface:
+    """Advance the level-0 ``fields`` through the scheme's levels, each by
+    ``step(level, theta, fields)``, the one loop over time levels.  It
+    takes theta from the Rannacher schedule, keeps the stored levels and
+    stops at the first level that holds a value that is not finite."""
+    n_steps, keep = scheme.n_steps, scheme.stored_levels()
+    slices, levels = [TimeSlice(0.0, fields)], [0]
+    for level in range(1, n_steps + 1):
+        fields = step(level, scheme.theta_at(level - 1), fields)
+        if not all(np.isfinite(v).all() for v in fields.values()):
+            raise FloatingPointError(
+                f"solution blew up at time level {level} of {n_steps}")
+        if level in keep:
+            slices.append(TimeSlice(level * dtau, fields))
+            levels.append(level)
+    return SolutionSurface(slices, levels, n_steps, dtau)
 
 
 def _warn_if_unstable(dx: float, dtau: float) -> None:
@@ -474,26 +495,14 @@ def march_leland(params: LelandParams, system: GalerkinSystem,
     """The transformed call march on any space: ``system`` with one
     coefficient per point of ``nodes``, whose smallest spacing ``min_dx``
     sets the step-ratio warning."""
-    n_steps = scheme.n_steps
-    dtau = params.horizon / n_steps if n_steps else 0.0
-    if n_steps and params.leland_number > 0:
+    dtau = params.horizon / scheme.n_steps
+    if params.leland_number > 0:
         _warn_if_unstable(min_dx, dtau)
     w = params.payoff(nodes)
-    keep = scheme.stored_levels()
-    slices = [TimeSlice(0.0, {"vhat": w})]
-    levels = [0]
-    if n_steps == 0:
-        return SolutionSurface(slices, levels, 0, dtau)
-    thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
-    op = _ThetaOperator(system, params.coefficients("vhat"), dtau, thetas)
+    op = _ThetaOperator(system, params.coefficients("vhat"), dtau,
+                        scheme.thetas)
     step = _LelandStep(op, w[[0, -1]], params.leland_number)
-    for m in range(n_steps):
-        w = step(w, scheme.theta_at(m))
-        _check_finite((w,), m + 1, n_steps)
-        if (m + 1) in keep:
-            slices.append(TimeSlice((m + 1) * dtau, {"vhat": w}))
-            levels.append(m + 1)
-    return SolutionSurface(slices, levels, n_steps, dtau)
+    return _march(scheme, dtau, {"vhat": w}, step)
 
 
 def run_afv(params: AfvParams, disc: Discretization,
@@ -507,27 +516,17 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
               scheme: SchemeConfig) -> SolutionSurface:
     """The convertible-bond march on any space: ``system`` with one
     coefficient per point of ``nodes``."""
-    n_steps = scheme.n_steps
-    dtau = params.horizon / n_steps if n_steps else 0.0
+    dtau = params.horizon / scheme.n_steps
     conversion = params.conversion_value(nodes)
-
     u_vals, b_vals, c_vals = afv_terminal(conversion, params)
-    w = {"U": u_vals, "B": b_vals, "C": c_vals}
-    keep = scheme.stored_levels()
-    slices = [TimeSlice(0.0, w)]
-    levels = [0]
-    if n_steps == 0:
-        return SolutionSurface(slices, levels, 0, dtau)
-
-    thetas = tuple({scheme.theta_at(m) for m in range(n_steps)})
     # U and C share their coefficients, hence one operator and its factors
     ops = {name: _ThetaOperator(system, params.coefficients(name), dtau,
-                                thetas) for name in ("U", "B")}
+                                scheme.thetas) for name in ("U", "B")}
     ops["C"] = ops["U"]
     jacobians = {th: NewtonJacobians(lhs, ops["U"].m_int,
                                      ops["U"].lhs_lu[th])
                  for th, lhs in ops["U"].lhs_mat.items()}
-    events, _ = params.calendar(dtau, n_steps)
+    events, _ = params.calendar(dtau, scheme.n_steps)
     hazard = params.hazard_rate
 
     def nu_delta(b_full: np.ndarray) -> np.ndarray:
@@ -536,46 +535,42 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
     def nu_gamma(b_full: np.ndarray) -> np.ndarray:
         return hazard * default_gamma(conversion, b_full, params)
 
-    nu_delta_m, nu_gamma_m = nu_delta(w["B"]), nu_gamma(w["B"])
-    right_bc = {"U": conversion[-1], "B": 0.0, "C": conversion[-1]}
+    pin = conversion[-1]
     constrained = params.rho > 0.0
 
-    for m in range(n_steps):
-        theta = scheme.theta_at(m)
-        level = m + 1
+    def step(level: int, theta: float,
+             w: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         coupon, put_active, call_active = events.get(level,
                                                      (0.0, False, False))
-        state = constraint_state(params, params.t_of(level * dtau),
-                                 conversion, put_active=put_active,
+        inner = constraint_state(params, params.t_of(level * dtau),
+                                 conversion[1:-1], put_active=put_active,
                                  call_active=call_active, coupon_now=coupon)
-        inner = _interior_state(state)
 
         # boundary values at the new level: scalar ODEs at S = 0, pin at S_max
         u0, b0, c0 = step_afv_boundary(
             (w["U"][0], w["B"][0], w["C"][0]), params, dtau, theta)
         if constrained:
-            b0 = max(min(b0, state.b_call_dirty), state.b_put_dirty - c0)
-            u0 = float(np.clip(u0, state.u_star_put[0], state.u_star_call[0]))
+            b0 = max(min(b0, inner.b_call_dirty), inner.b_put_dirty - c0)
+            u0 = float(np.clip(u0, max(inner.b_put_dirty, conversion[0]),
+                               max(inner.b_call_dirty, conversion[0])))
 
         # 1) cash component, unconstrained
-        b_new = ops["B"].step(w["B"], (b0, right_bc["B"]), theta)
+        b_new = ops["B"].step(w["B"], (b0, 0.0), theta)
         # 2) equity component with its default source
-        c_new = ops["C"].step(w["C"], (c0, right_bc["C"]), theta,
-                              nu_m=nu_gamma_m, nu_new=nu_gamma(b_new))
+        c_new = ops["C"].step(w["C"], (c0, pin), theta,
+                              nu_m=nu_gamma(w["B"]), nu_new=nu_gamma(b_new))
         # 3) clamp B against the call ceiling / put floor
         if constrained:
             b_new[1:-1] = apply_B_constraints(b_new[1:-1], c_new[1:-1], inner)
         # 4) holder value: penalised Newton solve
-        phi = ops["U"].build_rhs(w["U"], (u0, right_bc["U"]), theta,
-                                 nu_m=nu_delta_m, nu_new=nu_delta(b_new))
+        phi = ops["U"].build_rhs(w["U"], (u0, pin), theta,
+                                 nu_m=nu_delta(w["B"]), nu_new=nu_delta(b_new))
         u_int, iters, converged, residual = newton_solve_U(
             jacobians[theta], phi, inner.u_star_put, inner.u_star_call,
             params.rho, dtau, params.newton_tol, params.newton_max_iter)
         if not converged:
             raise NewtonDivergenceError(iters, residual, level)
-        u_new = np.empty_like(w["U"])
-        u_new[1:-1] = u_int
-        u_new[0], u_new[-1] = u0, right_bc["U"]
+        u_new = _with_ends(u_int, (u0, pin))
         # 5) shift the joint clipping of U onto B
         if constrained:
             b_new[1:-1] = apply_joint_constraints(b_new[1:-1], u_new[1:-1],
@@ -584,21 +579,9 @@ def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
         if coupon:
             u_new[:-1] += coupon
             b_new[:-1] += coupon
-        w = {"U": u_new, "B": b_new, "C": c_new}
-        _check_finite(w.values(), level, n_steps)
-        nu_delta_m, nu_gamma_m = nu_delta(b_new), nu_gamma(b_new)
-        if level in keep:
-            slices.append(TimeSlice(level * dtau, w))
-            levels.append(level)
-    return SolutionSurface(slices, levels, n_steps, dtau)
+        return {"U": u_new, "B": b_new, "C": c_new}
 
-
-def _interior_state(state):
-    """The constraint state without its two boundary entries."""
-    return replace(state,
-                   conversion_value=state.conversion_value[1:-1],
-                   u_star_put=state.u_star_put[1:-1],
-                   u_star_call=state.u_star_call[1:-1])
+    return _march(scheme, dtau, {"U": u_vals, "B": b_vals, "C": c_vals}, step)
 
 
 def run(params, disc: Discretization, scheme: SchemeConfig) -> SolutionSurface:

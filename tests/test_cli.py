@@ -156,6 +156,19 @@ SMALL = {"n_elements": 32, "n_tau": 20}
      ["--oracle", "p1"]),
     # the kink is derived from the model, so its old key is unknown
     ("price", "refined_calibrated.ini", {"kink_xi": 0.5}, []),
+    # ... or ran: a float that is not finite, and a march of no steps
+    ("price", "convertible.ini", {**SMALL, "x_min": "-inf"}, []),
+    ("price", "convertible.ini", {**SMALL, "model.sigma": "inf"}, []),
+    ("price", "convertible.ini", {**SMALL, "model.rate": "nan"}, []),
+    ("price", "convertible.ini", {**SMALL, "model.newton_tol": "nan"}, []),
+    ("price", "convertible.ini", {**SMALL,
+                                  "model.call_window": "2:5:nan"}, []),
+    ("price", "convertible.ini", {**SMALL, "model.coupons": "0.5:inf"}, []),
+    ("price", "linear_uniform.ini", {**SMALL, "theta": "nan"}, []),
+    ("price", "linear_uniform.ini", {**SMALL,
+                                     "experiment.probe_s": "inf"}, []),
+    ("converge", "leland_ladder.ini", {"ladder.reference": "64:0"}, []),
+    ("converge", "linear_uniform.ini", {"ladder.rungs": "32:0"}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -182,6 +195,34 @@ def test_unknown_key_is_a_config_error_at_its_line(tmp_path, capsys):
     assert err.startswith(f"config error: {cfg}:{line}: unknown key "
                           "'volatility' in [model]")
     assert not out.exists()
+
+
+def test_a_float_that_is_not_finite_is_named_at_its_line(tmp_path, capsys):
+    cfg = _config(tmp_path, "convertible.ini", **{"model.rate": "nan"})
+    line = cfg.read_text().splitlines().index("rate = nan") + 1
+    assert main(["price", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{line}: bad value for 'rate': 'nan' "
+        "(not a finite number)\n")
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (ROOT / "configs").glob("*.ini")))
+def test_every_shipped_config_passes_the_checks_before_solving(name,
+                                                               monkeypatch):
+    import igafin.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("a check solved")
+
+    monkeypatch.setattr(cli, "run", no_solve)
+    cfg = cli.parse_config(str(ROOT / "configs" / name))
+    grids = [(cfg.n_elements, cfg.n_tau), *cfg.rungs,
+             *([cfg.reference] if cfg.reference else [])]
+    assert len(cli._prepare(cfg, grids)) == len(grids)
+    cli._check_greeks_inputs(cfg)
+    cli._check_probe(cfg)
 
 
 def test_refined_knots_name_a_kink_outside_the_domain(tmp_path, capsys):

@@ -73,12 +73,6 @@ class TestLinearGreeks:
         assert tables == [(disc.n_basis, 2)]
         assert evals == [0, 0]
 
-    def test_needs_two_slices(self, linear_run):
-        disc, _ = linear_run
-        single = run(LIN, disc, SchemeConfig(n_steps=0))
-        with pytest.raises(ValueError, match="two"):
-            greeks_table(LIN, disc, single)
-
     def test_needs_degree_two(self):
         a, b = LIN.domain()
         disc = build_discretization(a, b, 16, degree=1)
@@ -140,6 +134,17 @@ class TestAfvGreeks:
         # i.e. about 4 / 0.1 = 40 per year
         s, keep = _rows(table, 80.0, 120.0)
         assert len(s) and np.abs(table.theta[keep]).max() < 20.0
+
+    def test_needs_two_slices(self):
+        # coupons at t = 0.04 and 0.1 land on levels 50 and 49 of 50, so
+        # each pair of the stored levels 48, 49, 50 straddles a jump
+        p = self._params(coupons=((0.04, 4.0), (0.1, 4.0)), put_window=None)
+        disc = build_discretization(-6.0, 2.0, 16)
+        surf = run(p, disc, SchemeConfig(n_steps=50, store_every=0))
+        assert surf.levels == [0, 48, 49, 50]
+        assert p.calendar(surf.dtau, 50)[1] == {49, 50}
+        with pytest.raises(ValueError, match="two"):
+            greeks_table(p, disc, surf)
 
     def test_delta_tends_to_one_deep_in_the_money(self):
         p = self._params()

@@ -194,8 +194,13 @@ class TestEventCalendar:
                            call_window=None)
         assert p.calendar(0.1, 50) == ({20: (0.0, True, False)}, {20})
 
-    def test_no_steps_no_events(self):
-        assert _table3_params().calendar(0.0, 0) == ({}, set())
+    def test_one_step_puts_its_events_on_level_one(self):
+        # the put at t = 3 rounds to level 0 and is moved to level 1, the
+        # only level of a one-step march; the call is not open at t = 0
+        p = _table3_params()
+        events, jumps = p.calendar(p.horizon, 1)
+        assert set(events) == jumps == {1}
+        assert events[1][1:] == (True, False)
 
 
 class TestAfvTerminal:
@@ -352,7 +357,7 @@ class TestCalibrateWeights:
         knots = make_refined_open_knots(16, 3, 0.5, 0.75)
         pmap = PhysicalMap(a, b)
         payoff = p.payoff
-        w = calibrate_weights(knots, pmap, payoff, n_samples=401, sweeps=3)
+        w = calibrate_weights(knots, pmap, payoff)
         assert w.shape == (knots.n_basis,)
         assert np.all(w > 0)
 
@@ -377,8 +382,8 @@ class TestCalibrateWeights:
         knots = make_refined_open_knots(8, 3, 0.5, 0.8)
         pmap = PhysicalMap(a, b)
         payoff = p.payoff
-        w1 = calibrate_weights(knots, pmap, payoff, n_samples=201, sweeps=2)
-        w2 = calibrate_weights(knots, pmap, payoff, n_samples=201, sweeps=2)
+        w1 = calibrate_weights(knots, pmap, payoff)
+        w2 = calibrate_weights(knots, pmap, payoff)
         assert np.array_equal(w1, w2)
 
 

@@ -70,7 +70,8 @@ class TestSchemeConfig:
         s = SchemeConfig(n_steps=10, theta=0.5, rannacher_steps=2)
         assert [s.theta_at(m) for m in range(4)] == [1.0, 1.0, 0.5, 0.5]
 
-    @pytest.mark.parametrize("bad", [dict(n_steps=-1), dict(theta=1.5),
+    @pytest.mark.parametrize("bad", [dict(n_steps=-1), dict(n_steps=0),
+                                     dict(theta=1.5),
                                      dict(rannacher_steps=-2),
                                      dict(store_every=-1)])
     def test_validation(self, bad):
@@ -98,26 +99,27 @@ class TestStoredLevels:
         assert np.array_equal(sparse.final.coeffs["vhat"],
                               dense.final.coeffs["vhat"])
 
-    def test_zero_steps(self):
+    def test_one_step(self):
         a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
-        surf = run_leland(LIN, disc, SchemeConfig(n_steps=0))
-        assert surf.levels == [0]
-        assert surf.final.tau == 0.0
+        surf = run_leland(LIN, disc, SchemeConfig(n_steps=1, store_every=0))
+        assert surf.levels == [0, 1]
+        assert surf.initial.tau == 0.0
+        assert surf.final.tau == LIN.horizon
 
 
 class TestInitialSlice:
     def test_leland_coefficients_are_greville_payoff(self):
         a, b = LIN.domain()
         disc = build_discretization(a, b, 32)
-        surf = run_leland(LIN, disc, SchemeConfig(n_steps=0))
+        surf = run_leland(LIN, disc, SchemeConfig(n_steps=1))
         expect = LIN.payoff(disc.greville_x)
         assert np.array_equal(surf.initial.coeffs["vhat"], expect)
 
     def test_afv_coefficients_are_greville_terminal(self):
         params = _afv()
         disc = build_discretization(-6.0, 2.0, 32)
-        surf = run_afv(params, disc, SchemeConfig(n_steps=0))
+        surf = run_afv(params, disc, SchemeConfig(n_steps=1))
         u, b, c = afv_terminal(params.conversion_value(disc.greville_x),
                                params)
         assert np.array_equal(surf.initial.coeffs["U"], u)
@@ -492,7 +494,7 @@ class TestNewtonSolve:
         roof = np.full(n, math.inf)
         u, iters, converged, _ = newton_solve_U(
             _identity_jacobians(n), np.zeros(n), floor, roof, rho, 1.0,
-            tol=1e-12)
+            tol=1e-12, max_iter=50)
         assert converged
         assert iters >= 1
         assert np.abs(u - 1.0).max() <= 2.0 / rho
@@ -502,7 +504,7 @@ class TestNewtonSolve:
         phi = np.array([1.0, 2.0, 3.0, 4.0])
         u, iters, converged, _ = newton_solve_U(
             _identity_jacobians(n), phi, np.full(n, -math.inf),
-            np.full(n, math.inf), 1.0e6, 1.0, tol=1e-12)
+            np.full(n, math.inf), 1.0e6, 1.0, tol=1e-12, max_iter=50)
         assert converged
         assert u == pytest.approx(phi)
 
@@ -514,7 +516,7 @@ class TestNewtonSolve:
         with np.errstate(invalid="ignore"):
             _, _, converged, residual = newton_solve_U(
                 _identity_jacobians(n), phi, np.zeros(n), np.full(n, 10.0),
-                1.0e6, 1.0, tol=1e-12)
+                1.0e6, 1.0, tol=1e-12, max_iter=50)
         assert not converged
         assert not math.isfinite(residual)
 
