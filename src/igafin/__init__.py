@@ -16,8 +16,7 @@ from .quadrature import QuadratureRule, gauss_legendre_rule
 from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
 from .linsolve import BandedLU, BandedMatrix, SingularMatrixError
 from .models import (AfvParams, ConstraintState, LelandParams,
-                     accrued_interest, afv_terminal, calibrate_weights,
-                     constraint_state)
+                     accrued_interest, afv_terminal, constraint_state)
 from .stepper import (Discretization, NewtonDivergenceError, SchemeConfig,
                       SolutionSurface, TimeSlice, build_discretization, run,
                       run_afv, run_leland, value_curve)
@@ -36,7 +35,7 @@ __all__ = [
     "Collocation", "GalerkinSystem", "PhysicalMap", "assemble",
     "BandedLU", "BandedMatrix", "SingularMatrixError",
     "AfvParams", "ConstraintState", "LelandParams", "accrued_interest",
-    "afv_terminal", "calibrate_weights", "constraint_state",
+    "afv_terminal", "constraint_state",
     "Discretization", "NewtonDivergenceError", "SchemeConfig",
     "SolutionSurface", "TimeSlice", "build_discretization",
     "run", "run_afv", "run_leland", "value_curve",

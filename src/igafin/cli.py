@@ -22,21 +22,22 @@ them a float that is not a finite number, are hard errors carrying the
 offending line number, and nothing is written unless the whole
 configuration parses.  The [model] keys are the fields of the model's
 parameter class, with its defaults; a field without a default is a
-required key.  Every march takes at least one step, so n_tau < 1, in
-[discretization], a ladder rung or the reference, is an error of the same
-kind.  Settings that parse but cannot run are configuration errors too,
-raised before solving: x_min >= x_max; refined knots with degree < 3,
-cluster_ratio outside (0, 1], or the payoff kink, where they cluster,
-outside (x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
-store_every; a weights file that does not hold one positive number per
-basis function; a ladder rung or reference with n_elements < 1; a grid
-with fewer than three basis functions (none interior); n_elements < 2 for
-the P1 reference or the FDM twin; an oracle that does not apply to the
-model, and for converge any oracle but the model's own or none; a call
-window that opens and closes on one date; degree < 2 for price and greeks
-(gamma needs it); a time grid on which every pair of stored slices near
-t = 0 straddles a coupon or put date (theta has nothing to difference);
-and a probe price outside the domain.  A march that produces a value that
+required key.  In [discretization], weight_source is none (unit weights)
+or file (the NURBS weights of weights_file, one per basis function).
+Every march takes at least one step, so n_tau < 1, in [discretization],
+a ladder rung or the reference, is an error of the same kind.  Settings
+that parse but cannot run are configuration errors too, raised before
+solving: x_min >= x_max; refined knots with degree < 3 or the payoff
+kink, where they cluster, outside (x_min, x_max); theta outside [0, 1];
+negative rannacher_steps or store_every; a weights file that does not
+hold one positive number per basis function; a ladder rung or reference
+with n_elements < 1; a grid with fewer than three basis functions (none
+interior); n_elements < 2 for the P1 reference or the FDM twin; an
+oracle that does not apply to the model, and for converge any oracle but
+the model's own or none; a call window that opens and closes on one date;
+degree < 2 for price and greeks (gamma needs it); a time grid on which
+every pair of stored slices near t = 0 straddles a coupon or put date
+(theta has nothing to difference); and a probe price outside the domain.  A march that produces a value that
 is not finite is a solver failure, reported on one line.
 
 price builds every table before it writes its first file.  Each CSV goes
@@ -62,7 +63,7 @@ from .assembly import PhysicalMap
 from .basis import load_weights
 from .checks import format_report, run_checks
 from .greeks import greeks_table, theta_pair, write_greeks_csv
-from .models import AfvParams, LelandParams, calibrate_weights
+from .models import AfvParams, LelandParams
 from .reference import (bs_exact_call, fdm_solve_afv, fdm_solve_leland,
                         misfit_epsilon, p1fem_solve)
 from .stepper import (NewtonDivergenceError, SchemeConfig,
@@ -88,9 +89,9 @@ _MODELS = {"linear-bs": LelandParams, "leland": LelandParams,
 _LADDER_ORACLE = {"linear-bs": "closed-form", "leland": "p1", "afv": "none"}
 _KNOWN_KEYS = {
     "experiment": {"model", "probe_s"},
-    "discretization": {"degree", "n_elements", "knot_mode", "cluster_ratio",
-                       "weight_source", "weights_file", "n_tau", "theta",
-                       "rannacher_steps", "x_min", "x_max", "store_every"},
+    "discretization": {"degree", "n_elements", "knot_mode", "weight_source",
+                       "weights_file", "n_tau", "theta", "rannacher_steps",
+                       "x_min", "x_max", "store_every"},
     "model": {f.name for cls in _MODELS.values() for f in fields(cls)},
     "ladder": {"rungs", "reference"},
     "output": {"dir"},
@@ -107,7 +108,6 @@ class ExperimentConfig:
     degree: int
     n_elements: int
     knot_mode: str
-    cluster_ratio: float | None
     weight_source: str
     weights_file: str | None
     n_tau: int
@@ -259,10 +259,9 @@ def parse_config(path: str) -> ExperimentConfig:
                           lines.get(("discretization", "knot_mode")))
     weight_source = g("discretization", "weight_source", str, "none")
     weight_source = weight_source.strip().lower()
-    if weight_source not in ("none", "file", "calibrated"):
-        raise ConfigError(
-            "weight_source must be 'none', 'file' or 'calibrated'", path,
-            lines.get(("discretization", "weight_source")))
+    if weight_source not in ("none", "file"):
+        raise ConfigError("weight_source must be 'none' or 'file'", path,
+                          lines.get(("discretization", "weight_source")))
     weights_file = g("discretization", "weights_file", str, None)
     if weight_source == "file":
         if weights_file is None:
@@ -273,7 +272,7 @@ def parse_config(path: str) -> ExperimentConfig:
                               path, lines.get(("discretization",
                                                "weights_file")))
 
-    a_def, b_def = params.domain(knot_mode)
+    a_def, b_def = params.domain()
     cfg = ExperimentConfig(
         path=path,
         model=model,
@@ -281,7 +280,6 @@ def parse_config(path: str) -> ExperimentConfig:
         degree=g("discretization", "degree", int, 3),
         n_elements=g("discretization", "n_elements", int, required=True),
         knot_mode=knot_mode,
-        cluster_ratio=g("discretization", "cluster_ratio", _finite, None),
         weight_source=weight_source,
         weights_file=weights_file,
         n_tau=g("discretization", "n_tau", int, required=True),
@@ -315,8 +313,8 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
             raise ValueError(f"refined knots cluster at the payoff kink x = "
                              f"{cfg.params.kink:.6g}, which lies outside "
                              f"(x_min, x_max) = ({cfg.x_min:g}, {cfg.x_max:g})")
-        knots = [build_knots(n_e, cfg.degree, cfg.knot_mode,
-                             cfg.cluster_ratio, kink_xi) for n_e, _ in grids]
+        knots = [build_knots(n_e, cfg.degree, cfg.knot_mode, kink_xi)
+                 for n_e, _ in grids]
         schemes = [_scheme(cfg, n_t) for _, n_t in grids]
         weights = [load_weights(cfg.weights_file, k.n_basis)
                    if cfg.weight_source == "file" else None for k in knots]
@@ -327,9 +325,6 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
             raise ConfigError(f"n_elements = {n_e} at degree = {cfg.degree} "
                               f"gives {k.n_basis} basis functions; a run "
                               "needs at least 3", cfg.path)
-    if cfg.weight_source == "calibrated":
-        weights = [calibrate_weights(k, pmap, cfg.params.payoff,
-                                     kink_xi=kink_xi) for k in knots]
     return [(n_e, kink_xi, w, scheme)
             for (n_e, _), w, scheme in zip(grids, weights, schemes)]
 
@@ -337,8 +332,7 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
 def _build(cfg: ExperimentConfig, n_elements: int, kink_xi: float, weights,
            scheme):
     disc = build_discretization(cfg.x_min, cfg.x_max, n_elements, cfg.degree,
-                                cfg.knot_mode, cfg.cluster_ratio, kink_xi,
-                                weights)
+                                cfg.knot_mode, kink_xi, weights)
     return disc, run(cfg.params, disc, scheme)
 
 

@@ -29,7 +29,8 @@ Greeks, output and checks never branch on the model:
 * ``kink``: the log-price at which the payoff is not smooth, ln K for the
   call and ln((F + c_T)/(k S_0)) for the bond; refined knots cluster there.
 * ``coefficients(field)``: the triple (Y1, Y2, Y3) of one coefficient field.
-* ``domain(knot_mode)``: the default log-price truncation interval.
+* ``domain()``: the default log-price truncation interval, the same for
+  uniform and refined knots.
 * ``columns``: the (output column, coefficient field) pairs written out,
   and ``value_column``, the pair whose field is the model value.
 * ``calendar(dtau, n_steps)``: the exercise events of a march, as the
@@ -44,14 +45,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 __all__ = [
     "LelandParams", "AfvParams", "ConstraintState", "afv_terminal",
     "accrued_interest", "default_delta", "default_gamma", "constraint_state",
-    "apply_B_constraints", "apply_joint_constraints", "calibrate_weights",
+    "apply_B_constraints", "apply_joint_constraints",
 ]
 
 
@@ -117,18 +118,16 @@ class LelandParams:
             raise ValueError(f"unknown {field!r} not part of the call model")
         return (1.0, -1.0, 0.0)
 
-    def domain(self, knot_mode: str = "uniform") -> tuple[float, float]:
+    def domain(self) -> tuple[float, float]:
         """Default log-price truncation interval: with costs, wide enough
-        for dtau/dx^2 = 0.1 on the benchmark ladder; on refined knots,
-        centred on the strike; on uniform knots, the fixed asymmetric
-        offsets every committed linear output depends on (no derivation
-        backs them, and the truncation error is far below the
-        discretization error for any of these widths)."""
+        for dtau/dx^2 = 0.1 on the benchmark ladder; without, the fixed
+        asymmetric offsets every committed linear output depends on (no
+        derivation backs them, and the truncation error is far below the
+        discretization error for either width).  Refined knots take the
+        same interval and cluster at the strike wherever it falls in it."""
         center = self.kink
         if self.leland_number > 0:
             return (center - 6.4, center + 6.4)
-        if knot_mode == "refined":
-            return (center - 3.3019, center + 3.3019)
         return (center - 3.4425, center + 3.1613)
 
     def calendar(self, dtau: float, n_steps: int):
@@ -243,7 +242,7 @@ class AfvParams:
             y3 -= self.recovery * self.hazard_rate
         return (y1, y2, y3)
 
-    def domain(self, knot_mode: str = "uniform") -> tuple[float, float]:
+    def domain(self) -> tuple[float, float]:
         """The fixed (-6, 2) window in x = ln(S / S_initial)."""
         return (-6.0, 2.0)
 
@@ -257,17 +256,20 @@ class AfvParams:
         holds the levels at which the value jumps: the coupon dates and a
         single-date put.
 
-        A coupon lands on the level nearest its date; one at maturity
-        rounds to level 0, the terminal condition.  A single-date put
-        (window start == end) lands on its nearest level within
-        1..n_steps.  A put or call window is open at the levels whose t
-        lies in (start, end], so the level at t = start has no call.
+        A coupon at maturity is the terminal condition's.  Every other
+        coupon, and a single-date put (window start == end), lands on the
+        level nearest its date within 1..n_steps, so a date within dtau/2
+        of maturity takes level 1.  A put or call window is open at the
+        levels whose t lies in (start, end], so the level at t = start has
+        no call.
         """
+        def nearest_level(t):
+            return min(max(int(round(self.tau_of(t) / dtau)), 1), n_steps)
+
         coupons: dict[int, float] = {}
         for t_i, amount in self.coupons:
-            tau_c = self.maturity - t_i
-            level = int(round(tau_c / dtau))
-            if 1 <= level <= n_steps and abs(level * dtau - tau_c) <= 0.5 * dtau:
+            if not self._at_maturity(t_i):
+                level = nearest_level(t_i)
                 coupons[level] = coupons.get(level, 0.0) + amount
         jumps = set(coupons)
 
@@ -279,8 +281,7 @@ class AfvParams:
         if win is None:
             put = set()
         elif win[0] == win[1]:
-            put = {min(max(int(round((self.maturity - win[1]) / dtau)), 1),
-                       n_steps)}
+            put = {nearest_level(win[1])}
             jumps |= put
         else:
             put = open_levels(win)
@@ -288,10 +289,13 @@ class AfvParams:
         return {m: (coupons.get(m, 0.0), m in put, m in call)
                 for m in jumps | put | call}, jumps
 
+    def _at_maturity(self, t: float) -> bool:
+        return abs(t - self.maturity) < 1e-12
+
     @property
     def terminal_coupon(self) -> float:
         for t, amount in self.coupons:
-            if abs(t - self.maturity) < 1e-12:
+            if self._at_maturity(t):
                 return amount
         return 0.0
 
@@ -402,79 +406,3 @@ def apply_joint_constraints(b_slice: np.ndarray, u_slice: np.ndarray,
     u = np.asarray(u_slice, dtype=float)
     u_clipped = np.clip(u, state.conversion_value, state.u_star_call)
     return np.asarray(b_slice, dtype=float) + (u_clipped - u)
-
-
-# calibrate_weights: the weight interval, the size of the dense parameter
-# sample, the most coordinate sweeps, and the relative misfit decrease of a
-# sweep below which the descent stops
-_WEIGHT_BOUNDS = (0.1, 50.0)
-_FIT_SAMPLES = 2001
-_FIT_SWEEPS = 8
-_FIT_REL_TOL = 1e-10
-
-
-def calibrate_weights(knots, pmap, payoff: Callable[[np.ndarray], np.ndarray],
-                      kink_xi: float = 0.5) -> np.ndarray:
-    """Rational weights fitted so the represented payoff matches the payoff.
-
-    The run seeds its initial slice with the payoff values at the Greville
-    abscissae as coefficients, so the misfit minimised here is that of the
-    same representation: payoff-at-Greville coefficients evaluated on a
-    dense parameter sample against the exact payoff, by cyclic coordinate
-    descent with golden-section line searches.  Weights stay inside
-    ``_WEIGHT_BOUNDS``; coordinates are swept kink-first, since that is
-    where the rational degrees of freedom buy accuracy.
-
-    The rational form makes each trial cheap: with B-spline values tabled
-    once, a weight vector w evaluates as (B (w c)) / (B w).
-    """
-    from .basis import NurbsBasis, eval_nurbs_all, greville_abscissae
-
-    xi_dense = np.linspace(0.0, 1.0, _FIT_SAMPLES)
-    target = payoff(np.asarray(pmap.to_physical(xi_dense)))
-    greville = greville_abscissae(knots)
-    order = np.argsort(np.abs(greville - kink_xi))
-    coeffs = payoff(np.asarray(pmap.to_physical(greville)))
-    btab = eval_nurbs_all(NurbsBasis(knots, np.ones(knots.n_basis)), xi_dense)
-
-    def misfit(weights: np.ndarray) -> float:
-        vals = (btab @ (weights * coeffs)) / (btab @ weights)
-        diff = vals - target
-        return float(diff @ diff)
-
-    lo, hi = _WEIGHT_BOUNDS
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    weights = np.ones(knots.n_basis)
-    best = misfit(weights)
-    for _ in range(_FIT_SWEEPS):
-        previous = best
-        for idx in order:
-            a, b = lo, hi
-            c = b - gr * (b - a)
-            d = a + gr * (b - a)
-
-            def f(w_i: float) -> float:
-                trial = weights.copy()
-                trial[idx] = w_i
-                return misfit(trial)
-
-            fc, fd = f(c), f(d)
-            for _ in range(40):
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c = b - gr * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + gr * (b - a)
-                    fd = f(d)
-                if b - a < 1e-4 * (hi - lo):
-                    break
-            w_best = c if fc < fd else d
-            val = min(fc, fd)
-            if val < best:
-                best = val
-                weights[idx] = w_best
-        if previous - best <= _FIT_REL_TOL * max(previous, 1.0):
-            break
-    return weights

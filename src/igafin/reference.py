@@ -107,8 +107,8 @@ def fdm_solve_leland(params: LelandParams, x_min: float, x_max: float,
     """Central-difference twin of the transaction-cost march."""
     x = np.linspace(x_min, x_max, n_cells + 1)
     scheme = SchemeConfig(n_steps, theta, rannacher_steps, store_every=0)
-    surf = march_leland(params, _central_differences(x), x, scheme,
-                        x[1] - x[0])
+    surf = march_leland(params, _central_differences(x), params.payoff(x),
+                        scheme, x[1] - x[0])
     return FdmResult(x, surf.final.coeffs)
 
 

@@ -17,10 +17,19 @@ slice takes the payoff values at the Greville abscissae as coefficients
 (the variation-diminishing spline of the payoff), and nonlinear sources are
 expanded with coefficients nu_j computed directly from the solution
 coefficients, nu_j = N(w_j, x_j).  No collocation solve enters the march.
-The marches (``march_leland``, ``march_afv``) take the system and its
-nodes x_j as arguments, so the finite-difference twins in ``reference``
-run them too, on central differences at uniform nodes.  Each builds only
-its step; ``_march`` is the one loop over time levels.
+The call's initial slice on kink-aligned knots, which hold the payoff kink
+as an interior knot of multiplicity 2 or more (refined knots do), is the
+one exception to the Greville values.  The payoff is smooth on each side
+of that knot, so its Greville interpolant is accurate to O(h^(p+1)), and
+``run_leland`` starts from it, one solve with the collocation band before
+the march, in place of data whose O(h^2) error would dominate the space
+error.  The convertible keeps Greville values, because its sources and
+penalty read coefficients as values at the nodes.  The marches
+(``march_leland``, ``march_afv``) take the system as an argument, with the
+call's initial coefficients or the bond's nodes x_j, so the
+finite-difference twins in ``reference`` run them too, on central
+differences at uniform nodes.  Each builds only its step; ``_march`` is
+the one loop over time levels.
 
 The call march takes one step, ``_LelandStep``, whatever its Leland
 number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
@@ -160,36 +169,38 @@ class Discretization:
         widths = np.diff(self.basis.knots.breakpoints)
         return float(widths.min() * self.pmap.dx_dxi)
 
+    def knot_multiplicity(self, x: float) -> int:
+        """How many interior knots lie at the log-price x."""
+        p = self.basis.degree
+        interior = self.basis.knots.values[p + 1:-(p + 1)]
+        return int(np.count_nonzero(interior == self.pmap.to_parameter(x)))
+
 
 def build_knots(n_elements: int, degree: int = 3, knot_mode: str = "uniform",
-                cluster_ratio: float | None = None,
                 kink_xi: float = 0.5) -> KnotVector:
     """The knots of ``build_discretization``.  ``knot_mode`` is ``uniform``
     or ``refined``; the refined mode clusters spans toward ``kink_xi`` and
-    inserts it with multiplicity 3.  When ``cluster_ratio`` is omitted the
-    refined mode keeps a fixed 100:1 largest-to-smallest span grading, so
+    inserts it with multiplicity 3.  Its spans keep a fixed 100:1
+    largest-to-smallest grading on the shorter side of the kink, so
     refining the mesh halves every span instead of piling new spans onto
     the kink."""
     if knot_mode == "uniform":
         return make_uniform_open_knots(n_elements, degree)
     if knot_mode == "refined":
-        if cluster_ratio is None:
-            n_side = max(2, int(round(n_elements * min(kink_xi, 1.0 - kink_xi))))
-            cluster_ratio = 100.0 ** (-1.0 / (n_side - 1))
+        n_side = max(2, int(round(n_elements * min(kink_xi, 1.0 - kink_xi))))
         return make_refined_open_knots(n_elements, degree, kink_xi,
-                                       cluster_ratio)
+                                       100.0 ** (-1.0 / (n_side - 1)))
     raise ValueError(f"unknown knot_mode {knot_mode!r}")
 
 
 def build_discretization(x_min: float, x_max: float, n_elements: int,
                          degree: int = 3, knot_mode: str = "uniform",
-                         cluster_ratio: float | None = None,
                          kink_xi: float = 0.5,
                          weights: np.ndarray | None = None) -> Discretization:
     """Assemble everything a run needs on [x_min, x_max], on the knots of
     ``build_knots``.  The mass integrand has degree 2p, so the Gauss rule
     takes ``max(5, degree + 1)`` points."""
-    knots = build_knots(n_elements, degree, knot_mode, cluster_ratio, kink_xi)
+    knots = build_knots(n_elements, degree, knot_mode, kink_xi)
     if weights is None:
         weights = np.ones(knots.n_basis)
     basis = NurbsBasis(knots, weights)
@@ -483,26 +494,34 @@ def _warn_if_unstable(dx: float, dtau: float) -> None:
 
 def run_leland(params: LelandParams, disc: Discretization,
                scheme: SchemeConfig) -> SolutionSurface:
-    """March the (possibly nonlinear) transformed call problem to t = 0."""
-    return march_leland(params, disc.system, disc.greville_x, scheme,
+    """March the (possibly nonlinear) transformed call problem to t = 0.
+
+    The initial coefficients are the payoff's values at the Greville
+    points, or, on knots that hold the payoff kink with multiplicity 2 or
+    more, the coefficients of its interpolant there: one solve with the
+    collocation band."""
+    initial = params.payoff(disc.greville_x)
+    if disc.knot_multiplicity(params.kink) >= 2:
+        initial = disc.colloc.matrix.lu_factor().solve(initial)
+    return march_leland(params, disc.system, initial, scheme,
                         disc.min_span_x())
 
 
 @np.errstate(all="ignore")
 def march_leland(params: LelandParams, system: GalerkinSystem,
-                 nodes: np.ndarray, scheme: SchemeConfig,
+                 initial: np.ndarray, scheme: SchemeConfig,
                  min_dx: float) -> SolutionSurface:
-    """The transformed call march on any space: ``system`` with one
-    coefficient per point of ``nodes``, whose smallest spacing ``min_dx``
-    sets the step-ratio warning."""
+    """The transformed call march on any space: ``system`` with the
+    coefficients ``initial`` at level 0, boundary entries included, and
+    the smallest node spacing ``min_dx``, which sets the step-ratio
+    warning."""
     dtau = params.horizon / scheme.n_steps
     if params.leland_number > 0:
         _warn_if_unstable(min_dx, dtau)
-    w = params.payoff(nodes)
     op = _ThetaOperator(system, params.coefficients("vhat"), dtau,
                         scheme.thetas)
-    step = _LelandStep(op, w[[0, -1]], params.leland_number)
-    return _march(scheme, dtau, {"vhat": w}, step)
+    step = _LelandStep(op, initial[[0, -1]], params.leland_number)
+    return _march(scheme, dtau, {"vhat": initial}, step)
 
 
 def run_afv(params: AfvParams, disc: Discretization,

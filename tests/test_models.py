@@ -7,9 +7,8 @@ import pytest
 
 from igafin.models import (AfvParams, LelandParams, accrued_interest,
                            afv_terminal, apply_B_constraints,
-                           apply_joint_constraints, calibrate_weights,
-                           constraint_state, default_delta,
-                           default_gamma)
+                           apply_joint_constraints, constraint_state,
+                           default_delta, default_gamma)
 
 
 def _table3_params(**overrides):
@@ -194,6 +193,21 @@ class TestEventCalendar:
                            call_window=None)
         assert p.calendar(0.1, 50) == ({20: (0.0, True, False)}, {20})
 
+    @pytest.mark.parametrize("n_steps", [1, 4, 10])
+    def test_every_coupon_before_maturity_reaches_the_march(self, n_steps):
+        # nine coupons of 4 before maturity; one within dtau/2 of maturity
+        # used to round to level 0 and be lost, leaving 16 at one step
+        # and 32 at four
+        p = _table3_params()
+        events, jumps = p.calendar(p.horizon / n_steps, n_steps)
+        assert sum(coupon for coupon, _, _ in events.values()) == 36.0
+        assert min(jumps) >= 1
+
+    def test_coupon_near_maturity_takes_level_one(self):
+        p = _table3_params(coupons=((4.9, 2.0), (5.0, 4.0)), put_window=None,
+                           call_window=None)
+        assert p.calendar(0.5, 10) == ({1: (2.0, False, False)}, {1})
+
     def test_one_step_puts_its_events_on_level_one(self):
         # the put at t = 3 rounds to level 0 and is moved to level 1, the
         # only level of a one-step march; the call is not open at t = 0
@@ -346,57 +360,13 @@ class TestApplyConstraints:
         assert b_new[1] == pytest.approx(60.0 + (st.u_star_call[1] - 400.0))
 
 
-class TestCalibrateWeights:
-    def test_improves_kink_fit(self):
-        from igafin.assembly import PhysicalMap
-        from igafin.basis import (NurbsBasis, eval_spline_many,
-                                  greville_abscissae, make_refined_open_knots)
-
-        p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        a, b = p.domain("refined")
-        knots = make_refined_open_knots(16, 3, 0.5, 0.75)
-        pmap = PhysicalMap(a, b)
-        payoff = p.payoff
-        w = calibrate_weights(knots, pmap, payoff)
-        assert w.shape == (knots.n_basis,)
-        assert np.all(w > 0)
-
-        xi = np.linspace(0.0, 1.0, 1501)
-        target = payoff(np.asarray(pmap.to_physical(xi)))
-
-        # the representation the run starts from: the payoff values at the
-        # Greville points taken as coefficients
-        coeffs = payoff(np.asarray(pmap.to_physical(greville_abscissae(knots))))
-
-        def fit_error(weights):
-            basis = NurbsBasis(knots, weights)
-            return np.abs(eval_spline_many(basis, coeffs, xi) - target).max()
-
-        assert fit_error(w) < fit_error(np.ones(knots.n_basis))
-
-    def test_deterministic(self):
-        from igafin.assembly import PhysicalMap
-        from igafin.basis import make_refined_open_knots
-        p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
-        a, b = p.domain("refined")
-        knots = make_refined_open_knots(8, 3, 0.5, 0.8)
-        pmap = PhysicalMap(a, b)
-        payoff = p.payoff
-        w1 = calibrate_weights(knots, pmap, payoff)
-        w2 = calibrate_weights(knots, pmap, payoff)
-        assert np.array_equal(w1, w2)
-
-
 class TestDomainAndKink:
     def test_model_specific_windows(self):
         afv = _table3_params()
         assert afv.domain() == (-6.0, 2.0)
         lin = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
         c = math.log(100.0)
-        assert lin.domain("uniform") == pytest.approx(
-            (c - 3.4425, c + 3.1613))
-        assert lin.domain("refined") == pytest.approx(
-            (c - 3.3019, c + 3.3019))
+        assert lin.domain() == pytest.approx((c - 3.4425, c + 3.1613))
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
         assert le.domain() == pytest.approx((c - 6.4, c + 6.4))

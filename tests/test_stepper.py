@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from igafin.assembly import assemble
+from igafin.assembly import PhysicalMap, assemble
 from igafin.basis import eval_spline_many
 from igafin.linsolve import BandedMatrix
 from igafin import stepper
@@ -110,11 +110,38 @@ class TestStoredLevels:
 
 class TestInitialSlice:
     def test_leland_coefficients_are_greville_payoff(self):
+        # on uniform knots, cubic or hat functions, the kink is no repeated
+        # knot and the march starts from the payoff's Greville values
         a, b = LIN.domain()
-        disc = build_discretization(a, b, 32)
+        for degree in (3, 1):
+            disc = build_discretization(a, b, 32, degree=degree)
+            surf = run_leland(LIN, disc, SchemeConfig(n_steps=1))
+            expect = LIN.payoff(disc.greville_x)
+            assert np.array_equal(surf.initial.coeffs["vhat"], expect)
+
+    def test_refined_knots_away_from_the_kink_keep_greville_payoff(self):
+        a, b = LIN.domain()
+        disc = build_discretization(a, b, 32, knot_mode="refined",
+                                    kink_xi=0.25)
+        assert disc.knot_multiplicity(LIN.kink) == 0
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=1))
-        expect = LIN.payoff(disc.greville_x)
-        assert np.array_equal(surf.initial.coeffs["vhat"], expect)
+        assert np.array_equal(surf.initial.coeffs["vhat"],
+                              LIN.payoff(disc.greville_x))
+
+    def test_kink_aligned_coefficients_interpolate_the_payoff(self):
+        a, b = LIN.domain()
+        kink_xi = float(PhysicalMap(a, b).to_parameter(LIN.kink))
+        disc = build_discretization(a, b, 32, knot_mode="refined",
+                                    kink_xi=kink_xi)
+        assert disc.knot_multiplicity(LIN.kink) == 3
+        surf = run_leland(LIN, disc, SchemeConfig(n_steps=1))
+        coeffs = surf.initial.coeffs["vhat"]
+        payoff = LIN.payoff(disc.greville_x)
+        assert np.abs(disc.colloc.evaluate(coeffs) - payoff).max() <= 1e-12
+        # the boundary coefficients, the march's fixed boundary data, are
+        # the payoff's values at the ends
+        assert np.array_equal(coeffs[[0, -1]], payoff[[0, -1]])
+        assert not np.array_equal(coeffs, payoff)
 
     def test_afv_coefficients_are_greville_terminal(self):
         params = _afv()
