@@ -21,8 +21,8 @@ from .stepper import (Discretization, NewtonDivergenceError, SchemeConfig,
                       SolutionSurface, TimeSlice, build_discretization, run,
                       run_afv, run_leland, value_curve)
 from .greeks import GreekTable, greeks_table, write_greeks_csv
-from .reference import (bs_exact_call, bs_exact_greeks, fdm_solve_afv,
-                        fdm_solve_leland, misfit_epsilon, p1fem_solve)
+from .reference import (bs_exact_call, bs_exact_greeks, fdm_solve,
+                        fdm_solve_afv, misfit_epsilon, p1fem_solve)
 from .checks import CheckResult, format_report, run_checks
 
 __version__ = "0.1.0"
@@ -40,7 +40,7 @@ __all__ = [
     "SolutionSurface", "TimeSlice", "build_discretization",
     "run", "run_afv", "run_leland", "value_curve",
     "GreekTable", "greeks_table", "write_greeks_csv",
-    "bs_exact_call", "bs_exact_greeks", "fdm_solve_afv", "fdm_solve_leland",
+    "bs_exact_call", "bs_exact_greeks", "fdm_solve", "fdm_solve_afv",
     "misfit_epsilon", "p1fem_solve",
     "CheckResult", "format_report", "run_checks",
     "__version__",

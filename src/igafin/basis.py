@@ -283,7 +283,8 @@ def greville_abscissae(knots: KnotVector) -> np.ndarray:
 
 
 def load_weights(path, n_basis: int) -> np.ndarray:
-    """Read one positive decimal weight per line; length must match the basis."""
+    """Read one finite, positive decimal weight per line; the length must
+    match the basis."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     try:
@@ -293,8 +294,9 @@ def load_weights(path, n_basis: int) -> np.ndarray:
     if len(w) != n_basis:
         raise ValueError(
             f"weight file {path}: expected {n_basis} weights, found {len(w)}")
-    if np.any(w <= 0.0):
-        raise ValueError(f"weight file {path}: weights must be strictly positive")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError(
+            f"weight file {path}: weights must be finite and strictly positive")
     return w
 
 

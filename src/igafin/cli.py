@@ -22,23 +22,25 @@ them a float that is not a finite number, are hard errors carrying the
 offending line number, and nothing is written unless the whole
 configuration parses.  The [model] keys are the fields of the model's
 parameter class, with its defaults; a field without a default is a
-required key.  In [discretization], weight_source is none (unit weights)
-or file (the NURBS weights of weights_file, one per basis function).
-Every march takes at least one step, so n_tau < 1, in [discretization],
-a ladder rung or the reference, is an error of the same kind.  Settings
-that parse but cannot run are configuration errors too, raised before
-solving: x_min >= x_max; refined knots with degree < 3 or the payoff
-kink, where they cluster, outside (x_min, x_max); theta outside [0, 1];
-negative rannacher_steps or store_every; a weights file that does not
-hold one positive number per basis function; a ladder rung or reference
-with n_elements < 1; a grid with fewer than three basis functions (none
-interior); n_elements < 2 for the P1 reference or the FDM twin; an
-oracle that does not apply to the model, and for converge any oracle but
-the model's own or none; a call window that opens and closes on one date;
-degree < 2 for price and greeks (gamma needs it); a time grid on which
-every pair of stored slices near t = 0 straddles a coupon or put date
-(theta has nothing to difference); and a probe price outside the domain.  A march that produces a value that
-is not finite is a solver failure, reported on one line.
+required key.  In [discretization], weights_file names the NURBS weights,
+one per basis function; without it every weight is 1.  Every march takes at
+least one step, so n_tau < 1, in [discretization], a ladder rung or the
+reference, is an error of the same kind, and so is a [ladder] reference
+that is not exactly one n_elements:n_tau pair.  Settings that parse but
+cannot run are configuration errors too, raised before solving: x_min >=
+x_max; refined knots with degree < 3 or the payoff kink, where they
+cluster, outside (x_min, x_max); theta outside [0, 1]; negative
+rannacher_steps or store_every; a weights file that does not exist or does
+not hold one finite, positive number per basis function; a ladder rung or
+reference with n_elements < 1; a grid with fewer than three basis
+functions (none interior); n_elements < 2 for the P1 reference or the FDM
+twin; an oracle that does not apply to the model, and for converge any
+oracle but the model's own or none; a call window that opens and closes on
+one date; degree < 2 for price and greeks (gamma needs it); a time grid on
+which every pair of stored slices near t = 0 straddles a coupon or put
+date (theta has nothing to difference); and a probe price outside the
+domain.  A march that produces a value that is not finite is a solver
+failure, reported on one line.
 
 price builds every table before it writes its first file.  Each CSV goes
 to a ``.tmp`` file that replaces it at the end and is removed if writing
@@ -64,8 +66,8 @@ from .basis import load_weights
 from .checks import format_report, run_checks
 from .greeks import greeks_table, theta_pair, write_greeks_csv
 from .models import AfvParams, LelandParams
-from .reference import (bs_exact_call, fdm_solve_afv, fdm_solve_leland,
-                        misfit_epsilon, p1fem_solve)
+from .reference import (bs_exact_call, fdm_solve, misfit_epsilon,
+                        p1fem_solve)
 from .stepper import (NewtonDivergenceError, SchemeConfig,
                       build_discretization, build_knots, run, value_curve)
 
@@ -89,9 +91,9 @@ _MODELS = {"linear-bs": LelandParams, "leland": LelandParams,
 _LADDER_ORACLE = {"linear-bs": "closed-form", "leland": "p1", "afv": "none"}
 _KNOWN_KEYS = {
     "experiment": {"model", "probe_s"},
-    "discretization": {"degree", "n_elements", "knot_mode", "weight_source",
-                       "weights_file", "n_tau", "theta", "rannacher_steps",
-                       "x_min", "x_max", "store_every"},
+    "discretization": {"degree", "n_elements", "knot_mode", "weights_file",
+                       "n_tau", "theta", "rannacher_steps", "x_min", "x_max",
+                       "store_every"},
     "model": {f.name for cls in _MODELS.values() for f in fields(cls)},
     "ladder": {"rungs", "reference"},
     "output": {"dir"},
@@ -108,7 +110,6 @@ class ExperimentConfig:
     degree: int
     n_elements: int
     knot_mode: str
-    weight_source: str
     weights_file: str | None
     n_tau: int
     theta: float
@@ -198,6 +199,14 @@ def _parse_rungs(raw: str) -> list[tuple[int, int]]:
     return out
 
 
+def _parse_reference(raw: str) -> tuple[int, int]:
+    """The P1 reference's one n_elements:n_tau pair."""
+    pairs = _parse_rungs(raw)
+    if len(pairs) != 1:
+        raise ValueError(f"need one n_elements:n_tau pair, got {len(pairs)}")
+    return pairs[0]
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Read and fully validate an INI experiment description."""
     try:
@@ -257,20 +266,10 @@ def parse_config(path: str) -> ExperimentConfig:
     if knot_mode not in ("uniform", "refined"):
         raise ConfigError("knot_mode must be 'uniform' or 'refined'", path,
                           lines.get(("discretization", "knot_mode")))
-    weight_source = g("discretization", "weight_source", str, "none")
-    weight_source = weight_source.strip().lower()
-    if weight_source not in ("none", "file"):
-        raise ConfigError("weight_source must be 'none' or 'file'", path,
-                          lines.get(("discretization", "weight_source")))
     weights_file = g("discretization", "weights_file", str, None)
-    if weight_source == "file":
-        if weights_file is None:
-            raise ConfigError("weight_source = file needs weights_file",
-                              path, lines.get(("discretization", "")))
-        if not os.path.exists(weights_file):
-            raise ConfigError(f"weights file not found: {weights_file}",
-                              path, lines.get(("discretization",
-                                               "weights_file")))
+    if weights_file is not None and not os.path.isfile(weights_file):
+        raise ConfigError(f"weights file not found: {weights_file}", path,
+                          lines.get(("discretization", "weights_file")))
 
     a_def, b_def = params.domain()
     cfg = ExperimentConfig(
@@ -280,7 +279,6 @@ def parse_config(path: str) -> ExperimentConfig:
         degree=g("discretization", "degree", int, 3),
         n_elements=g("discretization", "n_elements", int, required=True),
         knot_mode=knot_mode,
-        weight_source=weight_source,
         weights_file=weights_file,
         n_tau=g("discretization", "n_tau", int, required=True),
         theta=g("discretization", "theta", _finite, 0.5),
@@ -291,8 +289,7 @@ def parse_config(path: str) -> ExperimentConfig:
         probe_s=g("experiment", "probe_s", _finite, 100.0),
         out_dir=g("output", "dir", str, "out"),
         rungs=g("ladder", "rungs", _parse_rungs, []),
-        reference=g("ladder", "reference",
-                    lambda s: _parse_rungs(s)[0], None))
+        reference=g("ladder", "reference", _parse_reference, None))
     if min(cfg.n_elements, cfg.n_tau, cfg.degree) < 1:
         raise ConfigError("n_elements, n_tau and degree must be >= 1",
                           path, lines.get(("discretization", "")))
@@ -317,7 +314,7 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
                  for n_e, _ in grids]
         schemes = [_scheme(cfg, n_t) for _, n_t in grids]
         weights = [load_weights(cfg.weights_file, k.n_basis)
-                   if cfg.weight_source == "file" else None for k in knots]
+                   if cfg.weights_file is not None else None for k in knots]
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from None
     for (n_e, _), k in zip(grids, knots):
@@ -422,16 +419,10 @@ def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
     params = cfg.params
     if oracle == "closed-form":
         return float(bs_exact_call(cfg.probe_s, 0.0, params))
-    if oracle == "p1":
-        disc, surf = p1fem_solve(params, cfg.x_min, cfg.x_max,
-                                 cfg.n_elements, _final_only(cfg, cfg.n_tau))
-        return float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
-    twin = fdm_solve_afv if cfg.model == "afv" else fdm_solve_leland
-    res = twin(params, cfg.x_min, cfg.x_max, cfg.n_elements, cfg.n_tau,
-               cfg.theta, cfg.rannacher_steps)
-    tau, field = params.horizon, params.value_column[1]
-    return params.value_scale(tau) * float(np.interp(
-        params.x_of(cfg.probe_s, tau), res.x, res.values[field]))
+    solve = p1fem_solve if oracle == "p1" else fdm_solve
+    disc, surf = solve(params, cfg.x_min, cfg.x_max, cfg.n_elements,
+                       _final_only(cfg, cfg.n_tau))
+    return float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
 
 
 def _check_greeks_inputs(cfg: ExperimentConfig) -> None:

@@ -1,13 +1,17 @@
 """Reference solvers used to cross-check the spline pipeline.
 
 * Black-Scholes closed form (price and Greeks) for the frictionless call.
-* Second-order central finite-difference twins of both marches.  Central
-  differences are written as a Galerkin system (identity mass, stiffness
-  -D2, advection -D1) on uniform nodes, and the twins run the spline
-  path's own march on it: the same theta operator, boundary ODE, model
-  code, penalty Newton and events.  They differ from the spline path
-  only in the spatial operator, which is what they cross-check.
-* A P1 (hat-function) run of the main pipeline, for misfit studies.
+* The second-order central finite-difference twin of both marches,
+  ``fdm_solve``.  Its space is a ``Discretization``: hat functions on
+  uniform nodes, whose coefficients are the nodal values, with central
+  differences written as its system (identity mass, stiffness -D2,
+  advection -D1).  It runs through ``run``, so it shares the spline
+  path's theta operator, boundary ODE, model code, penalty Newton and
+  events, and differs from it only in the spatial operator, which is what
+  it cross-checks.  ``fdm_solve_afv`` gives the bond twin's final nodal
+  values.
+* A P1 (hat-function) run of the main pipeline, for misfit studies, with
+  the same signature as ``fdm_solve``.
 * The plain discrete 2-norm misfit used in the convergence tables.
 """
 
@@ -18,16 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import GalerkinSystem
+from .assembly import Collocation, GalerkinSystem, PhysicalMap
+from .basis import NurbsBasis, make_uniform_open_knots
 from .linsolve import BandedMatrix
 from .models import AfvParams, LelandParams
 from .stepper import (Discretization, SchemeConfig, SolutionSurface,
-                      build_discretization, march_afv, march_leland,
-                      run_leland)
+                      build_discretization, run)
 
-__all__ = ["bs_exact_call", "bs_exact_greeks", "FdmResult",
-           "fdm_solve_leland", "fdm_solve_afv", "p1fem_solve",
-           "misfit_epsilon"]
+__all__ = ["bs_exact_call", "bs_exact_greeks", "FdmResult", "fdm_solve",
+           "fdm_solve_afv", "p1fem_solve", "misfit_epsilon"]
 
 
 def _norm_pdf(x):
@@ -101,30 +104,27 @@ def _central_differences(x: np.ndarray) -> GalerkinSystem:
                           np.zeros((n, 2)), stiffness_cols, advection_cols)
 
 
-def fdm_solve_leland(params: LelandParams, x_min: float, x_max: float,
-                     n_cells: int, n_steps: int, theta: float = 0.5,
-                     rannacher_steps: int = 2) -> FdmResult:
-    """Central-difference twin of the transaction-cost march."""
+def fdm_solve(params, x_min: float, x_max: float, n_cells: int,
+              scheme: SchemeConfig) -> tuple[Discretization, SolutionSurface]:
+    """The central-difference twin of either march: ``run`` on the hat
+    functions at n_cells + 1 uniform nodes with central differences as
+    their system.  The hat functions' coefficients are the nodal values,
+    so ``value_curve`` reads the solution by linear interpolation."""
     x = np.linspace(x_min, x_max, n_cells + 1)
-    scheme = SchemeConfig(n_steps, theta, rannacher_steps, store_every=0)
-    surf = march_leland(params, _central_differences(x), params.payoff(x),
-                        scheme, x[1] - x[0])
-    return FdmResult(x, surf.final.coeffs)
+    basis = NurbsBasis(make_uniform_open_knots(n_cells, 1), np.ones(len(x)))
+    disc = Discretization(basis, PhysicalMap(x_min, x_max),
+                          _central_differences(x), Collocation(basis), x)
+    return disc, run(params, disc, scheme)
 
 
 def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
                   n_cells: int = 128, n_steps: int = 100, theta: float = 0.5,
                   rannacher_steps: int = 2) -> FdmResult:
-    """Central-difference twin of the convertible-bond march.
-
-    Runs the spline path's march, model code and penalty Newton on nodal
-    values with a central-difference operator, so the two differ only in
-    the spatial discretisation, which is what the twin cross-checks.
-    """
-    x = np.linspace(x_min, x_max, n_cells + 1)
+    """The convertible bond's twin on the final level: its nodes and nodal
+    values."""
     scheme = SchemeConfig(n_steps, theta, rannacher_steps, store_every=0)
-    surf = march_afv(params, _central_differences(x), x, scheme)
-    return FdmResult(x, surf.final.coeffs)
+    disc, surf = fdm_solve(params, x_min, x_max, n_cells, scheme)
+    return FdmResult(disc.greville_x, surf.final.coeffs)
 
 
 def p1fem_solve(params: LelandParams, x_min: float, x_max: float,
@@ -132,7 +132,7 @@ def p1fem_solve(params: LelandParams, x_min: float, x_max: float,
                 ) -> tuple[Discretization, SolutionSurface]:
     """The main pipeline run with hat functions (degree 1, uniform knots)."""
     disc = build_discretization(x_min, x_max, n_elements, degree=1)
-    return disc, run_leland(params, disc, scheme)
+    return disc, run(params, disc, scheme)
 
 
 def misfit_epsilon(values_a: np.ndarray, values_b: np.ndarray) -> float:

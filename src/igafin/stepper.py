@@ -25,11 +25,12 @@ of that knot, so its Greville interpolant is accurate to O(h^(p+1)), and
 the march, in place of data whose O(h^2) error would dominate the space
 error.  The convertible keeps Greville values, because its sources and
 penalty read coefficients as values at the nodes.  The marches
-(``march_leland``, ``march_afv``) take the system as an argument, with the
-call's initial coefficients or the bond's nodes x_j, so the
-finite-difference twins in ``reference`` run them too, on central
-differences at uniform nodes.  Each builds only its step; ``_march`` is
-the one loop over time levels.
+(``run_leland``, ``run_afv``) read only the ``Discretization`` they run
+on: its system, its Greville points x_j and its smallest span.  So the
+finite-difference twin in ``reference``, a ``Discretization`` of hat
+functions on uniform nodes with central differences as its system, runs
+through ``run`` too.  Each march builds only its step; ``_march`` is the
+one loop over time levels.
 
 The call march takes one step, ``_LelandStep``, whatever its Leland
 number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
@@ -83,7 +84,7 @@ __all__ = [
     "build_knots", "build_discretization", "step_linear",
     "step_afv_boundary", "NewtonJacobians", "newton_solve_U",
     "NewtonDivergenceError", "run",
-    "run_leland", "run_afv", "march_leland", "march_afv", "value_curve",
+    "run_leland", "run_afv", "value_curve",
 ]
 
 
@@ -153,7 +154,8 @@ class SolutionSurface:
 
 @dataclass
 class Discretization:
-    """Basis, physical map and assembled Galerkin system for one run."""
+    """Basis, physical map and system of one run: the assembled Galerkin
+    system, or central differences on the FDM twin's nodes."""
 
     basis: NurbsBasis
     pmap: PhysicalMap
@@ -492,6 +494,7 @@ def _warn_if_unstable(dx: float, dtau: float) -> None:
             "the lagged transaction-cost term may oscillate", RuntimeWarning)
 
 
+@np.errstate(all="ignore")
 def run_leland(params: LelandParams, disc: Discretization,
                scheme: SchemeConfig) -> SolutionSurface:
     """March the (possibly nonlinear) transformed call problem to t = 0.
@@ -499,47 +502,29 @@ def run_leland(params: LelandParams, disc: Discretization,
     The initial coefficients are the payoff's values at the Greville
     points, or, on knots that hold the payoff kink with multiplicity 2 or
     more, the coefficients of its interpolant there: one solve with the
-    collocation band."""
+    collocation band.  The smallest span sets the step-ratio warning."""
     initial = params.payoff(disc.greville_x)
     if disc.knot_multiplicity(params.kink) >= 2:
         initial = disc.colloc.matrix.lu_factor().solve(initial)
-    return march_leland(params, disc.system, initial, scheme,
-                        disc.min_span_x())
-
-
-@np.errstate(all="ignore")
-def march_leland(params: LelandParams, system: GalerkinSystem,
-                 initial: np.ndarray, scheme: SchemeConfig,
-                 min_dx: float) -> SolutionSurface:
-    """The transformed call march on any space: ``system`` with the
-    coefficients ``initial`` at level 0, boundary entries included, and
-    the smallest node spacing ``min_dx``, which sets the step-ratio
-    warning."""
     dtau = params.horizon / scheme.n_steps
     if params.leland_number > 0:
-        _warn_if_unstable(min_dx, dtau)
-    op = _ThetaOperator(system, params.coefficients("vhat"), dtau,
+        _warn_if_unstable(disc.min_span_x(), dtau)
+    op = _ThetaOperator(disc.system, params.coefficients("vhat"), dtau,
                         scheme.thetas)
     step = _LelandStep(op, initial[[0, -1]], params.leland_number)
     return _march(scheme, dtau, {"vhat": initial}, step)
 
 
+@np.errstate(all="ignore")
 def run_afv(params: AfvParams, disc: Discretization,
             scheme: SchemeConfig) -> SolutionSurface:
-    """March the constrained convertible-bond system to t = 0."""
-    return march_afv(params, disc.system, disc.greville_x, scheme)
-
-
-@np.errstate(all="ignore")
-def march_afv(params: AfvParams, system: GalerkinSystem, nodes: np.ndarray,
-              scheme: SchemeConfig) -> SolutionSurface:
-    """The convertible-bond march on any space: ``system`` with one
-    coefficient per point of ``nodes``."""
+    """March the constrained convertible-bond system to t = 0, with one
+    coefficient per Greville point."""
     dtau = params.horizon / scheme.n_steps
-    conversion = params.conversion_value(nodes)
+    conversion = params.conversion_value(disc.greville_x)
     u_vals, b_vals, c_vals = afv_terminal(conversion, params)
     # U and C share their coefficients, hence one operator and its factors
-    ops = {name: _ThetaOperator(system, params.coefficients(name), dtau,
+    ops = {name: _ThetaOperator(disc.system, params.coefficients(name), dtau,
                                 scheme.thetas) for name in ("U", "B")}
     ops["C"] = ops["U"]
     jacobians = {th: NewtonJacobians(lhs, ops["U"].m_int,

@@ -294,6 +294,13 @@ class TestLoadWeights:
         out = load_weights(path, 4)
         assert np.array_equal(out, w)
 
+    @pytest.mark.parametrize("last", ["nan", "inf", "0.0", "-1.0"])
+    def test_weights_must_be_finite_and_positive(self, tmp_path, last):
+        path = tmp_path / "w.txt"
+        path.write_text("1.0\n2.0\n1.5\n" + last + "\n")
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            load_weights(path, 4)
+
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "w.txt"
         np.savetxt(path, np.ones(3))

@@ -134,9 +134,9 @@ SMALL = {"n_elements": 32, "n_tau": 20}
     ("price", "refined.ini", {"x_min": 5, "x_max": 6}, []),
     ("price", "convertible.ini", {**SMALL, "theta": 2}, []),
     ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1}, []),
-    ("price", "linear_uniform.ini", {**SMALL, "weight_source": "file",
+    ("price", "linear_uniform.ini", {**SMALL,
                                      "weights_file": "{tmp}/letters.txt"}, []),
-    ("price", "linear_uniform.ini", {**SMALL, "weight_source": "file",
+    ("price", "linear_uniform.ini", {**SMALL,
                                      "weights_file": "{tmp}/two.txt"}, []),
     ("greeks", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, []),
     ("converge", "convertible.ini", {**SMALL, "ladder.rungs": "0:10"}, []),
@@ -171,8 +171,20 @@ SMALL = {"n_elements": 32, "n_tau": 20}
      ["--oracle", "p1"]),
     # the kink is derived from the model, so its old key is unknown
     ("price", "refined.ini", {"kink_xi": 0.5}, []),
-    # the weights are unit or read from a file, never fitted
-    ("price", "refined.ini", {"weight_source": "calibrated"}, []),
+    # ... or ran: a weights file that does not exist, and one that ends in
+    # a weight that is not finite; or ended in a traceback: a directory
+    ("price", "linear_uniform.ini", {**SMALL,
+                                     "weights_file": "{tmp}/missing.txt"}, []),
+    ("price", "linear_uniform.ini", {**SMALL, "weights_file": "{tmp}"}, []),
+    ("price", "linear_uniform.ini", {**SMALL,
+                                     "weights_file": "{tmp}/nan.txt"}, []),
+    # ... or ended in a traceback: an empty reference; or dropped all but
+    # the first of two reference pairs
+    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20",
+                                       "ladder.reference": ""}, []),
+    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20",
+                                       "ladder.reference":
+                                       "32:40, 4096:20480"}, []),
     # ... or ran: a float that is not finite, and a march of no steps
     ("price", "convertible.ini", {**SMALL, "x_min": "-inf"}, []),
     ("price", "convertible.ini", {**SMALL, "model.sigma": "inf"}, []),
@@ -193,6 +205,8 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
     out.mkdir()
     (tmp_path / "letters.txt").write_text("1.0\nabc\n")
     (tmp_path / "two.txt").write_text("1.0\n1.0\n")
+    # 32 cubic elements have 35 basis functions
+    (tmp_path / "nan.txt").write_text("1.0\n" * 34 + "nan\n")
     cfg = _config(tmp_path, base, **overrides)
     rc = main([verb, "--config", str(cfg), "--out", str(out), *args])
     err = capsys.readouterr().err
@@ -214,16 +228,43 @@ def test_unknown_key_is_a_config_error_at_its_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cluster_ratio_is_an_unknown_key_at_its_line(tmp_path, capsys):
+@pytest.mark.parametrize("key,value", [
     # refined knots take one fixed grading
-    cfg = _config(tmp_path, "refined.ini", cluster_ratio=0.7)
-    line = cfg.read_text().splitlines().index("cluster_ratio = 0.7") + 1
+    ("cluster_ratio", "0.7"),
+    # the weights are read from weights_file when it is given, never fitted
+    ("weight_source", "calibrated"),
+])
+def test_retired_key_is_an_unknown_key_at_its_line(tmp_path, capsys, key,
+                                                   value):
+    cfg = _config(tmp_path, "refined.ini", **{key: value})
+    line = cfg.read_text().splitlines().index(f"{key} = {value}") + 1
     out = tmp_path / "out"
     assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: {cfg}:{line}: unknown key 'cluster_ratio' in "
+        f"config error: {cfg}:{line}: unknown key '{key}' in "
         "[discretization]\n")
     assert not out.exists()
+
+
+def test_unit_weights_file_gives_the_unit_weight_run(tmp_path, capsys):
+    # 32 cubic elements have 35 basis functions; a file that is not all
+    # ones shows that the file is read
+    (tmp_path / "ones.txt").write_text("1.0\n" * 35)
+    (tmp_path / "bent.txt").write_text("1.0\n" * 17 + "2.0\n" + "1.0\n" * 17)
+    printed = []
+    for name, extra in (("unit", {}),
+                        ("ones", {"weights_file": "{tmp}/ones.txt"}),
+                        ("bent", {"weights_file": "{tmp}/bent.txt"})):
+        cfg = _config(tmp_path, "linear_uniform.ini", **SMALL, **extra)
+        assert main(["price", "--config", str(cfg), "--out",
+                     str(tmp_path / name)]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    for csv_name in ("surface.csv", "slice_t0.csv", "greeks.csv"):
+        assert (tmp_path / "ones" / csv_name).read_bytes() \
+            == (tmp_path / "unit" / csv_name).read_bytes()
+    assert (tmp_path / "bent" / "surface.csv").read_bytes() \
+        != (tmp_path / "unit" / "surface.csv").read_bytes()
 
 
 def test_a_float_that_is_not_finite_is_named_at_its_line(tmp_path, capsys):
@@ -391,7 +432,7 @@ def test_fdm_oracle_prints_the_twin_at_the_probe(tmp_path, capsys, base,
 def test_fdm_oracle_with_theta_one_is_the_implicit_twin(tmp_path, capsys,
                                                         base):
     from igafin.cli import parse_config
-    from igafin.reference import fdm_solve_afv, fdm_solve_leland
+    from igafin.reference import fdm_solve, fdm_solve_afv
     cfg = parse_config(str(_config(tmp_path, base, **SMALL, theta=1)))
     assert main(["price", "--config", cfg.path, "--oracle", "fdm", "--out",
                  str(tmp_path / "out")]) == 0
@@ -401,10 +442,11 @@ def test_fdm_oracle_with_theta_one_is_the_implicit_twin(tmp_path, capsys,
         want = np.interp(math.log(cfg.probe_s / p.s_initial), res.x,
                          res.values["U"])
     else:
-        res = fdm_solve_leland(p, cfg.x_min, cfg.x_max, n_e, n_t, theta=1.0)
+        disc, surf = fdm_solve(p, cfg.x_min, cfg.x_max, n_e,
+                               SchemeConfig(n_t, theta=1.0, store_every=0))
         x = math.log(cfg.probe_s) + p.kappa * p.horizon
         want = math.exp(-p.kappa * p.horizon) * np.interp(
-            x, res.x, res.values["vhat"])
+            x, disc.greville_x, surf.final.coeffs["vhat"])
     name = "U" if cfg.model == "afv" else "V"
     assert f"oracle (fdm): {name}(100) = {want:.4f}\n" \
         in capsys.readouterr().out
@@ -652,6 +694,30 @@ def test_every_traced_layer_names_a_package_attribute():
             owner = getattr(owner, part, None)
         if owner is None:
             missing.append(f"igafin.{module}.{attr}")
+    assert not missing
+
+
+def test_every_benchmark_import_names_a_package_attribute():
+    # the benchmark scripts import names from the package, and a rename
+    # breaks them without failing this suite; read their imports and
+    # resolve each name
+    import importlib
+    imported, missing = [], []
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").split(".")[0] == "igafin"):
+                continue
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                imported.append(alias.name)
+                if not hasattr(owner, alias.name):
+                    try:
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        missing.append(f"{path.name}: {node.module}."
+                                       f"{alias.name}")
+    assert {"parse_config", "fdm_solve_afv"} <= set(imported)
     assert not missing
 
 

@@ -10,13 +10,20 @@ from igafin.cli import parse_config
 from igafin.linsolve import BandedLU
 from igafin.models import AfvParams, LelandParams
 from igafin.reference import (_central_differences, bs_exact_call,
-                              bs_exact_greeks, fdm_solve_afv,
-                              fdm_solve_leland, misfit_epsilon, p1fem_solve)
+                              bs_exact_greeks, fdm_solve, fdm_solve_afv,
+                              misfit_epsilon, p1fem_solve)
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
                             build_discretization, run_leland, value_curve)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
+
+
+def _fdm_call(params, x_min, x_max, n_cells, n_steps):
+    """The call twin's nodes and final nodal values of vhat."""
+    disc, surf = fdm_solve(params, x_min, x_max, n_cells,
+                           SchemeConfig(n_steps, store_every=0))
+    return disc.greville_x, surf.final.coeffs["vhat"]
 
 
 class TestClosedForm:
@@ -78,11 +85,10 @@ class TestFdmLeland:
         a, b = LIN.domain()
         errs = []
         for n in (128, 256):
-            res = fdm_solve_leland(LIN, a, b, n, 4 * n)
+            nodes, vhat = _fdm_call(LIN, a, b, n, 4 * n)
             tau = LIN.horizon
             x = math.log(100.0) + LIN.kappa * tau
-            v = math.exp(-LIN.kappa * tau) \
-                * float(np.interp(x, res.x, res.values["vhat"]))
+            v = math.exp(-LIN.kappa * tau) * float(np.interp(x, nodes, vhat))
             errs.append(abs(v - bs_exact_call(100.0, 0.0, LIN)))
         assert errs[1] < errs[0]
         assert errs[1] < 0.05
@@ -91,15 +97,13 @@ class TestFdmLeland:
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
         a, b = le.domain()
-        res_le = fdm_solve_leland(le, a, b, 256, 320)
+        nodes, vhat_le = _fdm_call(le, a, b, 256, 320)
         lin = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
-        res_0 = fdm_solve_leland(lin, a, b, 256, 320)
+        _, vhat_0 = _fdm_call(lin, a, b, 256, 320)
         tau = le.horizon
         x = math.log(100.0) + le.kappa * tau
-        v_le = math.exp(-le.kappa * tau) * np.interp(x, res_le.x,
-                                                     res_le.values["vhat"])
-        v_0 = math.exp(-lin.kappa * tau) * np.interp(x, res_0.x,
-                                                     res_0.values["vhat"])
+        v_le = math.exp(-le.kappa * tau) * np.interp(x, nodes, vhat_le)
+        v_0 = math.exp(-lin.kappa * tau) * np.interp(x, nodes, vhat_0)
         assert v_le > v_0 + 1.0
 
     def test_agrees_with_the_galerkin_march(self):
@@ -109,22 +113,38 @@ class TestFdmLeland:
         disc = build_discretization(a, b, 256)
         surf = run_leland(le, disc, SchemeConfig(n_steps=80))
         v_iga = float(value_curve(le, disc, surf.final, [100.0])[0])
-        res = fdm_solve_leland(le, a, b, 256, 80)
+        nodes, vhat = _fdm_call(le, a, b, 256, 80)
         tau = le.horizon
         x = math.log(100.0) + le.kappa * tau
-        v_fdm = math.exp(-le.kappa * tau) * float(
-            np.interp(x, res.x, res.values["vhat"]))
+        v_fdm = math.exp(-le.kappa * tau) * float(np.interp(x, nodes, vhat))
         assert v_iga == pytest.approx(v_fdm, abs=0.25)
 
     def test_pinned_value(self):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
         a, b = le.domain()
-        res = fdm_solve_leland(le, a, b, 256, 80)
+        nodes, vhat = _fdm_call(le, a, b, 256, 80)
         x = math.log(100.0) + le.kappa * le.horizon
-        v = math.exp(-le.kappa * le.horizon) * float(
-            np.interp(x, res.x, res.values["vhat"]))
+        v = math.exp(-le.kappa * le.horizon) * float(np.interp(x, nodes, vhat))
         assert v == pytest.approx(15.58073037598943, rel=1e-12)
+
+
+@pytest.mark.parametrize("config", ["leland_ladder.ini", "convertible.ini"])
+def test_fdm_space_reads_its_nodal_values_by_linear_interpolation(config):
+    # the twin's space is the hat functions on its nodes, so the model
+    # value at a price is the linear interpolant of the final nodal values
+    cfg = parse_config(str(CONFIGS / config))
+    params = cfg.params
+    disc, surf = fdm_solve(params, cfg.x_min, cfg.x_max, 64,
+                           SchemeConfig(20, store_every=0))
+    assert np.array_equal(disc.greville_x,
+                          np.linspace(cfg.x_min, cfg.x_max, 65))
+    s = np.array([60.0, 87.5, 100.0, 113.0, 150.0])
+    tau, field = surf.final.tau, params.value_column[1]
+    want = params.value_scale(tau) * np.interp(
+        params.x_of(s, tau), disc.greville_x, surf.final.coeffs[field])
+    got = value_curve(params, disc, surf.final, s)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestFdmAfv:
@@ -185,6 +205,18 @@ class TestFdmAfv:
                             cfg.theta, cfg.rannacher_steps)
         u = float(np.interp(0.0, res.x, res.values["U"]))
         assert u == pytest.approx(125.0576777062165, rel=1e-12)
+
+    def test_is_the_final_level_of_the_twin(self):
+        cfg = parse_config(str(CONFIGS / "convertible.ini"))
+        res = fdm_solve_afv(cfg.params, cfg.x_min, cfg.x_max, 64, 40,
+                            cfg.theta, cfg.rannacher_steps)
+        disc, surf = fdm_solve(cfg.params, cfg.x_min, cfg.x_max, 64,
+                               SchemeConfig(40, cfg.theta,
+                                            cfg.rannacher_steps))
+        assert np.array_equal(res.x, disc.greville_x)
+        assert res.values.keys() == surf.final.coeffs.keys()
+        for name, values in res.values.items():
+            assert np.array_equal(values, surf.final.coeffs[name])
 
     def test_newton_failure_is_raised(self, monkeypatch):
         cfg = parse_config(str(CONFIGS / "convertible.ini"))
