@@ -6,10 +6,11 @@ agreement of the banded assembly with a dense quadrature oracle, NURBS
 derivatives against finite differences, change-of-variable round trips,
 reduction of the nonlinear steppers to the linear one, superposition of the
 convertible-bond components, exact coupon injection, and post-run constraint
-satisfaction.  One claim check follows them: the call priced on a few
-kink-aligned knots against its closed form.  The suite is cheap (under a
-second) and is meant to run before any table experiment; the ``validate``
-CLI verb and the acceptance tests both call :func:`run_checks`.
+satisfaction.  Two claim checks follow them: the call priced on a few
+kink-aligned knots, and the transaction-cost call of the benchmark ladder,
+each against its closed form.  The suite is cheap (under a second) and
+is meant to run before any table experiment; the ``validate`` CLI verb
+and the acceptance tests both call :func:`run_checks`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .basis import (NurbsBasis, eval_nurbs_all, eval_spline_many,
                     make_refined_open_knots, make_uniform_open_knots)
 from .models import AfvParams, LelandParams, constraint_state
 from .quadrature import gauss_legendre_rule
-from .reference import bs_exact_call, fdm_solve_afv
+from .reference import fdm_solve_afv
 from .stepper import (SchemeConfig, build_discretization, run_afv,
                       run_leland, step_linear, value_curve)
 
@@ -288,9 +289,24 @@ def check_refined_call_error() -> CheckResult:
                                 kink_xi=kink_xi)
     surf = run_leland(params, disc, SchemeConfig(n_steps=256))
     err = abs(float(value_curve(params, disc, surf.final, [100.0])[0])
-              - float(bs_exact_call(100.0, 0.0, params)))
+              - float(params.closed_form(100.0, 0.0)))
     return CheckResult("refined_call_error", err <= 5e-5, err, 5e-5,
                        "32 x 256 against the closed form")
+
+
+def check_leland_call_error() -> CheckResult:
+    # the transaction-cost call of the benchmark ladder (Le = 0.8) at its
+    # middle rung against its closed form, Black-Scholes at sigma
+    # sqrt(1 + Le): the cubic march gives an error of 2.5e-2
+    params = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
+                          leland_number=0.8)
+    a, b = params.domain()
+    disc = build_discretization(a, b, 512)
+    surf = run_leland(params, disc, SchemeConfig(n_steps=320))
+    err = abs(float(value_curve(params, disc, surf.final, [100.0])[0])
+              - float(params.closed_form(100.0, 0.0)))
+    return CheckResult("leland_call_error", err <= 5e-2, err, 5e-2,
+                       "512 x 320 against the closed form")
 
 
 ALL_CHECKS = (
@@ -306,6 +322,7 @@ ALL_CHECKS = (
     check_coupon_jump,
     check_constraint_violation,
     check_refined_call_error,
+    check_leland_call_error,
 )
 
 

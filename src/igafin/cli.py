@@ -8,7 +8,7 @@ price      one solve; writes surface.csv, slice_t0.csv, greeks.csv and prints
            one the benchmark tables quote).
 converge   ladder of (n_elements, n_tau) runs; writes convergence.csv with
            value, error and contraction columns, the error against the
-           closed form (linear-bs) or the P1 reference (leland).
+           oracle.
 greeks     one solve; writes greeks.csv only.
 validate   runs the structural invariant suite, one report line per check.
 
@@ -16,31 +16,42 @@ price and converge take --config, --out, --probe-s and --oracle; greeks
 takes --config and --out; validate takes no flag.  A flag the verb does not
 read is a usage error.
 
+--oracle is closed-form, the model's exact value (the call has one); p1,
+the pipeline on hat functions; fdm, the central-difference twin; or none.
+price runs p1 and fdm on its own grid.  converge runs them on the [ladder]
+reference, else on its largest rung, and its error is their value misfit
+at the rung's Greville prices up to three times the payoff kink (against
+the closed form, the error at the probe).  Without --oracle, price takes
+none, and converge takes p1 if the config names a reference, else
+closed-form if the model has one, else none.
+
 Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
 failure.  Unknown configuration keys and values that do not parse, among
 them a float that is not a finite number, are hard errors carrying the
-offending line number, and nothing is written unless the whole
-configuration parses.  The [model] keys are the fields of the model's
-parameter class, with its defaults; a field without a default is a
-required key.  In [discretization], weights_file names the NURBS weights,
-one per basis function; without it every weight is 1.  Every march takes at
-least one step, so n_tau < 1, in [discretization], a ladder rung or the
-reference, is an error of the same kind, and so is a [ladder] reference
-that is not exactly one n_elements:n_tau pair.  Settings that parse but
-cannot run are configuration errors too, raised before solving: x_min >=
-x_max; refined knots with degree < 3 or the payoff kink, where they
-cluster, outside (x_min, x_max); theta outside [0, 1]; negative
-rannacher_steps or store_every; a weights file that does not exist or does
-not hold one finite, positive number per basis function; a ladder rung or
-reference with n_elements < 1; a grid with fewer than three basis
-functions (none interior); n_elements < 2 for the P1 reference or the FDM
-twin; an oracle that does not apply to the model, and for converge any
-oracle but the model's own or none; a call window that opens and closes on
-one date; degree < 2 for price and greeks (gamma needs it); a time grid on
-which every pair of stored slices near t = 0 straddles a coupon or put
-date (theta has nothing to difference); and a probe price outside the
-domain.  A march that produces a value that is not finite is a solver
-failure, reported on one line.
+offending line number, a config file that is not UTF-8 text is one naming
+its path, and nothing is written unless the whole configuration parses.
+The [model] keys are the fields of the model's parameter class, with its
+defaults; a field without a default is a required key.  In
+[discretization], weights_file names the NURBS weights, one per basis
+function; without it every weight is 1.  Every march takes at least one
+step, so n_tau < 1, in [discretization], a ladder rung or the reference, is
+an error of the same kind, and so is a [ladder] reference that is not
+exactly one n_elements:n_tau pair.  Settings that parse but cannot run are
+configuration errors too, raised before solving: x_min >= x_max; refined
+knots with degree < 3 or the payoff kink, where they cluster, outside
+(x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
+store_every; a weights file that does not exist or does not hold one
+finite, positive number per basis function; a ladder rung or reference with
+n_elements < 1; a grid with fewer than three basis functions (none
+interior); n_elements < 2 on the grid of the p1 or fdm oracle; the
+closed-form oracle on a model that has none; an output directory that is
+empty or that a file blocks (its nearest existing ancestor is not a
+directory); a call window that opens and closes on one date; degree < 2
+for price and greeks (gamma needs it); a time grid on which every pair of
+stored slices near t = 0 straddles a coupon or put date (theta has nothing
+to difference); and a probe price outside the domain.  A march that
+produces a value that is not finite is a solver failure, reported on one
+line.
 
 price builds every table before it writes its first file.  Each CSV goes
 to a ``.tmp`` file that replaces it at the end and is removed if writing
@@ -66,8 +77,7 @@ from .basis import load_weights
 from .checks import format_report, run_checks
 from .greeks import greeks_table, theta_pair, write_greeks_csv
 from .models import AfvParams, LelandParams
-from .reference import (bs_exact_call, fdm_solve, misfit_epsilon,
-                        p1fem_solve)
+from .reference import fdm_solve, misfit_epsilon, p1fem_solve
 from .stepper import (NewtonDivergenceError, SchemeConfig,
                       build_discretization, build_knots, run, value_curve)
 
@@ -87,8 +97,6 @@ class ConfigError(ValueError):
 
 _MODELS = {"linear-bs": LelandParams, "leland": LelandParams,
            "afv": AfvParams}
-# the oracle each model's ladder is measured against
-_LADDER_ORACLE = {"linear-bs": "closed-form", "leland": "p1", "afv": "none"}
 _KNOWN_KEYS = {
     "experiment": {"model", "probe_s"},
     "discretization": {"degree", "n_elements", "knot_mode", "weights_file",
@@ -212,7 +220,7 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc), path) from None
     lines = _line_map(path, text)
     cp = configparser.ConfigParser(interpolation=None)
@@ -343,11 +351,6 @@ def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
                         else every)
 
 
-def _final_only(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
-    """The scheme of a reference run, whose final slice alone is read."""
-    return replace(_scheme(cfg, n_tau), store_every=0)
-
-
 def _fmt(v) -> str:
     return "" if v is None else f"{v:.10g}"
 
@@ -389,40 +392,39 @@ def _probe_report(cfg, disc, surf) -> list[str]:
             f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
 
 
-def _check_nodes(cfg: ExperimentConfig, what: str, n_elements: int) -> None:
-    """The P1 reference and the FDM twin have n_elements + 1 nodes and need
-    one of them interior."""
-    if n_elements < 2:
-        raise ConfigError(f"{what} needs n_elements >= 2, got {n_elements}",
-                          cfg.path)
-
-
-def _check_oracle(cfg: ExperimentConfig, oracle: str) -> None:
-    """Reject an oracle that does not apply to the model or cannot run on
-    its grid."""
+def _check_oracle(cfg: ExperimentConfig, oracle: str,
+                  n_elements: int) -> None:
+    """Reject an oracle that is unknown, a closed form the model does not
+    have, or a P1 or FDM run on ``n_elements`` elements, whose
+    n_elements + 1 nodes need one of them interior."""
     if oracle not in ("none", "closed-form", "p1", "fdm"):
         raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
-    if oracle == "closed-form" and cfg.model != "linear-bs":
-        raise ConfigError("closed-form oracle exists only for linear-bs",
+    if oracle == "closed-form" and not hasattr(cfg.params, "closed_form"):
+        raise ConfigError(f"model '{cfg.model}' has no closed form",
                           cfg.path)
-    if oracle == "p1" and cfg.model == "afv":
-        raise ConfigError("p1 oracle applies to the call models only",
-                          cfg.path)
-    if oracle in ("p1", "fdm"):
-        _check_nodes(cfg, f"the {oracle} oracle", cfg.n_elements)
+    if oracle in ("p1", "fdm") and n_elements < 2:
+        raise ConfigError(f"the {oracle} oracle needs n_elements >= 2, got "
+                          f"{n_elements}", cfg.path)
+
+
+def _reference_run(cfg: ExperimentConfig, oracle: str, n_elements: int,
+                   n_tau: int):
+    """(space, final slice) of the P1 or FDM run on the given grid, which
+    keeps no other slice."""
+    solve = p1fem_solve if oracle == "p1" else fdm_solve
+    disc, surf = solve(cfg.params, cfg.x_min, cfg.x_max, n_elements,
+                       replace(_scheme(cfg, n_tau), store_every=0))
+    return disc, surf.final
 
 
 def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
     """The oracle's value at the probe; ``_check_oracle`` has passed."""
     if oracle == "none":
         return None
-    params = cfg.params
     if oracle == "closed-form":
-        return float(bs_exact_call(cfg.probe_s, 0.0, params))
-    solve = p1fem_solve if oracle == "p1" else fdm_solve
-    disc, surf = solve(params, cfg.x_min, cfg.x_max, cfg.n_elements,
-                       _final_only(cfg, cfg.n_tau))
-    return float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
+        return float(cfg.params.closed_form(cfg.probe_s, 0.0))
+    disc, final = _reference_run(cfg, oracle, cfg.n_elements, cfg.n_tau)
+    return float(value_curve(cfg.params, disc, final, [cfg.probe_s])[0])
 
 
 def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
@@ -437,6 +439,20 @@ def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
         raise ConfigError("theta needs two stored slices near t = 0 with no "
                           "coupon or put date between them; none exist at "
                           f"n_tau = {cfg.n_tau}", cfg.path)
+
+
+def _check_out_dir(cfg: ExperimentConfig) -> None:
+    """Reject an output directory that is empty or that a file blocks: its
+    nearest existing ancestor must be a directory.  Nothing is created
+    here."""
+    if not cfg.out_dir:
+        raise ConfigError("the output directory is empty", cfg.path)
+    path = os.path.abspath(cfg.out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"output directory {cfg.out_dir} is blocked by the "
+                          f"file {path}", cfg.path)
 
 
 def _check_probe(cfg: ExperimentConfig) -> None:
@@ -454,7 +470,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     [grid] = _prepare(cfg, [(cfg.n_elements, cfg.n_tau)])
     _check_greeks_inputs(cfg)
     _check_probe(cfg)
-    _check_oracle(cfg, oracle)
+    _check_oracle(cfg, oracle, cfg.n_elements)
     disc, surf = _build(cfg, *grid)
     params = cfg.params
     fields = [column for column, _ in params.columns]
@@ -490,38 +506,34 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
 
 def _rung_error(cfg, oracle, ref, disc, surf, value) -> float | None:
     """Rung error against ``oracle``; None for ``none``."""
+    params = cfg.params
     if oracle == "closed-form":
-        return abs(value - float(bs_exact_call(cfg.probe_s, 0.0, cfg.params)))
-    if oracle == "p1":
-        # price misfit 2-norm against the hat-function reference, sampled
-        # at this rung's Greville stock prices at or below three strikes
-        ref_disc, ref_surf = ref
-        grid = cfg.params.s_of(disc.greville_x, surf.final.tau)
-        grid = grid[grid <= 3.0 * cfg.params.strike]
-        mine = value_curve(cfg.params, disc, surf.final, grid)
-        theirs = value_curve(cfg.params, ref_disc, ref_surf.final, grid)
-        return misfit_epsilon(theirs, mine)
-    return None
+        return abs(value - float(params.closed_form(cfg.probe_s, 0.0)))
+    if oracle == "none":
+        return None
+    # value misfit 2-norm against the reference run, sampled at this
+    # rung's Greville stock prices at or below three times the payoff kink
+    ref_disc, ref_final = ref
+    grid = params.s_of(disc.greville_x, surf.final.tau)
+    grid = grid[grid <= 3.0 * params.s_of(params.kink, 0.0)]
+    mine = value_curve(params, disc, surf.final, grid)
+    theirs = value_curve(params, ref_disc, ref_final, grid)
+    return misfit_epsilon(theirs, mine)
 
 
-def run_convergence(cfg: ExperimentConfig, oracle: str = "default") -> int:
+def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     if not cfg.rungs:
         raise ConfigError("converge needs a [ladder] section with rungs",
                           cfg.path)
-    own = _LADDER_ORACLE[cfg.model]
-    if oracle not in ("default", "none", own):
-        takes = " or ".join(dict.fromkeys((own, "none")))
-        raise ConfigError(f"converge on model '{cfg.model}' takes --oracle "
-                          f"{takes}, got '{oracle}'", cfg.path)
-    oracle = own if oracle == "default" else oracle
+    if oracle is None:
+        oracle = ("p1" if cfg.reference else "closed-form"
+                  if hasattr(cfg.params, "closed_form") else "none")
     grids = _prepare(cfg, cfg.rungs)
     _check_probe(cfg)
-    ref = None
-    if oracle == "p1":
-        n_e, n_t = cfg.reference if cfg.reference else max(cfg.rungs)
-        _check_nodes(cfg, "the P1 reference", n_e)
-        ref = p1fem_solve(cfg.params, cfg.x_min, cfg.x_max, n_e,
-                          _final_only(cfg, n_t))
+    n_e, n_t = cfg.reference or max(cfg.rungs)
+    _check_oracle(cfg, oracle, n_e)
+    ref = (_reference_run(cfg, oracle, n_e, n_t)
+           if oracle in ("p1", "fdm") else None)
 
     rows, prev_err = [], None
     for (n_e, n_t), grid in zip(cfg.rungs, grids):
@@ -577,13 +589,14 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.out is not None:
             cfg.out_dir = args.out
+        _check_out_dir(cfg)
         if args.verb == "greeks":
             return run_greeks(cfg)
         if args.probe_s is not None:
             cfg.probe_s = args.probe_s
         if args.verb == "price":
             return run_pricing(cfg, args.oracle or "none")
-        return run_convergence(cfg, args.oracle or "default")
+        return run_convergence(cfg, args.oracle)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,9 @@ Greeks, output and checks never branch on the model:
   one place that reads the coupon schedule and the exercise windows to
   decide on which levels they act; the constraint state of a level takes
   its flags.
+
+Only the call has ``closed_form(s, t)``, its exact value at calendar time
+t: Black-Scholes at the volatility sigma sqrt(1 + Le).
 """
 
 from __future__ import annotations
@@ -133,6 +136,27 @@ class LelandParams:
     def calendar(self, dtau: float, n_steps: int):
         """No exercise events: see ``AfvParams.calendar``."""
         return {}, set()
+
+    def closed_form(self, s, t: float):
+        """Exact price at calendar time t: Black-Scholes at sigma
+        sqrt(1 + Le) (Leland 1985), as the price is convex and |V_SS| is
+        V_SS.  At Le = 0 it is the frictionless price bitwise."""
+        # imported here: the first import of scipy.special takes about 0.2 s
+        # (2-core host), which runs without a closed form never pay
+        from scipy.special import ndtr
+        s = np.asarray(s, dtype=float)
+        ttm = self.maturity - t
+        if ttm < 0:
+            raise ValueError("t beyond maturity")
+        if ttm == 0:
+            return np.maximum(s - self.strike, 0.0)
+        sigma = self.sigma * math.sqrt(1.0 + self.leland_number)
+        vol = sigma * math.sqrt(ttm)
+        d1 = (np.log(s / self.strike)
+              + (self.rate + 0.5 * sigma ** 2) * ttm) / vol
+        d2 = d1 - vol
+        disc = math.exp(-self.rate * ttm)
+        return s * ndtr(d1) - self.strike * disc * ndtr(d2)
 
 
 @dataclass(frozen=True, kw_only=True)

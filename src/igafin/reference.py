@@ -1,6 +1,6 @@
 """Reference solvers used to cross-check the spline pipeline.
 
-* Black-Scholes closed form (price and Greeks) for the frictionless call.
+* The Greeks of the call's closed form, ``LelandParams.closed_form``.
 * The second-order central finite-difference twin of both marches,
   ``fdm_solve``.  Its space is a ``Discretization``: hat functions on
   uniform nodes, whose coefficients are the nodal values, with central
@@ -29,7 +29,7 @@ from .models import AfvParams, LelandParams
 from .stepper import (Discretization, SchemeConfig, SolutionSurface,
                       build_discretization, run)
 
-__all__ = ["bs_exact_call", "bs_exact_greeks", "FdmResult", "fdm_solve",
+__all__ = ["bs_exact_greeks", "FdmResult", "fdm_solve",
            "fdm_solve_afv", "p1fem_solve", "misfit_epsilon"]
 
 
@@ -38,40 +38,23 @@ def _norm_pdf(x):
     return np.exp(-x ** 2 / 2.0) / np.sqrt(2 * np.pi)
 
 
-def bs_exact_call(s, t: float, params: LelandParams):
-    """Frictionless European call price at calendar time t."""
-    # imported here: the first import of scipy.special takes about 0.2 s
-    # (2-core host), which runs without a closed form never pay
-    from scipy.special import ndtr
-    s = np.asarray(s, dtype=float)
-    ttm = params.maturity - t
-    if ttm < 0:
-        raise ValueError("t beyond maturity")
-    if ttm == 0:
-        return np.maximum(s - params.strike, 0.0)
-    vol = params.sigma * math.sqrt(ttm)
-    d1 = (np.log(s / params.strike)
-          + (params.rate + 0.5 * params.sigma ** 2) * ttm) / vol
-    d2 = d1 - vol
-    disc = math.exp(-params.rate * ttm)
-    return s * ndtr(d1) - params.strike * disc * ndtr(d2)
-
-
 def bs_exact_greeks(s, t: float, params: LelandParams):
-    """(delta, gamma, theta) of the frictionless call; theta is d/dt."""
+    """(delta, gamma, theta) of ``params.closed_form``, Black-Scholes at
+    sigma sqrt(1 + Le); theta is d/dt."""
     from scipy.special import ndtr
     s = np.asarray(s, dtype=float)
     ttm = params.maturity - t
     if ttm <= 0:
         raise ValueError("Greeks need strictly positive time to maturity")
-    vol = params.sigma * math.sqrt(ttm)
+    sigma = params.sigma * math.sqrt(1.0 + params.leland_number)
+    vol = sigma * math.sqrt(ttm)
     d1 = (np.log(s / params.strike)
-          + (params.rate + 0.5 * params.sigma ** 2) * ttm) / vol
+          + (params.rate + 0.5 * sigma ** 2) * ttm) / vol
     d2 = d1 - vol
     disc = math.exp(-params.rate * ttm)
     delta = ndtr(d1)
     gamma = _norm_pdf(d1) / (s * vol)
-    theta = (-0.5 * s * _norm_pdf(d1) * params.sigma / math.sqrt(ttm)
+    theta = (-0.5 * s * _norm_pdf(d1) * sigma / math.sqrt(ttm)
              - params.rate * params.strike * disc * ndtr(d2))
     return delta, gamma, theta
 
@@ -127,9 +110,8 @@ def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
     return FdmResult(disc.greville_x, surf.final.coeffs)
 
 
-def p1fem_solve(params: LelandParams, x_min: float, x_max: float,
-                n_elements: int, scheme: SchemeConfig
-                ) -> tuple[Discretization, SolutionSurface]:
+def p1fem_solve(params, x_min: float, x_max: float, n_elements: int,
+                scheme: SchemeConfig) -> tuple[Discretization, SolutionSurface]:
     """The main pipeline run with hat functions (degree 1, uniform knots)."""
     disc = build_discretization(x_min, x_max, n_elements, degree=1)
     return disc, run(params, disc, scheme)

@@ -156,18 +156,26 @@ SMALL = {"n_elements": 32, "n_tau": 20}
                                        "ladder.reference": "1:10"}, []),
     ("price", "convertible.ini", {**SMALL, "n_elements": 1},
      ["--oracle", "fdm"]),
-    # ... or was silently ignored: an oracle that is not the ladder's own
+    # ... or ended in a traceback after the whole solve: an output path
+    # below a file
     ("converge", "linear_uniform.ini", {"ladder.rungs": "32:20"},
-     ["--oracle", "p1"]),
-    ("converge", "linear_uniform.ini", {"ladder.rungs": "32:20"},
+     ["--out", "{tmp}/two.txt/sub"]),
+    # an oracle run on one element: the largest rung's when the config
+    # names no reference, else the reference's
+    ("converge", "linear_uniform.ini", {"ladder.rungs": "1:20"},
      ["--oracle", "fdm"]),
+    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20",
+                                       "ladder.reference": "1:10"},
+     ["--oracle", "fdm"]),
+    # an output path that is a file, caught before the leland ladder's
+    # full P1 reference runs
     ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20"},
+     ["--out", "{tmp}/two.txt"]),
+    # the closed form of a model that has none, and P1 on a convertible
+    # whose largest rung has one element
+    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
      ["--oracle", "closed-form"]),
-    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20"},
-     ["--oracle", "fdm"]),
-    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
-     ["--oracle", "fdm"]),
-    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
+    ("converge", "convertible.ini", {"ladder.rungs": "1:20"},
      ["--oracle", "p1"]),
     # the kink is derived from the model, so its old key is unknown
     ("price", "refined.ini", {"kink_xi": 0.5}, []),
@@ -198,6 +206,12 @@ SMALL = {"n_elements": 32, "n_tau": 20}
                                      "experiment.probe_s": "inf"}, []),
     ("converge", "leland_ladder.ini", {"ladder.reference": "64:0"}, []),
     ("converge", "linear_uniform.ini", {"ladder.rungs": "32:0"}, []),
+    # ... or ended in a traceback after the whole solve: an output path
+    # that is a file, lies below one, or is empty
+    ("price", "convertible.ini", SMALL, ["--out", "{tmp}/two.txt"]),
+    ("price", "linear_uniform.ini", SMALL, ["--out", "{tmp}/two.txt/sub"]),
+    ("greeks", "convertible.ini", SMALL, ["--out", "{tmp}/two.txt"]),
+    ("price", "linear_uniform.ini", SMALL, ["--out", ""]),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -208,11 +222,26 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
     # 32 cubic elements have 35 basis functions
     (tmp_path / "nan.txt").write_text("1.0\n" * 34 + "nan\n")
     cfg = _config(tmp_path, base, **overrides)
-    rc = main([verb, "--config", str(cfg), "--out", str(out), *args])
+    rc = main([verb, "--config", str(cfg), "--out", str(out),
+               *(a.format(tmp=tmp_path) for a in args)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+    assert (tmp_path / "two.txt").read_text() == "1.0\n1.0\n"
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # it used to end in a UnicodeDecodeError traceback with rc 1
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(b"# caf\xe9\n"
+                    + (ROOT / "configs" / "linear_uniform.ini").read_bytes())
+    out = tmp_path / "out"
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ")
+    assert "utf-8" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unknown_key_is_a_config_error_at_its_line(tmp_path, capsys):
@@ -487,6 +516,63 @@ def test_ladder_reference_marches_with_the_configured_scheme(tmp_path,
                  str(tmp_path / "out")]) == 0
     assert schemes == [SchemeConfig(n_steps=40, theta=1.0, rannacher_steps=0,
                                     store_every=0)]
+
+
+def test_leland_ladder_converges_to_its_closed_form(tmp_path):
+    # Black-Scholes at sigma sqrt(1 + Le) is the call's exact price, so the
+    # ladder needs no reference run; the error contracts by about 4 per
+    # rung at dtau/dx^2 = 0.1
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(ROOT / "configs" /
+                                             "leland_ladder.ini"),
+                 "--oracle", "closed-form", "--out", str(out)]) == 0
+    _, rows = _read(out / "convergence.csv")
+    assert [float(r[3]) for r in rows] == pytest.approx(
+        [9.860704404e-2, 2.516639804e-2, 6.329264155e-3], rel=1e-6)
+    assert min(float(r[4]) for r in rows[1:]) > 3.9
+
+
+CONVERTIBLE_LADDER = {**SMALL, "ladder.rungs": "32:20, 64:40",
+                      "ladder.reference": "128:80"}
+
+
+def test_convertible_takes_the_p1_and_fdm_oracles(tmp_path, capsys):
+    # P1 and the FDM twin run the bond through the same march as the
+    # cubic space; converge measures each rung's misfit to the run on the
+    # [ladder] reference grid, up to three times the conversion kink
+    cfg = _config(tmp_path, "convertible.ini", **CONVERTIBLE_LADDER)
+    out = tmp_path / "out"
+    assert main(["price", "--config", str(cfg), "--oracle", "p1", "--out",
+                 str(out)]) == 0
+    assert "oracle (p1): U(100) = 125.9839\n" in capsys.readouterr().out
+    assert main(["converge", "--config", str(cfg), "--oracle", "fdm",
+                 "--out", str(out)]) == 0
+    _, rows = _read(out / "convergence.csv")
+    assert [float(r[3]) for r in rows] == pytest.approx(
+        [5.939189428, 2.048605124], rel=1e-6)
+
+
+@pytest.mark.parametrize("base,overrides,oracle", [
+    ("leland_ladder.ini", {"ladder.rungs": "32:20, 64:80",
+                           "ladder.reference": "128:320"}, "p1"),
+    ("linear_uniform.ini", {"ladder.rungs": "32:20, 64:40"}, "closed-form"),
+    ("refined.ini", {"ladder.rungs": "16:64, 32:256"}, "closed-form"),
+    ("convertible.ini", {"ladder.rungs": "32:20, 64:40"}, "none"),
+])
+def test_converge_defaults_to_each_shipped_ladders_oracle(
+        tmp_path, capsys, base, overrides, oracle):
+    # the benchmark's ladders run without --oracle: a config that names a
+    # [ladder] reference takes p1, else a model with a closed form takes
+    # it, else none
+    cfg = _config(tmp_path, base, **overrides)
+    runs = []
+    for args in ([], ["--oracle", oracle]):
+        out = tmp_path / f"out{len(runs)}"
+        assert main(["converge", "--config", str(cfg), "--out", str(out),
+                     *args]) == 0
+        runs.append((capsys.readouterr(),
+                     (out / "convergence.csv").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):

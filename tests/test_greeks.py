@@ -100,6 +100,33 @@ class TestLelandGamma:
                       <= 1e-12 * np.maximum(1.0, np.abs(right)))
 
 
+class TestLelandGreeks:
+    def test_converge_to_the_closed_forms_greeks(self):
+        # the exact Greeks are Black-Scholes at sigma sqrt(1 + Le); on the
+        # benchmark ladder's first two rungs the errors for S in [50, 200]
+        # fall by about 4 per rung
+        le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
+                          leland_number=0.8)
+        a, b = le.domain()
+        errors = []
+        for n_elements, n_tau in ((256, 80), (512, 320)):
+            disc = build_discretization(a, b, n_elements)
+            surf = run(le, disc, SchemeConfig(n_steps=n_tau,
+                                              store_every=n_tau // 50))
+            table = greeks_table(le, disc, surf)
+            s, keep = _rows(table, 50.0, 200.0)
+            exact = bs_exact_greeks(s, table.time, le)
+            errors.append([np.abs(got[keep] - want).max() for got, want in
+                           zip((table.delta, table.gamma, table.theta),
+                               exact)])
+        # rows are rungs, columns delta, gamma and theta
+        errors = np.array(errors)
+        assert errors == pytest.approx(np.array(
+            [[2.957109e-3, 9.651999e-5, 2.024099e-2],
+             [7.761521e-4, 2.669583e-5, 5.840461e-3]]), rel=1e-5)
+        assert np.all(errors[0, :2] / errors[1, :2] >= 3.5)
+
+
 class TestAfvGreeks:
     def _params(self, **overrides):
         base = dict(rate=0.05, sigma=0.2, maturity=5.0, face_value=100.0,

@@ -37,6 +37,20 @@ class TestLelandParams:
         with pytest.raises(ValueError):
             LelandParams(**kwargs)
 
+    def test_closed_form_of_the_leland_call(self):
+        # Black-Scholes at sigma sqrt(1 + Le) (Leland 1985): bitwise the
+        # frictionless price at that volatility, whose sigma sqrt(1) is
+        # sigma itself
+        le = LelandParams(0.1, 0.2, 100.0, 1.0, 0.8)
+        assert le.closed_form(100.0, 0.0) == pytest.approx(15.615964,
+                                                           abs=1e-6)
+        s = np.array([50.0, 100.0, 200.0])
+        bs = LelandParams(0.1, 0.2 * math.sqrt(1.8), 100.0, 1.0)
+        assert np.array_equal(le.closed_form(s, 0.3), bs.closed_form(s, 0.3))
+
+    def test_only_the_call_has_a_closed_form(self):
+        assert not hasattr(_table3_params(), "closed_form")
+
 
 class TestAfvParams:
     def test_terminal_coupon_detection(self):

@@ -9,14 +9,16 @@ import pytest
 from igafin.cli import parse_config
 from igafin.linsolve import BandedLU
 from igafin.models import AfvParams, LelandParams
-from igafin.reference import (_central_differences, bs_exact_call,
-                              bs_exact_greeks, fdm_solve, fdm_solve_afv,
-                              misfit_epsilon, p1fem_solve)
+from igafin.reference import (_central_differences, bs_exact_greeks,
+                              fdm_solve, fdm_solve_afv, misfit_epsilon,
+                              p1fem_solve)
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
                             build_discretization, run_leland, value_curve)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
+LELAND = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
+                      leland_number=0.8)
 
 
 def _fdm_call(params, x_min, x_max, n_cells, n_steps):
@@ -28,32 +30,31 @@ def _fdm_call(params, x_min, x_max, n_cells, n_steps):
 
 class TestClosedForm:
     def test_reference_value(self):
-        assert bs_exact_call(100.0, 0.0, LIN) \
+        assert LIN.closed_form(100.0, 0.0) \
             == pytest.approx(10.450583572185565, abs=1e-12)
 
     def test_terminal_payoff(self):
-        assert bs_exact_call(130.0, 1.0, LIN) == pytest.approx(30.0)
-        assert bs_exact_call(70.0, 1.0, LIN) == pytest.approx(0.0)
+        assert LIN.closed_form(130.0, 1.0) == pytest.approx(30.0)
+        assert LIN.closed_form(70.0, 1.0) == pytest.approx(0.0)
 
     def test_deep_in_the_money_limit(self):
-        v = bs_exact_call(1.0e6, 0.0, LIN)
+        v = LIN.closed_form(1.0e6, 0.0)
         intrinsic = 1.0e6 - 100.0 * math.exp(-0.05)
         assert v == pytest.approx(intrinsic, rel=1e-9)
 
     def test_greeks_match_finite_differences(self):
+        # without and with transaction costs
         rng = np.random.default_rng(610)
         h = 1e-4
-        for _ in range(20):
+        for params in [LIN] * 20 + [LELAND] * 20:
+            price = params.closed_form
             s = float(rng.uniform(60.0, 160.0))
             t = float(rng.uniform(0.0, 0.8))
-            delta, gamma, theta = bs_exact_greeks(s, t, LIN)
-            fd_delta = (bs_exact_call(s + h, t, LIN)
-                        - bs_exact_call(s - h, t, LIN)) / (2 * h)
-            fd_gamma = (bs_exact_call(s + h, t, LIN)
-                        - 2 * bs_exact_call(s, t, LIN)
-                        + bs_exact_call(s - h, t, LIN)) / h ** 2
-            fd_theta = (bs_exact_call(s, t + h, LIN)
-                        - bs_exact_call(s, t - h, LIN)) / (2 * h)
+            delta, gamma, theta = bs_exact_greeks(s, t, params)
+            fd_delta = (price(s + h, t) - price(s - h, t)) / (2 * h)
+            fd_gamma = (price(s + h, t) - 2 * price(s, t)
+                        + price(s - h, t)) / h ** 2
+            fd_theta = (price(s, t + h) - price(s, t - h)) / (2 * h)
             assert delta == pytest.approx(fd_delta, abs=1e-7)
             assert gamma == pytest.approx(fd_gamma, abs=1e-5)
             assert theta == pytest.approx(fd_theta, abs=1e-5)
@@ -89,7 +90,7 @@ class TestFdmLeland:
             tau = LIN.horizon
             x = math.log(100.0) + LIN.kappa * tau
             v = math.exp(-LIN.kappa * tau) * float(np.interp(x, nodes, vhat))
-            errs.append(abs(v - bs_exact_call(100.0, 0.0, LIN)))
+            errs.append(abs(v - LIN.closed_form(100.0, 0.0)))
         assert errs[1] < errs[0]
         assert errs[1] < 0.05
 
@@ -243,7 +244,7 @@ class TestP1Fem:
         for n in (128, 512):
             disc, surf = p1fem_solve(LIN, a, b, n, SchemeConfig(n_steps=n))
             v = float(value_curve(LIN, disc, surf.final, [100.0])[0])
-            errs.append(abs(v - bs_exact_call(100.0, 0.0, LIN)))
+            errs.append(abs(v - LIN.closed_form(100.0, 0.0)))
         assert errs[1] < errs[0] / 4.0
 
 

@@ -12,7 +12,6 @@ from igafin import stepper
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
                            constraint_state)
 from igafin.quadrature import gauss_legendre_rule
-from igafin.reference import bs_exact_call
 from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
                             SchemeConfig, build_discretization,
                             newton_solve_U, run, run_afv, run_leland,
@@ -162,7 +161,7 @@ class TestLinearMarch:
             disc = build_discretization(a, b, n)
             surf = run_leland(LIN, disc, SchemeConfig(n_steps=n))
             v = float(value_curve(LIN, disc, surf.final, [100.0])[0])
-            errs.append(abs(v - bs_exact_call(100.0, 0.0, LIN)))
+            errs.append(abs(v - LIN.closed_form(100.0, 0.0)))
         assert errs[0] < 0.6
         assert errs[1] < 0.15
         assert errs[1] < errs[0] / 3.0
