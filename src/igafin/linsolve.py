@@ -22,13 +22,17 @@ at n = 4095, measured on a 2-core host).
 
 The eight LAPACK routines come from scipy's compiled f2py wrapper
 ``scipy.linalg._flapack``, which ``_load_lapack`` loads from scipy's
-``linalg`` directory without running ``scipy/linalg/__init__.py``: that
-package import reaches scipy's array-API layer, which loads ``numpy.f2py``,
-``numpy.ma``, ``numpy.random``, ``numpy.testing`` and ``concurrent.futures``.
-Under ``python -X importtime -c "import igafin.cli"`` (medians of 11 runs
-on a 2-core host) the package import took 284 ms of 406 ms, 90 ms of it
-in ``numpy.f2py``; loaded directly, ``igafin.linsolve`` takes 21 ms and
-the whole import 156 ms.
+``linalg`` directory.  It runs neither ``scipy/linalg/__init__.py``, whose
+package import reaches scipy's array-API layer and with it ``numpy.f2py``,
+``numpy.ma``, ``numpy.random``, ``numpy.testing`` and
+``concurrent.futures``, nor ``scipy/__init__.py``, which loads
+``scipy._lib``, ``subprocess`` and ``sysconfig``:
+``importlib.util.find_spec`` finds the directory without executing the
+package.  Beyond numpy, ``import igafin.cli`` thus loads 7 modules that
+are not igafin's, ``_flapack`` among them, where an ``import scipy`` made
+it 30.  Under ``python -X importtime -c "import igafin.cli"`` (medians of
+11 runs on a 2-core host) ``igafin.linsolve`` takes 7 ms, against 21 ms
+with ``import scipy``, and the whole import 162 ms.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 __all__ = ["BandedMatrix", "BandedLU", "BandedCholesky", "SingularMatrixError",
            "band_products"]
@@ -53,7 +56,11 @@ def _load_lapack():
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    # find_spec locates the scipy package without running its __init__
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    linalg_dir = os.path.join(os.path.dirname(scipy_spec.origin), "linalg")
     spec = importlib.machinery.PathFinder.find_spec(name, [linalg_dir])
     if spec is None:
         raise ImportError(f"scipy's LAPACK wrappers are missing: no _flapack "

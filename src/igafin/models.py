@@ -208,11 +208,15 @@ class AfvParams:
             raise ValueError("coupon times must be strictly increasing")
         if any(t <= 0 or t > self.maturity for t in times):
             raise ValueError("coupon times must lie in (0, maturity]")
+        if any(amount < 0 for _, amount in self.coupons):
+            raise ValueError("coupon amounts must be non-negative")
         for win in (self.call_window, self.put_window):
             if win is not None:
-                a, b, _ = win
+                a, b, price = win
                 if not (0.0 <= a <= b <= self.maturity):
                     raise ValueError("constraint window must satisfy 0 <= start <= end <= maturity")
+                if price <= 0:
+                    raise ValueError("call and put prices must be positive")
         if self.call_window and self.call_window[0] == self.call_window[1]:
             raise ValueError("call window needs start < end: a single call "
                              "date is not supported")

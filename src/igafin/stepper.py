@@ -114,8 +114,9 @@ class SchemeConfig:
 
     @property
     def thetas(self) -> tuple[float, ...]:
-        """The distinct thetas of the march, each one operator's factors."""
-        return tuple({self.theta_at(m) for m in range(self.n_steps)})
+        """The distinct thetas of the march, each one operator's factors;
+        theta is a step function of the level, so its ends hold them all."""
+        return tuple({self.theta_at(0), self.theta_at(self.n_steps - 1)})
 
     def stored_levels(self) -> set[int]:
         """The time levels a run keeps."""

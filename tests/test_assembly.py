@@ -1,11 +1,15 @@
 """Galerkin matrix assembly, collocation and boundary lifting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from igafin import assembly
 from igafin.assembly import Collocation, PhysicalMap, assemble
-from igafin.basis import (NurbsBasis, eval_nurbs_all, eval_spline_many,
-                          make_refined_open_knots, make_uniform_open_knots)
+from igafin.basis import (KnotVector, NurbsBasis, eval_nurbs_all,
+                          eval_spline_many, make_refined_open_knots,
+                          make_uniform_open_knots)
 from igafin.quadrature import gauss_legendre_rule
 
 
@@ -66,6 +70,57 @@ class TestAssemble:
         sys_ = assemble(basis, pmap, gauss_legendre_rule(5))
         dense = _dense_matrices(basis, pmap, gauss_legendre_rule(5))[0]
         assert np.abs(sys_.mass.to_dense() - dense[1:-1, 1:-1]).max() < 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_blocks_give_the_single_block_bitwise(self, monkeypatch, degree,
+                                                  refined, weighted):
+        # blocks of 4 spans on meshes below, at, above and not a multiple
+        # of a block, and blocks of one span
+        rng = np.random.default_rng(20 + degree)
+        pmap, rule = PhysicalMap(-6.0, 2.0), gauss_legendre_rule(degree + 2)
+        for n_elements in (3, 4, 8, 11):
+            if refined:
+                # graded spans, and above degree 1 a repeated interior knot
+                inner = np.linspace(0.0, 1.0, n_elements + 1)[1:-1] ** 2
+                inner = np.sort(np.concatenate([inner,
+                                                inner[-1:][:degree - 1]]))
+                knots = KnotVector(np.concatenate(
+                    [np.zeros(degree + 1), inner, np.ones(degree + 1)]),
+                    degree)
+            else:
+                knots = make_uniform_open_knots(n_elements, degree)
+            w = rng.uniform(0.5, 2.0, knots.n_basis) if weighted \
+                else np.ones(knots.n_basis)
+            basis = NurbsBasis(knots, w)
+            systems = []
+            for block in (10**9, 4, 1):
+                monkeypatch.setattr(assembly, "_BLOCK_SPANS", block)
+                systems.append(assemble(basis, pmap, rule))
+            whole, *blocked = systems
+            for sys_ in blocked:
+                for name in ("mass", "stiffness", "advection"):
+                    assert np.array_equal(getattr(sys_, name).data,
+                                          getattr(whole, name).data)
+                    assert np.array_equal(getattr(sys_, name + "_cols"),
+                                          getattr(whole, name + "_cols"))
+
+    def test_scratch_memory_does_not_grow_with_the_mesh(self):
+        # one basis table of every span took 13.6 times the system's bytes
+        knots = make_uniform_open_knots(16384, 1)
+        basis = NurbsBasis(knots, np.ones(knots.n_basis))
+        tracemalloc.start()
+        try:
+            sys_ = assemble(basis, PhysicalMap(-6.0, 2.0),
+                            gauss_legendre_rule(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(getattr(sys_, name).data.nbytes
+                   + getattr(sys_, name + "_cols").nbytes
+                   for name in ("mass", "stiffness", "advection"))
+        assert peak <= 3 * held
 
     def test_mass_spd(self):
         knots = make_uniform_open_knots(10, 3)

@@ -212,6 +212,11 @@ SMALL = {"n_elements": 32, "n_tau": 20}
     ("price", "linear_uniform.ini", SMALL, ["--out", "{tmp}/two.txt/sub"]),
     ("greeks", "convertible.ini", SMALL, ["--out", "{tmp}/two.txt"]),
     ("price", "linear_uniform.ini", SMALL, ["--out", ""]),
+    # ... or ran and priced: a negative coupon, a negative call price
+    ("price", "convertible.ini", {**SMALL,
+                                  "model.coupons": "0.5:-4, 5.0:4"}, []),
+    ("price", "convertible.ini", {**SMALL,
+                                  "model.call_window": "2.0:5.0:-110"}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -518,6 +523,23 @@ def test_ladder_reference_marches_with_the_configured_scheme(tmp_path,
                                     store_every=0)]
 
 
+def test_ladder_rungs_keep_only_their_final_slices(tmp_path, monkeypatch):
+    import igafin.cli as cli
+    march, schemes = cli.run, []
+
+    def recorded(params, disc, scheme):
+        schemes.append(scheme)
+        return march(params, disc, scheme)
+
+    monkeypatch.setattr(cli, "run", recorded)
+    cfg = _config(tmp_path, "leland_ladder.ini", store_every=2,
+                  **{"ladder.rungs": "16:10, 32:20"})
+    assert main(["converge", "--config", str(cfg), "--oracle", "closed-form",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert schemes == [SchemeConfig(n_steps=n, theta=0.5, rannacher_steps=2,
+                                    store_every=0) for n in (10, 20)]
+
+
 def test_leland_ladder_converges_to_its_closed_form(tmp_path):
     # Black-Scholes at sigma sqrt(1 + Le) is the call's exact price, so the
     # ladder needs no reference run; the error contracts by about 4 per
@@ -682,10 +704,13 @@ def test_import_leaves_out_scipy_stats():
     # scipy.special loads on first use.  scipy.sparse is not needed either:
     # banded products are numpy.  The LAPACK wrappers are loaded without
     # the scipy.linalg package, whose import pulls in numpy.f2py and
-    # concurrent.futures.  Building a discretisation does not load
-    # numpy.ma, which np.unique imports on its first call
+    # concurrent.futures, and from a directory found without importing
+    # the scipy package, whose __init__ loads subprocess and sysconfig.
+    # Building a discretisation does not load numpy.ma, which np.unique
+    # imports on its first call
     names = ("scipy.stats", "scipy.special", "scipy.sparse", "scipy.linalg",
-             "numpy.f2py", "concurrent.futures", "numpy.ma")
+             "numpy.f2py", "concurrent.futures", "numpy.ma", "scipy",
+             "subprocess", "sysconfig")
     code = ("import sys, igafin.cli; "
             "from igafin.stepper import build_discretization; "
             "build_discretization(-6, 2, 8); print([m for m in "

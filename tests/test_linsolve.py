@@ -1,5 +1,7 @@
 """Banded storage and the banded LU solver."""
 
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from igafin import linsolve
 from igafin.linsolve import (BandedLU, BandedMatrix, SingularMatrixError,
@@ -293,7 +294,12 @@ class TestLapackLoader:
 
     def test_missing_wrappers_name_the_file(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        # the loader finds scipy's directory without importing scipy
+        find_spec = importlib.util.find_spec
+        fake = importlib.machinery.ModuleSpec(
+            "scipy", None, origin=str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a:
+                            fake if name == "scipy" else find_spec(name, *a))
         with pytest.raises(ImportError, match="_flapack") as err:
             linsolve._load_lapack()
         assert str(tmp_path / "linalg") in str(err.value)

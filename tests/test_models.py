@@ -69,6 +69,9 @@ class TestAfvParams:
         dict(coupons=((1.0, 4.0), (0.5, 4.0))),
         dict(coupons=((6.0, 4.0),)),
         dict(call_window=(4.0, 2.0, 110.0)),
+        dict(coupons=((0.5, 4.0), (1.0, -4.0))),
+        dict(call_window=(2.0, 5.0, -110.0)), dict(call_window=(2.0, 5.0, 0.0)),
+        dict(put_window=(3.0, 3.0, -105.0)), dict(put_window=(3.0, 3.0, 0.0)),
         # the call is tested on (start, end], which one date leaves empty
         dict(call_window=(3.0, 3.0, 110.0))])
     def test_validation(self, bad):

@@ -69,6 +69,14 @@ class TestSchemeConfig:
         s = SchemeConfig(n_steps=10, theta=0.5, rannacher_steps=2)
         assert [s.theta_at(m) for m in range(4)] == [1.0, 1.0, 0.5, 0.5]
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_thetas_are_those_of_every_level(self, n_steps, theta):
+        # n_steps below, at and above the two Rannacher steps
+        s = SchemeConfig(n_steps=n_steps, theta=theta, rannacher_steps=2)
+        assert sorted(s.thetas) == sorted(
+            {s.theta_at(m) for m in range(n_steps)})
+
     @pytest.mark.parametrize("bad", [dict(n_steps=-1), dict(n_steps=0),
                                      dict(theta=1.5),
                                      dict(rannacher_steps=-2),
