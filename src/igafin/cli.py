@@ -18,7 +18,9 @@ read is a usage error.
 
 --oracle is closed-form, the model's exact value (the call has one); p1,
 the pipeline on hat functions; fdm, the central-difference twin; or none.
-price runs p1 and fdm on its own grid.  converge runs them on the [ladder]
+An oracle is one curve S -> V(S, t = 0), and a p1 or fdm run keeps only
+its final slice for it.  price prints the curve at the probe and runs p1
+and fdm on its own grid.  converge runs them on the [ladder]
 reference, else on its largest rung, and its error is their value misfit
 at the rung's Greville prices up to three times the payoff kink (against
 the closed form, the error at the probe).  Without --oracle, price takes
@@ -37,7 +39,9 @@ function; without it every weight is 1.  Every march takes at least one
 step, so n_tau < 1, in [discretization], a ladder rung or the reference, is
 an error of the same kind, and so is a [ladder] reference that is not
 exactly one n_elements:n_tau pair.  Settings that parse but cannot run are
-configuration errors too, raised before solving: x_min >= x_max; refined
+configuration errors too, raised before solving: x_min >= x_max; an
+interval whose ends, at t = 0 or at maturity, map to stock prices that are
+not positive or whose squares are not finite, positive doubles; refined
 knots with degree < 3 or the payoff kink, where they cluster, outside
 (x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
 store_every; a weights file that does not exist or does not hold one
@@ -47,17 +51,21 @@ interior); n_elements < 2 on the grid of the p1 or fdm oracle; the
 closed-form oracle on a model that has none; an output directory that is
 empty or that a file blocks (its nearest existing ancestor is not a
 directory); a call window that opens and closes on one date; degree < 2
-for price and greeks (gamma needs it); a time grid on which every pair of
-stored slices near t = 0 straddles a coupon or put date (theta has nothing
-to difference); and a probe price outside the domain.  A march that
+for price and greeks (gamma needs it); a time grid whose final level is a
+coupon or put date, and so is the level before it or there is no level
+before that (theta has no pair of levels to difference); and a probe price
+outside the domain.  A march that
 produces a value that is not finite is a solver failure, reported on one
 line.
 
-price builds every table before it writes its first file.  Each CSV goes
-to a ``.tmp`` file that replaces it at the end and is removed if writing
-fails.  surface.csv is written one stored slice at a time, its level and t
-cells formatted once per slice, so the formatted table never sits in
-memory whole.
+price builds every table before it writes its first file.  Every CSV goes
+through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
+end and is removed if writing or the replacement fails.  surface.csv is
+written one stored slice at a time, its level and t cells formatted once
+per slice, so the formatted table never sits in memory whole.  An OSError
+from making the output directory or writing a table is a configuration
+error too, rc 2 on one line that names the path: the run removes the
+tables it has already written, so it leaves none of its files.
 """
 
 from __future__ import annotations
@@ -69,13 +77,16 @@ import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .assembly import PhysicalMap
 from .basis import load_weights
 from .checks import format_report, run_checks
+from .greeks import block_lines as _block_lines
 from .greeks import greeks_table, theta_pair, write_greeks_csv
+from .greeks import write_csv as _write_csv
 from .models import AfvParams, LelandParams
 from .reference import fdm_solve, misfit_epsilon, p1fem_solve
 from .stepper import (NewtonDivergenceError, SchemeConfig,
@@ -304,15 +315,32 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+def _check_price_range(cfg: ExperimentConfig) -> None:
+    """Raise ValueError unless S(x_min) and S(x_max), at t = 0 and at
+    maturity, are positive with a finite, positive square (gamma divides
+    by S^2)."""
+    params = cfg.params
+    with np.errstate(over="ignore"):
+        ends = [float(params.s_of(x, tau)) for x in (cfg.x_min, cfg.x_max)
+                for tau in (params.horizon, 0.0)]
+    if not all(s > 0.0 and 0.0 < s * s < math.inf for s in ends):
+        raise ValueError(
+            f"the domain [x_min, x_max] = [{cfg.x_min:g}, {cfg.x_max:g}] "
+            f"reaches stock prices from {min(ends):.6g} to {max(ends):.6g}, "
+            "and S^2 must be a finite, positive double")
+
+
 def _prepare(cfg: ExperimentConfig, grids) -> list:
     """(n_elements, kink_xi, weights, scheme) of a run on each
     (n_elements, n_tau) grid: what it builds from the settings before it
     assembles, with kink_xi the parameter of the model's payoff kink and
     None for unit weights.  A ValueError of the interval, the knots, a
     weights file or the scheme becomes a ConfigError, raised before any
-    solve, and so do knots with fewer than three basis functions."""
+    solve, and so do knots with fewer than three basis functions and an
+    interval whose ends map to stock prices out of a double's range."""
     try:
         pmap = PhysicalMap(cfg.x_min, cfg.x_max)
+        _check_price_range(cfg)
         kink_xi = float(pmap.to_parameter(cfg.params.kink))
         if cfg.knot_mode == "refined" and not 0.0 < kink_xi < 1.0:
             raise ValueError(f"refined knots cluster at the payoff kink x = "
@@ -355,41 +383,7 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.10g}"
 
 
-def _write_csv(path: str, header: list[str], chunks) -> None:
-    """Write ``header`` and then the text ``chunks`` (an iterable, consumed
-    as it is written) to ``path.tmp``, which replaces ``path`` at the end
-    and is removed if writing fails."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(",".join(header) + "\n")
-            for chunk in chunks:
-                fh.write(chunk)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
-
-
-def _block_lines(block: np.ndarray, prefix=()) -> str:
-    """CSV lines of a 2-D float array, each led by the cells ``prefix``:
-    one "%.10g,..." row template repeated per row, with the prefix
-    formatted once."""
-    lead = "".join("%.10g," % v for v in prefix)
-    line = lead + ",".join(["%.10g"] * block.shape[1]) + "\n"
-    return (line * block.shape[0]) % tuple(block.ravel().tolist())
-
-
-def _probe_report(cfg, disc, surf) -> list[str]:
-    params, final = cfg.params, surf.final
-    name = params.value_column[0]
-    exact = float(value_curve(params, disc, final, [cfg.probe_s])[0])
-    grid = params.s_of(disc.greville_x, final.tau)
-    j = int(np.argmin(np.abs(grid - cfg.probe_s)))
-    near = float(value_curve(params, disc, final, [grid[j]])[0])
-    return [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
-            f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
+_ORACLES = ("closed-form", "p1", "fdm", "none")
 
 
 def _check_oracle(cfg: ExperimentConfig, oracle: str,
@@ -397,7 +391,7 @@ def _check_oracle(cfg: ExperimentConfig, oracle: str,
     """Reject an oracle that is unknown, a closed form the model does not
     have, or a P1 or FDM run on ``n_elements`` elements, whose
     n_elements + 1 nodes need one of them interior."""
-    if oracle not in ("none", "closed-form", "p1", "fdm"):
+    if oracle not in _ORACLES:
         raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
     if oracle == "closed-form" and not hasattr(cfg.params, "closed_form"):
         raise ConfigError(f"model '{cfg.model}' has no closed form",
@@ -407,24 +401,40 @@ def _check_oracle(cfg: ExperimentConfig, oracle: str,
                           f"{n_elements}", cfg.path)
 
 
-def _reference_run(cfg: ExperimentConfig, oracle: str, n_elements: int,
-                   n_tau: int):
-    """(space, final slice) of the P1 or FDM run on the given grid, which
-    keeps no other slice."""
-    solve = p1fem_solve if oracle == "p1" else fdm_solve
-    disc, surf = solve(cfg.params, cfg.x_min, cfg.x_max, n_elements,
-                       replace(_scheme(cfg, n_tau), store_every=0))
-    return disc, surf.final
-
-
-def _oracle_value(cfg: ExperimentConfig, oracle: str) -> float | None:
-    """The oracle's value at the probe; ``_check_oracle`` has passed."""
+def _oracle_curve(cfg: ExperimentConfig, oracle: str, n_elements: int,
+                  n_tau: int):
+    """The oracle as a function from stock prices to V(S, t = 0), or None
+    for ``none``: the model's closed form, or the final slice of the P1 or
+    FDM run on the given grid, which keeps no other slice.
+    ``_check_oracle`` has passed."""
+    params = cfg.params
     if oracle == "none":
         return None
     if oracle == "closed-form":
-        return float(cfg.params.closed_form(cfg.probe_s, 0.0))
-    disc, final = _reference_run(cfg, oracle, cfg.n_elements, cfg.n_tau)
-    return float(value_curve(cfg.params, disc, final, [cfg.probe_s])[0])
+        return lambda s: params.closed_form(s, 0.0)
+    solve = p1fem_solve if oracle == "p1" else fdm_solve
+    disc, surf = solve(params, cfg.x_min, cfg.x_max, n_elements,
+                       replace(_scheme(cfg, n_tau), store_every=0))
+    final = surf.final
+    return lambda s: value_curve(params, disc, final, s)
+
+
+def _probe_report(cfg, oracle, disc, surf) -> list[str]:
+    """The lines price prints: the value at the probe and at the nearest
+    Greville point, then the oracle's curve at the probe, if any."""
+    params, final = cfg.params, surf.final
+    name = params.value_column[0]
+    exact = float(value_curve(params, disc, final, [cfg.probe_s])[0])
+    grid = params.s_of(disc.greville_x, final.tau)
+    j = int(np.argmin(np.abs(grid - cfg.probe_s)))
+    near = float(value_curve(params, disc, final, [grid[j]])[0])
+    lines = [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
+             f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
+    curve = _oracle_curve(cfg, oracle, cfg.n_elements, cfg.n_tau)
+    if curve is not None:
+        lines.append(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = "
+                     f"{curve([cfg.probe_s])[0]:.4f}")
+    return lines
 
 
 def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
@@ -432,9 +442,7 @@ def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
     if cfg.degree < 2:
         raise ConfigError("the Greeks need degree >= 2 (gamma is a second "
                           f"derivative), got degree = {cfg.degree}", cfg.path)
-    params = cfg.params
-    levels = sorted(_scheme(cfg, cfg.n_tau).stored_levels())
-    if theta_pair(params, levels, params.horizon / cfg.n_tau,
+    if theta_pair(cfg.params, cfg.params.horizon / cfg.n_tau,
                   cfg.n_tau) is None:
         raise ConfigError("theta needs two stored slices near t = 0 with no "
                           "coupon or put date between them; none exist at "
@@ -466,6 +474,24 @@ def _check_probe(cfg: ExperimentConfig) -> None:
                           cfg.path)
 
 
+def _publish(cfg: ExperimentConfig, writes) -> None:
+    """Make the output directory and write in it each table of
+    ``writes``, (file name, write) pairs, by ``write(path)``.  An OSError
+    removes the tables this call already wrote and becomes a ConfigError
+    naming the path it failed on."""
+    path, done = cfg.out_dir, []
+    try:
+        os.makedirs(path, exist_ok=True)
+        for name, write in writes:
+            path = os.path.join(cfg.out_dir, name)
+            write(path)
+            done.append(path)
+    except OSError as exc:
+        for written in done:
+            os.remove(written)
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     [grid] = _prepare(cfg, [(cfg.n_elements, cfg.n_tau)])
     _check_greeks_inputs(cfg)
@@ -486,39 +512,32 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
             [s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
                   for _, f in params.columns)])))
     table = greeks_table(params, disc, surf)
-    report = _probe_report(cfg, disc, surf)
-    ov = _oracle_value(cfg, oracle)
+    report = _probe_report(cfg, oracle, disc, surf)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "surface.csv"),
-               ["level", "t", "S"] + fields,
-               (_block_lines(block, prefix) for prefix, block in blocks))
-    _write_csv(os.path.join(cfg.out_dir, "slice_t0.csv"), ["S"] + fields,
-               [_block_lines(blocks[-1][1])])
-    write_greeks_csv(os.path.join(cfg.out_dir, "greeks.csv"), table)
+    _publish(cfg, [
+        ("surface.csv", lambda path: _write_csv(
+            path, ["level", "t", "S"] + fields,
+            (_block_lines(block, prefix) for prefix, block in blocks))),
+        ("slice_t0.csv", lambda path: _write_csv(
+            path, ["S"] + fields, [_block_lines(blocks[-1][1])])),
+        ("greeks.csv", partial(write_greeks_csv, table=table))])
     for line in report:
         print(line)
-    if ov is not None:
-        name = params.value_column[0]
-        print(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = {ov:.4f}")
     return 0
 
 
-def _rung_error(cfg, oracle, ref, disc, surf, value) -> float | None:
-    """Rung error against ``oracle``; None for ``none``."""
+def _rung_error(cfg, oracle, curve, disc, final, value) -> float | None:
+    """Rung error against the oracle ``curve``; None without one."""
     params = cfg.params
-    if oracle == "closed-form":
-        return abs(value - float(params.closed_form(cfg.probe_s, 0.0)))
-    if oracle == "none":
+    if curve is None:
         return None
+    if oracle == "closed-form":
+        return abs(value - float(curve([cfg.probe_s])[0]))
     # value misfit 2-norm against the reference run, sampled at this
     # rung's Greville stock prices at or below three times the payoff kink
-    ref_disc, ref_final = ref
-    grid = params.s_of(disc.greville_x, surf.final.tau)
+    grid = params.s_of(disc.greville_x, final.tau)
     grid = grid[grid <= 3.0 * params.s_of(params.kink, 0.0)]
-    mine = value_curve(params, disc, surf.final, grid)
-    theirs = value_curve(params, ref_disc, ref_final, grid)
-    return misfit_epsilon(theirs, mine)
+    return misfit_epsilon(curve(grid), value_curve(params, disc, final, grid))
 
 
 def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
@@ -532,8 +551,7 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     _check_probe(cfg)
     n_e, n_t = cfg.reference or max(cfg.rungs)
     _check_oracle(cfg, oracle, n_e)
-    ref = (_reference_run(cfg, oracle, n_e, n_t)
-           if oracle in ("p1", "fdm") else None)
+    curve = _oracle_curve(cfg, oracle, n_e, n_t)
 
     rows, prev_err = [], None
     for (n_e, n_t), (*space, scheme) in zip(cfg.rungs, grids):
@@ -541,14 +559,13 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
         disc, surf = _build(cfg, *space, replace(scheme, store_every=0))
         value = float(value_curve(cfg.params, disc, surf.final,
                                   [cfg.probe_s])[0])
-        err = _rung_error(cfg, oracle, ref, disc, surf, value)
+        err = _rung_error(cfg, oracle, curve, disc, surf.final, value)
         contraction = (prev_err / err) if (err and prev_err) else None
         rows.append([n_e, n_t, value, err, contraction])
         prev_err = err
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "convergence.csv"),
-               ["n_e", "n_tau", "value", "error", "contraction"],
-               (",".join(map(_fmt, row)) + "\n" for row in rows))
+    _publish(cfg, [("convergence.csv", lambda path: _write_csv(
+        path, ["n_e", "n_tau", "value", "error", "contraction"],
+        (",".join(map(_fmt, row)) + "\n" for row in rows)))])
     for row in rows:
         print("  ".join(_fmt(v) or "-" for v in row))
     return 0
@@ -559,10 +576,9 @@ def run_greeks(cfg: ExperimentConfig) -> int:
     _check_greeks_inputs(cfg)
     disc, surf = _build(cfg, *grid)
     table = greeks_table(cfg.params, disc, surf)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "greeks.csv")
-    write_greeks_csv(path, table)
-    print(f"wrote {path} ({len(table.s)} rows)")
+    _publish(cfg, [("greeks.csv", partial(write_greeks_csv, table=table))])
+    print(f"wrote {os.path.join(cfg.out_dir, 'greeks.csv')} "
+          f"({len(table.s)} rows)")
     return 0
 
 
@@ -578,7 +594,7 @@ def main(argv=None) -> int:
         if verb in ("price", "converge"):
             sp.add_argument("--probe-s", type=float, default=None)
             sp.add_argument("--oracle", default=None,
-                            choices=["closed-form", "p1", "fdm", "none"])
+                            choices=_ORACLES)
     args = parser.parse_args(argv)
 
     if args.verb == "validate":

@@ -13,11 +13,15 @@ One order-2 ``basis_table`` at the final slice's Greville image gives both
 sums, as algorithm A2.3 of Piegl and Tiller gives a function's derivatives
 together.
 
-Theta is a backward difference of two stored time slices; the semidiscrete
-system gives no direct access to the calendar-time derivative.  Slice pairs
-that straddle a jump level of the model's event calendar (a coupon or a
-single-date put) are skipped and the difference is taken one-sided on the
-smooth side.
+Theta is a backward difference of two consecutive time levels, as the
+semidiscrete system gives no direct access to the calendar-time
+derivative: ``theta_pair`` takes the last two levels, or the two before
+them when the final level is a jump of the model's event calendar (a
+coupon or a single-date put).  Every run stores its last three levels.
+
+``write_csv`` is the one writer of the runner's tables and ``block_lines``
+its one row format, ten significant digits per cell; a failure part-way
+leaves no ``.tmp`` and the old file in place.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 from .basis import basis_table, contract_table, eval_spline_many
 from .stepper import Discretization, SolutionSurface
 
-__all__ = ["GreekTable", "theta_pair", "greeks_table", "write_greeks_csv"]
+__all__ = ["GreekTable", "theta_pair", "greeks_table", "write_greeks_csv",
+           "write_csv", "block_lines"]
 
 
 @dataclass(frozen=True)
@@ -44,21 +49,14 @@ class GreekTable:
     time: float
 
 
-def theta_pair(params, levels: list[int], dtau: float,
-               n_steps: int) -> tuple[int, int] | None:
-    """Indices of the two stored slices theta differences, or None.
-
-    ``levels`` are the stored time levels in order.  The pair is the first
-    of (before, final), (two before, before) that has no jump level of the
-    model's calendar between its levels.
-    """
-    i = len(levels) - 1
+def theta_pair(params, dtau: float, n_steps: int) -> tuple[int, int] | None:
+    """The two time levels theta differences, or None: the first of
+    (n - 1, n) and (n - 2, n - 1), n = ``n_steps``, that exists and whose
+    later level is not a jump level of the model's calendar."""
     _, jumps = params.calendar(dtau, n_steps)
-    pairs = [(i - 1, i), (i - 2, i - 1)]
-    return next(((j0, j1) for j0, j1 in pairs
-                 if 0 <= j0 and not any(levels[j0] < m <= levels[j1]
-                                        for m in jumps)),
-                None)
+    n = n_steps
+    return next(((m0, m1) for m0, m1 in ((n - 1, n), (n - 2, n - 1))
+                 if m0 >= 0 and m1 not in jumps), None)
 
 
 def greeks_table(params, disc: Discretization,
@@ -71,7 +69,7 @@ def greeks_table(params, disc: Discretization,
     """
     if disc.basis.degree < 2:
         raise ValueError("gamma needs basis degree >= 2")
-    pair = theta_pair(params, surface.levels, surface.dtau, surface.n_steps)
+    pair = theta_pair(params, surface.dtau, surface.n_steps)
     if pair is None:
         raise ValueError("theta needs two stored slices with no jump level "
                          "between them")
@@ -86,7 +84,7 @@ def greeks_table(params, disc: Discretization,
     first, R = basis_table(disc.basis, xi(final), 2)
     _, d1, d2 = contract_table(first, R, final.coeffs[field]).T
     scale, g = disc.pmap.dxi_dx, params.value_scale(final.tau)
-    s0, s1 = (surface.slices[j] for j in pair)
+    s0, s1 = (surface.slices[surface.levels.index(m)] for m in pair)
     v0, v1 = (params.value_scale(sl.tau) * eval_spline_many(
         disc.basis, sl.coeffs[field], xi(sl)) for sl in (s0, s1))
     return GreekTable(
@@ -96,21 +94,33 @@ def greeks_table(params, disc: Discretization,
         params.t_of(final.tau))
 
 
-def write_greeks_csv(path, table: GreekTable) -> None:
-    """One row per stock price, 10 significant digits.
+def block_lines(block: np.ndarray, prefix=()) -> str:
+    """CSV lines of a 2-D float array, each led by the cells ``prefix``:
+    one "%.10g,..." row template repeated per row, with the prefix
+    formatted once."""
+    lead = "".join("%.10g," % v for v in prefix)
+    line = lead + ",".join(["%.10g"] * block.shape[1]) + "\n"
+    return (line * block.shape[0]) % tuple(block.ravel().tolist())
 
-    The text goes to ``path.tmp``, which is then renamed to ``path`` and
-    removed if writing fails, so a failure part-way leaves no file.
-    """
-    rows = np.column_stack([table.s, table.delta, table.gamma, table.theta])
-    text = "S,delta,gamma,theta\n" + (
-        "%.10g,%.10g,%.10g,%.10g\n" * len(rows)) % tuple(rows.ravel().tolist())
+
+def write_csv(path, header: list[str], chunks) -> None:
+    """Write ``header`` and then the text ``chunks`` (an iterable, consumed
+    as it is written) to ``path.tmp``, which then replaces ``path``; if
+    either step fails, the ``.tmp`` is removed."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(",".join(header) + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    os.replace(tmp, path)
+
+
+def write_greeks_csv(path, table: GreekTable) -> None:
+    """One row per stock price, by ``write_csv``."""
+    rows = np.column_stack([table.s, table.delta, table.gamma, table.theta])
+    write_csv(path, ["S", "delta", "gamma", "theta"], [block_lines(rows)])

@@ -26,11 +26,12 @@ the march, in place of data whose O(h^2) error would dominate the space
 error.  The convertible keeps Greville values, because its sources and
 penalty read coefficients as values at the nodes.  The marches
 (``run_leland``, ``run_afv``) read only the ``Discretization`` they run
-on: its system, its Greville points x_j and its smallest span.  So the
-finite-difference twin in ``reference``, a ``Discretization`` of hat
-functions on uniform nodes with central differences as its system, runs
-through ``run`` too.  Each march builds only its step; ``_march`` is the
-one loop over time levels.
+on: its system, its Greville points x_j and its smallest span, and the
+call's march also its collocation band and the multiplicity of the kink
+among its knots.  So the finite-difference twin in ``reference``, a
+``Discretization`` of hat functions on uniform nodes with central
+differences as its system, runs through ``run`` too.  Each march builds
+only its step; ``_march`` is the one loop over time levels.
 
 The call march takes one step, ``_LelandStep``, whatever its Leland
 number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
@@ -92,8 +93,8 @@ __all__ = [
 class SchemeConfig:
     """Time-integration controls.
 
-    ``store_every = k`` keeps every k-th slice (plus the first and the final
-    two, which Greeks need); 0 keeps only those mandatory slices.
+    ``store_every = k`` keeps every k-th slice (plus level 0 and the last
+    three levels, which theta reads); 0 keeps only those mandatory slices.
     """
 
     n_steps: int

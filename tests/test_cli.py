@@ -116,6 +116,7 @@ def test_every_invariant_check_passes():
 
 
 SMALL = {"n_elements": 32, "n_tau": 20}
+TINY = {"n_elements": 16, "n_tau": 10}
 
 
 @pytest.mark.parametrize("verb,base,overrides,args", [
@@ -217,6 +218,12 @@ SMALL = {"n_elements": 32, "n_tau": 20}
                                   "model.coupons": "0.5:-4, 5.0:4"}, []),
     ("price", "convertible.ini", {**SMALL,
                                   "model.call_window": "2.0:5.0:-110"}, []),
+    # ... or reached stock prices whose squares leave the range of a
+    # double: it ran with infinite Greeks, or ended in a traceback
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -600}, []),
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e4}, []),
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e308}, []),
+    ("greeks", "leland_ladder.ini", {**TINY, "x_max": 360}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -650,8 +657,10 @@ def test_non_finite_convertible_is_a_solver_failure_with_no_output(
     assert not out.exists()
 
 
-def test_failure_while_the_surface_streams_leaves_no_file(tmp_path,
+def test_failure_while_the_surface_streams_leaves_no_file(tmp_path, capsys,
                                                           monkeypatch):
+    # an OSError while a table is written is a configuration error of the
+    # output path, rc 2 on one line; it used to escape main
     import igafin.cli as cli
     lines, written = cli._block_lines, []
 
@@ -664,10 +673,36 @@ def test_failure_while_the_surface_streams_leaves_no_file(tmp_path,
     monkeypatch.setattr(cli, "_block_lines", failing)
     out = tmp_path / "out"
     cfg = _config(tmp_path, "convertible.ini", **SMALL)
-    with pytest.raises(OSError, match="disk full"):
-        main(["price", "--config", str(cfg), "--out", str(out)])
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / 'surface.csv'}: disk full\n")
     assert len(written) == 3
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb,base,blocked,overrides", [
+    # surface.csv and slice_t0.csv are published before greeks.csv fails
+    ("price", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),
+    ("greeks", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),
+    ("converge", "linear_uniform.ini", "convergence.csv",
+     {"ladder.rungs": "16:10, 32:20"}),
+])
+def test_a_table_that_cannot_be_written_leaves_none_of_the_run(
+        tmp_path, capsys, verb, base, blocked, overrides):
+    # a directory in the way of a table used to end in an
+    # IsADirectoryError traceback with rc 1, beside a greeks.csv.tmp and
+    # the tables published before it
+    out = tmp_path / "out"
+    (out / blocked / "inside").mkdir(parents=True)
+    cfg = _config(tmp_path, base, n_elements=32, **overrides)
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"config error: cannot write {out / blocked}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) \
+        == [blocked, f"{blocked}/inside"]
 
 
 @pytest.mark.parametrize("verb,base", [
@@ -786,7 +821,8 @@ def test_every_traced_layer_names_a_package_attribute():
     # the benchmark's tracer swaps each (module, attribute) of its LAYERS
     # table for a wrapper, so a rename in the package breaks the traced
     # benchmark, which this suite does not run; read the table from the
-    # file and resolve each name
+    # file and resolve each name as the tracer does: a method through its
+    # class's own __dict__, so an inherited one does not count
     import importlib
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
     [table] = [node.value for node in tree.body
@@ -801,9 +837,9 @@ def test_every_traced_layer_names_a_package_attribute():
         except ModuleNotFoundError:
             missing.append(f"igafin.{module}")
             continue
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if owner is None:
+        cls_name, _, name = attr.rpartition(".")
+        scope = getattr(owner, cls_name, None) if cls_name else owner
+        if scope is None or name not in vars(scope):
             missing.append(f"igafin.{module}.{attr}")
     assert not missing
 

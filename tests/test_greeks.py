@@ -148,7 +148,7 @@ class TestAfvGreeks:
         assert 50 in jumps
         disc = build_discretization(-6.0, 2.0, 64)
         surf = run(p, disc, SchemeConfig(n_steps=50, store_every=1))
-        assert theta_pair(p, surf.levels, surf.dtau, 50) == (48, 49)
+        assert theta_pair(p, surf.dtau, 50) == (48, 49)
         table = greeks_table(p, disc, surf)
         s0, s1 = surf.slices[48], surf.slices[49]
         inner = slice(1, -1)
@@ -172,6 +172,25 @@ class TestAfvGreeks:
         assert p.calendar(surf.dtau, 50)[1] == {49, 50}
         with pytest.raises(ValueError, match="two"):
             greeks_table(p, disc, surf)
+
+    @pytest.mark.parametrize("coupon_t,n_steps,pair", [
+        (None, 1, (0, 1)),
+        (None, 2, (1, 2)),
+        # the coupon lands on the final level
+        (0.01, 1, None),
+        (0.01, 2, (0, 1)),
+    ])
+    def test_theta_pair_reads_the_time_grid_alone(self, coupon_t, n_steps,
+                                                  pair):
+        # the pair is two time levels, known before the run; the march
+        # stores both
+        coupons = ((coupon_t, 4.0),) if coupon_t is not None else ()
+        p = self._params(coupons=coupons, put_window=None)
+        assert theta_pair(p, p.horizon / n_steps, n_steps) == pair
+        if pair is not None:
+            disc = build_discretization(-6.0, 2.0, 16)
+            surf = run(p, disc, SchemeConfig(n_steps=n_steps, store_every=0))
+            assert set(pair) <= set(surf.levels)
 
     def test_delta_tends_to_one_deep_in_the_money(self):
         p = self._params()

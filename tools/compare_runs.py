@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Check that the igafin CLI gives byte-identical results at a git
+revision and in the work tree.
+
+    python3 tools/compare_runs.py                  # against HEAD
+    python3 tools/compare_runs.py --base HEAD~1
+
+Extracts ``git archive REF`` into a temporary directory and runs a fixed
+matrix of CLI commands (``RUNS``) once on its ``src/`` and once on the work
+tree's, each run in its own temporary directory with a copy of its config.
+A run is the same when the return code, stdout and stderr (with the run
+directory replaced by ``<run>``) and every output file, byte for byte, are
+the same on both sides.  Each side reads its own ``configs/``, so a change
+to a shipped config shows as a difference.
+
+Prints one line per run and a summary, and exits 1 if any run differs.
+Nothing is written inside the repository: the children run with
+``PYTHONDONTWRITEBYTECODE=1`` and every file goes under the system's
+temporary directory, which is removed at the end.  The two sides of a run
+go in parallel, two processes at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ("convertible.ini", "greeks_linear.ini", "leland_ladder.ini",
+           "linear_uniform.ini", "refined.ini")
+
+
+def _matrix():
+    """(name, verb, config, overrides, extra args) of every run; overrides
+    map ``section.key`` to a value."""
+    runs = []
+    for cfg in CONFIGS:
+        stem = cfg[:-4]
+        runs += [(f"price-{stem}", "price", cfg, {}, []),
+                 (f"greeks-{stem}", "greeks", cfg, {}, [])]
+        runs += [(f"price-{stem}-{o}", "price", cfg, {}, ["--oracle", o])
+                 for o in ("fdm", "p1", "closed-form")]
+    # every shipped ladder; the linear one cut to its first two rungs
+    runs += [
+        ("converge-convertible", "converge", "convertible.ini", {}, []),
+        ("converge-convertible-fdm", "converge", "convertible.ini", {},
+         ["--oracle", "fdm"]),
+        ("converge-leland_ladder", "converge", "leland_ladder.ini", {}, []),
+        ("converge-leland_ladder-closed-form", "converge",
+         "leland_ladder.ini", {}, ["--oracle", "closed-form"]),
+        ("converge-linear_uniform", "converge", "linear_uniform.ini",
+         {"ladder.rungs": "32:6000, 64:6000"}, []),
+        ("converge-refined", "converge", "refined.ini", {}, []),
+        # the grid of the committed out/afv_smoke tables
+        ("price-convertible-128x100", "price", "convertible.ini",
+         {"discretization.n_elements": "128", "discretization.n_tau": "100"},
+         []),
+        ("validate", "validate", None, {}, []),
+    ]
+    return runs
+
+
+RUNS = _matrix()
+
+
+def _extract(ref: str, dest: Path) -> Path:
+    """Extract ``git archive ref`` into ``dest``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest)
+    return dest
+
+
+def _start(tree: Path, run_dir: Path, run) -> subprocess.Popen:
+    """Start one run of the tree's CLI in ``run_dir``, which it owns."""
+    _, verb, cfg, overrides, extra = run
+    run_dir.mkdir(parents=True)
+    argv = [sys.executable, "-m", "igafin.cli", verb]
+    if cfg is not None:
+        path = run_dir / cfg
+        if overrides:
+            cp = configparser.ConfigParser(interpolation=None)
+            cp.read(tree / "configs" / cfg)
+            for dotted, value in overrides.items():
+                section, key = dotted.split(".")
+                cp[section][key] = value
+            with open(path, "w") as fh:
+                cp.write(fh)
+        else:
+            path.write_bytes((tree / "configs" / cfg).read_bytes())
+        argv += ["--config", str(path), "--out", str(run_dir / "out")]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.Popen(argv + extra, cwd=run_dir, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _result(proc: subprocess.Popen, run_dir: Path) -> dict[str, bytes]:
+    """What a finished run gave: rc, stdout, stderr and each output file
+    by its path below the run directory."""
+    out, err = proc.communicate()
+    here = str(run_dir).encode()
+    got = {"rc": str(proc.returncode).encode(),
+           "stdout": out.replace(here, b"<run>"),
+           "stderr": err.replace(here, b"<run>")}
+    out_dir = run_dir / "out"
+    if out_dir.exists():
+        for path in sorted(out_dir.rglob("*")):
+            got[path.relative_to(run_dir).as_posix()] = (
+                path.read_bytes() if path.is_file() else b"<dir>")
+    return got
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD",
+                        help="git revision to compare with (default HEAD)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare_runs-") as tmp:
+        tmp = Path(tmp)
+        trees = {"base": _extract(args.base, tmp / "tree"), "work": ROOT}
+        differ = 0
+        for run in RUNS:
+            name = run[0]
+            dirs = {side: tmp / side / name for side in trees}
+            procs = {side: _start(tree, dirs[side], run)
+                     for side, tree in trees.items()}
+            base, work = (_result(procs[side], dirs[side])
+                          for side in ("base", "work"))
+            diffs = sorted(key for key in base.keys() | work.keys()
+                           if base.get(key) != work.get(key))
+            differ += bool(diffs)
+            status = "DIFF" if diffs else "same"
+            detail = f": {', '.join(diffs)}" if diffs else ""
+            print(f"{status}  {name}  (rc {work['rc'].decode()}, "
+                  f"{len(work) - 3} files){detail}", flush=True)
+    print(f"{len(RUNS) - differ} of {len(RUNS)} runs identical to "
+          f"{args.base}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
