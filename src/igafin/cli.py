@@ -50,13 +50,13 @@ n_elements < 1; a grid with fewer than three basis functions (none
 interior); n_elements < 2 on the grid of the p1 or fdm oracle; the
 closed-form oracle on a model that has none; an output directory that is
 empty or that a file blocks (its nearest existing ancestor is not a
-directory); a call window that opens and closes on one date; degree < 2
-for price and greeks (gamma needs it); a time grid whose final level is a
-coupon or put date, and so is the level before it or there is no level
-before that (theta has no pair of levels to difference); and a probe price
-outside the domain.  A march that
-produces a value that is not finite is a solver failure, reported on one
-line.
+directory), or in which a table the verb writes is a directory (with the
+message of a failed write); a call window that opens and closes on one
+date; degree < 2 for price and greeks (gamma needs it); a time grid whose
+final level is a coupon or put date, and so is the level before it or
+there is no level before that (theta has no pair of levels to
+difference); and a probe price outside the domain.  A march that produces
+a value that is not finite is a solver failure, reported on one line.
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
@@ -65,13 +65,15 @@ written one stored slice at a time, its level and t cells formatted once
 per slice, so the formatted table never sits in memory whole.  An OSError
 from making the output directory or writing a table is a configuration
 error too, rc 2 on one line that names the path: the run removes the
-tables it has already written, so it leaves none of its files.
+tables it has already written and the directories it made, so it leaves
+none of its files.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import re
@@ -449,18 +451,36 @@ def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
                           f"n_tau = {cfg.n_tau}", cfg.path)
 
 
-def _check_out_dir(cfg: ExperimentConfig) -> None:
-    """Reject an output directory that is empty or that a file blocks: its
-    nearest existing ancestor must be a directory.  Nothing is created
-    here."""
+# the tables each verb writes, in the order it writes them
+_TABLES = {"price": ("surface.csv", "slice_t0.csv", "greeks.csv"),
+           "converge": ("convergence.csv",), "greeks": ("greeks.csv",)}
+
+
+def _missing_dirs(out_dir: str) -> list[str]:
+    """The directories down to ``out_dir`` that do not exist, deepest
+    first."""
+    path, missing = os.path.abspath(out_dir), []
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def _check_out_dir(cfg: ExperimentConfig, verb: str) -> None:
+    """Reject an output directory that is empty or that a file blocks (its
+    nearest existing ancestor must be a directory), and a table of the
+    verb whose path is a directory.  Nothing is created here."""
     if not cfg.out_dir:
         raise ConfigError("the output directory is empty", cfg.path)
-    path = os.path.abspath(cfg.out_dir)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
+    missing = _missing_dirs(cfg.out_dir)
+    path = os.path.dirname(missing[-1]) if missing else cfg.out_dir
     if not os.path.isdir(path):
         raise ConfigError(f"output directory {cfg.out_dir} is blocked by the "
-                          f"file {path}", cfg.path)
+                          f"file {os.path.abspath(path)}", cfg.path)
+    for name in _TABLES[verb]:
+        path = os.path.join(cfg.out_dir, name)
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def _check_probe(cfg: ExperimentConfig) -> None:
@@ -474,21 +494,24 @@ def _check_probe(cfg: ExperimentConfig) -> None:
                           cfg.path)
 
 
-def _publish(cfg: ExperimentConfig, writes) -> None:
-    """Make the output directory and write in it each table of
-    ``writes``, (file name, write) pairs, by ``write(path)``.  An OSError
-    removes the tables this call already wrote and becomes a ConfigError
+def _publish(cfg: ExperimentConfig, verb: str, writes) -> None:
+    """Make the output directory and write in it each table of the verb,
+    by the matching ``write(path)`` of ``writes``.  An OSError removes the
+    tables and the directories this call made and becomes a ConfigError
     naming the path it failed on."""
-    path, done = cfg.out_dir, []
+    path, done, made = cfg.out_dir, [], _missing_dirs(cfg.out_dir)
     try:
         os.makedirs(path, exist_ok=True)
-        for name, write in writes:
+        for name, write in zip(_TABLES[verb], writes, strict=True):
             path = os.path.join(cfg.out_dir, name)
             write(path)
             done.append(path)
     except OSError as exc:
         for written in done:
             os.remove(written)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
@@ -514,13 +537,13 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     table = greeks_table(params, disc, surf)
     report = _probe_report(cfg, oracle, disc, surf)
 
-    _publish(cfg, [
-        ("surface.csv", lambda path: _write_csv(
+    _publish(cfg, "price", [
+        lambda path: _write_csv(
             path, ["level", "t", "S"] + fields,
-            (_block_lines(block, prefix) for prefix, block in blocks))),
-        ("slice_t0.csv", lambda path: _write_csv(
-            path, ["S"] + fields, [_block_lines(blocks[-1][1])])),
-        ("greeks.csv", partial(write_greeks_csv, table=table))])
+            (_block_lines(block, prefix) for prefix, block in blocks)),
+        lambda path: _write_csv(
+            path, ["S"] + fields, [_block_lines(blocks[-1][1])]),
+        partial(write_greeks_csv, table=table)])
     for line in report:
         print(line)
     return 0
@@ -563,9 +586,9 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
         contraction = (prev_err / err) if (err and prev_err) else None
         rows.append([n_e, n_t, value, err, contraction])
         prev_err = err
-    _publish(cfg, [("convergence.csv", lambda path: _write_csv(
+    _publish(cfg, "converge", [lambda path: _write_csv(
         path, ["n_e", "n_tau", "value", "error", "contraction"],
-        (",".join(map(_fmt, row)) + "\n" for row in rows)))])
+        (",".join(map(_fmt, row)) + "\n" for row in rows))])
     for row in rows:
         print("  ".join(_fmt(v) or "-" for v in row))
     return 0
@@ -576,8 +599,8 @@ def run_greeks(cfg: ExperimentConfig) -> int:
     _check_greeks_inputs(cfg)
     disc, surf = _build(cfg, *grid)
     table = greeks_table(cfg.params, disc, surf)
-    _publish(cfg, [("greeks.csv", partial(write_greeks_csv, table=table))])
-    print(f"wrote {os.path.join(cfg.out_dir, 'greeks.csv')} "
+    _publish(cfg, "greeks", [partial(write_greeks_csv, table=table)])
+    print(f"wrote {os.path.join(cfg.out_dir, *_TABLES['greeks'])} "
           f"({len(table.s)} rows)")
     return 0
 
@@ -606,7 +629,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.out is not None:
             cfg.out_dir = args.out
-        _check_out_dir(cfg)
+        _check_out_dir(cfg, args.verb)
         if args.verb == "greeks":
             return run_greeks(cfg)
         if args.probe_s is not None:

@@ -2,14 +2,15 @@
 
 * The Greeks of the call's closed form, ``LelandParams.closed_form``.
 * The second-order central finite-difference twin of both marches,
-  ``fdm_solve``.  Its space is a ``Discretization``: hat functions on
-  uniform nodes, whose coefficients are the nodal values, with central
-  differences written as its system (identity mass, stiffness -D2,
-  advection -D1).  It runs through ``run``, so it shares the spline
-  path's theta operator, boundary ODE, model code, penalty Newton and
-  events, and differs from it only in the spatial operator, which is what
-  it cross-checks.  ``fdm_solve_afv`` gives the bond twin's final nodal
-  values.
+  ``fdm_solve``.  Its space, ``fdm_discretization``, is a
+  ``Discretization``: hat functions on uniform nodes, whose coefficients
+  are the nodal values, with central differences written as its system
+  (identity mass, stiffness -D2, advection -D1).  It runs through ``run``,
+  so it shares the spline path's theta operator, boundary ODE, model code,
+  penalty Newton and events, and differs from it only in the spatial
+  operator, which is what it cross-checks; the bond checks of ``checks``
+  take the space and run it themselves.  ``fdm_solve_afv`` gives the bond
+  twin's final nodal values, for the benchmark's reference script.
 * A P1 (hat-function) run of the main pipeline, for misfit studies, with
   the same signature as ``fdm_solve``.
 * The plain discrete 2-norm misfit used in the convergence tables.
@@ -29,8 +30,8 @@ from .models import AfvParams, LelandParams
 from .stepper import (Discretization, SchemeConfig, SolutionSurface,
                       build_discretization, run)
 
-__all__ = ["bs_exact_greeks", "FdmResult", "fdm_solve",
-           "fdm_solve_afv", "p1fem_solve", "misfit_epsilon"]
+__all__ = ["bs_exact_greeks", "FdmResult", "fdm_discretization",
+           "fdm_solve", "fdm_solve_afv", "p1fem_solve", "misfit_epsilon"]
 
 
 def _norm_pdf(x):
@@ -87,16 +88,23 @@ def _central_differences(x: np.ndarray) -> GalerkinSystem:
                           np.zeros((n, 2)), stiffness_cols, advection_cols)
 
 
-def fdm_solve(params, x_min: float, x_max: float, n_cells: int,
-              scheme: SchemeConfig) -> tuple[Discretization, SolutionSurface]:
-    """The central-difference twin of either march: ``run`` on the hat
-    functions at n_cells + 1 uniform nodes with central differences as
-    their system.  The hat functions' coefficients are the nodal values,
-    so ``value_curve`` reads the solution by linear interpolation."""
+def fdm_discretization(x_min: float, x_max: float,
+                       n_cells: int) -> Discretization:
+    """The twin's space: the hat functions at n_cells + 1 uniform nodes
+    with central differences as their system.  Their coefficients are the
+    nodal values, so ``value_curve`` reads a solution by linear
+    interpolation."""
     x = np.linspace(x_min, x_max, n_cells + 1)
     basis = NurbsBasis(make_uniform_open_knots(n_cells, 1), np.ones(len(x)))
-    disc = Discretization(basis, PhysicalMap(x_min, x_max),
+    return Discretization(basis, PhysicalMap(x_min, x_max),
                           _central_differences(x), Collocation(basis), x)
+
+
+def fdm_solve(params, x_min: float, x_max: float, n_cells: int,
+              scheme: SchemeConfig) -> tuple[Discretization, SolutionSurface]:
+    """The central-difference twin of either march: ``run`` on
+    ``fdm_discretization``."""
+    disc = fdm_discretization(x_min, x_max, n_cells)
     return disc, run(params, disc, scheme)
 
 

@@ -677,32 +677,84 @@ def test_failure_while_the_surface_streams_leaves_no_file(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"config error: cannot write {out / 'surface.csv'}: disk full\n")
     assert len(written) == 3
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,base,blocked,overrides", [
-    # surface.csv and slice_t0.csv are published before greeks.csv fails
     ("price", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),
     ("greeks", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),
     ("converge", "linear_uniform.ini", "convergence.csv",
      {"ladder.rungs": "16:10, 32:20"}),
+    ("price", "linear_uniform.ini", "surface.csv", {"n_tau": 40}),
+    ("converge", "leland_ladder.ini", "convergence.csv",
+     {"ladder.rungs": "16:10", "ladder.reference": "64:40"}),
 ])
 def test_a_table_that_cannot_be_written_leaves_none_of_the_run(
-        tmp_path, capsys, verb, base, blocked, overrides):
+        tmp_path, capsys, monkeypatch, verb, base, blocked, overrides):
     # a directory in the way of a table used to end in an
     # IsADirectoryError traceback with rc 1, beside a greeks.csv.tmp and
-    # the tables published before it
+    # the tables published before it, and then, as rc 2, to be found only
+    # after the whole solve; it is refused before any march
+    import igafin.cli as cli
+    import igafin.stepper as stepper
+
+    def no_march(*args):
+        raise AssertionError("marched before the output path was checked")
+
+    monkeypatch.setattr(cli, "run", no_march)
+    monkeypatch.setattr(stepper, "run", no_march)
     out = tmp_path / "out"
     (out / blocked / "inside").mkdir(parents=True)
     cfg = _config(tmp_path, base, n_elements=32, **overrides)
     assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        f"config error: cannot write {out / blocked}: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == (f"config error: cannot write {out / blocked}: "
+                            "it is a directory\n")
     assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) \
         == [blocked, f"{blocked}/inside"]
+
+
+def test_a_failed_write_removes_the_directories_the_run_made(
+        tmp_path, capsys, monkeypatch):
+    # the run made a/ and a/b/ for its tables, and used to leave them
+    import igafin.cli as cli
+
+    def failing(path, *args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
+    out = tmp_path / "a" / "b"
+    cfg = _config(tmp_path, "convertible.ini", **SMALL)
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / 'surface.csv'}: disk full\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["convertible.ini"]
+
+
+def test_the_leland_ladder_march_does_not_drift(tmp_path, capsys,
+                                                 monkeypatch):
+    # the Leland cost march has no committed golden, so a solve that is
+    # no longer bitwise would first fail in the benchmark's output check;
+    # pin a cut ladder's rungs and its P1 reference exactly, as reprs
+    import igafin.cli as cli
+    curves, oracle_curve = [], cli._oracle_curve
+
+    def recorded(*args):
+        curves.append(oracle_curve(*args))
+        return curves[-1]
+
+    monkeypatch.setattr(cli, "_oracle_curve", recorded)
+    monkeypatch.setattr(cli, "_fmt", lambda v: "" if v is None else repr(v))
+    cfg = _config(tmp_path, "leland_ladder.ini",
+                  **{"ladder.rungs": "32:20, 64:80",
+                     "ladder.reference": "512:1280"})
+    assert main(["converge", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "32  20  19.415577112730542  7.99929942521871  -",
+        "64  80  16.639628087471724  3.1281722551576068  2.557179967321103"]
+    assert float(curves[0]([100.0])[0]) == 15.619687265366844
 
 
 @pytest.mark.parametrize("verb,base", [

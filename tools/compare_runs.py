@@ -14,6 +14,10 @@ the same on both sides.  Each side reads its own ``configs/``, so a change
 to a shipped config shows as a difference.
 
 Prints one line per run and a summary, and exits 1 if any run differs.
+Below a run whose CSV tables differ, one line per table gives each
+column's largest absolute difference and that difference relative to the
+column's largest magnitude at REF, the measure the benchmark's output
+check bounds by RTOL = 1e-10 (plus one unit in the last printed digit).
 Nothing is written inside the repository: the children run with
 ``PYTHONDONTWRITEBYTECODE=1`` and every file goes under the system's
 temporary directory, which is removed at the end.  The two sides of a run
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +125,37 @@ def _result(proc: subprocess.Popen, run_dir: Path) -> dict[str, bytes]:
     return got
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _column_diffs(base: bytes, work: bytes) -> str:
+    """Each column's largest absolute difference between two CSV tables,
+    and that difference over the column's largest magnitude in ``base``;
+    inf where cells that are not both numbers differ."""
+    tables = [list(csv.reader(io.StringIO(t.decode()))) for t in (base, work)]
+    (head, *rows_b), (head_w, *rows_w) = tables
+    if head != head_w or len(rows_b) != len(rows_w) or any(
+            len(a) != len(b) for a, b in zip(rows_b, rows_w)):
+        return "header, row count or field count differs"
+    parts = []
+    for name, col_b, col_w in zip(head, zip(*rows_b), zip(*rows_w)):
+        worst, top = 0.0, 0.0
+        for a, b in zip(col_b, col_w):
+            x, y = _number(a), _number(b)
+            if x is not None:
+                top = max(top, abs(x))
+            if a != b:
+                worst = max(worst, math.inf if x is None or y is None
+                            else abs(x - y))
+        rel = worst / top if top else (math.inf if worst else 0.0)
+        parts.append(f"{name} {worst:.3g} ({rel:.3g})")
+    return ", ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD",
@@ -142,6 +179,10 @@ def main(argv=None) -> int:
             detail = f": {', '.join(diffs)}" if diffs else ""
             print(f"{status}  {name}  (rc {work['rc'].decode()}, "
                   f"{len(work) - 3} files){detail}", flush=True)
+            for key in diffs:
+                if key.endswith(".csv") and key in base and key in work:
+                    print(f"      {key}: "
+                          f"{_column_diffs(base[key], work[key])}")
     print(f"{len(RUNS) - differ} of {len(RUNS)} runs identical to "
           f"{args.base}")
     return 1 if differ else 0
