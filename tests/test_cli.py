@@ -680,6 +680,33 @@ def test_failure_while_the_surface_streams_leaves_no_file(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fresh", [True, False])
+def test_a_failed_last_table_removes_the_tables_written_before_it(
+        tmp_path, capsys, monkeypatch, fresh):
+    # surface.csv and slice_t0.csv are published before greeks.csv fails;
+    # both go, and so does the output directory when the run made it
+    import igafin.cli as cli
+    seen = []
+
+    def failing(path, *args, **kwargs):
+        seen.extend(sorted(p.name for p in out.iterdir()))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_greeks_csv", failing)
+    out = tmp_path / "out"
+    if not fresh:
+        out.mkdir()
+    cfg = _config(tmp_path, "convertible.ini", **SMALL)
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out / 'greeks.csv'}: disk full\n")
+    assert seen == ["slice_t0.csv", "surface.csv"]
+    if fresh:
+        assert not out.exists()
+    else:
+        assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("verb,base,blocked,overrides", [
     ("price", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),
     ("greeks", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),

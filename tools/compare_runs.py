@@ -15,9 +15,11 @@ to a shipped config shows as a difference.
 
 Prints one line per run and a summary, and exits 1 if any run differs.
 Below a run whose CSV tables differ, one line per table gives each
-column's largest absolute difference and that difference relative to the
-column's largest magnitude at REF, the measure the benchmark's output
-check bounds by RTOL = 1e-10 (plus one unit in the last printed digit).
+column's largest absolute difference and the largest share it takes of
+the benchmark's allowance (RTOL = 1e-10 times the column's largest
+magnitude at REF, plus one unit in the last printed digit; above 1
+fails), then the verdict of the benchmark's own check, ``compare_csv`` of
+``perfbench/run.py``.
 Nothing is written inside the repository: the children run with
 ``PYTHONDONTWRITEBYTECODE=1`` and every file goes under the system's
 temporary directory, which is removed at the end.  The two sides of a run
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
+import importlib.util
 import io
 import math
 import os
@@ -125,35 +127,48 @@ def _result(proc: subprocess.Popen, run_dir: Path) -> dict[str, bytes]:
     return got
 
 
-def _number(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
+def _bench():
+    """``perfbench/run.py``, loaded by path without writing bytecode, for
+    the benchmark's own output check."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench      # its dataclasses look it up
+    sys.dont_write_bytecode = True
+    spec.loader.exec_module(bench)
+    return bench
 
 
-def _column_diffs(base: bytes, work: bytes) -> str:
+def _column_diffs(bench, base: Path, work: Path) -> str:
     """Each column's largest absolute difference between two CSV tables,
-    and that difference over the column's largest magnitude in ``base``;
-    inf where cells that are not both numbers differ."""
-    tables = [list(csv.reader(io.StringIO(t.decode()))) for t in (base, work)]
-    (head, *rows_b), (head_w, *rows_w) = tables
+    with the largest share of the benchmark's allowance for a cell (RTOL
+    times the column's largest magnitude in ``base``, plus one unit in the
+    last printed digit) that a difference takes; a share above 1 fails,
+    and inf marks cells that are not both numbers.  Then the verdict of
+    the benchmark's ``compare_csv``."""
+    verdict = (bench.compare_csv(work, base)
+               or "within the benchmark's tolerance")
+    (head, rows_b), (head_w, rows_w) = map(bench.read_csv, (base, work))
     if head != head_w or len(rows_b) != len(rows_w) or any(
             len(a) != len(b) for a, b in zip(rows_b, rows_w)):
-        return "header, row count or field count differs"
+        return verdict
     parts = []
     for name, col_b, col_w in zip(head, zip(*rows_b), zip(*rows_w)):
-        worst, top = 0.0, 0.0
-        for a, b in zip(col_b, col_w):
-            x, y = _number(a), _number(b)
-            if x is not None:
-                top = max(top, abs(x))
-            if a != b:
-                worst = max(worst, math.inf if x is None or y is None
-                            else abs(x - y))
-        rel = worst / top if top else (math.inf if worst else 0.0)
-        parts.append(f"{name} {worst:.3g} ({rel:.3g})")
-    return ", ".join(parts)
+        top = max((abs(v) for v in map(bench._number, col_b)
+                   if v is not None), default=0.0)
+        worst = share = 0.0
+        for a, b in zip(col_w, col_b):
+            if a == b:
+                continue
+            x, y = bench._number(a), bench._number(b)
+            if x is None or y is None:
+                worst = share = math.inf
+                continue
+            allowed = bench.RTOL * top + bench._quantum(y)
+            worst = max(worst, abs(x - y))
+            share = max(share, abs(x - y) / allowed if allowed else math.inf)
+        parts.append(f"{name} {worst:.3g} ({share:.3g})")
+    return f"{', '.join(parts)}; {verdict}"
 
 
 def main(argv=None) -> int:
@@ -164,6 +179,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_runs-") as tmp:
         tmp = Path(tmp)
         trees = {"base": _extract(args.base, tmp / "tree"), "work": ROOT}
+        bench = _bench()
         differ = 0
         for run in RUNS:
             name = run[0]
@@ -181,8 +197,8 @@ def main(argv=None) -> int:
                   f"{len(work) - 3} files){detail}", flush=True)
             for key in diffs:
                 if key.endswith(".csv") and key in base and key in work:
-                    print(f"      {key}: "
-                          f"{_column_diffs(base[key], work[key])}")
+                    print(f"      {key}: " + _column_diffs(
+                        bench, dirs["base"] / key, dirs["work"] / key))
     print(f"{len(RUNS) - differ} of {len(RUNS)} runs identical to "
           f"{args.base}")
     return 1 if differ else 0
