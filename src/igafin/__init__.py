@@ -4,9 +4,9 @@ The package prices European calls under proportional transaction costs
 (the Leland volatility correction) and convertible bonds with credit risk
 (a two-component splitting with penalty-enforced call, put and conversion
 constraints), both on a log-price line with cubic NURBS trial spaces and
-a theta time-march.  Finite-difference and hat-function references and
-the call's exact Greeks live in :mod:`igafin.reference`; structural
-invariants in :mod:`igafin.checks`; the batch runner in :mod:`igafin.cli`.
+a theta time-march.  Finite-difference and hat-function references live
+in :mod:`igafin.reference`; structural invariants in :mod:`igafin.checks`;
+the batch runner in :mod:`igafin.cli`.
 """
 
 from .basis import (KnotVector, NurbsBasis, eval_nurbs_all, eval_spline_many,
@@ -21,8 +21,8 @@ from .stepper import (Discretization, NewtonDivergenceError, SchemeConfig,
                       SolutionSurface, TimeSlice, build_discretization, run,
                       run_afv, run_leland, value_curve)
 from .greeks import GreekTable, greeks_table, write_greeks_csv
-from .reference import (bs_exact_greeks, fdm_solve, fdm_solve_afv,
-                        misfit_epsilon, p1fem_solve)
+from .reference import (fdm_solve, fdm_solve_afv, misfit_epsilon,
+                        p1fem_solve)
 from .checks import CheckResult, format_report, run_checks
 
 __version__ = "0.1.0"
@@ -40,8 +40,7 @@ __all__ = [
     "SolutionSurface", "TimeSlice", "build_discretization",
     "run", "run_afv", "run_leland", "value_curve",
     "GreekTable", "greeks_table", "write_greeks_csv",
-    "bs_exact_greeks", "fdm_solve", "fdm_solve_afv", "misfit_epsilon",
-    "p1fem_solve",
+    "fdm_solve", "fdm_solve_afv", "misfit_epsilon", "p1fem_solve",
     "CheckResult", "format_report", "run_checks",
     "__version__",
 ]

@@ -128,50 +128,36 @@ def make_uniform_open_knots(n_elements: int, degree: int) -> KnotVector:
     return KnotVector(vals, degree)
 
 
-def make_refined_open_knots(n_elements: int, degree: int, kink_xi: float,
-                            cluster_ratio: float) -> KnotVector:
+def make_refined_open_knots(n_elements: int, degree: int,
+                            kink_xi: float) -> KnotVector:
     """Open knots on [0, 1] geometrically clustered toward an interior kink.
 
-    Span widths form a two-sided geometric sequence shrinking toward
-    ``kink_xi`` with ratio ``cluster_ratio`` (``1.0`` gives equal spans on
-    each side).  The kink itself is inserted with multiplicity 3, which
-    drops the basis to C^0 there when ``degree == 3``; ``degree`` must be
-    at least 3.
-
-    Parameters
-    ----------
-    n_elements : int
-        Total span count before multiplicity insertion.
-    kink_xi : float
-        Clustering target, strictly inside (0, 1).
-    cluster_ratio : float
-        Successive span-width ratio approaching the kink, in (0, 1].
+    The ``n_elements`` spans split between the two sides of ``kink_xi`` in
+    proportion to their lengths, at least one on each.  Each side's spans
+    form a geometric sequence shrinking toward the kink, its largest 100
+    times its smallest, so refining halves every span instead of piling
+    new spans onto the kink.  The kink is a knot of multiplicity
+    ``degree``: the basis is C^0 there, as the payoff is, and from degree
+    2 the kink is a repeated knot.
     """
     if not 0.0 < kink_xi < 1.0:
         raise ValueError("kink_xi must lie strictly inside (0, 1)")
-    if not 0.0 < cluster_ratio <= 1.0:
-        raise ValueError("cluster_ratio must lie in (0, 1]")
-    if degree < 3:
-        raise ValueError(f"refined knots need degree >= 3, got {degree}")
-    n_left = int(round(n_elements * kink_xi))
-    n_left = min(max(n_left, 1), n_elements - 1)
-    n_right = n_elements - n_left
+    if n_elements < 2:
+        raise ValueError("refined knots need n_elements >= 2, one span on "
+                         f"each side of the kink, got {n_elements}")
+    n_left = min(max(int(round(n_elements * kink_xi)), 1), n_elements - 1)
 
-    def geometric_breaks(a: float, b: float, n: int, ratio: float) -> np.ndarray:
-        # widths from a toward b shrink by `ratio`; breakpoints exclude a, include b
-        if ratio == 1.0:
-            return np.linspace(a, b, n + 1)[1:]
-        w = np.full(n, ratio, dtype=float) ** np.arange(n)
+    def breaks(a: float, b: float, n: int) -> np.ndarray:
+        # n spans from a toward b, 100:1; breakpoints exclude a and b
+        ratio = 100.0 ** (-1.0 / max(n - 1, 1))
+        w = np.full(n, ratio) ** np.arange(n)
         w *= (b - a) / w.sum()
-        return a + np.cumsum(w)
+        return (a + np.cumsum(w))[:-1]
 
-    left = geometric_breaks(0.0, kink_xi, n_left, cluster_ratio)
-    # mirrored construction: march from 1.0 toward the kink with the same ratio
-    right = geometric_breaks(1.0, kink_xi, n_right, cluster_ratio)
     interior = np.concatenate([
-        left[:-1],
-        np.full(3, kink_xi),
-        right[:-1][::-1],
+        breaks(0.0, kink_xi, n_left),
+        np.full(degree, kink_xi),
+        breaks(1.0, kink_xi, n_elements - n_left)[::-1],
     ])
     vals = np.concatenate([
         np.zeros(degree + 1), interior, np.ones(degree + 1)])

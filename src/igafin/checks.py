@@ -58,7 +58,7 @@ def _sample_bases() -> list[NurbsBasis]:
     """Uniform, refined and weighted cubic bases, and a degree-1 one."""
     rng = np.random.default_rng(_SEED)
     uni = make_uniform_open_knots(16, 3)
-    ref = make_refined_open_knots(16, 3, kink_xi=0.5, cluster_ratio=0.75)
+    ref = make_refined_open_knots(16, 3, kink_xi=0.5)
     return [NurbsBasis(uni, np.ones(uni.n_basis)),
             NurbsBasis(ref, np.ones(ref.n_basis)),
             NurbsBasis(uni, rng.uniform(0.5, 2.0, uni.n_basis)),

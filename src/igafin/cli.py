@@ -42,21 +42,21 @@ exactly one n_elements:n_tau pair.  Settings that parse but cannot run are
 configuration errors too, raised before solving: x_min >= x_max; an
 interval whose ends, at t = 0 or at maturity, map to stock prices that are
 not positive or whose squares are not finite, positive doubles; refined
-knots with degree < 3 or the payoff kink, where they cluster, outside
-(x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
-store_every; a weights file that does not exist or does not hold one
-finite, positive number per basis function; a ladder rung or reference with
-n_elements < 1; a grid with fewer than three basis functions (none
-interior); n_elements < 2 on the grid of the p1 or fdm oracle; the
-closed-form oracle on a model that has none; an output directory that is
-empty or that a file blocks (its nearest existing ancestor is not a
-directory), or in which a table the verb writes is a directory (with the
-message of a failed write); a call window that opens and closes on one
-date; degree < 2 for price and greeks (gamma needs it); a time grid whose
-final level is a coupon or put date, and so is the level before it or
-there is no level before that (theta has no pair of levels to
-difference); and a probe price outside the domain.  A march that produces
-a value that is not finite is a solver failure, reported on one line.
+knots with n_elements < 2 (they need a span on each side of the kink) or
+the payoff kink, where they cluster, outside (x_min, x_max); theta outside
+[0, 1]; negative rannacher_steps or store_every; a weights file that does
+not exist or does not hold one finite, positive number per basis function;
+a ladder rung or reference with n_elements < 1; a grid with fewer than
+three basis functions (none interior); n_elements < 2 on the grid of the p1
+or fdm oracle; the closed-form oracle on a model that has none; an output
+directory that is empty or that a file blocks (its nearest existing
+ancestor is not a directory), or in which a table the verb writes is a
+directory (with the message of a failed write); a call window that opens
+and closes on one date; degree < 2 for price and greeks (gamma needs it); a
+time grid whose final level is a coupon or put date, and so is the level
+before it or there is no level before that (theta has no pair of levels to
+difference); and a probe price outside the domain.  A march that produces a
+value that is not finite is a solver failure, reported on one line.
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the

@@ -41,7 +41,9 @@ Greeks, output and checks never branch on the model:
   its flags.
 
 Only the call has ``closed_form(s, t)``, its exact value at calendar time
-t: Black-Scholes at the volatility sigma sqrt(1 + Le).
+t: Black-Scholes at the volatility sigma sqrt(1 + Le).  Its
+``closed_form_greeks(s, t)`` gives the delta, gamma and theta of that
+value from the same evaluation.
 """
 
 from __future__ import annotations
@@ -137,26 +139,43 @@ class LelandParams:
         """No exercise events: see ``AfvParams.calendar``."""
         return {}, set()
 
+    def _black_scholes(self, s: np.ndarray, ttm: float):
+        """(sigma, vol, d1, N(d1), N(d2), discount factor) of Black-Scholes
+        at sigma sqrt(1 + Le), ``ttm > 0`` before maturity."""
+        # imported here: the first import of scipy.special takes about 0.2 s
+        # (2-core host), which runs without a closed form never pay
+        from scipy.special import ndtr
+        sigma = self.sigma * math.sqrt(1.0 + self.leland_number)
+        vol = sigma * math.sqrt(ttm)
+        d1 = (np.log(s / self.strike)
+              + (self.rate + 0.5 * sigma ** 2) * ttm) / vol
+        d2 = d1 - vol
+        return sigma, vol, d1, ndtr(d1), ndtr(d2), math.exp(-self.rate * ttm)
+
     def closed_form(self, s, t: float):
         """Exact price at calendar time t: Black-Scholes at sigma
         sqrt(1 + Le) (Leland 1985), as the price is convex and |V_SS| is
         V_SS.  At Le = 0 it is the frictionless price bitwise."""
-        # imported here: the first import of scipy.special takes about 0.2 s
-        # (2-core host), which runs without a closed form never pay
-        from scipy.special import ndtr
         s = np.asarray(s, dtype=float)
         ttm = self.maturity - t
         if ttm < 0:
             raise ValueError("t beyond maturity")
         if ttm == 0:
             return np.maximum(s - self.strike, 0.0)
-        sigma = self.sigma * math.sqrt(1.0 + self.leland_number)
-        vol = sigma * math.sqrt(ttm)
-        d1 = (np.log(s / self.strike)
-              + (self.rate + 0.5 * sigma ** 2) * ttm) / vol
-        d2 = d1 - vol
-        disc = math.exp(-self.rate * ttm)
-        return s * ndtr(d1) - self.strike * disc * ndtr(d2)
+        _, _, _, nd1, nd2, disc = self._black_scholes(s, ttm)
+        return s * nd1 - self.strike * disc * nd2
+
+    def closed_form_greeks(self, s, t: float):
+        """(delta, gamma, theta) of ``closed_form``; theta is d/dt."""
+        s = np.asarray(s, dtype=float)
+        ttm = self.maturity - t
+        if ttm <= 0:
+            raise ValueError("Greeks need strictly positive time to maturity")
+        sigma, vol, d1, nd1, nd2, disc = self._black_scholes(s, ttm)
+        pdf = np.exp(-d1 ** 2 / 2.0) / np.sqrt(2 * np.pi)
+        theta = (-0.5 * s * pdf * sigma / math.sqrt(ttm)
+                 - self.rate * self.strike * disc * nd2)
+        return nd1, pdf / (s * vol), theta
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -1,6 +1,5 @@
 """Reference solvers used to cross-check the spline pipeline.
 
-* The Greeks of the call's closed form, ``LelandParams.closed_form``.
 * The second-order central finite-difference twin of both marches,
   ``fdm_solve``.  Its space, ``fdm_discretization``, is a
   ``Discretization``: hat functions on uniform nodes, whose coefficients
@@ -18,7 +17,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,38 +24,12 @@ import numpy as np
 from .assembly import Collocation, GalerkinSystem, PhysicalMap
 from .basis import NurbsBasis, make_uniform_open_knots
 from .linsolve import BandedMatrix
-from .models import AfvParams, LelandParams
+from .models import AfvParams
 from .stepper import (Discretization, SchemeConfig, SolutionSurface,
                       build_discretization, run)
 
-__all__ = ["bs_exact_greeks", "FdmResult", "fdm_discretization",
-           "fdm_solve", "fdm_solve_afv", "p1fem_solve", "misfit_epsilon"]
-
-
-def _norm_pdf(x):
-    """Standard normal density."""
-    return np.exp(-x ** 2 / 2.0) / np.sqrt(2 * np.pi)
-
-
-def bs_exact_greeks(s, t: float, params: LelandParams):
-    """(delta, gamma, theta) of ``params.closed_form``, Black-Scholes at
-    sigma sqrt(1 + Le); theta is d/dt."""
-    from scipy.special import ndtr
-    s = np.asarray(s, dtype=float)
-    ttm = params.maturity - t
-    if ttm <= 0:
-        raise ValueError("Greeks need strictly positive time to maturity")
-    sigma = params.sigma * math.sqrt(1.0 + params.leland_number)
-    vol = sigma * math.sqrt(ttm)
-    d1 = (np.log(s / params.strike)
-          + (params.rate + 0.5 * sigma ** 2) * ttm) / vol
-    d2 = d1 - vol
-    disc = math.exp(-params.rate * ttm)
-    delta = ndtr(d1)
-    gamma = _norm_pdf(d1) / (s * vol)
-    theta = (-0.5 * s * _norm_pdf(d1) * sigma / math.sqrt(ttm)
-             - params.rate * params.strike * disc * ndtr(d2))
-    return delta, gamma, theta
+__all__ = ["FdmResult", "fdm_discretization", "fdm_solve", "fdm_solve_afv",
+           "p1fem_solve", "misfit_epsilon"]
 
 
 @dataclass

@@ -18,9 +18,10 @@ slice takes the payoff values at the Greville abscissae as coefficients
 expanded with coefficients nu_j computed directly from the solution
 coefficients, nu_j = N(w_j, x_j).  No collocation solve enters the march.
 The call's initial slice on kink-aligned knots, which hold the payoff kink
-as an interior knot of multiplicity 2 or more (refined knots do), is the
-one exception to the Greville values.  The payoff is smooth on each side
-of that knot, so its Greville interpolant is accurate to O(h^(p+1)), and
+as an interior knot of multiplicity 2 or more (refined knots hold it with
+multiplicity p, so they do from degree 2), is the one exception to the
+Greville values.  The payoff is smooth on each side of that knot, so its
+Greville interpolant is accurate to O(h^(p+1)), and
 ``run_leland`` starts from it, one solve with the collocation band before
 the march, in place of data whose O(h^2) error would dominate the space
 error.  The convertible keeps Greville values, because its sources and
@@ -183,17 +184,13 @@ class Discretization:
 def build_knots(n_elements: int, degree: int = 3, knot_mode: str = "uniform",
                 kink_xi: float = 0.5) -> KnotVector:
     """The knots of ``build_discretization``.  ``knot_mode`` is ``uniform``
-    or ``refined``; the refined mode clusters spans toward ``kink_xi`` and
-    inserts it with multiplicity 3.  Its spans keep a fixed 100:1
-    largest-to-smallest grading on the shorter side of the kink, so
-    refining the mesh halves every span instead of piling new spans onto
-    the kink."""
+    or ``refined``; the refined mode (``make_refined_open_knots``) grades
+    each side's spans 100:1 toward ``kink_xi`` and holds it as a knot of
+    multiplicity ``degree``, so 2 or more from degree 2."""
     if knot_mode == "uniform":
         return make_uniform_open_knots(n_elements, degree)
     if knot_mode == "refined":
-        n_side = max(2, int(round(n_elements * min(kink_xi, 1.0 - kink_xi))))
-        return make_refined_open_knots(n_elements, degree, kink_xi,
-                                       100.0 ** (-1.0 / (n_side - 1)))
+        return make_refined_open_knots(n_elements, degree, kink_xi)
     raise ValueError(f"unknown knot_mode {knot_mode!r}")
 
 

@@ -64,7 +64,7 @@ class TestAssemble:
             assert np.abs(cols - dense[1:-1][:, [0, -1]]).max() < 1e-12
 
     def test_refined_knots_handled(self):
-        knots = make_refined_open_knots(12, 3, 0.5, 0.8)
+        knots = make_refined_open_knots(12, 3, 0.5)
         basis = NurbsBasis(knots, np.ones(knots.n_basis))
         pmap = PhysicalMap(-2.0, 2.0)
         sys_ = assemble(basis, pmap, gauss_legendre_rule(5))

@@ -26,18 +26,19 @@ class TestKnotVector:
             assert len(kv.breakpoints) == n_e + 1
 
     def test_refined_contains_full_multiplicity_kink(self):
-        kv = make_refined_open_knots(16, 3, 0.5, 0.8)
+        kv = make_refined_open_knots(16, 3, 0.5)
         interior = kv.values[4:-4]
         assert np.count_nonzero(interior == 0.5) == 3
 
-    def test_refined_needs_degree_three(self):
-        # the kink goes in three times, more than a quadratic basis allows
-        with pytest.raises(ValueError, match="degree >= 3"):
-            make_refined_open_knots(16, 2, 0.5, 0.8)
+    def test_refined_needs_a_span_on_each_side(self):
+        # one element used to run on two spans after a division by zero
+        for n_elements in (1, 0):
+            with pytest.raises(ValueError, match="n_elements >= 2"):
+                make_refined_open_knots(n_elements, 3, 0.5)
 
     def test_refined_span_grading(self):
         # spans shrink geometrically toward the kink from either side
-        kv = make_refined_open_knots(16, 3, 0.5, 0.7)
+        kv = make_refined_open_knots(16, 3, 0.5)
         left = np.sort(np.unique(kv.values[kv.values <= 0.5]))
         widths = np.diff(left)
         ratios = widths[1:] / widths[:-1]
@@ -45,8 +46,8 @@ class TestKnotVector:
 
     def test_breakpoints_are_the_distinct_knots(self):
         for kv in (make_uniform_open_knots(16, 3),
-                   make_refined_open_knots(16, 3, 0.5, 0.8),
-                   make_refined_open_knots(9, 3, 0.3, 0.7),
+                   make_refined_open_knots(16, 3, 0.5),
+                   make_refined_open_knots(9, 3, 0.3),
                    make_uniform_open_knots(5, 1)):
             assert np.array_equal(kv.breakpoints, np.unique(kv.values))
 
@@ -71,6 +72,36 @@ class TestKnotVector:
             NurbsBasis(kv, np.zeros(kv.n_basis))
 
 
+class TestRefinedKnots:
+    """The one rule for refined knots on a grid of meshes and kinks: each
+    side of the kink grades its own spans 100:1, and the kink is a knot
+    of multiplicity p."""
+
+    KINKS = np.arange(0.01, 0.98, 0.03)
+
+    @pytest.mark.parametrize("degree,meshes", [
+        (3, range(2, 130)), (1, range(2, 130, 16)), (2, range(3, 130, 16)),
+        (4, range(5, 130, 16)), (5, range(7, 130, 16))])
+    def test_each_side_grades_100_to_1_to_a_kink_of_multiplicity_p(
+            self, degree, meshes):
+        eps = np.finfo(float).eps
+        for n in meshes:
+            for kink in map(float, self.KINKS):
+                kv = make_refined_open_knots(n, degree, kink)
+                assert isinstance(kv, KnotVector) and kv.degree == degree
+                assert np.count_nonzero(kv.values == kink) == degree
+                bp = kv.breakpoints
+                at = int(np.searchsorted(bp, kink))
+                assert bp[at] == kink and len(bp) == n + 1
+                for spans in (np.diff(bp[:at + 1]), np.diff(bp[at:])):
+                    if len(spans) > 1:
+                        # the knots carry the rounding of a cumulative sum
+                        # of the side's spans, some n eps each
+                        tol = 1e-12 + len(spans) * eps / spans.min()
+                        assert spans.max() / spans.min() == pytest.approx(
+                            100.0, rel=tol), (n, kink)
+
+
 def _span(kv, xi):
     """Index i of the span [xi_i, xi_(i+1)) that basis_table puts xi in:
     its first nonzero function plus the degree."""
@@ -91,7 +122,7 @@ class TestFindSpan:
         # a point on a knot takes the span that starts there, a repeated
         # knot included: the span index is the knot's last copy
         for kv, xi in ((make_uniform_open_knots(8, 3), 0.5),
-                       (make_refined_open_knots(16, 3, 0.4, 0.75), 0.4)):
+                       (make_refined_open_knots(16, 3, 0.4), 0.4)):
             i = _span(kv, xi)
             assert kv.values[i] == xi < kv.values[i + 1]
             assert _span(kv, float(np.nextafter(xi, 0.0))) < i
@@ -186,7 +217,7 @@ _KERNEL_KNOTS = {
     "uniform2": lambda: make_uniform_open_knots(9, 2),
     "uniform3": lambda: make_uniform_open_knots(12, 3),
     "uniform4": lambda: make_uniform_open_knots(7, 4),
-    "refined3": lambda: make_refined_open_knots(16, 3, 0.4, 0.75),
+    "refined3": lambda: make_refined_open_knots(16, 3, 0.4),
 }
 
 
@@ -251,12 +282,15 @@ class TestBasisTable:
     def test_kink_gives_the_right_limit(self):
         # the cubic is only C0 at the triple knot: the knot's row is the
         # limit from above, and the slope from below differs from it
-        knots = make_refined_open_knots(16, 3, 0.4, 0.75)
+        knots = make_refined_open_knots(16, 3, 0.4)
         basis = NurbsBasis(knots, np.ones(knots.n_basis))
         xs = np.array([np.nextafter(0.4, 0.0), 0.4, np.nextafter(0.4, 1.0)])
         below, at, above = _dense_table(basis, xs, 1)
         assert np.abs(at - above).max() <= 1e-9 * np.abs(at).max()
-        assert np.abs(below[0] - at[0]).max() <= 1e-14
+        # continuous values: they move by at most the slope times the step
+        step = xs[1] - xs[0]
+        assert np.abs(below[0] - at[0]).max() \
+            <= 2.0 * np.abs(below[1]).max() * step
         assert np.abs(below[1] - at[1]).max() > 1.0
 
     def test_rejects_bad_order_and_points(self):

@@ -15,6 +15,7 @@ import pytest
 
 from igafin.checks import run_checks
 from igafin.cli import main
+from igafin.models import LelandParams
 from igafin.stepper import SchemeConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,7 +96,7 @@ def test_linear_ladder_reproduces_its_first_two_rungs(tmp_path):
 
 def test_refined_ladder_reproduces_its_error_column(tmp_path):
     # kink-aligned knots with interpolated initial data: the error against
-    # the closed form falls by 752, 9.1 and 14.9 from rung to rung
+    # the closed form falls by 775, 8.9 and 14.9 from rung to rung
     out = tmp_path / "out"
     cfg = ROOT / "configs" / "refined.ini"
     assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
@@ -104,10 +105,39 @@ def test_refined_ladder_reproduces_its_error_column(tmp_path):
         [(16, 64), (32, 256), (64, 1024), (128, 4096)]
     errors = [float(r[3]) for r in rows]
     assert errors == pytest.approx(
-        [1.344904488e-2, 1.78777384e-5, 1.956891644e-6, 1.309447448e-7],
+        [1.344904488e-2, 1.735157561e-5, 1.954591321e-6, 1.308967548e-7],
         rel=1e-6)
     # the second rung is the grid price runs on
     assert abs(float(rows[1][2]) - 10.450583572) < 1e-4
+
+
+def _refined_call_errors(tmp_path, rungs, **overrides):
+    """The error column of ``converge`` on ``configs/refined.ini`` with
+    the given rungs and [discretization] overrides, against the closed
+    form."""
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "refined.ini", **{"ladder.rungs": rungs},
+                  **overrides)
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+    return [float(r[3]) for r in _read(out / "convergence.csv")[1]]
+
+
+def test_refined_call_off_centre_prices_to_its_closed_form(tmp_path):
+    # the default domain moved up by 2.5 puts the strike at xi = 0.143;
+    # grading both sides by the shorter one's ratio gave an error of 7.39
+    a, b = LelandParams(0.05, 0.2, 100.0, 1.0).domain()
+    [error] = _refined_call_errors(tmp_path, "32:256", x_min=a + 2.5,
+                                   x_max=b + 2.5)
+    assert error < 1e-4
+
+
+@pytest.mark.parametrize("degree,bound", [(2, 2e-5), (4, 2e-6), (5, 2e-6)])
+def test_refined_call_converges_at_every_degree(tmp_path, degree, bound):
+    # the kink is a knot of multiplicity p: quadratics run (they were a
+    # config error), and degrees 4 and 5 no longer stall near 3e-5 and
+    # 5e-5 at 64 x 1024
+    [error] = _refined_call_errors(tmp_path, "64:1024", degree=degree)
+    assert error < bound
 
 
 def test_every_invariant_check_passes():
@@ -130,8 +160,10 @@ TINY = {"n_elements": 16, "n_tau": 10}
     ("converge", "convertible.ini", SMALL, ["--probe-s", "1000"]),
     ("price", "convertible.ini", {"n_elements": 64, "n_tau": 1}, []),
     ("greeks", "convertible.ini", {**SMALL, "n_tau": 2}, []),
+    # refined knots on one element, which ran on two spans after a
+    # division by zero
+    ("price", "refined.ini", {"n_elements": 1}, []),
     # settings whose ValueError used to surface as a traceback
-    ("price", "refined.ini", {"degree": 2}, []),
     ("price", "refined.ini", {"x_min": 5, "x_max": 6}, []),
     ("price", "convertible.ini", {**SMALL, "theta": 2}, []),
     ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1}, []),
@@ -980,7 +1012,7 @@ def test_every_library_name_has_a_caller():
     # when the package or the benchmark refers to it outside its own
     # definition; the re-exports of __all__ and __init__ do not count,
     # and the benchmark names its spans by dotted strings
-    oracles = {"from_dense", "bs_exact_greeks"}
+    oracles = {"from_dense", "closed_form_greeks"}
     defined, used = {}, set()
     for path in sorted((ROOT / "src" / "igafin").glob("*.py")):
         tree = ast.parse(path.read_text())

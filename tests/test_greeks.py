@@ -7,7 +7,6 @@ from igafin import greeks
 from igafin.basis import eval_spline_many
 from igafin.greeks import greeks_table, theta_pair, write_greeks_csv
 from igafin.models import AfvParams, LelandParams
-from igafin.reference import bs_exact_greeks
 from igafin.stepper import SchemeConfig, build_discretization, run
 
 LIN = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
@@ -33,7 +32,7 @@ class TestLinearGreeks:
         table = greeks_table(LIN, disc, surf)
         s, keep = _rows(table, 70.0, 140.0)
         assert len(s) >= 10
-        exact = np.array([bs_exact_greeks(si, 0.0, LIN) for si in s])
+        exact = np.array([LIN.closed_form_greeks(si, 0.0) for si in s])
         assert np.abs(table.delta[keep] - exact[:, 0]).max() < 5e-3
         assert np.abs(table.gamma[keep] - exact[:, 1]).max() < 5e-4
         assert table.time == pytest.approx(0.0)
@@ -42,7 +41,7 @@ class TestLinearGreeks:
         disc, surf = linear_run
         table = greeks_table(LIN, disc, surf)
         s, keep = _rows(table, 70.0, 140.0)
-        exact = np.array([bs_exact_greeks(si, 0.0, LIN)[2] for si in s])
+        exact = np.array([LIN.closed_form_greeks(si, 0.0)[2] for si in s])
         assert np.abs(table.theta[keep] - exact).max() < 5e-2
 
     def test_default_grid_is_the_greville_image(self, linear_run):
@@ -115,7 +114,7 @@ class TestLelandGreeks:
                                               store_every=n_tau // 50))
             table = greeks_table(le, disc, surf)
             s, keep = _rows(table, 50.0, 200.0)
-            exact = bs_exact_greeks(s, table.time, le)
+            exact = le.closed_form_greeks(s, table.time)
             errors.append([np.abs(got[keep] - want).max() for got, want in
                            zip((table.delta, table.gamma, table.theta),
                                exact)])

@@ -9,9 +9,8 @@ import pytest
 from igafin.cli import parse_config
 from igafin.linsolve import BandedLU
 from igafin.models import AfvParams, LelandParams
-from igafin.reference import (_central_differences, bs_exact_greeks,
-                              fdm_solve, fdm_solve_afv, misfit_epsilon,
-                              p1fem_solve)
+from igafin.reference import (_central_differences, fdm_solve,
+                              fdm_solve_afv, misfit_epsilon, p1fem_solve)
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
                             build_discretization, run_leland, value_curve)
 
@@ -50,7 +49,7 @@ class TestClosedForm:
             price = params.closed_form
             s = float(rng.uniform(60.0, 160.0))
             t = float(rng.uniform(0.0, 0.8))
-            delta, gamma, theta = bs_exact_greeks(s, t, params)
+            delta, gamma, theta = params.closed_form_greeks(s, t)
             fd_delta = (price(s + h, t) - price(s - h, t)) / (2 * h)
             fd_gamma = (price(s + h, t) - 2 * price(s, t)
                         + price(s - h, t)) / h ** 2
@@ -59,11 +58,36 @@ class TestClosedForm:
             assert gamma == pytest.approx(fd_gamma, abs=1e-5)
             assert theta == pytest.approx(fd_theta, abs=1e-5)
 
+    def test_greeks_are_the_textbook_formulas_bitwise(self):
+        # Black-Scholes at sigma sqrt(1 + Le), each Greek written out
+        from scipy.special import ndtr
+        s = np.geomspace(20.0, 500.0, 41)[:, None]
+        t = np.linspace(0.0, 0.95, 9)
+        for params in (LIN, LELAND):
+            sigma = params.sigma * math.sqrt(1.0 + params.leland_number)
+            for ti in t:
+                ttm = params.maturity - ti
+                vol = sigma * math.sqrt(ttm)
+                d1 = (np.log(s / params.strike)
+                      + (params.rate + 0.5 * sigma ** 2) * ttm) / vol
+                pdf = np.exp(-d1 ** 2 / 2.0) / np.sqrt(2 * np.pi)
+                disc = math.exp(-params.rate * ttm)
+                want = (ndtr(d1), pdf / (s * vol),
+                        -0.5 * s * pdf * sigma / math.sqrt(ttm)
+                        - params.rate * params.strike * disc * ndtr(d1 - vol))
+                got = params.closed_form_greeks(s, ti)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+    def test_greeks_need_time_before_maturity(self):
+        with pytest.raises(ValueError, match="time to maturity"):
+            LIN.closed_form_greeks(100.0, 1.0)
+
     def test_delta_bounds(self):
         rng = np.random.default_rng(611)
         for _ in range(50):
             s = float(rng.uniform(10.0, 400.0))
-            delta, gamma, _ = bs_exact_greeks(s, 0.3, LIN)
+            delta, gamma, _ = LIN.closed_form_greeks(s, 0.3)
             assert 0.0 <= delta <= 1.0
             assert gamma >= 0.0
 

@@ -66,6 +66,14 @@ def _matrix():
         ("converge-linear_uniform", "converge", "linear_uniform.ini",
          {"ladder.rungs": "32:6000, 64:6000"}, []),
         ("converge-refined", "converge", "refined.ini", {}, []),
+        # refined knots off the cubic, and with the strike off centre: the
+        # call's default domain moved up by 2.5
+        ("price-refined-p4", "price", "refined.ini",
+         {"discretization.degree": "4"}, []),
+        ("converge-refined-offcentre", "converge", "refined.ini",
+         {"discretization.x_min": repr(math.log(100.0) - 3.4425 + 2.5),
+          "discretization.x_max": repr(math.log(100.0) + 3.1613 + 2.5),
+          "ladder.rungs": "32:256, 64:1024"}, []),
         # the grid of the committed out/afv_smoke tables
         ("price-convertible-128x100", "price", "convertible.ini",
          {"discretization.n_elements": "128", "discretization.n_tau": "100"},
