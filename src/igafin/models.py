@@ -41,7 +41,8 @@ Greeks, output and checks never branch on the model:
   its flags.
 
 Only the call has ``closed_form(s, t)``, its exact value at calendar time
-t: Black-Scholes at the volatility sigma sqrt(1 + Le).  Its
+t: Black-Scholes at the volatility sigma sqrt(1 + Le), whose normal cdf is
+``math.erfc``, so no closed form imports anything after start-up.  Its
 ``closed_form_greeks(s, t)`` gives the delta, gamma and theta of that
 value from the same evaluation.
 """
@@ -59,6 +60,11 @@ __all__ = [
     "accrued_interest", "default_delta", "default_gamma", "constraint_state",
     "apply_B_constraints", "apply_joint_constraints",
 ]
+
+
+def _norm_cdf(d):
+    """The standard normal cdf N(d) = erfc(-d / sqrt 2) / 2, elementwise."""
+    return np.vectorize(math.erfc, otypes=[float])(-d / math.sqrt(2.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -142,15 +148,13 @@ class LelandParams:
     def _black_scholes(self, s: np.ndarray, ttm: float):
         """(sigma, vol, d1, N(d1), N(d2), discount factor) of Black-Scholes
         at sigma sqrt(1 + Le), ``ttm > 0`` before maturity."""
-        # imported here: the first import of scipy.special takes about 0.2 s
-        # (2-core host), which runs without a closed form never pay
-        from scipy.special import ndtr
         sigma = self.sigma * math.sqrt(1.0 + self.leland_number)
         vol = sigma * math.sqrt(ttm)
         d1 = (np.log(s / self.strike)
               + (self.rate + 0.5 * sigma ** 2) * ttm) / vol
         d2 = d1 - vol
-        return sigma, vol, d1, ndtr(d1), ndtr(d2), math.exp(-self.rate * ttm)
+        return (sigma, vol, d1, _norm_cdf(d1), _norm_cdf(d2),
+                math.exp(-self.rate * ttm))
 
     def closed_form(self, s, t: float):
         """Exact price at calendar time t: Black-Scholes at sigma
@@ -190,9 +194,11 @@ class AfvParams:
     t_start < t_end, since the calendar opens the call on the levels inside
     the open-left window.
 
-    ``rho = 0`` switches the exercise machinery off entirely (penalty terms,
-    cash-component clamps and the conversion-floor clip), leaving the plain
-    linear system; the superposition diagnostics rely on this.
+    ``rho = 0`` switches exercise off: every level's ``constraint_state`` is
+    then the state without bounds, whatever the calendar's flags, so the
+    penalty, the clamps and the conversion-floor clip move no value and the
+    march solves the plain linear system; the superposition diagnostics
+    rely on this.
     """
 
     rate: float
@@ -397,6 +403,9 @@ class ConstraintState:
     Inactive windows are encoded by infinite sentinels so every formula is
     window-free: ``b_call_dirty = +inf`` removes the ceiling and
     ``b_put_dirty = -inf`` leaves only the permanent conversion floor kS.
+    With exercise off (``rho = 0``) the floor ``conversion_value`` is -inf
+    as well, so ``u_star_put`` is all -inf, ``u_star_call`` all +inf, and
+    every bound is a no-op.
     """
 
     b_put_dirty: float
@@ -417,7 +426,8 @@ def constraint_state(params: AfvParams, t: float,
     ``put_active`` and ``call_active`` say whether the put and the call are
     exercisable at this level; they are the flags ``AfvParams.calendar``
     gives the level, the one place that decides when each right is open.
-    t only sets the accrued interest.
+    t only sets the accrued interest.  ``params.rho = 0`` gives the state
+    without bounds (see ``ConstraintState``), whatever the flags.
 
     ``coupon_now`` is the coupon amount the stepper injects at this level.
     The stepper clamps values before the injection, so on a coupon date the
@@ -426,6 +436,9 @@ def constraint_state(params: AfvParams, t: float,
     a putting holder surrenders the bond before collecting it (floor drops
     by the coupon).  Between coupons both prices are dirty, clean + AccI.
     """
+    if params.rho == 0.0:
+        put_active = call_active = False
+        conversion_value = np.full(np.shape(conversion_value), -math.inf)
     acc = accrued_interest(t, params) if coupon_now == 0.0 else 0.0
     b_call = params.call_window[2] + acc if call_active else math.inf
     b_put = params.put_window[2] + acc - coupon_now if put_active \

@@ -52,13 +52,18 @@ form delta, solve the penalised U system by Newton, shift the joint
 conversion/call clipping of U onto B, then inject coupons.  What does not
 change over the march is made once: each theta operator's factors and its
 band stack [R_theta, M, M], the conversion values k S_0 e^x read by the
-terminal data, the pin at S_max, the default sources and the exercise
-bounds, and one ``NewtonJacobians`` per theta, which reuses the factors of
-a Jacobian whose penalty shift it met among its last four.  A level then
-forms one constraint state and only the source half each step reads; R w
-and the two mass products of a source come from one ``band_products``
-call, and the boundary columns enter only the first and last ``degree``
-interior rows, where they are non-zero.
+terminal data, the pin at S_max, the default sources, and one
+``NewtonJacobians`` per theta, which reuses the factors of a Jacobian
+whose penalty shift it met among its last four.  A level then forms one
+constraint state on the full grid and only the source half each step
+reads; R w and the two mass products of a source come from one
+``band_products`` call, and the boundary columns enter only the first and
+last ``degree`` interior rows, where they are non-zero.  Every bound
+applies at every level: the state's S = 0 entries clamp the boundary
+values, which the S = 0 ODEs advance at the model's reaction rates, and
+Newton reads its interior.  A closed window is an infinite sentinel and
+rho = 0 is the state without bounds, so the step has no branch on either:
+a bound that is off is a no-op.
 
 Both marches run with numpy's floating-point warnings off: a value that
 overflows or turns NaN is reported once, by the finite check of each level
@@ -359,13 +364,12 @@ def step_afv_boundary(values_m, params: AfvParams, dtau: float,
     """Theta step of the S = 0 boundary ODEs for (U, B, C).
 
     dB/dtau = -(r + p - Rp) B;  dU/dtau = -(r+p) U + p R B;
-    dC/dtau = -(r+p) C.  B feeds U through the recovery flow only.
+    dC/dtau = -(r+p) C, at the rates Y3 of ``params.coefficients``.  B
+    feeds U through the recovery flow only.
     """
     u0, b0, c0 = (float(v) for v in values_m)
-    r = params.rate
-    p = params.hazard_rate
-    rb = r + p - params.recovery * p
-    rc = r + p
+    rb = params.coefficients("B")[2]
+    rc = params.coefficients("U")[2]
     b1 = (1.0 - (1.0 - theta) * dtau * rb) * b0 / (1.0 + theta * dtau * rb)
     src = params.hazard_rate * params.recovery * (theta * b1 + (1.0 - theta) * b0)
     u1 = ((1.0 - (1.0 - theta) * dtau * rc) * u0 + dtau * src) \
@@ -539,45 +543,41 @@ def run_afv(params: AfvParams, disc: Discretization,
         return hazard * default_gamma(conversion, b_full, params)
 
     pin = conversion[-1]
-    constrained = params.rho > 0.0
 
     def step(level: int, theta: float,
              w: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         coupon, put_active, call_active = events.get(level,
                                                      (0.0, False, False))
-        inner = constraint_state(params, params.t_of(level * dtau),
-                                 conversion[1:-1], put_active=put_active,
+        state = constraint_state(params, params.t_of(level * dtau),
+                                 conversion, put_active=put_active,
                                  call_active=call_active, coupon_now=coupon)
 
         # boundary values at the new level: scalar ODEs at S = 0, pin at S_max
         u0, b0, c0 = step_afv_boundary(
             (w["U"][0], w["B"][0], w["C"][0]), params, dtau, theta)
-        if constrained:
-            b0 = max(min(b0, inner.b_call_dirty), inner.b_put_dirty - c0)
-            u0 = float(np.clip(u0, max(inner.b_put_dirty, conversion[0]),
-                               max(inner.b_call_dirty, conversion[0])))
+        b0 = max(min(b0, state.b_call_dirty), state.b_put_dirty - c0)
+        u0 = float(np.clip(u0, state.u_star_put[0], state.u_star_call[0]))
 
         # 1) cash component, unconstrained
         b_new = ops["B"].step(w["B"], (b0, 0.0), theta)
         # 2) equity component with its default source
         c_new = ops["C"].step(w["C"], (c0, pin), theta,
                               nu_m=nu_gamma(w["B"]), nu_new=nu_gamma(b_new))
-        # 3) clamp B against the call ceiling / put floor
-        if constrained:
-            b_new[1:-1] = apply_B_constraints(b_new[1:-1], c_new[1:-1], inner)
+        # 3) clamp B against the call ceiling / put floor; its S = 0 end is
+        # clamped above, and B = 0 at S_max stays pinned
+        b_new[1:-1] = apply_B_constraints(b_new[1:-1], c_new[1:-1], state)
         # 4) holder value: penalised Newton solve
         phi = ops["U"].build_rhs(w["U"], (u0, pin), theta,
                                  nu_m=nu_delta(w["B"]), nu_new=nu_delta(b_new))
         u_int, iters, converged, residual = newton_solve_U(
-            jacobians[theta], phi, inner.u_star_put, inner.u_star_call,
+            jacobians[theta], phi, state.u_star_put[1:-1],
+            state.u_star_call[1:-1],
             params.rho, dtau, params.newton_tol, params.newton_max_iter)
         if not converged:
             raise NewtonDivergenceError(iters, residual, level)
         u_new = _with_ends(u_int, (u0, pin))
-        # 5) shift the joint clipping of U onto B
-        if constrained:
-            b_new[1:-1] = apply_joint_constraints(b_new[1:-1], u_new[1:-1],
-                                                  inner)
+        # 5) shift the joint clipping of U onto B, which leaves both ends
+        b_new = apply_joint_constraints(b_new, u_new, state)
         # 6) coupons: bond holders collect while the bond is alive
         if coupon:
             u_new[:-1] += coupon

@@ -3,6 +3,7 @@
 import ast
 import configparser
 import csv
+import importlib.util
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from igafin.checks import run_checks
-from igafin.cli import main
+from igafin.cli import _KNOWN_KEYS, main
 from igafin.models import LelandParams
 from igafin.stepper import SchemeConfig
 
@@ -847,25 +848,32 @@ def test_blown_up_march_is_a_solver_failure_with_no_output(
 
 def test_import_leaves_out_scipy_stats():
     # scipy.stats was most of the import time, for one normal cdf, and
-    # scipy.special loads on first use.  scipy.sparse is not needed either:
-    # banded products are numpy.  The LAPACK wrappers are loaded without
-    # the scipy.linalg package, whose import pulls in numpy.f2py and
-    # concurrent.futures, and from a directory found without importing
-    # the scipy package, whose __init__ loads subprocess and sysconfig.
-    # Building a discretisation does not load numpy.ma, which np.unique
-    # imports on its first call
+    # scipy.special is not needed either: the closed form's normal cdf is
+    # math.erfc.  scipy.sparse is not needed: banded products are numpy.
+    # The LAPACK wrappers are loaded without the scipy.linalg package,
+    # whose import pulls in numpy.f2py and concurrent.futures, and from a
+    # directory found without importing the scipy package, whose __init__
+    # loads subprocess and sysconfig.  Building a discretisation does not
+    # load numpy.ma, which np.unique imports on its first call.  After
+    # validate, which evaluates every closed form, the wrappers are still
+    # the one scipy module loaded
     names = ("scipy.stats", "scipy.special", "scipy.sparse", "scipy.linalg",
              "numpy.f2py", "concurrent.futures", "numpy.ma", "scipy",
              "subprocess", "sysconfig")
-    code = ("import sys, igafin.cli; "
-            "from igafin.stepper import build_discretization; "
-            "build_discretization(-6, 2, 8); print([m for m in "
-            f"{names!r} if m in sys.modules])")
+    code = "\n".join([
+        "import contextlib, io, sys, igafin.cli",
+        "from igafin.stepper import build_discretization",
+        "build_discretization(-6, 2, 8)",
+        f"print([m for m in {names!r} if m in sys.modules])",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = igafin.cli.main(['validate'])",
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " and m != 'scipy.linalg._flapack'))"])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "0 []"]
 
 
 def test_no_module_imports_a_thread_pool():
@@ -1031,3 +1039,21 @@ def test_every_library_name_has_a_caller():
                     and not (name.startswith("__") and name.endswith("__"))
                     for where in places)
     assert not unused
+
+
+def test_compare_runs_matrix_reads_real_configs_and_keys():
+    # a renamed key would turn an override run into rc 2 on both sides,
+    # which the tool reports as the same
+    spec = importlib.util.spec_from_file_location(
+        "compare_runs", ROOT / "tools" / "compare_runs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [run[0] for run in tool.RUNS]
+    assert len(set(names)) == len(names)
+    for name, verb, cfg, overrides, _ in tool.RUNS:
+        # validate is the one verb that reads no config
+        assert (cfg is None) == (verb == "validate"), name
+        assert cfg is None or (ROOT / "configs" / cfg).is_file(), name
+        for dotted in overrides:
+            section, key = dotted.split(".")
+            assert key in _KNOWN_KEYS.get(section, ()), (name, dotted)

@@ -1,14 +1,21 @@
 """Model parameter sets, coefficient tables, transforms and constraints."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from igafin.cli import parse_config
 from igafin.models import (AfvParams, LelandParams, accrued_interest,
                            afv_terminal, apply_B_constraints,
                            apply_joint_constraints, constraint_state,
                            default_delta, default_gamma)
+from igafin.reference import fdm_discretization
+from igafin.stepper import SchemeConfig, build_discretization, run
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _table3_params(**overrides):
@@ -60,8 +67,22 @@ class TestAfvParams:
         assert q.terminal_coupon == 0.0
 
     def test_rho_zero_disables_exercise(self):
-        p = _table3_params(rho=0.0)
-        assert p.rho == 0.0
+        # with rho = 0, convertible.ini's call and put windows change
+        # nothing: every level of the march is bitwise that of the bond
+        # without them, on the cubic space and on the FDM twin
+        cfg = parse_config(str(CONFIGS / "convertible.ini"))
+        rights = replace(cfg.params, rho=0.0)
+        assert rights.call_window and rights.put_window
+        bare = replace(rights, call_window=None, put_window=None)
+        scheme = SchemeConfig(50, cfg.theta, cfg.rannacher_steps)
+        for disc in (build_discretization(cfg.x_min, cfg.x_max, 64),
+                     fdm_discretization(cfg.x_min, cfg.x_max, 64)):
+            with_rights = run(rights, disc, scheme)
+            without = run(bare, disc, scheme)
+            assert with_rights.levels == without.levels
+            for a, b in zip(with_rights.slices, without.slices):
+                for name in ("U", "B", "C"):
+                    assert np.array_equal(a.coeffs[name], b.coeffs[name])
 
     @pytest.mark.parametrize("bad", [
         dict(sigma=-0.2), dict(eta=1.5), dict(recovery=-0.1),
@@ -341,6 +362,17 @@ class TestConstraintState:
         assert st.b_call_dirty == math.inf
         assert st.b_put_dirty == -math.inf
         assert st.u_star_put == pytest.approx([100.0])  # conversion floor
+
+    def test_rho_zero_is_the_state_without_bounds(self):
+        # exercise off: with both rights flagged open there is still no
+        # put floor, no call ceiling and no conversion floor
+        p = _table3_params(rho=0.0)
+        ks = p.conversion_value(np.array([-1.0, 0.0, 0.5]))
+        st = constraint_state(p, 3.0, ks, put_active=True, call_active=True)
+        assert (st.b_put_dirty, st.b_call_dirty) == (-math.inf, math.inf)
+        assert np.all(st.conversion_value == -math.inf)
+        assert np.all(st.u_star_put == -math.inf)
+        assert np.all(st.u_star_call == math.inf)
 
 
 class TestApplyConstraints:

@@ -8,7 +8,7 @@ import pytest
 
 from igafin.cli import parse_config
 from igafin.linsolve import BandedLU
-from igafin.models import AfvParams, LelandParams
+from igafin.models import AfvParams, LelandParams, _norm_cdf
 from igafin.reference import (_central_differences, fdm_solve,
                               fdm_solve_afv, misfit_epsilon, p1fem_solve)
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
@@ -59,8 +59,11 @@ class TestClosedForm:
             assert theta == pytest.approx(fd_theta, abs=1e-5)
 
     def test_greeks_are_the_textbook_formulas_bitwise(self):
-        # Black-Scholes at sigma sqrt(1 + Le), each Greek written out
-        from scipy.special import ndtr
+        # Black-Scholes at sigma sqrt(1 + Le), each Greek written out, with
+        # the textbook normal cdf N(d) = erfc(-d / sqrt 2) / 2
+        def ndtr(d):
+            return np.vectorize(math.erfc)(-d / math.sqrt(2.0)) / 2.0
+
         s = np.geomspace(20.0, 500.0, 41)[:, None]
         t = np.linspace(0.0, 0.95, 9)
         for params in (LIN, LELAND):
@@ -78,6 +81,13 @@ class TestClosedForm:
                 got = params.closed_form_greeks(s, ti)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
+
+    def test_normal_cdf_is_scipys_ndtr(self):
+        # the closed form's N, from math.erfc, against scipy's; the lower
+        # end is where N(d1) of a deep out-of-the-money call underflows
+        from scipy.special import ndtr
+        d = np.linspace(-37.5, 37.5, 30001)
+        assert np.abs(_norm_cdf(d) / ndtr(d) - 1.0).max() <= 1e-12
 
     def test_greeks_need_time_before_maturity(self):
         with pytest.raises(ValueError, match="time to maturity"):

@@ -15,7 +15,7 @@ from igafin.quadrature import gauss_legendre_rule
 from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
                             SchemeConfig, build_discretization,
                             newton_solve_U, run, run_afv, run_leland,
-                            step_linear, value_curve)
+                            step_afv_boundary, step_linear, value_curve)
 
 LIN = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
 
@@ -306,6 +306,29 @@ class TestEvaluation:
             value_curve(params, disc, surf.final, s),
             eval_spline_many(disc.basis, surf.final.coeffs["U"],
                              disc.pmap.to_parameter(x)))
+
+
+class TestBoundaryStep:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_theta_step_of_the_s_zero_odes(self, theta):
+        # dB/dtau = -(r + p - Rp) B, dU/dtau = -(r + p) U + p R B and
+        # dC/dtau = -(r + p) C: each change over dtau is dtau times its
+        # right-hand side at theta new + (1 - theta) old
+        r, p, recovery, dtau = 0.05, 0.02, 0.4, 0.25
+        params = _afv(rate=r, hazard_rate=p, recovery=recovery)
+        u0, b0, c0 = 104.0, 97.0, 7.0
+        u1, b1, c1 = step_afv_boundary((u0, b0, c0), params, dtau, theta)
+
+        def mean(new, old):
+            return theta * new + (1.0 - theta) * old
+
+        assert b1 - b0 == pytest.approx(
+            -dtau * (r + p - recovery * p) * mean(b1, b0), abs=1e-12)
+        assert u1 - u0 == pytest.approx(
+            dtau * (-(r + p) * mean(u1, u0) + p * recovery * mean(b1, b0)),
+            abs=1e-12)
+        assert c1 - c0 == pytest.approx(-dtau * (r + p) * mean(c1, c0),
+                                        abs=1e-12)
 
 
 class TestAfvMarch:
