@@ -28,35 +28,38 @@ none, and converge takes p1 if the config names a reference, else
 closed-form if the model has one, else none.
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
-failure.  Unknown configuration keys and values that do not parse, among
-them a float that is not a finite number, are hard errors carrying the
-offending line number, a config file that is not UTF-8 text is one naming
-its path, and nothing is written unless the whole configuration parses.
-The [model] keys are the fields of the model's parameter class, with its
-defaults; a field without a default is a required key.  In
-[discretization], weights_file names the NURBS weights, one per basis
-function; without it every weight is 1.  Every march takes at least one
-step, so n_tau < 1, in [discretization], a ladder rung or the reference, is
-an error of the same kind, and so is a [ladder] reference that is not
-exactly one n_elements:n_tau pair.  Settings that parse but cannot run are
-configuration errors too, raised before solving: x_min >= x_max; an
-interval whose ends, at t = 0 or at maturity, map to stock prices that are
-not positive or whose squares are not finite, positive doubles; refined
-knots with n_elements < 2 (they need a span on each side of the kink) or
-the payoff kink, where they cluster, outside (x_min, x_max); theta outside
-[0, 1]; negative rannacher_steps or store_every; a weights file that does
-not exist or does not hold one finite, positive number per basis function;
-a ladder rung or reference with n_elements < 1; a grid with fewer than
+failure.  Unknown sections and keys and values that do not parse are hard
+errors carrying the offending line number.  Such values are among others a
+float that is not a finite number; a degree, n_elements or n_tau below 1,
+in [discretization], a ladder rung or the reference (every march takes at
+least one step); a knot_mode other than uniform or refined; and a [ladder]
+reference that is not exactly one n_elements:n_tau pair.  Section names are
+matched as written, so [Output] and [DEFAULT] are unknown sections.  A
+config file that is not UTF-8 text is an error naming its path, and nothing
+is written unless the whole configuration parses.  The [model] keys are the
+fields of the model's parameter class, with its defaults; a field without a
+default is a required key.  In [discretization], weights_file names the
+NURBS weights, one per basis function; without it every weight is 1.
+Settings that parse but cannot run are configuration errors too, raised
+before solving: x_min >= x_max; an interval whose ends, at t = 0 or at
+maturity, map to stock prices that are not positive or whose squares are
+not finite, positive doubles; refined knots with n_elements < 2 (they need
+a span on each side of the kink) or the payoff kink, where they cluster,
+outside (x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
+store_every; a weights file that does not exist, cannot be read or does not
+hold one finite, positive number per basis function; a grid with fewer than
 three basis functions (none interior); n_elements < 2 on the grid of the p1
-or fdm oracle; the closed-form oracle on a model that has none; an output
-directory that is empty or that a file blocks (its nearest existing
-ancestor is not a directory), or in which a table the verb writes is a
-directory (with the message of a failed write); a call window that opens
-and closes on one date; degree < 2 for price and greeks (gamma needs it); a
-time grid whose final level is a coupon or put date, and so is the level
-before it or there is no level before that (theta has no pair of levels to
-difference); and a probe price outside the domain.  A march that produces a
-value that is not finite is a solver failure, reported on one line.
+or fdm oracle; a converge by p1 or fdm whose prices at t = 0 all lie above
+three times the payoff kink, so that its misfit has nothing to sample; the
+closed-form oracle on a model that has none; an output directory that is
+empty or that a file blocks (its nearest existing ancestor is not a
+directory), or in which a table the verb writes is a directory (with the
+message of a failed write); a call window that opens and closes on one
+date; degree < 2 for price and greeks (gamma needs it); a time grid whose
+final level is a coupon or put date, and so is the level before it or there
+is no level before that (theta has no pair of levels to difference); and a
+probe price outside the domain.  A march that produces a value that is not
+finite is a solver failure, reported on one line.
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
@@ -110,51 +113,20 @@ class ConfigError(ValueError):
 
 _MODELS = {"linear-bs": LelandParams, "leland": LelandParams,
            "afv": AfvParams}
-_KNOWN_KEYS = {
-    "experiment": {"model", "probe_s"},
-    "discretization": {"degree", "n_elements", "knot_mode", "weights_file",
-                       "n_tau", "theta", "rannacher_steps", "x_min", "x_max",
-                       "store_every"},
-    "model": {f.name for cls in _MODELS.values() for f in fields(cls)},
-    "ladder": {"rungs", "reference"},
-    "output": {"dir"},
-}
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated run description; everything the verbs need."""
-
-    path: str
-    model: str
-    params: object
-    degree: int
-    n_elements: int
-    knot_mode: str
-    weights_file: str | None
-    n_tau: int
-    theta: float
-    rannacher_steps: int
-    x_min: float
-    x_max: float
-    store_every: int | None
-    probe_s: float
-    out_dir: str
-    rungs: list[tuple[int, int]] = field(default_factory=list)
-    reference: tuple[int, int] | None = None
-
-
-def _line_map(path: str, text: str) -> dict[tuple[str, str], int]:
-    """(section, key) -> 1-based line number, by a pre-scan of the raw file."""
+def _line_map(text: str) -> dict[tuple[str, str], int]:
+    """(section, key) -> 1-based line number, by a pre-scan of the raw file;
+    a section is named as configparser names it, a key in lower case."""
     out: dict[tuple[str, str], int] = {}
     section = ""
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue
-        m = re.match(r"\[(.+)\]\s*$", line)
+        m = configparser.ConfigParser.SECTCRE.match(line)
         if m:
-            section = m.group(1).strip().lower()
+            section = m.group("header")
             out[(section, "")] = no
             continue
         if raw[:1] in " \t":
@@ -165,9 +137,11 @@ def _line_map(path: str, text: str) -> dict[tuple[str, str], int]:
     return out
 
 
-def _get(cp, lines, path, section, key, conv, default=None, required=False):
+def _get(cp, lines, path, section, key, conv, default=MISSING):
+    """``key`` of ``section`` through ``conv``; ``default`` if it is absent,
+    which a key without a default must not be."""
     if not cp.has_option(section, key):
-        if required:
+        if default is MISSING:
             raise ConfigError(f"missing key '{key}' in [{section}]", path,
                               lines.get((section, "")))
         return default
@@ -185,6 +159,24 @@ def _finite(raw: str) -> float:
     if not math.isfinite(value):
         raise ValueError("not a finite number")
     return value
+
+
+def _count(raw: str) -> int:
+    """The value of a count key or entry, which must be at least 1."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _choice(*names: str):
+    """The converter of a key whose value is one of ``names``, any case."""
+    def conv(raw: str) -> str:
+        name = raw.strip().lower()
+        if name not in names:
+            raise ValueError(f"must be one of {names}")
+        return name
+    return conv
 
 
 def _parse_pairs(raw: str) -> tuple[tuple[float, float], ...]:
@@ -213,9 +205,7 @@ _CONVERTERS = {"coupons": _parse_pairs, "call_window": _parse_window,
 def _parse_rungs(raw: str) -> list[tuple[int, int]]:
     out = []
     for item in (s for s in re.split(r"[,\n]+", raw) if s.strip()):
-        n_e, n_t = (int(v) for v in item.split(":"))
-        if n_e < 1 or n_t < 1:
-            raise ValueError(f"need n_elements >= 1, n_tau >= 1 in {item!r}")
+        n_e, n_t = (_count(v) for v in item.split(":"))
         out.append((n_e, n_t))
     return out
 
@@ -228,6 +218,58 @@ def _parse_reference(raw: str) -> tuple[int, int]:
     return pairs[0]
 
 
+def _key(section: str, conv, default=MISSING, key: str | None = None):
+    """A field that is the key ``key`` (the field's name unless given) of
+    ``section``, read through ``conv``: required without a default, and a
+    callable default is a function of the model parameters."""
+    return field(metadata={"section": section, "conv": conv,
+                           "default": default, "key": key})
+
+
+@dataclass
+class ExperimentConfig:
+    """Validated run description; everything the verbs need.  Each field
+    but ``path`` and ``params`` is one config key."""
+
+    path: str
+    model: str = _key("experiment", _choice(*_MODELS))
+    params: object
+    degree: int = _key("discretization", _count, 3)
+    n_elements: int = _key("discretization", _count)
+    knot_mode: str = _key("discretization", _choice("uniform", "refined"),
+                          "uniform")
+    weights_file: str | None = _key("discretization", str, None)
+    n_tau: int = _key("discretization", _count)
+    theta: float = _key("discretization", _finite, SchemeConfig.theta)
+    rannacher_steps: int = _key("discretization", int,
+                                SchemeConfig.rannacher_steps)
+    x_min: float = _key("discretization", _finite, lambda p: p.domain()[0])
+    x_max: float = _key("discretization", _finite, lambda p: p.domain()[1])
+    store_every: int | None = _key("discretization", int, None)
+    probe_s: float = _key("experiment", _finite, 100.0)
+    out_dir: str = _key("output", str, "out", key="dir")
+    rungs: list[tuple[int, int]] = _key("ladder", _parse_rungs, lambda p: [])
+    reference: tuple[int, int] | None = _key("ladder", _parse_reference, None)
+
+
+def _source(f) -> tuple[str, str]:
+    """(section, key) of an ExperimentConfig field."""
+    return f.metadata["section"], f.metadata["key"] or f.name
+
+
+def _known_keys() -> dict[str, set[str]]:
+    """Section -> its keys: [model]'s are the parameter classes' fields."""
+    known = {"model": {f.name for cls in _MODELS.values()
+                       for f in fields(cls)}}
+    for section, key in (_source(f) for f in fields(ExperimentConfig)
+                         if f.metadata):
+        known.setdefault(section, set()).add(key)
+    return known
+
+
+_KNOWN_KEYS = _known_keys()
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Read and fully validate an INI experiment description."""
     try:
@@ -235,8 +277,9 @@ def parse_config(path: str) -> ExperimentConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc), path) from None
-    lines = _line_map(path, text)
-    cp = configparser.ConfigParser(interpolation=None)
+    lines = _line_map(text)
+    # without a default section, [DEFAULT] is one more unknown section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text, source=path)
     except configparser.Error as exc:
@@ -244,20 +287,21 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"parse error: {exc.message}", path, line) from None
 
     for section in cp.sections():
-        sec = section.lower()
-        if sec not in _KNOWN_KEYS:
+        if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{section}]", path,
-                              lines.get((sec, "")))
+                              lines.get((section, "")))
         for key in cp.options(section):
-            if key not in _KNOWN_KEYS[sec]:
+            if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]",
-                                  path, lines.get((sec, key)))
+                                  path, lines.get((section, key)))
 
-    model = _get(cp, lines, path, "experiment", "model", str, required=True)
-    model = model.strip().lower()
-    if model not in _MODELS:
-        raise ConfigError(f"model must be one of {tuple(_MODELS)}, got "
-                          f"'{model}'", path, lines.get(("experiment", "model")))
+    def read(f, params=None):
+        default = f.metadata["default"]
+        return _get(cp, lines, path, *_source(f), f.metadata["conv"],
+                    default(params) if callable(default) else default)
+
+    _, model_field, _, *keyed = fields(ExperimentConfig)  # path, params
+    model = read(model_field)
     cls = _MODELS[model]
     allowed = {f.name for f in fields(cls)}
     if cp.has_section("model"):
@@ -267,12 +311,9 @@ def parse_config(path: str) -> ExperimentConfig:
                     f"key '{key}' does not apply to model '{model}'", path,
                     lines.get(("model", key)))
 
-    def g(section, key, conv, default=None, required=False):
-        return _get(cp, lines, path, section, key, conv, default, required)
-
     # a parameter field with no default is a required key
-    values = {f.name: g("model", f.name, _CONVERTERS.get(f.name, _finite),
-                        f.default, required=f.default is MISSING)
+    values = {f.name: _get(cp, lines, path, "model", f.name,
+                           _CONVERTERS.get(f.name, _finite), f.default)
               for f in fields(cls)}
     if model == "linear-bs" and values["leland_number"] != 0.0:
         raise ConfigError("linear-bs requires leland_number = 0",
@@ -283,37 +324,11 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid [model] parameters: {exc}", path,
                           lines.get(("model", ""))) from None
 
-    knot_mode = g("discretization", "knot_mode", str, "uniform").strip().lower()
-    if knot_mode not in ("uniform", "refined"):
-        raise ConfigError("knot_mode must be 'uniform' or 'refined'", path,
-                          lines.get(("discretization", "knot_mode")))
-    weights_file = g("discretization", "weights_file", str, None)
-    if weights_file is not None and not os.path.isfile(weights_file):
-        raise ConfigError(f"weights file not found: {weights_file}", path,
+    cfg = ExperimentConfig(path, model, params,
+                           **{f.name: read(f, params) for f in keyed})
+    if cfg.weights_file is not None and not os.path.isfile(cfg.weights_file):
+        raise ConfigError(f"weights file not found: {cfg.weights_file}", path,
                           lines.get(("discretization", "weights_file")))
-
-    a_def, b_def = params.domain()
-    cfg = ExperimentConfig(
-        path=path,
-        model=model,
-        params=params,
-        degree=g("discretization", "degree", int, 3),
-        n_elements=g("discretization", "n_elements", int, required=True),
-        knot_mode=knot_mode,
-        weights_file=weights_file,
-        n_tau=g("discretization", "n_tau", int, required=True),
-        theta=g("discretization", "theta", _finite, 0.5),
-        rannacher_steps=g("discretization", "rannacher_steps", int, 2),
-        x_min=g("discretization", "x_min", _finite, a_def),
-        x_max=g("discretization", "x_max", _finite, b_def),
-        store_every=g("discretization", "store_every", int, None),
-        probe_s=g("experiment", "probe_s", _finite, 100.0),
-        out_dir=g("output", "dir", str, "out"),
-        rungs=g("ladder", "rungs", _parse_rungs, []),
-        reference=g("ladder", "reference", _parse_reference, None))
-    if min(cfg.n_elements, cfg.n_tau, cfg.degree) < 1:
-        raise ConfigError("n_elements, n_tau and degree must be >= 1",
-                          path, lines.get(("discretization", "")))
     return cfg
 
 
@@ -355,6 +370,9 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
                    if cfg.weights_file is not None else None for k in knots]
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from None
+    except OSError as exc:  # the weights file is the one file read here
+        raise ConfigError(f"cannot read the weights file {cfg.weights_file}: "
+                          f"{exc.strerror or exc}", cfg.path) from None
     for (n_e, _), k in zip(grids, knots):
         if k.n_basis < 3:
             raise ConfigError(f"n_elements = {n_e} at degree = {cfg.degree} "
@@ -549,6 +567,13 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     return 0
 
 
+def _misfit_prices(params, x, tau):
+    """The stock prices at ``tau`` of the log prices ``x`` at which a p1 or
+    fdm misfit samples: those at or below three times the payoff kink."""
+    s = params.s_of(np.asarray(x), tau)
+    return s[s <= 3.0 * params.s_of(params.kink, 0.0)]
+
+
 def _rung_error(cfg, oracle, curve, disc, final, value) -> float | None:
     """Rung error against the oracle ``curve``; None without one."""
     params = cfg.params
@@ -556,10 +581,9 @@ def _rung_error(cfg, oracle, curve, disc, final, value) -> float | None:
         return None
     if oracle == "closed-form":
         return abs(value - float(curve([cfg.probe_s])[0]))
-    # value misfit 2-norm against the reference run, sampled at this
-    # rung's Greville stock prices at or below three times the payoff kink
-    grid = params.s_of(disc.greville_x, final.tau)
-    grid = grid[grid <= 3.0 * params.s_of(params.kink, 0.0)]
+    # value misfit 2-norm against the reference run at this rung's
+    # Greville stock prices
+    grid = _misfit_prices(params, disc.greville_x, final.tau)
     return misfit_epsilon(curve(grid), value_curve(params, disc, final, grid))
 
 
@@ -574,6 +598,11 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     _check_probe(cfg)
     n_e, n_t = cfg.reference or max(cfg.rungs)
     _check_oracle(cfg, oracle, n_e)
+    if oracle in ("p1", "fdm") and not _misfit_prices(
+            cfg.params, [cfg.x_min], cfg.params.horizon).size:
+        raise ConfigError(f"the {oracle} misfit has nothing to sample: every "
+                          "price at t = 0 lies above three times the payoff "
+                          "kink", cfg.path)
     curve = _oracle_curve(cfg, oracle, n_e, n_t)
 
     rows, prev_err = [], None

@@ -23,11 +23,9 @@ class QuadratureRule:
 
 
 def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    """P_n(x) and P_n'(x), n >= 1, by the three-term recurrence."""
     p_prev = np.ones_like(x)
     p = x.copy()
-    if n == 0:
-        return p_prev, np.zeros_like(x)
     for k in range(2, n + 1):
         p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
     dp = n * (x * p - p_prev) / (x * x - 1.0)

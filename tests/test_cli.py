@@ -3,6 +3,7 @@
 import ast
 import configparser
 import csv
+import errno
 import importlib.util
 import math
 import os
@@ -320,6 +321,111 @@ def test_retired_key_is_an_unknown_key_at_its_line(tmp_path, capsys, key,
     assert not out.exists()
 
 
+LINEAR = (ROOT / "configs" / "linear_uniform.ini").read_text()
+MODELS = "('linear-bs', 'leland', 'afv')"
+
+
+# (verb, text replaced in linear_uniform.ini, its replacement, the line the
+# error names or None, the message)
+@pytest.mark.parametrize("verb,old,new,at,message", [
+    ("price", "n_tau = 256\n", "n_tau = 256\nn_tau = 64\n", "n_tau = 64",
+     "parse error: While reading from"),
+    ("price", "[output]", "[solver]", "[solver]",
+     "unknown section [solver]"),
+    ("price", "n_tau = 256\n", "", "[discretization]",
+     "missing key 'n_tau' in [discretization]"),
+    ("price", "model = linear-bs", "model = heston", "model = heston",
+     f"bad value for 'model': 'heston' (must be one of {MODELS})"),
+    ("price", "maturity = 1\n", "maturity = 1\nhazard_rate = 0.02\n",
+     "hazard_rate = 0.02",
+     "key 'hazard_rate' does not apply to model 'linear-bs'"),
+    ("price", "maturity = 1\n", "maturity = 1\nleland_number = 0.5\n",
+     "leland_number = 0.5", "linear-bs requires leland_number = 0"),
+    ("price", "knot_mode = uniform", "knot_mode = graded",
+     "knot_mode = graded", "bad value for 'knot_mode': 'graded' (must be "
+     "one of ('uniform', 'refined'))"),
+    ("converge", "rungs = 32:60000, 64:60000, 128:60000, 256:60000\n", "",
+     None, "converge needs a [ladder] section with rungs"),
+    # the counts name their own line, not their section's
+    ("price", "n_elements = 256", "n_elements = 0", "n_elements = 0",
+     "bad value for 'n_elements': '0' (must be >= 1)"),
+    ("price", "degree = 3", "degree = -1", "degree = -1",
+     "bad value for 'degree': '-1' (must be >= 1)"),
+    # sections are matched as written: each of these was read as the
+    # lower-case section by one rule and missed by the other, so the run
+    # used the default output directory, found no rungs or named a
+    # missing key
+    ("price", "[output]", "[Output]", "[Output]",
+     "unknown section [Output]"),
+    ("converge", "[ladder]", "[Ladder]", "[Ladder]",
+     "unknown section [Ladder]"),
+    ("price", "[model]", "[Model]", "[Model]", "unknown section [Model]"),
+    # [DEFAULT] is no section of its own: configparser copied its keys
+    # into every section, an unknown key with no line
+    ("price", "[experiment]", "[DEFAULT]\nn_tau = 64\n\n[experiment]",
+     "[DEFAULT]", "unknown section [DEFAULT]"),
+])
+def test_bad_config_text_is_a_config_error_at_its_line(
+        tmp_path, capsys, verb, old, new, at, message):
+    # written as raw text: configparser would rewrite the sections
+    text = LINEAR.replace(old, new)
+    assert text != LINEAR
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    where = f"{cfg}:{text.splitlines().index(at) + 1}" if at else str(cfg)
+    assert err.startswith(f"config error: {where}: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_put_window_none_is_the_bond_without_a_put(tmp_path):
+    from igafin.cli import parse_config
+    cfg = _config(tmp_path, "convertible.ini", **{"model.put_window": "none"})
+    params = parse_config(str(cfg)).params
+    assert params.put_window is None
+    assert params.call_window == (2.0, 5.0, 110.0)
+
+
+def test_greeks_writes_the_greeks_table_of_price(tmp_path, capsys):
+    cfg = _config(tmp_path, "convertible.ini", **SMALL)
+    assert main(["price", "--config", str(cfg), "--out",
+                 str(tmp_path / "price")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "greeks"
+    assert main(["greeks", "--config", str(cfg), "--out", str(out)]) == 0
+    table = (out / "greeks.csv").read_bytes()
+    assert table == (tmp_path / "price" / "greeks.csv").read_bytes()
+    assert os.listdir(out) == ["greeks.csv"]
+    n_rows = table.count(b"\n") - 1
+    assert n_rows > 0
+    assert capsys.readouterr().out == \
+        f"wrote {out / 'greeks.csv'} ({n_rows} rows)\n"
+
+
+def test_an_unreadable_weights_file_is_a_config_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # a read that fails, as on /proc/self/mem, ended in a traceback
+    import igafin.cli as cli
+
+    def unreadable(path, n_basis):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(cli, "load_weights", unreadable)
+    weights = tmp_path / "weights.txt"
+    weights.write_text("1.0\n" * 35)
+    cfg = _config(tmp_path, "linear_uniform.ini", **SMALL,
+                  weights_file=str(weights))
+    out = tmp_path / "out"
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: cannot read the weights file {weights}: "
+        "Input/output error\n")
+    assert not out.exists()
+
+
 def test_unit_weights_file_gives_the_unit_weight_run(tmp_path, capsys):
     # 32 cubic elements have 35 basis functions; a file that is not all
     # ones shows that the file is read
@@ -592,6 +698,33 @@ def test_leland_ladder_converges_to_its_closed_form(tmp_path):
     assert [float(r[3]) for r in rows] == pytest.approx(
         [9.860704404e-2, 2.516639804e-2, 6.329264155e-3], rel=1e-6)
     assert min(float(r[4]) for r in rows[1:]) > 3.9
+
+
+@pytest.mark.parametrize("args", [[], ["--oracle", "fdm"]])
+def test_a_misfit_with_nothing_to_sample_is_a_config_error(
+        tmp_path, capsys, monkeypatch, args):
+    # every price lies above three times the strike, where the p1 and fdm
+    # misfits sample, so the error column read 0, 0
+    import igafin.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a check solved")
+
+    for name in ("run", "p1fem_solve", "fdm_solve"):
+        monkeypatch.setattr(cli, name, no_solve)
+    cfg = _config(tmp_path, "linear_uniform.ini", x_min=math.log(400.0),
+                  x_max=math.log(800.0), **{
+                      "experiment.probe_s": 500,
+                      "ladder.rungs": "32:100, 64:400",
+                      "ladder.reference": "256:1600"})
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--out", str(out),
+                 *args]) == 2
+    oracle = args[-1] if args else "p1"
+    assert capsys.readouterr() == ("", (
+        f"config error: {cfg}: the {oracle} misfit has nothing to sample: "
+        "every price at t = 0 lies above three times the payoff kink\n"))
+    assert not out.exists()
 
 
 CONVERTIBLE_LADDER = {**SMALL, "ladder.rungs": "32:20, 64:40",
@@ -874,6 +1007,25 @@ def test_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines() == ["[]", "0 []"]
+
+
+def test_the_package_root_imports_no_module():
+    # every name is imported from its module, so ``import igafin`` loads
+    # none, and each module imports alone, without the order the root
+    # once imported them in
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, igafin; print(sorted(m for m in sys.modules "
+            "if m.startswith('igafin.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+    modules = sorted(path.stem for path in (ROOT / "src" / "igafin")
+                     .glob("*.py") if path.stem != "__init__")
+    assert len(modules) == 10
+    for name in modules:
+        subprocess.run([sys.executable, "-c", f"import igafin.{name}"],
+                       env=env, check=True)
 
 
 def test_no_module_imports_a_thread_pool():
