@@ -1,9 +1,9 @@
 """Open-knot B-spline and NURBS bases on a 1-D parameter interval.
 
 Knot vectors (uniform, or geometrically clustered toward a kink), one batched
-evaluation kernel, Greville abscissae and weight-file loading.  A knot vector
-of degree ``p`` is *open*: its first and last knots repeat exactly ``p + 1``
-times.  The ``n`` basis functions are indexed ``0 .. n-1`` in code.
+evaluation kernel and Greville abscissae.  A knot vector of degree ``p`` is
+*open*: its first and last knots repeat exactly ``p + 1`` times.  The ``n``
+basis functions are indexed ``0 .. n-1`` in code.
 
 Every evaluation goes through :func:`basis_table`.  It puts each of ``m``
 points in a non-empty knot span ``[xi_i, xi_(i+1))``.  The last span is
@@ -36,7 +36,6 @@ __all__ = [
     "eval_nurbs_all",
     "eval_spline_many",
     "greville_abscissae",
-    "load_weights",
 ]
 
 
@@ -266,24 +265,6 @@ def greville_abscissae(knots: KnotVector) -> np.ndarray:
     p = knots.degree
     windows = np.lib.stride_tricks.sliding_window_view(knots.values[1:-1], p)
     return windows.sum(axis=1) / p
-
-
-def load_weights(path, n_basis: int) -> np.ndarray:
-    """Read one finite, positive decimal weight per line; the length must
-    match the basis."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    try:
-        w = np.array([float(ln) for ln in lines], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"weight file {path}: non-numeric line ({exc})") from None
-    if len(w) != n_basis:
-        raise ValueError(
-            f"weight file {path}: expected {n_basis} weights, found {len(w)}")
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise ValueError(
-            f"weight file {path}: weights must be finite and strictly positive")
-    return w
 
 
 def eval_spline_many(basis: NurbsBasis, coeffs: np.ndarray, xis: np.ndarray,

@@ -35,22 +35,23 @@ in [discretization], a ladder rung or the reference (every march takes at
 least one step); a knot_mode other than uniform or refined; and a [ladder]
 reference that is not exactly one n_elements:n_tau pair.  Section names are
 matched as written, so [Output] and [DEFAULT] are unknown sections.  A
-config file that is not UTF-8 text is an error naming its path, and nothing
-is written unless the whole configuration parses.  The [model] keys are the
-fields of the model's parameter class, with its defaults; a field without a
-default is a required key.  In [discretization], weights_file names the
-NURBS weights, one per basis function; without it every weight is 1.
+line configparser cannot read (one before any section header, one with no
+'=' or ':', a repeated section or key) is a parse error on one line, its
+line number in the prefix like every other.  A config file that is not
+UTF-8 text is an error naming its path, and nothing is written unless the
+whole configuration parses.  The [model] keys are the fields of the model's
+parameter class, with its defaults; a field without a default is a required
+key.  Every run takes unit NURBS weights, so weights_file is an unknown key.
 Settings that parse but cannot run are configuration errors too, raised
 before solving: x_min >= x_max; an interval whose ends, at t = 0 or at
 maturity, map to stock prices that are not positive or whose squares are
 not finite, positive doubles; refined knots with n_elements < 2 (they need
 a span on each side of the kink) or the payoff kink, where they cluster,
 outside (x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
-store_every; a weights file that does not exist, cannot be read or does not
-hold one finite, positive number per basis function; a grid with fewer than
-three basis functions (none interior); n_elements < 2 on the grid of the p1
-or fdm oracle; a converge by p1 or fdm whose prices at t = 0 all lie above
-three times the payoff kink, so that its misfit has nothing to sample; the
+store_every; a grid with fewer than three basis functions (none interior);
+n_elements < 2 on the grid of the p1 or fdm oracle; a converge by p1 or fdm
+whose prices at t = 0 all lie above three times the payoff kink, so that its
+misfit has nothing to sample; the
 closed-form oracle on a model that has none; an output directory that is
 empty or that a file blocks (its nearest existing ancestor is not a
 directory), or in which a table the verb writes is a directory (with the
@@ -87,7 +88,6 @@ from functools import partial
 import numpy as np
 
 from .assembly import PhysicalMap
-from .basis import load_weights
 from .checks import format_report, run_checks
 from .greeks import block_lines as _block_lines
 from .greeks import greeks_table, theta_pair, write_greeks_csv
@@ -238,7 +238,6 @@ class ExperimentConfig:
     n_elements: int = _key("discretization", _count)
     knot_mode: str = _key("discretization", _choice("uniform", "refined"),
                           "uniform")
-    weights_file: str | None = _key("discretization", str, None)
     n_tau: int = _key("discretization", _count)
     theta: float = _key("discretization", _finite, SchemeConfig.theta)
     rannacher_steps: int = _key("discretization", int,
@@ -282,9 +281,17 @@ def parse_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text, source=path)
-    except configparser.Error as exc:
-        line = getattr(exc, "lineno", None)
-        raise ConfigError(f"parse error: {exc.message}", path, line) from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"parse error: no section header before "
+                          f"{exc.line.strip()!r}", path, exc.lineno) from None
+    except configparser.ParsingError as exc:  # its lines are in .errors
+        line = exc.errors[0][0]
+        bad = text.split("\n")[line - 1].strip()
+        raise ConfigError(f"parse error: no '=' or ':' in {bad!r}", path,
+                          line) from None
+    except configparser.Error as exc:  # a duplicate section or key
+        raise ConfigError(f"parse error: {exc.message}", path,
+                          exc.lineno) from None
 
     for section in cp.sections():
         if section not in _KNOWN_KEYS:
@@ -324,12 +331,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid [model] parameters: {exc}", path,
                           lines.get(("model", ""))) from None
 
-    cfg = ExperimentConfig(path, model, params,
-                           **{f.name: read(f, params) for f in keyed})
-    if cfg.weights_file is not None and not os.path.isfile(cfg.weights_file):
-        raise ConfigError(f"weights file not found: {cfg.weights_file}", path,
-                          lines.get(("discretization", "weights_file")))
-    return cfg
+    return ExperimentConfig(path, model, params,
+                            **{f.name: read(f, params) for f in keyed})
 
 
 def _check_price_range(cfg: ExperimentConfig) -> None:
@@ -348,12 +351,11 @@ def _check_price_range(cfg: ExperimentConfig) -> None:
 
 
 def _prepare(cfg: ExperimentConfig, grids) -> list:
-    """(n_elements, kink_xi, weights, scheme) of a run on each
-    (n_elements, n_tau) grid: what it builds from the settings before it
-    assembles, with kink_xi the parameter of the model's payoff kink and
-    None for unit weights.  A ValueError of the interval, the knots, a
-    weights file or the scheme becomes a ConfigError, raised before any
-    solve, and so do knots with fewer than three basis functions and an
+    """(n_elements, kink_xi, scheme) of a run on each (n_elements, n_tau)
+    grid: what it builds from the settings before it assembles, with
+    kink_xi the parameter of the model's payoff kink.  A ValueError of the
+    interval, the knots or the scheme becomes a ConfigError, raised before
+    any solve, and so do knots with fewer than three basis functions and an
     interval whose ends map to stock prices out of a double's range."""
     try:
         pmap = PhysicalMap(cfg.x_min, cfg.x_max)
@@ -366,26 +368,19 @@ def _prepare(cfg: ExperimentConfig, grids) -> list:
         knots = [build_knots(n_e, cfg.degree, cfg.knot_mode, kink_xi)
                  for n_e, _ in grids]
         schemes = [_scheme(cfg, n_t) for _, n_t in grids]
-        weights = [load_weights(cfg.weights_file, k.n_basis)
-                   if cfg.weights_file is not None else None for k in knots]
     except ValueError as exc:
         raise ConfigError(str(exc), cfg.path) from None
-    except OSError as exc:  # the weights file is the one file read here
-        raise ConfigError(f"cannot read the weights file {cfg.weights_file}: "
-                          f"{exc.strerror or exc}", cfg.path) from None
     for (n_e, _), k in zip(grids, knots):
         if k.n_basis < 3:
             raise ConfigError(f"n_elements = {n_e} at degree = {cfg.degree} "
                               f"gives {k.n_basis} basis functions; a run "
                               "needs at least 3", cfg.path)
-    return [(n_e, kink_xi, w, scheme)
-            for (n_e, _), w, scheme in zip(grids, weights, schemes)]
+    return [(n_e, kink_xi, scheme) for (n_e, _), scheme in zip(grids, schemes)]
 
 
-def _build(cfg: ExperimentConfig, n_elements: int, kink_xi: float, weights,
-           scheme):
+def _build(cfg: ExperimentConfig, n_elements: int, kink_xi: float, scheme):
     disc = build_discretization(cfg.x_min, cfg.x_max, n_elements, cfg.degree,
-                                cfg.knot_mode, kink_xi, weights)
+                                cfg.knot_mode, kink_xi)
     return disc, run(cfg.params, disc, scheme)
 
 

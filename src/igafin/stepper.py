@@ -201,15 +201,12 @@ def build_knots(n_elements: int, degree: int = 3, knot_mode: str = "uniform",
 
 def build_discretization(x_min: float, x_max: float, n_elements: int,
                          degree: int = 3, knot_mode: str = "uniform",
-                         kink_xi: float = 0.5,
-                         weights: np.ndarray | None = None) -> Discretization:
+                         kink_xi: float = 0.5) -> Discretization:
     """Assemble everything a run needs on [x_min, x_max], on the knots of
-    ``build_knots``.  The mass integrand has degree 2p, so the Gauss rule
-    takes ``max(5, degree + 1)`` points."""
+    ``build_knots`` with unit NURBS weights.  The mass integrand has degree
+    2p, so the Gauss rule takes ``max(5, degree + 1)`` points."""
     knots = build_knots(n_elements, degree, knot_mode, kink_xi)
-    if weights is None:
-        weights = np.ones(knots.n_basis)
-    basis = NurbsBasis(knots, weights)
+    basis = NurbsBasis(knots, np.ones(knots.n_basis))
     pmap = PhysicalMap(x_min, x_max)
     rule = gauss_legendre_rule(max(5, degree + 1))
     system = assemble(basis, pmap, rule)

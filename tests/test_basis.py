@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from igafin.basis import (KnotVector, NurbsBasis, basis_table,
-                          eval_nurbs_all, eval_spline_many,
-                          greville_abscissae, load_weights,
+                          eval_nurbs_all, eval_spline_many, greville_abscissae,
                           make_refined_open_knots, make_uniform_open_knots)
 
 
@@ -58,6 +57,24 @@ class TestKnotVector:
     def test_rejects_non_open(self):
         with pytest.raises(ValueError, match="open"):
             KnotVector(np.array([0, 0, 0, 0.5, 1, 1, 1, 1.0]), 3)
+
+    @pytest.mark.parametrize("values,degree,match", [
+        ([0, 0, 0, 0, 1, 1, 1, 1.0], 0, "degree must be >= 1"),
+        ([0, 0, 0, 1, 1, 1.0], 3, "too short"),
+        ([0, 0, 0, 0, 0.5, 1, 1, 1.0], 3, "last knot")])
+    def test_rejects_a_bad_degree_length_or_last_knot(
+            self, values, degree, match):
+        with pytest.raises(ValueError, match=match):
+            KnotVector(np.array(values), degree)
+
+    def test_uniform_needs_an_element(self):
+        with pytest.raises(ValueError, match="n_elements must be >= 1"):
+            make_uniform_open_knots(0, 3)
+
+    @pytest.mark.parametrize("kink_xi", [0.0, 1.0, -0.5, 1.5])
+    def test_refined_needs_the_kink_inside(self, kink_xi):
+        with pytest.raises(ValueError, match="inside"):
+            make_refined_open_knots(16, 3, kink_xi)
 
     def test_rejects_excess_interior_multiplicity(self):
         vals = np.array([0, 0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1, 1.0])
@@ -319,24 +336,7 @@ class TestEvalSplineMany:
         with pytest.raises(ValueError, match="outside"):
             eval_spline_many(basis, np.zeros(basis.n_basis), np.array([1.2]))
 
-
-class TestLoadWeights:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "w.txt"
-        w = np.array([1.0, 2.5, 0.75, 1.25])
-        np.savetxt(path, w)
-        out = load_weights(path, 4)
-        assert np.array_equal(out, w)
-
-    @pytest.mark.parametrize("last", ["nan", "inf", "0.0", "-1.0"])
-    def test_weights_must_be_finite_and_positive(self, tmp_path, last):
-        path = tmp_path / "w.txt"
-        path.write_text("1.0\n2.0\n1.5\n" + last + "\n")
-        with pytest.raises(ValueError, match="finite and strictly positive"):
-            load_weights(path, 4)
-
-    def test_count_mismatch(self, tmp_path):
-        path = tmp_path / "w.txt"
-        np.savetxt(path, np.ones(3))
-        with pytest.raises(ValueError):
-            load_weights(path, 4)
+    def test_rejects_a_coefficient_length_mismatch(self):
+        basis = _random_basis(np.random.default_rng(108))
+        with pytest.raises(ValueError, match="length mismatch"):
+            eval_spline_many(basis, np.zeros(basis.n_basis + 1), [0.5])

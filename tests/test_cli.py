@@ -3,7 +3,6 @@
 import ast
 import configparser
 import csv
-import errno
 import importlib.util
 import math
 import os
@@ -169,10 +168,6 @@ TINY = {"n_elements": 16, "n_tau": 10}
     ("price", "refined.ini", {"x_min": 5, "x_max": 6}, []),
     ("price", "convertible.ini", {**SMALL, "theta": 2}, []),
     ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1}, []),
-    ("price", "linear_uniform.ini", {**SMALL,
-                                     "weights_file": "{tmp}/letters.txt"}, []),
-    ("price", "linear_uniform.ini", {**SMALL,
-                                     "weights_file": "{tmp}/two.txt"}, []),
     ("greeks", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, []),
     ("converge", "convertible.ini", {**SMALL, "ladder.rungs": "0:10"}, []),
     ("converge", "leland_ladder.ini", {**SMALL, "ladder.rungs": "32:20",
@@ -214,13 +209,6 @@ TINY = {"n_elements": 16, "n_tau": 10}
      ["--oracle", "p1"]),
     # the kink is derived from the model, so its old key is unknown
     ("price", "refined.ini", {"kink_xi": 0.5}, []),
-    # ... or ran: a weights file that does not exist, and one that ends in
-    # a weight that is not finite; or ended in a traceback: a directory
-    ("price", "linear_uniform.ini", {**SMALL,
-                                     "weights_file": "{tmp}/missing.txt"}, []),
-    ("price", "linear_uniform.ini", {**SMALL, "weights_file": "{tmp}"}, []),
-    ("price", "linear_uniform.ini", {**SMALL,
-                                     "weights_file": "{tmp}/nan.txt"}, []),
     # ... or ended in a traceback: an empty reference; or dropped all but
     # the first of two reference pairs
     ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20",
@@ -263,10 +251,7 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
     out = tmp_path / "out"
     out.mkdir()
-    (tmp_path / "letters.txt").write_text("1.0\nabc\n")
     (tmp_path / "two.txt").write_text("1.0\n1.0\n")
-    # 32 cubic elements have 35 basis functions
-    (tmp_path / "nan.txt").write_text("1.0\n" * 34 + "nan\n")
     cfg = _config(tmp_path, base, **overrides)
     rc = main([verb, "--config", str(cfg), "--out", str(out),
                *(a.format(tmp=tmp_path) for a in args)])
@@ -306,8 +291,10 @@ def test_unknown_key_is_a_config_error_at_its_line(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     # refined knots take one fixed grading
     ("cluster_ratio", "0.7"),
-    # the weights are read from weights_file when it is given, never fitted
+    # the weights are never fitted ...
     ("weight_source", "calibrated"),
+    # ... nor read: every run takes unit weights
+    ("weights_file", "weights.txt"),
 ])
 def test_retired_key_is_an_unknown_key_at_its_line(tmp_path, capsys, key,
                                                    value):
@@ -330,6 +317,14 @@ MODELS = "('linear-bs', 'leland', 'afv')"
 @pytest.mark.parametrize("verb,old,new,at,message", [
     ("price", "n_tau = 256\n", "n_tau = 256\nn_tau = 64\n", "n_tau = 64",
      "parse error: While reading from"),
+    # configparser's other errors spanned two and three lines, the first
+    # with no line in the prefix
+    ("price", "knot_mode = uniform\n",
+     "knot_mode = uniform\nthis line has no delimiter\n",
+     "this line has no delimiter",
+     "parse error: no '=' or ':' in 'this line has no delimiter'\n"),
+    ("price", "[experiment]\n", "n_tau = 64\n[experiment]\n", "n_tau = 64",
+     "parse error: no section header before 'n_tau = 64'\n"),
     ("price", "[output]", "[solver]", "[solver]",
      "unknown section [solver]"),
     ("price", "n_tau = 256\n", "", "[discretization]",
@@ -405,46 +400,18 @@ def test_greeks_writes_the_greeks_table_of_price(tmp_path, capsys):
         f"wrote {out / 'greeks.csv'} ({n_rows} rows)\n"
 
 
-def test_an_unreadable_weights_file_is_a_config_error(tmp_path, capsys,
-                                                      monkeypatch):
-    # a read that fails, as on /proc/self/mem, ended in a traceback
-    import igafin.cli as cli
-
-    def unreadable(path, n_basis):
-        raise OSError(errno.EIO, "Input/output error")
-
-    monkeypatch.setattr(cli, "load_weights", unreadable)
-    weights = tmp_path / "weights.txt"
-    weights.write_text("1.0\n" * 35)
-    cfg = _config(tmp_path, "linear_uniform.ini", **SMALL,
-                  weights_file=str(weights))
-    out = tmp_path / "out"
-    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: {cfg}: cannot read the weights file {weights}: "
-        "Input/output error\n")
-    assert not out.exists()
-
-
-def test_unit_weights_file_gives_the_unit_weight_run(tmp_path, capsys):
-    # 32 cubic elements have 35 basis functions; a file that is not all
-    # ones shows that the file is read
-    (tmp_path / "ones.txt").write_text("1.0\n" * 35)
-    (tmp_path / "bent.txt").write_text("1.0\n" * 17 + "2.0\n" + "1.0\n" * 17)
-    printed = []
-    for name, extra in (("unit", {}),
-                        ("ones", {"weights_file": "{tmp}/ones.txt"}),
-                        ("bent", {"weights_file": "{tmp}/bent.txt"})):
-        cfg = _config(tmp_path, "linear_uniform.ini", **SMALL, **extra)
-        assert main(["price", "--config", str(cfg), "--out",
-                     str(tmp_path / name)]) == 0
-        printed.append(capsys.readouterr())
-    assert printed[0] == printed[1]
-    for csv_name in ("surface.csv", "slice_t0.csv", "greeks.csv"):
-        assert (tmp_path / "ones" / csv_name).read_bytes() \
-            == (tmp_path / "unit" / csv_name).read_bytes()
-    assert (tmp_path / "bent" / "surface.csv").read_bytes() \
-        != (tmp_path / "unit" / "surface.csv").read_bytes()
+def test_an_unknown_oracle_is_a_config_error(tmp_path):
+    # main's --oracle admits only the known names, but the run functions
+    # are public, and _oracle_curve takes any other name for fdm
+    from igafin.cli import (ConfigError, parse_config, run_convergence,
+                            run_pricing)
+    cfg = parse_config(str(_config(tmp_path, "linear_uniform.ini", **SMALL,
+                                   **{"ladder.rungs": "32:20"})))
+    cfg.out_dir = str(tmp_path / "out")
+    for run in (run_pricing, run_convergence):
+        with pytest.raises(ConfigError, match="unknown oracle 'bogus'"):
+            run(cfg, "bogus")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_float_that_is_not_finite_is_named_at_its_line(tmp_path, capsys):

@@ -66,6 +66,16 @@ class TestBandedMatrix:
             for m, y in zip(mats, both):
                 assert np.array_equal(y, m.matvec(x))
 
+    def test_mismatched_shapes_are_refused(self):
+        m = BandedMatrix(4, 1)
+        for other in (BandedMatrix(5, 1), BandedMatrix(4, 2)):
+            with pytest.raises(ValueError, match="mismatch"):
+                m + other
+            with pytest.raises(ValueError, match="mismatch"):
+                m - other
+        with pytest.raises(ValueError, match="square"):
+            BandedMatrix.from_dense(np.ones((3, 4)), 1)
+
     def test_from_dense_refuses_truncation(self):
         a = np.eye(4)
         a[0, 3] = 1.0
@@ -155,6 +165,11 @@ class TestBandedLU:
         b1, b2 = rng.normal(size=8), rng.normal(size=8)
         assert np.allclose(a @ lu.solve(b1), b1)
         assert np.allclose(a @ lu.solve(b2), b2)
+
+    def test_rhs_length_mismatch(self):
+        lu = BandedMatrix.from_dense(np.eye(4), 1).lu_factor()
+        with pytest.raises(ValueError, match="length"):
+            lu.solve(np.ones(3))
 
     def test_singular_reports_pivot(self):
         m = BandedMatrix.from_dense(np.diag([1.0, 0.0, 1.0]), 1)
@@ -282,15 +297,17 @@ class TestLapackLoader:
         assert out.split() == ["True", "12", "True"]
 
     def test_reuses_the_module_scipy_linalg_loaded(self):
+        # the loader's start-up branch: scipy.linalg is imported first
         out = _run_fresh("""
             import sys
             import scipy.linalg
             from igafin import linsolve
             flapack = sys.modules["scipy.linalg._flapack"]
             print(linsolve.lapack is flapack,
+                  linsolve.lapack is scipy.linalg.lapack._flapack,
                   linsolve._load_lapack() is flapack)
             """)
-        assert out.split() == ["True", "True"]
+        assert out.split() == ["True", "True", "True"]
 
     def test_missing_wrappers_name_the_file(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")

@@ -55,6 +55,11 @@ class TestLelandParams:
         bs = LelandParams(0.1, 0.2 * math.sqrt(1.8), 100.0, 1.0)
         assert np.array_equal(le.closed_form(s, 0.3), bs.closed_form(s, 0.3))
 
+    def test_closed_form_refuses_t_beyond_maturity(self):
+        p = LelandParams(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
+        with pytest.raises(ValueError, match="beyond maturity"):
+            p.closed_form(100.0, 1.5)
+
     def test_only_the_call_has_a_closed_form(self):
         assert not hasattr(_table3_params(), "closed_form")
 
@@ -87,6 +92,7 @@ class TestAfvParams:
     @pytest.mark.parametrize("bad", [
         dict(sigma=-0.2), dict(eta=1.5), dict(recovery=-0.1),
         dict(hazard_rate=-0.02), dict(rho=0.5), dict(newton_tol=0.0),
+        dict(conversion_ratio=0.0), dict(s_initial=-100.0),
         dict(coupons=((1.0, 4.0), (0.5, 4.0))),
         dict(coupons=((6.0, 4.0),)),
         dict(call_window=(4.0, 2.0, 110.0)),

@@ -49,11 +49,6 @@ class TestBuildDiscretization:
         with pytest.raises(ValueError, match="knot_mode"):
             build_discretization(0.0, 1.0, 8, knot_mode="graded")
 
-    def test_custom_weights_used(self):
-        w = np.linspace(1.0, 2.0, 11)
-        disc = build_discretization(0.0, 1.0, 8, weights=w)
-        assert np.array_equal(disc.basis.weights, w)
-
     @pytest.mark.parametrize("degree", [5, 6])
     def test_quadrature_integrates_the_mass_exactly(self, degree):
         # the mass integrand has degree 2p; degree + 3 points are exact for it
