@@ -9,12 +9,11 @@ price      one solve; writes surface.csv, slice_t0.csv, greeks.csv and prints
 converge   ladder of (n_elements, n_tau) runs; writes convergence.csv with
            value, error and contraction columns, the error against the
            oracle.
-greeks     one solve; writes greeks.csv only.
 validate   runs the structural invariant suite, one report line per check.
 
-price and converge take --config, --out, --probe-s and --oracle; greeks
-takes --config and --out; validate takes no flag.  A flag the verb does not
-read is a usage error.
+price and converge take --config and --out, which they need, and --oracle;
+validate takes no flag.  A flag the verb does not read is a usage error.
+The probe price is the [experiment] key probe_s.
 
 --oracle is closed-form, the model's exact value (the call has one); p1,
 the pipeline on hat functions; fdm, the central-difference twin; or none.
@@ -34,29 +33,30 @@ float that is not a finite number; a degree, n_elements or n_tau below 1,
 in [discretization], a ladder rung or the reference (every march takes at
 least one step); a knot_mode other than uniform or refined; and a [ladder]
 reference that is not exactly one n_elements:n_tau pair.  Section names are
-matched as written, so [Output] and [DEFAULT] are unknown sections.  A
+matched as written, so [Ladder] and [DEFAULT] are unknown sections.  A
 line configparser cannot read (one before any section header, one with no
 '=' or ':', a repeated section or key) is a parse error on one line, its
 line number in the prefix like every other.  A config file that is not
 UTF-8 text is an error naming its path, and nothing is written unless the
 whole configuration parses.  The [model] keys are the fields of the model's
 parameter class, with its defaults; a field without a default is a required
-key.  Every run takes unit NURBS weights, so weights_file is an unknown key.
+key.  Every run takes unit NURBS weights, price keeps every (n_tau // 50)-th
+level and --out names the output directory, so weights_file, store_every
+and [output] are unknown.
 Settings that parse but cannot run are configuration errors too, raised
 before solving: x_min >= x_max; an interval whose ends, at t = 0 or at
-maturity, map to stock prices that are not positive or whose squares are
-not finite, positive doubles; refined knots with n_elements < 2 (they need
-a span on each side of the kink) or the payoff kink, where they cluster,
-outside (x_min, x_max); theta outside [0, 1]; negative rannacher_steps or
-store_every; a grid with fewer than three basis functions (none interior);
-n_elements < 2 on the grid of the p1 or fdm oracle; a converge by p1 or fdm
-whose prices at t = 0 all lie above three times the payoff kink, so that its
-misfit has nothing to sample; the
-closed-form oracle on a model that has none; an output directory that is
-empty or that a file blocks (its nearest existing ancestor is not a
-directory), or in which a table the verb writes is a directory (with the
-message of a failed write); a call window that opens and closes on one
-date; degree < 2 for price and greeks (gamma needs it); a time grid whose
+maturity, map to stock prices that are not positive or whose squares are not
+finite, positive doubles; refined knots with n_elements < 2 (they need a
+span on each side of the kink) or the payoff kink, where they cluster,
+outside (x_min, x_max); theta outside [0, 1]; negative rannacher_steps; a
+grid with fewer than three basis functions (none interior); n_elements < 2
+on the grid of the p1 or fdm oracle; a converge by p1 or fdm whose prices at
+t = 0 all lie above three times the payoff kink, so that its misfit has
+nothing to sample; the closed-form oracle on a model that has none; an
+output directory that is empty or that a file blocks (its nearest existing
+ancestor is not a directory), or in which a table the verb writes is a
+directory (with the message of a failed write); a call window that opens and
+closes on one date; degree < 2 for price (gamma needs it); a time grid whose
 final level is a coupon or put date, and so is the level before it or there
 is no level before that (theta has no pair of levels to difference); and a
 probe price outside the domain.  A march that produces a value that is not
@@ -98,7 +98,7 @@ from .stepper import (NewtonDivergenceError, SchemeConfig,
                       build_discretization, build_knots, run, value_curve)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run_pricing",
-           "run_convergence", "run_greeks", "main"]
+           "run_convergence", "main"]
 
 
 class ConfigError(ValueError):
@@ -120,7 +120,8 @@ def _line_map(text: str) -> dict[tuple[str, str], int]:
     a section is named as configparser names it, a key in lower case."""
     out: dict[tuple[str, str], int] = {}
     section = ""
-    for no, raw in enumerate(text.splitlines(), start=1):
+    # configparser splits lines at "\n" alone, not where splitlines() does
+    for no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue
@@ -218,18 +219,19 @@ def _parse_reference(raw: str) -> tuple[int, int]:
     return pairs[0]
 
 
-def _key(section: str, conv, default=MISSING, key: str | None = None):
-    """A field that is the key ``key`` (the field's name unless given) of
-    ``section``, read through ``conv``: required without a default, and a
-    callable default is a function of the model parameters."""
+def _key(section: str, conv, default=MISSING):
+    """A field that is the key of its name in ``section``, read through
+    ``conv``: required without a default, and a callable default is a
+    function of the model parameters."""
     return field(metadata={"section": section, "conv": conv,
-                           "default": default, "key": key})
+                           "default": default})
 
 
 @dataclass
 class ExperimentConfig:
     """Validated run description; everything the verbs need.  Each field
-    but ``path`` and ``params`` is one config key."""
+    but ``path``, ``params`` and ``out_dir`` (``--out``) is one config
+    key."""
 
     path: str
     model: str = _key("experiment", _choice(*_MODELS))
@@ -244,25 +246,19 @@ class ExperimentConfig:
                                 SchemeConfig.rannacher_steps)
     x_min: float = _key("discretization", _finite, lambda p: p.domain()[0])
     x_max: float = _key("discretization", _finite, lambda p: p.domain()[1])
-    store_every: int | None = _key("discretization", int, None)
     probe_s: float = _key("experiment", _finite, 100.0)
-    out_dir: str = _key("output", str, "out", key="dir")
     rungs: list[tuple[int, int]] = _key("ladder", _parse_rungs, lambda p: [])
     reference: tuple[int, int] | None = _key("ladder", _parse_reference, None)
-
-
-def _source(f) -> tuple[str, str]:
-    """(section, key) of an ExperimentConfig field."""
-    return f.metadata["section"], f.metadata["key"] or f.name
+    out_dir: str = ""
 
 
 def _known_keys() -> dict[str, set[str]]:
     """Section -> its keys: [model]'s are the parameter classes' fields."""
     known = {"model": {f.name for cls in _MODELS.values()
                        for f in fields(cls)}}
-    for section, key in (_source(f) for f in fields(ExperimentConfig)
-                         if f.metadata):
-        known.setdefault(section, set()).add(key)
+    for f in fields(ExperimentConfig):
+        if f.metadata:
+            known.setdefault(f.metadata["section"], set()).add(f.name)
     return known
 
 
@@ -289,9 +285,12 @@ def parse_config(path: str) -> ExperimentConfig:
         bad = text.split("\n")[line - 1].strip()
         raise ConfigError(f"parse error: no '=' or ':' in {bad!r}", path,
                           line) from None
-    except configparser.Error as exc:  # a duplicate section or key
-        raise ConfigError(f"parse error: {exc.message}", path,
-                          exc.lineno) from None
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"parse error: repeated key '{exc.option}' in "
+                          f"[{exc.section}]", path, exc.lineno) from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"parse error: repeated section [{exc.section}]",
+                          path, exc.lineno) from None
 
     for section in cp.sections():
         if section not in _KNOWN_KEYS:
@@ -304,10 +303,11 @@ def parse_config(path: str) -> ExperimentConfig:
 
     def read(f, params=None):
         default = f.metadata["default"]
-        return _get(cp, lines, path, *_source(f), f.metadata["conv"],
+        return _get(cp, lines, path, f.metadata["section"], f.name,
+                    f.metadata["conv"],
                     default(params) if callable(default) else default)
 
-    _, model_field, _, *keyed = fields(ExperimentConfig)  # path, params
+    model_field, *keyed = (f for f in fields(ExperimentConfig) if f.metadata)
     model = read(model_field)
     cls = _MODELS[model]
     allowed = {f.name for f in fields(cls)}
@@ -385,13 +385,11 @@ def _build(cfg: ExperimentConfig, n_elements: int, kink_xi: float, scheme):
 
 
 def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
-    """The scheme of a run on n_tau steps; without a store_every key it
-    keeps every (n_tau // 50)-th slice, and 0 keeps the mandatory ones."""
-    every = cfg.store_every
+    """The scheme of a run on n_tau steps, which keeps every
+    (n_tau // 50)-th slice."""
     return SchemeConfig(n_steps=n_tau, theta=cfg.theta,
                         rannacher_steps=cfg.rannacher_steps,
-                        store_every=max(1, n_tau // 50) if every is None
-                        else every)
+                        store_every=max(1, n_tau // 50))
 
 
 def _fmt(v) -> str:
@@ -466,7 +464,7 @@ def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
 
 # the tables each verb writes, in the order it writes them
 _TABLES = {"price": ("surface.csv", "slice_t0.csv", "greeks.csv"),
-           "converge": ("convergence.csv",), "greeks": ("greeks.csv",)}
+           "converge": ("convergence.csv",)}
 
 
 def _missing_dirs(out_dir: str) -> list[str]:
@@ -618,30 +616,16 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     return 0
 
 
-def run_greeks(cfg: ExperimentConfig) -> int:
-    [grid] = _prepare(cfg, [(cfg.n_elements, cfg.n_tau)])
-    _check_greeks_inputs(cfg)
-    disc, surf = _build(cfg, *grid)
-    table = greeks_table(cfg.params, disc, surf)
-    _publish(cfg, "greeks", [partial(write_greeks_csv, table=table)])
-    print(f"wrote {os.path.join(cfg.out_dir, *_TABLES['greeks'])} "
-          f"({len(table.s)} rows)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="igafin", description="NURBS Galerkin option-pricing runs")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("price", "converge", "greeks", "validate"):
+    for verb in ("price", "converge", "validate"):
         sp = sub.add_parser(verb)
         if verb != "validate":
             sp.add_argument("--config", required=True)
-            sp.add_argument("--out", default=None)
-        if verb in ("price", "converge"):
-            sp.add_argument("--probe-s", type=float, default=None)
-            sp.add_argument("--oracle", default=None,
-                            choices=_ORACLES)
+            sp.add_argument("--out", required=True)
+            sp.add_argument("--oracle", default=None, choices=_ORACLES)
     args = parser.parse_args(argv)
 
     if args.verb == "validate":
@@ -650,14 +634,8 @@ def main(argv=None) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     try:
-        cfg = parse_config(args.config)
-        if args.out is not None:
-            cfg.out_dir = args.out
+        cfg = replace(parse_config(args.config), out_dir=args.out)
         _check_out_dir(cfg, args.verb)
-        if args.verb == "greeks":
-            return run_greeks(cfg)
-        if args.probe_s is not None:
-            cfg.probe_s = args.probe_s
         if args.verb == "price":
             return run_pricing(cfg, args.oracle or "none")
         return run_convergence(cfg, args.oracle)

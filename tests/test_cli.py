@@ -153,14 +153,14 @@ TINY = {"n_elements": 16, "n_tau": 10}
 @pytest.mark.parametrize("verb,base,overrides,args", [
     ("price", "convertible.ini", {**SMALL, "degree": 1}, []),
     ("price", "convertible.ini", {**SMALL, "n_tau": 0}, []),
-    ("price", "convertible.ini", SMALL, ["--probe-s", "1000"]),
-    ("price", "convertible.ini", SMALL, ["--probe-s", "0.1"]),
-    ("price", "linear_uniform.ini", SMALL, ["--probe-s", "5000"]),
-    ("greeks", "convertible.ini", {**SMALL, "degree": 1}, []),
-    ("greeks", "convertible.ini", {**SMALL, "n_tau": 0}, []),
-    ("converge", "convertible.ini", SMALL, ["--probe-s", "1000"]),
+    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 1000}, []),
+    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 0.1}, []),
+    ("price", "linear_uniform.ini", {**SMALL, "experiment.probe_s": 5000},
+     []),
+    ("converge", "convertible.ini", {**SMALL, "experiment.probe_s": 1000},
+     []),
     ("price", "convertible.ini", {"n_elements": 64, "n_tau": 1}, []),
-    ("greeks", "convertible.ini", {**SMALL, "n_tau": 2}, []),
+    ("price", "convertible.ini", {**SMALL, "n_tau": 2}, []),
     # refined knots on one element, which ran on two spans after a
     # division by zero
     ("price", "refined.ini", {"n_elements": 1}, []),
@@ -168,12 +168,10 @@ TINY = {"n_elements": 16, "n_tau": 10}
     ("price", "refined.ini", {"x_min": 5, "x_max": 6}, []),
     ("price", "convertible.ini", {**SMALL, "theta": 2}, []),
     ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1}, []),
-    ("greeks", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, []),
+    ("price", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, []),
     ("converge", "convertible.ini", {**SMALL, "ladder.rungs": "0:10"}, []),
     ("converge", "leland_ladder.ini", {**SMALL, "ladder.rungs": "32:20",
                                        "ladder.reference": "0:10"}, []),
-    # ... or was silently replaced by the default
-    ("price", "convertible.ini", {**SMALL, "store_every": -3}, []),
     # ... or was silently ignored: a call window that opens and closes on
     # one date
     ("price", "convertible.ini", {**SMALL,
@@ -233,7 +231,6 @@ TINY = {"n_elements": 16, "n_tau": 10}
     # that is a file, lies below one, or is empty
     ("price", "convertible.ini", SMALL, ["--out", "{tmp}/two.txt"]),
     ("price", "linear_uniform.ini", SMALL, ["--out", "{tmp}/two.txt/sub"]),
-    ("greeks", "convertible.ini", SMALL, ["--out", "{tmp}/two.txt"]),
     ("price", "linear_uniform.ini", SMALL, ["--out", ""]),
     # ... or ran and priced: a negative coupon, a negative call price
     ("price", "convertible.ini", {**SMALL,
@@ -245,7 +242,7 @@ TINY = {"n_elements": 16, "n_tau": 10}
     ("price", "leland_ladder.ini", {**TINY, "x_min": -600}, []),
     ("price", "leland_ladder.ini", {**TINY, "x_min": -1e4}, []),
     ("price", "leland_ladder.ini", {**TINY, "x_min": -1e308}, []),
-    ("greeks", "leland_ladder.ini", {**TINY, "x_max": 360}, []),
+    ("price", "leland_ladder.ini", {**TINY, "x_max": 360}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -295,6 +292,8 @@ def test_unknown_key_is_a_config_error_at_its_line(tmp_path, capsys):
     ("weight_source", "calibrated"),
     # ... nor read: every run takes unit weights
     ("weights_file", "weights.txt"),
+    # price keeps every (n_tau // 50)-th level
+    ("store_every", "2"),
 ])
 def test_retired_key_is_an_unknown_key_at_its_line(tmp_path, capsys, key,
                                                    value):
@@ -315,8 +314,11 @@ MODELS = "('linear-bs', 'leland', 'afv')"
 # (verb, text replaced in linear_uniform.ini, its replacement, the line the
 # error names or None, the message)
 @pytest.mark.parametrize("verb,old,new,at,message", [
+    # a repeated key or section used to name the path and the line twice
     ("price", "n_tau = 256\n", "n_tau = 256\nn_tau = 64\n", "n_tau = 64",
-     "parse error: While reading from"),
+     "parse error: repeated key 'n_tau' in [discretization]\n"),
+    ("price", "[ladder]", "[model]\n[ladder]", "[model]",
+     "parse error: repeated section [model]\n"),
     # configparser's other errors spanned two and three lines, the first
     # with no line in the prefix
     ("price", "knot_mode = uniform\n",
@@ -325,8 +327,15 @@ MODELS = "('linear-bs', 'leland', 'afv')"
      "parse error: no '=' or ':' in 'this line has no delimiter'\n"),
     ("price", "[experiment]\n", "n_tau = 64\n[experiment]\n", "n_tau = 64",
      "parse error: no section header before 'n_tau = 64'\n"),
-    ("price", "[output]", "[solver]", "[solver]",
+    ("price", "[ladder]", "[solver]", "[solver]",
      "unknown section [solver]"),
+    # --out alone names the output directory
+    ("price", "[ladder]", "[output]\ndir = x\n\n[ladder]", "[output]",
+     "unknown section [output]\n"),
+    # a form feed ends no line: it was counted as one, one line too far
+    ("price", "[model]\n", "[model]\n# a form feed\f in a comment\n"
+     "volatility = 0.2\n", "volatility = 0.2",
+     "unknown key 'volatility' in [model]\n"),
     ("price", "n_tau = 256\n", "", "[discretization]",
      "missing key 'n_tau' in [discretization]"),
     ("price", "model = linear-bs", "model = heston", "model = heston",
@@ -350,7 +359,7 @@ MODELS = "('linear-bs', 'leland', 'afv')"
     # lower-case section by one rule and missed by the other, so the run
     # used the default output directory, found no rungs or named a
     # missing key
-    ("price", "[output]", "[Output]", "[Output]",
+    ("price", "[ladder]", "[Output]", "[Output]",
      "unknown section [Output]"),
     ("converge", "[ladder]", "[Ladder]", "[Ladder]",
      "unknown section [Ladder]"),
@@ -370,7 +379,10 @@ def test_bad_config_text_is_a_config_error_at_its_line(
     out = tmp_path / "out"
     assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    where = f"{cfg}:{text.splitlines().index(at) + 1}" if at else str(cfg)
+    # configparser numbers the lines between "\n"s, and a repeated
+    # section is named at its last line
+    lines = text.split("\n")
+    where = f"{cfg}:{len(lines) - lines[::-1].index(at)}" if at else str(cfg)
     assert err.startswith(f"config error: {where}: {message}")
     assert err.count("\n") == 1
     assert not out.exists()
@@ -382,22 +394,6 @@ def test_put_window_none_is_the_bond_without_a_put(tmp_path):
     params = parse_config(str(cfg)).params
     assert params.put_window is None
     assert params.call_window == (2.0, 5.0, 110.0)
-
-
-def test_greeks_writes_the_greeks_table_of_price(tmp_path, capsys):
-    cfg = _config(tmp_path, "convertible.ini", **SMALL)
-    assert main(["price", "--config", str(cfg), "--out",
-                 str(tmp_path / "price")]) == 0
-    capsys.readouterr()
-    out = tmp_path / "greeks"
-    assert main(["greeks", "--config", str(cfg), "--out", str(out)]) == 0
-    table = (out / "greeks.csv").read_bytes()
-    assert table == (tmp_path / "price" / "greeks.csv").read_bytes()
-    assert os.listdir(out) == ["greeks.csv"]
-    n_rows = table.count(b"\n") - 1
-    assert n_rows > 0
-    assert capsys.readouterr().out == \
-        f"wrote {out / 'greeks.csv'} ({n_rows} rows)\n"
 
 
 def test_an_unknown_oracle_is_a_config_error(tmp_path):
@@ -424,8 +420,11 @@ def test_a_float_that_is_not_finite_is_named_at_its_line(tmp_path, capsys):
         "(not a finite number)\n")
 
 
+# the benchmark's smoke configs too, which only its own slow tests run
 @pytest.mark.parametrize("name", sorted(
-    path.name for path in (ROOT / "configs").glob("*.ini")))
+    path.relative_to(ROOT).as_posix() for pattern in ("configs/*.ini",
+                                                      "perfbench/smoke/*.ini")
+    for path in ROOT.glob(pattern)))
 def test_every_shipped_config_passes_the_checks_before_solving(name,
                                                                monkeypatch):
     import igafin.cli as cli
@@ -434,7 +433,7 @@ def test_every_shipped_config_passes_the_checks_before_solving(name,
         raise AssertionError("a check solved")
 
     monkeypatch.setattr(cli, "run", no_solve)
-    cfg = cli.parse_config(str(ROOT / "configs" / name))
+    cfg = cli.parse_config(str(ROOT / name))
     grids = [(cfg.n_elements, cfg.n_tau), *cfg.rungs,
              *([cfg.reference] if cfg.reference else [])]
     assert len(cli._prepare(cfg, grids)) == len(grids)
@@ -529,19 +528,14 @@ def test_newton_reuses_the_operator_factors_without_penalty(tmp_path,
     assert count[0] == 271
 
 
-@pytest.mark.parametrize("extra,levels", [
-    # only an absent key selects every (n_tau // 50)-th level
-    ({}, sorted(set(range(0, 401, 8)) | {398, 399})),
-    # 0 keeps the mandatory levels alone
-    ({"store_every": 0}, [0, 398, 399, 400]),
-])
-def test_surface_keeps_the_configured_levels(tmp_path, extra, levels):
+def test_surface_keeps_the_configured_levels(tmp_path):
+    # every (n_tau // 50)-th level, and the mandatory ones
     out = tmp_path / "out"
-    cfg = _config(tmp_path, "convertible.ini", n_elements=64, n_tau=400,
-                  **extra)
+    cfg = _config(tmp_path, "convertible.ini", n_elements=64, n_tau=400)
     assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = _read(out / "surface.csv")
-    assert sorted({int(row[0]) for row in rows}) == levels
+    assert sorted({int(row[0]) for row in rows}) == \
+        sorted(set(range(0, 401, 8)) | {398, 399})
 
 
 def test_p1_oracle_keeps_only_the_mandatory_slices(tmp_path, capsys,
@@ -645,7 +639,7 @@ def test_ladder_rungs_keep_only_their_final_slices(tmp_path, monkeypatch):
         return march(params, disc, scheme)
 
     monkeypatch.setattr(cli, "run", recorded)
-    cfg = _config(tmp_path, "leland_ladder.ini", store_every=2,
+    cfg = _config(tmp_path, "leland_ladder.ini",
                   **{"ladder.rungs": "16:10, 32:20"})
     assert main(["converge", "--config", str(cfg), "--oracle", "closed-form",
                  "--out", str(tmp_path / "out")]) == 0
@@ -748,27 +742,29 @@ def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
     assert f"{len(results) - 1}/{len(results)} invariant checks passed" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["greeks", "--oracle", "p1"],
-    ["greeks", "--probe-s", "5000"],
-    ["validate", "--config", "missing.ini"],
-    ["validate", "--oracle", "fdm"],
-    ["validate", "--out", "{out}"],
-    ["validate", "--probe-s", "100"],
+@pytest.mark.parametrize("argv,message", [
+    (["validate", "--config", "missing.ini"], "unrecognized arguments: "
+     "--config"),
+    (["validate", "--oracle", "fdm"], "unrecognized arguments: --oracle"),
+    (["validate", "--out", "{out}"], "unrecognized arguments: --out"),
+    (["validate", "--probe-s", "100"], "unrecognized arguments: --probe-s"),
+    # the probe price is the config's probe_s
+    (["price", "--config", "{cfg}", "--out", "{out}", "--probe-s", "100"],
+     "unrecognized arguments: --probe-s"),
+    # --out is the one source of the output directory
+    (["price", "--config", "{cfg}"],
+     "the following arguments are required: --out"),
 ])
 def test_a_flag_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys,
-                                                        argv):
-    # both greeks cases and both validate --config/--oracle cases used to
-    # exit 0 with the flag ignored
+                                                        argv, message):
+    # both validate --config/--oracle cases used to exit 0 with the flag
+    # ignored
     out = tmp_path / "out"
-    if argv[0] == "greeks":
-        argv = argv + ["--config", str(_config(tmp_path, "convertible.ini",
-                                               **SMALL)), "--out", str(out)]
+    cfg = _config(tmp_path, "convertible.ini", **SMALL)
     with pytest.raises(SystemExit) as exc:
-        main([a.format(out=out) for a in argv])
+        main([a.format(out=out, cfg=cfg) for a in argv])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"unrecognized arguments: {argv[1]}" in err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -842,7 +838,6 @@ def test_a_failed_last_table_removes_the_tables_written_before_it(
 
 @pytest.mark.parametrize("verb,base,blocked,overrides", [
     ("price", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),
-    ("greeks", "linear_uniform.ini", "greeks.csv", {"n_tau": 40}),
     ("converge", "linear_uniform.ini", "convergence.csv",
      {"ladder.rungs": "16:10, 32:20"}),
     ("price", "linear_uniform.ini", "surface.csv", {"n_tau": 40}),

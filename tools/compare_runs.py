@@ -51,8 +51,7 @@ def _matrix():
     runs = []
     for cfg in CONFIGS:
         stem = cfg[:-4]
-        runs += [(f"price-{stem}", "price", cfg, {}, []),
-                 (f"greeks-{stem}", "greeks", cfg, {}, [])]
+        runs.append((f"price-{stem}", "price", cfg, {}, []))
         runs += [(f"price-{stem}-{o}", "price", cfg, {}, ["--oracle", o])
                  for o in ("fdm", "p1", "closed-form")]
     # every shipped ladder; the linear one cut to its first two rungs
