@@ -33,16 +33,19 @@ float that is not a finite number; a degree, n_elements or n_tau below 1,
 in [discretization], a ladder rung or the reference (every march takes at
 least one step); a knot_mode other than uniform or refined; and a [ladder]
 reference that is not exactly one n_elements:n_tau pair.  Section names are
-matched as written, so [Ladder] and [DEFAULT] are unknown sections.  A
-line configparser cannot read (one before any section header, one with no
-'=' or ':', a repeated section or key) is a parse error on one line, its
-line number in the prefix like every other.  A config file that is not
-UTF-8 text is an error naming its path, and nothing is written unless the
-whole configuration parses.  The [model] keys are the fields of the model's
-parameter class, with its defaults; a field without a default is a required
-key.  Every run takes unit NURBS weights, price keeps every (n_tau // 50)-th
-level and --out names the output directory, so weights_file, store_every
-and [output] are unknown.
+matched as written, so [Ladder] and [DEFAULT] are unknown sections.  The
+file is read once, by configparser's rules: a line indented deeper than
+its key's continues the value, so a key indented under its section header
+is a key, named at its line in every error.  A line that cannot be read
+(one before any section header, one with no '=' or ':', one with no key
+before its first, as '= 0.2', a repeated section or key) is a parse error
+on one line, its line number in the prefix like every other.  A config
+file that is not UTF-8 text is an error naming its path, and nothing is
+written unless the whole configuration parses.  The [model] keys are the
+fields of the model's parameter class, with its defaults; a field without a
+default is a required key.  Every run takes unit NURBS weights, price keeps
+every (n_tau // 50)-th level and --out names the output directory, so
+weights_file, store_every and [output] are unknown.
 Settings that parse but cannot run are configuration errors too, raised
 before solving: x_min >= x_max; an interval whose ends, at t = 0 or at
 maturity, map to stock prices that are not positive or whose squares are not
@@ -76,7 +79,6 @@ none of its files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import math
 import os
@@ -88,7 +90,6 @@ from functools import partial
 import numpy as np
 
 from .assembly import PhysicalMap
-from .checks import format_report, run_checks
 from .greeks import block_lines as _block_lines
 from .greeks import greeks_table, theta_pair, write_greeks_csv
 from .greeks import write_csv as _write_csv
@@ -115,38 +116,55 @@ _MODELS = {"linear-bs": LelandParams, "leland": LelandParams,
            "afv": AfvParams}
 
 
-def _line_map(text: str) -> dict[tuple[str, str], int]:
-    """(section, key) -> 1-based line number, by a pre-scan of the raw file;
-    a section is named as configparser names it, a key in lower case."""
-    out: dict[tuple[str, str], int] = {}
-    section = ""
-    # configparser splits lines at "\n" alone, not where splitlines() does
+def _read_ini(text: str, path: str):
+    """``{section: {key: value}}`` and ``{(section, key): line}`` of an INI
+    text, read by configparser's rules with no interpolation and no default
+    section; the key "" holds a section's own line.  Lines end at a line
+    feed alone, and one that cannot be read is a ConfigError at its line."""
+    parts: dict[str, dict[str, list[str]]] = {}
+    lines: dict[tuple[str, str], int] = {}
+    section, key, indent = None, "", 0
     for no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith(("#", ";")):
+        depth = len(raw) - len(raw.lstrip())
+        if line.startswith(("#", ";")) or not (line or key):
             continue
-        m = configparser.ConfigParser.SECTCRE.match(line)
-        if m:
-            section = m.group("header")
-            out[(section, "")] = no
+        # a blank line, or one indented deeper than its key's, continues
+        if key and (not line or depth > indent):
+            parts[section][key].append(line)
             continue
-        if raw[:1] in " \t":
-            continue  # continuation of the previous value
-        m = re.match(r"([^=:]+)[=:]", line)
-        if m:
-            out[(section, m.group(1).strip().lower())] = no
-    return out
+        header, indent = re.match(r"\[(.+)\]", line), depth
+        if header:
+            section, key = header.group(1), ""
+            error = (f"repeated section [{section}]" if section in parts
+                     else "")
+            parts[section] = {}
+        elif section is None:
+            error = f"no section header before {line!r}"
+        elif not (delimiter := re.search("[=:]", line)):
+            error = f"no '=' or ':' in {line!r}"
+        else:
+            key = line[:delimiter.start()].strip().lower()
+            error = (f"no key in {line!r}" if not key else
+                     f"repeated key '{key}' in [{section}]"
+                     if key in parts[section] else "")
+            parts[section][key] = [line[delimiter.end():].strip()]
+        if error:
+            raise ConfigError(f"parse error: {error}", path, no)
+        lines[(section, key)] = no
+    return ({name: {k: "\n".join(v).rstrip() for k, v in keys.items()}
+             for name, keys in parts.items()}, lines)
 
 
-def _get(cp, lines, path, section, key, conv, default=MISSING):
+def _get(ini, lines, path, section, key, conv, default=MISSING):
     """``key`` of ``section`` through ``conv``; ``default`` if it is absent,
     which a key without a default must not be."""
-    if not cp.has_option(section, key):
+    raw = ini.get(section, {}).get(key)
+    if raw is None:
         if default is MISSING:
             raise ConfigError(f"missing key '{key}' in [{section}]", path,
                               lines.get((section, "")))
         return default
-    raw = cp.get(section, key)
     try:
         return conv(raw)
     except (TypeError, ValueError) as exc:
@@ -272,38 +290,19 @@ def parse_config(path: str) -> ExperimentConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc), path) from None
-    lines = _line_map(text)
-    # without a default section, [DEFAULT] is one more unknown section
-    cp = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        cp.read_string(text, source=path)
-    except configparser.MissingSectionHeaderError as exc:
-        raise ConfigError(f"parse error: no section header before "
-                          f"{exc.line.strip()!r}", path, exc.lineno) from None
-    except configparser.ParsingError as exc:  # its lines are in .errors
-        line = exc.errors[0][0]
-        bad = text.split("\n")[line - 1].strip()
-        raise ConfigError(f"parse error: no '=' or ':' in {bad!r}", path,
-                          line) from None
-    except configparser.DuplicateOptionError as exc:
-        raise ConfigError(f"parse error: repeated key '{exc.option}' in "
-                          f"[{exc.section}]", path, exc.lineno) from None
-    except configparser.DuplicateSectionError as exc:
-        raise ConfigError(f"parse error: repeated section [{exc.section}]",
-                          path, exc.lineno) from None
-
-    for section in cp.sections():
+    ini, lines = _read_ini(text, path)
+    for section, keys in ini.items():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{section}]", path,
-                              lines.get((section, "")))
-        for key in cp.options(section):
+                              lines[(section, "")])
+        for key in keys:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]",
-                                  path, lines.get((section, key)))
+                                  path, lines[(section, key)])
 
     def read(f, params=None):
         default = f.metadata["default"]
-        return _get(cp, lines, path, f.metadata["section"], f.name,
+        return _get(ini, lines, path, f.metadata["section"], f.name,
                     f.metadata["conv"],
                     default(params) if callable(default) else default)
 
@@ -311,15 +310,13 @@ def parse_config(path: str) -> ExperimentConfig:
     model = read(model_field)
     cls = _MODELS[model]
     allowed = {f.name for f in fields(cls)}
-    if cp.has_section("model"):
-        for key in cp.options("model"):
-            if key not in allowed:
-                raise ConfigError(
-                    f"key '{key}' does not apply to model '{model}'", path,
-                    lines.get(("model", key)))
+    for key in ini.get("model", {}):
+        if key not in allowed:
+            raise ConfigError(f"key '{key}' does not apply to model "
+                              f"'{model}'", path, lines[("model", key)])
 
     # a parameter field with no default is a required key
-    values = {f.name: _get(cp, lines, path, "model", f.name,
+    values = {f.name: _get(ini, lines, path, "model", f.name,
                            _CONVERTERS.get(f.name, _finite), f.default)
               for f in fields(cls)}
     if model == "linear-bs" and values["leland_number"] != 0.0:
@@ -629,6 +626,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.verb == "validate":
+        from .checks import format_report, run_checks
         results = run_checks()
         print(format_report(results))
         return 0 if all(r.passed for r in results) else 1

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from igafin.checks import run_checks
-from igafin.cli import _KNOWN_KEYS, main
+from igafin.cli import _KNOWN_KEYS, ConfigError, _read_ini, main
 from igafin.models import LelandParams
 from igafin.stepper import SchemeConfig
 
@@ -44,25 +44,22 @@ def _read(path):
     return rows[0], rows[1:]
 
 
-def _assert_matches(got, ref):
-    """Each value within 1e-10 of its column's largest magnitude in the
-    reference, plus one unit in the 10th printed digit; an empty cell
-    only matches an empty cell."""
-    head_g, rows_g = _read(got)
-    head_r, rows_r = _read(ref)
-    assert head_g == head_r and len(rows_g) == len(rows_r)
-    scale = [max((abs(float(v)) for v in col if v), default=0.0)
-             for col in zip(*rows_r)]
-    for line, (rg, rr) in enumerate(zip(rows_g, rows_r), start=2):
-        for name, a, b, top in zip(head_r, rg, rr, scale):
-            if not (a and b):
-                assert a == b, f"{got.name}:{line}: {name} = {a!r}, " \
-                    f"committed {b!r}"
-                continue
-            x, y = float(a), float(b)
-            quantum = 10.0 ** (math.floor(math.log10(abs(y))) - 9) if y else 0.0
-            assert abs(x - y) <= 1e-10 * top + quantum, \
-                f"{got.name}:{line}: {name} = {a}, committed {b}"
+def _load_compare_csv():
+    """``compare_csv`` of ``perfbench/run.py``, the benchmark's golden
+    tolerance, loaded by path without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench      # its dataclasses look it up
+    write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        sys.dont_write_bytecode = write
+    return bench.compare_csv
+
+
+compare_csv = _load_compare_csv()
 
 
 @pytest.mark.parametrize("golden,base,overrides", [
@@ -75,7 +72,7 @@ def test_price_reproduces_the_committed_outputs(tmp_path, golden, base,
     cfg = _config(tmp_path, base, **overrides)
     assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
     for name in ("surface.csv", "slice_t0.csv", "greeks.csv"):
-        _assert_matches(out / name, ROOT / "out" / golden / name)
+        assert compare_csv(out / name, ROOT / "out" / golden / name) is None
 
 
 def test_linear_ladder_reproduces_its_first_two_rungs(tmp_path):
@@ -92,7 +89,7 @@ def test_linear_ladder_reproduces_its_first_two_rungs(tmp_path):
     ref = tmp_path / "convergence.csv"
     lines = (ROOT / "out" / "linear" / "convergence.csv").read_text()
     ref.write_text("".join(lines.splitlines(keepends=True)[:3]))
-    _assert_matches(out / "convergence.csv", ref)
+    assert compare_csv(out / "convergence.csv", ref) is None
 
 
 def test_refined_ladder_reproduces_its_error_column(tmp_path):
@@ -368,6 +365,15 @@ MODELS = "('linear-bs', 'leland', 'afv')"
     # into every section, an unknown key with no line
     ("price", "[experiment]", "[DEFAULT]\nn_tau = 64\n\n[experiment]",
      "[DEFAULT]", "unknown section [DEFAULT]"),
+    # an indented key under its section header is a key: its errors had no
+    # line, as the line scan took it for a continuation
+    ("price", "rate = 0.05", "  rate = abc", "  rate = abc",
+     "bad value for 'rate': 'abc' (could not convert"),
+    ("price", "[model]\n", "[model]\n  volatility = 0.2\n",
+     "  volatility = 0.2", "unknown key 'volatility' in [model]\n"),
+    # it was said to have no '=' or ':'
+    ("price", "[model]\n", "[model]\n= 0.2\n", "= 0.2",
+     "parse error: no key in '= 0.2'\n"),
 ])
 def test_bad_config_text_is_a_config_error_at_its_line(
         tmp_path, capsys, verb, old, new, at, message):
@@ -386,6 +392,59 @@ def test_bad_config_text_is_a_config_error_at_its_line(
     assert err.startswith(f"config error: {where}: {message}")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def _configparser_values(text):
+    """The sections and values configparser reads from ``text`` with the
+    rules the config reader keeps, or None where it refuses the text."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        cp.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: dict(cp[name]) for name in cp.sections()}
+
+
+def _assert_reads_as_configparser(text):
+    """Assert that the config reader reads ``text`` as configparser does,
+    and refuses it where configparser does; True where both read it."""
+    expected = _configparser_values(text)
+    if expected is None:
+        with pytest.raises(ConfigError, match="parse error: "):
+            _read_ini(text, "t.ini")
+        return False
+    ini, lines = _read_ini(text, "t.ini")
+    assert ini == expected
+    # every section and key has a line, and that line reads it
+    assert set(lines) == {(name, key) for name, keys in ini.items()
+                          for key in ("", *keys)}
+    rows = text.split("\n")
+    for (name, key), no in lines.items():
+        assert rows[no - 1].strip().lower().startswith(
+            key if key else f"[{name}]".lower())
+    return True
+
+
+# headers, "=" and ":" keys, indented keys and continuations, tabs, blank
+# and comment lines, and lines that are no part of an INI file
+INI_LINES = [
+    "[a]", "[b]", "[DEFAULT]", "[A]", "[d] junk", "  [a]", "[]", "x = 1",
+    "X: 2", "y =", "y = a = b", "z : c:d", "=v", " : v", "  x = 3",
+    "\tw = 4", "  cont", "\tcont", "    deep", "  ; in a value", "# note",
+    "; note", "", "  ", "\t", "junk", "k = v ; kept", "\x0cff = 1",
+]
+
+
+def test_seeded_texts_read_as_configparser_reads_them():
+    rng = np.random.default_rng(1)
+    read = 0
+    for _ in range(2000):
+        picks = rng.integers(len(INI_LINES), size=rng.integers(1, 10))
+        head = ["[a]"] if rng.random() < 0.8 else []
+        read += _assert_reads_as_configparser(
+            "\n".join(head + [INI_LINES[i] for i in picks]))
+    # both branches are exercised
+    assert 200 < read < 1800
 
 
 def test_put_window_none_is_the_bond_without_a_put(tmp_path):
@@ -439,6 +498,8 @@ def test_every_shipped_config_passes_the_checks_before_solving(name,
     assert len(cli._prepare(cfg, grids)) == len(grids)
     cli._check_greeks_inputs(cfg)
     cli._check_probe(cfg)
+    # and the config reader reads it as configparser does
+    _assert_reads_as_configparser((ROOT / name).read_text())
 
 
 def test_refined_knots_name_a_kink_outside_the_domain(tmp_path, capsys):
@@ -732,10 +793,10 @@ def test_converge_defaults_to_each_shipped_ladders_oracle(
 
 
 def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
-    import igafin.cli as cli
+    import igafin.checks as checks
     results = run_checks()
     results[3] = replace(results[3], passed=False)
-    monkeypatch.setattr(cli, "run_checks", lambda: results)
+    monkeypatch.setattr(checks, "run_checks", lambda: results)
     assert main(["validate"]) == 1
     out = capsys.readouterr().out
     assert out.count("FAIL ") == 1
@@ -949,12 +1010,13 @@ def test_import_leaves_out_scipy_stats():
     # whose import pulls in numpy.f2py and concurrent.futures, and from a
     # directory found without importing the scipy package, whose __init__
     # loads subprocess and sysconfig.  Building a discretisation does not
-    # load numpy.ma, which np.unique imports on its first call.  After
-    # validate, which evaluates every closed form, the wrappers are still
-    # the one scipy module loaded
+    # load numpy.ma, which np.unique imports on its first call.  Neither
+    # validate's suite nor configparser is loaded before validate runs.
+    # After validate, which evaluates every closed form, the wrappers are
+    # still the one scipy module loaded
     names = ("scipy.stats", "scipy.special", "scipy.sparse", "scipy.linalg",
              "numpy.f2py", "concurrent.futures", "numpy.ma", "scipy",
-             "subprocess", "sysconfig")
+             "subprocess", "sysconfig", "igafin.checks", "configparser")
     code = "\n".join([
         "import contextlib, io, sys, igafin.cli",
         "from igafin.stepper import build_discretization",
