@@ -46,24 +46,24 @@ fields of the model's parameter class, with its defaults; a field without a
 default is a required key.  Every run takes unit NURBS weights, price keeps
 every (n_tau // 50)-th level and --out names the output directory, so
 weights_file, store_every and [output] are unknown.
-Settings that parse but cannot run are configuration errors too, raised
-before solving: x_min >= x_max; an interval whose ends, at t = 0 or at
-maturity, map to stock prices that are not positive or whose squares are not
-finite, positive doubles; refined knots with n_elements < 2 (they need a
-span on each side of the kink) or the payoff kink, where they cluster,
-outside (x_min, x_max); theta outside [0, 1]; negative rannacher_steps; a
-grid with fewer than three basis functions (none interior); n_elements < 2
-on the grid of the p1 or fdm oracle; a converge by p1 or fdm whose prices at
-t = 0 all lie above three times the payoff kink, so that its misfit has
-nothing to sample; the closed-form oracle on a model that has none; an
-output directory that is empty or that a file blocks (its nearest existing
-ancestor is not a directory), or in which a table the verb writes is a
-directory (with the message of a failed write); a call window that opens and
-closes on one date; degree < 2 for price (gamma needs it); a time grid whose
-final level is a coupon or put date, and so is the level before it or there
-is no level before that (theta has no pair of levels to difference); and a
-probe price outside the domain.  A march that produces a value that is not
-finite is a solver failure, reported on one line.
+Settings that parse but cannot run are errors of parse_config too, at the
+line of the key they name (its section's if that key is left out), so that a
+parsed config can run: x_min >= x_max; an interval whose ends, at t = 0 or
+at maturity, map to stock prices that are not positive or whose squares are
+not finite, positive doubles; refined knots on one element or with the
+payoff kink outside (x_min, x_max); a [discretization] grid or ladder rung
+with fewer than three basis functions (none interior); theta outside [0, 1];
+negative rannacher_steps; a probe price outside the domain; and, at the
+[model] line, a call window that opens and closes on one date.  Before
+solving, the verbs reject what their flags and work add: a p1 or fdm oracle
+on one element; a converge by p1 or fdm whose prices at t = 0 all lie above
+three times the payoff kink (its misfit has nothing to sample); a closed
+form the model lacks; an output directory that is empty or below a file, or
+in which a table the verb writes is a directory; degree < 2 for price (gamma
+needs it); and a final time level that is a coupon or put date, as is the
+level before it or with no level before that (theta has no pair of levels to
+difference).  A march that produces a value that is not finite is a solver
+failure, reported on one line.
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
@@ -91,7 +91,7 @@ import numpy as np
 
 from .assembly import PhysicalMap
 from .greeks import block_lines as _block_lines
-from .greeks import greeks_table, theta_pair, write_greeks_csv
+from .greeks import check_greeks, greeks_table, write_greeks_csv
 from .greeks import write_csv as _write_csv
 from .models import AfvParams, LelandParams
 from .reference import fdm_solve, misfit_epsilon, p1fem_solve
@@ -283,8 +283,61 @@ def _known_keys() -> dict[str, set[str]]:
 _KNOWN_KEYS = _known_keys()
 
 
+def _kink_xi(cfg: ExperimentConfig) -> float:
+    """The knot parameter of the payoff kink, where refined knots cluster."""
+    return float(PhysicalMap(cfg.x_min, cfg.x_max).to_parameter(
+        cfg.params.kink))
+
+
+def _check_runnable(cfg: ExperimentConfig, error) -> None:
+    """Raise ``error(message, *keys)`` for a setting that cannot run, with
+    ``keys`` the settings the message names."""
+    try:
+        kink_xi = _kink_xi(cfg)
+    except ValueError as exc:
+        raise error(str(exc), "x_min", "x_max") from None
+    # S at each end, at maturity and at t = 0: gamma divides by S^2
+    with np.errstate(over="ignore"):
+        ends = {key: [float(cfg.params.s_of(getattr(cfg, key), tau))
+                      for tau in (cfg.params.horizon, 0.0)]
+                for key in ("x_min", "x_max")}
+    s = ends["x_min"] + ends["x_max"]
+    for key, pair in ends.items():
+        if not all(v > 0.0 and 0.0 < v * v < math.inf for v in pair):
+            raise error(
+                f"the domain [x_min, x_max] = [{cfg.x_min:g}, {cfg.x_max:g}] "
+                f"reaches stock prices from {min(s):.6g} to {max(s):.6g}, "
+                "and S^2 must be a finite, positive double", key)
+    if cfg.knot_mode == "refined" and not 0.0 < kink_xi < 1.0:
+        raise error(f"refined knots cluster at the payoff kink x = "
+                    f"{cfg.params.kink:.6g}, which lies outside "
+                    f"(x_min, x_max) = ({cfg.x_min:g}, {cfg.x_max:g})",
+                    "x_min" if kink_xi <= 0.0 else "x_max")
+    for key, n_e in [("n_elements", cfg.n_elements),
+                     *(("rungs", n_e) for n_e, _ in cfg.rungs)]:
+        try:
+            knots = build_knots(n_e, cfg.degree, cfg.knot_mode, kink_xi)
+        except ValueError as exc:
+            raise error(str(exc), key) from None
+        if knots.n_basis < 3:
+            raise error(f"n_elements = {n_e} at degree = {cfg.degree} gives "
+                        f"{knots.n_basis} basis functions; a run needs at "
+                        "least 3", key)
+    # SchemeConfig states both rules; one key at a time names its line
+    for key in ("theta", "rannacher_steps"):
+        try:
+            SchemeConfig(cfg.n_tau, **{key: getattr(cfg, key)})
+        except ValueError as exc:
+            raise error(str(exc), key) from None
+    lo, hi = ends["x_min"][0], ends["x_max"][0]
+    if not lo <= cfg.probe_s <= hi:
+        raise error(f"probe_s = {cfg.probe_s:g} lies outside the "
+                    f"computational domain [{lo:.6g}, {hi:.6g}]", "probe_s")
+
+
 def parse_config(path: str) -> ExperimentConfig:
-    """Read and fully validate an INI experiment description."""
+    """Read an INI experiment description and check that it can run: each
+    error is at the line of the key it names, else of that key's section."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -328,65 +381,33 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid [model] parameters: {exc}", path,
                           lines.get(("model", ""))) from None
 
-    return ExperimentConfig(path, model, params,
-                            **{f.name: read(f, params) for f in keyed})
+    cfg = ExperimentConfig(path, model, params,
+                           **{f.name: read(f, params) for f in keyed})
+    sections = {f.name: f.metadata["section"] for f in keyed}
+
+    def error(message: str, *keys: str) -> ConfigError:
+        """A ConfigError at the line of the first of ``keys`` in the file,
+        else at that of their section."""
+        section = sections[keys[0]]
+        return ConfigError(message, path, next(
+            lines[(section, key)] for key in (*keys, "")
+            if (section, key) in lines))
+
+    _check_runnable(cfg, error)
+    return cfg
 
 
-def _check_price_range(cfg: ExperimentConfig) -> None:
-    """Raise ValueError unless S(x_min) and S(x_max), at t = 0 and at
-    maturity, are positive with a finite, positive square (gamma divides
-    by S^2)."""
-    params = cfg.params
-    with np.errstate(over="ignore"):
-        ends = [float(params.s_of(x, tau)) for x in (cfg.x_min, cfg.x_max)
-                for tau in (params.horizon, 0.0)]
-    if not all(s > 0.0 and 0.0 < s * s < math.inf for s in ends):
-        raise ValueError(
-            f"the domain [x_min, x_max] = [{cfg.x_min:g}, {cfg.x_max:g}] "
-            f"reaches stock prices from {min(ends):.6g} to {max(ends):.6g}, "
-            "and S^2 must be a finite, positive double")
-
-
-def _prepare(cfg: ExperimentConfig, grids) -> list:
-    """(n_elements, kink_xi, scheme) of a run on each (n_elements, n_tau)
-    grid: what it builds from the settings before it assembles, with
-    kink_xi the parameter of the model's payoff kink.  A ValueError of the
-    interval, the knots or the scheme becomes a ConfigError, raised before
-    any solve, and so do knots with fewer than three basis functions and an
-    interval whose ends map to stock prices out of a double's range."""
-    try:
-        pmap = PhysicalMap(cfg.x_min, cfg.x_max)
-        _check_price_range(cfg)
-        kink_xi = float(pmap.to_parameter(cfg.params.kink))
-        if cfg.knot_mode == "refined" and not 0.0 < kink_xi < 1.0:
-            raise ValueError(f"refined knots cluster at the payoff kink x = "
-                             f"{cfg.params.kink:.6g}, which lies outside "
-                             f"(x_min, x_max) = ({cfg.x_min:g}, {cfg.x_max:g})")
-        knots = [build_knots(n_e, cfg.degree, cfg.knot_mode, kink_xi)
-                 for n_e, _ in grids]
-        schemes = [_scheme(cfg, n_t) for _, n_t in grids]
-    except ValueError as exc:
-        raise ConfigError(str(exc), cfg.path) from None
-    for (n_e, _), k in zip(grids, knots):
-        if k.n_basis < 3:
-            raise ConfigError(f"n_elements = {n_e} at degree = {cfg.degree} "
-                              f"gives {k.n_basis} basis functions; a run "
-                              "needs at least 3", cfg.path)
-    return [(n_e, kink_xi, scheme) for (n_e, _), scheme in zip(grids, schemes)]
-
-
-def _build(cfg: ExperimentConfig, n_elements: int, kink_xi: float, scheme):
+def _build(cfg: ExperimentConfig, n_elements: int, scheme):
     disc = build_discretization(cfg.x_min, cfg.x_max, n_elements, cfg.degree,
-                                cfg.knot_mode, kink_xi)
+                                cfg.knot_mode, _kink_xi(cfg))
     return disc, run(cfg.params, disc, scheme)
 
 
-def _scheme(cfg: ExperimentConfig, n_tau: int) -> SchemeConfig:
-    """The scheme of a run on n_tau steps, which keeps every
-    (n_tau // 50)-th slice."""
-    return SchemeConfig(n_steps=n_tau, theta=cfg.theta,
-                        rannacher_steps=cfg.rannacher_steps,
-                        store_every=max(1, n_tau // 50))
+def _scheme(cfg: ExperimentConfig, n_tau: int,
+            store_every: int = 0) -> SchemeConfig:
+    """The scheme of a run on n_tau steps that keeps every store_every-th
+    slice, or with 0 only the final slice and those the march needs."""
+    return SchemeConfig(n_tau, cfg.theta, cfg.rannacher_steps, store_every)
 
 
 def _fmt(v) -> str:
@@ -424,20 +445,20 @@ def _oracle_curve(cfg: ExperimentConfig, oracle: str, n_elements: int,
         return lambda s: params.closed_form(s, 0.0)
     solve = p1fem_solve if oracle == "p1" else fdm_solve
     disc, surf = solve(params, cfg.x_min, cfg.x_max, n_elements,
-                       replace(_scheme(cfg, n_tau), store_every=0))
+                       _scheme(cfg, n_tau))
     final = surf.final
     return lambda s: value_curve(params, disc, final, s)
 
 
-def _probe_report(cfg, oracle, disc, surf) -> list[str]:
-    """The lines price prints: the value at the probe and at the nearest
-    Greville point, then the oracle's curve at the probe, if any."""
-    params, final = cfg.params, surf.final
+def _probe_report(cfg, oracle, disc, surf, block) -> list[str]:
+    """The lines price prints: the value at the probe, at the nearest
+    Greville point of the final slice's ``block`` and by the oracle."""
+    params = cfg.params
     name = params.value_column[0]
-    exact = float(value_curve(params, disc, final, [cfg.probe_s])[0])
-    grid = params.s_of(disc.greville_x, final.tau)
+    exact = float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
+    grid = block[:, 0]
     j = int(np.argmin(np.abs(grid - cfg.probe_s)))
-    near = float(value_curve(params, disc, final, [grid[j]])[0])
+    near = block[j, 1 + params.columns.index(params.value_column)]
     lines = [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
              f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
     curve = _oracle_curve(cfg, oracle, cfg.n_elements, cfg.n_tau)
@@ -445,18 +466,6 @@ def _probe_report(cfg, oracle, disc, surf) -> list[str]:
         lines.append(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = "
                      f"{curve([cfg.probe_s])[0]:.4f}")
     return lines
-
-
-def _check_greeks_inputs(cfg: ExperimentConfig) -> None:
-    """Reject settings under which the Greeks cannot be formed."""
-    if cfg.degree < 2:
-        raise ConfigError("the Greeks need degree >= 2 (gamma is a second "
-                          f"derivative), got degree = {cfg.degree}", cfg.path)
-    if theta_pair(cfg.params, cfg.params.horizon / cfg.n_tau,
-                  cfg.n_tau) is None:
-        raise ConfigError("theta needs two stored slices near t = 0 with no "
-                          "coupon or put date between them; none exist at "
-                          f"n_tau = {cfg.n_tau}", cfg.path)
 
 
 # the tables each verb writes, in the order it writes them
@@ -491,17 +500,6 @@ def _check_out_dir(cfg: ExperimentConfig, verb: str) -> None:
             raise ConfigError(f"cannot write {path}: it is a directory")
 
 
-def _check_probe(cfg: ExperimentConfig) -> None:
-    """Reject a probe price whose image lies outside [x_min, x_max] on
-    the final slice."""
-    params = cfg.params
-    lo, hi = (params.s_of(x, params.horizon) for x in (cfg.x_min, cfg.x_max))
-    if not lo <= cfg.probe_s <= hi:
-        raise ConfigError(f"probe_s = {cfg.probe_s:g} lies outside the "
-                          f"computational domain [{lo:.6g}, {hi:.6g}]",
-                          cfg.path)
-
-
 def _publish(cfg: ExperimentConfig, verb: str, writes) -> None:
     """Make the output directory and write in it each table of the verb,
     by the matching ``write(path)`` of ``writes``.  An OSError removes the
@@ -524,11 +522,13 @@ def _publish(cfg: ExperimentConfig, verb: str, writes) -> None:
 
 
 def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
-    [grid] = _prepare(cfg, [(cfg.n_elements, cfg.n_tau)])
-    _check_greeks_inputs(cfg)
-    _check_probe(cfg)
+    try:
+        check_greeks(cfg.params, cfg.degree, cfg.n_tau)
+    except ValueError as exc:
+        raise ConfigError(str(exc), cfg.path) from None
     _check_oracle(cfg, oracle, cfg.n_elements)
-    disc, surf = _build(cfg, *grid)
+    disc, surf = _build(cfg, cfg.n_elements,
+                        _scheme(cfg, cfg.n_tau, max(1, cfg.n_tau // 50)))
     params = cfg.params
     fields = [column for column, _ in params.columns]
 
@@ -543,7 +543,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
             [s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
                   for _, f in params.columns)])))
     table = greeks_table(params, disc, surf)
-    report = _probe_report(cfg, oracle, disc, surf)
+    report = _probe_report(cfg, oracle, disc, surf, blocks[-1][1])
 
     _publish(cfg, "price", [
         lambda path: _write_csv(
@@ -584,8 +584,6 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     if oracle is None:
         oracle = ("p1" if cfg.reference else "closed-form"
                   if hasattr(cfg.params, "closed_form") else "none")
-    grids = _prepare(cfg, cfg.rungs)
-    _check_probe(cfg)
     n_e, n_t = cfg.reference or max(cfg.rungs)
     _check_oracle(cfg, oracle, n_e)
     if oracle in ("p1", "fdm") and not _misfit_prices(
@@ -596,9 +594,9 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     curve = _oracle_curve(cfg, oracle, n_e, n_t)
 
     rows, prev_err = [], None
-    for (n_e, n_t), (*space, scheme) in zip(cfg.rungs, grids):
+    for n_e, n_t in cfg.rungs:
         # a rung reads only its final slice
-        disc, surf = _build(cfg, *space, replace(scheme, store_every=0))
+        disc, surf = _build(cfg, n_e, _scheme(cfg, n_t))
         value = float(value_curve(cfg.params, disc, surf.final,
                                   [cfg.probe_s])[0])
         err = _rung_error(cfg, oracle, curve, disc, surf.final, value)

@@ -15,7 +15,7 @@ together.
 
 Theta is a backward difference of two consecutive time levels, as the
 semidiscrete system gives no direct access to the calendar-time
-derivative: ``theta_pair`` takes the last two levels, or the two before
+derivative: ``check_greeks`` takes the last two levels, or the two before
 them when the final level is a jump of the model's event calendar (a
 coupon or a single-date put).  Every run stores its last three levels.
 
@@ -34,7 +34,7 @@ import numpy as np
 from .basis import basis_table, contract_table, eval_spline_many
 from .stepper import Discretization, SolutionSurface
 
-__all__ = ["GreekTable", "theta_pair", "greeks_table", "write_greeks_csv",
+__all__ = ["GreekTable", "check_greeks", "greeks_table", "write_greeks_csv",
            "write_csv", "block_lines"]
 
 
@@ -49,14 +49,20 @@ class GreekTable:
     time: float
 
 
-def theta_pair(params, dtau: float, n_steps: int) -> tuple[int, int] | None:
-    """The two time levels theta differences, or None: the first of
-    (n - 1, n) and (n - 2, n - 1), n = ``n_steps``, that exists and whose
-    later level is not a jump level of the model's calendar."""
-    _, jumps = params.calendar(dtau, n_steps)
-    n = n_steps
-    return next(((m0, m1) for m0, m1 in ((n - 1, n), (n - 2, n - 1))
-                 if m0 >= 0 and m1 not in jumps), None)
+def check_greeks(params, degree: int, n_steps: int) -> tuple[int, int]:
+    """The levels theta differences: the first of (n - 1, n) and
+    (n - 2, n - 1), n = ``n_steps``, that exists and whose later level is no
+    jump of the calendar.  A ValueError if there is none or degree < 2."""
+    if degree < 2:
+        raise ValueError("the Greeks need degree >= 2 (gamma is a second "
+                         f"derivative), got degree = {degree}")
+    _, jumps = params.calendar(params.horizon / n_steps, n_steps)
+    for m0, m1 in ((n_steps - 1, n_steps), (n_steps - 2, n_steps - 1)):
+        if m0 >= 0 and m1 not in jumps:
+            return m0, m1
+    raise ValueError("theta needs two stored slices near t = 0 with no "
+                     "coupon or put date between them; none exist at "
+                     f"n_tau = {n_steps}")
 
 
 def greeks_table(params, disc: Discretization,
@@ -67,12 +73,7 @@ def greeks_table(params, disc: Discretization,
     leaves it by rounding at most, and on the other slice of the theta
     pair the call's drifting frame moves the tails outside.
     """
-    if disc.basis.degree < 2:
-        raise ValueError("gamma needs basis degree >= 2")
-    pair = theta_pair(params, surface.dtau, surface.n_steps)
-    if pair is None:
-        raise ValueError("theta needs two stored slices with no jump level "
-                         "between them")
+    pair = check_greeks(params, disc.basis.degree, surface.n_steps)
     final, field = surface.final, params.value_column[1]
     s = params.s_of(disc.greville_x, final.tau)
 

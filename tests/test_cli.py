@@ -16,6 +16,7 @@ import pytest
 
 from igafin.checks import run_checks
 from igafin.cli import _KNOWN_KEYS, ConfigError, _read_ini, main
+from igafin.greeks import check_greeks
 from igafin.models import LelandParams
 from igafin.stepper import SchemeConfig
 
@@ -150,22 +151,8 @@ TINY = {"n_elements": 16, "n_tau": 10}
 @pytest.mark.parametrize("verb,base,overrides,args", [
     ("price", "convertible.ini", {**SMALL, "degree": 1}, []),
     ("price", "convertible.ini", {**SMALL, "n_tau": 0}, []),
-    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 1000}, []),
-    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 0.1}, []),
-    ("price", "linear_uniform.ini", {**SMALL, "experiment.probe_s": 5000},
-     []),
-    ("converge", "convertible.ini", {**SMALL, "experiment.probe_s": 1000},
-     []),
     ("price", "convertible.ini", {"n_elements": 64, "n_tau": 1}, []),
     ("price", "convertible.ini", {**SMALL, "n_tau": 2}, []),
-    # refined knots on one element, which ran on two spans after a
-    # division by zero
-    ("price", "refined.ini", {"n_elements": 1}, []),
-    # settings whose ValueError used to surface as a traceback
-    ("price", "refined.ini", {"x_min": 5, "x_max": 6}, []),
-    ("price", "convertible.ini", {**SMALL, "theta": 2}, []),
-    ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1}, []),
-    ("price", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, []),
     ("converge", "convertible.ini", {**SMALL, "ladder.rungs": "0:10"}, []),
     ("converge", "leland_ladder.ini", {**SMALL, "ladder.rungs": "32:20",
                                        "ladder.reference": "0:10"}, []),
@@ -173,10 +160,7 @@ TINY = {"n_elements": 16, "n_tau": 10}
     # one date
     ("price", "convertible.ini", {**SMALL,
                                   "model.call_window": "3.0:3.0:101"}, []),
-    # ... or ended in a traceback: a grid with no interior basis function,
-    # and a finite-difference twin on one cell
-    ("converge", "leland_ladder.ini", {"degree": 1, "ladder.rungs": "1:20",
-                                       "ladder.reference": "1:10"}, []),
+    # ... or ended in a traceback: a finite-difference twin on one cell
     ("converge", "leland_ladder.ini", {**SMALL, "ladder.rungs": "32:20",
                                        "ladder.reference": "1:10"}, []),
     ("price", "convertible.ini", {**SMALL, "n_elements": 1},
@@ -234,12 +218,6 @@ TINY = {"n_elements": 16, "n_tau": 10}
                                   "model.coupons": "0.5:-4, 5.0:4"}, []),
     ("price", "convertible.ini", {**SMALL,
                                   "model.call_window": "2.0:5.0:-110"}, []),
-    # ... or reached stock prices whose squares leave the range of a
-    # double: it ran with infinite Greeks, or ended in a traceback
-    ("price", "leland_ladder.ini", {**TINY, "x_min": -600}, []),
-    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e4}, []),
-    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e308}, []),
-    ("price", "leland_ladder.ini", {**TINY, "x_max": 360}, []),
 ])
 def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
                                                     base, overrides, args):
@@ -254,6 +232,55 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
     assert err.startswith("config error:") and err.count("\n") == 1
     assert list(out.iterdir()) == []
     assert (tmp_path / "two.txt").read_text() == "1.0\n1.0\n"
+
+
+# (verb, base config, overrides as for _config, the key whose line the
+# error names)
+@pytest.mark.parametrize("verb,base,overrides,key", [
+    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 1000},
+     "probe_s"),
+    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 0.1},
+     "probe_s"),
+    ("price", "linear_uniform.ini", {**SMALL, "experiment.probe_s": 5000},
+     "probe_s"),
+    ("converge", "convertible.ini", {**SMALL, "experiment.probe_s": 1000},
+     "probe_s"),
+    # refined knots on one element, which ran on two spans after a
+    # division by zero
+    ("price", "refined.ini", {"n_elements": 1}, "n_elements"),
+    # settings whose ValueError used to surface as a traceback; the kink
+    # lies below x_min
+    ("price", "refined.ini", {"x_min": 5, "x_max": 6}, "x_min"),
+    ("price", "convertible.ini", {**SMALL, "theta": 2}, "theta"),
+    ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1},
+     "rannacher_steps"),
+    ("price", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, "x_min"),
+    # ... or ended in a traceback: a grid with no interior basis function
+    ("converge", "leland_ladder.ini", {"degree": 1, "ladder.rungs": "1:20",
+                                       "ladder.reference": "1:10"}, "rungs"),
+    # ... or reached stock prices whose squares leave the range of a
+    # double: it ran with infinite Greeks, or ended in a traceback
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -600}, "x_min"),
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e4}, "x_min"),
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e308}, "x_min"),
+    ("price", "leland_ladder.ini", {**TINY, "x_max": 360}, "x_max"),
+    # each verb rejects the other's grid too: price ran with a rung that
+    # cannot run, and converge with such a [discretization] grid
+    ("price", "refined.ini", {"ladder.rungs": "1:64, 32:256"}, "rungs"),
+    ("converge", "refined.ini", {"n_elements": 1}, "n_elements"),
+])
+def test_a_setting_that_cannot_run_is_a_config_error_at_its_line(
+        tmp_path, capsys, verb, base, overrides, key):
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, base, **overrides)
+    rows = cfg.read_text().split("\n")
+    [line] = [no for no, row in enumerate(rows, start=1)
+              if row.startswith(f"{key} = ")]
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{line}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
@@ -335,6 +362,11 @@ MODELS = "('linear-bs', 'leland', 'afv')"
      "unknown key 'volatility' in [model]\n"),
     ("price", "n_tau = 256\n", "", "[discretization]",
      "missing key 'n_tau' in [discretization]"),
+    # a setting that cannot run is named at its section's line when its
+    # key is left out: the default probe price of 100 lies below S(5)
+    ("price", "probe_s = 100\n\n[discretization]\n",
+     "\n[discretization]\nx_min = 5\n", "[experiment]",
+     "probe_s = 100 lies outside the computational domain ["),
     ("price", "model = linear-bs", "model = heston", "model = heston",
      f"bad value for 'model': 'heston' (must be one of {MODELS})"),
     ("price", "maturity = 1\n", "maturity = 1\nhazard_rate = 0.02\n",
@@ -493,11 +525,7 @@ def test_every_shipped_config_passes_the_checks_before_solving(name,
 
     monkeypatch.setattr(cli, "run", no_solve)
     cfg = cli.parse_config(str(ROOT / name))
-    grids = [(cfg.n_elements, cfg.n_tau), *cfg.rungs,
-             *([cfg.reference] if cfg.reference else [])]
-    assert len(cli._prepare(cfg, grids)) == len(grids)
-    cli._check_greeks_inputs(cfg)
-    cli._check_probe(cfg)
+    check_greeks(cfg.params, cfg.degree, cfg.n_tau)
     # and the config reader reads it as configparser does
     _assert_reads_as_configparser((ROOT / name).read_text())
 

@@ -5,7 +5,7 @@ import pytest
 
 from igafin import greeks
 from igafin.basis import eval_spline_many
-from igafin.greeks import greeks_table, theta_pair, write_greeks_csv
+from igafin.greeks import check_greeks, greeks_table, write_greeks_csv
 from igafin.models import AfvParams, LelandParams
 from igafin.stepper import SchemeConfig, build_discretization, run
 
@@ -147,7 +147,7 @@ class TestAfvGreeks:
         assert 50 in jumps
         disc = build_discretization(-6.0, 2.0, 64)
         surf = run(p, disc, SchemeConfig(n_steps=50, store_every=1))
-        assert theta_pair(p, surf.dtau, 50) == (48, 49)
+        assert check_greeks(p, 3, 50) == (48, 49)
         table = greeks_table(p, disc, surf)
         s0, s1 = surf.slices[48], surf.slices[49]
         inner = slice(1, -1)
@@ -185,8 +185,11 @@ class TestAfvGreeks:
         # stores both
         coupons = ((coupon_t, 4.0),) if coupon_t is not None else ()
         p = self._params(coupons=coupons, put_window=None)
-        assert theta_pair(p, p.horizon / n_steps, n_steps) == pair
-        if pair is not None:
+        if pair is None:
+            with pytest.raises(ValueError, match="theta needs two"):
+                check_greeks(p, 3, n_steps)
+        else:
+            assert check_greeks(p, 3, n_steps) == pair
             disc = build_discretization(-6.0, 2.0, 16)
             surf = run(p, disc, SchemeConfig(n_steps=n_steps, store_every=0))
             assert set(pair) <= set(surf.levels)

@@ -77,6 +77,15 @@ def _matrix():
         ("price-convertible-128x100", "price", "convertible.ini",
          {"discretization.n_elements": "128", "discretization.n_tau": "100"},
          []),
+        # settings that cannot run, each rc 2 on one stderr line: a probe
+        # outside the domain, a refined kink outside the interval and an
+        # empty interval
+        ("price-convertible-probe-outside", "price", "convertible.ini",
+         {"experiment.probe_s": "1000"}, []),
+        ("price-refined-kink-outside", "price", "refined.ini",
+         {"discretization.x_min": "5", "discretization.x_max": "6"}, []),
+        ("price-convertible-empty-interval", "price", "convertible.ini",
+         {"discretization.x_min": "2", "discretization.x_max": "2"}, []),
         ("validate", "validate", None, {}, []),
     ]
     return runs
