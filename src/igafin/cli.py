@@ -55,15 +55,18 @@ payoff kink outside (x_min, x_max); a [discretization] grid or ladder rung
 with fewer than three basis functions (none interior); theta outside [0, 1];
 negative rannacher_steps; a probe price outside the domain; and, at the
 [model] line, a call window that opens and closes on one date.  Before
-solving, the verbs reject what their flags and work add: a p1 or fdm oracle
-on one element; a converge by p1 or fdm whose prices at t = 0 all lie above
-three times the payoff kink (its misfit has nothing to sample); a closed
-form the model lacks; an output directory that is empty or below a file, or
-in which a table the verb writes is a directory; degree < 2 for price (gamma
-needs it); and a final time level that is a coupon or put date, as is the
-level before it or with no level before that (theta has no pair of levels to
-difference).  A march that produces a value that is not finite is a solver
-failure, reported on one line.
+solving, the verbs reject what their flags and work add, each at the line
+of the key in parentheses: degree < 2 for price (degree: gamma needs it); a
+final level that is a coupon or put date, as is the level before it or with
+no level before that (n_tau: theta has no pair of levels); a closed form
+the model lacks (model); a p1 or fdm oracle on one element (n_elements, or
+for converge reference, else rungs); a p1 or fdm converge whose prices at
+t = 0 all lie above three times the payoff kink (x_min: its misfit has
+nothing to sample); and converge without rungs (rungs; the path alone with
+no [ladder] section).  Errors of the flags name the path alone: an unknown
+oracle, and an output directory that is empty or below a file, or in which
+a table the verb writes is a directory.  A march that produces a value that
+is not finite is a solver failure, reported on one line.
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
@@ -248,8 +251,8 @@ def _key(section: str, conv, default=MISSING):
 @dataclass
 class ExperimentConfig:
     """Validated run description; everything the verbs need.  Each field
-    but ``path``, ``params`` and ``out_dir`` (``--out``) is one config
-    key."""
+    but ``path``, ``params``, ``out_dir`` (``--out``) and ``lines`` (each
+    key's line in the file) is one config key."""
 
     path: str
     model: str = _key("experiment", _choice(*_MODELS))
@@ -268,6 +271,16 @@ class ExperimentConfig:
     rungs: list[tuple[int, int]] = _key("ladder", _parse_rungs, lambda p: [])
     reference: tuple[int, int] | None = _key("ladder", _parse_reference, None)
     out_dir: str = ""
+    lines: dict[tuple[str, str], int] = field(default_factory=dict)
+
+    def error(self, message: str, *keys: str) -> ConfigError:
+        """A ConfigError at the line of the first of ``keys`` in the file,
+        else at that of their section, else at the path alone."""
+        section = next(f.metadata["section"] for f in fields(self)
+                       if f.name == keys[0])
+        return ConfigError(message, self.path, next(
+            (self.lines[(section, key)] for key in (*keys, "")
+             if (section, key) in self.lines), None))
 
 
 def _known_keys() -> dict[str, set[str]]:
@@ -289,13 +302,13 @@ def _kink_xi(cfg: ExperimentConfig) -> float:
         cfg.params.kink))
 
 
-def _check_runnable(cfg: ExperimentConfig, error) -> None:
-    """Raise ``error(message, *keys)`` for a setting that cannot run, with
-    ``keys`` the settings the message names."""
+def _check_runnable(cfg: ExperimentConfig) -> None:
+    """Raise ``cfg.error(message, *keys)`` for a setting that cannot run,
+    with ``keys`` the settings the message names."""
     try:
         kink_xi = _kink_xi(cfg)
     except ValueError as exc:
-        raise error(str(exc), "x_min", "x_max") from None
+        raise cfg.error(str(exc), "x_min", "x_max") from None
     # S at each end, at maturity and at t = 0: gamma divides by S^2
     with np.errstate(over="ignore"):
         ends = {key: [float(cfg.params.s_of(getattr(cfg, key), tau))
@@ -304,35 +317,36 @@ def _check_runnable(cfg: ExperimentConfig, error) -> None:
     s = ends["x_min"] + ends["x_max"]
     for key, pair in ends.items():
         if not all(v > 0.0 and 0.0 < v * v < math.inf for v in pair):
-            raise error(
+            raise cfg.error(
                 f"the domain [x_min, x_max] = [{cfg.x_min:g}, {cfg.x_max:g}] "
                 f"reaches stock prices from {min(s):.6g} to {max(s):.6g}, "
                 "and S^2 must be a finite, positive double", key)
     if cfg.knot_mode == "refined" and not 0.0 < kink_xi < 1.0:
-        raise error(f"refined knots cluster at the payoff kink x = "
-                    f"{cfg.params.kink:.6g}, which lies outside "
-                    f"(x_min, x_max) = ({cfg.x_min:g}, {cfg.x_max:g})",
-                    "x_min" if kink_xi <= 0.0 else "x_max")
+        raise cfg.error(f"refined knots cluster at the payoff kink x = "
+                        f"{cfg.params.kink:.6g}, which lies outside "
+                        f"(x_min, x_max) = ({cfg.x_min:g}, {cfg.x_max:g})",
+                        "x_min" if kink_xi <= 0.0 else "x_max")
     for key, n_e in [("n_elements", cfg.n_elements),
                      *(("rungs", n_e) for n_e, _ in cfg.rungs)]:
         try:
             knots = build_knots(n_e, cfg.degree, cfg.knot_mode, kink_xi)
         except ValueError as exc:
-            raise error(str(exc), key) from None
+            raise cfg.error(str(exc), key) from None
         if knots.n_basis < 3:
-            raise error(f"n_elements = {n_e} at degree = {cfg.degree} gives "
-                        f"{knots.n_basis} basis functions; a run needs at "
-                        "least 3", key)
+            raise cfg.error(f"n_elements = {n_e} at degree = {cfg.degree} "
+                            f"gives {knots.n_basis} basis functions; a run "
+                            "needs at least 3", key)
     # SchemeConfig states both rules; one key at a time names its line
     for key in ("theta", "rannacher_steps"):
         try:
             SchemeConfig(cfg.n_tau, **{key: getattr(cfg, key)})
         except ValueError as exc:
-            raise error(str(exc), key) from None
+            raise cfg.error(str(exc), key) from None
     lo, hi = ends["x_min"][0], ends["x_max"][0]
     if not lo <= cfg.probe_s <= hi:
-        raise error(f"probe_s = {cfg.probe_s:g} lies outside the "
-                    f"computational domain [{lo:.6g}, {hi:.6g}]", "probe_s")
+        raise cfg.error(f"probe_s = {cfg.probe_s:g} lies outside the "
+                        f"computational domain [{lo:.6g}, {hi:.6g}]",
+                        "probe_s")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -382,18 +396,9 @@ def parse_config(path: str) -> ExperimentConfig:
                           lines.get(("model", ""))) from None
 
     cfg = ExperimentConfig(path, model, params,
-                           **{f.name: read(f, params) for f in keyed})
-    sections = {f.name: f.metadata["section"] for f in keyed}
-
-    def error(message: str, *keys: str) -> ConfigError:
-        """A ConfigError at the line of the first of ``keys`` in the file,
-        else at that of their section."""
-        section = sections[keys[0]]
-        return ConfigError(message, path, next(
-            lines[(section, key)] for key in (*keys, "")
-            if (section, key) in lines))
-
-    _check_runnable(cfg, error)
+                           **{f.name: read(f, params) for f in keyed},
+                           lines=lines)
+    _check_runnable(cfg)
     return cfg
 
 
@@ -417,32 +422,26 @@ def _fmt(v) -> str:
 _ORACLES = ("closed-form", "p1", "fdm", "none")
 
 
-def _check_oracle(cfg: ExperimentConfig, oracle: str,
-                  n_elements: int) -> None:
-    """Reject an oracle that is unknown, a closed form the model does not
-    have, or a P1 or FDM run on ``n_elements`` elements, whose
-    n_elements + 1 nodes need one of them interior."""
-    if oracle not in _ORACLES:
-        raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
-    if oracle == "closed-form" and not hasattr(cfg.params, "closed_form"):
-        raise ConfigError(f"model '{cfg.model}' has no closed form",
-                          cfg.path)
-    if oracle in ("p1", "fdm") and n_elements < 2:
-        raise ConfigError(f"the {oracle} oracle needs n_elements >= 2, got "
-                          f"{n_elements}", cfg.path)
-
-
 def _oracle_curve(cfg: ExperimentConfig, oracle: str, n_elements: int,
-                  n_tau: int):
+                  n_tau: int, key: str):
     """The oracle as a function from stock prices to V(S, t = 0), or None
     for ``none``: the model's closed form, or the final slice of the P1 or
-    FDM run on the given grid, which keeps no other slice.
-    ``_check_oracle`` has passed."""
+    FDM run on the given grid, which keeps no other slice.  ConfigErrors:
+    an unknown oracle, a closed form the model lacks (at ``model``) and a
+    P1 or FDM grid of one element, with no interior node (at ``key``)."""
     params = cfg.params
+    if oracle not in _ORACLES:
+        raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
     if oracle == "none":
         return None
     if oracle == "closed-form":
+        if not hasattr(params, "closed_form"):
+            raise cfg.error(f"model '{cfg.model}' has no closed form",
+                            "model")
         return lambda s: params.closed_form(s, 0.0)
+    if n_elements < 2:
+        raise cfg.error(f"the {oracle} oracle needs n_elements >= 2, got "
+                        f"{n_elements}", key)
     solve = p1fem_solve if oracle == "p1" else fdm_solve
     disc, surf = solve(params, cfg.x_min, cfg.x_max, n_elements,
                        _scheme(cfg, n_tau))
@@ -450,9 +449,9 @@ def _oracle_curve(cfg: ExperimentConfig, oracle: str, n_elements: int,
     return lambda s: value_curve(params, disc, final, s)
 
 
-def _probe_report(cfg, oracle, disc, surf, block) -> list[str]:
+def _probe_report(cfg, oracle, curve, disc, surf, block) -> list[str]:
     """The lines price prints: the value at the probe, at the nearest
-    Greville point of the final slice's ``block`` and by the oracle."""
+    Greville point of the final slice's ``block`` and by ``curve``."""
     params = cfg.params
     name = params.value_column[0]
     exact = float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
@@ -461,7 +460,6 @@ def _probe_report(cfg, oracle, disc, surf, block) -> list[str]:
     near = block[j, 1 + params.columns.index(params.value_column)]
     lines = [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
              f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
-    curve = _oracle_curve(cfg, oracle, cfg.n_elements, cfg.n_tau)
     if curve is not None:
         lines.append(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = "
                      f"{curve([cfg.probe_s])[0]:.4f}")
@@ -525,8 +523,10 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     try:
         check_greeks(cfg.params, cfg.degree, cfg.n_tau)
     except ValueError as exc:
-        raise ConfigError(str(exc), cfg.path) from None
-    _check_oracle(cfg, oracle, cfg.n_elements)
+        raise cfg.error(str(exc), "degree" if cfg.degree < 2
+                        else "n_tau") from None
+    curve = _oracle_curve(cfg, oracle, cfg.n_elements, cfg.n_tau,
+                          "n_elements")
     disc, surf = _build(cfg, cfg.n_elements,
                         _scheme(cfg, cfg.n_tau, max(1, cfg.n_tau // 50)))
     params = cfg.params
@@ -543,7 +543,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
             [s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
                   for _, f in params.columns)])))
     table = greeks_table(params, disc, surf)
-    report = _probe_report(cfg, oracle, disc, surf, blocks[-1][1])
+    report = _probe_report(cfg, oracle, curve, disc, surf, blocks[-1][1])
 
     _publish(cfg, "price", [
         lambda path: _write_csv(
@@ -579,19 +579,18 @@ def _rung_error(cfg, oracle, curve, disc, final, value) -> float | None:
 
 def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     if not cfg.rungs:
-        raise ConfigError("converge needs a [ladder] section with rungs",
-                          cfg.path)
+        raise cfg.error("converge needs a [ladder] section with rungs",
+                        "rungs")
     if oracle is None:
         oracle = ("p1" if cfg.reference else "closed-form"
                   if hasattr(cfg.params, "closed_form") else "none")
-    n_e, n_t = cfg.reference or max(cfg.rungs)
-    _check_oracle(cfg, oracle, n_e)
     if oracle in ("p1", "fdm") and not _misfit_prices(
             cfg.params, [cfg.x_min], cfg.params.horizon).size:
-        raise ConfigError(f"the {oracle} misfit has nothing to sample: every "
-                          "price at t = 0 lies above three times the payoff "
-                          "kink", cfg.path)
-    curve = _oracle_curve(cfg, oracle, n_e, n_t)
+        raise cfg.error(f"the {oracle} misfit has nothing to sample: every "
+                        "price at t = 0 lies above three times the payoff "
+                        "kink", "x_min")
+    curve = _oracle_curve(cfg, oracle, *(cfg.reference or max(cfg.rungs)),
+                          "reference" if cfg.reference else "rungs")
 
     rows, prev_err = [], None
     for n_e, n_t in cfg.rungs:

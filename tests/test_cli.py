@@ -234,49 +234,76 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
     assert (tmp_path / "two.txt").read_text() == "1.0\n1.0\n"
 
 
-# (verb, base config, overrides as for _config, the key whose line the
-# error names)
-@pytest.mark.parametrize("verb,base,overrides,key", [
-    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 1000},
+# (verb, base config, overrides as for _config, extra args, the key whose
+# line the error names)
+@pytest.mark.parametrize("verb,base,overrides,args,key", [
+    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 1000}, [],
      "probe_s"),
-    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 0.1},
+    ("price", "convertible.ini", {**SMALL, "experiment.probe_s": 0.1}, [],
      "probe_s"),
     ("price", "linear_uniform.ini", {**SMALL, "experiment.probe_s": 5000},
-     "probe_s"),
+     [], "probe_s"),
     ("converge", "convertible.ini", {**SMALL, "experiment.probe_s": 1000},
-     "probe_s"),
+     [], "probe_s"),
     # refined knots on one element, which ran on two spans after a
     # division by zero
-    ("price", "refined.ini", {"n_elements": 1}, "n_elements"),
+    ("price", "refined.ini", {"n_elements": 1}, [], "n_elements"),
     # settings whose ValueError used to surface as a traceback; the kink
     # lies below x_min
-    ("price", "refined.ini", {"x_min": 5, "x_max": 6}, "x_min"),
-    ("price", "convertible.ini", {**SMALL, "theta": 2}, "theta"),
-    ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1},
+    ("price", "refined.ini", {"x_min": 5, "x_max": 6}, [], "x_min"),
+    ("price", "convertible.ini", {**SMALL, "theta": 2}, [], "theta"),
+    ("price", "convertible.ini", {**SMALL, "rannacher_steps": -1}, [],
      "rannacher_steps"),
-    ("price", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, "x_min"),
+    ("price", "convertible.ini", {**SMALL, "x_min": 2, "x_max": 2}, [],
+     "x_min"),
     # ... or ended in a traceback: a grid with no interior basis function
     ("converge", "leland_ladder.ini", {"degree": 1, "ladder.rungs": "1:20",
-                                       "ladder.reference": "1:10"}, "rungs"),
+                                       "ladder.reference": "1:10"}, [],
+     "rungs"),
     # ... or reached stock prices whose squares leave the range of a
     # double: it ran with infinite Greeks, or ended in a traceback
-    ("price", "leland_ladder.ini", {**TINY, "x_min": -600}, "x_min"),
-    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e4}, "x_min"),
-    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e308}, "x_min"),
-    ("price", "leland_ladder.ini", {**TINY, "x_max": 360}, "x_max"),
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -600}, [], "x_min"),
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e4}, [], "x_min"),
+    ("price", "leland_ladder.ini", {**TINY, "x_min": -1e308}, [], "x_min"),
+    ("price", "leland_ladder.ini", {**TINY, "x_max": 360}, [], "x_max"),
     # each verb rejects the other's grid too: price ran with a rung that
     # cannot run, and converge with such a [discretization] grid
-    ("price", "refined.ini", {"ladder.rungs": "1:64, 32:256"}, "rungs"),
-    ("converge", "refined.ini", {"n_elements": 1}, "n_elements"),
+    ("price", "refined.ini", {"ladder.rungs": "1:64, 32:256"}, [], "rungs"),
+    ("converge", "refined.ini", {"n_elements": 1}, [], "n_elements"),
+    # what a verb or its oracle rejects named only the path: price's
+    # Greeks need degree >= 2, and theta a pair of levels (every coupon
+    # and the put land on level 1) ...
+    ("price", "convertible.ini", {**SMALL, "degree": 1}, [], "degree"),
+    ("price", "convertible.ini", {**SMALL, "n_tau": 1}, [], "n_tau"),
+    # ... a closed form the model lacks ...
+    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
+     ["--oracle", "closed-form"], "model"),
+    # ... and a p1 or fdm grid of one element: the reference's, else the
+    # largest rung's for converge, and price's own
+    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20",
+                                       "ladder.reference": "1:10"}, [],
+     "reference"),
+    ("converge", "convertible.ini", {"ladder.rungs": "1:20"},
+     ["--oracle", "p1"], "rungs"),
+    ("price", "linear_uniform.ini", {"n_elements": 1}, ["--oracle", "fdm"],
+     "n_elements"),
 ])
 def test_a_setting_that_cannot_run_is_a_config_error_at_its_line(
-        tmp_path, capsys, verb, base, overrides, key):
+        tmp_path, capsys, monkeypatch, verb, base, overrides, args, key):
+    # each is rejected before any solve
+    import igafin.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a check solved")
+
+    for name in ("run", "p1fem_solve", "fdm_solve"):
+        monkeypatch.setattr(cli, name, no_solve)
     out = tmp_path / "out"
     cfg = _config(tmp_path, base, **overrides)
     rows = cfg.read_text().split("\n")
     [line] = [no for no, row in enumerate(rows, start=1)
               if row.startswith(f"{key} = ")]
-    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([verb, "--config", str(cfg), "--out", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}:{line}: ")
     assert err.count("\n") == 1
@@ -377,8 +404,12 @@ MODELS = "('linear-bs', 'leland', 'afv')"
     ("price", "knot_mode = uniform", "knot_mode = graded",
      "knot_mode = graded", "bad value for 'knot_mode': 'graded' (must be "
      "one of ('uniform', 'refined'))"),
+    # converge without rungs names the [ladder] line, and with no [ladder]
+    # section the path alone
     ("converge", "rungs = 32:60000, 64:60000, 128:60000, 256:60000\n", "",
-     None, "converge needs a [ladder] section with rungs"),
+     "[ladder]", "converge needs a [ladder] section with rungs"),
+    ("converge", "[ladder]\nrungs = 32:60000, 64:60000, 128:60000, "
+     "256:60000\n", "", None, "converge needs a [ladder] section with rungs"),
     # the counts name their own line, not their section's
     ("price", "n_elements = 256", "n_elements = 0", "n_elements = 0",
      "bad value for 'n_elements': '0' (must be >= 1)"),
@@ -771,9 +802,11 @@ def test_a_misfit_with_nothing_to_sample_is_a_config_error(
     assert main(["converge", "--config", str(cfg), "--out", str(out),
                  *args]) == 2
     oracle = args[-1] if args else "p1"
+    line = cfg.read_text().split("\n").index(f"x_min = {math.log(400.0)}")
     assert capsys.readouterr() == ("", (
-        f"config error: {cfg}: the {oracle} misfit has nothing to sample: "
-        "every price at t = 0 lies above three times the payoff kink\n"))
+        f"config error: {cfg}:{line + 1}: the {oracle} misfit has nothing "
+        "to sample: every price at t = 0 lies above three times the payoff "
+        "kink\n"))
     assert not out.exists()
 
 

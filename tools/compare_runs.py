@@ -86,6 +86,12 @@ def _matrix():
          {"discretization.x_min": "5", "discretization.x_max": "6"}, []),
         ("price-convertible-empty-interval", "price", "convertible.ini",
          {"discretization.x_min": "2", "discretization.x_max": "2"}, []),
+        # and what a verb rejects before it solves: price's Greeks at
+        # degree 1, and a P1 reference of one element
+        ("price-convertible-degree-1", "price", "convertible.ini",
+         {"discretization.degree": "1"}, []),
+        ("converge-leland_ladder-reference-1", "converge",
+         "leland_ladder.ini", {"ladder.reference": "1:10"}, []),
         ("validate", "validate", None, {}, []),
     ]
     return runs
