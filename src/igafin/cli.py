@@ -65,8 +65,9 @@ t = 0 all lie above three times the payoff kink (x_min: its misfit has
 nothing to sample); and converge without rungs (rungs; the path alone with
 no [ladder] section).  Errors of the flags name the path alone: an unknown
 oracle, and an output directory that is empty or below a file, or in which
-a table the verb writes is a directory.  A march that produces a value that
-is not finite is a solver failure, reported on one line.
+a table the verb writes is a directory.  A march or a Greek that produces a
+value that is not finite is a solver failure, reported on one line.  price
+and converge print each warning on one stderr line, "warning: <message>".
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
@@ -87,6 +88,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
@@ -610,6 +612,12 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """``warnings.showwarning`` of a run: the message alone, one line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="igafin", description="NURBS Galerkin option-pricing runs")
@@ -629,11 +637,13 @@ def main(argv=None) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     try:
-        cfg = replace(parse_config(args.config), out_dir=args.out)
-        _check_out_dir(cfg, args.verb)
-        if args.verb == "price":
-            return run_pricing(cfg, args.oracle or "none")
-        return run_convergence(cfg, args.oracle)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            cfg = replace(parse_config(args.config), out_dir=args.out)
+            _check_out_dir(cfg, args.verb)
+            if args.verb == "price":
+                return run_pricing(cfg, args.oracle or "none")
+            return run_convergence(cfg, args.oracle)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -65,13 +65,16 @@ def check_greeks(params, degree: int, n_steps: int) -> tuple[int, int]:
                      f"n_tau = {n_steps}")
 
 
+@np.errstate(all="ignore")
 def greeks_table(params, disc: Discretization,
                  surface: SolutionSurface) -> GreekTable:
     """Delta, gamma and theta of the final slice at its Greville points.
 
     Every probe is x_of(S, tau) clipped to the domain: the Greville image
     leaves it by rounding at most, and on the other slice of the theta
-    pair the call's drifting frame moves the tails outside.
+    pair the call's drifting frame moves the tails outside.  A Greek that
+    is not finite, such as a gamma whose sums overflow on coefficients
+    near the largest double, raises FloatingPointError, as a march does.
     """
     pair = check_greeks(params, disc.basis.degree, surface.n_steps)
     final, field = surface.final, params.value_column[1]
@@ -88,11 +91,17 @@ def greeks_table(params, disc: Discretization,
     s0, s1 = (surface.slices[surface.levels.index(m)] for m in pair)
     v0, v1 = (params.value_scale(sl.tau) * eval_spline_many(
         disc.basis, sl.coeffs[field], xi(sl)) for sl in (s0, s1))
-    return GreekTable(
+    table = GreekTable(
         s, g * (scale * d1) / s,
         g * (scale * scale * d2 - scale * d1) / s ** 2,
         (v1 - v0) / (params.t_of(s1.tau) - params.t_of(s0.tau)),
         params.t_of(final.tau))
+    for name in ("delta", "gamma", "theta"):
+        bad = np.count_nonzero(~np.isfinite(getattr(table, name)))
+        if bad:
+            raise FloatingPointError(f"{name} is not finite at {bad} of "
+                                     f"{len(s)} stock prices")
+    return table
 
 
 def block_lines(block: np.ndarray, prefix=()) -> str:

@@ -4,7 +4,8 @@ Matrices are n x n with equal lower/upper bandwidth ``kband`` and are stored
 diagonal-wise, ``data[kband + i - j, j] = A[i, j]`` (the classic banded
 layout, 2*kband + 1 rows).  Every banded product goes through one kernel,
 ``band_products``: a stack of bands times one shared vector or one vector
-per band, all diagonals in a single multiply and a single sum, so that
+per band, all diagonals in a single multiply and a single sum, or on three
+diagonals in three multiplies and two adds, so that
 ``BandedMatrix.matvec`` is the one-band case and each product of a stack
 is bitwise that band's ``matvec``.  ``scipy.sparse`` is not used: its
 import alone would add to the start-up time of every run.
@@ -18,7 +19,11 @@ symmetric positive definite matrices such as the Galerkin mass matrix, from
 their upper triangle: ``pttrf``/``pttrs`` when ``kband == 1`` and n >= 2,
 ``pbtrf``/``pbtrs`` otherwise.  It needs no pivoting, and a tridiagonal
 solve takes about half the time of the pivoted LU one (34 against 69 us
-at n = 4095, measured on a 2-core host).
+at n = 4095, measured on a 2-core host).  Both ``solve`` methods take
+``overwrite_b``, passed on to LAPACK: with it a C-contiguous float64 ``b``
+of one right-hand side is overwritten by the solution and is the array
+returned, which saves a copy.  Without it, the default, ``b`` is left as
+it was.
 
 The eight LAPACK routines come from scipy's compiled f2py wrapper
 ``scipy.linalg._flapack``, which ``_load_lapack`` loads from scipy's
@@ -92,13 +97,30 @@ def band_products(data: np.ndarray, x: np.ndarray) -> np.ndarray:
     diagonal reaches are zeroed.  The rows are then added in diagonal
     order, so y_i sums the same products in the same order as a loop over
     diagonal slices: bitwise that loop's result, up to the sign of an
-    exact zero.
+    exact zero.  numpy starts that sum from +0.0, so no y_i is -0.0.
+
+    Three diagonals (k = 1, the degree-1 and finite-difference systems)
+    skip the buffer, its reshapes and the reduction: y = (super + diag) +
+    sub, three multiplies and two adds in the kernel's order, with a zero
+    where no diagonal reaches, and a last y += 0.0 for the sum's start.
+    It is bitwise the kernel's result, the sign of an exact zero included,
+    wherever that is not NaN (a NaN may differ in its sign bit).
     """
     x = np.asarray(x, dtype=float)
     *lead, n_rows, n = data.shape
     lead = (tuple(lead) if x.ndim == 1
             else np.broadcast(data[..., 0, 0], x[..., 0]).shape)
     kband = n_rows // 2
+    if kband == 1:
+        y, part = np.empty(lead + (n,)), np.empty(lead + (n,))
+        y[..., -1] = 0.0
+        np.multiply(data[..., 0, 1:], x[..., 1:], out=y[..., :-1])
+        y += np.multiply(data[..., 1, :], x, out=part)
+        part[..., 0] = 0.0
+        np.multiply(data[..., 2, :-1], x[..., :-1], out=part[..., 1:])
+        y += part
+        y += 0.0
+        return y
     width = n + 2 * kband
     buf = np.empty(lead + (n_rows, width + 1))
     buf[..., n:] = 0.0
@@ -196,15 +218,17 @@ class BandedLU:
         self.kband = k
         self._factors = factors
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side length mismatch")
         if self._tridiagonal:
-            x, info = lapack.dgttrs(*self._factors, b)
+            x, info = lapack.dgttrs(*self._factors, b,
+                                    overwrite_b=overwrite_b)
         else:
             lu, ipiv = self._factors
-            x, info = lapack.dgbtrs(lu, self.kband, self.kband, b, ipiv)
+            x, info = lapack.dgbtrs(lu, self.kband, self.kband, b, ipiv,
+                                    overwrite_b=overwrite_b)
         if info != 0:
             raise ValueError(f"banded back-substitution failed (info={info})")
         return x
@@ -233,14 +257,16 @@ class BandedCholesky:
         self.n = n
         self._factors = factors
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side length mismatch")
         if self._tridiagonal:
-            x, info = lapack.dpttrs(*self._factors, b)
+            x, info = lapack.dpttrs(*self._factors, b,
+                                    overwrite_b=overwrite_b)
         else:
-            x, info = lapack.dpbtrs(*self._factors, b)
+            x, info = lapack.dpbtrs(*self._factors, b,
+                                    overwrite_b=overwrite_b)
         if info != 0:
             raise ValueError(f"banded Cholesky solve failed (info={info})")
         return x

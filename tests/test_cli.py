@@ -890,6 +890,14 @@ def test_a_flag_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def _run_cli(*argv):
+    """The CLI in a new interpreter, as a user runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "igafin.cli", *map(str, argv)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
 def test_non_finite_convertible_is_a_solver_failure_with_no_output(
         tmp_path):
     # a default intensity of 1e308 overflows the first step; the run used
@@ -898,14 +906,41 @@ def test_non_finite_convertible_is_a_solver_failure_with_no_output(
     out = tmp_path / "out"
     cfg = _config(tmp_path, "convertible.ini", n_elements=64, n_tau=20,
                   **{"model.hazard_rate": 1e308})
-    proc = subprocess.run(
-        [sys.executable, "-m", "igafin.cli", "price", "--config", str(cfg),
-         "--out", str(out)], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    proc = _run_cli("price", "--config", cfg, "--out", out)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("solver failure:")
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_non_finite_greeks_are_a_solver_failure_with_no_output(tmp_path):
+    # conversion values near the largest double march to finite values,
+    # but the gamma sums overflow at two prices; the run used to write
+    # two inf cells into greeks.csv with rc 0, after numpy's two-line
+    # overflow warning
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "convertible.ini", n_elements=256, n_tau=20,
+                  **{"model.conversion_ratio": 1e300})
+    proc = _run_cli("price", "--config", cfg, "--out", out)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("solver failure: gamma is not finite at 2 of "
+                           "259 stock prices\n")
+    assert not out.exists()
+
+
+def test_a_warning_is_one_stderr_line(tmp_path):
+    # one step over the whole horizon trips the step-ratio guard of the
+    # lagged transaction-cost term; Python printed it on two lines, the
+    # second the source line that raised it
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "leland_ladder.ini", n_tau=1)
+    proc = _run_cli("price", "--config", cfg, "--out", out)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("warning: time step dtau=")
+    assert proc.stderr.endswith("the lagged transaction-cost term may "
+                                "oscillate\n")
+    assert proc.stderr.count("\n") == 1
+    assert (out / "greeks.csv").exists()
 
 
 def test_failure_while_the_surface_streams_leaves_no_file(tmp_path, capsys,

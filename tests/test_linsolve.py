@@ -145,6 +145,71 @@ class TestBandProducts:
         assert np.array_equal(got, ref, equal_nan=True)
 
 
+def _shifted_buffer_kernel(data, x):
+    """``band_products`` as it was before its three-diagonal branch: every
+    diagonal's products in one shifted buffer, added row by row."""
+    x = np.asarray(x, dtype=float)
+    *lead, n_rows, n = data.shape
+    lead = (tuple(lead) if x.ndim == 1
+            else np.broadcast(data[..., 0, 0], x[..., 0]).shape)
+    kband = n_rows // 2
+    width = n + 2 * kband
+    buf = np.empty(lead + (n_rows, width + 1))
+    buf[..., n:] = 0.0
+    np.multiply(data, x[..., None, :], out=buf[..., :n])
+    rows = buf.reshape(lead + (-1,))[..., :n_rows * width]
+    y = np.add.reduce(rows.reshape(lead + (n_rows, width)), axis=-2)
+    return y[..., kband:kband + n]
+
+
+class TestThreeDiagonals:
+    # signed zeros among the entries, so that every sign of an exact zero
+    # product, and of a sum of them, occurs
+    VALUES = np.array([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0])
+
+    def _draw(self, rng, shape):
+        return np.where(rng.random(shape) < 0.5, rng.normal(size=shape),
+                        rng.choice(self.VALUES, size=shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4095])
+    def test_bitwise_the_shifted_buffer_kernel(self, n):
+        rng = np.random.default_rng(360 + n)
+        for _ in range(1 if n > 3 else 200):
+            x, xs = self._draw(rng, n), self._draw(rng, (4, n))
+            one, stack = self._draw(rng, (3, n)), self._draw(rng, (4, 3, n))
+            # one shared x, one x per band of a stack, one band for many x,
+            # and stacked bands on one x
+            for data, v in ((one, x), (stack, xs), (one, xs), (stack, x)):
+                got, want = band_products(data, v), \
+                    _shifted_buffer_kernel(data, v)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+class TestOverwriteB:
+    # each factor class on its tridiagonal LAPACK branch, then on its
+    # general band one
+    @pytest.mark.parametrize("kind,n,k,tridiagonal", [
+        ("lu", 9, 1, True), ("lu", 9, 3, False), ("lu", 2, 1, False),
+        ("cholesky", 9, 1, True), ("cholesky", 9, 3, False),
+        ("cholesky", 1, 1, False)])
+    def test_overwrite_b_solves_in_place(self, kind, n, k, tridiagonal):
+        rng = np.random.default_rng(370 + n + k)
+        if kind == "cholesky":
+            factors = BandedMatrix.from_dense(_random_spd(rng, n, k),
+                                              k).cholesky()
+        else:
+            factors = BandedMatrix.from_dense(_random_banded(rng, n, k),
+                                              k).lu_factor()
+        assert factors._tridiagonal == tridiagonal
+        b = rng.normal(size=n)
+        kept = b.copy()
+        x = factors.solve(b)
+        assert b.tobytes() == kept.tobytes()
+        assert factors.solve(b, overwrite_b=True) is b
+        assert b.tobytes() == x.tobytes()
+
+
 class TestBandedLU:
     def test_solve_matches_dense(self):
         rng = np.random.default_rng(312)

@@ -7,7 +7,7 @@ import pytest
 
 from igafin.assembly import PhysicalMap, assemble
 from igafin.basis import eval_spline_many
-from igafin.linsolve import BandedMatrix
+from igafin.linsolve import BandedMatrix, band_products
 from igafin import stepper
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
                            constraint_state)
@@ -227,6 +227,43 @@ class TestLinearMarch:
             assert np.array_equal(got[[0, -1]], w[[0, -1]])
             assert np.abs(got[1:-1] - want).max() <= \
                 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    @pytest.mark.parametrize("leland_number", [0.0, 0.8])
+    def test_step_in_place_is_bitwise_the_step_with_temporaries(
+            self, degree, leland_number):
+        le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
+                          leland_number=leland_number)
+        a, b = le.domain()
+        disc = build_discretization(a, b, 64, degree=degree)
+        scheme = SchemeConfig(n_steps=40)
+        op = stepper._ThetaOperator(disc.system, le.coefficients("vhat"),
+                                    le.horizon / scheme.n_steps,
+                                    scheme.thetas)
+        w = le.payoff(disc.greville_x)
+        step = stepper._LelandStep(op, w[[0, -1]], leland_number)
+
+        def with_temporaries(theta, w):
+            products = band_products(step.bands[theta], w[1:-1])
+            rhs = products[0] if step.costs else products
+            rhs -= step.lift[theta]
+            if step.costs:
+                vt = step.mass_chol.solve(-(products[1] + step.a_lift))
+                m_nu = op.m_int.matvec(leland_number * np.abs(vt))
+                rhs += op.dtau * (1.0 - theta) * m_nu
+                rhs += op.dtau * theta * m_nu
+            w_int = op.lhs_lu[theta].solve(rhs)
+            if step.costs:
+                w_int[np.abs(w_int) < np.finfo(float).tiny] = 0.0
+            return np.concatenate([w[:1], w_int, w[-1:]])
+
+        for level in range(1, scheme.n_steps + 1):
+            theta = scheme.theta_at(level - 1)
+            kept = w.copy()
+            new = step(level, theta, {"vhat": w})["vhat"]
+            assert w.tobytes() == kept.tobytes()
+            assert new.tobytes() == with_temporaries(theta, w).tobytes()
+            w = new
 
     def test_costs_leave_no_subnormal_coefficient(self):
         # ahead of the diffusion front the far out-of-the-money tail decays

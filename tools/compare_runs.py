@@ -92,6 +92,13 @@ def _matrix():
          {"discretization.degree": "1"}, []),
         ("converge-leland_ladder-reference-1", "converge",
          "leland_ladder.ini", {"ladder.reference": "1:10"}, []),
+        # a march that stays finite but whose gamma overflows, rc 3 on one
+        # stderr line, and a run that warns, rc 0 with one stderr line
+        ("price-convertible-greeks-overflow", "price", "convertible.ini",
+         {"discretization.n_elements": "256", "discretization.n_tau": "20",
+          "model.conversion_ratio": "1e300"}, []),
+        ("price-leland_ladder-one-step", "price", "leland_ladder.ini",
+         {"discretization.n_tau": "1"}, []),
         ("validate", "validate", None, {}, []),
     ]
     return runs
