@@ -187,12 +187,12 @@ def check_le_zero_equivalence() -> CheckResult:
     disc = build_discretization(a, b, 2 ** 5)
     scheme = SchemeConfig(n_steps=8)
     surf = run_leland(params, disc, scheme)
-    w = surf.initial.coeffs["vhat"]
+    w = surf.levels[0]["vhat"]
     worst = 0.0
-    for m, slice_ in enumerate(surf.slices[1:]):
+    for level, fields in list(surf.levels.items())[1:]:
         w = step_linear(disc.system, params.coefficients("vhat"), w,
-                        w[[0, -1]], surf.dtau, scheme.theta_at(m))
-        worst = max(worst, float(np.max(np.abs(slice_.coeffs["vhat"] - w))))
+                        w[[0, -1]], surf.dtau, scheme.theta_at(level - 1))
+        worst = max(worst, float(np.max(np.abs(fields["vhat"] - w))))
     return CheckResult("le_zero_equivalence", worst <= 1e-12, worst, 1e-12)
 
 
@@ -214,7 +214,7 @@ def check_afv_superposition() -> CheckResult:
     for disc in _bond_spaces(2 ** 6):
         for coupons in ((), tuple((0.5 * i, 4.0) for i in range(1, 11))):
             f = run(_superposition_params(coupons), disc,
-                    SchemeConfig(n_steps=50)).final.coeffs
+                    SchemeConfig(n_steps=50)).final
             worst = max(worst, float(np.max(np.abs(
                 f["U"] - (f["B"] + f["C"])))))
     return CheckResult("afv_superposition", worst <= 1e-8, worst, 1e-8)
@@ -228,7 +228,7 @@ def check_coupon_jump() -> CheckResult:
     worst = 0.0
     for disc in _bond_spaces(2 ** 5):
         f0, f1 = (run(_superposition_params(coupons), disc,
-                      SchemeConfig(n_steps=10)).final.coeffs
+                      SchemeConfig(n_steps=10)).final
                   for coupons in ((), ((0.04, amount),)))
         for name in ("U", "B"):
             diff = f1[name] - f0[name]
@@ -248,21 +248,21 @@ def check_constraint_violation() -> CheckResult:
         surf = run(params, disc, SchemeConfig(n_steps=n_steps, store_every=1))
         events, _ = params.calendar(surf.dtau, n_steps)
         conversion = params.conversion_value(disc.greville_x)
-        for level, slice_ in zip(surf.levels[1:], surf.slices[1:]):
+        for level, fields in list(surf.levels.items())[1:]:
             c_now, put_active, call_active = events.get(level,
                                                         (0.0, False, False))
             state = constraint_state(params, params.t_of(level * surf.dtau),
                                      conversion, put_active=put_active,
                                      call_active=call_active, coupon_now=c_now)
-            # stored slices are post-injection; compare net of the coupon
+            # stored levels are post-injection; compare net of the coupon
             # (the pinned right coefficient never receives it)
             lift = np.append(np.full(disc.n_basis - 1, c_now), 0.0)
-            u, b = (slice_.coeffs[name] - lift for name in ("U", "B"))
+            u, b = (fields[name] - lift for name in ("U", "B"))
             # how far U lies outside [u*_put, u*_call]
             worst = max(worst, float(np.max(np.maximum(
                 state.u_star_put - u, u - state.u_star_call))))
             # the infinite sentinels of a closed window give -inf here
-            shortfall = state.b_put_dirty - slice_.coeffs["C"] - b
+            shortfall = state.b_put_dirty - fields["C"] - b
             worst = max(worst, float(np.max(b[:-1] - state.b_call_dirty)),
                         float(np.max(shortfall[:-1])))
     return CheckResult("constraint_violation", worst <= 1e-4, worst, 1e-4)
@@ -276,8 +276,8 @@ def _call_error(name: str, params: LelandParams, n_elements: int,
     kink_xi = float(PhysicalMap(a, b).to_parameter(params.kink))
     disc = build_discretization(a, b, n_elements, knot_mode=knot_mode,
                                 kink_xi=kink_xi)
-    final = run(params, disc, SchemeConfig(n_steps=n_steps)).final
-    err = abs(float(value_curve(params, disc, final, [100.0])[0])
+    surf = run(params, disc, SchemeConfig(n_steps=n_steps))
+    err = abs(float(value_curve(params, disc, surf, [100.0])[0])
               - float(params.closed_form(100.0, 0.0)))
     return CheckResult(name, err <= bound, err, bound,
                        f"{n_elements} x {n_steps} against the closed form")

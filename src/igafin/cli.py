@@ -18,7 +18,7 @@ The probe price is the [experiment] key probe_s.
 --oracle is closed-form, the model's exact value (the call has one); p1,
 the pipeline on hat functions; fdm, the central-difference twin; or none.
 An oracle is one curve S -> V(S, t = 0), and a p1 or fdm run keeps only
-its final slice for it.  price prints the curve at the probe and runs p1
+its final level for it.  price prints the curve at the probe and runs p1
 and fdm on its own grid.  converge runs them on the [ladder]
 reference, else on its largest rung, and its error is their value misfit
 at the rung's Greville prices up to three times the payoff kink (against
@@ -54,7 +54,9 @@ not finite, positive doubles; refined knots on one element or with the
 payoff kink outside (x_min, x_max); a [discretization] grid or ladder rung
 with fewer than three basis functions (none interior); theta outside [0, 1];
 negative rannacher_steps; a probe price outside the domain; and, at the
-[model] line, a call window that opens and closes on one date.  Before
+[model] line, a call window that opens and closes on one date, a sigma whose
+square is not a positive, finite double and a convertible whose payoff kink
+ln((F + c_T)/(k S_0)) is not finite, as when k S_0 overflows.  Before
 solving, the verbs reject what their flags and work add, each at the line
 of the key in parentheses: degree < 2 for price (degree: gamma needs it); a
 final level that is a coupon or put date, as is the level before it or with
@@ -72,8 +74,8 @@ and converge print each warning on one stderr line, "warning: <message>".
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
 end and is removed if writing or the replacement fails.  surface.csv is
-written one stored slice at a time, its level and t cells formatted once
-per slice, so the formatted table never sits in memory whole.  An OSError
+written one stored level at a time, its level and t cells formatted once
+per level, so the formatted table never sits in memory whole.  An OSError
 from making the output directory or writing a table is a configuration
 error too, rc 2 on one line that names the path: the run removes the
 tables it has already written and the directories it made, so it leaves
@@ -413,7 +415,7 @@ def _build(cfg: ExperimentConfig, n_elements: int, scheme):
 def _scheme(cfg: ExperimentConfig, n_tau: int,
             store_every: int = 0) -> SchemeConfig:
     """The scheme of a run on n_tau steps that keeps every store_every-th
-    slice, or with 0 only the final slice and those the march needs."""
+    level, or with 0 only the final level and those the march needs."""
     return SchemeConfig(n_tau, cfg.theta, cfg.rannacher_steps, store_every)
 
 
@@ -427,8 +429,8 @@ _ORACLES = ("closed-form", "p1", "fdm", "none")
 def _oracle_curve(cfg: ExperimentConfig, oracle: str, n_elements: int,
                   n_tau: int, key: str):
     """The oracle as a function from stock prices to V(S, t = 0), or None
-    for ``none``: the model's closed form, or the final slice of the P1 or
-    FDM run on the given grid, which keeps no other slice.  ConfigErrors:
+    for ``none``: the model's closed form, or the final level of the P1 or
+    FDM run on the given grid, which stores the fewest levels.  ConfigErrors:
     an unknown oracle, a closed form the model lacks (at ``model``) and a
     P1 or FDM grid of one element, with no interior node (at ``key``)."""
     params = cfg.params
@@ -447,16 +449,15 @@ def _oracle_curve(cfg: ExperimentConfig, oracle: str, n_elements: int,
     solve = p1fem_solve if oracle == "p1" else fdm_solve
     disc, surf = solve(params, cfg.x_min, cfg.x_max, n_elements,
                        _scheme(cfg, n_tau))
-    final = surf.final
-    return lambda s: value_curve(params, disc, final, s)
+    return lambda s: value_curve(params, disc, surf, s)
 
 
 def _probe_report(cfg, oracle, curve, disc, surf, block) -> list[str]:
     """The lines price prints: the value at the probe, at the nearest
-    Greville point of the final slice's ``block`` and by ``curve``."""
+    Greville point of the final level's ``block`` and by ``curve``."""
     params = cfg.params
     name = params.value_column[0]
-    exact = float(value_curve(params, disc, surf.final, [cfg.probe_s])[0])
+    exact = float(value_curve(params, disc, surf, [cfg.probe_s])[0])
     grid = block[:, 0]
     j = int(np.argmin(np.abs(grid - cfg.probe_s)))
     near = block[j, 1 + params.columns.index(params.value_column)]
@@ -535,14 +536,15 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
     fields = [column for column, _ in params.columns]
 
     # every table is built before the first file is written; the fields
-    # at the Greville points take one banded matvec each, and each slice
-    # is one block of surface.csv, its rows led by its level and t
+    # at the Greville points take one banded matvec each, and each level
+    # is one block of surface.csv, its rows led by the level and t
     blocks = []
-    for level, slice_ in zip(surf.levels, surf.slices):
-        s = params.s_of(disc.greville_x, slice_.tau)
-        scale = params.value_scale(slice_.tau)
-        blocks.append(((level, params.t_of(slice_.tau)), np.column_stack(
-            [s, *(scale * disc.colloc.evaluate(slice_.coeffs[f])
+    for level, coeffs in surf.levels.items():
+        tau = surf.tau(level)
+        s = params.s_of(disc.greville_x, tau)
+        scale = params.value_scale(tau)
+        blocks.append(((level, params.t_of(tau)), np.column_stack(
+            [s, *(scale * disc.colloc.evaluate(coeffs[f])
                   for _, f in params.columns)])))
     table = greeks_table(params, disc, surf)
     report = _probe_report(cfg, oracle, curve, disc, surf, blocks[-1][1])
@@ -566,7 +568,7 @@ def _misfit_prices(params, x, tau):
     return s[s <= 3.0 * params.s_of(params.kink, 0.0)]
 
 
-def _rung_error(cfg, oracle, curve, disc, final, value) -> float | None:
+def _rung_error(cfg, oracle, curve, disc, surf, value) -> float | None:
     """Rung error against the oracle ``curve``; None without one."""
     params = cfg.params
     if curve is None:
@@ -575,8 +577,8 @@ def _rung_error(cfg, oracle, curve, disc, final, value) -> float | None:
         return abs(value - float(curve([cfg.probe_s])[0]))
     # value misfit 2-norm against the reference run at this rung's
     # Greville stock prices
-    grid = _misfit_prices(params, disc.greville_x, final.tau)
-    return misfit_epsilon(curve(grid), value_curve(params, disc, final, grid))
+    grid = _misfit_prices(params, disc.greville_x, surf.tau(surf.n_steps))
+    return misfit_epsilon(curve(grid), value_curve(params, disc, surf, grid))
 
 
 def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
@@ -596,11 +598,10 @@ def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
 
     rows, prev_err = [], None
     for n_e, n_t in cfg.rungs:
-        # a rung reads only its final slice
+        # a rung reads only its final level
         disc, surf = _build(cfg, n_e, _scheme(cfg, n_t))
-        value = float(value_curve(cfg.params, disc, surf.final,
-                                  [cfg.probe_s])[0])
-        err = _rung_error(cfg, oracle, curve, disc, surf.final, value)
+        value = float(value_curve(cfg.params, disc, surf, [cfg.probe_s])[0])
+        err = _rung_error(cfg, oracle, curve, disc, surf, value)
         contraction = (prev_err / err) if (err and prev_err) else None
         rows.append([n_e, n_t, value, err, contraction])
         prev_err = err

@@ -9,7 +9,7 @@ vector by the chain rule
   delta = g / S   * (dxi/dx) sum_j w_j R'_j
   gamma = g / S^2 * ((dxi/dx)^2 sum_j w_j R''_j - (dxi/dx) sum_j w_j R'_j).
 
-One order-2 ``basis_table`` at the final slice's Greville image gives both
+One order-2 ``basis_table`` at the final level's Greville image gives both
 sums, as algorithm A2.3 of Piegl and Tiller gives a function's derivatives
 together.
 
@@ -27,26 +27,18 @@ leaves no ``.tmp`` and the old file in place.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import basis_table, contract_table, eval_spline_many
 from .stepper import Discretization, SolutionSurface
 
-__all__ = ["GreekTable", "check_greeks", "greeks_table", "write_greeks_csv",
+__all__ = ["check_greeks", "greeks_table", "write_greeks_csv",
            "write_csv", "block_lines"]
 
 
-@dataclass(frozen=True)
-class GreekTable:
-    """Delta, gamma and theta on a common stock-price grid."""
-
-    s: np.ndarray
-    delta: np.ndarray
-    gamma: np.ndarray
-    theta: np.ndarray
-    time: float
+# the columns of a Greeks table, as greeks.csv heads them
+_COLUMNS = ("S", "delta", "gamma", "theta")
 
 
 def check_greeks(params, degree: int, n_steps: int) -> tuple[int, int]:
@@ -67,37 +59,36 @@ def check_greeks(params, degree: int, n_steps: int) -> tuple[int, int]:
 
 @np.errstate(all="ignore")
 def greeks_table(params, disc: Discretization,
-                 surface: SolutionSurface) -> GreekTable:
-    """Delta, gamma and theta of the final slice at its Greville points.
+                 surface: SolutionSurface) -> np.ndarray:
+    """The (m, 4) rows S, delta, gamma, theta of the final level at its
+    Greville points.
 
     Every probe is x_of(S, tau) clipped to the domain: the Greville image
-    leaves it by rounding at most, and on the other slice of the theta
+    leaves it by rounding at most, and on the other level of the theta
     pair the call's drifting frame moves the tails outside.  A Greek that
     is not finite, such as a gamma whose sums overflow on coefficients
     near the largest double, raises FloatingPointError, as a march does.
     """
-    pair = check_greeks(params, disc.basis.degree, surface.n_steps)
-    final, field = surface.final, params.value_column[1]
-    s = params.s_of(disc.greville_x, final.tau)
+    m0, m1 = check_greeks(params, disc.basis.degree, surface.n_steps)
+    field, tau = params.value_column[1], surface.tau
+    s = params.s_of(disc.greville_x, tau(surface.n_steps))
 
-    def xi(slice_):
-        x = np.clip(params.x_of(s, slice_.tau), disc.pmap.x_min,
+    def xi(level):
+        x = np.clip(params.x_of(s, tau(level)), disc.pmap.x_min,
                     disc.pmap.x_max)
         return disc.pmap.to_parameter(x)
 
-    first, R = basis_table(disc.basis, xi(final), 2)
-    _, d1, d2 = contract_table(first, R, final.coeffs[field]).T
-    scale, g = disc.pmap.dxi_dx, params.value_scale(final.tau)
-    s0, s1 = (surface.slices[surface.levels.index(m)] for m in pair)
-    v0, v1 = (params.value_scale(sl.tau) * eval_spline_many(
-        disc.basis, sl.coeffs[field], xi(sl)) for sl in (s0, s1))
-    table = GreekTable(
+    first, R = basis_table(disc.basis, xi(surface.n_steps), 2)
+    _, d1, d2 = contract_table(first, R, surface.final[field]).T
+    scale, g = disc.pmap.dxi_dx, params.value_scale(tau(surface.n_steps))
+    v0, v1 = (params.value_scale(tau(m)) * eval_spline_many(
+        disc.basis, surface.levels[m][field], xi(m)) for m in (m0, m1))
+    table = np.column_stack([
         s, g * (scale * d1) / s,
         g * (scale * scale * d2 - scale * d1) / s ** 2,
-        (v1 - v0) / (params.t_of(s1.tau) - params.t_of(s0.tau)),
-        params.t_of(final.tau))
-    for name in ("delta", "gamma", "theta"):
-        bad = np.count_nonzero(~np.isfinite(getattr(table, name)))
+        (v1 - v0) / (params.t_of(tau(m1)) - params.t_of(tau(m0)))])
+    for name, column in zip(_COLUMNS[1:], table[:, 1:].T):
+        bad = np.count_nonzero(~np.isfinite(column))
         if bad:
             raise FloatingPointError(f"{name} is not finite at {bad} of "
                                      f"{len(s)} stock prices")
@@ -130,7 +121,6 @@ def write_csv(path, header: list[str], chunks) -> None:
         raise
 
 
-def write_greeks_csv(path, table: GreekTable) -> None:
-    """One row per stock price, by ``write_csv``."""
-    rows = np.column_stack([table.s, table.delta, table.gamma, table.theta])
-    write_csv(path, ["S", "delta", "gamma", "theta"], [block_lines(rows)])
+def write_greeks_csv(path, table: np.ndarray) -> None:
+    """One row per stock price of ``greeks_table``, by ``write_csv``."""
+    write_csv(path, list(_COLUMNS), [block_lines(table)])

@@ -67,6 +67,12 @@ def _norm_cdf(d):
     return np.vectorize(math.erfc, otypes=[float])(-d / math.sqrt(2.0)) / 2.0
 
 
+def _check_variance(sigma: float) -> None:
+    if not 0.0 < sigma * sigma < math.inf:
+        raise ValueError(f"sigma = {sigma:g}: sigma^2 must be a positive, "
+                         "finite double")
+
+
 @dataclass(frozen=True)
 class LelandParams:
     """European call under proportional transaction costs.
@@ -84,6 +90,7 @@ class LelandParams:
     def __post_init__(self):
         if self.sigma <= 0 or self.strike <= 0 or self.maturity <= 0:
             raise ValueError("sigma, strike, maturity must be positive")
+        _check_variance(self.sigma)
         if self.rate < 0 or self.leland_number < 0:
             raise ValueError("rate and leland_number must be non-negative")
 
@@ -220,6 +227,7 @@ class AfvParams:
     def __post_init__(self):
         if self.sigma <= 0 or self.face_value <= 0 or self.maturity <= 0:
             raise ValueError("sigma, face_value, maturity must be positive")
+        _check_variance(self.sigma)
         if self.conversion_ratio <= 0 or self.s_initial <= 0:
             raise ValueError("conversion_ratio and s_initial must be positive")
         if not 0.0 <= self.eta <= 1.0 or not 0.0 <= self.recovery <= 1.0:
@@ -245,6 +253,12 @@ class AfvParams:
         if self.call_window and self.call_window[0] == self.call_window[1]:
             raise ValueError("call window needs start < end: a single call "
                              "date is not supported")
+        ratio = ((self.face_value + self.terminal_coupon)
+                 / (self.conversion_ratio * self.s_initial))
+        if not 0.0 < ratio < math.inf:
+            raise ValueError(
+                f"conversion_ratio = {self.conversion_ratio:g} and s_initial "
+                f"= {self.s_initial:g} put the payoff kink at ln({ratio:g})")
 
     columns = (("U", "U"), ("B", "B"), ("C", "C"))
     value_column = columns[0]

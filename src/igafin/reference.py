@@ -87,7 +87,7 @@ def fdm_solve_afv(params: AfvParams, x_min: float = -6.0, x_max: float = 2.0,
     values."""
     scheme = SchemeConfig(n_steps, theta, rannacher_steps, store_every=0)
     disc, surf = fdm_solve(params, x_min, x_max, n_cells, scheme)
-    return FdmResult(disc.greville_x, surf.final.coeffs)
+    return FdmResult(disc.greville_x, surf.final)
 
 
 def p1fem_solve(params, x_min: float, x_max: float, n_elements: int,

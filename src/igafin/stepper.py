@@ -12,12 +12,12 @@ column lift of A, and s = M nu the group-coefficient source.  The first
 ``rannacher_steps`` steps run fully implicit (theta = 1) to damp the
 non-smooth initial data before switching to the configured theta.
 
-Coefficient vectors follow the group convention throughout: the initial
-slice takes the payoff values at the Greville abscissae as coefficients
+Coefficient vectors follow the group convention throughout: level 0
+takes the payoff values at the Greville abscissae as coefficients
 (the variation-diminishing spline of the payoff), and nonlinear sources are
 expanded with coefficients nu_j computed directly from the solution
 coefficients, nu_j = N(w_j, x_j).  No collocation solve enters the march.
-The call's initial slice on kink-aligned knots, which hold the payoff kink
+The call's level 0 on kink-aligned knots, which hold the payoff kink
 as an interior knot of multiplicity 2 or more (refined knots hold it with
 multiplicity p, so they do from degree 2), is the one exception to the
 Greville values.  The payoff is smooth on each side of that knot, so its
@@ -32,7 +32,9 @@ call's march also its collocation band and the multiplicity of the kink
 among its knots.  So the finite-difference twin in ``reference``, a
 ``Discretization`` of hat functions on uniform nodes with central
 differences as its system, runs through ``run`` too.  Each march builds
-only its step; ``_march`` is the one loop over time levels.
+only its step; ``_march`` is the one loop over time levels, and a run is
+the ``SolutionSurface`` of the levels it stores, each level's coefficient
+vectors by field.
 
 The call march takes one step, ``_LelandStep``, whatever its Leland
 number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
@@ -87,7 +89,7 @@ from .models import (AfvParams, LelandParams, afv_terminal,
 from .quadrature import gauss_legendre_rule
 
 __all__ = [
-    "SchemeConfig", "TimeSlice", "SolutionSurface", "Discretization",
+    "SchemeConfig", "SolutionSurface", "Discretization",
     "build_knots", "build_discretization", "step_linear",
     "step_afv_boundary", "NewtonJacobians", "newton_solve_U",
     "NewtonDivergenceError", "run",
@@ -99,8 +101,8 @@ __all__ = [
 class SchemeConfig:
     """Time-integration controls.
 
-    ``store_every = k`` keeps every k-th slice (plus level 0 and the last
-    three levels, which theta reads); 0 keeps only those mandatory slices.
+    ``store_every = k`` keeps every k-th level (plus level 0 and the last
+    three levels, which theta reads); 0 keeps only those mandatory levels.
     """
 
     n_steps: int
@@ -135,29 +137,20 @@ class SchemeConfig:
 
 
 @dataclass
-class TimeSlice:
-    """Coefficient vectors (boundary entries included) at one time level."""
-
-    tau: float
-    coeffs: dict[str, np.ndarray]
-
-
-@dataclass
 class SolutionSurface:
-    """Stored slices of one run, ordered by time level."""
+    """The stored levels of one run: each level's coefficient vectors
+    (boundary entries included) by field, in level order."""
 
-    slices: list[TimeSlice]
-    levels: list[int]
+    levels: dict[int, dict[str, np.ndarray]]
     n_steps: int
     dtau: float
 
-    @property
-    def initial(self) -> TimeSlice:
-        return self.slices[0]
+    def tau(self, level: int) -> float:
+        return level * self.dtau
 
     @property
-    def final(self) -> TimeSlice:
-        return self.slices[-1]
+    def final(self) -> dict[str, np.ndarray]:
+        return self.levels[self.n_steps]
 
 
 @dataclass
@@ -486,16 +479,15 @@ def _march(scheme: SchemeConfig, dtau: float,
     takes theta from the Rannacher schedule, keeps the stored levels and
     stops at the first level that holds a value that is not finite."""
     n_steps, keep = scheme.n_steps, scheme.stored_levels()
-    slices, levels = [TimeSlice(0.0, fields)], [0]
+    levels = {0: fields}
     for level in range(1, n_steps + 1):
         fields = step(level, scheme.theta_at(level - 1), fields)
         if not all(np.isfinite(v).all() for v in fields.values()):
             raise FloatingPointError(
                 f"solution blew up at time level {level} of {n_steps}")
         if level in keep:
-            slices.append(TimeSlice(level * dtau, fields))
-            levels.append(level)
-    return SolutionSurface(slices, levels, n_steps, dtau)
+            levels[level] = fields
+    return SolutionSurface(levels, n_steps, dtau)
 
 
 def _warn_if_unstable(dx: float, dtau: float) -> None:
@@ -612,12 +604,13 @@ def run(params, disc: Discretization, scheme: SchemeConfig) -> SolutionSurface:
     raise TypeError(f"unsupported parameter object {type(params).__name__}")
 
 
-def value_curve(params, disc: Discretization, slice_: TimeSlice,
+def value_curve(params, disc: Discretization, surface: SolutionSurface,
                 s_points) -> np.ndarray:
-    """Model values V(S, t(tau)) at stock prices S on one stored slice:
-    the value column's field at x_of(S, tau), times the model's value
-    scale.  A price whose x lies outside the domain raises ValueError."""
+    """Model values V(S, t = 0) at stock prices S on the final level: the
+    value column's field at x_of(S, tau), times the model's value scale.
+    A price whose x lies outside the domain raises ValueError."""
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
-    xi = disc.pmap.to_parameter(params.x_of(s, slice_.tau))
-    return params.value_scale(slice_.tau) * eval_spline_many(
-        disc.basis, slice_.coeffs[params.value_column[1]], xi)
+    tau = surface.tau(surface.n_steps)
+    xi = disc.pmap.to_parameter(params.x_of(s, tau))
+    return params.value_scale(tau) * eval_spline_many(
+        disc.basis, surface.final[params.value_column[1]], xi)

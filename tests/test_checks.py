@@ -9,12 +9,12 @@ import igafin.stepper as stepper
 
 def _coupon_run_with_a_shifted_final_b(params, surf):
     if params.coupons:
-        surf.final.coeffs["B"] = surf.final.coeffs["B"] + 1e-9
+        surf.final["B"] = surf.final["B"] + 1e-9
 
 
 def _u_above_the_call_ceiling(params, surf):
-    for slice_ in surf.slices[1:]:
-        slice_.coeffs["U"] = slice_.coeffs["U"] + 1.0
+    for fields in list(surf.levels.values())[1:]:
+        fields["U"] = fields["U"] + 1.0
 
 
 @pytest.mark.parametrize("check,corrupt", [

@@ -362,6 +362,28 @@ LINEAR = (ROOT / "configs" / "linear_uniform.ini").read_text()
 MODELS = "('linear-bs', 'leland', 'afv')"
 
 
+def _assert_config_error_at(tmp_path, capsys, verb, base, old, new, at,
+                            message):
+    """``verb`` on ``base`` with ``old`` replaced by ``new`` is rc 2 with
+    one stderr line, ``message`` at the last line ``at`` (the path alone if
+    None), and writes nothing."""
+    # written as raw text: configparser would rewrite the sections
+    text = base.replace(old, new)
+    assert text != base
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # configparser numbers the lines between "\n"s, and a repeated
+    # section is named at its last line
+    lines = text.split("\n")
+    where = f"{cfg}:{len(lines) - lines[::-1].index(at)}" if at else str(cfg)
+    assert err.startswith(f"config error: {where}: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # (verb, text replaced in linear_uniform.ini, its replacement, the line the
 # error names or None, the message)
 @pytest.mark.parametrize("verb,old,new,at,message", [
@@ -437,24 +459,43 @@ MODELS = "('linear-bs', 'leland', 'afv')"
     # it was said to have no '=' or ':'
     ("price", "[model]\n", "[model]\n= 0.2\n", "= 0.2",
      "parse error: no key in '= 0.2'\n"),
+    # a volatility whose square leaves the range of a double ended in an
+    # OverflowError or a ZeroDivisionError traceback
+    ("price", "sigma = 0.2", "sigma = 1e200", "[model]",
+     "invalid [model] parameters: sigma = 1e+200: sigma^2 must be a "
+     "positive, finite double\n"),
+    ("price", "sigma = 0.2", "sigma = 1e-200", "[model]",
+     "invalid [model] parameters: sigma = 1e-200: sigma^2 must be a "
+     "positive, finite double\n"),
 ])
 def test_bad_config_text_is_a_config_error_at_its_line(
         tmp_path, capsys, verb, old, new, at, message):
-    # written as raw text: configparser would rewrite the sections
-    text = LINEAR.replace(old, new)
-    assert text != LINEAR
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    # configparser numbers the lines between "\n"s, and a repeated
-    # section is named at its last line
-    lines = text.split("\n")
-    where = f"{cfg}:{len(lines) - lines[::-1].index(at)}" if at else str(cfg)
-    assert err.startswith(f"config error: {where}: {message}")
-    assert err.count("\n") == 1
-    assert not out.exists()
+    _assert_config_error_at(tmp_path, capsys, verb, LINEAR, old, new, at,
+                            message)
+
+
+CONVERTIBLE = (ROOT / "configs" / "convertible.ini").read_text().replace(
+    "n_elements = 512", "n_elements = 32").replace("n_tau = 400", "n_tau = 20")
+
+
+# (text replaced in convertible.ini at 32 x 20, its replacement, the message
+# at the [model] line)
+@pytest.mark.parametrize("old,new,message", [
+    # sigma^2 raised an OverflowError after the march had started
+    ("sigma = 0.2", "sigma = 1e200",
+     "sigma = 1e+200: sigma^2 must be a positive, finite double\n"),
+    # k S_0 overflows, so the kink's log met 0: a "math domain error" at
+    # the x_min line
+    ("conversion_ratio = 1\ns_initial = 100",
+     "conversion_ratio = 1e300\ns_initial = 1e10",
+     "conversion_ratio = 1e+300 and s_initial = 1e+10 put the payoff kink "
+     "at ln(0)\n"),
+])
+def test_bad_bond_parameters_are_a_config_error_at_the_model_line(
+        tmp_path, capsys, old, new, message):
+    _assert_config_error_at(tmp_path, capsys, "price", CONVERTIBLE, old, new,
+                            "[model]", "invalid [model] parameters: "
+                            + message)
 
 
 def _configparser_values(text):
@@ -674,7 +715,7 @@ def test_p1_oracle_keeps_only_the_mandatory_slices(tmp_path, capsys,
                  str(tmp_path / "out")]) == 0
     assert "oracle (p1): V(100) = 17.9232\n" in capsys.readouterr().out
     [surf] = surfaces
-    assert len(surf.slices) <= 4 and surf.levels[-1] == SMALL["n_tau"]
+    assert len(surf.levels) <= 4 and max(surf.levels) == SMALL["n_tau"]
 
 
 @pytest.mark.parametrize("base,printed", [
@@ -707,7 +748,7 @@ def test_fdm_oracle_with_theta_one_is_the_implicit_twin(tmp_path, capsys,
                                SchemeConfig(n_t, theta=1.0, store_every=0))
         x = math.log(cfg.probe_s) + p.kappa * p.horizon
         want = math.exp(-p.kappa * p.horizon) * np.interp(
-            x, disc.greville_x, surf.final.coeffs["vhat"])
+            x, disc.greville_x, surf.final["vhat"])
     name = "U" if cfg.model == "afv" else "V"
     assert f"oracle (fdm): {name}(100) = {want:.4f}\n" \
         in capsys.readouterr().out
@@ -726,7 +767,7 @@ def test_p1_oracle_with_theta_one_is_the_implicit_reference(tmp_path,
                              SMALL["n_elements"],
                              SchemeConfig(n_steps=SMALL["n_tau"], theta=1.0,
                                           store_every=0))
-    want = value_curve(cfg.params, disc, surf.final, [cfg.probe_s])[0]
+    want = value_curve(cfg.params, disc, surf, [cfg.probe_s])[0]
     # the Crank-Nicolson reference gives 17.9232
     assert f"{want:.4f}" == "17.9022"
     assert f"oracle (p1): V(100) = {want:.4f}\n" in capsys.readouterr().out

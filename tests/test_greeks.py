@@ -1,4 +1,4 @@
-"""Sensitivities from spline derivatives and slice differencing."""
+"""Sensitivities from spline derivatives and level differencing."""
 
 import numpy as np
 import pytest
@@ -22,8 +22,9 @@ def linear_run():
 
 def _rows(table, lo, hi):
     """The table's stock prices in [lo, hi] and the mask that picks them."""
-    keep = (table.s >= lo) & (table.s <= hi)
-    return table.s[keep], keep
+    s = table[:, 0]
+    keep = (s >= lo) & (s <= hi)
+    return s[keep], keep
 
 
 class TestLinearGreeks:
@@ -33,27 +34,28 @@ class TestLinearGreeks:
         s, keep = _rows(table, 70.0, 140.0)
         assert len(s) >= 10
         exact = np.array([LIN.closed_form_greeks(si, 0.0) for si in s])
-        assert np.abs(table.delta[keep] - exact[:, 0]).max() < 5e-3
-        assert np.abs(table.gamma[keep] - exact[:, 1]).max() < 5e-4
-        assert table.time == pytest.approx(0.0)
+        _, delta, gamma, _ = table.T
+        assert np.abs(delta[keep] - exact[:, 0]).max() < 5e-3
+        assert np.abs(gamma[keep] - exact[:, 1]).max() < 5e-4
+        assert LIN.t_of(surf.tau(surf.n_steps)) == pytest.approx(0.0)
 
     def test_theta_against_closed_form(self, linear_run):
         disc, surf = linear_run
         table = greeks_table(LIN, disc, surf)
         s, keep = _rows(table, 70.0, 140.0)
         exact = np.array([LIN.closed_form_greeks(si, 0.0)[2] for si in s])
-        assert np.abs(table.theta[keep] - exact).max() < 5e-2
+        assert np.abs(table[keep, 3] - exact).max() < 5e-2
 
     def test_default_grid_is_the_greville_image(self, linear_run):
         disc, surf = linear_run
         table = greeks_table(LIN, disc, surf)
-        expect = np.exp(disc.greville_x - LIN.kappa * surf.final.tau)
-        assert table.s == pytest.approx(expect)
+        expect = np.exp(disc.greville_x - LIN.kappa * surf.tau(surf.n_steps))
+        assert table[:, 0] == pytest.approx(expect)
 
     def test_one_order_two_table_on_the_final_slice(self, linear_run,
                                                     monkeypatch):
         # delta and gamma share one basis table; theta evaluates the two
-        # slices it differences and nothing else
+        # levels it differences and nothing else
         disc, surf = linear_run
         tables, evals = [], []
         basis_table = greeks.basis_table
@@ -87,7 +89,7 @@ class TestLelandGamma:
         a, b = le.domain()
         disc = build_discretization(a, b, 128)
         surf = run(le, disc, SchemeConfig(n_steps=320, store_every=0))
-        coeffs = surf.final.coeffs["vhat"]
+        coeffs = surf.final["vhat"]
         interior = disc.basis.knots.breakpoints[1:-1]
         # one ulp below a knot lies in the span that ends there; the two
         # spans sum different basis functions, so the sides agree to the
@@ -114,10 +116,9 @@ class TestLelandGreeks:
                                               store_every=n_tau // 50))
             table = greeks_table(le, disc, surf)
             s, keep = _rows(table, 50.0, 200.0)
-            exact = le.closed_form_greeks(s, table.time)
+            exact = le.closed_form_greeks(s, le.t_of(surf.tau(n_tau)))
             errors.append([np.abs(got[keep] - want).max() for got, want in
-                           zip((table.delta, table.gamma, table.theta),
-                               exact)])
+                           zip(table[:, 1:].T, exact)])
         # rows are rungs, columns delta, gamma and theta
         errors = np.array(errors)
         assert errors == pytest.approx(np.array(
@@ -149,17 +150,16 @@ class TestAfvGreeks:
         surf = run(p, disc, SchemeConfig(n_steps=50, store_every=1))
         assert check_greeks(p, 3, 50) == (48, 49)
         table = greeks_table(p, disc, surf)
-        s0, s1 = surf.slices[48], surf.slices[49]
-        inner = slice(1, -1)
-        xi = disc.pmap.to_parameter(p.x_of(table.s[inner], 0.0))
-        v0, v1 = (eval_spline_many(disc.basis, sl.coeffs["U"], xi)
-                  for sl in (s0, s1))
-        assert np.array_equal(table.theta[inner],
-                              (v1 - v0) / (p.t_of(s1.tau) - p.t_of(s0.tau)))
+        inner = table[1:-1]
+        xi = disc.pmap.to_parameter(p.x_of(inner[:, 0], 0.0))
+        v0, v1 = (eval_spline_many(disc.basis, surf.levels[m]["U"], xi)
+                  for m in (48, 49))
+        assert np.array_equal(inner[:, 3], (v1 - v0) / (
+            p.t_of(surf.tau(49)) - p.t_of(surf.tau(48))))
         # a jump-straddling difference would be dominated by coupon/dtau,
         # i.e. about 4 / 0.1 = 40 per year
         s, keep = _rows(table, 80.0, 120.0)
-        assert len(s) and np.abs(table.theta[keep]).max() < 20.0
+        assert len(s) and np.abs(table[keep, 3]).max() < 20.0
 
     def test_needs_two_slices(self):
         # coupons at t = 0.04 and 0.1 land on levels 50 and 49 of 50, so
@@ -167,7 +167,7 @@ class TestAfvGreeks:
         p = self._params(coupons=((0.04, 4.0), (0.1, 4.0)), put_window=None)
         disc = build_discretization(-6.0, 2.0, 16)
         surf = run(p, disc, SchemeConfig(n_steps=50, store_every=0))
-        assert surf.levels == [0, 48, 49, 50]
+        assert list(surf.levels) == [0, 48, 49, 50]
         assert p.calendar(surf.dtau, 50)[1] == {49, 50}
         with pytest.raises(ValueError, match="two"):
             greeks_table(p, disc, surf)
@@ -192,17 +192,18 @@ class TestAfvGreeks:
             assert check_greeks(p, 3, n_steps) == pair
             disc = build_discretization(-6.0, 2.0, 16)
             surf = run(p, disc, SchemeConfig(n_steps=n_steps, store_every=0))
-            assert set(pair) <= set(surf.levels)
+            assert set(pair) <= surf.levels.keys()
 
     def test_delta_tends_to_one_deep_in_the_money(self):
         p = self._params()
         disc = build_discretization(-6.0, 2.0, 64)
         surf = run(p, disc, SchemeConfig(n_steps=50, store_every=0))
         table = greeks_table(p, disc, surf)
-        j = int(np.argmin(np.abs(table.s - 400.0)))
-        assert table.s[j] == pytest.approx(400.0, rel=0.02)
+        s, delta, _, _ = table.T
+        j = int(np.argmin(np.abs(s - 400.0)))
+        assert s[j] == pytest.approx(400.0, rel=0.02)
         # deep in the conversion region the bond moves one-for-one
-        assert table.delta[j] == pytest.approx(1.0, abs=0.05)
+        assert delta[j] == pytest.approx(1.0, abs=0.05)
 
 
 class TestCsvOutput:
@@ -213,10 +214,10 @@ class TestCsvOutput:
         write_greeks_csv(path, table)
         lines = path.read_text().splitlines()
         assert lines[0] == "S,delta,gamma,theta"
-        assert len(lines) == 1 + len(table.s)
+        assert len(lines) == 1 + len(table)
         first = lines[1].split(",")
         assert len(first) == 4
-        assert float(first[0]) == pytest.approx(table.s[0])
+        assert float(first[0]) == pytest.approx(table[0, 0])
 
     def test_deterministic(self, linear_run, tmp_path):
         disc, surf = linear_run
@@ -232,9 +233,8 @@ class TestCsvOutput:
         table = greeks_table(LIN, disc, surf)
         path = tmp_path / "greeks.csv"
         write_greeks_csv(path, table)
-        rows = zip(table.s, table.delta, table.gamma, table.theta)
         expected = "S,delta,gamma,theta\n" + "".join(
-            ",".join(f"{v:.10g}" for v in row) + "\n" for row in rows)
+            ",".join(f"{v:.10g}" for v in row) + "\n" for row in table)
         assert path.read_text() == expected
         assert [p.name for p in tmp_path.iterdir()] == ["greeks.csv"]
 
@@ -273,8 +273,9 @@ class TestCsvOutput:
     def test_failure_leaves_no_file(self, linear_run, tmp_path):
         disc, surf = linear_run
         table = greeks_table(LIN, disc, surf)
-        short = type(table)(table.s, table.delta, table.gamma,
-                            table.theta[:-1], table.time)
-        with pytest.raises(ValueError):
-            write_greeks_csv(tmp_path / "greeks.csv", short)
+        # a cell that "%.10g" cannot format
+        bad = table.astype(object)
+        bad[-1, -1] = "theta"
+        with pytest.raises(TypeError):
+            write_greeks_csv(tmp_path / "greeks.csv", bad)
         assert list(tmp_path.iterdir()) == []

@@ -37,7 +37,9 @@ class TestLelandParams:
 
     @pytest.mark.parametrize("bad", [
         dict(sigma=0.0), dict(strike=-1.0), dict(maturity=0.0),
-        dict(rate=-0.01), dict(leland_number=-0.1)])
+        dict(rate=-0.01), dict(leland_number=-0.1),
+        # sigma^2 overflows, or underflows to zero
+        dict(sigma=1e200), dict(sigma=1e-200)])
     def test_validation(self, bad):
         kwargs = dict(rate=0.05, sigma=0.2, strike=100.0, maturity=1.0)
         kwargs.update(bad)
@@ -84,10 +86,11 @@ class TestAfvParams:
                      fdm_discretization(cfg.x_min, cfg.x_max, 64)):
             with_rights = run(rights, disc, scheme)
             without = run(bare, disc, scheme)
-            assert with_rights.levels == without.levels
-            for a, b in zip(with_rights.slices, without.slices):
+            assert with_rights.levels.keys() == without.levels.keys()
+            for level, fields in with_rights.levels.items():
                 for name in ("U", "B", "C"):
-                    assert np.array_equal(a.coeffs[name], b.coeffs[name])
+                    assert np.array_equal(fields[name],
+                                          without.levels[level][name])
 
     @pytest.mark.parametrize("bad", [
         dict(sigma=-0.2), dict(eta=1.5), dict(recovery=-0.1),
@@ -100,7 +103,12 @@ class TestAfvParams:
         dict(call_window=(2.0, 5.0, -110.0)), dict(call_window=(2.0, 5.0, 0.0)),
         dict(put_window=(3.0, 3.0, -105.0)), dict(put_window=(3.0, 3.0, 0.0)),
         # the call is tested on (start, end], which one date leaves empty
-        dict(call_window=(3.0, 3.0, 110.0))])
+        dict(call_window=(3.0, 3.0, 110.0)),
+        dict(sigma=1e200), dict(sigma=1e-200),
+        # k S_0 overflows, so (F + c_T) / (k S_0), whose log is the kink,
+        # is 0; and F / (k S_0) overflows
+        dict(conversion_ratio=1e300, s_initial=1e10),
+        dict(conversion_ratio=1e-300, s_initial=1e-10)])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             _table3_params(**bad)

@@ -24,7 +24,7 @@ def _fdm_call(params, x_min, x_max, n_cells, n_steps):
     """The call twin's nodes and final nodal values of vhat."""
     disc, surf = fdm_solve(params, x_min, x_max, n_cells,
                            SchemeConfig(n_steps, store_every=0))
-    return disc.greville_x, surf.final.coeffs["vhat"]
+    return disc.greville_x, surf.final["vhat"]
 
 
 class TestClosedForm:
@@ -147,7 +147,7 @@ class TestFdmLeland:
         a, b = le.domain()
         disc = build_discretization(a, b, 256)
         surf = run_leland(le, disc, SchemeConfig(n_steps=80))
-        v_iga = float(value_curve(le, disc, surf.final, [100.0])[0])
+        v_iga = float(value_curve(le, disc, surf, [100.0])[0])
         nodes, vhat = _fdm_call(le, a, b, 256, 80)
         tau = le.horizon
         x = math.log(100.0) + le.kappa * tau
@@ -175,10 +175,10 @@ def test_fdm_space_reads_its_nodal_values_by_linear_interpolation(config):
     assert np.array_equal(disc.greville_x,
                           np.linspace(cfg.x_min, cfg.x_max, 65))
     s = np.array([60.0, 87.5, 100.0, 113.0, 150.0])
-    tau, field = surf.final.tau, params.value_column[1]
+    tau, field = surf.tau(surf.n_steps), params.value_column[1]
     want = params.value_scale(tau) * np.interp(
-        params.x_of(s, tau), disc.greville_x, surf.final.coeffs[field])
-    got = value_curve(params, disc, surf.final, s)
+        params.x_of(s, tau), disc.greville_x, surf.final[field])
+    got = value_curve(params, disc, surf, s)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -249,9 +249,9 @@ class TestFdmAfv:
                                SchemeConfig(40, cfg.theta,
                                             cfg.rannacher_steps))
         assert np.array_equal(res.x, disc.greville_x)
-        assert res.values.keys() == surf.final.coeffs.keys()
+        assert res.values.keys() == surf.final.keys()
         for name, values in res.values.items():
-            assert np.array_equal(values, surf.final.coeffs[name])
+            assert np.array_equal(values, surf.final[name])
 
     def test_newton_failure_is_raised(self, monkeypatch):
         cfg = parse_config(str(CONFIGS / "convertible.ini"))
@@ -269,15 +269,14 @@ class TestP1Fem:
         assert disc.basis.degree == 1
         direct = build_discretization(a, b, 64, degree=1)
         expect = run_leland(LIN, direct, SchemeConfig(n_steps=32))
-        assert np.array_equal(surf.final.coeffs["vhat"],
-                              expect.final.coeffs["vhat"])
+        assert np.array_equal(surf.final["vhat"], expect.final["vhat"])
 
     def test_hat_functions_converge(self):
         a, b = LIN.domain()
         errs = []
         for n in (128, 512):
             disc, surf = p1fem_solve(LIN, a, b, n, SchemeConfig(n_steps=n))
-            v = float(value_curve(LIN, disc, surf.final, [100.0])[0])
+            v = float(value_curve(LIN, disc, surf, [100.0])[0])
             errs.append(abs(v - LIN.closed_form(100.0, 0.0)))
         assert errs[1] < errs[0] / 4.0
 

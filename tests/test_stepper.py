@@ -88,8 +88,8 @@ class TestStoredLevels:
         a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=25, store_every=10))
-        assert surf.levels == [0, 10, 20, 23, 24, 25]
-        assert surf.slices[surf.levels.index(25)] is surf.final
+        assert list(surf.levels) == [0, 10, 20, 23, 24, 25]
+        assert surf.levels[25] is surf.final
         assert 11 not in surf.levels
 
     def test_store_every_zero_keeps_the_mandatory_levels(self):
@@ -97,17 +97,29 @@ class TestStoredLevels:
         disc = build_discretization(a, b, 8, degree=1)
         sparse = run_leland(LIN, disc, SchemeConfig(n_steps=12, store_every=0))
         dense = run_leland(LIN, disc, SchemeConfig(n_steps=12, store_every=1))
-        assert sparse.levels == [0, 10, 11, 12]
-        assert np.array_equal(sparse.final.coeffs["vhat"],
-                              dense.final.coeffs["vhat"])
+        assert list(sparse.levels) == [0, 10, 11, 12]
+        assert np.array_equal(sparse.final["vhat"], dense.final["vhat"])
 
     def test_one_step(self):
         a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=1, store_every=0))
-        assert surf.levels == [0, 1]
-        assert surf.initial.tau == 0.0
-        assert surf.final.tau == LIN.horizon
+        assert list(surf.levels) == [0, 1]
+        assert surf.tau(0) == 0.0
+        assert surf.tau(1) == LIN.horizon
+
+    @pytest.mark.parametrize("n_steps,store_every",
+                             [(1, 0), (2, 1), (12, 0), (25, 10), (25, 1)])
+    def test_keys_are_the_stored_levels_at_level_times_dtau(
+            self, n_steps, store_every):
+        a, b = LIN.domain()
+        disc = build_discretization(a, b, 8)
+        scheme = SchemeConfig(n_steps=n_steps, store_every=store_every)
+        surf = run_leland(LIN, disc, scheme)
+        assert list(surf.levels) == sorted(scheme.stored_levels())
+        assert surf.dtau.hex() == (LIN.horizon / n_steps).hex()
+        for level in surf.levels:
+            assert surf.tau(level).hex() == (level * surf.dtau).hex()
 
 
 class TestInitialSlice:
@@ -119,7 +131,7 @@ class TestInitialSlice:
             disc = build_discretization(a, b, 32, degree=degree)
             surf = run_leland(LIN, disc, SchemeConfig(n_steps=1))
             expect = LIN.payoff(disc.greville_x)
-            assert np.array_equal(surf.initial.coeffs["vhat"], expect)
+            assert np.array_equal(surf.levels[0]["vhat"], expect)
 
     def test_refined_knots_away_from_the_kink_keep_greville_payoff(self):
         a, b = LIN.domain()
@@ -127,7 +139,7 @@ class TestInitialSlice:
                                     kink_xi=0.25)
         assert disc.knot_multiplicity(LIN.kink) == 0
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=1))
-        assert np.array_equal(surf.initial.coeffs["vhat"],
+        assert np.array_equal(surf.levels[0]["vhat"],
                               LIN.payoff(disc.greville_x))
 
     def test_kink_aligned_coefficients_interpolate_the_payoff(self):
@@ -137,7 +149,7 @@ class TestInitialSlice:
                                     kink_xi=kink_xi)
         assert disc.knot_multiplicity(LIN.kink) == 3
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=1))
-        coeffs = surf.initial.coeffs["vhat"]
+        coeffs = surf.levels[0]["vhat"]
         payoff = LIN.payoff(disc.greville_x)
         assert np.abs(disc.colloc.evaluate(coeffs) - payoff).max() <= 1e-12
         # the boundary coefficients, the march's fixed boundary data, are
@@ -151,9 +163,9 @@ class TestInitialSlice:
         surf = run_afv(params, disc, SchemeConfig(n_steps=1))
         u, b, c = afv_terminal(params.conversion_value(disc.greville_x),
                                params)
-        assert np.array_equal(surf.initial.coeffs["U"], u)
-        assert np.array_equal(surf.initial.coeffs["B"], b)
-        assert np.array_equal(surf.initial.coeffs["C"], c)
+        assert np.array_equal(surf.levels[0]["U"], u)
+        assert np.array_equal(surf.levels[0]["B"], b)
+        assert np.array_equal(surf.levels[0]["C"], c)
 
 
 class TestLinearMarch:
@@ -163,7 +175,7 @@ class TestLinearMarch:
         for n in (64, 128):
             disc = build_discretization(a, b, n)
             surf = run_leland(LIN, disc, SchemeConfig(n_steps=n))
-            v = float(value_curve(LIN, disc, surf.final, [100.0])[0])
+            v = float(value_curve(LIN, disc, surf, [100.0])[0])
             errs.append(abs(v - LIN.closed_form(100.0, 0.0)))
         assert errs[0] < 0.6
         assert errs[1] < 0.15
@@ -177,11 +189,11 @@ class TestLinearMarch:
         disc = build_discretization(a, b, n_elements, degree=degree)
         scheme = SchemeConfig(n_steps=16, store_every=1)
         surf = run_leland(LIN, disc, scheme)
-        w = surf.initial.coeffs["vhat"]
-        for m, stored in enumerate(surf.slices[1:]):
+        w = surf.levels[0]["vhat"]
+        for level, fields in list(surf.levels.items())[1:]:
             w = step_linear(disc.system, LIN.coefficients("vhat"), w,
-                            w[[0, -1]], surf.dtau, scheme.theta_at(m))
-            assert np.array_equal(stored.coeffs["vhat"], w)
+                            w[[0, -1]], surf.dtau, scheme.theta_at(level - 1))
+            assert np.array_equal(fields["vhat"], w)
 
     def test_march_without_costs_factors_no_mass(self, monkeypatch):
         calls = []
@@ -214,16 +226,16 @@ class TestLinearMarch:
         dtau = surf.dtau
         a_int, a_cols = disc.system.operator(le.coefficients("vhat"))
         a_dense, m_dense = a_int.to_dense(), disc.system.mass.to_dense()
-        for m, (old, new) in enumerate(zip(surf.slices, surf.slices[1:])):
+        for m in range(scheme.n_steps):
             theta = scheme.theta_at(m)
-            w = old.coeffs["vhat"]
+            w = surf.levels[m]["vhat"]
             a_lift = a_cols @ w[[0, -1]]
             vt = np.linalg.solve(m_dense, -(a_dense @ w[1:-1] + a_lift))
             rhs = ((m_dense - (1.0 - theta) * dtau * a_dense) @ w[1:-1]
                    - dtau * a_lift
                    + dtau * m_dense @ (le.leland_number * np.abs(vt)))
             want = np.linalg.solve(m_dense + theta * dtau * a_dense, rhs)
-            got = new.coeffs["vhat"]
+            got = surf.levels[m + 1]["vhat"]
             assert np.array_equal(got[[0, -1]], w[[0, -1]])
             assert np.abs(got[1:-1] - want).max() <= \
                 1e-12 * np.abs(want).max()
@@ -274,8 +286,8 @@ class TestLinearMarch:
         surf = run_leland(le, disc, SchemeConfig(n_steps=5120))
         tiny = np.finfo(float).tiny
         subnormal = sum(np.count_nonzero((v != 0) & (np.abs(v) < tiny))
-                        for v in (sl.coeffs["vhat"] for sl in surf.slices))
-        assert len(surf.slices) == 5121
+                        for v in (f["vhat"] for f in surf.levels.values()))
+        assert len(surf.levels) == 5121
         assert subnormal == 0
 
     def test_transaction_costs_raise_the_ask_price(self):
@@ -286,8 +298,8 @@ class TestLinearMarch:
         v_le = run_leland(le, disc, SchemeConfig(n_steps=80))
         lin = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0)
         v_0 = run_leland(lin, disc, SchemeConfig(n_steps=80))
-        p_le = value_curve(le, disc, v_le.final, [100.0])[0]
-        p_0 = value_curve(lin, disc, v_0.final, [100.0])[0]
+        p_le = value_curve(le, disc, v_le, [100.0])[0]
+        p_0 = value_curve(lin, disc, v_0, [100.0])[0]
         assert p_le > p_0 + 1.0
 
     def test_coarse_step_ratio_warns_with_costs(self):
@@ -312,20 +324,20 @@ class TestEvaluation:
         a, b = LIN.domain()
         disc = build_discretization(a, b, 8)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=2))
-        s = LIN.s_of(b + 1.0, surf.final.tau)
+        s = LIN.s_of(b + 1.0, surf.tau(surf.n_steps))
         with pytest.raises(ValueError, match="outside"):
-            value_curve(LIN, disc, surf.final, [s])
+            value_curve(LIN, disc, surf, [s])
 
     def test_price_curve_undoes_the_drift_frame(self):
         a, b = LIN.domain()
         disc = build_discretization(a, b, 32)
         surf = run_leland(LIN, disc, SchemeConfig(n_steps=8))
         s = np.array([80.0, 100.0, 125.0])
-        tau = surf.final.tau
+        tau = surf.tau(surf.n_steps)
         x = np.log(s) + LIN.kappa * tau
         direct = math.exp(-LIN.kappa * tau) * eval_spline_many(
-            disc.basis, surf.final.coeffs["vhat"], disc.pmap.to_parameter(x))
-        assert value_curve(LIN, disc, surf.final, s) \
+            disc.basis, surf.final["vhat"], disc.pmap.to_parameter(x))
+        assert value_curve(LIN, disc, surf, s) \
             == pytest.approx(direct, rel=1e-15)
 
     def test_value_curve_reads_the_bond_value_column(self):
@@ -335,8 +347,8 @@ class TestEvaluation:
         s = np.array([80.0, 100.0, 125.0])
         x = np.log(s / params.s_initial)
         assert np.array_equal(
-            value_curve(params, disc, surf.final, s),
-            eval_spline_many(disc.basis, surf.final.coeffs["U"],
+            value_curve(params, disc, surf, s),
+            eval_spline_many(disc.basis, surf.final["U"],
                              disc.pmap.to_parameter(x)))
 
 
@@ -379,10 +391,10 @@ class TestAfvMarch:
         f0 = run_afv(base, disc, scheme).final
         f1 = run_afv(with_c, disc, scheme).final
         for name in ("U", "B"):
-            diff = f1.coeffs[name] - f0.coeffs[name]
+            diff = f1[name] - f0[name]
             assert np.abs(diff[:-1] - amount).max() == 0.0
             assert diff[-1] == 0.0
-        assert np.array_equal(f1.coeffs["C"], f0.coeffs["C"])
+        assert np.array_equal(f1["C"], f0["C"])
 
     def test_pin_at_s_max_is_the_conversion_value(self):
         # k S is formed once, so at conversion_ratio = 1.3 the pinned U and
@@ -393,10 +405,10 @@ class TestAfvMarch:
         surf = run_afv(params, disc, SchemeConfig(n_steps=10, store_every=1))
         pin = params.conversion_value(0.5)
         assert params.conversion_value(disc.greville_x)[-1] == pin
-        assert surf.initial.coeffs["U"][-1] == pin
-        for slice_ in surf.slices[1:]:
-            assert slice_.coeffs["U"][-1] == pin
-            assert slice_.coeffs["C"][-1] == pin
+        assert surf.levels[0]["U"][-1] == pin
+        for fields in list(surf.levels.values())[1:]:
+            assert fields["U"][-1] == pin
+            assert fields["C"][-1] == pin
 
     def test_put_right_raises_the_value(self):
         # the reference put at 105 never binds (the remaining cash flows are
@@ -408,12 +420,12 @@ class TestAfvMarch:
         without = run_afv(_afv(call_window=None, put_window=None), disc,
                           scheme)
         # compare at the discrete level hosting the single put date t = 3
-        # (tau = 2, level 20 of 50)
+        # (tau = 2, level 20 of 50); the bond's value is its U spline, at
+        # an x that does not depend on tau
         s = np.linspace(40.0, 160.0, 25)
-        u_put = value_curve(rich, disc,
-                            with_put.slices[with_put.levels.index(20)], s)
-        u_no = value_curve(rich, disc,
-                           without.slices[without.levels.index(20)], s)
+        xi = disc.pmap.to_parameter(rich.x_of(s, 0.0))
+        u_put, u_no = (eval_spline_many(disc.basis, surf.levels[20]["U"], xi)
+                       for surf in (with_put, without))
         # small local dips are penalty-interface artifacts, not mispricing
         assert np.all(u_put >= u_no - 0.01)
         assert np.max(u_put - u_no) > 1.0
@@ -425,8 +437,8 @@ class TestAfvMarch:
         without = run_afv(_afv(put_window=None, call_window=None), disc,
                           scheme)
         s = np.linspace(60.0, 200.0, 29)
-        u_call = value_curve(_afv(), disc, with_call.final, s)
-        u_no = value_curve(_afv(), disc, without.final, s)
+        u_call = value_curve(_afv(), disc, with_call, s)
+        u_no = value_curve(_afv(), disc, without, s)
         assert np.all(u_call <= u_no + 1e-9)
         assert np.max(u_no - u_call) > 0.5
 
@@ -470,8 +482,8 @@ class TestAfvMarch:
                       hazard_rate=0.0)
         disc = build_discretization(-6.0, 2.0, 48)
         surf = run_afv(params, disc, SchemeConfig(n_steps=40))
-        gap = np.abs(surf.final.coeffs["U"] - surf.final.coeffs["B"]
-                     - surf.final.coeffs["C"]).max()
+        gap = np.abs(surf.final["U"] - surf.final["B"]
+                     - surf.final["C"]).max()
         assert gap < 1e-8
 
     def test_U_and_C_share_one_theta_operator(self, monkeypatch):

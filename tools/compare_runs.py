@@ -99,6 +99,19 @@ def _matrix():
           "model.conversion_ratio": "1e300"}, []),
         ("price-leland_ladder-one-step", "price", "leland_ladder.ini",
          {"discretization.n_tau": "1"}, []),
+        # [model] settings that parse but cannot run, rc 2 on one stderr
+        # line: a sigma whose square overflows, and a conversion value
+        # k S_0 that overflows, so the payoff kink is the log of 0
+        ("price-refined-sigma-overflow", "price", "refined.ini",
+         {"model.sigma": "1e200"}, []),
+        ("price-convertible-conversion-overflow", "price", "convertible.ini",
+         {"model.conversion_ratio": "1e300", "model.s_initial": "1e10"}, []),
+        # a put on the final level, so that theta differences levels 48
+        # and 49 of 50
+        ("price-convertible-put-at-t0", "price", "convertible.ini",
+         {"model.put_window": "0.0:0.0:105",
+          "discretization.n_elements": "64", "discretization.n_tau": "50"},
+         []),
         ("validate", "validate", None, {}, []),
     ]
     return runs
