@@ -20,34 +20,49 @@ their upper triangle: ``pttrf``/``pttrs`` when ``kband == 1`` and n >= 2,
 ``pbtrf``/``pbtrs`` otherwise.  It needs no pivoting, and a tridiagonal
 solve takes about half the time of the pivoted LU one (34 against 69 us
 at n = 4095, measured on a 2-core host).  Both ``solve`` methods take
-``overwrite_b``, passed on to LAPACK: with it a C-contiguous float64 ``b``
-of one right-hand side is overwritten by the solution and is the array
-returned, which saves a copy.  Without it, the default, ``b`` is left as
-it was.
+``overwrite_b``, as scipy's LAPACK wrappers do: with it a C-contiguous
+float64 ``b`` of one right-hand side is overwritten by the solution and
+is the array returned, which saves a copy.  Without it, the default,
+``b`` is left as it was.
 
-The eight LAPACK routines come from scipy's compiled f2py wrapper
-``scipy.linalg._flapack``, which ``_load_lapack`` loads from scipy's
-``linalg`` directory.  It runs neither ``scipy/linalg/__init__.py``, whose
-package import reaches scipy's array-API layer and with it ``numpy.f2py``,
-``numpy.ma``, ``numpy.random``, ``numpy.testing`` and
-``concurrent.futures``, nor ``scipy/__init__.py``, which loads
-``scipy._lib``, ``subprocess`` and ``sysconfig``:
-``importlib.util.find_spec`` finds the directory without executing the
-package.  Beyond numpy, ``import igafin.cli`` thus loads 7 modules that
-are not igafin's, ``_flapack`` among them, where an ``import scipy`` made
-it 30.  Under ``python -X importtime -c "import igafin.cli"`` (medians of
-11 runs on a 2-core host) ``igafin.linsolve`` takes 7 ms, against 21 ms
-with ``import scipy``, and the whole import 162 ms.
+The eight LAPACK routines are numpy's own.  numpy's wheels link
+``numpy.linalg._umath_linalg`` against an OpenBLAS built with 64-bit
+integers, which exports them as ``scipy_<routine>_64_``.  A symbol looked
+up through that extension with ``ctypes`` is found in the libraries it
+links against, so ``_NumpyLapack`` binds the routines once, at import,
+and no second copy of LAPACK is loaded.  Each factor object binds every
+argument of its solve but the right-hand side.  At n = 4095 an in-place
+``gttrs`` solve takes about 69 us, against 77 us through scipy's f2py
+wrapper, and a ``pttrs`` one 40 against 38 us: numpy's OpenBLAS runs
+``gttrs`` faster, and a ctypes call costs about 1.5 us more than an f2py
+one (medians of 21 interleaved rounds in one process, 2-core host).
+Where numpy's library does not export the routines (MKL or Accelerate
+builds), ``_Wrappers`` calls scipy's compiled f2py wrapper
+``scipy.linalg._flapack`` instead, which ``_load_lapack`` loads from
+scipy's ``linalg`` directory, found with ``importlib.util.find_spec``.
+It runs neither ``scipy/linalg/__init__.py``, whose package import
+reaches scipy's array-API layer and with it ``numpy.f2py``, ``numpy.ma``,
+``numpy.random``, ``numpy.testing`` and ``concurrent.futures``, nor
+``scipy/__init__.py``, which loads ``scipy._lib``, ``subprocess`` and
+``sysconfig``.  The two bindings give the same bits.  Beyond numpy,
+``import igafin.cli`` loads 5 modules that are not igafin's, none of them
+scipy's; ``_flapack`` was a sixth, and brought scipy's own OpenBLAS.
+Under ``python -X importtime -c "import igafin.cli"`` (medians of 21
+interleaved runs on a 2-core host, without bytecode caches)
+``igafin.linsolve`` takes 7.3 ms against 9.8 ms with ``_flapack``, and
+the process peaks at 29.5 MB resident against 32.1 MB.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import sys
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = ["BandedMatrix", "BandedLU", "BandedCholesky", "SingularMatrixError",
            "band_products"]
@@ -75,7 +90,152 @@ def _load_lapack():
     return module
 
 
-lapack = _load_lapack()
+_ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs",
+             "dpttrf", "dpttrs", "dpbtrf", "dpbtrs")
+_INT = ctypes.c_int64
+_ONE_CHAR = ctypes.c_size_t(1)      # the hidden length of a CHARACTER*1
+
+
+def _int(value: int):
+    """A LAPACK integer argument; the reference keeps the integer alive."""
+    return ctypes.byref(_INT(value))
+
+
+def _address(a: np.ndarray):
+    """A pointer to the data of a 1-D or a Fortran-ordered array, which
+    must not be empty; it keeps the array alive.  from_buffer, the
+    cheapest way to it, needs a C-ordered array: the transpose."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a.T))
+
+
+def _lu_band(data: np.ndarray, k: int) -> np.ndarray:
+    """The band in gbtrf's layout: k more rows on top for the fill that
+    pivoting makes."""
+    ab = np.zeros((3 * k + 1, data.shape[1]), order="F")
+    ab[k:] = data
+    return ab
+
+
+class _Solve:
+    """One factor's LAPACK solve with every argument bound but the
+    right-hand side: ``routine(*head, B, *tail)``.  A call writes the bound
+    nrhs and info, so one factor object serves one thread at a time."""
+
+    def __init__(self, routine, head, nrhs, tail, info):
+        self._routine, self._head, self._nrhs = routine, head, nrhs
+        self._tail, self._info = tail, info
+
+    def __call__(self, b: np.ndarray, overwrite_b: bool):
+        # as in scipy's wrappers: b is solved in place only when asked and
+        # when LAPACK can write it as it stands
+        if not (overwrite_b and b.flags.f_contiguous and b.flags.writeable):
+            b = np.array(b, order="F")
+        self._nrhs.value = b.shape[1] if b.ndim == 2 else 1
+        self._routine(*self._head, _address(b), *self._tail)
+        return b, self._info.value
+
+
+class _NumpyLapack:
+    """The routines of numpy's own OpenBLAS, called through ctypes.  Built
+    with 64-bit integers, it exports each as ``scipy_<routine>_64_``: int64
+    integers and pivots, and the length of each character argument as a
+    hidden size_t after the last argument.  ``lu`` and ``cholesky`` return
+    the factor arrays, a solve and LAPACK's info."""
+
+    def __init__(self, lib):
+        # no argtypes: they would convert every argument on every call,
+        # about 1.8 us a solve, and each argument is already a ctypes
+        # object of LAPACK's width (bytes for a CHARACTER)
+        for name in _ROUTINES:
+            routine = getattr(lib, f"scipy_{name}_64_")
+            routine.restype = None
+            setattr(self, name, routine)
+
+    def lu(self, data: np.ndarray, k: int, tridiagonal: bool):
+        n = data.shape[1]
+        size, nrhs, info = _int(n), _INT(1), _INT()
+        if tridiagonal:
+            factors = [np.array(v) for v in (data[2, :-1], data[1],
+                                              data[0, 1:])]
+            factors += [np.empty(n - 2), np.empty(n, dtype=np.int64)]
+            arrays = [_address(a) for a in factors]
+            self.dgttrf(size, *arrays, ctypes.byref(info))
+            routine = self.dgttrs
+            head = (b"N", size, ctypes.byref(nrhs), *arrays)
+        else:
+            factors = [_lu_band(data, k), np.empty(n, dtype=np.int64)]
+            ab, ipiv = (_address(a) for a in factors)
+            kband, ldab = _int(k), _int(3 * k + 1)
+            self.dgbtrf(size, size, kband, kband, ab, ldab, ipiv,
+                        ctypes.byref(info))
+            routine = self.dgbtrs
+            head = (b"N", size, kband, kband, ctypes.byref(nrhs), ab, ldab,
+                    ipiv)
+        tail = (size, ctypes.byref(info), _ONE_CHAR)
+        return (factors, _Solve(routine, head, nrhs, tail, info),
+                info.value)
+
+    def cholesky(self, data: np.ndarray, k: int, tridiagonal: bool):
+        n = data.shape[1]
+        size, nrhs, info = _int(n), _INT(1), _INT()
+        if tridiagonal:
+            factors = [np.array(data[1]), np.array(data[0, 1:])]
+            d, e = (_address(a) for a in factors)
+            self.dpttrf(size, d, e, ctypes.byref(info))
+            routine = self.dpttrs
+            head = (size, ctypes.byref(nrhs), d, e)
+            tail = (size, ctypes.byref(info))
+        else:
+            factors = [np.array(data[:k + 1], order="F")]
+            ab, kband, ldab = _address(factors[0]), _int(k), _int(k + 1)
+            self.dpbtrf(b"U", size, kband, ab, ldab, ctypes.byref(info),
+                        _ONE_CHAR)
+            routine = self.dpbtrs
+            head = (b"U", size, kband, ctypes.byref(nrhs), ab, ldab)
+            tail = (size, ctypes.byref(info), _ONE_CHAR)
+        return (factors, _Solve(routine, head, nrhs, tail, info),
+                info.value)
+
+
+class _Wrappers:
+    """scipy's f2py wrappers (``_load_lapack``) behind ``_NumpyLapack``'s
+    two methods, for a numpy whose library does not export the routines."""
+
+    def __init__(self, module):
+        self._module = module
+
+    def lu(self, data: np.ndarray, k: int, tridiagonal: bool):
+        m = self._module
+        if tridiagonal:
+            *factors, info = m.dgttrf(data[2, :-1], data[1], data[0, 1:])
+            return factors, lambda b, overwrite_b: m.dgttrs(
+                *factors, b, overwrite_b=overwrite_b), info
+        lu, ipiv, info = m.dgbtrf(_lu_band(data, k), k, k)
+        return [lu, ipiv], lambda b, overwrite_b: m.dgbtrs(
+            lu, k, k, b, ipiv, overwrite_b=overwrite_b), info
+
+    def cholesky(self, data: np.ndarray, k: int, tridiagonal: bool):
+        m = self._module
+        if tridiagonal:
+            d, e, info = m.dpttrf(data[1], data[0, 1:])
+            return [d, e], lambda b, overwrite_b: m.dpttrs(
+                d, e, b, overwrite_b=overwrite_b), info
+        c, info = m.dpbtrf(data[:k + 1])
+        return [c], lambda b, overwrite_b: m.dpbtrs(
+            c, b, overwrite_b=overwrite_b), info
+
+
+def _bind_lapack(lib):
+    """The routines of ``lib`` where it exports them, else scipy's."""
+    try:
+        return _NumpyLapack(lib)
+    except AttributeError:
+        return _Wrappers(_load_lapack())
+
+
+# a symbol looked up in numpy's linear-algebra extension is looked up in
+# the libraries it links against too, its OpenBLAS among them
+lapack = _bind_lapack(ctypes.CDLL(_umath_linalg.__file__))
 
 
 class SingularMatrixError(RuntimeError):
@@ -201,34 +361,23 @@ class BandedLU:
 
     def __init__(self, mat: BandedMatrix):
         n, k = mat.n, mat.kband
-        # LAPACK's gttrf wrapper cannot size its second superdiagonal for n < 3
+        # scipy's gttrf wrapper cannot size its second superdiagonal for
+        # n < 3; both bindings take the same branch
         self._tridiagonal = k == 1 and n >= 3
-        if self._tridiagonal:
-            *factors, info = lapack.dgttrf(mat.data[2, :-1], mat.data[1],
-                                           mat.data[0, 1:])
-        else:
-            ab = np.zeros((3 * k + 1, n), order="F")
-            ab[k:, :] = mat.data
-            *factors, info = lapack.dgbtrf(ab, k, k)
+        self._factors, self._solve, info = lapack.lu(mat.data, k,
+                                                     self._tridiagonal)
         if info > 0:
             raise SingularMatrixError(info - 1)
         if info < 0:
             raise ValueError(f"illegal argument {-info} to banded factorisation")
         self.n = n
         self.kband = k
-        self._factors = factors
 
     def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side length mismatch")
-        if self._tridiagonal:
-            x, info = lapack.dgttrs(*self._factors, b,
-                                    overwrite_b=overwrite_b)
-        else:
-            lu, ipiv = self._factors
-            x, info = lapack.dgbtrs(lu, self.kband, self.kband, b, ipiv,
-                                    overwrite_b=overwrite_b)
+        x, info = self._solve(b, overwrite_b)
         if info != 0:
             raise ValueError(f"banded back-substitution failed (info={info})")
         return x
@@ -243,30 +392,21 @@ class BandedCholesky:
 
     def __init__(self, mat: BandedMatrix):
         n, k = mat.n, mat.kband
-        # LAPACK's pttrf wrapper cannot size the empty off-diagonal for n = 1
+        # scipy's pttrf wrapper cannot size the empty off-diagonal for n = 1
         self._tridiagonal = k == 1 and n >= 2
-        if self._tridiagonal:
-            *factors, info = lapack.dpttrf(mat.data[1], mat.data[0, 1:])
-        else:
-            ab, info = lapack.dpbtrf(mat.data[:k + 1])
-            factors = [ab]
+        self._factors, self._solve, info = lapack.cholesky(
+            mat.data, k, self._tridiagonal)
         if info > 0:
             raise SingularMatrixError(info - 1)
         if info < 0:
             raise ValueError(f"illegal argument {-info} to banded Cholesky")
         self.n = n
-        self._factors = factors
 
     def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("right-hand side length mismatch")
-        if self._tridiagonal:
-            x, info = lapack.dpttrs(*self._factors, b,
-                                    overwrite_b=overwrite_b)
-        else:
-            x, info = lapack.dpbtrs(*self._factors, b,
-                                    overwrite_b=overwrite_b)
+        x, info = self._solve(b, overwrite_b)
         if info != 0:
             raise ValueError(f"banded Cholesky solve failed (info={info})")
         return x

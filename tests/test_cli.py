@@ -1143,14 +1143,16 @@ def test_import_leaves_out_scipy_stats():
     # scipy.stats was most of the import time, for one normal cdf, and
     # scipy.special is not needed either: the closed form's normal cdf is
     # math.erfc.  scipy.sparse is not needed: banded products are numpy.
-    # The LAPACK wrappers are loaded without the scipy.linalg package,
-    # whose import pulls in numpy.f2py and concurrent.futures, and from a
-    # directory found without importing the scipy package, whose __init__
-    # loads subprocess and sysconfig.  Building a discretisation does not
-    # load numpy.ma, which np.unique imports on its first call.  Neither
-    # validate's suite nor configparser is loaded before validate runs.
-    # After validate, which evaluates every closed form, the wrappers are
-    # still the one scipy module loaded
+    # The LAPACK routines are numpy's own, so no scipy module is loaded
+    # where numpy's library exports them; elsewhere scipy's wrappers are
+    # loaded without the scipy.linalg package, whose import pulls in
+    # numpy.f2py and concurrent.futures, and from a directory found
+    # without importing the scipy package, whose __init__ loads
+    # subprocess and sysconfig.  Building a discretisation does not load
+    # numpy.ma, which np.unique imports on its first call.  Neither
+    # validate's suite nor configparser is loaded before validate runs,
+    # and validate, which evaluates every closed form, loads no scipy
+    # module either
     names = ("scipy.stats", "scipy.special", "scipy.sparse", "scipy.linalg",
              "numpy.f2py", "concurrent.futures", "numpy.ma", "scipy",
              "subprocess", "sysconfig", "igafin.checks", "configparser")
@@ -1161,13 +1163,22 @@ def test_import_leaves_out_scipy_stats():
         f"print([m for m in {names!r} if m in sys.modules])",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    rc = igafin.cli.main(['validate'])",
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-        " and m != 'scipy.linalg._flapack'))"])
+        "print(rc, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'))",
+        "from igafin import linsolve",
+        "lib = linsolve.ctypes.CDLL(linsolve._umath_linalg.__file__)",
+        "print(all(hasattr(lib, f'scipy_{name}_64_')"
+        " for name in linsolve._ROUTINES))"])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "0 []"]
+    loaded, scipy_modules, exported = out.splitlines()
+    assert loaded == "[]"
+    if exported == "True":
+        assert scipy_modules == "0 []"
+    else:
+        assert scipy_modules == "0 ['scipy.linalg._flapack']"
 
 
 def test_the_package_root_imports_no_module():

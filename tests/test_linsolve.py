@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from igafin import linsolve
-from igafin.linsolve import (BandedLU, BandedMatrix, SingularMatrixError,
-                             band_products)
+from igafin.linsolve import (BandedCholesky, BandedLU, BandedMatrix,
+                             SingularMatrixError, band_products)
 from igafin.stepper import build_discretization
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +27,24 @@ def _run_fresh(code):
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                           env=env, check=True, capture_output=True,
                           text=True).stdout
+
+
+# a library that exports none of the routines: the binder falls back to
+# scipy's f2py wrappers
+_NO_ROUTINES = types.SimpleNamespace()
+
+
+def _wrappers():
+    return linsolve._bind_lapack(_NO_ROUTINES)
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def binding(request, monkeypatch):
+    """Run a test on numpy's LAPACK, as bound at import, then on scipy's
+    wrappers, the binding of a numpy whose library lacks the routines."""
+    if request.param == "scipy":
+        monkeypatch.setattr(linsolve, "lapack", _wrappers())
+    return request.param
 
 
 def _random_banded(rng, n, k, dominant=True):
@@ -186,6 +205,7 @@ class TestThreeDiagonals:
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.usefixtures("binding")
 class TestOverwriteB:
     # each factor class on its tridiagonal LAPACK branch, then on its
     # general band one
@@ -210,6 +230,7 @@ class TestOverwriteB:
         assert b.tobytes() == x.tobytes()
 
 
+@pytest.mark.usefixtures("binding")
 class TestBandedLU:
     def test_solve_matches_dense(self):
         rng = np.random.default_rng(312)
@@ -275,6 +296,7 @@ def _random_spd(rng, n, k):
     return a
 
 
+@pytest.mark.usefixtures("binding")
 class TestBandedCholesky:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 9])
@@ -314,68 +336,69 @@ class TestBandedCholesky:
             chol.solve(np.ones(3))
 
 
+def _bits(a):
+    """An array's bytes, integers widened to int64: scipy's wrappers
+    return 32-bit pivots, numpy's OpenBLAS (ILP64) 64-bit ones."""
+    return (a if a.dtype.kind == "f" else a.astype(np.int64)).tobytes()
+
+
+def _factor_bits(factors, binding):
+    arrays = list(factors._factors)
+    if (binding == "scipy" and isinstance(factors, BandedLU)
+            and not factors._tridiagonal):
+        # scipy's gbtrf wrapper numbers the pivots from 0, LAPACK from 1
+        arrays[1] = arrays[1] + 1
+    return [_bits(a) for a in arrays]
+
+
 class TestLapackLoader:
-    def test_factors_match_scipy_lapack_bitwise(self):
-        # igafin loads the wrappers first; scipy.linalg.lapack is imported
-        # after, and its routines called directly give the same bits
-        out = _run_fresh("""
-            import sys
-            import numpy as np
-            from igafin.linsolve import BandedCholesky, BandedLU, BandedMatrix
-            loaded_alone = "scipy.linalg" not in sys.modules
-            from scipy.linalg import lapack
-
-            def banded(rng, n, k):
-                # a dominant diagonal; Cholesky reads only the upper part
-                data = rng.normal(size=(2 * k + 1, n))
-                data[k] = 2.0 * np.abs(data).sum() + rng.random(n)
-                return data
-
-            same = []
-            for k in (1, 3):
-                for n in (2, 9, 4095):
-                    rng = np.random.default_rng(10 * n + k)
-                    b = rng.normal(size=n)
-                    data = banded(rng, n, k)
-                    got = BandedLU(BandedMatrix(n, k, data)).solve(b)
-                    if k == 1 and n >= 3:
-                        *f, info = lapack.dgttrf(data[2, :-1], data[1],
-                                                 data[0, 1:])
-                        want, info = lapack.dgttrs(*f, b)
-                    else:
-                        ab = np.zeros((3 * k + 1, n), order="F")
-                        ab[k:] = data
-                        lu, ipiv, info = lapack.dgbtrf(ab, k, k)
-                        want, info = lapack.dgbtrs(lu, k, k, b, ipiv)
-                    same.append(np.array_equal(got, want))
-                    data = banded(rng, n, k)
-                    got = BandedCholesky(BandedMatrix(n, k, data)).solve(b)
-                    if k == 1:
-                        d, e, info = lapack.dpttrf(data[1], data[0, 1:])
-                        want, info = lapack.dpttrs(d, e, b)
-                    else:
-                        c, info = lapack.dpbtrf(data[:k + 1])
-                        want, info = lapack.dpbtrs(c, b)
-                    same.append(np.array_equal(got, want))
-            print(loaded_alone, len(same), all(same))
-            """)
-        assert out.split() == ["True", "12", "True"]
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 4095])
+    def test_factors_match_scipy_lapack_bitwise(self, n, k, monkeypatch):
+        # numpy's LAPACK against scipy's _flapack: every factor and every
+        # solution, on 1-D and 2-D right-hand sides (C- and
+        # Fortran-ordered), with overwrite_b on and off
+        rng = np.random.default_rng(10 * n + k)
+        # LU on a random band, whose pivoting swaps rows; Cholesky on a
+        # dominant diagonal, of which it reads the upper part
+        general = rng.normal(size=(2 * k + 1, n))
+        spd = rng.normal(size=(2 * k + 1, n))
+        spd[k] = 2 * k * np.abs(spd).max() + rng.random(n)
+        rhs = [rng.normal(size=n), rng.normal(size=(n, 3)),
+               np.asfortranarray(rng.normal(size=(n, 3)))]
+        bits = {}
+        for name, binding in (("numpy", linsolve.lapack),
+                              ("scipy", _wrappers())):
+            monkeypatch.setattr(linsolve, "lapack", binding)
+            run = []
+            for factors in (BandedLU(BandedMatrix(n, k, general)),
+                            BandedCholesky(BandedMatrix(n, k, spd))):
+                run += _factor_bits(factors, name)
+                for overwrite_b in (False, True):
+                    for b in rhs:
+                        b = b.copy(order="K")
+                        x = factors.solve(b, overwrite_b=overwrite_b)
+                        run += [x.shape, x is b, _bits(x), _bits(b)]
+            bits[name] = run
+        assert bits["numpy"] == bits["scipy"]
 
     def test_reuses_the_module_scipy_linalg_loaded(self):
-        # the loader's start-up branch: scipy.linalg is imported first
+        # the fallback's start-up branch: scipy.linalg is imported first
         out = _run_fresh("""
-            import sys
+            import sys, types
             import scipy.linalg
             from igafin import linsolve
             flapack = sys.modules["scipy.linalg._flapack"]
-            print(linsolve.lapack is flapack,
-                  linsolve.lapack is scipy.linalg.lapack._flapack,
+            wrappers = linsolve._bind_lapack(types.SimpleNamespace())
+            print(wrappers._module is flapack,
+                  wrappers._module is scipy.linalg.lapack._flapack,
                   linsolve._load_lapack() is flapack)
             """)
         assert out.split() == ["True", "True", "True"]
 
     def test_missing_wrappers_name_the_file(self, monkeypatch, tmp_path):
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack",
+                            raising=False)
         # the loader finds scipy's directory without importing scipy
         find_spec = importlib.util.find_spec
         fake = importlib.machinery.ModuleSpec(
@@ -383,5 +406,5 @@ class TestLapackLoader:
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a:
                             fake if name == "scipy" else find_spec(name, *a))
         with pytest.raises(ImportError, match="_flapack") as err:
-            linsolve._load_lapack()
+            _wrappers()
         assert str(tmp_path / "linalg") in str(err.value)
