@@ -205,14 +205,16 @@ def _choice(*names: str):
     return conv
 
 
-def _parse_pairs(raw: str) -> tuple[tuple[float, float], ...]:
-    """Coupon schedule 't:amount, t:amount, ...'."""
-    items = [s for s in re.split(r"[,\n]+", raw) if s.strip()]
-    out = []
-    for item in items:
-        t_s, a_s = item.split(":")
-        out.append((_finite(t_s), _finite(a_s)))
-    return tuple(out)
+def _pairs(conv):
+    """The converter of a key that lists 'a:b, a:b, ...' (commas or
+    newlines between pairs), each entry read through ``conv``."""
+    def parse(raw: str) -> tuple[tuple, ...]:
+        out = []
+        for item in (s for s in re.split(r"[,\n]+", raw) if s.strip()):
+            a, b = (conv(v) for v in item.split(":"))
+            out.append((a, b))
+        return tuple(out)
+    return parse
 
 
 def _parse_window(raw: str) -> tuple[float, float, float] | None:
@@ -224,21 +226,13 @@ def _parse_window(raw: str) -> tuple[float, float, float] | None:
 
 
 # the [model] keys whose values are not single floats
-_CONVERTERS = {"coupons": _parse_pairs, "call_window": _parse_window,
+_CONVERTERS = {"coupons": _pairs(_finite), "call_window": _parse_window,
                "put_window": _parse_window}
-
-
-def _parse_rungs(raw: str) -> list[tuple[int, int]]:
-    out = []
-    for item in (s for s in re.split(r"[,\n]+", raw) if s.strip()):
-        n_e, n_t = (_count(v) for v in item.split(":"))
-        out.append((n_e, n_t))
-    return out
 
 
 def _parse_reference(raw: str) -> tuple[int, int]:
     """The P1 reference's one n_elements:n_tau pair."""
-    pairs = _parse_rungs(raw)
+    pairs = _pairs(_count)(raw)
     if len(pairs) != 1:
         raise ValueError(f"need one n_elements:n_tau pair, got {len(pairs)}")
     return pairs[0]
@@ -272,7 +266,8 @@ class ExperimentConfig:
     x_min: float = _key("discretization", _finite, lambda p: p.domain()[0])
     x_max: float = _key("discretization", _finite, lambda p: p.domain()[1])
     probe_s: float = _key("experiment", _finite, 100.0)
-    rungs: list[tuple[int, int]] = _key("ladder", _parse_rungs, lambda p: [])
+    rungs: tuple[tuple[int, int], ...] = _key("ladder", _pairs(_count),
+                                              lambda p: ())
     reference: tuple[int, int] | None = _key("ladder", _parse_reference, None)
     out_dir: str = ""
     lines: dict[tuple[str, str], int] = field(default_factory=dict)

@@ -19,11 +19,14 @@ symmetric positive definite matrices such as the Galerkin mass matrix, from
 their upper triangle: ``pttrf``/``pttrs`` when ``kband == 1`` and n >= 2,
 ``pbtrf``/``pbtrs`` otherwise.  It needs no pivoting, and a tridiagonal
 solve takes about half the time of the pivoted LU one (34 against 69 us
-at n = 4095, measured on a 2-core host).  Both ``solve`` methods take
-``overwrite_b``, as scipy's LAPACK wrappers do: with it a C-contiguous
-float64 ``b`` of one right-hand side is overwritten by the solution and
-is the array returned, which saves a copy.  Without it, the default,
-``b`` is left as it was.
+at n = 4095, measured on a 2-core host).  Both ``solve`` methods keep
+one contract for the right-hand side, in ``_checked_solve``: ``b`` is
+(n,) or (n, k) with k >= 1, and anything else is a ``ValueError``.  With
+``overwrite_b``, a float64 ``b`` that is Fortran-contiguous (as a
+contiguous 1-D array is) and writeable is overwritten by the solution
+and is the array returned, which saves a copy.  Any other ``b``, and
+every ``b`` without ``overwrite_b`` (the default), is first copied to
+Fortran order and left as it was.  A binding only solves in place.
 
 The eight LAPACK routines are numpy's own.  numpy's wheels link
 ``numpy.linalg._umath_linalg`` against an OpenBLAS built with 64-bit
@@ -118,18 +121,15 @@ def _lu_band(data: np.ndarray, k: int) -> np.ndarray:
 
 class _Solve:
     """One factor's LAPACK solve with every argument bound but the
-    right-hand side: ``routine(*head, B, *tail)``.  A call writes the bound
-    nrhs and info, so one factor object serves one thread at a time."""
+    right-hand side: ``routine(*head, B, *tail)``.  A call solves ``b`` in
+    place and writes the bound nrhs and info, so one factor object serves
+    one thread at a time."""
 
     def __init__(self, routine, head, nrhs, tail, info):
         self._routine, self._head, self._nrhs = routine, head, nrhs
         self._tail, self._info = tail, info
 
-    def __call__(self, b: np.ndarray, overwrite_b: bool):
-        # as in scipy's wrappers: b is solved in place only when asked and
-        # when LAPACK can write it as it stands
-        if not (overwrite_b and b.flags.f_contiguous and b.flags.writeable):
-            b = np.array(b, order="F")
+    def __call__(self, b: np.ndarray):
         self._nrhs.value = b.shape[1] if b.ndim == 2 else 1
         self._routine(*self._head, _address(b), *self._tail)
         return b, self._info.value
@@ -199,7 +199,8 @@ class _NumpyLapack:
 
 class _Wrappers:
     """scipy's f2py wrappers (``_load_lapack``) behind ``_NumpyLapack``'s
-    two methods, for a numpy whose library does not export the routines."""
+    two methods, for a numpy whose library does not export the routines.
+    A solve passes ``overwrite_b=True`` and returns what the wrapper does."""
 
     def __init__(self, module):
         self._module = module
@@ -208,21 +209,19 @@ class _Wrappers:
         m = self._module
         if tridiagonal:
             *factors, info = m.dgttrf(data[2, :-1], data[1], data[0, 1:])
-            return factors, lambda b, overwrite_b: m.dgttrs(
-                *factors, b, overwrite_b=overwrite_b), info
+            return factors, lambda b: m.dgttrs(
+                *factors, b, overwrite_b=True), info
         lu, ipiv, info = m.dgbtrf(_lu_band(data, k), k, k)
-        return [lu, ipiv], lambda b, overwrite_b: m.dgbtrs(
-            lu, k, k, b, ipiv, overwrite_b=overwrite_b), info
+        return [lu, ipiv], lambda b: m.dgbtrs(
+            lu, k, k, b, ipiv, overwrite_b=True), info
 
     def cholesky(self, data: np.ndarray, k: int, tridiagonal: bool):
         m = self._module
         if tridiagonal:
             d, e, info = m.dpttrf(data[1], data[0, 1:])
-            return [d, e], lambda b, overwrite_b: m.dpttrs(
-                d, e, b, overwrite_b=overwrite_b), info
+            return [d, e], lambda b: m.dpttrs(d, e, b, overwrite_b=True), info
         c, info = m.dpbtrf(data[:k + 1])
-        return [c], lambda b, overwrite_b: m.dpbtrs(
-            c, b, overwrite_b=overwrite_b), info
+        return [c], lambda b: m.dpbtrs(c, b, overwrite_b=True), info
 
 
 def _bind_lapack(lib):
@@ -245,6 +244,31 @@ class SingularMatrixError(RuntimeError):
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
         super().__init__(f"singular system: zero pivot at index {pivot_index}")
+
+
+def _check_factor(info: int) -> None:
+    """Raise on a factorisation's LAPACK ``info``."""
+    if info > 0:
+        raise SingularMatrixError(info - 1)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to a banded factorisation")
+
+
+def _checked_solve(factors, b, overwrite_b: bool) -> np.ndarray:
+    """``solve`` of both factor classes, under the module's one contract
+    for ``b``; the binding solves the array it is given in place."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] == 0:
+        raise ValueError(f"right-hand side must be (n,) or (n, k >= 1), "
+                         f"got shape {b.shape}")
+    if b.shape[0] != factors.n:
+        raise ValueError("right-hand side length mismatch")
+    if not (overwrite_b and b.flags.f_contiguous and b.flags.writeable):
+        b = np.array(b, order="F")
+    x, info = factors._solve(b)
+    if info != 0:
+        raise ValueError(f"banded solve failed (info={info})")
+    return x
 
 
 def band_products(data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -344,16 +368,10 @@ class BandedMatrix:
         for i in range(n):
             for j in range(max(0, i - kband), min(n, i + kband + 1)):
                 out.data[kband + i - j, j] = a[i, j]
-        # refuse silent truncation
-        if not np.allclose(out.to_dense(), a, rtol=0.0, atol=0.0):
+        # refuse silent truncation; a NaN inside the band is kept
+        if not np.array_equal(out.to_dense(), a, equal_nan=True):
             raise ValueError("matrix has entries outside the requested band")
         return out
-
-    def lu_factor(self) -> "BandedLU":
-        return BandedLU(self)
-
-    def cholesky(self) -> "BandedCholesky":
-        return BandedCholesky(self)
 
 
 class BandedLU:
@@ -366,21 +384,11 @@ class BandedLU:
         self._tridiagonal = k == 1 and n >= 3
         self._factors, self._solve, info = lapack.lu(mat.data, k,
                                                      self._tridiagonal)
-        if info > 0:
-            raise SingularMatrixError(info - 1)
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} to banded factorisation")
+        _check_factor(info)
         self.n = n
-        self.kband = k
 
     def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError("right-hand side length mismatch")
-        x, info = self._solve(b, overwrite_b)
-        if info != 0:
-            raise ValueError(f"banded back-substitution failed (info={info})")
-        return x
+        return _checked_solve(self, b, overwrite_b)
 
 
 class BandedCholesky:
@@ -396,17 +404,8 @@ class BandedCholesky:
         self._tridiagonal = k == 1 and n >= 2
         self._factors, self._solve, info = lapack.cholesky(
             mat.data, k, self._tridiagonal)
-        if info > 0:
-            raise SingularMatrixError(info - 1)
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} to banded Cholesky")
+        _check_factor(info)
         self.n = n
 
     def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError("right-hand side length mismatch")
-        x, info = self._solve(b, overwrite_b)
-        if info != 0:
-            raise ValueError(f"banded Cholesky solve failed (info={info})")
-        return x
+        return _checked_solve(self, b, overwrite_b)

@@ -82,7 +82,7 @@ import numpy as np
 from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
 from .basis import (KnotVector, NurbsBasis, eval_spline_many,
                     make_refined_open_knots, make_uniform_open_knots)
-from .linsolve import BandedLU, BandedMatrix, band_products
+from .linsolve import BandedCholesky, BandedLU, BandedMatrix, band_products
 from .models import (AfvParams, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
                      constraint_state, default_delta, default_gamma)
@@ -235,7 +235,7 @@ class _ThetaOperator:
         self.rhs_bands: dict[float, np.ndarray] = {}
         for th in sorted(set(thetas)):
             self.lhs_mat[th] = self.m_int + self.a_int.scaled(th * dtau)
-            self.lhs_lu[th] = self.lhs_mat[th].lu_factor()
+            self.lhs_lu[th] = BandedLU(self.lhs_mat[th])
             self.rhs_mat[th] = self.m_int - self.a_int.scaled((1.0 - th) * dtau)
 
     def build_rhs(self, w_full: np.ndarray, wb_new, theta: float,
@@ -337,7 +337,7 @@ class _LelandStep:
                      for th in op.lhs_lu}
         self.costs = leland_number > 0
         if self.costs:
-            self.mass_chol = op.m_int.cholesky()
+            self.mass_chol = BandedCholesky(op.m_int)
         # R_theta, stacked with A when the source needs A w
         self.bands = {th: np.stack([op.rhs_mat[th].data, op.a_int.data])
                       if self.costs else op.rhs_mat[th].data
@@ -421,7 +421,7 @@ class NewtonJacobians:
         key = shift.tobytes()
         lu = self._recent.pop(key, None)
         if lu is None:
-            lu = (self.a11 + self.mass.scale_columns(shift)).lu_factor()
+            lu = BandedLU(self.a11 + self.mass.scale_columns(shift))
         self._recent[key] = lu
         if len(self._recent) > self.keep:
             del self._recent[next(iter(self._recent))]
@@ -514,7 +514,7 @@ def run_leland(params: LelandParams, disc: Discretization,
     collocation band.  The smallest span sets the step-ratio warning."""
     initial = params.payoff(disc.greville_x)
     if disc.knot_multiplicity(params.kink) >= 2:
-        initial = disc.colloc.matrix.lu_factor().solve(initial)
+        initial = BandedLU(disc.colloc.matrix).solve(initial)
     dtau = params.horizon / scheme.n_steps
     if params.leland_number > 0:
         _warn_if_unstable(disc.min_span_x(), dtau)

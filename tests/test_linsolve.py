@@ -101,6 +101,15 @@ class TestBandedMatrix:
         with pytest.raises(ValueError, match="band"):
             BandedMatrix.from_dense(a, 1)
 
+    def test_from_dense_keeps_a_nan_inside_the_band(self):
+        a = np.eye(4)
+        a[2, 2] = np.nan
+        m = BandedMatrix.from_dense(a, 1)
+        assert np.array_equal(m.to_dense(), a, equal_nan=True)
+        a[0, 3] = 1.0
+        with pytest.raises(ValueError, match="outside the requested band"):
+            BandedMatrix.from_dense(a, 1)
+
     def test_arithmetic(self):
         rng = np.random.default_rng(311)
         a = _random_banded(rng, 6, 2, dominant=False)
@@ -205,23 +214,31 @@ class TestThreeDiagonals:
                 assert got.tobytes() == want.tobytes()
 
 
+# each factor class on its tridiagonal LAPACK branch, then on its general
+# band one
+BRANCHES = pytest.mark.parametrize("kind,n,k,tridiagonal", [
+    ("lu", 9, 1, True), ("lu", 9, 3, False), ("lu", 2, 1, False),
+    ("cholesky", 9, 1, True), ("cholesky", 9, 3, False),
+    ("cholesky", 1, 1, False)])
+
+
+def _factors(kind, n, k, tridiagonal, rng):
+    if kind == "cholesky":
+        factors = BandedCholesky(BandedMatrix.from_dense(
+            _random_spd(rng, n, k), k))
+    else:
+        factors = BandedLU(BandedMatrix.from_dense(
+            _random_banded(rng, n, k), k))
+    assert factors._tridiagonal == tridiagonal
+    return factors
+
+
 @pytest.mark.usefixtures("binding")
 class TestOverwriteB:
-    # each factor class on its tridiagonal LAPACK branch, then on its
-    # general band one
-    @pytest.mark.parametrize("kind,n,k,tridiagonal", [
-        ("lu", 9, 1, True), ("lu", 9, 3, False), ("lu", 2, 1, False),
-        ("cholesky", 9, 1, True), ("cholesky", 9, 3, False),
-        ("cholesky", 1, 1, False)])
+    @BRANCHES
     def test_overwrite_b_solves_in_place(self, kind, n, k, tridiagonal):
         rng = np.random.default_rng(370 + n + k)
-        if kind == "cholesky":
-            factors = BandedMatrix.from_dense(_random_spd(rng, n, k),
-                                              k).cholesky()
-        else:
-            factors = BandedMatrix.from_dense(_random_banded(rng, n, k),
-                                              k).lu_factor()
-        assert factors._tridiagonal == tridiagonal
+        factors = _factors(kind, n, k, tridiagonal, rng)
         b = rng.normal(size=n)
         kept = b.copy()
         x = factors.solve(b)
@@ -231,12 +248,44 @@ class TestOverwriteB:
 
 
 @pytest.mark.usefixtures("binding")
+class TestRightHandSideContract:
+    # both bindings refuse the same shapes, and neither writes a b it may
+    # not; left to the bindings, numpy's would solve only b[:, 0, 0] of a
+    # 3-D b, and scipy's would write a read-only b and could corrupt the
+    # heap on an (n, 0) one
+    @BRANCHES
+    @pytest.mark.parametrize("overwrite_b", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 2), (0,), ()],
+                             ids=["3-D", "no-columns", "0-D"])
+    def test_refuses_a_b_that_is_not_n_or_n_by_k(
+            self, kind, n, k, tridiagonal, overwrite_b, shape):
+        factors = _factors(kind, n, k, tridiagonal,
+                           np.random.default_rng(380 + n + k))
+        b = np.ones((n, *shape) if shape else ())
+        with pytest.raises(ValueError, match=r"must be \(n,\) or \(n, k"):
+            factors.solve(b, overwrite_b=overwrite_b)
+
+    @BRANCHES
+    @pytest.mark.parametrize("columns", [(), (3,)], ids=["1-D", "2-D"])
+    def test_read_only_b_is_left_as_it_was(self, kind, n, k, tridiagonal,
+                                           columns):
+        rng = np.random.default_rng(390 + n + k)
+        factors = _factors(kind, n, k, tridiagonal, rng)
+        b = np.asfortranarray(rng.normal(size=(n, *columns)))
+        kept = b.copy(order="K")
+        b.flags.writeable = False
+        x = factors.solve(b, overwrite_b=True)
+        assert x is not b and b.tobytes() == kept.tobytes()
+        assert x.tobytes() == factors.solve(kept).tobytes()
+
+
+@pytest.mark.usefixtures("binding")
 class TestBandedLU:
     def test_solve_matches_dense(self):
         rng = np.random.default_rng(312)
         for n, k in ((1, 0), (5, 1), (12, 3), (40, 2)):
             a = _random_banded(rng, n, k)
-            lu = BandedMatrix.from_dense(a, k).lu_factor()
+            lu = BandedLU(BandedMatrix.from_dense(a, k))
             for _ in range(3):
                 b = rng.normal(size=n)
                 x = lu.solve(b)
@@ -253,14 +302,14 @@ class TestBandedLU:
         assert np.allclose(a @ lu.solve(b2), b2)
 
     def test_rhs_length_mismatch(self):
-        lu = BandedMatrix.from_dense(np.eye(4), 1).lu_factor()
+        lu = BandedLU(BandedMatrix.from_dense(np.eye(4), 1))
         with pytest.raises(ValueError, match="length"):
             lu.solve(np.ones(3))
 
     def test_singular_reports_pivot(self):
         m = BandedMatrix.from_dense(np.diag([1.0, 0.0, 1.0]), 1)
         with pytest.raises(SingularMatrixError) as err:
-            m.lu_factor()
+            BandedLU(m)
         assert err.value.pivot_index == 1
 
     @pytest.mark.parametrize("n", [1, 2, 9])
@@ -271,7 +320,7 @@ class TestBandedLU:
         a = np.diag(rng.uniform(1e-3, 2e-3, n)) \
             + np.diag(rng.uniform(1.0, 2.0, n - 1), -1) \
             + np.diag(rng.normal(size=n - 1), 1)
-        lu = BandedMatrix.from_dense(a, 1).lu_factor()
+        lu = BandedLU(BandedMatrix.from_dense(a, 1))
         b = rng.normal(size=n)
         assert lu.solve(b) == pytest.approx(np.linalg.solve(a, b),
                                             rel=1e-10, abs=1e-10)
@@ -285,7 +334,7 @@ class TestBandedLU:
         a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
         a[3, 3] = 0.0
         with pytest.raises(SingularMatrixError) as err:
-            BandedMatrix.from_dense(a, 2).lu_factor()
+            BandedLU(BandedMatrix.from_dense(a, 2))
         assert err.value.pivot_index == 3
 
 
@@ -305,7 +354,7 @@ class TestBandedCholesky:
         # n <= k leaves the outer diagonals without entries
         rng = np.random.default_rng(320 + 10 * k + n)
         a = _random_spd(rng, n, k)
-        chol = BandedMatrix.from_dense(a, k).cholesky()
+        chol = BandedCholesky(BandedMatrix.from_dense(a, k))
         b = rng.normal(size=n)
         assert chol.solve(b) == pytest.approx(np.linalg.solve(a, b),
                                               rel=1e-12, abs=1e-12)
@@ -319,19 +368,19 @@ class TestBandedCholesky:
         for degree in (1, 3):
             mass = build_discretization(-2.0, 2.0, 64, degree=degree).system.mass
             b = np.random.default_rng(330 + degree).normal(size=mass.n)
-            x = mass.cholesky().solve(b)
-            assert np.allclose(x, mass.lu_factor().solve(b), rtol=1e-13,
+            x = BandedCholesky(mass).solve(b)
+            assert np.allclose(x, BandedLU(mass).solve(b), rtol=1e-13,
                                atol=1e-13 * np.abs(x).max())
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_not_positive_definite_reports_pivot(self, k):
         a = np.diag([1.0, 2.0, 3.0, -4.0, 5.0])
         with pytest.raises(SingularMatrixError) as err:
-            BandedMatrix.from_dense(a, k).cholesky()
+            BandedCholesky(BandedMatrix.from_dense(a, k))
         assert err.value.pivot_index == 3
 
     def test_rhs_length_mismatch(self):
-        chol = BandedMatrix.from_dense(np.eye(4), 1).cholesky()
+        chol = BandedCholesky(BandedMatrix.from_dense(np.eye(4), 1))
         with pytest.raises(ValueError, match="length"):
             chol.solve(np.ones(3))
 
