@@ -498,6 +498,25 @@ def test_bad_bond_parameters_are_a_config_error_at_the_model_line(
                             + message)
 
 
+# a coupon entry is read as a rung is, each part converted as it is
+# unpacked: a part that is no finite number is named before a count of
+# parts other than two
+@pytest.mark.parametrize("entry,reason", [
+    ("x", "could not convert string to float: ' x'"),
+    ("inf", "not a finite number"),
+    ("3:4:", "could not convert string to float: ''"),
+    ("1.0:4:1", "too many values to unpack (expected 2)"),
+])
+def test_a_bad_coupon_entry_is_a_config_error_at_its_line(tmp_path, capsys,
+                                                          entry, reason):
+    line = f"coupons = 0.5:4, {entry}, 1.5:4, 2.0:4, 2.5:4,"
+    raw = line[len("coupons = "):] + "\n3.0:4, 3.5:4, 4.0:4, 4.5:4, 5.0:4"
+    _assert_config_error_at(
+        tmp_path, capsys, "price", CONVERTIBLE,
+        "coupons = 0.5:4, 1.0:4, 1.5:4, 2.0:4, 2.5:4,", line, line,
+        f"bad value for 'coupons': {raw!r} ({reason})\n")
+
+
 def _configparser_values(text):
     """The sections and values configparser reads from ``text`` with the
     rules the config reader keeps, or None where it refuses the text."""

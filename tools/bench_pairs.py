@@ -2,24 +2,21 @@
 """Run the benchmark in alternating pairs: a git revision against the work
 tree, with a summary of every end-to-end metric.
 
-    python3 tools/bench_pairs.py --out BENCH_34.json              # HEAD
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seed 3401 \
-        --workload leland_ladder --out pairs.json
+        --out BENCH.json
 
-For each workload of ``BENCHMARK.json`` (or each ``--workload``) it runs
-``--pairs`` pairs of
+For each workload of ``BENCHMARK.json`` it runs ``--pairs`` pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once on ``git archive BASE`` (the base side, extracted by ``_extract`` of
-``compare_runs.py``) and once on a copy of the work tree's ``src/``,
-``configs/`` and ``perfbench/`` (the change side).  Every run of either
-side gets a fresh temporary directory of the same form, since the peak
-RSS of the same sources moves by up to 0.25 MB with the directory they
-run from (a run from the work tree's path would carry its own offset).
-Pair i takes seed ``--seed + i``; the base side runs first in even pairs,
-the change side in odd ones.  ``--seconds`` defaults to
-``BENCHMARK.json``'s ``run_seconds``.
+with T the benchmark's ``run_seconds``, once for each side: the base side
+is ``git archive BASE`` (extracted once by ``_extract`` of
+``compare_runs.py``), the change side the work tree.  Both are built the
+same way: every run copies its side's ``src/``, ``configs/`` and
+``perfbench/`` into a fresh temporary directory of the same form and runs
+there, since the peak RSS of the same sources moves with the directory
+they run from.  Pair i takes seed ``--seed + i``; the base side runs
+first in even pairs, the change side in odd ones.
 
 The JSON written to ``--out`` (rewritten after every pair, so a cut run
 keeps what it measured) holds each run's end-to-end metrics, and per
@@ -50,24 +47,19 @@ from compare_runs import _extract
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+# what a run needs of a side's sources
+TREES = ("src", "configs", "perfbench")
 
 
-def _tree(side: str, base: str, dest: Path) -> Path:
-    """The sources of one side in ``dest``."""
-    if side == "base":
-        return _extract(base, dest)
-    for name in ("src", "configs", "perfbench"):
-        shutil.copytree(ROOT / name, dest / name,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    return dest
-
-
-def run_once(side: str, base: str, workload: str, seed: int,
-             seconds: float) -> dict:
-    """One ``perfbench/run.py`` run of a side in a fresh directory: its
-    record line and the JSON object of its last line."""
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run of the sources under ``root``, from a
+    copy of its ``TREES`` in a fresh directory: the run's record line and
+    the JSON object of its last line."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        tree = _tree(side, base, Path(tmp))
+        tree = Path(tmp)
+        for name in TREES:
+            shutil.copytree(root / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         proc = subprocess.run(
             [sys.executable, str(tree / "perfbench" / "run.py"),
              "--workload", workload, "--seed", str(seed), "--seconds",
@@ -75,7 +67,7 @@ def run_once(side: str, base: str, workload: str, seed: int,
             text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"perfbench/run.py on the {side} side exited "
+        raise RuntimeError(f"perfbench/run.py on {root} exited "
                            f"{proc.returncode}: {proc.stderr.strip()}")
     record = next(json.loads(line[len("record "):]) for line in lines
                   if line.startswith("record "))
@@ -128,17 +120,13 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD",
                         help="git revision of the base side (default HEAD)")
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="a workload to run (default: every one)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1,
                         help="the seed of the first pair")
-    parser.add_argument("--seconds", type=float,
-                        default=bench["run_seconds"])
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     # a termination signal unwinds, so the temporary trees are removed
@@ -148,44 +136,46 @@ def main(argv=None) -> int:
         ["git", "-C", str(ROOT), "rev-parse", args.base], check=True,
         capture_output=True, text=True).stdout.strip()
     doc = {"base": args.base, "base_commit": base_commit,
-           "change": "the work tree's src/, configs/ and perfbench/",
+           "change": "the work tree",
            "command": "python3 perfbench/run.py --workload <workload> "
-                      f"--seed <seed> --seconds {args.seconds:g} --trace 0",
+                      f"--seed <seed> --seconds {seconds:g} --trace 0",
            "pairing": f"{args.pairs} pairs per workload, seeds {args.seed}-"
                       f"{args.seed + args.pairs - 1}; the base side runs "
                       "first in the pairs of even index",
            "quartiles": "statistics.quantiles(n=4, method='inclusive') "
                         "over each side's runs",
            "workloads": {}}
-    for workload in args.workload or names:
-        pairs = []
-        doc["workloads"][workload] = {"pairs": pairs}
-        for i in range(args.pairs):
-            seed = args.seed + i
-            pair = {"seed": seed, "first": SIDES[i % 2]}
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                run = run_once(side, args.base, workload, seed, args.seconds)
-                record = run["record"]
-                key = f"{side}_src_sha256"
-                if doc.setdefault(key, record["src_sha256"]) \
-                        != record["src_sha256"]:
-                    raise RuntimeError(f"the {side} side's sources changed "
-                                       "between runs")
-                doc.setdefault("nproc", record["nproc"])
-                doc.setdefault("versions", {
-                    k: record[k] for k in ("python", "numpy", "scipy")})
-                pair[side] = run_metrics(
-                    run["result"], [m["name"] for m in end_to_end])
-            pairs.append(pair)
-            doc["workloads"][workload]["summary"] = summarize(pairs,
-                                                              end_to_end)
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{name} {pair['base'][name]:.6g} -> "
-                f"{pair['change'][name]:.6g}"
-                for name in ("wall_s", "setup_s", "peak_rss_mb")
-                if pair["base"][name] is not None
-                and pair["change"][name] is not None), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-base-") as tmp:
+        roots = {"base": _extract(base_commit, Path(tmp)), "change": ROOT}
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            doc["workloads"][workload] = {"pairs": pairs}
+            for i in range(args.pairs):
+                seed = args.seed + i
+                pair = {"seed": seed, "first": SIDES[i % 2]}
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    run = run_once(roots[side], workload, seed, seconds)
+                    record = run["record"]
+                    key = f"{side}_src_sha256"
+                    if doc.setdefault(key, record["src_sha256"]) \
+                            != record["src_sha256"]:
+                        raise RuntimeError(f"the {side} side's sources "
+                                           "changed between runs")
+                    doc.setdefault("nproc", record["nproc"])
+                    doc.setdefault("versions", {
+                        k: record[k] for k in ("python", "numpy", "scipy")})
+                    pair[side] = run_metrics(
+                        run["result"], [m["name"] for m in end_to_end])
+                pairs.append(pair)
+                doc["workloads"][workload]["summary"] = summarize(
+                    pairs, end_to_end)
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{name} {pair['base'][name]:.6g} -> "
+                    f"{pair['change'][name]:.6g}"
+                    for name in ("wall_s", "setup_s", "peak_rss_mb")
+                    if pair["base"][name] is not None
+                    and pair["change"][name] is not None), flush=True)
     return 0
 
 
