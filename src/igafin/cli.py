@@ -11,20 +11,17 @@ converge   ladder of (n_elements, n_tau) runs; writes convergence.csv with
            oracle.
 validate   runs the structural invariant suite, one report line per check.
 
-price and converge take --config and --out, which they need, and --oracle;
-validate takes no flag.  A flag the verb does not read is a usage error.
-The probe price is the [experiment] key probe_s.
+price and converge take --config and --out, which they need; validate
+takes no flag.  A flag the verb does not read is a usage error.  The probe
+price is the [experiment] key probe_s.
 
---oracle is closed-form, the model's exact value (the call has one); p1,
-the pipeline on hat functions; fdm, the central-difference twin; or none.
-An oracle is one curve S -> V(S, t = 0), and a p1 or fdm run keeps only
-its final level for it.  price prints the curve at the probe and runs p1
-and fdm on its own grid.  converge runs them on the [ladder]
-reference, else on its largest rung, and its error is their value misfit
-at the rung's Greville prices up to three times the payoff kink (against
-the closed form, the error at the probe).  Without --oracle, price takes
-none, and converge takes p1 if the config names a reference, else
-closed-form if the model has one, else none.
+converge measures each rung against one oracle, a curve S -> V(S, t = 0).
+When the config names a [ladder] reference, the oracle is the final level
+of a P1 run (the pipeline on hat functions) on that grid, and a rung's
+error is its value misfit to the curve at the rung's Greville prices up to
+three times the payoff kink.  Else it is the model's closed form, and the
+error is the one at the probe.  A model without a closed form has no
+oracle, and the error column is empty.
 
 Exit codes: 0 success, 1 failed validation, 2 configuration error, 3 solver
 failure.  Unknown sections and keys and values that do not parse are hard
@@ -57,19 +54,18 @@ negative rannacher_steps; a probe price outside the domain; and, at the
 [model] line, a call window that opens and closes on one date, a sigma whose
 square is not a positive, finite double and a convertible whose payoff kink
 ln((F + c_T)/(k S_0)) is not finite, as when k S_0 overflows.  Before
-solving, the verbs reject what their flags and work add, each at the line
-of the key in parentheses: degree < 2 for price (degree: gamma needs it); a
-final level that is a coupon or put date, as is the level before it or with
-no level before that (n_tau: theta has no pair of levels); a closed form
-the model lacks (model); a p1 or fdm oracle on one element (n_elements, or
-for converge reference, else rungs); a p1 or fdm converge whose prices at
-t = 0 all lie above three times the payoff kink (x_min: its misfit has
-nothing to sample); and converge without rungs (rungs; the path alone with
-no [ladder] section).  Errors of the flags name the path alone: an unknown
-oracle, and an output directory that is empty or below a file, or in which
-a table the verb writes is a directory.  A march or a Greek that produces a
-value that is not finite is a solver failure, reported on one line.  price
-and converge print each warning on one stderr line, "warning: <message>".
+solving, the verbs reject what their work adds, each at the line of the key
+in parentheses: degree < 2 for price (degree: gamma needs it); a final level
+that is a coupon or put date, as is the level before it or with no level
+before that (n_tau: theta has no pair of levels); a reference of one element
+(reference); a reference on a domain whose prices at t = 0 all lie above
+three times the payoff kink (x_min: its misfit has nothing to sample); and
+converge without rungs (rungs; the path alone with no [ladder] section).
+Errors of the flags name the path alone: an output directory that is empty
+or below a file, or in which a table the verb writes is a directory.  A
+march or a Greek that produces a value that is not finite is a solver
+failure, reported on one line.  price and converge print each warning on one
+stderr line, "warning: <message>".
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
@@ -101,7 +97,7 @@ from .greeks import block_lines as _block_lines
 from .greeks import check_greeks, greeks_table, write_greeks_csv
 from .greeks import write_csv as _write_csv
 from .models import AfvParams, LelandParams
-from .reference import fdm_solve, misfit_epsilon, p1fem_solve
+from .reference import misfit_epsilon, p1fem_solve
 from .stepper import (NewtonDivergenceError, SchemeConfig,
                       build_discretization, build_knots, run, value_curve)
 
@@ -418,50 +414,36 @@ def _fmt(v) -> str:
     return "" if v is None else f"{v:.10g}"
 
 
-_ORACLES = ("closed-form", "p1", "fdm", "none")
-
-
-def _oracle_curve(cfg: ExperimentConfig, oracle: str, n_elements: int,
-                  n_tau: int, key: str):
-    """The oracle as a function from stock prices to V(S, t = 0), or None
-    for ``none``: the model's closed form, or the final level of the P1 or
-    FDM run on the given grid, which stores the fewest levels.  ConfigErrors:
-    an unknown oracle, a closed form the model lacks (at ``model``) and a
-    P1 or FDM grid of one element, with no interior node (at ``key``)."""
+def _oracle_curve(cfg: ExperimentConfig):
+    """converge's oracle as a function from stock prices to V(S, t = 0):
+    the final level of the P1 run on the [ladder] reference grid, which
+    stores the fewest levels, else the model's closed form, else None.  A
+    reference of one element, with no interior node, is a ConfigError."""
     params = cfg.params
-    if oracle not in _ORACLES:
-        raise ConfigError(f"unknown oracle '{oracle}'", cfg.path)
-    if oracle == "none":
+    if cfg.reference is None:
+        if hasattr(params, "closed_form"):
+            return lambda s: params.closed_form(s, 0.0)
         return None
-    if oracle == "closed-form":
-        if not hasattr(params, "closed_form"):
-            raise cfg.error(f"model '{cfg.model}' has no closed form",
-                            "model")
-        return lambda s: params.closed_form(s, 0.0)
+    n_elements, n_tau = cfg.reference
     if n_elements < 2:
-        raise cfg.error(f"the {oracle} oracle needs n_elements >= 2, got "
-                        f"{n_elements}", key)
-    solve = p1fem_solve if oracle == "p1" else fdm_solve
-    disc, surf = solve(params, cfg.x_min, cfg.x_max, n_elements,
-                       _scheme(cfg, n_tau))
+        raise cfg.error("the p1 oracle needs n_elements >= 2, got "
+                        f"{n_elements}", "reference")
+    disc, surf = p1fem_solve(params, cfg.x_min, cfg.x_max, n_elements,
+                             _scheme(cfg, n_tau))
     return lambda s: value_curve(params, disc, surf, s)
 
 
-def _probe_report(cfg, oracle, curve, disc, surf, block) -> list[str]:
-    """The lines price prints: the value at the probe, at the nearest
-    Greville point of the final level's ``block`` and by ``curve``."""
+def _probe_report(cfg, disc, surf, block) -> list[str]:
+    """The lines price prints: the value at the probe, and at the nearest
+    Greville point of the final level's ``block``."""
     params = cfg.params
     name = params.value_column[0]
     exact = float(value_curve(params, disc, surf, [cfg.probe_s])[0])
     grid = block[:, 0]
     j = int(np.argmin(np.abs(grid - cfg.probe_s)))
     near = block[j, 1 + params.columns.index(params.value_column)]
-    lines = [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
-             f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
-    if curve is not None:
-        lines.append(f"oracle ({oracle}): {name}({cfg.probe_s:g}) = "
-                     f"{curve([cfg.probe_s])[0]:.4f}")
-    return lines
+    return [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
+            f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
 
 
 # the tables each verb writes, in the order it writes them
@@ -517,14 +499,12 @@ def _publish(cfg: ExperimentConfig, verb: str, writes) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
+def run_pricing(cfg: ExperimentConfig) -> int:
     try:
         check_greeks(cfg.params, cfg.degree, cfg.n_tau)
     except ValueError as exc:
         raise cfg.error(str(exc), "degree" if cfg.degree < 2
                         else "n_tau") from None
-    curve = _oracle_curve(cfg, oracle, cfg.n_elements, cfg.n_tau,
-                          "n_elements")
     disc, surf = _build(cfg, cfg.n_elements,
                         _scheme(cfg, cfg.n_tau, max(1, cfg.n_tau // 50)))
     params = cfg.params
@@ -542,7 +522,7 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
             [s, *(scale * disc.colloc.evaluate(coeffs[f])
                   for _, f in params.columns)])))
     table = greeks_table(params, disc, surf)
-    report = _probe_report(cfg, oracle, curve, disc, surf, blocks[-1][1])
+    report = _probe_report(cfg, disc, surf, blocks[-1][1])
 
     _publish(cfg, "price", [
         lambda path: _write_csv(
@@ -557,18 +537,18 @@ def run_pricing(cfg: ExperimentConfig, oracle: str = "none") -> int:
 
 
 def _misfit_prices(params, x, tau):
-    """The stock prices at ``tau`` of the log prices ``x`` at which a p1 or
-    fdm misfit samples: those at or below three times the payoff kink."""
+    """The stock prices at ``tau`` of the log prices ``x`` at which the
+    misfit samples: those at or below three times the payoff kink."""
     s = params.s_of(np.asarray(x), tau)
     return s[s <= 3.0 * params.s_of(params.kink, 0.0)]
 
 
-def _rung_error(cfg, oracle, curve, disc, surf, value) -> float | None:
+def _rung_error(cfg, curve, disc, surf, value) -> float | None:
     """Rung error against the oracle ``curve``; None without one."""
     params = cfg.params
     if curve is None:
         return None
-    if oracle == "closed-form":
+    if cfg.reference is None:
         return abs(value - float(curve([cfg.probe_s])[0]))
     # value misfit 2-norm against the reference run at this rung's
     # Greville stock prices
@@ -576,27 +556,23 @@ def _rung_error(cfg, oracle, curve, disc, surf, value) -> float | None:
     return misfit_epsilon(curve(grid), value_curve(params, disc, surf, grid))
 
 
-def run_convergence(cfg: ExperimentConfig, oracle: str | None = None) -> int:
+def run_convergence(cfg: ExperimentConfig) -> int:
     if not cfg.rungs:
         raise cfg.error("converge needs a [ladder] section with rungs",
                         "rungs")
-    if oracle is None:
-        oracle = ("p1" if cfg.reference else "closed-form"
-                  if hasattr(cfg.params, "closed_form") else "none")
-    if oracle in ("p1", "fdm") and not _misfit_prices(
+    if cfg.reference and not _misfit_prices(
             cfg.params, [cfg.x_min], cfg.params.horizon).size:
-        raise cfg.error(f"the {oracle} misfit has nothing to sample: every "
-                        "price at t = 0 lies above three times the payoff "
-                        "kink", "x_min")
-    curve = _oracle_curve(cfg, oracle, *(cfg.reference or max(cfg.rungs)),
-                          "reference" if cfg.reference else "rungs")
+        raise cfg.error("the p1 misfit has nothing to sample: every price "
+                        "at t = 0 lies above three times the payoff kink",
+                        "x_min")
+    curve = _oracle_curve(cfg)
 
     rows, prev_err = [], None
     for n_e, n_t in cfg.rungs:
         # a rung reads only its final level
         disc, surf = _build(cfg, n_e, _scheme(cfg, n_t))
         value = float(value_curve(cfg.params, disc, surf, [cfg.probe_s])[0])
-        err = _rung_error(cfg, oracle, curve, disc, surf, value)
+        err = _rung_error(cfg, curve, disc, surf, value)
         contraction = (prev_err / err) if (err and prev_err) else None
         rows.append([n_e, n_t, value, err, contraction])
         prev_err = err
@@ -623,7 +599,6 @@ def main(argv=None) -> int:
         if verb != "validate":
             sp.add_argument("--config", required=True)
             sp.add_argument("--out", required=True)
-            sp.add_argument("--oracle", default=None, choices=_ORACLES)
     args = parser.parse_args(argv)
 
     if args.verb == "validate":
@@ -638,8 +613,8 @@ def main(argv=None) -> int:
             cfg = replace(parse_config(args.config), out_dir=args.out)
             _check_out_dir(cfg, args.verb)
             if args.verb == "price":
-                return run_pricing(cfg, args.oracle or "none")
-            return run_convergence(cfg, args.oracle)
+                return run_pricing(cfg)
+            return run_convergence(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,14 +25,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _config(tmp_path, base, **overrides):
     """Copy of ``configs/<base>`` with keys overridden: ``"section.key"``
-    names a key of that section, a plain key one of [discretization], and
-    ``{tmp}`` in a value stands for ``tmp_path``."""
+    names a key of that section, a plain key one of [discretization],
+    ``{tmp}`` in a value stands for ``tmp_path`` and None removes the key."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.read(ROOT / "configs" / base)
     for key, value in overrides.items():
         section, _, key = key.rpartition(".")
-        cp[section or "discretization"][key] = \
-            str(value).format(tmp=tmp_path)
+        section = section or "discretization"
+        if value is None:
+            cp.remove_option(section, key)
+        else:
+            cp[section][key] = str(value).format(tmp=tmp_path)
     path = tmp_path / base
     with open(path, "w") as fh:
         cp.write(fh)
@@ -160,32 +163,17 @@ TINY = {"n_elements": 16, "n_tau": 10}
     # one date
     ("price", "convertible.ini", {**SMALL,
                                   "model.call_window": "3.0:3.0:101"}, []),
-    # ... or ended in a traceback: a finite-difference twin on one cell
+    # ... or ended in a traceback: a reference run on one cell
     ("converge", "leland_ladder.ini", {**SMALL, "ladder.rungs": "32:20",
                                        "ladder.reference": "1:10"}, []),
-    ("price", "convertible.ini", {**SMALL, "n_elements": 1},
-     ["--oracle", "fdm"]),
     # ... or ended in a traceback after the whole solve: an output path
     # below a file
     ("converge", "linear_uniform.ini", {"ladder.rungs": "32:20"},
      ["--out", "{tmp}/two.txt/sub"]),
-    # an oracle run on one element: the largest rung's when the config
-    # names no reference, else the reference's
-    ("converge", "linear_uniform.ini", {"ladder.rungs": "1:20"},
-     ["--oracle", "fdm"]),
-    ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20",
-                                       "ladder.reference": "1:10"},
-     ["--oracle", "fdm"]),
     # an output path that is a file, caught before the leland ladder's
     # full P1 reference runs
     ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20"},
      ["--out", "{tmp}/two.txt"]),
-    # the closed form of a model that has none, and P1 on a convertible
-    # whose largest rung has one element
-    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
-     ["--oracle", "closed-form"]),
-    ("converge", "convertible.ini", {"ladder.rungs": "1:20"},
-     ["--oracle", "p1"]),
     # the kink is derived from the model, so its old key is unknown
     ("price", "refined.ini", {"kink_xi": 0.5}, []),
     # ... or ended in a traceback: an empty reference; or dropped all but
@@ -275,18 +263,10 @@ def test_bad_input_is_a_config_error_with_no_output(tmp_path, capsys, verb,
     # and the put land on level 1) ...
     ("price", "convertible.ini", {**SMALL, "degree": 1}, [], "degree"),
     ("price", "convertible.ini", {**SMALL, "n_tau": 1}, [], "n_tau"),
-    # ... a closed form the model lacks ...
-    ("converge", "convertible.ini", {"ladder.rungs": "32:20"},
-     ["--oracle", "closed-form"], "model"),
-    # ... and a p1 or fdm grid of one element: the reference's, else the
-    # largest rung's for converge, and price's own
+    # ... and a P1 reference of one element
     ("converge", "leland_ladder.ini", {"ladder.rungs": "32:20",
                                        "ladder.reference": "1:10"}, [],
      "reference"),
-    ("converge", "convertible.ini", {"ladder.rungs": "1:20"},
-     ["--oracle", "p1"], "rungs"),
-    ("price", "linear_uniform.ini", {"n_elements": 1}, ["--oracle", "fdm"],
-     "n_elements"),
 ])
 def test_a_setting_that_cannot_run_is_a_config_error_at_its_line(
         tmp_path, capsys, monkeypatch, verb, base, overrides, args, key):
@@ -296,7 +276,7 @@ def test_a_setting_that_cannot_run_is_a_config_error_at_its_line(
     def no_solve(*args, **kwargs):
         raise AssertionError("a check solved")
 
-    for name in ("run", "p1fem_solve", "fdm_solve"):
+    for name in ("run", "p1fem_solve"):
         monkeypatch.setattr(cli, name, no_solve)
     out = tmp_path / "out"
     cfg = _config(tmp_path, base, **overrides)
@@ -578,20 +558,6 @@ def test_put_window_none_is_the_bond_without_a_put(tmp_path):
     assert params.call_window == (2.0, 5.0, 110.0)
 
 
-def test_an_unknown_oracle_is_a_config_error(tmp_path):
-    # main's --oracle admits only the known names, but the run functions
-    # are public, and _oracle_curve takes any other name for fdm
-    from igafin.cli import (ConfigError, parse_config, run_convergence,
-                            run_pricing)
-    cfg = parse_config(str(_config(tmp_path, "linear_uniform.ini", **SMALL,
-                                   **{"ladder.rungs": "32:20"})))
-    cfg.out_dir = str(tmp_path / "out")
-    for run in (run_pricing, run_convergence):
-        with pytest.raises(ConfigError, match="unknown oracle 'bogus'"):
-            run(cfg, "bogus")
-    assert not (tmp_path / "out").exists()
-
-
 def test_a_float_that_is_not_finite_is_named_at_its_line(tmp_path, capsys):
     cfg = _config(tmp_path, "convertible.ini", **{"model.rate": "nan"})
     line = cfg.read_text().splitlines().index("rate = nan") + 1
@@ -718,80 +684,6 @@ def test_surface_keeps_the_configured_levels(tmp_path):
         sorted(set(range(0, 401, 8)) | {398, 399})
 
 
-def test_p1_oracle_keeps_only_the_mandatory_slices(tmp_path, capsys,
-                                                   monkeypatch):
-    import igafin.cli as cli
-    solve, surfaces = cli.p1fem_solve, []
-
-    def recorded(*args):
-        disc, surf = solve(*args)
-        surfaces.append(surf)
-        return disc, surf
-
-    monkeypatch.setattr(cli, "p1fem_solve", recorded)
-    cfg = _config(tmp_path, "leland_ladder.ini", **SMALL)
-    assert main(["price", "--config", str(cfg), "--oracle", "p1", "--out",
-                 str(tmp_path / "out")]) == 0
-    assert "oracle (p1): V(100) = 17.9232\n" in capsys.readouterr().out
-    [surf] = surfaces
-    assert len(surf.levels) <= 4 and max(surf.levels) == SMALL["n_tau"]
-
-
-@pytest.mark.parametrize("base,printed", [
-    ("convertible.ini", "U(100) = 125.9638"),
-    ("leland_ladder.ini", "V(100) = 16.2327"),
-])
-def test_fdm_oracle_prints_the_twin_at_the_probe(tmp_path, capsys, base,
-                                                 printed):
-    cfg = _config(tmp_path, base, **SMALL)
-    assert main(["price", "--config", str(cfg), "--oracle", "fdm", "--out",
-                 str(tmp_path / "out")]) == 0
-    assert f"oracle (fdm): {printed}\n" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("base", ["convertible.ini", "leland_ladder.ini"])
-def test_fdm_oracle_with_theta_one_is_the_implicit_twin(tmp_path, capsys,
-                                                        base):
-    from igafin.cli import parse_config
-    from igafin.reference import fdm_solve, fdm_solve_afv
-    cfg = parse_config(str(_config(tmp_path, base, **SMALL, theta=1)))
-    assert main(["price", "--config", cfg.path, "--oracle", "fdm", "--out",
-                 str(tmp_path / "out")]) == 0
-    p, n_e, n_t = cfg.params, SMALL["n_elements"], SMALL["n_tau"]
-    if cfg.model == "afv":
-        res = fdm_solve_afv(p, cfg.x_min, cfg.x_max, n_e, n_t, theta=1.0)
-        want = np.interp(math.log(cfg.probe_s / p.s_initial), res.x,
-                         res.values["U"])
-    else:
-        disc, surf = fdm_solve(p, cfg.x_min, cfg.x_max, n_e,
-                               SchemeConfig(n_t, theta=1.0, store_every=0))
-        x = math.log(cfg.probe_s) + p.kappa * p.horizon
-        want = math.exp(-p.kappa * p.horizon) * np.interp(
-            x, disc.greville_x, surf.final["vhat"])
-    name = "U" if cfg.model == "afv" else "V"
-    assert f"oracle (fdm): {name}(100) = {want:.4f}\n" \
-        in capsys.readouterr().out
-
-
-def test_p1_oracle_with_theta_one_is_the_implicit_reference(tmp_path,
-                                                           capsys):
-    from igafin.cli import parse_config
-    from igafin.reference import p1fem_solve
-    from igafin.stepper import value_curve
-    cfg = parse_config(str(_config(tmp_path, "leland_ladder.ini", **SMALL,
-                                   theta=1)))
-    assert main(["price", "--config", cfg.path, "--oracle", "p1", "--out",
-                 str(tmp_path / "out")]) == 0
-    disc, surf = p1fem_solve(cfg.params, cfg.x_min, cfg.x_max,
-                             SMALL["n_elements"],
-                             SchemeConfig(n_steps=SMALL["n_tau"], theta=1.0,
-                                          store_every=0))
-    want = value_curve(cfg.params, disc, surf, [cfg.probe_s])[0]
-    # the Crank-Nicolson reference gives 17.9232
-    assert f"{want:.4f}" == "17.9022"
-    assert f"oracle (p1): V(100) = {want:.4f}\n" in capsys.readouterr().out
-
-
 def test_ladder_reference_marches_with_the_configured_scheme(tmp_path,
                                                              monkeypatch):
     import igafin.cli as cli
@@ -820,8 +712,8 @@ def test_ladder_rungs_keep_only_their_final_slices(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run", recorded)
     cfg = _config(tmp_path, "leland_ladder.ini",
-                  **{"ladder.rungs": "16:10, 32:20"})
-    assert main(["converge", "--config", str(cfg), "--oracle", "closed-form",
+                  **{"ladder.rungs": "16:10, 32:20", "ladder.reference": None})
+    assert main(["converge", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert schemes == [SchemeConfig(n_steps=n, theta=0.5, rannacher_steps=2,
                                     store_every=0) for n in (10, 20)]
@@ -832,26 +724,24 @@ def test_leland_ladder_converges_to_its_closed_form(tmp_path):
     # ladder needs no reference run; the error contracts by about 4 per
     # rung at dtau/dx^2 = 0.1
     out = tmp_path / "out"
-    assert main(["converge", "--config", str(ROOT / "configs" /
-                                             "leland_ladder.ini"),
-                 "--oracle", "closed-form", "--out", str(out)]) == 0
+    cfg = _config(tmp_path, "leland_ladder.ini", **{"ladder.reference": None})
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = _read(out / "convergence.csv")
     assert [float(r[3]) for r in rows] == pytest.approx(
         [9.860704404e-2, 2.516639804e-2, 6.329264155e-3], rel=1e-6)
     assert min(float(r[4]) for r in rows[1:]) > 3.9
 
 
-@pytest.mark.parametrize("args", [[], ["--oracle", "fdm"]])
 def test_a_misfit_with_nothing_to_sample_is_a_config_error(
-        tmp_path, capsys, monkeypatch, args):
-    # every price lies above three times the strike, where the p1 and fdm
-    # misfits sample, so the error column read 0, 0
+        tmp_path, capsys, monkeypatch):
+    # every price lies above three times the strike, where the P1 misfit
+    # samples, so the error column read 0, 0
     import igafin.cli as cli
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a check solved")
 
-    for name in ("run", "p1fem_solve", "fdm_solve"):
+    for name in ("run", "p1fem_solve"):
         monkeypatch.setattr(cli, name, no_solve)
     cfg = _config(tmp_path, "linear_uniform.ini", x_min=math.log(400.0),
                   x_max=math.log(800.0), **{
@@ -859,13 +749,11 @@ def test_a_misfit_with_nothing_to_sample_is_a_config_error(
                       "ladder.rungs": "32:100, 64:400",
                       "ladder.reference": "256:1600"})
     out = tmp_path / "out"
-    assert main(["converge", "--config", str(cfg), "--out", str(out),
-                 *args]) == 2
-    oracle = args[-1] if args else "p1"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
     line = cfg.read_text().split("\n").index(f"x_min = {math.log(400.0)}")
     assert capsys.readouterr() == ("", (
-        f"config error: {cfg}:{line + 1}: the {oracle} misfit has nothing "
-        "to sample: every price at t = 0 lies above three times the payoff "
+        f"config error: {cfg}:{line + 1}: the p1 misfit has nothing to "
+        "sample: every price at t = 0 lies above three times the payoff "
         "kink\n"))
     assert not out.exists()
 
@@ -874,43 +762,41 @@ CONVERTIBLE_LADDER = {**SMALL, "ladder.rungs": "32:20, 64:40",
                       "ladder.reference": "128:80"}
 
 
-def test_convertible_takes_the_p1_and_fdm_oracles(tmp_path, capsys):
-    # P1 and the FDM twin run the bond through the same march as the
-    # cubic space; converge measures each rung's misfit to the run on the
-    # [ladder] reference grid, up to three times the conversion kink
+def test_convertible_converges_to_its_p1_reference(tmp_path):
+    # P1 runs the bond through the same march as the cubic space; converge
+    # measures each rung's misfit to the run on the [ladder] reference
+    # grid, up to three times the conversion kink
     cfg = _config(tmp_path, "convertible.ini", **CONVERTIBLE_LADDER)
     out = tmp_path / "out"
-    assert main(["price", "--config", str(cfg), "--oracle", "p1", "--out",
-                 str(out)]) == 0
-    assert "oracle (p1): U(100) = 125.9839\n" in capsys.readouterr().out
-    assert main(["converge", "--config", str(cfg), "--oracle", "fdm",
-                 "--out", str(out)]) == 0
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = _read(out / "convergence.csv")
     assert [float(r[3]) for r in rows] == pytest.approx(
-        [5.939189428, 2.048605124], rel=1e-6)
+        [5.994080343, 2.122629981], rel=1e-6)
 
 
-@pytest.mark.parametrize("base,overrides,oracle", [
+@pytest.mark.parametrize("base,overrides,errors", [
+    # a config that names a [ladder] reference is measured against P1 ...
     ("leland_ladder.ini", {"ladder.rungs": "32:20, 64:80",
-                           "ladder.reference": "128:320"}, "p1"),
-    ("linear_uniform.ini", {"ladder.rungs": "32:20, 64:40"}, "closed-form"),
-    ("refined.ini", {"ladder.rungs": "16:64, 32:256"}, "closed-form"),
-    ("convertible.ini", {"ladder.rungs": "32:20, 64:40"}, "none"),
+                           "ladder.reference": "128:320"},
+     [8.012984498, 3.145831899]),
+    # ... else a model with a closed form against it ...
+    ("linear_uniform.ini", {"ladder.rungs": "32:20, 64:40"},
+     [1.845459698, 0.5041762591]),
+    ("refined.ini", {"ladder.rungs": "16:64, 32:256"},
+     [1.344904488e-2, 1.735157561e-5]),
+    # ... else against nothing
+    ("convertible.ini", {"ladder.rungs": "32:20, 64:40"}, None),
 ])
 def test_converge_defaults_to_each_shipped_ladders_oracle(
-        tmp_path, capsys, base, overrides, oracle):
-    # the benchmark's ladders run without --oracle: a config that names a
-    # [ladder] reference takes p1, else a model with a closed form takes
-    # it, else none
+        tmp_path, base, overrides, errors):
+    out = tmp_path / "out"
     cfg = _config(tmp_path, base, **overrides)
-    runs = []
-    for args in ([], ["--oracle", oracle]):
-        out = tmp_path / f"out{len(runs)}"
-        assert main(["converge", "--config", str(cfg), "--out", str(out),
-                     *args]) == 0
-        runs.append((capsys.readouterr(),
-                     (out / "convergence.csv").read_bytes()))
-    assert runs[0] == runs[1]
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+    column = [r[3] for r in _read(out / "convergence.csv")[1]]
+    if errors is None:
+        assert column == ["", ""]
+    else:
+        assert [float(e) for e in column] == pytest.approx(errors, rel=1e-6)
 
 
 def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
@@ -928,6 +814,20 @@ def test_failed_check_makes_validate_rc_1(capsys, monkeypatch):
     (["validate", "--config", "missing.ini"], "unrecognized arguments: "
      "--config"),
     (["validate", "--oracle", "fdm"], "unrecognized arguments: --oracle"),
+    # converge's oracle is the config's: its [ladder] reference, else the
+    # model's closed form
+    (["price", "--config", "{cfg}", "--out", "{out}", "--oracle", "fdm"],
+     "unrecognized arguments: --oracle"),
+    (["price", "--config", "{cfg}", "--out", "{out}", "--oracle", "p1"],
+     "unrecognized arguments: --oracle"),
+    (["price", "--config", "{cfg}", "--out", "{out}", "--oracle",
+      "closed-form"], "unrecognized arguments: --oracle"),
+    (["converge", "--config", "{cfg}", "--out", "{out}", "--oracle", "fdm"],
+     "unrecognized arguments: --oracle"),
+    (["converge", "--config", "{cfg}", "--out", "{out}", "--oracle", "p1"],
+     "unrecognized arguments: --oracle"),
+    (["converge", "--config", "{cfg}", "--out", "{out}", "--oracle",
+      "closed-form"], "unrecognized arguments: --oracle"),
     (["validate", "--out", "{out}"], "unrecognized arguments: --out"),
     (["validate", "--probe-s", "100"], "unrecognized arguments: --probe-s"),
     # the probe price is the config's probe_s

@@ -281,6 +281,53 @@ class TestP1Fem:
         assert errs[1] < errs[0] / 4.0
 
 
+
+# the FDM twin and P1 on a config's domain at 32 x 20, valued at its probe
+# under Crank-Nicolson and implicit Euler: the comparison the README's
+# recipe makes with the paper's FDM and FEM, to 1e-10
+@pytest.mark.parametrize("config,solve,theta,value", [
+    ("convertible.ini", fdm_solve, 0.5, 125.96378462503084),
+    ("convertible.ini", fdm_solve, 1.0, 125.94512112150237),
+    ("convertible.ini", p1fem_solve, 0.5, 125.98392389919589),
+    ("convertible.ini", p1fem_solve, 1.0, 125.95150652833406),
+    ("leland_ladder.ini", fdm_solve, 0.5, 16.232671182901054),
+    ("leland_ladder.ini", fdm_solve, 1.0, 16.21738285524839),
+    ("leland_ladder.ini", p1fem_solve, 0.5, 17.923218480716343),
+    ("leland_ladder.ini", p1fem_solve, 1.0, 17.902249530137563),
+])
+def test_reference_runs_keep_their_values_at_the_probe(config, solve, theta,
+                                                      value):
+    cfg = parse_config(str(CONFIGS / config))
+    disc, surf = solve(cfg.params, cfg.x_min, cfg.x_max, 32,
+                       SchemeConfig(20, theta, cfg.rannacher_steps,
+                                    store_every=0))
+    got = float(value_curve(cfg.params, disc, surf, [cfg.probe_s])[0])
+    assert got == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("solve", [fdm_solve, p1fem_solve])
+def test_reference_run_without_stored_levels_keeps_the_mandatory_ones(solve):
+    cfg = parse_config(str(CONFIGS / "leland_ladder.ini"))
+    _, surf = solve(cfg.params, cfg.x_min, cfg.x_max, 32,
+                    SchemeConfig(20, store_every=0))
+    assert len(surf.levels) <= 4 and max(surf.levels) == 20
+
+
+def test_readme_comparison_recipe_prints_fdm_p1_and_the_closed_form(
+        capsys, monkeypatch):
+    # the README's "Comparing IGA with FDM and P1" block, run as written
+    # from the repo root, prints the values its prose states
+    root = CONFIGS.parent
+    text = (root / "README.md").read_text()
+    section = text.split("## Comparing IGA with FDM and P1", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == (
+        "FDM 15.5807\nP1 15.6579\nclosed form 15.6160\n")
+    assert "FDM 15.5807, P1 15.6579\nand the closed form 15.6160" in section
+
+
 class TestMisfit:
     def test_plain_two_norm(self):
         a = np.array([1.0, 2.0, 3.0])

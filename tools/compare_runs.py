@@ -47,21 +47,18 @@ CONFIGS = ("convertible.ini", "greeks_linear.ini", "leland_ladder.ini",
 
 def _matrix():
     """(name, verb, config, overrides, extra args) of every run; overrides
-    map ``section.key`` to a value."""
-    runs = []
-    for cfg in CONFIGS:
-        stem = cfg[:-4]
-        runs.append((f"price-{stem}", "price", cfg, {}, []))
-        runs += [(f"price-{stem}-{o}", "price", cfg, {}, ["--oracle", o])
-                 for o in ("fdm", "p1", "closed-form")]
-    # every shipped ladder; the linear one cut to its first two rungs
+    map ``section.key`` to a value, or with None remove the key."""
+    runs = [(f"price-{cfg[:-4]}", "price", cfg, {}, []) for cfg in CONFIGS]
+    # every shipped ladder, the linear one cut to its first two rungs; and
+    # each oracle on each model: the Leland ladder against its closed form
+    # without its reference, the bond against a P1 reference
     runs += [
         ("converge-convertible", "converge", "convertible.ini", {}, []),
-        ("converge-convertible-fdm", "converge", "convertible.ini", {},
-         ["--oracle", "fdm"]),
+        ("converge-convertible-reference", "converge", "convertible.ini",
+         {"ladder.reference": "256:200"}, []),
         ("converge-leland_ladder", "converge", "leland_ladder.ini", {}, []),
         ("converge-leland_ladder-closed-form", "converge",
-         "leland_ladder.ini", {}, ["--oracle", "closed-form"]),
+         "leland_ladder.ini", {"ladder.reference": None}, []),
         ("converge-linear_uniform", "converge", "linear_uniform.ini",
          {"ladder.rungs": "32:6000, 64:6000"}, []),
         ("converge-refined", "converge", "refined.ini", {}, []),
@@ -141,7 +138,10 @@ def _start(tree: Path, run_dir: Path, run) -> subprocess.Popen:
             cp.read(tree / "configs" / cfg)
             for dotted, value in overrides.items():
                 section, key = dotted.split(".")
-                cp[section][key] = value
+                if value is None:
+                    cp.remove_option(section, key)
+                else:
+                    cp[section][key] = value
             with open(path, "w") as fh:
                 cp.write(fh)
         else:
