@@ -3,9 +3,7 @@
 Verbs
 -----
 price      one solve; writes surface.csv, slice_t0.csv, greeks.csv and prints
-           the value at the probe price, both as the exact NURBS evaluation
-           and at the nearest Greville grid point (the exact number is the
-           one the benchmark tables quote).
+           one line, the value at the probe price, as "U(100) = 124.9123".
 converge   ladder of (n_elements, n_tau) runs; writes convergence.csv with
            value, error and contraction columns, the error against the
            oracle.
@@ -63,9 +61,10 @@ three times the payoff kink (x_min: its misfit has nothing to sample); and
 converge without rungs (rungs; the path alone with no [ladder] section).
 Errors of the flags name the path alone: an output directory that is empty
 or below a file, or in which a table the verb writes is a directory.  A
-march or a Greek that produces a value that is not finite is a solver
-failure, reported on one line.  price and converge print each warning on one
-stderr line, "warning: <message>".
+march or a Greek that produces a value that is not finite, and a banded
+factorisation that meets a singular pivot, are solver failures, reported
+on one line.  price and converge print each warning on one stderr line,
+"warning: <message>".
 
 price builds every table before it writes its first file.  Every CSV goes
 through ``greeks.write_csv``: to a ``.tmp`` file that replaces it at the
@@ -96,8 +95,9 @@ from .assembly import PhysicalMap
 from .greeks import block_lines as _block_lines
 from .greeks import check_greeks, greeks_table, write_greeks_csv
 from .greeks import write_csv as _write_csv
+from .linsolve import SingularMatrixError
 from .models import AfvParams, LelandParams
-from .reference import misfit_epsilon, p1fem_solve
+from .reference import p1fem_solve
 from .stepper import (NewtonDivergenceError, SchemeConfig,
                       build_discretization, build_knots, run, value_curve)
 
@@ -433,19 +433,6 @@ def _oracle_curve(cfg: ExperimentConfig):
     return lambda s: value_curve(params, disc, surf, s)
 
 
-def _probe_report(cfg, disc, surf, block) -> list[str]:
-    """The lines price prints: the value at the probe, and at the nearest
-    Greville point of the final level's ``block``."""
-    params = cfg.params
-    name = params.value_column[0]
-    exact = float(value_curve(params, disc, surf, [cfg.probe_s])[0])
-    grid = block[:, 0]
-    j = int(np.argmin(np.abs(grid - cfg.probe_s)))
-    near = block[j, 1 + params.columns.index(params.value_column)]
-    return [f"{name}({cfg.probe_s:g}) = {exact:.4f}  [exact evaluation]",
-            f"{name}({grid[j]:.4f}) = {near:.4f}  [nearest Greville point]"]
-
-
 # the tables each verb writes, in the order it writes them
 _TABLES = {"price": ("surface.csv", "slice_t0.csv", "greeks.csv"),
            "converge": ("convergence.csv",)}
@@ -522,7 +509,7 @@ def run_pricing(cfg: ExperimentConfig) -> int:
             [s, *(scale * disc.colloc.evaluate(coeffs[f])
                   for _, f in params.columns)])))
     table = greeks_table(params, disc, surf)
-    report = _probe_report(cfg, disc, surf, blocks[-1][1])
+    value = float(value_curve(params, disc, surf, [cfg.probe_s])[0])
 
     _publish(cfg, "price", [
         lambda path: _write_csv(
@@ -531,8 +518,7 @@ def run_pricing(cfg: ExperimentConfig) -> int:
         lambda path: _write_csv(
             path, ["S"] + fields, [_block_lines(blocks[-1][1])]),
         partial(write_greeks_csv, table=table)])
-    for line in report:
-        print(line)
+    print(f"{params.value_column[0]}({cfg.probe_s:g}) = {value:.4f}")
     return 0
 
 
@@ -553,7 +539,8 @@ def _rung_error(cfg, curve, disc, surf, value) -> float | None:
     # value misfit 2-norm against the reference run at this rung's
     # Greville stock prices
     grid = _misfit_prices(params, disc.greville_x, surf.tau(surf.n_steps))
-    return misfit_epsilon(curve(grid), value_curve(params, disc, surf, grid))
+    return float(np.linalg.norm(curve(grid)
+                                - value_curve(params, disc, surf, grid)))
 
 
 def run_convergence(cfg: ExperimentConfig) -> int:
@@ -618,7 +605,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NewtonDivergenceError, FloatingPointError) as exc:
+    except (NewtonDivergenceError, SingularMatrixError,
+            FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,6 @@
   twin's final nodal values, for the benchmark's reference script.
 * A P1 (hat-function) run of the main pipeline, for misfit studies, with
   the same signature as ``fdm_solve``.
-* The plain discrete 2-norm misfit used in the convergence tables.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .stepper import (Discretization, SchemeConfig, SolutionSurface,
                       build_discretization, run)
 
 __all__ = ["FdmResult", "fdm_discretization", "fdm_solve", "fdm_solve_afv",
-           "p1fem_solve", "misfit_epsilon"]
+           "p1fem_solve"]
 
 
 @dataclass
@@ -96,11 +95,3 @@ def p1fem_solve(params, x_min: float, x_max: float, n_elements: int,
     disc = build_discretization(x_min, x_max, n_elements, degree=1)
     return disc, run(params, disc, scheme)
 
-
-def misfit_epsilon(values_a: np.ndarray, values_b: np.ndarray) -> float:
-    """Plain discrete 2-norm of the pointwise difference on a shared grid."""
-    a = np.asarray(values_a, dtype=float)
-    b = np.asarray(values_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("misfit needs both solutions on the same grid")
-    return float(np.linalg.norm(a - b))

@@ -684,6 +684,21 @@ def test_surface_keeps_the_configured_levels(tmp_path):
         sorted(set(range(0, 401, 8)) | {398, 399})
 
 
+@pytest.mark.parametrize("base,line", [
+    ("convertible.ini", "U(100) = 127.6171"),
+    ("leland_ladder.ini", "V(100) = 19.4156"),
+])
+def test_price_prints_one_line_the_value_at_the_probe(tmp_path, capsys,
+                                                      base, line):
+    # the spline evaluated at probe_s; a second line used to give the
+    # value at the Greville point nearest the probe (S = 90.4837 on the
+    # Leland grid), a row slice_t0.csv already holds
+    cfg = _config(tmp_path, base, **SMALL)
+    assert main(["price", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_ladder_reference_marches_with_the_configured_scheme(tmp_path,
                                                              monkeypatch):
     import igafin.cli as cli
@@ -885,6 +900,21 @@ def test_non_finite_greeks_are_a_solver_failure_with_no_output(tmp_path):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == ("solver failure: gamma is not finite at 2 of "
                            "259 stock prices\n")
+    assert not out.exists()
+
+
+def test_a_singular_factorisation_is_a_solver_failure_with_no_output(
+        tmp_path):
+    # at degree 40 on 16 elements the mass Cholesky of the Leland step
+    # meets a zero pivot; the run used to exit 1, validate's code, after a
+    # traceback
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "leland_ladder.ini", degree=40, n_elements=16,
+                  n_tau=8)
+    proc = _run_cli("price", "--config", cfg, "--out", out)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("solver failure: singular system: zero pivot at "
+                           "index 30\n")
     assert not out.exists()
 
 
@@ -1293,7 +1323,7 @@ def test_compare_runs_matrix_reads_real_configs_and_keys():
     spec.loader.exec_module(tool)
     names = [run[0] for run in tool.RUNS]
     assert len(set(names)) == len(names)
-    for name, verb, cfg, overrides, _ in tool.RUNS:
+    for name, verb, cfg, overrides in tool.RUNS:
         # validate is the one verb that reads no config
         assert (cfg is None) == (verb == "validate"), name
         assert cfg is None or (ROOT / "configs" / cfg).is_file(), name

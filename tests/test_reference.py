@@ -10,7 +10,7 @@ from igafin.cli import parse_config
 from igafin.linsolve import BandedLU
 from igafin.models import AfvParams, LelandParams, _norm_cdf
 from igafin.reference import (_central_differences, fdm_solve,
-                              fdm_solve_afv, misfit_epsilon, p1fem_solve)
+                              fdm_solve_afv, p1fem_solve)
 from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
                             build_discretization, run_leland, value_curve)
 
@@ -327,14 +327,3 @@ def test_readme_comparison_recipe_prints_fdm_p1_and_the_closed_form(
         "FDM 15.5807\nP1 15.6579\nclosed form 15.6160\n")
     assert "FDM 15.5807, P1 15.6579\nand the closed form 15.6160" in section
 
-
-class TestMisfit:
-    def test_plain_two_norm(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([1.0, 0.0, 7.0])
-        assert misfit_epsilon(a, b) == pytest.approx(math.sqrt(4.0 + 16.0))
-        assert misfit_epsilon(a, a) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="grid"):
-            misfit_epsilon(np.ones(3), np.ones(4))

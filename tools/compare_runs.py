@@ -46,70 +46,73 @@ CONFIGS = ("convertible.ini", "greeks_linear.ini", "leland_ladder.ini",
 
 
 def _matrix():
-    """(name, verb, config, overrides, extra args) of every run; overrides
-    map ``section.key`` to a value, or with None remove the key."""
-    runs = [(f"price-{cfg[:-4]}", "price", cfg, {}, []) for cfg in CONFIGS]
+    """(name, verb, config, overrides) of every run; overrides map
+    ``section.key`` to a value, or with None remove the key."""
+    runs = [(f"price-{cfg[:-4]}", "price", cfg, {}) for cfg in CONFIGS]
     # every shipped ladder, the linear one cut to its first two rungs; and
     # each oracle on each model: the Leland ladder against its closed form
     # without its reference, the bond against a P1 reference
     runs += [
-        ("converge-convertible", "converge", "convertible.ini", {}, []),
+        ("converge-convertible", "converge", "convertible.ini", {}),
         ("converge-convertible-reference", "converge", "convertible.ini",
-         {"ladder.reference": "256:200"}, []),
-        ("converge-leland_ladder", "converge", "leland_ladder.ini", {}, []),
+         {"ladder.reference": "256:200"}),
+        ("converge-leland_ladder", "converge", "leland_ladder.ini", {}),
         ("converge-leland_ladder-closed-form", "converge",
-         "leland_ladder.ini", {"ladder.reference": None}, []),
+         "leland_ladder.ini", {"ladder.reference": None}),
         ("converge-linear_uniform", "converge", "linear_uniform.ini",
-         {"ladder.rungs": "32:6000, 64:6000"}, []),
-        ("converge-refined", "converge", "refined.ini", {}, []),
+         {"ladder.rungs": "32:6000, 64:6000"}),
+        ("converge-refined", "converge", "refined.ini", {}),
         # refined knots off the cubic, and with the strike off centre: the
         # call's default domain moved up by 2.5
         ("price-refined-p4", "price", "refined.ini",
-         {"discretization.degree": "4"}, []),
+         {"discretization.degree": "4"}),
         ("converge-refined-offcentre", "converge", "refined.ini",
          {"discretization.x_min": repr(math.log(100.0) - 3.4425 + 2.5),
           "discretization.x_max": repr(math.log(100.0) + 3.1613 + 2.5),
-          "ladder.rungs": "32:256, 64:1024"}, []),
+          "ladder.rungs": "32:256, 64:1024"}),
         # the grid of the committed out/afv_smoke tables
         ("price-convertible-128x100", "price", "convertible.ini",
-         {"discretization.n_elements": "128", "discretization.n_tau": "100"},
-         []),
+         {"discretization.n_elements": "128", "discretization.n_tau": "100"}),
         # settings that cannot run, each rc 2 on one stderr line: a probe
         # outside the domain, a refined kink outside the interval and an
         # empty interval
         ("price-convertible-probe-outside", "price", "convertible.ini",
-         {"experiment.probe_s": "1000"}, []),
+         {"experiment.probe_s": "1000"}),
         ("price-refined-kink-outside", "price", "refined.ini",
-         {"discretization.x_min": "5", "discretization.x_max": "6"}, []),
+         {"discretization.x_min": "5", "discretization.x_max": "6"}),
         ("price-convertible-empty-interval", "price", "convertible.ini",
-         {"discretization.x_min": "2", "discretization.x_max": "2"}, []),
+         {"discretization.x_min": "2", "discretization.x_max": "2"}),
         # and what a verb rejects before it solves: price's Greeks at
         # degree 1, and a P1 reference of one element
         ("price-convertible-degree-1", "price", "convertible.ini",
-         {"discretization.degree": "1"}, []),
+         {"discretization.degree": "1"}),
         ("converge-leland_ladder-reference-1", "converge",
-         "leland_ladder.ini", {"ladder.reference": "1:10"}, []),
+         "leland_ladder.ini", {"ladder.reference": "1:10"}),
         # a march that stays finite but whose gamma overflows, rc 3 on one
         # stderr line, and a run that warns, rc 0 with one stderr line
         ("price-convertible-greeks-overflow", "price", "convertible.ini",
          {"discretization.n_elements": "256", "discretization.n_tau": "20",
-          "model.conversion_ratio": "1e300"}, []),
+          "model.conversion_ratio": "1e300"}),
         ("price-leland_ladder-one-step", "price", "leland_ladder.ini",
-         {"discretization.n_tau": "1"}, []),
+         {"discretization.n_tau": "1"}),
+        # a mass matrix whose Cholesky meets a zero pivot, rc 3 on one
+        # stderr line
+        ("price-leland_ladder-degree-40", "price", "leland_ladder.ini",
+         {"discretization.degree": "40", "discretization.n_elements": "16",
+          "discretization.n_tau": "8"}),
         # [model] settings that parse but cannot run, rc 2 on one stderr
         # line: a sigma whose square overflows, and a conversion value
         # k S_0 that overflows, so the payoff kink is the log of 0
         ("price-refined-sigma-overflow", "price", "refined.ini",
-         {"model.sigma": "1e200"}, []),
+         {"model.sigma": "1e200"}),
         ("price-convertible-conversion-overflow", "price", "convertible.ini",
-         {"model.conversion_ratio": "1e300", "model.s_initial": "1e10"}, []),
+         {"model.conversion_ratio": "1e300", "model.s_initial": "1e10"}),
         # a put on the final level, so that theta differences levels 48
         # and 49 of 50
         ("price-convertible-put-at-t0", "price", "convertible.ini",
          {"model.put_window": "0.0:0.0:105",
-          "discretization.n_elements": "64", "discretization.n_tau": "50"},
-         []),
-        ("validate", "validate", None, {}, []),
+          "discretization.n_elements": "64", "discretization.n_tau": "50"}),
+        ("validate", "validate", None, {}),
     ]
     return runs
 
@@ -128,7 +131,7 @@ def _extract(ref: str, dest: Path) -> Path:
 
 def _start(tree: Path, run_dir: Path, run) -> subprocess.Popen:
     """Start one run of the tree's CLI in ``run_dir``, which it owns."""
-    _, verb, cfg, overrides, extra = run
+    _, verb, cfg, overrides = run
     run_dir.mkdir(parents=True)
     argv = [sys.executable, "-m", "igafin.cli", verb]
     if cfg is not None:
@@ -149,7 +152,7 @@ def _start(tree: Path, run_dir: Path, run) -> subprocess.Popen:
         argv += ["--config", str(path), "--out", str(run_dir / "out")]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.Popen(argv + extra, cwd=run_dir, env=env,
+    return subprocess.Popen(argv, cwd=run_dir, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
