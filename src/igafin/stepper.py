@@ -41,8 +41,11 @@ number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
 where the auxiliary vtilde solves M vtilde = -(K - N) vhat (the mixed form
 of vtilde = vhat_xx - vhat_x), so a step with costs stays one banded solve
 plus one mass solve, by the banded Cholesky factor of the symmetric
-positive definite M.  After such a step, coefficients below the normal
-range of a double are set to zero: the far out-of-the-money tail ahead of
+positive definite M.  Its right-hand side is one mass product: with
+y = vhat + dtau ((1-theta) vtilde + Le |vtilde|) it is M y less a lift,
+so a step with costs takes the products A vhat and M y, and no R_theta
+band.  After such a step, coefficients below the normal range of a
+double are set to zero: the far out-of-the-money tail ahead of
 the diffusion front decays through that range, where they carry no price
 information and every operation on them is many times slower.  With
 Le = 0 the step has no source: it forms no A w, factors no M and flushes
@@ -307,24 +310,33 @@ class _LelandStep:
     The boundary data of the transformed problem does not depend on time,
     so the boundary lift is one constant vector per theta, and the M_cols
     term of ``build_rhs`` is zero.  Without costs a step is R_theta w, the
-    lift and one solve.  With costs, R_theta w and A w come from one pass
-    over their stacked bands, M vtilde = -(K - N) vhat is solved with the
-    Cholesky factor of M, and nu = Le |vtilde| vanishes at both ends, so
-    M nu is one interior matvec.  The linearisation gives M nu the full
-    dtau weight, added as dtau (1-theta) M nu and then dtau theta M nu like
-    ``build_rhs``, and subnormal coefficients of the result are set to
-    zero.
+    lift dtau a_lift in ``build_rhs``'s arithmetic and one solve: bitwise
+    ``step_linear``.
 
-    A step works in the rows of its products, in the arithmetic order of
-    ``build_rhs``.  The R_theta w row becomes the right-hand side, and the
-    theta solve overwrites it with the new interior (``overwrite_b``).
-    The A w row becomes the right-hand side of the mass solve, which
-    overwrites it with vtilde; it then holds Le |vtilde| and then
-    dtau (1-theta) M nu.  The results are bitwise those of a step with
-    temporaries, and the one copy left is that into the new full vector:
-    solving straight into its interior ran leland_ladder's ``converge``
-    slower, 2.59-2.65 against 2.53-2.55 s (``python -m igafin.cli``,
-    2 cores).
+    With costs, u = M^-1 (A w + a_lift) = -vtilde is solved with the
+    Cholesky factor of M, and nu = Le |vtilde| vanishes at both ends.  The
+    linearisation gives M nu the full dtau weight, and R_theta = M -
+    (1-theta) dtau A, so the right-hand side is, exactly,
+
+        R_theta w - dtau a_lift + dtau M nu = M y - theta dtau a_lift,
+        y = w + dtau ((1-theta) vtilde + Le |vtilde|).
+
+    So a step with costs takes two one-band products, A w and M y, and no
+    R_theta band: R_theta w is the M w inside M y.  A stacked [R_theta, A]
+    pass with M nu and its two additions ran leland_ladder's P1 reference
+    at 191-211 us a step, against 167-185 us this way (4 alternating runs
+    of 4096 x 20480, 2-core host).  u keeps the order A w, + a_lift, mass
+    solve: steps that carry vtilde through the theta solve in place of the
+    mass solve moved leland_ladder's checked error column by 8e-10 to 1e-9,
+    past the benchmark's tolerance.  Subnormal coefficients of the result
+    are set to zero.
+
+    The mass solve overwrites A w with u, which is then scaled and taken
+    from y, and the theta solve overwrites M y with the new interior
+    (``overwrite_b``): bitwise a step with temporaries.  The one copy left
+    is that into the new full vector: solving straight into its interior
+    ran leland_ladder's ``converge`` slower, 2.59-2.65 against 2.53-2.55 s
+    (``python -m igafin.cli``, 2 cores).
     """
 
     def __init__(self, op: _ThetaOperator, wb: np.ndarray,
@@ -333,33 +345,30 @@ class _LelandStep:
         self.wb = wb
         self.leland_number = leland_number
         a_lift = self.a_lift = op.a_cols @ wb
-        self.lift = {th: op.dtau * (th * a_lift + (1.0 - th) * a_lift)
-                     for th in op.lhs_lu}
         self.costs = leland_number > 0
         if self.costs:
             self.mass_chol = BandedCholesky(op.m_int)
-        # R_theta, stacked with A when the source needs A w
-        self.bands = {th: np.stack([op.rhs_mat[th].data, op.a_int.data])
-                      if self.costs else op.rhs_mat[th].data
-                      for th in op.lhs_lu}
+            self.lift = {th: (th * op.dtau) * a_lift for th in op.lhs_lu}
+        else:
+            self.lift = {th: op.dtau * (th * a_lift + (1.0 - th) * a_lift)
+                         for th in op.lhs_lu}
 
     def __call__(self, level: int, theta: float,
                  fields: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         op, w = self.op, fields["vhat"]
-        products = band_products(self.bands[theta], w[1:-1])
-        rhs = products[0] if self.costs else products
-        rhs -= self.lift[theta]
         if self.costs:
-            vt = products[1]
-            vt += self.a_lift
-            vt = self.mass_chol.solve(np.negative(vt, out=vt),
-                                      overwrite_b=True)
-            np.abs(vt, out=vt)
-            vt *= self.leland_number
-            m_nu = op.m_int.matvec(vt)
-            rhs += np.multiply(op.dtau * (1.0 - theta), m_nu, out=vt)
-            m_nu *= op.dtau * theta
-            rhs += m_nu
+            u = op.a_int.matvec(w[1:-1])
+            u += self.a_lift
+            u = self.mass_chol.solve(u, overwrite_b=True)
+            y = np.abs(u)
+            y *= op.dtau * self.leland_number
+            u *= op.dtau * (1.0 - theta)
+            y -= u
+            y += w[1:-1]
+            rhs = op.m_int.matvec(y)
+        else:
+            rhs = op.rhs_mat[theta].matvec(w[1:-1])
+        rhs -= self.lift[theta]
         w_int = op.lhs_lu[theta].solve(rhs, overwrite_b=True)
         if self.costs:
             w_int[np.abs(w_int) < _TINY] = 0.0

@@ -87,3 +87,19 @@ def test_higher_is_better_and_missing_metrics(tool):
     ok = summary["ok_frac"]
     assert (ok["change_wins"], ok["change_losses"]) == (0, 3)
     assert ok["verdict"] == "worse than the bound"
+
+
+def test_a_gain_beyond_the_bound_is_better_than_the_bound(tool):
+    # the base's quartiles lie 0.45 s apart, wider than the 0.25 s bound,
+    # but the change's median is 0.6 s lower: a gain, not unresolved
+    base = [(4.0 + 0.1 * i, 33.0) for i in range(10)]
+    change = [(w - 0.6, r) for w, r in base]
+    summary = tool.summarize(_pairs(tool, base, change), END_TO_END)
+    wall = summary["wall_s"]
+    assert wall["base_q3"] - wall["base_q1"] > wall["bound"]
+    assert (wall["change_wins"], wall["change_losses"]) == (10, 0)
+    assert wall["verdict"] == "better than the bound"
+    # higher is better: a rise beyond the bound is a gain too
+    pairs = _pairs(tool, [(1.0, 30.0, 0.5)] * 3, [(1.0, 30.0, 1.0)] * 3)
+    summary = tool.summarize(pairs, END_TO_END)
+    assert summary["ok_frac"]["verdict"] == "better than the bound"

@@ -1054,9 +1054,9 @@ def test_the_leland_ladder_march_does_not_drift(tmp_path, capsys,
     assert main(["converge", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "32  20  19.415577112730542  7.99929942521871  -",
-        "64  80  16.639628087471724  3.1281722551576068  2.557179967321103"]
-    assert float(curves[0]([100.0])[0]) == 15.619687265366844
+        "32  20  19.415577112730496  7.999299425215068  -",
+        "64  80  16.639628087471795  3.128172255152944  2.5571799673237505"]
+    assert float(curves[0]([100.0])[0]) == 15.619687265367528
 
 
 @pytest.mark.parametrize("verb,base", [

@@ -8,7 +8,7 @@ import pytest
 from igafin.assembly import PhysicalMap, assemble
 from igafin.basis import eval_spline_many
 from igafin.linsolve import BandedLU, BandedMatrix, band_products
-from igafin import stepper
+from igafin import linsolve, stepper
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
                            constraint_state)
 from igafin.quadrature import gauss_legendre_rule
@@ -213,15 +213,17 @@ class TestLinearMarch:
         run_leland(le, disc, SchemeConfig(n_steps=16))
         assert calls == [disc.n_basis - 2]
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("degree", [1, 3])
-    def test_costs_step_is_the_dense_linearised_step(self, degree):
+    def test_costs_step_is_the_dense_linearised_step(self, degree, theta):
         # each stored level against one step rebuilt from dense matrices:
         # M vtilde = -(A w + lift of A), rhs = R w - lift + dtau M Le|vtilde|
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=0.8)
         a, b = le.domain()
         disc = build_discretization(a, b, 16, degree=degree)
-        scheme = SchemeConfig(n_steps=8, rannacher_steps=2, store_every=1)
+        scheme = SchemeConfig(n_steps=8, theta=theta, rannacher_steps=2,
+                              store_every=1)
         surf = run_leland(le, disc, scheme)
         dtau = surf.dtau
         a_int, a_cols = disc.system.operator(le.coefficients("vhat"))
@@ -256,14 +258,16 @@ class TestLinearMarch:
         step = stepper._LelandStep(op, w[[0, -1]], leland_number)
 
         def with_temporaries(theta, w):
-            products = band_products(step.bands[theta], w[1:-1])
-            rhs = products[0] if step.costs else products
-            rhs -= step.lift[theta]
             if step.costs:
-                vt = step.mass_chol.solve(-(products[1] + step.a_lift))
-                m_nu = op.m_int.matvec(leland_number * np.abs(vt))
-                rhs += op.dtau * (1.0 - theta) * m_nu
-                rhs += op.dtau * theta * m_nu
+                # u = -vtilde, y = w + dtau ((1-theta) vtilde + Le |vtilde|)
+                u = step.mass_chol.solve(op.a_int.matvec(w[1:-1])
+                                         + step.a_lift)
+                y = (np.abs(u) * (op.dtau * leland_number)
+                     - u * (op.dtau * (1.0 - theta)) + w[1:-1])
+                rhs = op.m_int.matvec(y) - (theta * op.dtau) * step.a_lift
+            else:
+                rhs = op.rhs_mat[theta].matvec(w[1:-1]) - op.dtau * (
+                    theta * step.a_lift + (1.0 - theta) * step.a_lift)
             w_int = op.lhs_lu[theta].solve(rhs)
             if step.costs:
                 w_int[np.abs(w_int) < np.finfo(float).tiny] = 0.0
@@ -276,6 +280,31 @@ class TestLinearMarch:
             assert w.tobytes() == kept.tobytes()
             assert new.tobytes() == with_temporaries(theta, w).tobytes()
             w = new
+
+    def test_costs_step_takes_two_one_band_products(self, monkeypatch):
+        # A w and M y: the cost path stacks no R_theta band with A
+        shapes = []
+
+        def recorded(data, x):
+            shapes.append(data.shape)
+            return band_products(data, x)
+
+        monkeypatch.setattr(linsolve, "band_products", recorded)
+        monkeypatch.setattr(stepper, "band_products", recorded)
+        le = LelandParams(0.1, 0.2, 100.0, 1.0, leland_number=0.8)
+        a, b = le.domain()
+        disc = build_discretization(a, b, 64)
+        scheme = SchemeConfig(n_steps=4)
+        op = stepper._ThetaOperator(disc.system, le.coefficients("vhat"),
+                                    le.horizon / scheme.n_steps,
+                                    scheme.thetas)
+        w = le.payoff(disc.greville_x)
+        step = stepper._LelandStep(op, w[[0, -1]], le.leland_number)
+        band = (2 * disc.system.degree + 1, disc.n_basis - 2)
+        for level in range(1, scheme.n_steps + 1):
+            w = step(level, scheme.theta_at(level - 1), {"vhat": w})["vhat"]
+            assert shapes == [band, band]
+            shapes.clear()
 
     def test_costs_leave_no_subnormal_coefficient(self):
         # ahead of the diffusion front the far out-of-the-money tail decays

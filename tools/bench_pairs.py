@@ -24,8 +24,9 @@ workload and metric: each side's median and quartiles
 (``statistics.quantiles(n=4, method='inclusive')``), the pairs the change
 wins and loses (ties count for neither), the bound from ``BENCHMARK.json``
 and a verdict.  The verdict is "worse than the bound" when the change's
-median is worse than the base's by more than the bound, "unresolved" when
-it is not but the base's quartiles lie further apart than the bound, and
+median is worse than the base's by more than the bound, "better than the
+bound" when it is better by more than the bound, "unresolved" when it is
+neither but the base's quartiles lie further apart than the bound, and
 "within the bound" otherwise.  It also records ``nproc``, the numpy and
 scipy versions and each side's ``src_sha256``, as ``perfbench/run.py``
 prints them in its record line.
@@ -110,6 +111,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         worse_by = sign * (entry["change_median"] - entry["base_median"])
         if worse_by > bound:
             entry["verdict"] = "worse than the bound"
+        elif -worse_by > bound:
+            entry["verdict"] = "better than the bound"
         elif entry["base_q3"] - entry["base_q1"] > bound:
             entry["verdict"] = "unresolved"
         else:
