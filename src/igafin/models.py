@@ -473,9 +473,13 @@ def apply_joint_constraints(b_slice: np.ndarray, u_slice: np.ndarray,
                             state: ConstraintState) -> np.ndarray:
     """Conversion floor and call ceiling on the total value, shifted onto B.
 
-    The total B + C is represented by U; U is clipped into
-    [kS, max(B_call_dirty, kS)] and the adjustment is applied to B so the
-    identity U = B + C survives the clipping.
+    U stands for the total B + C: it is clipped into
+    [kS, max(B_call_dirty, kS)], and the same adjustment is applied to B.
+    The identity U = B + C holds with the rights off (rho = 0: the
+    ``afv_superposition`` check, within 1e-8), but not on
+    ``configs/convertible.ini``: there |U - B - C| exceeds 1e-9 on 400 of
+    its 401 levels and reaches 23.35 at level 225 (t = 2.1875).  Whether
+    the identity or the split is at fault is open.
     """
     u = np.asarray(u_slice, dtype=float)
     u_clipped = np.clip(u, state.conversion_value, state.u_star_call)

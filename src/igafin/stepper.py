@@ -36,26 +36,29 @@ only its step; ``_march`` is the one loop over time levels, and a run is
 the ``SolutionSurface`` of the levels it stores, each level's coefficient
 vectors by field.
 
-The call march takes one step, ``_LelandStep``, whatever its Leland
-number Le.  Its source Le |vtilde| linearises |vtilde^{m+1}| ~ |vtilde^m|,
-where the auxiliary vtilde solves M vtilde = -(K - N) vhat (the mixed form
-of vtilde = vhat_xx - vhat_x), so a step with costs stays one banded solve
-plus one mass solve, by the banded Cholesky factor of the symmetric
+The call march chooses its step once, from its Leland number Le, and
+builds it as a closure for ``_march``, as the bond march builds its own.
+With costs, the source Le |vtilde| linearises |vtilde^{m+1}| ~
+|vtilde^m|, where the auxiliary vtilde solves M vtilde = -(K - N) vhat
+(the mixed form of vtilde = vhat_xx - vhat_x), so a step stays one banded
+solve plus one mass solve, by the banded Cholesky factor of the symmetric
 positive definite M.  Its right-hand side is one mass product: with
 y = vhat + dtau ((1-theta) vtilde + Le |vtilde|) it is M y less a lift,
-so a step with costs takes the products A vhat and M y, and no R_theta
-band.  After such a step, coefficients below the normal range of a
-double are set to zero: the far out-of-the-money tail ahead of
-the diffusion front decays through that range, where they carry no price
-information and every operation on them is many times slower.  With
-Le = 0 the step has no source: it forms no A w, factors no M and flushes
-nothing, and is bitwise the generic step ``step_linear`` takes.
+so the step takes the products A vhat and M y, and no R_theta band.
+After such a step, coefficients below the normal range of a double are
+set to zero: the far out-of-the-money tail ahead of the diffusion front
+decays through that range, where they carry no price information and
+every operation on them is many times slower.  With Le = 0 the step has
+no source: it forms no A w, factors no M and flushes nothing, and is
+bitwise the generic step ``step_linear`` takes.
 
 The convertible-bond step follows the operator-splitting order: advance B
 unconstrained, form gamma, advance C, clamp B against the call/put bounds,
 form delta, solve the penalised U system by Newton, shift the joint
-conversion/call clipping of U onto B, then inject coupons.  What does not
-change over the march is made once: each theta operator's factors and its
+conversion/call clipping of U onto B, then inject coupons.  U = B + C
+holds through the march with the rights off (rho = 0), and not with them
+on (see ``apply_joint_constraints``).  What does not change over the
+march is made once: each theta operator's factors and its
 band stack [R_theta, M, M], the conversion values k S_0 e^x read by the
 terminal data, the pin at S_max, the default sources, and one
 ``NewtonJacobians`` per theta, which reuses the factors of a Jacobian
@@ -304,77 +307,6 @@ def step_linear(system: GalerkinSystem, coeffs, w_full: np.ndarray, wb_new,
 _TINY = np.finfo(float).tiny
 
 
-class _LelandStep:
-    """The step of the transformed call march on fixed boundary data ``wb``.
-
-    The boundary data of the transformed problem does not depend on time,
-    so the boundary lift is one constant vector per theta, and the M_cols
-    term of ``build_rhs`` is zero.  Without costs a step is R_theta w, the
-    lift dtau a_lift in ``build_rhs``'s arithmetic and one solve: bitwise
-    ``step_linear``.
-
-    With costs, u = M^-1 (A w + a_lift) = -vtilde is solved with the
-    Cholesky factor of M, and nu = Le |vtilde| vanishes at both ends.  The
-    linearisation gives M nu the full dtau weight, and R_theta = M -
-    (1-theta) dtau A, so the right-hand side is, exactly,
-
-        R_theta w - dtau a_lift + dtau M nu = M y - theta dtau a_lift,
-        y = w + dtau ((1-theta) vtilde + Le |vtilde|).
-
-    So a step with costs takes two one-band products, A w and M y, and no
-    R_theta band: R_theta w is the M w inside M y.  A stacked [R_theta, A]
-    pass with M nu and its two additions ran leland_ladder's P1 reference
-    at 191-211 us a step, against 167-185 us this way (4 alternating runs
-    of 4096 x 20480, 2-core host).  u keeps the order A w, + a_lift, mass
-    solve: steps that carry vtilde through the theta solve in place of the
-    mass solve moved leland_ladder's checked error column by 8e-10 to 1e-9,
-    past the benchmark's tolerance.  Subnormal coefficients of the result
-    are set to zero.
-
-    The mass solve overwrites A w with u, which is then scaled and taken
-    from y, and the theta solve overwrites M y with the new interior
-    (``overwrite_b``): bitwise a step with temporaries.  The one copy left
-    is that into the new full vector: solving straight into its interior
-    ran leland_ladder's ``converge`` slower, 2.59-2.65 against 2.53-2.55 s
-    (``python -m igafin.cli``, 2 cores).
-    """
-
-    def __init__(self, op: _ThetaOperator, wb: np.ndarray,
-                 leland_number: float):
-        self.op = op
-        self.wb = wb
-        self.leland_number = leland_number
-        a_lift = self.a_lift = op.a_cols @ wb
-        self.costs = leland_number > 0
-        if self.costs:
-            self.mass_chol = BandedCholesky(op.m_int)
-            self.lift = {th: (th * op.dtau) * a_lift for th in op.lhs_lu}
-        else:
-            self.lift = {th: op.dtau * (th * a_lift + (1.0 - th) * a_lift)
-                         for th in op.lhs_lu}
-
-    def __call__(self, level: int, theta: float,
-                 fields: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        op, w = self.op, fields["vhat"]
-        if self.costs:
-            u = op.a_int.matvec(w[1:-1])
-            u += self.a_lift
-            u = self.mass_chol.solve(u, overwrite_b=True)
-            y = np.abs(u)
-            y *= op.dtau * self.leland_number
-            u *= op.dtau * (1.0 - theta)
-            y -= u
-            y += w[1:-1]
-            rhs = op.m_int.matvec(y)
-        else:
-            rhs = op.rhs_mat[theta].matvec(w[1:-1])
-        rhs -= self.lift[theta]
-        w_int = op.lhs_lu[theta].solve(rhs, overwrite_b=True)
-        if self.costs:
-            w_int[np.abs(w_int) < _TINY] = 0.0
-        return {"vhat": _with_ends(w_int, self.wb)}
-
-
 def step_afv_boundary(values_m, params: AfvParams, dtau: float,
                       theta: float) -> tuple[float, float, float]:
     """Theta step of the S = 0 boundary ODEs for (U, B, C).
@@ -520,16 +452,66 @@ def run_leland(params: LelandParams, disc: Discretization,
     The initial coefficients are the payoff's values at the Greville
     points, or, on knots that hold the payoff kink with multiplicity 2 or
     more, the coefficients of its interpolant there: one solve with the
-    collocation band.  The smallest span sets the step-ratio warning."""
+    collocation band.  The smallest span sets the step-ratio warning.
+
+    The boundary data of the transformed problem does not depend on time,
+    so the boundary lift is one constant vector per theta, and the M_cols
+    term of ``build_rhs`` is zero.  Without costs a step is R_theta w, the
+    lift dtau a_lift in ``build_rhs``'s arithmetic and one solve: bitwise
+    ``step_linear``.
+
+    With costs, u = M^-1 (A w + a_lift) = -vtilde is solved with the
+    Cholesky factor of M, and nu = Le |vtilde| vanishes at both ends.  The
+    linearisation gives M nu the full dtau weight, and R_theta = M -
+    (1-theta) dtau A, so the right-hand side is, exactly,
+
+        R_theta w - dtau a_lift + dtau M nu = M y - theta dtau a_lift,
+        y = w + dtau ((1-theta) vtilde + Le |vtilde|).
+
+    Two things must hold.  u keeps the order A w, + a_lift, mass solve:
+    the benchmark's golden tolerance on the error column does not admit
+    the bits of another order.  And the solves in place, the mass solve
+    over A w and the theta solve over M y, are bitwise the step with
+    temporaries."""
     initial = params.payoff(disc.greville_x)
     if disc.knot_multiplicity(params.kink) >= 2:
         initial = BandedLU(disc.colloc.matrix).solve(initial)
     dtau = params.horizon / scheme.n_steps
-    if params.leland_number > 0:
-        _warn_if_unstable(disc.min_span_x(), dtau)
     op = _ThetaOperator(disc.system, params.coefficients("vhat"), dtau,
                         scheme.thetas)
-    step = _LelandStep(op, initial[[0, -1]], params.leland_number)
+    wb = initial[[0, -1]]
+    a_lift = op.a_cols @ wb
+    leland_number = params.leland_number
+    if leland_number > 0:
+        _warn_if_unstable(disc.min_span_x(), dtau)
+        mass_chol = BandedCholesky(op.m_int)
+        lift = {th: (th * dtau) * a_lift for th in op.lhs_lu}
+
+        def step(level: int, theta: float, fields: dict) -> dict:
+            w = fields["vhat"]
+            u = op.a_int.matvec(w[1:-1])
+            u += a_lift
+            u = mass_chol.solve(u, overwrite_b=True)
+            y = np.abs(u)
+            y *= dtau * leland_number
+            u *= dtau * (1.0 - theta)
+            y -= u
+            y += w[1:-1]
+            rhs = op.m_int.matvec(y)
+            rhs -= lift[theta]
+            w_int = op.lhs_lu[theta].solve(rhs, overwrite_b=True)
+            w_int[np.abs(w_int) < _TINY] = 0.0
+            return {"vhat": _with_ends(w_int, wb)}
+    else:
+        lift = {th: dtau * (th * a_lift + (1.0 - th) * a_lift)
+                for th in op.lhs_lu}
+
+        def step(level: int, theta: float, fields: dict) -> dict:
+            rhs = op.rhs_mat[theta].matvec(fields["vhat"][1:-1])
+            rhs -= lift[theta]
+            w_int = op.lhs_lu[theta].solve(rhs, overwrite_b=True)
+            return {"vhat": _with_ends(w_int, wb)}
+
     return _march(scheme, dtau, {"vhat": initial}, step)
 
 
@@ -617,9 +599,27 @@ def value_curve(params, disc: Discretization, surface: SolutionSurface,
                 s_points) -> np.ndarray:
     """Model values V(S, t = 0) at stock prices S on the final level: the
     value column's field at x_of(S, tau), times the model's value scale.
-    A price whose x lies outside the domain raises ValueError."""
+
+    x_of(s_of(x)) is x only to the roundings of its operations, at most
+    eight: n (horizon / n) for the final tau, a product and a sum for the
+    frame's shift each way, exp and log.  Each rounds by at most an ulp
+    of 1 + |x| + |c|, with c = x_of(1, tau) the frame's offset, and so by
+    at most eps (1 + |x| + |c|).  A price whose x lies outside the domain
+    by no more than eight such bounds is evaluated at its end, as
+    ``greeks_table`` clips its probes; one further outside raises
+    ValueError.  Only a price outside takes that test.
+    """
     s = np.atleast_1d(np.asarray(s_points, dtype=float))
     tau = surface.tau(surface.n_steps)
     xi = disc.pmap.to_parameter(params.x_of(s, tau))
+    # the domain test of ``eval_spline_many``: a run whose prices all pass
+    # it evaluates them as the plain map gives them, and touches no more
+    if not np.all((xi >= 0.0) & (xi <= 1.0)):
+        x = params.x_of(s, tau)
+        ulp = np.finfo(float).eps * (
+            1.0 + np.abs(x) + abs(params.x_of(1.0, tau)))
+        off = x - np.clip(x, disc.pmap.x_min, disc.pmap.x_max)
+        near = np.abs(off) <= 8 * ulp
+        xi[near] = np.clip(xi[near], 0.0, 1.0)
     return params.value_scale(tau) * eval_spline_many(
         disc.basis, surface.final[params.value_column[1]], xi)

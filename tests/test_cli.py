@@ -1034,6 +1034,34 @@ def test_a_failed_write_removes_the_directories_the_run_made(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["convertible.ini"]
 
 
+EDGE = {"x_min": 0, "x_max": 100}
+
+
+def test_price_at_the_lower_end_of_the_domain_evaluates_there(tmp_path):
+    # s_of(x_min, horizon), the lowest probe the config accepts, maps back
+    # to an x just below x_min; the run used to exit 1 after a traceback
+    le = LelandParams(0.1, 0.2, 100.0, 1.0, leland_number=0.8)
+    probe = float(le.s_of(0.0, le.horizon))
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "leland_ladder.ini", **EDGE,
+                  **{"experiment.probe_s": repr(probe)})
+    proc = _run_cli("price", "--config", cfg, "--out", out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "V(0.904837) = 0.0000\n"
+    assert (out / "greeks.csv").exists()
+
+
+def test_misfit_at_the_lowest_greville_price_evaluates_there(tmp_path):
+    # the P1 misfit samples at each rung's Greville prices, the lowest of
+    # which maps back to an x just below x_min
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "leland_ladder.ini", **EDGE,
+                  **{"ladder.rungs": "8:4", "ladder.reference": "16:8"})
+    proc = _run_cli("converge", "--config", cfg, "--out", out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (out / "convergence.csv").exists()
+
+
 def test_the_leland_ladder_march_does_not_drift(tmp_path, capsys,
                                                  monkeypatch):
     # the Leland cost march has no committed golden, so a solve that is

@@ -7,13 +7,15 @@ import pytest
 
 from igafin.assembly import PhysicalMap, assemble
 from igafin.basis import eval_spline_many
-from igafin.linsolve import BandedLU, BandedMatrix, band_products
+from igafin.linsolve import (BandedCholesky, BandedLU, BandedMatrix,
+                             band_products)
 from igafin import linsolve, stepper
 from igafin.models import (AfvParams, LelandParams, afv_terminal,
                            constraint_state)
 from igafin.quadrature import gauss_legendre_rule
 from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
-                            SchemeConfig, build_discretization,
+                            SchemeConfig, SolutionSurface,
+                            build_discretization,
                             newton_solve_U, run, run_afv, run_leland,
                             step_afv_boundary, step_linear, value_curve)
 
@@ -242,34 +244,48 @@ class TestLinearMarch:
             assert np.abs(got[1:-1] - want).max() <= \
                 1e-12 * np.abs(want).max()
 
+    @staticmethod
+    def _leland_step(monkeypatch, le, disc, scheme):
+        """The step closure ``run_leland`` hands to ``_march``, with the
+        level-0 coefficients it starts from."""
+        marched = {}
+
+        def recorded(scheme, dtau, fields, step):
+            marched.update(fields=fields, step=step)
+
+        monkeypatch.setattr(stepper, "_march", recorded)
+        run_leland(le, disc, scheme)
+        return marched["step"], marched["fields"]["vhat"]
+
     @pytest.mark.parametrize("degree", [1, 3])
     @pytest.mark.parametrize("leland_number", [0.0, 0.8])
     def test_step_in_place_is_bitwise_the_step_with_temporaries(
-            self, degree, leland_number):
+            self, monkeypatch, degree, leland_number):
         le = LelandParams(rate=0.1, sigma=0.2, strike=100.0, maturity=1.0,
                           leland_number=leland_number)
         a, b = le.domain()
         disc = build_discretization(a, b, 64, degree=degree)
         scheme = SchemeConfig(n_steps=40)
+        step, w = self._leland_step(monkeypatch, le, disc, scheme)
         op = stepper._ThetaOperator(disc.system, le.coefficients("vhat"),
                                     le.horizon / scheme.n_steps,
                                     scheme.thetas)
-        w = le.payoff(disc.greville_x)
-        step = stepper._LelandStep(op, w[[0, -1]], leland_number)
+        a_lift = op.a_cols @ w[[0, -1]]
+        costs = leland_number > 0
 
         def with_temporaries(theta, w):
-            if step.costs:
+            if costs:
                 # u = -vtilde, y = w + dtau ((1-theta) vtilde + Le |vtilde|)
-                u = step.mass_chol.solve(op.a_int.matvec(w[1:-1])
-                                         + step.a_lift)
+                u = BandedCholesky(op.m_int).solve(
+                    op.a_int.matvec(w[1:-1]) + a_lift)
                 y = (np.abs(u) * (op.dtau * leland_number)
                      - u * (op.dtau * (1.0 - theta)) + w[1:-1])
-                rhs = op.m_int.matvec(y) - (theta * op.dtau) * step.a_lift
+                rhs = op.m_int.matvec(y) - (theta * op.dtau) * a_lift
             else:
                 rhs = op.rhs_mat[theta].matvec(w[1:-1]) - op.dtau * (
-                    theta * step.a_lift + (1.0 - theta) * step.a_lift)
+                    theta * a_lift + (1.0 - theta) * a_lift)
             w_int = op.lhs_lu[theta].solve(rhs)
-            if step.costs:
+            if costs:
                 w_int[np.abs(w_int) < np.finfo(float).tiny] = 0.0
             return np.concatenate([w[:1], w_int, w[-1:]])
 
@@ -295,12 +311,9 @@ class TestLinearMarch:
         a, b = le.domain()
         disc = build_discretization(a, b, 64)
         scheme = SchemeConfig(n_steps=4)
-        op = stepper._ThetaOperator(disc.system, le.coefficients("vhat"),
-                                    le.horizon / scheme.n_steps,
-                                    scheme.thetas)
-        w = le.payoff(disc.greville_x)
-        step = stepper._LelandStep(op, w[[0, -1]], le.leland_number)
+        step, w = self._leland_step(monkeypatch, le, disc, scheme)
         band = (2 * disc.system.degree + 1, disc.n_basis - 2)
+        assert shapes == []
         for level in range(1, scheme.n_steps + 1):
             w = step(level, scheme.theta_at(level - 1), {"vhat": w})["vhat"]
             assert shapes == [band, band]
@@ -356,6 +369,22 @@ class TestEvaluation:
         s = LIN.s_of(b + 1.0, surf.tau(surf.n_steps))
         with pytest.raises(ValueError, match="outside"):
             value_curve(LIN, disc, surf, [s])
+
+    @pytest.mark.parametrize("a,b", [(0.0, 100.0), (-2.0, 7.0),
+                                     (1.5, 9.25)])
+    def test_value_curve_evaluates_the_ends_within_rounding(self, a, b):
+        # x_of(s_of(x)) rounds x off, and the final tau n (horizon / n)
+        # is the horizon rounded: for about a third of these step counts
+        # an end maps back outside the domain
+        le = LelandParams(0.1, 0.2, 100.0, 1.0, leland_number=0.8)
+        disc = build_discretization(a, b, 4, degree=1)
+        w = np.arange(disc.n_basis) + 1.0
+        s = le.s_of(np.array([a, b]), le.horizon)
+        for n in range(1, 300):
+            surf = SolutionSurface({n: {"vhat": w}}, n, le.horizon / n)
+            got = value_curve(le, disc, surf, s)
+            want = le.value_scale(surf.tau(n)) * w[[0, -1]]
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_price_curve_undoes_the_drift_frame(self):
         a, b = LIN.domain()

@@ -2,8 +2,7 @@
 """Run the benchmark in alternating pairs: a git revision against the work
 tree, with a summary of every end-to-end metric.
 
-    python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seed 3401 \
-        --out BENCH.json
+    python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --out BENCH.json
 
 For each workload of ``BENCHMARK.json`` it runs ``--pairs`` pairs of
 
@@ -15,8 +14,9 @@ is ``git archive BASE`` (extracted once by ``_extract`` of
 same way: every run copies its side's ``src/``, ``configs/`` and
 ``perfbench/`` into a fresh temporary directory of the same form and runs
 there, since the peak RSS of the same sources moves with the directory
-they run from.  Pair i takes seed ``--seed + i``; the base side runs
-first in even pairs, the change side in odd ones.
+they run from.  Pair i takes seed i + 1, which only goes into the
+record; the base side runs first in even pairs, the change side in odd
+ones.
 
 The JSON written to ``--out`` (rewritten after every pair, so a cut run
 keeps what it measured) holds each run's end-to-end metrics, and per
@@ -128,8 +128,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD",
                         help="git revision of the base side (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1,
-                        help="the seed of the first pair")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     # a termination signal unwinds, so the temporary trees are removed
@@ -142,9 +140,9 @@ def main(argv=None) -> int:
            "change": "the work tree",
            "command": "python3 perfbench/run.py --workload <workload> "
                       f"--seed <seed> --seconds {seconds:g} --trace 0",
-           "pairing": f"{args.pairs} pairs per workload, seeds {args.seed}-"
-                      f"{args.seed + args.pairs - 1}; the base side runs "
-                      "first in the pairs of even index",
+           "pairing": f"{args.pairs} pairs per workload, seeds 1-"
+                      f"{args.pairs}; the base side runs first in the pairs "
+                      "of even index",
            "quartiles": "statistics.quantiles(n=4, method='inclusive') "
                         "over each side's runs",
            "workloads": {}}
@@ -154,7 +152,7 @@ def main(argv=None) -> int:
             pairs = []
             doc["workloads"][workload] = {"pairs": pairs}
             for i in range(args.pairs):
-                seed = args.seed + i
+                seed = i + 1
                 pair = {"seed": seed, "first": SIDES[i % 2]}
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     run = run_once(roots[side], workload, seed, seconds)
