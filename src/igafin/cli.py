@@ -416,9 +416,14 @@ def _fmt(v) -> str:
 
 def _oracle_curve(cfg: ExperimentConfig):
     """converge's oracle as a function from stock prices to V(S, t = 0):
-    the final level of the P1 run on the [ladder] reference grid, which
-    stores the fewest levels, else the model's closed form, else None.  A
-    reference of one element, with no interior node, is a ConfigError."""
+    the final level of the P1 run on the [ladder] reference grid, else the
+    model's closed form, else None.  A reference of one element, with no
+    interior node, is a ConfigError.
+
+    The P1 curve holds only what ``value_curve`` reads of the run: its
+    basis, its physical map and its final level.  The run's Galerkin
+    system, collocation band, Greville points and other stored levels are
+    freed before the first rung is assembled, which reuses their heap."""
     params = cfg.params
     if cfg.reference is None:
         if hasattr(params, "closed_form"):
@@ -430,6 +435,8 @@ def _oracle_curve(cfg: ExperimentConfig):
                         f"{n_elements}", "reference")
     disc, surf = p1fem_solve(params, cfg.x_min, cfg.x_max, n_elements,
                              _scheme(cfg, n_tau))
+    disc = replace(disc, system=None, colloc=None, greville_x=None)
+    surf = replace(surf, levels={surf.n_steps: surf.final})
     return lambda s: value_curve(params, disc, surf, s)
 
 

@@ -3,11 +3,13 @@
 import ast
 import configparser
 import csv
+import gc
 import importlib.util
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from igafin.checks import run_checks
 from igafin.cli import _KNOWN_KEYS, ConfigError, _read_ini, main
 from igafin.greeks import check_greeks
 from igafin.models import LelandParams
-from igafin.stepper import SchemeConfig
+from igafin.stepper import SchemeConfig, value_curve
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -715,6 +717,37 @@ def test_ladder_reference_marches_with_the_configured_scheme(tmp_path,
                  str(tmp_path / "out")]) == 0
     assert schemes == [SchemeConfig(n_steps=40, theta=1.0, rannacher_steps=0,
                                     store_every=0)]
+
+
+def test_ladder_reference_curve_keeps_only_what_it_reads(tmp_path,
+                                                         monkeypatch):
+    # the P1 oracle holds its basis, map and final level: its Galerkin
+    # system, collocation band and other stored levels are freed before
+    # the rungs, and its values are the bits of the whole run's
+    import igafin.cli as cli
+    cfg = cli.parse_config(str(_config(
+        tmp_path, "leland_ladder.ini",
+        **{"ladder.rungs": "32:20", "ladder.reference": "64:40"})))
+    disc, surf = cli._build(cfg, 32, cli._scheme(cfg, 20))
+    grid = cli._misfit_prices(cfg.params, disc.greville_x,
+                              surf.tau(surf.n_steps))
+    assert grid.size
+    solve, freed, expected = cli.p1fem_solve, [], []
+
+    def recorded(params, x_min, x_max, n_elements, scheme):
+        disc, surf = solve(params, x_min, x_max, n_elements, scheme)
+        expected.append(value_curve(params, disc, surf, grid))
+        freed.extend(weakref.ref(obj) for obj in (disc.system, disc.colloc))
+        freed.extend(weakref.ref(level["vhat"])
+                     for n, level in surf.levels.items() if n != surf.n_steps)
+        return disc, surf
+
+    monkeypatch.setattr(cli, "p1fem_solve", recorded)
+    curve = cli._oracle_curve(cfg)
+    gc.collect()
+    assert len(freed) == 5
+    assert [ref() for ref in freed] == [None] * 5
+    assert curve(grid).tobytes() == expected[0].tobytes()
 
 
 def test_ladder_rungs_keep_only_their_final_slices(tmp_path, monkeypatch):
