@@ -60,9 +60,9 @@ holds through the march with the rights off (rho = 0), and not with them
 on (see ``apply_joint_constraints``).  What does not change over the
 march is made once: each theta operator's factors and its
 band stack [R_theta, M, M], the conversion values k S_0 e^x read by the
-terminal data, the pin at S_max, the default sources, and one
-``NewtonJacobians`` per theta, which reuses the factors of a Jacobian
-whose penalty shift it met among its last four.  A level then forms one
+terminal data, the pin at S_max and the default sources.  Newton runs on
+U's theta operator, whose ``factors`` reuses those of a Jacobian whose
+penalty shift it met among its last four.  A level then forms one
 constraint state on the full grid and only the source half each step
 reads; R w and the two mass products of a source come from one
 ``band_products`` call, and the boundary columns enter only the first and
@@ -89,7 +89,7 @@ from .assembly import Collocation, GalerkinSystem, PhysicalMap, assemble
 from .basis import (KnotVector, NurbsBasis, eval_spline_many,
                     make_refined_open_knots, make_uniform_open_knots)
 from .linsolve import BandedCholesky, BandedLU, BandedMatrix, band_products
-from .models import (AfvParams, LelandParams, afv_terminal,
+from .models import (AfvParams, ConstraintState, LelandParams, afv_terminal,
                      apply_B_constraints, apply_joint_constraints,
                      constraint_state, default_delta, default_gamma)
 from .quadrature import gauss_legendre_rule
@@ -97,7 +97,7 @@ from .quadrature import gauss_legendre_rule
 __all__ = [
     "SchemeConfig", "SolutionSurface", "Discretization",
     "build_knots", "build_discretization", "step_linear",
-    "step_afv_boundary", "NewtonJacobians", "newton_solve_U",
+    "step_afv_boundary", "newton_solve_U",
     "NewtonDivergenceError", "run",
     "run_leland", "run_afv", "value_curve",
 ]
@@ -224,7 +224,15 @@ class _ThetaOperator:
     only in their first and last ``near`` rows (the interior rows within
     the band of a boundary basis function), and only those rows take the
     lift.
+
+    ``factors(theta, shift)`` gives the factors of the Newton Jacobian
+    (M + theta dtau A) + M diag(shift) from one cache of the last ``keep``
+    distinct Jacobians, keyed by theta and the shift's bytes.  One cache
+    serves every theta because theta is a step function of the level, so
+    the Rannacher entries, never asked for again, are the first to leave.
     """
+
+    keep = 4
 
     def __init__(self, system: GalerkinSystem, coeffs, dtau: float,
                  thetas: tuple[float, ...]):
@@ -243,6 +251,7 @@ class _ThetaOperator:
             self.lhs_mat[th] = self.m_int + self.a_int.scaled(th * dtau)
             self.lhs_lu[th] = BandedLU(self.lhs_mat[th])
             self.rhs_mat[th] = self.m_int - self.a_int.scaled((1.0 - th) * dtau)
+        self._recent: dict[tuple[float, bytes], BandedLU] = {}
 
     def build_rhs(self, w_full: np.ndarray, wb_new, theta: float,
                   nu_m: np.ndarray | None = None,
@@ -281,6 +290,21 @@ class _ThetaOperator:
              nu_m=None, nu_new=None) -> np.ndarray:
         rhs = self.build_rhs(w_full, wb_new, theta, nu_m, nu_new)
         return _with_ends(self.lhs_lu[theta].solve(rhs), wb_new)
+
+    def factors(self, theta: float, shift: np.ndarray) -> BandedLU:
+        """The factors of lhs_mat[theta] + M diag(shift): ``lhs_lu[theta]``
+        for a zero shift, else those of the cache, since the same matrix
+        gives bitwise the same factors."""
+        if not shift.any():
+            return self.lhs_lu[theta]
+        key = theta, shift.tobytes()
+        lu = self._recent.pop(key, None)
+        if lu is None:
+            lu = BandedLU(self.lhs_mat[theta] + self.m_int.scale_columns(shift))
+        self._recent[key] = lu
+        if len(self._recent) > self.keep:
+            del self._recent[next(iter(self._recent))]
+        return lu
 
 
 def _with_ends(interior: np.ndarray, ends) -> np.ndarray:
@@ -336,57 +360,29 @@ class NewtonDivergenceError(RuntimeError):
             f"{iterations} iterations, residual {residual:.3e}")
 
 
-class NewtonJacobians:
-    """The Jacobians A11 + M diag(shift) of the penalised U system.
-
-    Holds the band stack [A11, M] of the residual and reuses factors: a
-    zero shift takes ``a11_lu``, the factors of A11, and a shift equal to
-    one of the last four distinct shifts asked for takes the factors made
-    for it, since the same matrix gives bitwise the same factors.  One
-    object serves every Newton solve of a march on A11.
-    """
-
-    keep = 4
-
-    def __init__(self, a11: BandedMatrix, mass: BandedMatrix,
-                 a11_lu: BandedLU):
-        self.a11 = a11
-        self.mass = mass
-        self.bands = np.stack([a11.data, mass.data])
-        self.a11_lu = a11_lu
-        self._recent: dict[bytes, BandedLU] = {}
-
-    def factors(self, shift: np.ndarray) -> BandedLU:
-        if not shift.any():
-            return self.a11_lu
-        key = shift.tobytes()
-        lu = self._recent.pop(key, None)
-        if lu is None:
-            lu = BandedLU(self.a11 + self.mass.scale_columns(shift))
-        self._recent[key] = lu
-        if len(self._recent) > self.keep:
-            del self._recent[next(iter(self._recent))]
-        return lu
-
-
-def newton_solve_U(jacobians: NewtonJacobians, phi: np.ndarray,
-                   u_star_put: np.ndarray, u_star_call: np.ndarray,
-                   rho: float, dtau: float, tol: float, max_iter: int):
-    """Damped-free Newton iteration on the penalised interior U system.
+def newton_solve_U(op: _ThetaOperator, theta: float, phi: np.ndarray,
+                   state: ConstraintState, params: AfvParams, level: int):
+    """Undamped Newton iteration on the penalised interior U system of
+    time level ``level``.
 
     Solves f(U) = A11 U + rho dtau M [P_put (U - U*_put) + P_call
-    (U - U*_call)] - phi = 0 with indicator refresh each iterate; the
-    Jacobian A11 + rho dtau M (P_put + P_call) stays banded because the
-    penalty acts diagonally on coefficients, and ``jacobians`` (on A11 and
-    M) gives its factors.  Starts from U = A11^{-1} phi.  Stops when the
-    update drops below ``tol`` in the max norm or the active sets repeat,
-    unconverged if the residual there is not finite (NaN iterates repeat
-    their sets).
+    (U - U*_call)] - phi = 0 with indicator refresh each iterate, where
+    A11 = ``op.lhs_mat[theta]``, M = ``op.m_int``, dtau = ``op.dtau``, U*
+    the interior of ``state``'s bounds, and rho, the tolerance and the
+    iteration cap those of ``params``.  The Jacobian A11 + rho dtau M
+    (P_put + P_call) stays banded because the penalty acts diagonally on
+    coefficients, and ``op.factors`` gives its factors.  Starts from U =
+    A11^{-1} phi.  Stops when the update drops below the tolerance in the
+    max norm or the active sets repeat.
 
-    Returns (U, iterations, converged, residual) with the residual
-    max|f(U)| at the returned iterate.
+    Returns (U, iterations).  Raises ``NewtonDivergenceError`` with the
+    residual max|f(U)| at the last iterate if the cap is reached or that
+    residual is not finite (NaN iterates repeat their sets).
     """
-    u = jacobians.a11_lu.solve(phi)
+    u_star_put, u_star_call = state.u_star_put[1:-1], state.u_star_call[1:-1]
+    rho_dtau = params.rho * op.dtau
+    bands = np.stack([op.lhs_mat[theta].data, op.m_int.data])
+    u = op.lhs_lu[theta].solve(phi)
 
     def active(u):
         return ((u_star_put - u >= 0.0).astype(float),
@@ -395,22 +391,24 @@ def newton_solve_U(jacobians: NewtonJacobians, phi: np.ndarray,
     def residual(u, p_put, p_call):
         pen = np.where(p_put > 0, u - u_star_put, 0.0) \
             + np.where(p_call > 0, u - u_star_call, 0.0)
-        a_u, m_pen = band_products(jacobians.bands, np.stack([u, pen]))
-        return a_u + rho * dtau * m_pen - phi
+        a_u, m_pen = band_products(bands, np.stack([u, pen]))
+        return a_u + rho_dtau * m_pen - phi
 
     p_put, p_call = active(u)
-    for it in range(1, max_iter + 1):
+    for it in range(1, params.newton_max_iter + 1):
         f = residual(u, p_put, p_call)
-        du = jacobians.factors(rho * dtau * (p_put + p_call)).solve(f)
+        du = op.factors(theta, rho_dtau * (p_put + p_call)).solve(f)
         u = u - du
         p_put_new, p_call_new = active(u)
-        same_active = np.array_equal(p_put_new, p_put) and \
+        repeated = np.array_equal(p_put_new, p_put) and \
             np.array_equal(p_call_new, p_call)
         p_put, p_call = p_put_new, p_call_new
-        if np.max(np.abs(du)) <= tol or same_active:
-            res = float(np.abs(residual(u, p_put, p_call)).max())
-            return u, it, bool(np.isfinite(res)), res
-    return u, max_iter, False, float(np.abs(residual(u, p_put, p_call)).max())
+        if stopped := np.max(np.abs(du)) <= params.newton_tol or repeated:
+            break
+    res = float(np.abs(residual(u, p_put, p_call)).max())
+    if not (stopped and np.isfinite(res)):
+        raise NewtonDivergenceError(it, res, level)
+    return u, it
 
 
 def _march(scheme: SchemeConfig, dtau: float,
@@ -527,9 +525,6 @@ def run_afv(params: AfvParams, disc: Discretization,
     ops = {name: _ThetaOperator(disc.system, params.coefficients(name), dtau,
                                 scheme.thetas) for name in ("U", "B")}
     ops["C"] = ops["U"]
-    jacobians = {th: NewtonJacobians(lhs, ops["U"].m_int,
-                                     ops["U"].lhs_lu[th])
-                 for th, lhs in ops["U"].lhs_mat.items()}
     events, _ = params.calendar(dtau, scheme.n_steps)
     hazard = params.hazard_rate
 
@@ -566,12 +561,7 @@ def run_afv(params: AfvParams, disc: Discretization,
         # 4) holder value: penalised Newton solve
         phi = ops["U"].build_rhs(w["U"], (u0, pin), theta,
                                  nu_m=nu_delta(w["B"]), nu_new=nu_delta(b_new))
-        u_int, iters, converged, residual = newton_solve_U(
-            jacobians[theta], phi, state.u_star_put[1:-1],
-            state.u_star_call[1:-1],
-            params.rho, dtau, params.newton_tol, params.newton_max_iter)
-        if not converged:
-            raise NewtonDivergenceError(iters, residual, level)
+        u_int, _ = newton_solve_U(ops["U"], theta, phi, state, params, level)
         u_new = _with_ends(u_int, (u0, pin))
         # 5) shift the joint clipping of U onto B, which leaves both ends
         b_new = apply_joint_constraints(b_new, u_new, state)

@@ -637,21 +637,16 @@ def test_afv_keys_left_out_take_the_parameter_defaults(tmp_path):
     assert (p.rho, p.newton_tol) == (1e6, 1e-6)
 
 
-def test_newton_failure_is_a_solver_failure_with_no_output(tmp_path, capsys,
-                                                           monkeypatch):
-    import igafin.stepper as stepper
-    solve = stepper.newton_solve_U
-
-    def not_converging(*args, **kwargs):
-        u, iterations, _, residual = solve(*args, **kwargs)
-        return u, iterations, False, residual
-
-    monkeypatch.setattr(stepper, "newton_solve_U", not_converging)
+def test_newton_failure_is_a_solver_failure_with_no_output(tmp_path, capsys):
+    # a default intensity of 1e308 overflows the first level's load, so
+    # Newton's first iterate is NaN and its residual is not finite
     out = tmp_path / "out"
-    cfg = _config(tmp_path, "convertible.ini", **SMALL)
+    cfg = _config(tmp_path, "convertible.ini", **SMALL,
+                  **{"model.hazard_rate": "1e308"})
     assert main(["price", "--config", str(cfg), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("solver failure: penalty Newton failed")
+    assert capsys.readouterr().err == (
+        "solver failure: penalty Newton failed to converge at time level 1: "
+        "1 iterations, residual nan\n")
     assert not out.exists()
 
 

@@ -7,15 +7,14 @@ import pytest
 
 from igafin.assembly import PhysicalMap, assemble
 from igafin.basis import eval_spline_many
-from igafin.linsolve import (BandedCholesky, BandedLU, BandedMatrix,
-                             band_products)
+from igafin.linsolve import BandedCholesky, band_products
 from igafin import linsolve, stepper
-from igafin.models import (AfvParams, LelandParams, afv_terminal,
-                           constraint_state)
+from igafin.models import (AfvParams, ConstraintState, LelandParams,
+                           afv_terminal, constraint_state)
 from igafin.quadrature import gauss_legendre_rule
-from igafin.stepper import (NewtonDivergenceError, NewtonJacobians,
-                            SchemeConfig, SolutionSurface,
-                            build_discretization,
+from igafin.reference import fdm_discretization
+from igafin.stepper import (NewtonDivergenceError, SchemeConfig,
+                            SolutionSurface, build_discretization,
                             newton_solve_U, run, run_afv, run_leland,
                             step_afv_boundary, step_linear, value_curve)
 
@@ -572,10 +571,9 @@ class TestAfvMarch:
     def test_newton_divergence_reports_the_residual(self, monkeypatch):
         calls = []
 
-        def recording(*args, **kwargs):
-            out = newton_solve_U(*args, **kwargs)
-            calls.append((args, out))
-            return out
+        def recording(*args):
+            calls.append(args)
+            return newton_solve_U(*args)
 
         monkeypatch.setattr(stepper, "newton_solve_U", recording)
         monkeypatch.setattr(AfvParams, "newton_max_iter", 1)
@@ -583,13 +581,23 @@ class TestAfvMarch:
         disc = build_discretization(-6.0, 2.0, 32)
         with pytest.raises(NewtonDivergenceError) as err:
             run_afv(params, disc, SchemeConfig(n_steps=20))
-        (jac, phi, put, call, rho, dtau, _, _), (u, _, ok, _) = calls[-1]
-        a11, mass = jac.a11, jac.mass
-        assert not ok
-        pen = np.where(put - u >= 0.0, u - put, 0.0) \
-            + np.where(u - call >= 0.0, u - call, 0.0)
-        f = a11.to_dense() @ u + rho * dtau * (mass.to_dense() @ pen) - phi
-        assert err.value.residual == pytest.approx(np.abs(f).max(), rel=1e-9)
+        op, theta, phi, state, params, level = calls[-1]
+        assert (err.value.iterations, err.value.level) == (1, level)
+        # the one-step iterate and its residual, dense
+        a11, mass = op.lhs_mat[theta].to_dense(), op.m_int.to_dense()
+        put, call = state.u_star_put[1:-1], state.u_star_call[1:-1]
+        rho_dtau = params.rho * op.dtau
+
+        def f(u):
+            pen = np.where(put - u >= 0.0, u - put, 0.0) \
+                + np.where(u - call >= 0.0, u - call, 0.0)
+            return a11 @ u + rho_dtau * (mass @ pen) - phi
+
+        u0 = np.linalg.solve(a11, phi)
+        shift = rho_dtau * ((put - u0 >= 0.0) | (u0 - call >= 0.0))
+        u1 = u0 - np.linalg.solve(a11 + mass * shift, f(u0))
+        assert err.value.residual == pytest.approx(np.abs(f(u1)).max(),
+                                                   rel=1e-9)
 
 
 def _dense_rhs(op, w, wb_new, theta, nu_m=None, nu_new=None):
@@ -639,32 +647,39 @@ class TestThetaOperator:
                                    atol=1e-13 * np.abs(want).max())
 
 
-def _identity_jacobians(n):
-    eye = BandedMatrix(n, 0, np.ones((1, n)))
-    return NewtonJacobians(eye, eye, BandedLU(eye))
+def _identity_operator(n):
+    """A theta operator on n interior rows whose left-hand side and mass
+    are the identity: the FDM twin's system with A = 0, dtau 1, theta 1."""
+    system = fdm_discretization(0.0, 1.0, n + 1).system
+    return stepper._ThetaOperator(system, (0.0, 0.0, 0.0), 1.0, (1.0,))
+
+
+def _bounds(floor, roof):
+    """A constraint state whose interior bounds U*_put, U*_call are
+    ``floor`` and ``roof``, each extended by its end values."""
+    floor, roof = (np.pad(np.asarray(v, dtype=float), 1, mode="edge")
+                   for v in (floor, roof))
+    return ConstraintState(-math.inf, math.inf, floor, floor, roof)
 
 
 class TestNewtonSolve:
     def test_penalty_limit_tiny_system(self):
         # identity operator, zero load, floor at 1: the penalised solution
         # sits within O(1/rho) of the floor
-        n, rho = 5, 1.0e4
-        floor = np.ones(n)
-        roof = np.full(n, math.inf)
-        u, iters, converged, _ = newton_solve_U(
-            _identity_jacobians(n), np.zeros(n), floor, roof, rho, 1.0,
-            tol=1e-12, max_iter=50)
-        assert converged
+        n, params = 5, _afv(rho=1.0e4, newton_tol=1e-12)
+        u, iters = newton_solve_U(
+            _identity_operator(n), 1.0, np.zeros(n),
+            _bounds(np.ones(n), np.full(n, math.inf)), params, 1)
         assert iters >= 1
-        assert np.abs(u - 1.0).max() <= 2.0 / rho
+        assert np.abs(u - 1.0).max() <= 2.0 / params.rho
 
     def test_unconstrained_solves_linear_system(self):
         n = 4
         phi = np.array([1.0, 2.0, 3.0, 4.0])
-        u, iters, converged, _ = newton_solve_U(
-            _identity_jacobians(n), phi, np.full(n, -math.inf),
-            np.full(n, math.inf), 1.0e6, 1.0, tol=1e-12, max_iter=50)
-        assert converged
+        u, _ = newton_solve_U(
+            _identity_operator(n), 1.0, phi,
+            _bounds(np.full(n, -math.inf), np.full(n, math.inf)),
+            _afv(newton_tol=1e-12), 1)
         assert u == pytest.approx(phi)
 
     def test_non_finite_load_is_unconverged(self):
@@ -672,46 +687,76 @@ class TestNewtonSolve:
         # iterate repeat; that must not count as convergence
         n = 4
         phi = np.array([1.0, np.nan, 3.0, 4.0])
-        with np.errstate(invalid="ignore"):
-            _, _, converged, residual = newton_solve_U(
-                _identity_jacobians(n), phi, np.zeros(n), np.full(n, 10.0),
-                1.0e6, 1.0, tol=1e-12, max_iter=50)
-        assert not converged
-        assert not math.isfinite(residual)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NewtonDivergenceError) as err:
+            newton_solve_U(_identity_operator(n), 1.0, phi,
+                           _bounds(np.zeros(n), np.full(n, 10.0)),
+                           _afv(newton_tol=1e-12), 7)
+        assert not math.isfinite(err.value.residual)
+        assert err.value.level == 7
+
+    def test_solves_the_penalised_system_of_its_own_active_sets(self):
+        # the FDM twin's tridiagonal operator, a load whose free solution
+        # crosses the floor on some rows and the ceiling on others; a step
+        # long enough to couple the rows, so that the bounds move the sets
+        # away from the free solution's and Newton takes several iterates
+        disc = fdm_discretization(-6.0, 2.0, 256)
+        params, theta = _afv(), 0.5
+        op = stepper._ThetaOperator(disc.system, params.coefficients("U"),
+                                    1.0, (theta, 1.0))
+        phi = op.lhs_mat[theta].matvec(120.0 + 30.0 * np.sin(
+            disc.greville_x[1:-1]))
+        floor, roof = np.full(len(phi), 110.0), np.full(len(phi), 140.0)
+        u, iters = newton_solve_U(op, theta, phi, _bounds(floor, roof),
+                                  params, 1)
+        assert iters > 2
+        p_put, p_call = floor - u >= 0.0, u - roof >= 0.0
+        assert 0 < p_put.sum() < len(u) and 0 < p_call.sum() < len(u)
+        rho_dtau = params.rho * op.dtau
+        a11, mass = op.lhs_mat[theta].to_dense(), op.m_int.to_dense()
+        want = np.linalg.solve(
+            a11 + mass * (rho_dtau * (p_put | p_call)),
+            phi + rho_dtau * (mass @ np.where(p_put, floor, 0.0)
+                              + mass @ np.where(p_call, roof, 0.0)))
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(floor - want >= 0.0, p_put)
+        assert np.array_equal(want - roof >= 0.0, p_call)
 
     def test_factor_cache_gives_bitwise_the_fresh_result(self,
                                                           monkeypatch):
-        # every solve of a march, whose Jacobians reuse factors across
-        # levels, replayed with fresh factors
+        # every solve of a march, whose operator reuses factors across
+        # levels, replayed on a fresh operator
         calls = []
 
-        def recording(*args, **kwargs):
-            out = newton_solve_U(*args, **kwargs)
+        def recording(*args):
+            out = newton_solve_U(*args)
             calls.append((args, out))
             return out
 
         monkeypatch.setattr(stepper, "newton_solve_U", recording)
-        run_afv(_afv(), build_discretization(-6.0, 2.0, 32),
-                SchemeConfig(n_steps=40))
+        params, disc = _afv(), build_discretization(-6.0, 2.0, 32)
+        scheme = SchemeConfig(n_steps=40)
+        run_afv(params, disc, scheme)
         assert sum(out[1] for _, out in calls) > len(calls)
-        for (jac, *rest), (u, iters, ok, res) in calls:
-            fresh = NewtonJacobians(jac.a11, jac.mass, BandedLU(jac.a11))
-            u_f, iters_f, ok_f, res_f = newton_solve_U(fresh, *rest)
+        for (op, *rest), (u, iters) in calls:
+            fresh = stepper._ThetaOperator(
+                disc.system, params.coefficients("U"), op.dtau,
+                scheme.thetas)
+            u_f, iters_f = newton_solve_U(fresh, *rest)
             assert np.array_equal(u, u_f)
-            assert (iters, ok, res) == (iters_f, ok_f, res_f)
+            assert iters == iters_f
 
 
 class TestFiniteGuard:
     def test_convertible_march_stops_on_a_non_finite_level(self, monkeypatch):
         # a default intensity of 1e308 overflows the default source in the
-        # first step; the march stops there even when Newton lets it pass
-        solve = stepper.newton_solve_U
+        # first step; the march stops there even when Newton lets it pass,
+        # here a stand-in that returns the unpenalised solve of the
+        # non-finite load
+        def unpenalised(op, theta, phi, *rest):
+            return op.lhs_lu[theta].solve(phi), 1
 
-        def always_converged(*args, **kwargs):
-            u, iterations, _, residual = solve(*args, **kwargs)
-            return u, iterations, True, residual
-
-        monkeypatch.setattr(stepper, "newton_solve_U", always_converged)
+        monkeypatch.setattr(stepper, "newton_solve_U", unpenalised)
         disc = build_discretization(-6.0, 2.0, 32)
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match="time level 1 of 20"):

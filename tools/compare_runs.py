@@ -112,6 +112,15 @@ def _matrix():
         ("price-convertible-put-at-t0", "price", "convertible.ini",
          {"model.put_window": "0.0:0.0:105",
           "discretization.n_elements": "64", "discretization.n_tau": "50"}),
+        # a load that overflows, so that Newton diverges at level 1, rc 3
+        # on one stderr line; and one theta, so that the bond's factor
+        # cache holds the Jacobians of a single theta
+        ("price-convertible-newton-nan", "price", "convertible.ini",
+         {"model.hazard_rate": "1e308",
+          "discretization.n_elements": "64", "discretization.n_tau": "50"}),
+        ("price-convertible-theta-1", "price", "convertible.ini",
+         {"discretization.theta": "1",
+          "discretization.n_elements": "64", "discretization.n_tau": "50"}),
         ("validate", "validate", None, {}),
     ]
     return runs
